@@ -69,13 +69,7 @@ module Report = struct
       ("sat_strengthened", string_of_int st.Synth.Engine.sat_strengthened);
       ("sat_vivified", string_of_int st.Synth.Engine.sat_vivified);
       ("sat_eliminated", string_of_int st.Synth.Engine.sat_eliminated);
-      ("sat_rephases", string_of_int st.Synth.Engine.sat_rephases);
-      ("races", string_of_int st.Synth.Engine.races);
-      ("race_unsat", string_of_int st.Synth.Engine.race_unsat);
-      ("race_shared_out", string_of_int st.Synth.Engine.race_shared_out);
-      ("race_shared_in", string_of_int st.Synth.Engine.race_shared_in);
-      ("cubes", string_of_int st.Synth.Engine.cubes);
-      ("cubes_unsat", string_of_int st.Synth.Engine.cubes_unsat) ]
+      ("sat_rephases", string_of_int st.Synth.Engine.sat_rephases) ]
 
   let record_run ~section ~label ~outcome ~wall st =
     record
@@ -966,7 +960,7 @@ let sat_bench () =
       Synth.Engine.(
         default_options |> with_mode mode |> with_jobs jobs
         |> with_deadline (Some !deadline)
-        |> with_sat_config cfg)
+        |> with_strategy cfg)
     in
     let outcome, dt =
       time (fun () -> Synth.Engine.synthesize ~options (problem ()))
@@ -1084,250 +1078,6 @@ let sat_bench () =
     exit 1
   end
 
-(* {1 Portfolio racing and cube-and-conquer (DESIGN.md section 15)}
-
-   Two comparisons.  First, a solvable monolithic synthesis (alu) runs
-   sequentially, racing, and cubed, to assert the determinism contract:
-   the portfolio accelerates only the Unsat direction, so the hole
-   bindings must be bit-identical across all three.  Second — the actual
-   payoff — the monolithic ∀-verify query of the paper's dagger rows is
-   attacked directly: synthesize the RV32I / RV32I+M reference
-   per-instruction (fast), close the design, pose the one big
-   "some instruction violates its contract" disjunction
-   ([Engine.monolithic_violation]), and solve that single hard Unsat
-   query sequentially, with a 4-racer diversified portfolio (periodic
-   glue sharing), and by cube-and-conquer.  Racing inside the CEGIS
-   loop would pay a full re-blast per racer per iteration, which is why
-   the comparison lives at the query level: one query, one blast per
-   racer (in parallel), diversified search from there. *)
-
-let portfolio_bench () =
-  print_endline "";
-  print_endline "Portfolio: sequential vs 4-racer portfolio vs cube-and-conquer";
-  print_endline "on the monolithic ∀-verify query (the query that defeats";
-  Printf.printf "sequential solving; timeout = %.0fs wall clock)\n" !deadline;
-  print_endline "";
-  Printf.printf "%-26s %-12s %8s %10s %6s %8s %8s %6s\n" "Query" "Variant"
-    "wall(s)" "conflicts" "races" "shr_out" "shr_in" "cubes";
-  print_endline (String.make 92 '-');
-  let jobs = 4 in
-  let cube_vars = 5 in
-  let ok = ref true and accelerated_anywhere = ref false in
-  let win_counts_str (summary : Synth.Portfolio.summary) =
-    String.concat " "
-      (List.map
-         (fun (i, n) -> Printf.sprintf "%d:%d" i n)
-         summary.Synth.Portfolio.win_counts)
-  in
-  let summarize ~design ~wseq ~wrace ~wcube ~race_speedup ~cube_speedup
-      ~(summary : Synth.Portfolio.summary) ~(tcube : Synth.Portfolio.summary)
-      ~faster ~bindings_identical =
-    if faster then accelerated_anywhere := true;
-    let win_counts = win_counts_str summary in
-    let races_won =
-      List.fold_left (fun a (_, n) -> a + n) 0 summary.Synth.Portfolio.win_counts
-    in
-    Printf.printf
-      "  %s: portfolio %.2fx, cubes %.2fx vs sequential (%s); wins [%s], \
-       shared %d out / %d in, bindings %s\n%!"
-      design race_speedup cube_speedup
-      (if faster then "faster" else "not faster")
-      win_counts summary.Synth.Portfolio.shared_out
-      summary.Synth.Portfolio.shared_in bindings_identical;
-    Report.record
-      [ ("section", Report.str "portfolio");
-        ("label", Report.str (design ^ " summary"));
-        ("sequential_wall_seconds", Printf.sprintf "%.6f" wseq);
-        ("portfolio_wall_seconds", Printf.sprintf "%.6f" wrace);
-        ("cube_wall_seconds", Printf.sprintf "%.6f" wcube);
-        ("portfolio_speedup", Printf.sprintf "%.4f" race_speedup);
-        ("cube_speedup", Printf.sprintf "%.4f" cube_speedup);
-        ("races", string_of_int summary.Synth.Portfolio.races);
-        ("races_won", string_of_int races_won);
-        ("win_counts", Report.str win_counts);
-        ("shared_out", string_of_int summary.Synth.Portfolio.shared_out);
-        ("shared_in", string_of_int summary.Synth.Portfolio.shared_in);
-        ("shared_dropped",
-         string_of_int summary.Synth.Portfolio.shared_dropped);
-        ("cubes", string_of_int tcube.Synth.Portfolio.cubes);
-        ("cubes_unsat", string_of_int tcube.Synth.Portfolio.cubes_unsat);
-        ("accelerated", string_of_bool faster);
-        ("bindings_identical", Report.str bindings_identical) ]
-  in
-  (* — the determinism contract on a solvable monolithic synthesis: all
-     three variants must land on bit-identical hole bindings — *)
-  let synth_variant ~design ~problem (tag, race) =
-    let tally = Synth.Portfolio.create_tally () in
-    let options =
-      Synth.Engine.(
-        default_options |> with_mode Monolithic |> with_jobs jobs
-        |> with_deadline (Some !deadline)
-        |> with_race race)
-    in
-    let outcome, dt =
-      time (fun () ->
-          Synth.Engine.synthesize ~options ~race_tally:tally (problem ()))
-    in
-    let st, solved, outcome_str =
-      match outcome with
-      | Synth.Engine.Solved s -> (Some s.Synth.Engine.stats, Some s, "solved")
-      | Synth.Engine.Timeout st -> (Some st, None, "timeout")
-      | _ -> (None, None, "failed")
-    in
-    let t = Synth.Portfolio.read_tally tally in
-    (match st with
-    | Some st ->
-        Printf.printf "%-26s %-12s %8.2f %10d %6d %8d %8d %6d\n%!" design
-          (tag ^ if outcome_str = "timeout" then "(T)" else "")
-          dt st.Synth.Engine.conflicts t.Synth.Portfolio.races
-          t.Synth.Portfolio.shared_out t.Synth.Portfolio.shared_in
-          t.Synth.Portfolio.cubes
-    | None -> Printf.printf "%-26s %-12s failed\n%!" design tag);
-    Report.record_run ~section:"portfolio"
-      ~label:(Printf.sprintf "%s %s" design tag)
-      ~outcome:outcome_str ~wall:dt st;
-    (solved, dt, t)
-  in
-  let same (a : Synth.Engine.solved) (b : Synth.Engine.solved) =
-    a.Synth.Engine.per_instr = b.Synth.Engine.per_instr
-    && a.Synth.Engine.shared = b.Synth.Engine.shared
-  in
-  let synth_design design problem =
-    let variants =
-      [ ("sequential", Synth.Portfolio.default);
-        ("portfolio-4", Synth.Portfolio.(default |> with_racers 4));
-        (Printf.sprintf "cube-%d" (1 lsl cube_vars),
-         Synth.Portfolio.(default |> with_cube_vars cube_vars)) ]
-    in
-    let rows =
-      List.map (fun v -> (fst v, synth_variant ~design ~problem v)) variants
-    in
-    let seq, wseq, _ = snd (List.nth rows 0) in
-    let race, wrace, trace_ = snd (List.nth rows 1) in
-    let cube, wcube, tcube = snd (List.nth rows 2) in
-    let bindings_identical =
-      match (seq, race, cube) with
-      | None, _, _ | _, None, None -> "n/a"
-      | Some s, r, c ->
-          if
-            (match r with Some r -> same s r | None -> true)
-            && match c with Some c -> same s c | None -> true
-          then "true"
-          else "false"
-    in
-    if bindings_identical = "false" then ok := false;
-    let speedup w solved =
-      if solved = None && seq = None then 1.0 else wseq /. w
-    in
-    let faster =
-      (race <> None && (seq = None || wrace < wseq))
-      || (cube <> None && (seq = None || wcube < wseq))
-    in
-    summarize ~design ~wseq ~wrace ~wcube
-      ~race_speedup:(speedup wrace race) ~cube_speedup:(speedup wcube cube)
-      ~summary:trace_ ~tcube ~faster ~bindings_identical
-  in
-  (* — the payoff: the dagger rows' monolithic ∀-verify query, solved
-     once per variant.  The reference control is synthesized
-     per-instruction first (the tractable direction), then the closed
-     design's "some instruction violates its contract" disjunction is
-     posed sequentially, raced, and cubed. — *)
-  let verify_design design isa =
-    let problem = Designs.Riscv_single.problem isa in
-    let vproblem =
-      { problem with
-        Synth.Engine.design = Designs.Riscv_single.reference_design isa }
-    in
-    let v = Synth.Engine.monolithic_violation vproblem in
-    let strategy = Solver.Strategy.default in
-        let cfg = Solver.Strategy.sat_config strategy in
-        let run_query tag f =
-          let tally = Synth.Portfolio.create_tally () in
-          let o, dt = time (fun () -> f tally) in
-          let st = Solver.stats_of o in
-          let t = Synth.Portfolio.read_tally tally in
-          let outcome_str =
-            match o with
-            | Solver.Unsat _ -> "unsat"
-            | Solver.Sat _ -> "sat"
-            | Solver.Unknown _ -> "timeout"
-          in
-          (* a Sat here means a racer or cube found a "counterexample" to
-             a correct-by-construction design — a soundness bug *)
-          if outcome_str = "sat" then ok := false;
-          Printf.printf "%-26s %-12s %8.2f %10d %6d %8d %8d %6d\n%!" design
-            (tag ^ if outcome_str = "timeout" then "(T)" else "")
-            dt st.Solver.sat_conflicts t.Synth.Portfolio.races
-            t.Synth.Portfolio.shared_out t.Synth.Portfolio.shared_in
-            t.Synth.Portfolio.cubes;
-          Report.record
-            [ ("section", Report.str "portfolio");
-              ("label", Report.str (Printf.sprintf "%s %s" design tag));
-              ("outcome", Report.str outcome_str);
-              ("wall_seconds", Printf.sprintf "%.6f" dt);
-              ("sat_conflicts", string_of_int st.Solver.sat_conflicts);
-              ("races", string_of_int t.Synth.Portfolio.races);
-              ("race_shared_out",
-               string_of_int t.Synth.Portfolio.shared_out);
-              ("race_shared_in", string_of_int t.Synth.Portfolio.shared_in);
-              ("cubes", string_of_int t.Synth.Portfolio.cubes);
-              ("cubes_unsat", string_of_int t.Synth.Portfolio.cubes_unsat) ];
-          (o, dt, t)
-        in
-        let absolute () = Unix.gettimeofday () +. !deadline in
-        let oseq, wseq, _ =
-          run_query "sequential" (fun _ ->
-              Solver.check ~config:cfg ~deadline:(absolute ()) [ v ])
-        in
-        let orace, wrace, trace_ =
-          run_query "portfolio-4" (fun tally ->
-              Synth.Portfolio.check
-                ~options:Synth.Portfolio.(default |> with_racers 4)
-                ~tally ~deadline:(absolute ()) ~derive_sat:false ~jobs
-                ~strategy [ v ])
-        in
-        let ocube, wcube, tcube =
-          run_query (Printf.sprintf "cube-%d" (1 lsl cube_vars))
-            (fun tally ->
-              Synth.Portfolio.check
-                ~options:Synth.Portfolio.(default |> with_cube_vars cube_vars)
-                ~tally ~deadline:(absolute ()) ~derive_sat:false ~jobs
-                ~strategy [ v ])
-        in
-        let refuted = function Solver.Unsat _ -> true | _ -> false in
-        (* a timed-out sequential run's wall is the deadline, so a
-           variant that refutes within it is strictly faster by
-           construction *)
-        let speedup w o =
-          if (not (refuted o)) && not (refuted oseq) then 1.0 else wseq /. w
-        in
-        let faster =
-          (refuted orace && ((not (refuted oseq)) || wrace < wseq))
-          || (refuted ocube && ((not (refuted oseq)) || wcube < wseq))
-        in
-        summarize ~design ~wseq ~wrace ~wcube
-          ~race_speedup:(speedup wrace orace)
-          ~cube_speedup:(speedup wcube ocube) ~summary:trace_ ~tcube ~faster
-          ~bindings_identical:"n/a"
-  in
-  synth_design "alu mono" (fun () -> Designs.Alu.problem ());
-  verify_design "RV32I mono-verify" Isa.Rv32.RV32I;
-  verify_design "RV32I+M mono-verify" Isa.Rv32.RV32I_M;
-  print_endline "";
-  if not !ok then begin
-    print_endline "portfolio: BINDINGS REGRESSION (see rows above)";
-    exit 1
-  end;
-  if not !accelerated_anywhere then begin
-    print_endline
-      "portfolio: REGRESSION — neither racing nor cubes beat sequential on \
-       any monolithic row";
-    exit 1
-  end;
-  print_endline
-    "portfolio: racing/cubes strictly faster than sequential on at least \
-     one monolithic row, bindings bit-identical wherever comparable"
-
 let smoke () =
   let problem = Designs.Accumulator.problem () in
   let solve ~incremental =
@@ -1384,7 +1134,8 @@ let smoke () =
   let solve_profile ~jobs profile =
     let options =
       Synth.Engine.(
-        default_options |> with_jobs jobs |> with_sat_profile profile)
+        default_options |> with_jobs jobs
+        |> with_strategy (Solver.Strategy.of_profile profile))
     in
     match Synth.Engine.synthesize ~options problem with
     | Synth.Engine.Solved s -> s
@@ -1701,7 +1452,7 @@ let () =
       ("ablation", ablation); ("parallel", parallel);
       ("incremental", incremental); ("cache", cache_bench);
       ("serve", serve_bench); ("chaos", chaos); ("sat", sat_bench);
-      ("portfolio", portfolio_bench); ("micro", micro) ]
+      ("micro", micro) ]
   in
   let run_sections names =
     (* histogram/counter collection across every section; the summaries
@@ -1718,7 +1469,7 @@ let () =
   | [] | [ "all" ] ->
       run_sections
         [ "table1"; "table2"; "table3"; "ablation"; "parallel";
-          "incremental"; "cache"; "serve"; "chaos"; "sat"; "portfolio" ]
+          "incremental"; "cache"; "serve"; "chaos"; "sat" ]
   | [ "smoke" ] -> smoke ()
   | (_ :: _ as names) when List.for_all (fun n -> List.mem_assoc n sections_tbl) names ->
       run_sections names
@@ -1726,5 +1477,5 @@ let () =
       prerr_endline
         "usage: main.exe \
          [all|table1|table2|table3|ablation|parallel|incremental|cache|serve|\
-         chaos|sat|portfolio|micro|smoke] [--deadline=SECONDS]";
+         chaos|sat|micro|smoke] [--deadline=SECONDS]";
       exit 1

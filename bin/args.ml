@@ -61,14 +61,10 @@ let validate_models =
 
 (* {1 Solver strategy}
 
-   The first-class vocabulary is [Solver.Strategy]: profile + restart
-   schedule + branching seed + phase policy, resolved by the [strategy]
-   term below.  [--sat-profile NAME] selects the pass profile
-   (OWL_SAT_PROFILE is the flagless equivalent; the flag wins) and the
-   per-pass [--no-sat-*] escape hatches subtract individual passes —
-   both kept as thin shims over Strategy for compatibility.  The newer
-   [--sat-restart]/[--sat-seed]/[--sat-phase] flags set the
-   diversification fields directly. *)
+   [--sat-profile NAME] selects the pass profile (OWL_SAT_PROFILE is the
+   flagless equivalent; the flag wins) and the per-pass [--no-sat-*]
+   escape hatches subtract individual passes; the [strategy] term below
+   resolves all six into one [Solver.Strategy.t]. *)
 
 let sat_profile =
   let doc =
@@ -105,11 +101,11 @@ let no_sat_elim =
              'aggressive' profile to begin with)." in
   Arg.(value & flag & info [ "no-sat-elim" ] ~doc)
 
-(* Resolve flag/env/default precedence into a [Sat.config], then
-   subtract the per-pass escape hatches.  Unknown profile names are
-   reported and fatal, matching the fault-plan and cache behavior. *)
-let resolve_sat_config ~sat_profile ~no_sat_lbd ~no_sat_rephase
-    ~no_sat_subsume ~no_sat_vivify ~no_sat_elim =
+(* Resolve flag/env/default precedence into a strategy, then subtract
+   the per-pass escape hatches.  Unknown profile names are reported and
+   fatal, matching the fault-plan and cache behavior. *)
+let resolve_strategy sat_profile no_sat_lbd no_sat_rephase no_sat_subsume
+    no_sat_vivify no_sat_elim =
   let name =
     match sat_profile with
     | Some _ -> sat_profile
@@ -117,10 +113,10 @@ let resolve_sat_config ~sat_profile ~no_sat_lbd ~no_sat_rephase
   in
   let base =
     match name with
-    | None -> Solver.Strategy.sat_config Solver.Strategy.default
+    | None -> Solver.Strategy.default
     | Some s -> (
         match Sat.profile_of_string (String.lowercase_ascii s) with
-        | Some p -> Sat.config_of_profile p
+        | Some p -> Solver.Strategy.of_profile p
         | None ->
             Printf.eprintf
               "owl: unknown SAT profile %S (expected default, aggressive, \
@@ -136,118 +132,9 @@ let resolve_sat_config ~sat_profile ~no_sat_lbd ~no_sat_rephase
     elim = base.Sat.elim && not no_sat_elim;
   }
 
-(* The six flags collapse into a single resolved [Sat.config] term, so
-   subcommands add one [$ Args.sat_config] instead of six.  Deprecated:
-   new call sites should take [Args.strategy] instead. *)
-let sat_config =
-  let combine sat_profile no_sat_lbd no_sat_rephase no_sat_subsume
-      no_sat_vivify no_sat_elim =
-    resolve_sat_config ~sat_profile ~no_sat_lbd ~no_sat_rephase
-      ~no_sat_subsume ~no_sat_vivify ~no_sat_elim
-  in
-  Term.(const combine $ sat_profile $ no_sat_lbd $ no_sat_rephase
-        $ no_sat_subsume $ no_sat_vivify $ no_sat_elim)
-
-let sat_restart =
-  let doc =
-    "Restart schedule: 'luby:N' (Luby staircase with unit run N; the \
-     default is luby:100) or 'geometric:N:F' (first interval N, growth \
-     factor F >= 1.0)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "sat-restart" ] ~docv:"SCHED" ~doc)
-
-let sat_seed =
-  let doc =
-    "Branching seed: 0 (the default) is the pure VSIDS tie-break; a \
-     nonzero seed deterministically perturbs fresh variables' initial \
-     activity, diversifying the early decision order."
-  in
-  Arg.(value & opt (some int) None & info [ "sat-seed" ] ~docv:"N" ~doc)
-
-let sat_phase =
-  let doc =
-    "Initial decision polarity for fresh variables: 'neg' (the default), \
-     'pos', or 'rand' (deterministic per-variable, seeded by --sat-seed)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "sat-phase" ] ~docv:"POLICY" ~doc)
-
-(* The full strategy: the legacy profile/pass flags resolve to a config
-   which Strategy adopts, then the diversification flags override its
-   restart/seed/phase fields. *)
 let strategy =
-  let combine cfg restart seed phase =
-    let t = Solver.Strategy.of_config cfg in
-    let t =
-      match restart with
-      | None -> t
-      | Some s -> (
-          match Solver.Strategy.restart_of_string s with
-          | Some r -> Solver.Strategy.with_restart r t
-          | None ->
-              Printf.eprintf
-                "owl: bad --sat-restart %S (expected luby:N or \
-                 geometric:N:F with N >= 1, F >= 1.0)\n" s;
-              exit 1)
-    in
-    let t =
-      match seed with
-      | None -> t
-      | Some n when n >= 0 -> Solver.Strategy.with_seed n t
-      | Some n ->
-          Printf.eprintf "owl: --sat-seed must be >= 0 (got %d)\n" n;
-          exit 1
-    in
-    match phase with
-    | None -> t
-    | Some s -> (
-        match Solver.Strategy.phase_of_string s with
-        | Some p -> Solver.Strategy.with_phase p t
-        | None ->
-            Printf.eprintf
-              "owl: bad --sat-phase %S (expected neg, pos, or rand)\n" s;
-            exit 1)
-  in
-  Term.(const combine $ sat_config $ sat_restart $ sat_seed $ sat_phase)
-
-(* {1 Portfolio racing / cube-and-conquer} *)
-
-let portfolio =
-  let doc =
-    "Race $(docv) diversified solver strategies (restart schedules, \
-     phases, seeds, inprocessing profiles) on each hard verification \
-     query across the worker pool, sharing learned glue clauses between \
-     racers; first finisher wins.  1 (the default) disables racing.  \
-     Only the refutation direction is raced, so bindings stay \
-     bit-identical to sequential runs."
-  in
-  Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N" ~doc)
-
-let cube_vars =
-  let doc =
-    "Split each hard verification query into 2^$(docv) cubes over the \
-     highest-occurrence SAT variables and fan them across the worker \
-     pool as assumptions (cube-and-conquer); the query is refuted iff \
-     every cube is.  0 (the default) disables splitting; takes \
-     precedence over --portfolio when both are set."
-  in
-  Arg.(value & opt int 0 & info [ "cube-vars" ] ~docv:"K" ~doc)
-
-let race =
-  let combine portfolio cube_vars =
-    let check label f v o =
-      match f v o with
-      | o -> o
-      | exception Invalid_argument _ ->
-          Printf.eprintf "owl: bad %s value %d\n" label v;
-          exit 1
-    in
-    Synth.Portfolio.default
-    |> check "--portfolio" Synth.Portfolio.with_racers portfolio
-    |> check "--cube-vars" Synth.Portfolio.with_cube_vars cube_vars
-  in
-  Term.(const combine $ portfolio $ cube_vars)
+  Term.(const resolve_strategy $ sat_profile $ no_sat_lbd $ no_sat_rephase
+        $ no_sat_subsume $ no_sat_vivify $ no_sat_elim)
 
 (* {1 Fault injection} *)
 

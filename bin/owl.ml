@@ -121,26 +121,6 @@ let or_engine_error f =
     Printf.eprintf "owl: synthesis error: %s\n" m;
     exit 6
 
-(* Per-racer wins and sharing volumes when --portfolio/--cube-vars ran;
-   printed via [at_exit] so the timeout exit path reports too. *)
-let report_race_tally tally =
-  let s = Synth.Portfolio.read_tally tally in
-  if s.Synth.Portfolio.races > 0 then begin
-    Printf.printf
-      "portfolio: %d races (%d unsat, %d sat, %d unknown), %d clauses \
-       shared out, %d imported\n"
-      s.Synth.Portfolio.races s.Synth.Portfolio.race_unsat
-      s.Synth.Portfolio.race_sat s.Synth.Portfolio.race_unknown
-      s.Synth.Portfolio.shared_out s.Synth.Portfolio.shared_in;
-    List.iter
-      (fun (i, n) -> Printf.printf "  racer %d: %d wins\n" i n)
-      s.Synth.Portfolio.win_counts
-  end;
-  if s.Synth.Portfolio.cube_calls > 0 then
-    Printf.printf "cubes: %d queries split into %d cubes (%d unsat, %d sat)\n"
-      s.Synth.Portfolio.cube_calls s.Synth.Portfolio.cubes
-      s.Synth.Portfolio.cubes_unsat s.Synth.Portfolio.cubes_sat
-
 let synth_cmd =
   let monolithic =
     Arg.(value & flag
@@ -161,8 +141,8 @@ let synth_cmd =
          & info [ "pyrtl" ] ~doc:"Print the generated control logic PyRTL-style (paper Fig. 7).")
   in
   let run name monolithic jobs deadline output pyrtl no_incremental retries
-      escalation_factor validate_models strategy race cache_dir no_cache
-      fault_plan trace metrics =
+      escalation_factor validate_models strategy cache_dir no_cache fault_plan
+      trace metrics =
     Args.check_jobs jobs;
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
@@ -187,18 +167,14 @@ let synth_cmd =
               |> with_escalation_factor escalation_factor
               |> with_validate_models validate_models
               |> with_strategy strategy
-              |> with_race race
               |> with_cache cache)
           with Invalid_argument m ->
             Printf.eprintf "owl: %s\n" m;
             exit 1
         in
-        let race_tally = Synth.Portfolio.create_tally () in
-        if Synth.Portfolio.enabled race then
-          at_exit (fun () -> report_race_tally race_tally);
         match
           or_engine_error (fun () ->
-              Synth.Engine.synthesize ~options ~race_tally (e.problem ()))
+              Synth.Engine.synthesize ~options (e.problem ()))
         with
         | Synth.Engine.Solved s ->
             let st = s.Synth.Engine.stats in
@@ -227,12 +203,6 @@ let synth_cmd =
             row "sat vivified lits" st.Synth.Engine.sat_vivified;
             row "sat eliminated vars" st.Synth.Engine.sat_eliminated;
             row "sat rephases" st.Synth.Engine.sat_rephases;
-            row "races" st.Synth.Engine.races;
-            row "race unsat" st.Synth.Engine.race_unsat;
-            row "race shared out" st.Synth.Engine.race_shared_out;
-            row "race shared in" st.Synth.Engine.race_shared_in;
-            row "cubes" st.Synth.Engine.cubes;
-            row "cubes unsat" st.Synth.Engine.cubes_unsat;
             Printf.printf "  %-22s %.2f\n" "wall seconds"
               st.Synth.Engine.wall_seconds;
             if pyrtl then begin
@@ -274,7 +244,7 @@ let synth_cmd =
     (Cmd.info "synth" ~doc:"Synthesize control logic for a case-study design")
     Term.(const run $ design_arg $ monolithic $ Args.jobs $ deadline $ output
           $ pyrtl $ Args.no_incremental $ Args.retries $ Args.escalation_factor
-          $ Args.validate_models $ Args.strategy $ Args.race $ Args.cache_dir
+          $ Args.validate_models $ Args.strategy $ Args.cache_dir
           $ Args.no_cache $ Args.fault_plan $ Args.trace $ Args.metrics)
 
 let file_arg =
@@ -441,10 +411,10 @@ let verify_cmd =
   (* verify the hand-written reference control against the specification *)
   let deadline =
     Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock bound per query.")
+         & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock timeout.")
   in
   let run name deadline jobs no_incremental retries escalation_factor
-      validate_models strategy race fault_plan trace metrics =
+      validate_models strategy fault_plan trace metrics =
     Args.check_jobs jobs;
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
@@ -460,16 +430,22 @@ let verify_cmd =
         | Some f ->
             let problem = e.problem () in
             let problem = { problem with Synth.Engine.design = f () } in
-            let deadline = Option.map (fun d -> Unix.gettimeofday () +. d) deadline in
-            let race_tally = Synth.Portfolio.create_tally () in
-            let results =
-              or_engine_error (fun () ->
-                  Synth.Engine.verify ?deadline ~jobs
-                    ~incremental:(not no_incremental) ~retries
-                    ~escalation_factor ~validate_models ~strategy ~race
-                    ~race_tally problem)
+            let options =
+              try
+                Synth.Engine.(
+                  default_options |> with_jobs jobs |> with_deadline deadline
+                  |> with_incremental (not no_incremental)
+                  |> with_retries retries
+                  |> with_escalation_factor escalation_factor
+                  |> with_validate_models validate_models
+                  |> with_strategy strategy)
+              with Invalid_argument m ->
+                Printf.eprintf "owl: %s\n" m;
+                exit 1
             in
-            if Synth.Portfolio.enabled race then report_race_tally race_tally;
+            let results =
+              or_engine_error (fun () -> Synth.Engine.verify ~options problem)
+            in
             let bad = ref 0 in
             List.iter
               (fun (iname, verdict) ->
@@ -493,8 +469,7 @@ let verify_cmd =
          "Formally verify the hand-written reference control against the ILA specification")
     Term.(const run $ design_arg $ deadline $ Args.jobs $ Args.no_incremental
           $ Args.retries $ Args.escalation_factor $ Args.validate_models
-          $ Args.strategy $ Args.race $ Args.fault_plan $ Args.trace
-          $ Args.metrics)
+          $ Args.strategy $ Args.fault_plan $ Args.trace $ Args.metrics)
 
 let verilog_cmd =
   let run file =
@@ -753,7 +728,7 @@ let client_cmd =
      deliberately absent (the server pins each request to one domain) and
      the cache is the server's policy *)
   let remote_options monolithic deadline no_incremental retries
-      escalation_factor validate_models strategy race =
+      escalation_factor validate_models strategy =
     try
       Synth.Engine.(
         default_options
@@ -763,8 +738,7 @@ let client_cmd =
         |> with_retries retries
         |> with_escalation_factor escalation_factor
         |> with_validate_models validate_models
-        |> with_strategy strategy
-        |> with_race race)
+        |> with_strategy strategy)
     with Invalid_argument m ->
       Printf.eprintf "owl: %s\n" m;
       exit 1
@@ -786,10 +760,10 @@ let client_cmd =
   in
   let synth_cmd =
     let run name addr retry monolithic deadline no_incremental retries
-        escalation_factor validate_models strategy race quiet =
+        escalation_factor validate_models strategy quiet =
       let options =
         remote_options monolithic deadline no_incremental retries
-          escalation_factor validate_models strategy race
+          escalation_factor validate_models strategy
       in
       with_client addr retry (fun c ->
           let r =
@@ -817,14 +791,14 @@ let client_cmd =
       Term.(const run $ design_arg $ Args.addr $ retry_term $ monolithic
             $ deadline $ Args.no_incremental $ Args.retries
             $ Args.escalation_factor $ Args.validate_models $ Args.strategy
-            $ Args.race $ quiet)
+            $ quiet)
   in
   let verify_cmd =
     let run name addr retry deadline no_incremental retries escalation_factor
-        validate_models strategy race quiet =
+        validate_models strategy quiet =
       let options =
         remote_options false deadline no_incremental retries escalation_factor
-          validate_models strategy race
+          validate_models strategy
       in
       with_client addr retry (fun c ->
           let r =
@@ -848,7 +822,7 @@ let client_cmd =
          ~doc:"Verify a case study's reference control on the server")
       Term.(const run $ design_arg $ Args.addr $ retry_term $ deadline
             $ Args.no_incremental $ Args.retries $ Args.escalation_factor
-            $ Args.validate_models $ Args.strategy $ Args.race $ quiet)
+            $ Args.validate_models $ Args.strategy $ quiet)
   in
   let stats_cmd =
     let json =

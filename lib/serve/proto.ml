@@ -187,11 +187,9 @@ let options_to_json (o : Synth.Engine.options) =
       ("incremental", Json.bool o.Synth.Engine.incremental);
       (* nested so the whole SAT configuration is one optional unit: a
          peer that predates it omits the field and the server solves with
-         its default profile (tolerant decode, protocol version unchanged).
-         The pass gates are derived from the strategy so an old server
-         still honors them even though it knows nothing of strategies *)
+         its default profile (tolerant decode, protocol version unchanged) *)
       ( "sat",
-        let c = Solver.Strategy.sat_config o.Synth.Engine.strategy in
+        let c = o.Synth.Engine.strategy in
         Json.obj
           [
             ("lbd_retention", Json.bool c.Sat.lbd_retention);
@@ -202,33 +200,6 @@ let options_to_json (o : Synth.Engine.options) =
             ( "inprocess_interval",
               let i = c.Sat.inprocess_interval in
               if i = max_int then "null" else Json.int i );
-          ] );
-      (* diversification half of the strategy, same optional-unit shape:
-         an old server ignores it and solves with the gates above; an old
-         client omits it and the server keeps its defaults *)
-      ( "strategy",
-        let s = o.Synth.Engine.strategy in
-        Json.obj
-          [
-            ( "profile",
-              Json.str (Sat.profile_name s.Solver.Strategy.profile) );
-            ( "restart",
-              Json.str (Solver.Strategy.restart_name s.Solver.Strategy.restart)
-            );
-            ("seed", Json.int s.Solver.Strategy.seed);
-            ("phase", Json.str (Solver.Strategy.phase_name s.Solver.Strategy.phase));
-            ("share_in", Json.bool s.Solver.Strategy.share_in);
-            ("share_out", Json.bool s.Solver.Strategy.share_out);
-          ] );
-      (* racing/cubing request; absent reads as sequential *)
-      ( "portfolio",
-        let r = o.Synth.Engine.race in
-        Json.obj
-          [
-            ("racers", Json.int r.Synth.Portfolio.racers);
-            ("cube_vars", Json.int r.Synth.Portfolio.cube_vars);
-            ("share_interval", Json.int r.Synth.Portfolio.share_interval);
-            ("share_max_lbd", Json.int r.Synth.Portfolio.share_max_lbd);
           ] );
     ]
 
@@ -258,7 +229,7 @@ let options_of_json v =
     match Json.member "sat" v with
     | None | Some Json.Null ->
         (* older peer: field absent, solve with the default profile *)
-        Ok (Synth.Engine.sat_config Synth.Engine.default_options)
+        Ok Synth.Engine.default_options.Synth.Engine.strategy
     | Some sv ->
         let* lbd_retention = bool_field "lbd_retention" sv in
         let* rephase = bool_field "rephase" sv in
@@ -283,46 +254,10 @@ let options_of_json v =
             inprocess_interval;
           }
   in
-  (* the diversification half rides in its own optional object; decoded
-     to raw pieces here and applied through the Strategy builders below
-     so their validation is the wire validation *)
-  let* strategy_fields =
-    match Json.member "strategy" v with
-    | None | Some Json.Null -> Ok None
-    | Some sv ->
-        let* profile_s = str_field "profile" sv in
-        let* profile =
-          match Sat.profile_of_string profile_s with
-          | Some p -> Ok p
-          | None -> fail "bad_request" "unknown profile %S" profile_s
-        in
-        let* restart_s = str_field "restart" sv in
-        let* restart =
-          match Solver.Strategy.restart_of_string restart_s with
-          | Some r -> Ok r
-          | None -> fail "bad_request" "bad restart schedule %S" restart_s
-        in
-        let* seed = int_field "seed" sv in
-        let* phase_s = str_field "phase" sv in
-        let* phase =
-          match Solver.Strategy.phase_of_string phase_s with
-          | Some p -> Ok p
-          | None -> fail "bad_request" "unknown phase policy %S" phase_s
-        in
-        let* share_in = bool_field "share_in" sv in
-        let* share_out = bool_field "share_out" sv in
-        Ok (Some (profile, restart, seed, phase, share_in, share_out))
-  in
-  let* race_fields =
-    match Json.member "portfolio" v with
-    | None | Some Json.Null -> Ok None
-    | Some pv ->
-        let* racers = int_field "racers" pv in
-        let* cube_vars = int_field "cube_vars" pv in
-        let* share_interval = int_field "share_interval" pv in
-        let* share_max_lbd = int_field "share_max_lbd" pv in
-        Ok (Some (racers, cube_vars, share_interval, share_max_lbd))
-  in
+  (* members this protocol no longer defines — the "strategy" and
+     "portfolio" objects of racing-era peers among them — are ignored, so
+     such a frame decodes to the same options (and the same hot-tier
+     fingerprint) as one without them *)
   match
     Synth.Engine.(
       default_options |> with_mode mode |> with_jobs jobs
@@ -332,33 +267,7 @@ let options_of_json v =
       |> with_escalation_factor escalation_factor
       |> with_validate_models validate_models
       |> with_check_independence check_independence
-      |> with_incremental incremental |> with_sat_config sat
-      |> (fun o ->
-           match strategy_fields with
-           | None -> o
-           | Some (profile, restart, seed, phase, share_in, share_out) ->
-               (* the pass gates decoded from "sat" are authoritative;
-                  the profile field is the display tag that rode along *)
-               let s = Solver.Strategy.of_config sat in
-               let s = { s with Solver.Strategy.profile } in
-               let s =
-                 Solver.Strategy.(
-                   s |> with_restart restart |> with_seed seed
-                   |> with_phase phase |> with_share_in share_in
-                   |> with_share_out share_out)
-               in
-               with_strategy s o)
-      |> fun o ->
-      match race_fields with
-      | None -> o
-      | Some (racers, cube_vars, share_interval, share_max_lbd) ->
-          let r =
-            Synth.Portfolio.(
-              default |> with_racers racers |> with_cube_vars cube_vars
-              |> with_share_interval share_interval
-              |> with_share_max_lbd share_max_lbd)
-          in
-          with_race r o)
+      |> with_incremental incremental |> with_strategy sat)
   with
   | o -> Ok o
   | exception Invalid_argument m -> fail "bad_request" "invalid options: %s" m
@@ -478,12 +387,6 @@ let stats_to_json (st : Synth.Engine.stats) =
       ("sat_vivified", Json.int st.Synth.Engine.sat_vivified);
       ("sat_eliminated", Json.int st.Synth.Engine.sat_eliminated);
       ("sat_rephases", Json.int st.Synth.Engine.sat_rephases);
-      ("races", Json.int st.Synth.Engine.races);
-      ("race_unsat", Json.int st.Synth.Engine.race_unsat);
-      ("race_shared_out", Json.int st.Synth.Engine.race_shared_out);
-      ("race_shared_in", Json.int st.Synth.Engine.race_shared_in);
-      ("cubes", Json.int st.Synth.Engine.cubes);
-      ("cubes_unsat", Json.int st.Synth.Engine.cubes_unsat);
       ("wall_seconds", Json.num st.Synth.Engine.wall_seconds);
     ]
 
@@ -513,13 +416,6 @@ let stats_of_json v =
   let sat_vivified = opt_int "sat_vivified" in
   let sat_eliminated = opt_int "sat_eliminated" in
   let sat_rephases = opt_int "sat_rephases" in
-  (* portfolio counters postdate the SAT-core ones; same tolerance *)
-  let races = opt_int "races" in
-  let race_unsat = opt_int "race_unsat" in
-  let race_shared_out = opt_int "race_shared_out" in
-  let race_shared_in = opt_int "race_shared_in" in
-  let cubes = opt_int "cubes" in
-  let cubes_unsat = opt_int "cubes_unsat" in
   let* wall_seconds = float_field "wall_seconds" v in
   Ok
     {
@@ -541,12 +437,6 @@ let stats_of_json v =
       sat_vivified;
       sat_eliminated;
       sat_rephases;
-      races;
-      race_unsat;
-      race_shared_out;
-      race_shared_in;
-      cubes;
-      cubes_unsat;
       wall_seconds;
     }
 

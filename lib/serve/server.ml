@@ -410,7 +410,8 @@ let verdict_to_string = function
 
 (* [options] comes from the caller rather than [job.j_options] because
    the deadline has been rewritten to what remains after the queue wait
-   (the engine's clock starts at [synthesize], not at admission) *)
+   (the engine's clock starts at [synthesize] or [verify], not at
+   admission) *)
 let compute t job options =
   match t.lookup job.j_kind job.j_design with
   | None ->
@@ -435,22 +436,9 @@ let compute t job options =
             in
             Ok (C_synth (synth_result_of_outcome outcome))
         | `Verify ->
-            let b = options.Synth.Engine.budget in
-            let rcv = options.Synth.Engine.recovery in
             let verdicts =
               Obs.with_tap (progress_tap job) (fun () ->
-                  Synth.Engine.verify
-                    ?budget:
-                      (if b.Synth.Engine.Budget.conflict_budget = max_int then
-                         None
-                       else Some b.Synth.Engine.Budget.conflict_budget)
-                    ?deadline:b.Synth.Engine.Budget.deadline_seconds
-                    ~jobs:1
-                    ~incremental:options.Synth.Engine.incremental
-                    ~retries:rcv.Synth.Engine.Recovery.retries
-                    ~escalation_factor:rcv.Synth.Engine.Recovery.escalation_factor
-                    ~validate_models:rcv.Synth.Engine.Recovery.validate_models
-                    ~cancel problem)
+                  Synth.Engine.verify ~options ~cancel problem)
             in
             Ok
               (C_verify

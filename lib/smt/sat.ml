@@ -1205,7 +1205,7 @@ let add_clause s ext_lits = add_clause_gen s ~learnt:false ext_lits
    exist (elimination deletes them), so exports are clean; imports go
    through [add_clause_gen], whose restore-on-add covers the converse. *)
 
-let export_learnt ?(max_lbd = max_int) s =
+let export_learnt s =
   let out = ref [] in
   let to_ext l =
     let v = (l lsr 1) + 1 in
@@ -1213,7 +1213,7 @@ let export_learnt ?(max_lbd = max_int) s =
   in
   for i = s.n_clauses - 1 downto 0 do
     let c = s.clauses.(i) in
-    if c.learnt && Array.length c.lits > 0 && c.lbd <= max_lbd then
+    if c.learnt && Array.length c.lits > 0 then
       out := Array.to_list (Array.map to_ext c.lits) :: !out
   done;
   !out
@@ -1237,34 +1237,6 @@ let import_learnt s clauses =
         s.n_import_dropped <- s.n_import_dropped + 1)
     clauses;
   !imported
-
-(* The K most clause-constrained variables — a static occurrence-count
-   proxy for the lookahead heuristic a cube-and-conquer splitter wants.
-   Only unassigned, decidable problem variables qualify (root-fixed,
-   eliminated, and frozen activation-guard variables make useless cube
-   literals).  Ties break by variable index, so the split is deterministic
-   for a fixed encoding.  Returns DIMACS (positive) indices. *)
-let top_vars s k =
-  if k <= 0 || s.nvars = 0 then []
-  else begin
-    let occ = Array.make s.nvars 0 in
-    for i = 0 to s.n_clauses - 1 do
-      let c = s.clauses.(i) in
-      if (not c.learnt) && Array.length c.lits > 0 then
-        Array.iter (fun l -> occ.(lit_var l) <- occ.(lit_var l) + 1) c.lits
-    done;
-    let cand = ref [] in
-    for v = s.nvars - 1 downto 0 do
-      if
-        s.assigns.(v) < 0 && (not s.eliminated.(v)) && (not s.frozen.(v))
-        && occ.(v) > 0
-      then cand := v :: !cand
-    done;
-    let sorted =
-      List.stable_sort (fun a b -> compare occ.(b) occ.(a)) !cand
-    in
-    List.filteri (fun i _ -> i < k) sorted |> List.map (fun v -> v + 1)
-  end
 
 (* {1 Search} *)
 

@@ -53,8 +53,7 @@ type config = {
   branch_seed : int;
       (** [0] (default) is the pure VSIDS index tie-break; a nonzero seed
           perturbs fresh variables' initial activity by a tiny
-          deterministic epsilon, diversifying the early decision order —
-          the portfolio racers' branching diversification knob. *)
+          deterministic epsilon, diversifying the early decision order. *)
   phase : phase_init;  (** Initial decision polarity; default [Phase_neg]. *)
 }
 
@@ -145,15 +144,12 @@ val add_clause : t -> int list -> unit
     eliminated clauses (sound, but slow — {!freeze} variables that will be
     re-constrained). *)
 
-val export_learnt : ?max_lbd:int -> t -> int list list
+val export_learnt : t -> int list list
 (** Snapshot of the learned-clause database, in DIMACS literals.  Every
     exported clause is a consequence of the problem clauses the solver has
     seen, so the list is only meaningful for re-import into a solver holding
     the same encoding (same variable numbering) — the synthesis cache pins
-    this with an exact problem fingerprint before replaying.  [max_lbd]
-    keeps only clauses whose glue level is at or below the bound (the
-    portfolio racers share [max_lbd]-filtered "glue" clauses); the default
-    exports everything. *)
+    this with an exact problem fingerprint before replaying. *)
 
 val import_learnt : t -> int list list -> int
 (** Replays previously exported clauses, allocating them as {e learnt}: they
@@ -166,12 +162,6 @@ val import_learnt : t -> int list list -> int
 
 val import_dropped : t -> int
 (** Imported clauses rejected by the bounds check, cumulative. *)
-
-val top_vars : t -> int -> int list
-(** [top_vars s k] returns up to [k] (positive DIMACS) variables with the
-    highest problem-clause occurrence counts — a deterministic static
-    proxy for a lookahead cube splitter.  Root-assigned, eliminated, and
-    frozen variables are excluded; ties break by variable index. *)
 
 val solve : ?assumptions:int list -> ?budget:int -> ?deadline:float -> t -> result
 (** [solve ~assumptions ~budget ~deadline s] checks satisfiability under the

@@ -214,160 +214,13 @@ let ackermannize (assertions : Term.t list) =
 
 (* {1 Strategies}
 
-   The first-class description of {e how} a query is solved: the pass
-   profile, the restart/branching/phase diversification knobs, and the
-   clause-sharing toggles the portfolio racers honor.  This used to be
-   scattered across [Sat.config] plumbing in three layers (CLI flags, the
-   engine options record, the serve codec); each layer now carries one
-   [Strategy.t] and derives the [Sat.config] at the last moment. *)
+   The SAT pass configuration every solver of a run is created with. *)
 
 module Strategy = struct
-  type t = {
-    profile : Sat.profile;  (* where [passes] started from, for display *)
-    passes : Sat.config;  (* pass gates (retention/rephase/inprocessing) *)
-    restart : Sat.restart_schedule;
-    seed : int;  (* branching seed; 0 = undiversified *)
-    phase : Sat.phase_init;
-    share_in : bool;  (* import clauses other racers publish *)
-    share_out : bool;  (* publish own glue clauses to the race *)
-  }
+  type t = Sat.config
 
-  let of_profile p =
-    let c = Sat.config_of_profile p in
-    {
-      profile = p;
-      passes = c;
-      restart = c.Sat.restart;
-      seed = c.Sat.branch_seed;
-      phase = c.Sat.phase;
-      share_in = true;
-      share_out = true;
-    }
-
-  let default = of_profile Sat.Default
-
-  (* Adopt a raw [Sat.config] (the legacy plumbing's currency).  The
-     profile tag is recovered structurally when the config matches a
-     preset, so [describe] stays honest for the common cases. *)
-  let of_config (c : Sat.config) =
-    let base = { c with Sat.restart = Sat.default_config.Sat.restart;
-                 branch_seed = 0; phase = Sat.Phase_neg } in
-    let profile =
-      if base = Sat.conservative_config then Sat.Conservative
-      else if base = Sat.aggressive_config then Sat.Aggressive
-      else Sat.Default
-    in
-    (* [passes] keeps only the pass gates; the diversification fields
-       live in the record and are folded back by [sat_config], so two
-       strategies that solve identically compare equal structurally *)
-    {
-      profile;
-      passes = base;
-      restart = c.Sat.restart;
-      seed = c.Sat.branch_seed;
-      phase = c.Sat.phase;
-      share_in = true;
-      share_out = true;
-    }
-
-  let with_profile p t =
-    let c = Sat.config_of_profile p in
-    { t with profile = p; passes = c }
-
-  let with_restart r t =
-    (match r with
-    | Sat.Luby base when base < 1 ->
-        invalid_arg "Strategy.with_restart: Luby base < 1"
-    | Sat.Geometric (base, f) when base < 1 || f < 1.0 ->
-        invalid_arg "Strategy.with_restart: Geometric base < 1 or factor < 1.0"
-    | _ -> ());
-    { t with restart = r }
-
-  let with_seed seed t =
-    if seed < 0 then invalid_arg "Strategy.with_seed: seed < 0";
-    { t with seed }
-
-  let with_phase phase t = { t with phase }
-  let with_share_in share_in t = { t with share_in }
-  let with_share_out share_out t = { t with share_out }
-
-  (* escape hatch for the per-pass [--no-sat-*] shims: edit the pass gates
-     without losing the diversification fields *)
-  let with_passes f t = { t with passes = f t.passes }
-
-  let sat_config t =
-    { t.passes with Sat.restart = t.restart; branch_seed = t.seed;
-      phase = t.phase }
-
-  (* Racer [i]'s variant of a base strategy.  Racer 0 runs the base
-     unchanged (so a portfolio is never slower than sequential by more
-     than scheduling overhead, and the base's determinism is preserved);
-     the rest cycle restart schedules, phases, seeds, and — every fourth
-     racer — the aggressive inprocessing profile.  Purely a function of
-     [(i, base)], so a portfolio of N racers is reproducible. *)
-  let diversify i t =
-    if i <= 0 then t
-    else
-      let seed = (if t.seed = 0 then 0 else t.seed) + i in
-      let restart =
-        match i mod 4 with
-        | 1 -> Sat.Geometric (100, 1.3)
-        | 2 -> Sat.Luby 50
-        | 3 -> Sat.Geometric (150, 1.5)
-        | _ -> Sat.Luby 200
-      in
-      let phase =
-        match i mod 3 with
-        | 1 -> Sat.Phase_pos
-        | 2 -> Sat.Phase_rand
-        | _ -> Sat.Phase_neg
-      in
-      let passes =
-        if i mod 4 = 3 then Sat.aggressive_config else t.passes
-      in
-      { t with seed; restart; phase; passes }
-
-  let restart_name = function
-    | Sat.Luby b -> Printf.sprintf "luby:%d" b
-    | Sat.Geometric (b, f) -> Printf.sprintf "geometric:%d:%g" b f
-
-  (* inverse of [restart_name]; the CLI flag and the wire codec both
-     speak this little language *)
-  let restart_of_string s =
-    match String.split_on_char ':' s with
-    | [ "luby"; b ] -> (
-        match int_of_string_opt b with
-        | Some b when b >= 1 -> Some (Sat.Luby b)
-        | _ -> None)
-    | [ "geometric"; b; f ] -> (
-        match (int_of_string_opt b, float_of_string_opt f) with
-        | Some b, Some f when b >= 1 && f >= 1.0 ->
-            Some (Sat.Geometric (b, f))
-        | _ -> None)
-    | _ -> None
-
-  let phase_name = function
-    | Sat.Phase_neg -> "neg"
-    | Sat.Phase_pos -> "pos"
-    | Sat.Phase_rand -> "rand"
-
-  let phase_of_string = function
-    | "neg" -> Some Sat.Phase_neg
-    | "pos" -> Some Sat.Phase_pos
-    | "rand" -> Some Sat.Phase_rand
-    | _ -> None
-
-  let describe t =
-    Printf.sprintf "%s/%s/seed%d/%s%s"
-      (Sat.profile_name t.profile)
-      (restart_name t.restart) t.seed (phase_name t.phase)
-      (match (t.share_in, t.share_out) with
-      | true, true -> ""
-      | false, false -> "/noshare"
-      | true, false -> "/share-in"
-      | false, true -> "/share-out")
-
-  let equal (a : t) (b : t) = a = b
+  let default = Sat.default_config
+  let of_profile = Sat.config_of_profile
 end
 
 (* {1 Sessions} *)
@@ -677,23 +530,10 @@ module Session = struct
      problem fingerprint.  Replay is sound only under identical variable
      numbering, which the deterministic blasting order guarantees when the
      fingerprints match exactly — the cache layer enforces that guard. *)
-  (* A raw DIMACS literal as an assumption guard: [check_with] hands
-     guards straight to [Sat.solve ~assumptions], so any literal over an
-     allocated variable is a valid assumption.  The cube splitter uses
-     this to turn [top_vars] picks into cubes. *)
-  let lit_guard s l =
-    if l = 0 || l = min_int || abs l > Sat.num_vars s.sat then
-      invalid_arg "Session.lit_guard: literal names no allocated variable";
-    l
-
-  let export_learnt ?max_lbd s = Sat.export_learnt ?max_lbd s.sat
+  let export_learnt s = Sat.export_learnt s.sat
   let import_learnt s clauses = Sat.import_learnt s.sat clauses
   let import_dropped s = Sat.import_dropped s.sat
 
-  (* cube splitting support: the most clause-constrained SAT variables of
-     this session's encoding, as raw DIMACS literals usable directly in
-     [check_with ~assumptions] *)
-  let top_vars s k = Sat.top_vars s.sat k
   let num_vars s = Sat.num_vars s.sat
 end
 

@@ -91,90 +91,18 @@ val ackermannize : Term.t list -> Term.t list * (Term.mem * Term.t * Term.t) lis
 
 (** {1 Solver strategies}
 
-    A strategy is everything that makes two runs on the same query search
-    differently: the inprocessing pass gates (a {!Sat.profile} worth of
-    {!Sat.config}), the restart schedule, the branching seed, and the
-    initial phase policy — plus the clause-sharing toggles the portfolio
-    racers honour.  It replaces the loose [Sat.config] threading that used
-    to run through the engine options, the CLI flags, and the serve codec;
-    those paths now carry a [Strategy.t] and derive the SAT configuration
-    at the last moment with {!Strategy.sat_config}.  The old entry points
-    ([Engine.with_sat_config], [--sat-profile], the wire ["sat"] object)
-    remain as thin shims over this module. *)
+    A strategy is the SAT pass configuration every solver of a run is
+    created with.  It is a plain {!Sat.config}; the engine options, the
+    CLI flags and the serve codec all carry one. *)
 
 module Strategy : sig
-  type t = {
-    profile : Sat.profile;
-        (** where [passes] started from — display/serialization tag only *)
-    passes : Sat.config;
-        (** pass gates (retention, rephasing, inprocessing); the
-            diversification fields inside it are overridden by the record
-            fields below when {!sat_config} assembles the final config *)
-    restart : Sat.restart_schedule;
-    seed : int;  (** branching seed; [0] = undiversified VSIDS *)
-    phase : Sat.phase_init;
-    share_in : bool;  (** import clauses other racers publish *)
-    share_out : bool;  (** publish own glue clauses to the race *)
-  }
+  type t = Sat.config
 
   val default : t
-  (** {!Sat.default_config} passes, Luby-100 restarts, seed 0, negative
-      phases, sharing enabled both ways.  [Strategy.sat_config default]
-      equals {!Sat.default_config} exactly. *)
+  (** {!Sat.default_config}. *)
 
   val of_profile : Sat.profile -> t
-  val of_config : Sat.config -> t
-  (** Adopts a raw configuration (the legacy plumbing's currency),
-      recovering the profile tag structurally when the pass gates match a
-      preset. *)
-
-  val with_profile : Sat.profile -> t -> t
-  (** Replaces the pass gates with the profile's preset; the
-      diversification fields (restart/seed/phase) are kept. *)
-
-  val with_restart : Sat.restart_schedule -> t -> t
-  (** Raises [Invalid_argument] on a base interval [< 1] or a geometric
-      factor [< 1.0]. *)
-
-  val with_seed : int -> t -> t
-  (** Raises [Invalid_argument] on a negative seed. *)
-
-  val with_phase : Sat.phase_init -> t -> t
-  val with_share_in : bool -> t -> t
-  val with_share_out : bool -> t -> t
-
-  val with_passes : (Sat.config -> Sat.config) -> t -> t
-  (** Escape hatch for the per-pass [--no-sat-*] shims: edits the pass
-      gates without touching the diversification fields. *)
-
-  val sat_config : t -> Sat.config
-  (** The configuration actually handed to {!Sat.create}: [passes] with
-      the strategy's restart schedule, seed, and phase folded in. *)
-
-  val diversify : int -> t -> t
-  (** Racer [i]'s variant of a base strategy.  [diversify 0] is the
-      identity — racer 0 always runs the base unchanged — and racers
-      [i >= 1] cycle restart schedules, phase policies, seeds, and (every
-      fourth racer) the aggressive inprocessing profile.  A pure function
-      of [(i, base)], so an N-racer portfolio is reproducible. *)
-
-  val restart_name : Sat.restart_schedule -> string
-  (** ["luby:N"] or ["geometric:N:F"]. *)
-
-  val restart_of_string : string -> Sat.restart_schedule option
-  (** Inverse of {!restart_name}; [None] on syntax errors or out-of-range
-      parameters (base [< 1], factor [< 1.0]). *)
-
-  val phase_name : Sat.phase_init -> string
-  (** ["neg"], ["pos"], or ["rand"]. *)
-
-  val phase_of_string : string -> Sat.phase_init option
-
-  val describe : t -> string
-  (** One-line human summary, e.g. ["default/luby:100/seed0/neg"] — used
-      by racer labels in traces and the bench report. *)
-
-  val equal : t -> t -> bool
+  (** {!Sat.config_of_profile}. *)
 end
 
 (** {1 Incremental sessions} *)
@@ -254,11 +182,9 @@ module Session : sig
   (** Cumulative totals since [create] (not per-check deltas; those travel
       inside each {!outcome}). *)
 
-  val export_learnt : ?max_lbd:int -> t -> int list list
-  (** The session's learned clauses, for the cross-run warm-start cache
-      and the portfolio racers' sharing channel.  [max_lbd] keeps only
-      glue clauses at or below the bound (default: everything).  Only
-      sound to replay into a session holding the identical encoding
+  val export_learnt : t -> int list list
+  (** The session's learned clauses, for the cross-run warm-start cache.
+      Only sound to replay into a session holding the identical encoding
       (same problem fingerprint ⇒ same deterministic variable numbering). *)
 
   val import_learnt : t -> int list list -> int
@@ -267,20 +193,8 @@ module Session : sig
       {!import_dropped}).  Returns how many were imported.  See
       {!Sat.import_learnt}. *)
 
-  val lit_guard : t -> int -> guard
-  (** [lit_guard s l] is the raw DIMACS literal [l] as an assumption
-      guard.  Guards are passed to the SAT core verbatim, so any literal
-      over an allocated variable is a sound assumption — this is how the
-      cube-and-conquer splitter turns {!top_vars} picks into
-      [check_with ~assumptions] cubes.  Raises [Invalid_argument] if [l]
-      names no allocated variable. *)
-
   val import_dropped : t -> int
   (** Imported clauses rejected by the bounds check, cumulative. *)
-
-  val top_vars : t -> int -> int list
-  (** Up to [k] highest-occurrence unassigned SAT variables — the cube
-      splitter's branching candidates.  See {!Sat.top_vars}. *)
 
   val num_vars : t -> int
   (** SAT variables allocated so far (for clause-sharing sanity checks). *)

@@ -75,13 +75,9 @@ type options = {
       (* cross-run synthesis cache: consult before each per-instruction
          CEGIS loop, populate after *)
   strategy : Solver.Strategy.t;
-      (* solver strategy (pass gates + restart/seed/phase diversification
-         base) applied to every solver this run creates; excluded from
-         problem fingerprints because it never changes which models
-         exist, only how fast one is found *)
-  race : Portfolio.options;
-      (* portfolio racing / cube-and-conquer for the hard verify
-         queries; Portfolio.default = sequential *)
+      (* SAT pass configuration applied to every solver this run creates;
+         excluded from problem fingerprints because it never changes which
+         models exist, only how fast one is found *)
 }
 
 let default_options =
@@ -103,11 +99,10 @@ let default_options =
     incremental = true;
     cache = None;
     strategy = Solver.Strategy.default;
-    race = Portfolio.default;
   }
 
 (* the configuration actually handed to the SAT core *)
-let sat_config o = Solver.Strategy.sat_config o.strategy
+let sat_config o = o.strategy
 
 let with_mode mode o = { o with schedule = { o.schedule with Schedule.mode } }
 
@@ -151,23 +146,10 @@ let with_check_independence check_independence o = { o with check_independence }
 let with_incremental incremental o = { o with incremental }
 let with_cache cache o = { o with cache }
 
-let with_strategy strategy o = { o with strategy }
-
-(* deprecated shims: the raw Sat.config plumbing predates Strategy — the
-   CLI's --no-sat-* flags and the wire "sat" object still arrive here *)
-let with_sat_config sat o =
-  if sat.Sat.inprocess_interval < 1 then
-    invalid_arg "Engine.with_sat_config: inprocess_interval < 1";
-  { o with strategy = Solver.Strategy.of_config sat }
-
-let with_sat_profile profile o =
-  { o with strategy = Solver.Strategy.of_profile profile }
-
-let with_race race o = { o with race }
-let with_portfolio n o = { o with race = Portfolio.with_racers n o.race }
-
-let with_cube_vars k o =
-  { o with race = Portfolio.with_cube_vars k o.race }
+let with_strategy strategy o =
+  if strategy.Sat.inprocess_interval < 1 then
+    invalid_arg "Engine.with_strategy: inprocess_interval < 1";
+  { o with strategy }
 
 let policy_of_options (o : options) =
   Resilience.make ~retries:o.recovery.Recovery.retries
@@ -193,12 +175,6 @@ type stats = {
   mutable sat_vivified : int;
   mutable sat_eliminated : int;
   mutable sat_rephases : int;
-  mutable races : int;
-  mutable race_unsat : int;
-  mutable race_shared_out : int;
-  mutable race_shared_in : int;
-  mutable cubes : int;
-  mutable cubes_unsat : int;
   mutable wall_seconds : float;
 }
 
@@ -290,12 +266,6 @@ let fresh_stats () =
     sat_vivified = 0;
     sat_eliminated = 0;
     sat_rephases = 0;
-    races = 0;
-    race_unsat = 0;
-    race_shared_out = 0;
-    race_shared_in = 0;
-    cubes = 0;
-    cubes_unsat = 0;
     wall_seconds = 0.0;
   }
 
@@ -318,13 +288,7 @@ let merge_stats into from =
   into.sat_strengthened <- into.sat_strengthened + from.sat_strengthened;
   into.sat_vivified <- into.sat_vivified + from.sat_vivified;
   into.sat_eliminated <- into.sat_eliminated + from.sat_eliminated;
-  into.sat_rephases <- into.sat_rephases + from.sat_rephases;
-  into.races <- into.races + from.races;
-  into.race_unsat <- into.race_unsat + from.race_unsat;
-  into.race_shared_out <- into.race_shared_out + from.race_shared_out;
-  into.race_shared_in <- into.race_shared_in + from.race_shared_in;
-  into.cubes <- into.cubes + from.cubes;
-  into.cubes_unsat <- into.cubes_unsat + from.cubes_unsat
+  into.sat_rephases <- into.sat_rephases + from.sat_rephases
 
 (* Rebuild an outcome around the scheduler's merged stats (worker Stop
    payloads carry only that worker's tally). *)
@@ -422,10 +386,11 @@ let model_satisfies model terms =
 
    An [Unknown] on a non-final attempt retries one rung up; on the final
    attempt it raises [Stop (Timeout _)] — the ladder is the only place
-   that turns solver Unknowns into engine timeouts.  A validation failure
-   retries like an Unknown, except that it always earns a fresh-solver
-   rung (even with [retries = 0] the engine never emits bindings from an
-   unvalidated model just because retrying is disabled), and a failure
+   that turns solver Unknowns into engine timeouts ([verify] reads them
+   as Inconclusive).  A validation failure retries like an Unknown,
+   except that it always earns a fresh-solver rung (even with
+   [retries = 0] the engine never emits bindings from an unvalidated
+   model just because retrying is disabled), and a failure
    {e on} the fresh rung is a hard error: at that point the model came
    from a stateless solver, so something is wrong beyond a transient. *)
 let resilient run ~check ~fresh ~validate =
@@ -520,35 +485,6 @@ let session_query ?assumptions ~shadow run sess assertions =
     ~fresh:(fun ~budget ?deadline () ->
       Solver.check ~config:(sat_config run.opts) ~budget ?deadline (shadow ()))
     ~validate:shadow
-
-(* Race (or cube) one hard query on the pool, charging the winner's work
-   to this run's budget and absorbing the tally delta into the run stats
-   (delta-based so a caller-shared long-lived tally still accounts
-   correctly).  Only the Unsat direction is consumed by callers:
-   [derive_sat:false] skips the canonical Sat re-derivation because the
-   engine falls through to its sequential path on Sat anyway, which is
-   what keeps portfolio bindings bit-identical to sequential ones. *)
-let race_check run tally terms =
-  let before = Portfolio.read_tally tally in
-  let outcome =
-    Portfolio.check ~options:run.opts.race ~tally ~cancel:run.cancel
-      ~budget:(budget_remaining run)
-      ?deadline:(query_deadline run) ~derive_sat:false
-      ~jobs:run.opts.schedule.Schedule.jobs ~strategy:run.opts.strategy terms
-  in
-  let after = Portfolio.read_tally tally in
-  let d f = f after - f before in
-  run.stats.races <- run.stats.races + d (fun s -> s.Portfolio.races);
-  run.stats.race_unsat <- run.stats.race_unsat + d (fun s -> s.Portfolio.race_unsat);
-  run.stats.race_shared_out <-
-    run.stats.race_shared_out + d (fun s -> s.Portfolio.shared_out);
-  run.stats.race_shared_in <-
-    run.stats.race_shared_in + d (fun s -> s.Portfolio.shared_in);
-  run.stats.cubes <- run.stats.cubes + d (fun s -> s.Portfolio.cubes);
-  run.stats.cubes_unsat <-
-    run.stats.cubes_unsat + d (fun s -> s.Portfolio.cubes_unsat);
-  account run (Solver.stats_of outcome);
-  outcome
 
 let is_hole_var run name =
   (* hole variables are <prefix>hole!<name> plus the per-instruction suffix *)
@@ -664,97 +600,28 @@ let ground_reads (model : Solver.model) (root : Term.t) : Term.t =
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
-let verify ?(budget = max_int) ?deadline ?(jobs = 1) ?(incremental = true)
-    ?(retries = default_options.recovery.Recovery.retries)
-    ?(escalation_factor = default_options.recovery.Recovery.escalation_factor)
-    ?(validate_models = default_options.recovery.Recovery.validate_models)
-    ?sat ?strategy ?(race = Portfolio.default) ?race_tally
-    ?(cancel = fun () -> false) (problem : problem) :
-    (string * verdict) list =
+let verify ?(options = default_options) ?(cancel = fun () -> false)
+    (problem : problem) : (string * verdict) list =
   if Oyster.Ast.holes problem.design <> [] then
     fail "Engine.verify: design still has holes (synthesize first)";
-  (* [strategy] wins over the deprecated raw [sat] config *)
-  let strategy =
-    match (strategy, sat) with
-    | Some st, _ -> st
-    | None, Some c -> Solver.Strategy.of_config c
-    | None, None -> default_options.strategy
-  in
-  let sat = Solver.Strategy.sat_config strategy in
-  (* When racing, per-query parallelism replaces per-instruction
-     parallelism: the whole pool serves each query's racers (or cubes)
-     and the instructions run in sequence — enabling the portfolio is the
-     caller saying single queries, not task count, are the bottleneck. *)
-  let race_jobs = jobs in
-  let jobs = if Portfolio.enabled race then 1 else jobs in
-  let policy = Resilience.make ~retries ~escalation_factor ~validate_models () in
   let trace =
     Oyster.Symbolic.eval ~prefix:(problem_prefix problem) problem.design
       ~cycles:problem.af.Ila.Absfun.cycles
   in
   let conds = Ila.Conditions.compile problem.spec problem.af trace in
-  let tasks_left = Atomic.make (List.length conds) in
-  (* The same resilience ladder as the synthesis core, per instruction:
-     [budget] bounds the instruction's whole ladder (escalating rungs plus
-     a fresh-solver final rung), deadline slices divide the remaining wall
-     time over the instructions still outstanding, and with
-     [validate_models] every Sat model is concretely evaluated against
-     [shadow] before being trusted.  Exhausting the ladder is
-     Inconclusive, like any other Unknown. *)
-  let resilient_check ~check ~shadow =
-    let attempts = Resilience.attempts policy in
-    let consumed = ref 0 in
-    let rec go attempt =
-      if cancel () then raise Cancelled;
-      let remaining = budget - !consumed in
-      if remaining <= 0 then Solver.Unknown Solver.empty_stats
-      else begin
-        let rung = min attempt attempts in
-        let use_fresh = attempt > 1 && attempt >= attempts in
-        let b =
-          Resilience.attempt_budget policy ~total:budget ~remaining
-            ~attempt:rung
-        in
-        let dl =
-          Resilience.slice_deadline policy ~now:(now ()) ~hard:deadline
-            ~tasks_left:(Atomic.get tasks_left) ~attempt:rung
-        in
-        let result =
-          Obs.span "resilience.attempt"
-            ~args:
-              [
-                ("attempt", Obs.Int attempt);
-                ("budget", Obs.Int b);
-                ("fresh", Obs.Bool use_fresh);
-              ]
-            ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
-            (fun () ->
-              if use_fresh then
-                Solver.check ~config:sat ~budget:b ?deadline:dl (shadow ())
-              else check ~budget:b ?deadline:dl ())
-        in
-        consumed := !consumed + (Solver.stats_of result).Solver.sat_conflicts;
-        match result with
-        | Solver.Unknown _ when attempt < attempts ->
-            if Obs.recording () then
-              Obs.instant "resilience.retry"
-                ~args:
-                  [
-                    ("attempt", Obs.Int attempt); ("reason", Obs.Str "unknown");
-                  ];
-            go (attempt + 1)
-        | Solver.Sat (m, _)
-          when validate_models && not (model_satisfies m (shadow ())) ->
-            if use_fresh then
-              fail
-                "Engine.verify: model validation failed on a fresh solver \
-                 (persistent fault or solver bug)"
-            else go (attempt + 1)
-        | r -> r
-      end
-    in
-    go 1
+  let base =
+    {
+      opts = options;
+      stats = fresh_stats ();
+      consumed = Atomic.make 0;
+      started = now ();
+      hole_marker = trace.Oyster.Symbolic.prefix ^ "hole!";
+      policy = policy_of_options options;
+      tasks_left = Atomic.make (List.length conds);
+      cancel;
+    }
   in
+  let retries = options.recovery.Recovery.retries in
   (* Each instruction's refinement check is an independent solver query, so
      they fan out over the worker pool; results keep instruction order.
      Incrementally, every worker keeps one session for all the instructions
@@ -766,8 +633,8 @@ let verify ?(budget = max_int) ?deadline ?(jobs = 1) ?(incremental = true)
      an injected fault are retried on a fresh arena like the synthesis
      pool's. *)
   try
-    Pool.map_arena ~jobs
-      ~make:(fun () -> Solver.Arena.create ~config:sat ())
+    Pool.map_arena ~jobs:options.schedule.Schedule.jobs
+      ~make:(fun () -> Solver.Arena.create ~config:(sat_config options) ())
       ~retries
       (fun arena (c : Ila.Conditions.conditions) ->
       Obs.span "verify.instr"
@@ -782,6 +649,8 @@ let verify ?(budget = max_int) ?deadline ?(jobs = 1) ?(incremental = true)
                 | Inconclusive -> "inconclusive") );
           ])
       @@ fun () ->
+      (* [conflict_budget] bounds each instruction's ladder, not the call *)
+      let run = { base with stats = fresh_stats (); consumed = Atomic.make 0 } in
       let violation =
         Term.band c.Ila.Conditions.pre
           (Term.band c.Ila.Conditions.assumes (Term.bnot c.Ila.Conditions.post))
@@ -793,43 +662,25 @@ let verify ?(budget = max_int) ?deadline ?(jobs = 1) ?(incremental = true)
          with 64-bit multiplier/divider cones is intractable without it. *)
       let pins = Refine.collect c.Ila.Conditions.pre in
       let refined = Refine.apply pins violation in
-      (* Portfolio hook: Unsat from the race settles the instruction as
-         Verified without climbing the resilience ladder; Sat/Unknown
-         falls through to the sequential path, which re-derives any
-         counterexample model deterministically. *)
-      let raced_outcome =
-        if Portfolio.enabled race then
-          match
-            Portfolio.check ~options:race ?tally:race_tally ~cancel ~budget
-              ?deadline ~derive_sat:false ~jobs:race_jobs ~strategy
-              [ refined ]
-          with
-          | Solver.Unsat _ as o -> Some o
-          | Solver.Sat _ | Solver.Unknown _ -> None
-        else None
+      (* the ladder of [synthesize]; only an exhausted ladder reads
+         differently here — Inconclusive rather than Timeout *)
+      let ladder query =
+        try query () with Stop _ -> Solver.Unknown Solver.empty_stats
       in
       let refined_outcome =
-        match raced_outcome with
-        | Some o -> o
-        | None ->
-        if incremental then begin
+        if options.incremental then begin
           let s = Solver.Arena.shared arena in
           let g = Solver.Session.assert_retractable s refined in
           let r =
-            resilient_check
-              ~check:(fun ~budget ?deadline () ->
-                Solver.Session.check_with ~assumptions:[ g ] ~budget ?deadline
-                  s [])
-              ~shadow:(fun () -> [ refined ])
+            ladder (fun () ->
+                session_query ~assumptions:[ g ]
+                  ~shadow:(fun () -> [ refined ])
+                  run s [])
           in
           Solver.Session.retract s g;
           r
         end
-        else
-          resilient_check
-            ~check:(fun ~budget ?deadline () ->
-              Solver.check ~config:sat ~budget ?deadline [ refined ])
-            ~shadow:(fun () -> [ refined ])
+        else ladder (fun () -> solver_query run [ refined ])
       in
       let verdict =
         match refined_outcome with
@@ -842,11 +693,15 @@ let verify ?(budget = max_int) ?deadline ?(jobs = 1) ?(incremental = true)
                deterministic even under parallel incremental schedules;
                violations are found quickly in practice, so the extra
                query is cheap. *)
-            match Solver.check ~config:sat ~budget ?deadline [ violation ] with
+            match
+              Solver.check ~config:(sat_config options)
+                ~budget:options.budget.Budget.conflict_budget
+                ?deadline:(query_deadline run) [ violation ]
+            with
             | Solver.Sat (m', _) -> Violated m'
             | Solver.Unsat _ | Solver.Unknown _ -> Violated m)
       in
-      ignore (Atomic.fetch_and_add tasks_left (-1));
+      ignore (Atomic.fetch_and_add run.tasks_left (-1));
       (c.Ila.Conditions.instr_name, verdict))
       conds
   with Fault.Injected_crash i ->
@@ -859,14 +714,13 @@ let verify ?(budget = max_int) ?deadline ?(jobs = 1) ?(incremental = true)
    design's symbolic trace.  Unsat iff the design is correct.  This is
    the query the monolithic schedule mode poses each CEGIS iteration —
    the one the paper's headline table shows timing out — exported so
-   benches and tools can attack it directly (portfolio racing,
-   cube-and-conquer) without driving the full synthesis loop.
+   benches and tools can attack it directly (structural cube-and-conquer)
+   without driving the full synthesis loop.
 
    [refine] folds each disjunct's pinned instruction-word fields first
    (see Refine), collapsing decode per disjunct the way [verify] does
    per query.  Unrefined, the full decode tree survives into the blast:
-   that is the hard form, and also the one where cube-and-conquer's
-   occurrence-ranked splitting has decode bits to split on. *)
+   that is the hard form. *)
 let monolithic_violation ?(refine = true) (problem : problem) : Term.t =
   if Oyster.Ast.holes problem.design <> [] then
     fail "Engine.monolithic_violation: design still has holes (synthesize first)";
@@ -892,11 +746,8 @@ let monolithic_violation ?(refine = true) (problem : problem) : Term.t =
 (* {1 The synthesis core} *)
 
 let synthesize ?(options = default_options) ?(cancel = fun () -> false)
-    ?race_tally (problem : problem) : outcome =
+    (problem : problem) : outcome =
   if options.schedule.Schedule.jobs < 1 then fail "Engine.synthesize: options.schedule.Schedule.jobs < 1";
-  let race_tally =
-    match race_tally with Some t -> t | None -> Portfolio.create_tally ()
-  in
   let stats = fresh_stats () in
   let started = now () in
   let trace =
@@ -1456,26 +1307,9 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
            ~args:[ ("instr", Obs.Str "joint") ]
            ~result:(fun r -> [ ("counterexample", Obs.Bool (r <> None)) ])
            (fun () ->
-             (* Portfolio hook: race the candidate-substituted violation
-                across the pool first.  Unsat settles the query (this is
-                the monolithic ∀-check that times out sequentially — the
-                whole point of the race); Sat or Unknown falls through to
-                the sequential session path, whose counterexample models —
-                and hence the final bindings — are exactly the ones a
-                sequential run derives. *)
-             let raced_unsat =
-               Portfolio.enabled options.race
-               &&
-               let vt = Term.substitute (candidate_env run candidate) v in
-               match race_check run race_tally [ vt ] with
-               | Solver.Unsat _ -> true
-               | Solver.Sat _ | Solver.Unknown _ -> false
-             in
-             if raced_unsat then None
-             else
-               match sess with
-               | Some s -> session_verify run s v candidate
-               | None -> fresh_verify run v candidate)
+             match sess with
+             | Some s -> session_verify run s v candidate
+             | None -> fresh_verify run v candidate)
        in
        let rec loop iter =
          if iter > options.budget.Budget.max_iterations then raise (Stop (Timeout run.stats));

@@ -96,23 +96,16 @@ type options = {
           populate the store.  Joint and monolithic strategies do not
           cache.  [None] (the default) disables caching. *)
   strategy : Solver.Strategy.t;
-      (** solver strategy (see {!Solver.Strategy}): the SAT pass gates
-          plus the restart-schedule/seed/phase diversification base,
-          applied to every solver the run creates.  Excluded from problem
+      (** the SAT pass configuration (see {!Solver.Strategy}) applied to
+          every solver the run creates.  Excluded from problem
           fingerprints — it changes how fast a model is found, never
           which models exist. *)
-  race : Portfolio.options;
-      (** portfolio racing / cube-and-conquer for the hard verification
-          queries (see {!Portfolio}); {!Portfolio.default} = sequential.
-          Racing accelerates only the Unsat direction, so bindings stay
-          bit-identical to sequential runs. *)
 }
 
 val default_options : options
 (** [Per_instruction], one job, unlimited conflicts, 256 rounds, no
     deadline, incremental sessions on, 2 retries with factor-4 escalation,
-    model validation off, no cache, {!Solver.Strategy.default}, no
-    racing. *)
+    model validation off, no cache, {!Solver.Strategy.default}. *)
 
 (** {2 Setters}
 
@@ -120,7 +113,8 @@ val default_options : options
     {!with_jobs} rejects [jobs < 1], {!with_max_iterations} rejects
     [max_iterations < 1], {!with_retries} and {!with_escalation_factor}
     delegate to {!Resilience.make} (rejecting [retries < 0] and
-    [escalation_factor < 1]) — all with [Invalid_argument]. *)
+    [escalation_factor < 1]), and {!with_strategy} rejects
+    [inprocess_interval < 1] — all with [Invalid_argument]. *)
 
 val with_mode : mode -> options -> options
 val with_jobs : int -> options -> options
@@ -140,29 +134,7 @@ val with_cache : Owl_cache.t option -> options -> options
 val with_strategy : Solver.Strategy.t -> options -> options
 
 val sat_config : options -> Sat.config
-(** The SAT configuration the strategy resolves to —
-    [Solver.Strategy.sat_config options.strategy]. *)
-
-val with_race : Portfolio.options -> options -> options
-val with_portfolio : int -> options -> options
-(** [with_portfolio n] races [n] diversified strategies on each hard
-    verify query; shorthand for editing [race].  Rejects [n < 1]
-    (via {!Portfolio.with_racers}). *)
-
-val with_cube_vars : int -> options -> options
-(** [with_cube_vars k] splits each hard verify query into [2^k]
-    assumption cubes; rejects values outside [0..12]. *)
-
-val with_sat_config : Sat.config -> options -> options
-(** Deprecated shim: adopts a raw {!Sat.config} as
-    [with_strategy (Solver.Strategy.of_config c)].  Rejects
-    [inprocess_interval < 1] with [Invalid_argument].  Prefer
-    {!with_strategy}. *)
-
-val with_sat_profile : Sat.profile -> options -> options
-(** Deprecated shim for
-    [with_strategy (Solver.Strategy.of_profile p)]; prefer
-    {!with_strategy}. *)
+(** The SAT configuration handed to every solver — [options.strategy]. *)
 
 type stats = {
   mutable iterations : int;
@@ -203,13 +175,6 @@ type stats = {
   mutable sat_eliminated : int;
       (** variables removed by bounded variable elimination *)
   mutable sat_rephases : int;  (** best-phase rephasing events *)
-  mutable races : int;  (** portfolio races run (see {!Portfolio}) *)
-  mutable race_unsat : int;  (** races settling a query Unsat *)
-  mutable race_shared_out : int;
-      (** glue clauses published between racers *)
-  mutable race_shared_in : int;  (** glue clauses imported by racers *)
-  mutable cubes : int;  (** cube-and-conquer cubes fanned out *)
-  mutable cubes_unsat : int;  (** cubes refuted *)
   mutable wall_seconds : float;
 }
 
@@ -269,11 +234,7 @@ val ground_reads : Solver.model -> Term.t -> Term.t
     function; exposed for the {!Minimize} pass and tests. *)
 
 val synthesize :
-  ?options:options ->
-  ?cancel:(unit -> bool) ->
-  ?race_tally:Portfolio.tally ->
-  problem ->
-  outcome
+  ?options:options -> ?cancel:(unit -> bool) -> problem -> outcome
 (** Runs CEGIS according to [options].  [cancel] (default
     [fun () -> false]) is a cooperative cancellation token — a daemon
     passes a closure over an [Atomic.t] it flips when the requesting
@@ -319,50 +280,34 @@ val synthesize :
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
 val verify :
-  ?budget:int ->
-  ?deadline:float ->
-  ?jobs:int ->
-  ?incremental:bool ->
-  ?retries:int ->
-  ?escalation_factor:int ->
-  ?validate_models:bool ->
-  ?sat:Sat.config ->
-  ?strategy:Solver.Strategy.t ->
-  ?race:Portfolio.options ->
-  ?race_tally:Portfolio.tally ->
-  ?cancel:(unit -> bool) ->
-  problem ->
-  (string * verdict) list
+  ?options:options -> ?cancel:(unit -> bool) -> problem -> (string * verdict) list
 (** Raises {!Engine_error} if the design still has holes, and
     {!Cancelled} if [cancel] (polled at every resilience-ladder attempt)
-    reports true.  [strategy] (default {!Solver.Strategy.default})
-    selects the solver strategy for every solver the verification
-    creates; [sat] is the deprecated raw-config spelling of the same
-    thing and loses to [strategy] when both are given.  [race] (default
-    off) runs each instruction's refinement check through {!Portfolio}
-    first — an Unsat race verdict is [Verified] directly; Sat/Unknown
-    falls through to the sequential ladder below.  When racing, the
-    worker pool serves each query's racers or cubes and the instructions
-    run serially; [race_tally] (see {!Portfolio.read_tally}) accumulates
-    per-racer wins and sharing volumes across the call.  [jobs]
-    (default 1) fans the per-instruction refinement checks out across
+    reports true.  [options] (default {!default_options}) is read as in
+    {!synthesize}, with two differences: [conflict_budget] bounds each
+    instruction's ladder rather than the whole call, and [mode],
+    [max_iterations], [check_independence] and [cache] do not apply.
+    [options.jobs] fans the per-instruction refinement checks out across
     worker domains; the verdict list keeps instruction order either way.
-    With [incremental] (the default) each worker reuses one solver session
-    across the instructions it checks, so the shared datapath trace is
-    blasted once per worker instead of once per instruction.  Which
-    instructions share a session depends on the dynamic schedule; with an
-    unexhausted budget this never changes a verdict (counterexample models
-    are re-derived by a fresh check, so they are schedule-independent
-    too), but under a tight [budget] the exact query that exhausts it may
-    differ from the fresh mode's.
+    [deadline_seconds] counts from the call.
 
-    [retries], [escalation_factor], and [validate_models] (defaults as in
-    {!default_options}) run each instruction's query through the same
-    {!Resilience} ladder as synthesis: [budget] bounds the whole ladder,
-    deadline slices divide the remaining wall time over the instructions
-    still outstanding, the final attempt runs on a fresh one-shot solver,
-    and only an exhausted ladder is reported [Inconclusive].  Crashed
-    worker tasks are retried up to [retries] times on a fresh arena. *)
+    With [options.incremental] (the default) each worker reuses one
+    solver session across the instructions it checks, so the shared
+    datapath trace is blasted once per worker instead of once per
+    instruction.  Which instructions share a session depends on the
+    dynamic schedule; with an unexhausted budget this never changes a
+    verdict (counterexample models are re-derived by a fresh check, so
+    they are schedule-independent too), but under a tight budget the
+    exact query that exhausts it may differ from the fresh mode's.
+
+    Each instruction's query climbs the same {!Resilience} ladder as a
+    synthesis query: escalating rungs, deadline slices dividing the
+    remaining wall time over the instructions still outstanding, a final
+    rung on a fresh one-shot solver, and with [validate_models] every Sat
+    model concretely evaluated before it is trusted.  Only an exhausted
+    ladder reads differently: [Inconclusive] where synthesis reports
+    [Timeout].  Crashed worker tasks are retried up to [retries] times on
+    a fresh arena. *)
 
 val monolithic_violation : ?refine:bool -> problem -> Term.t
 (** The monolithic ∀-verify query in closed form: the disjunction over

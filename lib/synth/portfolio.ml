@@ -1,155 +1,41 @@
-(* Portfolio racing and cube-and-conquer for hard solver queries.
+(* Structural cube-and-conquer for the monolithic ∀-verify query.
 
-   Two attack modes on the queries where one CDCL schedule stalls:
+   A disjunctive goal (the ∀-verify query is "some instruction violates
+   its contract") is split by ∨-elimination into up to 2^k groups of
+   disjuncts, each an independent sub-query, Unsat iff all are —
+   recovering the paper's per-instruction decomposition from the
+   monolithic query.  A goal with no disjunction gets one sequential
+   [Solver.check].
 
-   - [racers > 1]: N diversified strategies (Strategy.diversify) race the
-     same conjunction on pool domains, periodically publishing LBD-filtered
-     glue clauses to a shared blackboard and importing each other's.  The
-     first racer to finish claims an atomic winner slot; the rest observe
-     the claim between budget slices and stand down (cooperative
-     cancellation — nothing is killed mid-propagation).
+   Determinism contract: the split accelerates only the Unsat direction.
+   A Sat verdict is re-derived by one sequential check of the whole
+   query before being returned, so models are bit-identical to
+   sequential solving no matter which cube got there first. *)
 
-   - [cube_vars = k > 0]: cube-and-conquer for the ∀-verify direction.
-     A disjunctive goal (the ∀-verify query is "some instruction
-     violates its contract") is split structurally: up to 2^k groups of
-     disjuncts, each an independent sub-query, Unsat iff all are —
-     recovering the paper's per-instruction decomposition from the
-     monolithic query.  Otherwise a probe session picks the k
-     highest-occurrence SAT variables and the 2^k sign cubes fan across
-     the pool as assumption lists.
+type options = { cube_vars : int }
 
-   Determinism contract: both modes accelerate only the Unsat direction.
-   A Sat verdict is re-derived by a sequential base-strategy check before
-   being returned, so bindings are bit-identical to sequential solving no
-   matter which racer or cube got there first.  (CEGIS guidance queries
-   are cheap-Sat; the hard monolithic queries are Unsat-heavy, which is
-   where the race actually pays.)
+let default = { cube_vars = 0 }
 
-   Clause-sharing soundness: blasting is deterministic, so racer sessions
-   asserting the same terms in the same order allocate identical variable
-   numberings — a learned clause from one racer is a consequence of the
-   same problem clauses in every other.  [Session.import_learnt]'s bounds
-   check catches (and counts) anything that violates this. *)
-
-type options = {
-  racers : int;
-  cube_vars : int;
-  share_interval : int;
-  share_max_lbd : int;
-}
-
-let default =
-  { racers = 1; cube_vars = 0; share_interval = 2000; share_max_lbd = 4 }
-
-let with_racers racers o =
-  if racers < 1 then invalid_arg "Portfolio.with_racers: racers < 1";
-  { o with racers }
-
-let with_cube_vars cube_vars o =
+let with_cube_vars cube_vars _ =
   if cube_vars < 0 || cube_vars > 12 then
     invalid_arg "Portfolio.with_cube_vars: cube_vars outside 0..12";
-  { o with cube_vars }
-
-let with_share_interval share_interval o =
-  if share_interval < 1 then
-    invalid_arg "Portfolio.with_share_interval: interval < 1";
-  { o with share_interval }
-
-let with_share_max_lbd share_max_lbd o =
-  if share_max_lbd < 0 then
-    invalid_arg "Portfolio.with_share_max_lbd: bound < 0";
-  { o with share_max_lbd }
-
-let enabled o = o.racers > 1 || o.cube_vars > 0
+  { cube_vars }
 
 (* {1 Tally} *)
 
-type tally = {
-  lock : Mutex.t;
-  mutable races : int;
-  mutable race_sat : int;
-  mutable race_unsat : int;
-  mutable race_unknown : int;
-  wins : (int, int) Hashtbl.t;  (* racer index -> races won *)
-  mutable shared_out : int;
-  mutable shared_in : int;
-  mutable shared_dropped : int;
-  mutable cube_calls : int;
-  mutable cubes : int;
-  mutable cubes_sat : int;
-  mutable cubes_unsat : int;
-  mutable cubes_unknown : int;
-}
+type tally = { lock : Mutex.t; mutable cubes : int; mutable cubes_unsat : int }
+type summary = { cubes : int; cubes_unsat : int }
 
-type summary = {
-  races : int;
-  race_sat : int;
-  race_unsat : int;
-  race_unknown : int;
-  win_counts : (int * int) list;
-  shared_out : int;
-  shared_in : int;
-  shared_dropped : int;
-  cube_calls : int;
-  cubes : int;
-  cubes_sat : int;
-  cubes_unsat : int;
-  cubes_unknown : int;
-}
-
-let create_tally () =
-  {
-    lock = Mutex.create ();
-    races = 0;
-    race_sat = 0;
-    race_unsat = 0;
-    race_unknown = 0;
-    wins = Hashtbl.create 8;
-    shared_out = 0;
-    shared_in = 0;
-    shared_dropped = 0;
-    cube_calls = 0;
-    cubes = 0;
-    cubes_sat = 0;
-    cubes_unsat = 0;
-    cubes_unknown = 0;
-  }
+let create_tally () = { lock = Mutex.create (); cubes = 0; cubes_unsat = 0 }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let read_tally t =
-  locked t (fun () ->
-      let win_counts =
-        Hashtbl.fold (fun i n acc -> (i, n) :: acc) t.wins []
-        |> List.sort compare
-      in
-      {
-        races = t.races;
-        race_sat = t.race_sat;
-        race_unsat = t.race_unsat;
-        race_unknown = t.race_unknown;
-        win_counts;
-        shared_out = t.shared_out;
-        shared_in = t.shared_in;
-        shared_dropped = t.shared_dropped;
-        cube_calls = t.cube_calls;
-        cubes = t.cubes;
-        cubes_sat = t.cubes_sat;
-        cubes_unsat = t.cubes_unsat;
-        cubes_unknown = t.cubes_unknown;
-      })
+let read_tally (t : tally) : summary =
+  locked t (fun () -> { cubes = t.cubes; cubes_unsat = t.cubes_unsat })
 
-(* {1 Observability} *)
-
-let c_races = Obs.counter "portfolio.races"
-let c_shared_out = Obs.counter "portfolio.shared_out"
-let c_shared_in = Obs.counter "portfolio.shared_in"
-let c_cube_calls = Obs.counter "portfolio.cube_calls"
 let c_cubes = Obs.counter "portfolio.cubes"
-
-(* {1 Stats plumbing} *)
 
 let add_stats (a : Solver.stats) (b : Solver.stats) : Solver.stats =
   {
@@ -167,199 +53,7 @@ let add_stats (a : Solver.stats) (b : Solver.stats) : Solver.stats =
     trivially_unsat = a.trivially_unsat || b.trivially_unsat;
   }
 
-let retag (o : Solver.outcome) stats : Solver.outcome =
-  match o with
-  | Solver.Sat (m, _) -> Solver.Sat (m, stats)
-  | Solver.Unsat _ -> Solver.Unsat stats
-  | Solver.Unknown _ -> Solver.Unknown stats
-
-(* {1 The sharing blackboard}
-
-   An append-only list of (origin racer, clause), newest first, with a
-   monotone count.  Each racer remembers how many entries it has seen and
-   takes only the newer ones, skipping its own.  A canonical-key table
-   keeps duplicate discoveries (two racers learning the same glue) from
-   accumulating. *)
-
-type board = {
-  block : Mutex.t;
-  mutable entries : (int * int list) list;  (* newest first *)
-  mutable count : int;
-  keys : (int list, unit) Hashtbl.t;  (* canonical (sorted) clauses seen *)
-}
-
-let board_create () =
-  {
-    block = Mutex.create ();
-    entries = [];
-    count = 0;
-    keys = Hashtbl.create 256;
-  }
-
-let clause_key c = List.sort compare c
-
-(* Returns how many of [clauses] were actually published (new to the
-   board). *)
-let board_publish b origin clauses =
-  Mutex.lock b.block;
-  let fresh =
-    List.filter
-      (fun c ->
-        let k = clause_key c in
-        if Hashtbl.mem b.keys k then false
-        else (
-          Hashtbl.add b.keys k ();
-          true))
-      clauses
-  in
-  List.iter
-    (fun c ->
-      b.entries <- (origin, c) :: b.entries;
-      b.count <- b.count + 1)
-    fresh;
-  Mutex.unlock b.block;
-  List.length fresh
-
-(* Entries newer than [seen], excluding those [origin] itself published;
-   returns (clauses, new seen count). *)
-let board_take b origin seen =
-  Mutex.lock b.block;
-  let count = b.count in
-  let fresh = count - seen in
-  let rec take n acc = function
-    | (o, c) :: rest when n > 0 ->
-        take (n - 1) (if o = origin then acc else c :: acc) rest
-    | _ -> acc
-  in
-  let clauses = take fresh [] b.entries in
-  Mutex.unlock b.block;
-  (clauses, count)
-
-(* {1 Racing} *)
-
-(* One racer's loop: solve in [share_interval]-conflict slices, and
-   between slices poll the winner slot and the caller's cancel token,
-   import newly published glue, and publish our own.  Returns nothing;
-   the winner communicates through [winner]/[win_outcome] (the CAS claim
-   happens-before the post-join read via domain join). *)
-let run_racer ~opts ~tally ~cancel ~budget ~deadline ~strategy ~winner
-    ~win_outcome ~board terms i =
-  let strat = Solver.Strategy.diversify i strategy in
-  let s = Solver.Session.create ~config:(Solver.Strategy.sat_config strat) () in
-  List.iter (fun t -> Solver.Session.assert_always s t) terms;
-  let published = Hashtbl.create 64 in
-  let seen = ref 0 in
-  let spent = ref 0 in
-  let acc = ref Solver.empty_stats in
-  let deadline_passed () =
-    match deadline with
-    | Some d -> Unix.gettimeofday () >= d
-    | None -> false
-  in
-  let share_in () =
-    if strat.Solver.Strategy.share_in then (
-      let clauses, count = board_take board i !seen in
-      seen := count;
-      if clauses <> [] then (
-        let before_drop = Solver.Session.import_dropped s in
-        let imported = Solver.Session.import_learnt s clauses in
-        let dropped = Solver.Session.import_dropped s - before_drop in
-        Obs.incr ~by:imported c_shared_in;
-        match tally with
-        | Some t ->
-            locked t (fun () ->
-                t.shared_in <- t.shared_in + imported;
-                t.shared_dropped <- t.shared_dropped + dropped)
-        | None -> ()))
-  in
-  let share_out () =
-    if strat.Solver.Strategy.share_out then (
-      let glue =
-        Solver.Session.export_learnt ~max_lbd:opts.share_max_lbd s
-        |> List.filter (fun c ->
-               let k = clause_key c in
-               if Hashtbl.mem published k then false
-               else (
-                 Hashtbl.add published k ();
-                 true))
-      in
-      if glue <> [] then (
-        let fresh = board_publish board i glue in
-        Obs.incr ~by:fresh c_shared_out;
-        match tally with
-        | Some t -> locked t (fun () -> t.shared_out <- t.shared_out + fresh)
-        | None -> ()))
-  in
-  let rec loop () =
-    if Atomic.get winner >= 0 || cancel () || deadline_passed () then ()
-    else
-      let slice = min opts.share_interval (budget - !spent) in
-      if slice <= 0 then ()
-      else (
-        share_in ();
-        let o = Solver.Session.check_with ~budget:slice ?deadline s [] in
-        acc := add_stats !acc (Solver.stats_of o);
-        spent := !spent + (Solver.stats_of o).Solver.sat_conflicts;
-        match o with
-        | Solver.Unknown _ ->
-            (* slice exhausted (or deadline hit — the loop head catches
-               that); publish what this slice learned and go around *)
-            share_out ();
-            loop ()
-        | o ->
-            if Atomic.compare_and_set winner (-1) i then
-              win_outcome := retag o !acc)
-  in
-  loop ()
-
-let race ~opts ~tally ~cancel ~budget ~deadline ~jobs ~strategy terms =
-  let n = opts.racers in
-  let winner = Atomic.make (-1) in
-  let win_outcome = ref (Solver.Unknown Solver.empty_stats) in
-  let board = board_create () in
-  let jobs = max 1 (min jobs n) in
-  Obs.incr c_races;
-  let run () =
-    ignore
-      (Pool.map_arena ~jobs
-         ~make:(fun () -> ())
-         (fun () i ->
-           run_racer ~opts ~tally ~cancel ~budget ~deadline ~strategy ~winner
-             ~win_outcome ~board terms i)
-         (List.init n Fun.id))
-  in
-  Obs.span "portfolio.race"
-    ~args:
-      [
-        ("racers", Obs.Int n);
-        ("jobs", Obs.Int jobs);
-        ("base", Obs.Str (Solver.Strategy.describe strategy));
-      ]
-    ~result:(fun () ->
-      [
-        ("winner", Obs.Int (Atomic.get winner));
-        ("verdict", Obs.Str (Solver.outcome_name !win_outcome));
-      ])
-    run;
-  let w = Atomic.get winner in
-  let outcome =
-    if w >= 0 then !win_outcome else Solver.Unknown Solver.empty_stats
-  in
-  (match tally with
-  | Some t ->
-      locked t (fun () ->
-          t.races <- t.races + 1;
-          if w >= 0 then
-            Hashtbl.replace t.wins w
-              (1 + Option.value ~default:0 (Hashtbl.find_opt t.wins w));
-          match outcome with
-          | Solver.Sat _ -> t.race_sat <- t.race_sat + 1
-          | Solver.Unsat _ -> t.race_unsat <- t.race_unsat + 1
-          | Solver.Unknown _ -> t.race_unknown <- t.race_unknown + 1)
-  | None -> ());
-  (w, outcome)
-
-(* {1 Cube and conquer} *)
+(* {1 Splitting} *)
 
 (* Flatten a width-1 or-tree into its disjuncts (left-to-right, so the
    split is deterministic for a fixed term). *)
@@ -390,188 +84,72 @@ let partition n xs =
   in
   go 0 xs |> List.filter (( <> ) [])
 
-let cube_check ~opts ~tally ~cancel ~budget ~deadline ~jobs ~strategy
-    ~derive_sat terms =
-  let cfg = Solver.Strategy.sat_config strategy in
-  let seq () = Solver.check ~config:cfg ~budget ?deadline terms in
-  (* Shared verdict logic for both splitting modes: [results] holds one
-     entry per cube (None when skipped after an early Sat or a cancel). *)
-  let conclude ncubes results =
-    let solved = List.filter_map Fun.id results in
-    let stats =
-      List.fold_left
-        (fun acc o -> add_stats acc (Solver.stats_of o))
-        Solver.empty_stats solved
-    in
-    let n_sat =
-      List.length
-        (List.filter (function Solver.Sat _ -> true | _ -> false) solved)
-    in
-    let n_unsat =
-      List.length
-        (List.filter (function Solver.Unsat _ -> true | _ -> false) solved)
-    in
-    let n_unknown = ncubes - n_sat - n_unsat in
-    (match tally with
-    | Some t ->
-        locked t (fun () ->
-            t.cube_calls <- t.cube_calls + 1;
-            t.cubes <- t.cubes + ncubes;
-            t.cubes_sat <- t.cubes_sat + n_sat;
-            t.cubes_unsat <- t.cubes_unsat + n_unsat;
-            t.cubes_unknown <- t.cubes_unknown + n_unknown)
-    | None -> ());
-    if n_sat > 0 then
-      if derive_sat then
-        (* some cube is satisfiable, so the query is: re-derive the
-           model with the sequential base strategy for
-           schedule-independent bindings *)
-        seq ()
-      else
-        (* any cube's model is a model of the query; callers that opt
-           out of re-derivation only want the verdict *)
-        List.find (function Solver.Sat _ -> true | _ -> false) solved
-    else if n_unsat = ncubes then Solver.Unsat stats
-    else Solver.Unknown stats
+(* The first conjunct that is a disjunction of at least two terms, with
+   the remaining conjuncts. *)
+let disjunctive_goal terms =
+  let rec pick seen = function
+    | [] -> None
+    | t :: rest -> (
+        match disjuncts t [] with
+        | _ :: _ :: _ as ds -> Some (List.rev_append seen rest, ds)
+        | _ -> pick (t :: seen) rest)
   in
-  (* Structural cubes first: when a goal term is a disjunction (the
-     ∀-verify query is "some instruction violates its contract"),
-     ∨-elimination splits it exactly — the query is Unsat iff it is
-     Unsat with each group of disjuncts in place of the whole
-     disjunction, and any group's model is a model of the original.
-     Unlike variable cubes (below), which restrict one shared search
-     space, each group re-blasts only the cones its own disjuncts
-     reach, so the split sidesteps the disjunct interleaving that makes
-     the monolithic query hard: it recovers the paper's per-instruction
-     decomposition automatically.  Group count is capped at
-     [2^cube_vars], so the fan-out knob means the same thing in both
-     modes. *)
-  let disjunctive_goal =
-    let rec pick seen = function
-      | [] -> None
-      | t :: rest -> (
-          match disjuncts t [] with
-          | _ :: _ :: _ as ds ->
-              Some (List.rev_append seen rest, ds)
-          | _ -> pick (t :: seen) rest)
-    in
-    pick [] terms
-  in
-  match disjunctive_goal with
-  | Some (others, ds) ->
-      let groups = partition (min (1 lsl opts.cube_vars) (List.length ds)) ds in
+  pick [] terms
+
+(* {1 Entry point} *)
+
+let check ?(options = default) ?tally ?(strategy = Solver.Strategy.default)
+    ~jobs terms =
+  match disjunctive_goal terms with
+  | Some (others, ds) when options.cube_vars > 0 ->
+      (* ∨-elimination: the query is Unsat iff it is Unsat with each group
+         of disjuncts in place of the whole disjunction, and any group's
+         model is a model of the original.  Each group re-blasts only the
+         cones its own disjuncts reach, which sidesteps the disjunct
+         interleaving that makes the monolithic query hard. *)
+      let groups = partition (min (1 lsl options.cube_vars) (List.length ds)) ds in
       let ncubes = List.length groups in
-      Obs.incr c_cube_calls;
       Obs.incr ~by:ncubes c_cubes;
       let sat_found = Atomic.make false in
       let run () =
         Pool.map_arena ~jobs
           ~make:(fun () -> ())
           (fun () group ->
-            if Atomic.get sat_found || cancel () then None
+            if Atomic.get sat_found then None
             else
               let o =
-                Solver.check ~config:cfg ~budget ?deadline
-                  (others @ [ Term.disj group ])
+                Solver.check ~config:strategy (others @ [ Term.disj group ])
               in
-              (match o with
-              | Solver.Sat _ -> Atomic.set sat_found true
-              | _ -> ());
+              (match o with Solver.Sat _ -> Atomic.set sat_found true | _ -> ());
               Some o)
           groups
       in
-      let results =
+      let solved =
         Obs.span "portfolio.cube"
           ~args:
             [
-              ("cube_vars", Obs.Int opts.cube_vars);
+              ("cube_vars", Obs.Int options.cube_vars);
               ("cubes", Obs.Int ncubes);
               ("jobs", Obs.Int jobs);
-              ("structural", Obs.Bool true);
             ]
           run
+        |> List.filter_map Fun.id
       in
-      conclude ncubes results
-  | None -> (
-      (* A probe session picks the branching variables; worker sessions
-         re-blast the same terms in the same order, so the probe's
-         variable numbering is theirs too. *)
-      let probe = Solver.Session.create ~config:cfg () in
-      List.iter (fun t -> Solver.Session.assert_always probe t) terms;
-      match Solver.Session.top_vars probe opts.cube_vars with
-      | [] -> seq ()
-      | vars ->
-          let m = List.length vars in
-          let ncubes = 1 lsl m in
-          let cubes =
-            List.init ncubes (fun mask ->
-                List.mapi
-                  (fun j v -> if mask land (1 lsl j) <> 0 then v else -v)
-                  vars)
-          in
-          Obs.incr c_cube_calls;
-          Obs.incr ~by:ncubes c_cubes;
-          let sat_found = Atomic.make false in
-          let run () =
-            Pool.map_arena ~jobs
-              ~make:(fun () -> ref None)
-              (fun cell cube ->
-                if Atomic.get sat_found || cancel () then None
-                else
-                  let s =
-                    match !cell with
-                    | Some s -> s
-                    | None ->
-                        let s = Solver.Session.create ~config:cfg () in
-                        List.iter
-                          (fun t -> Solver.Session.assert_always s t)
-                          terms;
-                        cell := Some s;
-                        s
-                  in
-                  let assumptions = List.map (Solver.Session.lit_guard s) cube in
-                  let o =
-                    Solver.Session.check_with ~assumptions ~budget ?deadline s []
-                  in
-                  (match o with
-                  | Solver.Sat _ -> Atomic.set sat_found true
-                  | _ -> ());
-                  Some o)
-              cubes
-          in
-          let results =
-            Obs.span "portfolio.cube"
-              ~args:
-                [
-                  ("cube_vars", Obs.Int m);
-                  ("cubes", Obs.Int ncubes);
-                  ("jobs", Obs.Int jobs);
-                  ("structural", Obs.Bool false);
-                ]
-              run
-          in
-          conclude ncubes results)
-
-(* {1 Entry point} *)
-
-let check ?(options = default) ?tally ?(cancel = fun () -> false) ?budget
-    ?deadline ?(derive_sat = true) ~jobs ~strategy terms =
-  let budget = Option.value budget ~default:max_int in
-  let cfg = Solver.Strategy.sat_config strategy in
-  if options.cube_vars > 0 then
-    cube_check ~opts:options ~tally ~cancel ~budget ~deadline ~jobs ~strategy
-      ~derive_sat terms
-  else if options.racers > 1 then
-    match
-      race ~opts:options ~tally ~cancel ~budget ~deadline ~jobs ~strategy terms
-    with
-    | _, (Solver.Unsat _ as o) -> o
-    | _, (Solver.Sat _ as o) ->
-        if derive_sat then
-          (* re-derive the model sequentially: racers run diversified
-             schedules, so the winning model is schedule-dependent — the
-             base-strategy check is not *)
-          Solver.check ~config:cfg ~budget ?deadline terms
-        else o
-    | _, (Solver.Unknown _ as o) -> o
-  else Solver.check ~config:cfg ~budget ?deadline terms
+      let stats =
+        List.fold_left
+          (fun acc o -> add_stats acc (Solver.stats_of o))
+          Solver.empty_stats solved
+      in
+      let count p = List.length (List.filter p solved) in
+      let n_sat = count (function Solver.Sat _ -> true | _ -> false) in
+      let n_unsat = count (function Solver.Unsat _ -> true | _ -> false) in
+      Option.iter
+        (fun t ->
+          locked t (fun () ->
+              t.cubes <- t.cubes + ncubes;
+              t.cubes_unsat <- t.cubes_unsat + n_unsat))
+        tally;
+      if n_sat > 0 then Solver.check ~config:strategy terms
+      else if n_unsat = ncubes then Solver.Unsat stats
+      else Solver.Unknown stats
+  | _ -> Solver.check ~config:strategy terms

@@ -1,99 +1,40 @@
-(** Portfolio racing and cube-and-conquer for hard solver queries.
+(** Structural cube-and-conquer for the monolithic ∀-verify query.
 
     The paper's central observation is that the monolithic ∀-query times
     out where per-instruction decomposition completes.  This module
-    attacks exactly those queries with the idle capacity the pool
-    manages, two ways:
+    recovers that decomposition from the monolithic query itself: a
+    disjunctive goal ("some instruction violates its contract") is split
+    by ∨-elimination into up to [2^cube_vars] groups of disjuncts, each an
+    independent sub-query that re-blasts only its own cones, fanned out
+    across the pool.  The query is Unsat iff every cube is.  A goal with
+    no disjunction gets one sequential {!Solver.check}.
 
-    - {b Racing} ([racers > 1]): N diversified strategies
-      ({!Solver.Strategy.diversify} of a base) race the same conjunction
-      on pool domains.  Racers solve in conflict slices and, between
-      slices, publish their LBD-filtered glue clauses to a shared
-      blackboard and import what the others published — diversity finds
-      short refutations, sharing compounds them.  The first finisher
-      claims an atomic winner slot; the rest observe the claim at their
-      next slice boundary and stand down (cooperative cancellation).
+    {b Determinism contract.}  The split accelerates only the Unsat
+    direction.  A Sat verdict is re-derived by one sequential
+    {!Solver.check} of the whole query before being returned, so {!check}
+    returns bit-identical models to sequential solving regardless of which
+    cube finished first. *)
 
-    - {b Cube-and-conquer} ([cube_vars = k > 0]): the ∀-verify splitter.
-      A disjunctive goal ("some instruction violates its contract") is
-      split structurally by ∨-elimination into up to [2^k] groups of
-      disjuncts, each an independent sub-query that re-blasts only its
-      own cones — recovering the paper's per-instruction decomposition
-      from the monolithic query.  Non-disjunctive goals fall back to
-      variable cubes: a probe session picks the [k] highest-occurrence
-      SAT variables and the [2^k] sign cubes fan across the pool as
-      assumption lists.  Either way the query is Unsat iff every cube
-      is Unsat.
-
-    {b Determinism contract.}  Both modes accelerate only the Unsat
-    direction.  A Sat verdict is re-derived by a sequential base-strategy
-    {!Solver.check} before being returned, so {!check} returns
-    bit-identical models to sequential solving regardless of which racer
-    or cube finished first.  Unsat/Sat verdicts themselves are
-    solver-sound, hence schedule-independent.
-
-    {b Sharing soundness.}  Blasting is deterministic: racer sessions
-    asserting the same terms in the same order allocate identical SAT
-    variable numberings, so learned clauses transfer meaningfully.  The
-    {!Solver.Session.import_learnt} bounds check drops (and counts)
-    anything out of range. *)
-
-type options = {
-  racers : int;  (** strategies to race; 1 = no race *)
-  cube_vars : int;
-      (** cube splitter branching variables; 0 = no cubes.  When both
-          this and [racers] are set, cubes win: the splitter is the
-          ∀-verify mode and does not race inside cubes. *)
-  share_interval : int;
-      (** conflicts per racer slice between sharing rounds *)
-  share_max_lbd : int;  (** only clauses with LBD ≤ this travel *)
-}
+type options = { cube_vars : int }
+(** [cube_vars = k] caps the split at [2^k] groups; [0] = no split. *)
 
 val default : options
-(** [{racers = 1; cube_vars = 0; share_interval = 2000; share_max_lbd = 4}]
-    — disabled (sequential). *)
-
-val with_racers : int -> options -> options
-(** Raises [Invalid_argument] if [racers < 1]. *)
+(** [{cube_vars = 0}] — sequential. *)
 
 val with_cube_vars : int -> options -> options
 (** Raises [Invalid_argument] outside [0..12] (2^12 cubes is already far
     beyond any pool this runs on). *)
 
-val with_share_interval : int -> options -> options
-(** Raises [Invalid_argument] if [< 1]. *)
-
-val with_share_max_lbd : int -> options -> options
-(** Raises [Invalid_argument] if negative. *)
-
-val enabled : options -> bool
-(** Whether these options change anything over sequential solving. *)
-
 (** {1 Tally}
 
-    Cross-race accounting: per-racer win counts, sharing volumes, cube
-    verdicts.  A caller shares one tally across many {!check} calls (it
-    is internally locked) and reads it back for the bench report and the
-    CLI summary. *)
+    Cube accounting across {!check} calls: a caller shares one tally
+    (it is internally locked) and reads it back for its report. *)
 
 type tally
 
 type summary = {
-  races : int;
-  race_sat : int;
-  race_unsat : int;
-  race_unknown : int;
-  win_counts : (int * int) list;
-      (** [(racer index, races won)], ascending by index; racers that
-          never won are absent *)
-  shared_out : int;  (** glue clauses published to blackboards *)
-  shared_in : int;  (** clauses imported from other racers *)
-  shared_dropped : int;  (** imports rejected by the bounds check *)
-  cube_calls : int;  (** queries split into cubes *)
   cubes : int;  (** total cubes fanned out *)
-  cubes_sat : int;
-  cubes_unsat : int;
-  cubes_unknown : int;  (** includes cubes skipped after an early Sat *)
+  cubes_unsat : int;  (** cubes refuted *)
 }
 
 val create_tally : unit -> tally
@@ -104,26 +45,14 @@ val read_tally : tally -> summary
 val check :
   ?options:options ->
   ?tally:tally ->
-  ?cancel:(unit -> bool) ->
-  ?budget:int ->
-  ?deadline:float ->
-  ?derive_sat:bool ->
+  ?strategy:Solver.Strategy.t ->
   jobs:int ->
-  strategy:Solver.Strategy.t ->
   Term.t list ->
   Solver.outcome
-(** Decides the conjunction of width-1 terms like {!Solver.check}, racing
-    or cubing according to [options] (default: sequential).  [budget]
-    bounds SAT conflicts {e per racer / per cube} — each attempt gets the
-    full budget, mirroring what a sequential call would have had.
-    [cancel] is the cooperative cancellation token, polled at every slice
-    boundary and cube pickup; cancellation surfaces as [Unknown].  [jobs]
-    bounds the domains used (racing caps it at [racers]).  [derive_sat]
-    (default [true]) applies the determinism contract: Sat verdicts are
-    re-derived by a sequential base-strategy check.  Pass [false] when
-    only the verdict matters (the engine's verify hooks fall through to
-    their own deterministic model derivation on Sat) — the returned model
-    is then whichever racer's or cube's happened to finish, which is
-    schedule-dependent.  Statistics on the outcome sum the work of the
-    winning racer's slices, or of all cubes.  Raises like {!Solver.check}
-    on non-width-1 terms. *)
+(** Decides the conjunction of width-1 terms like {!Solver.check},
+    splitting the first disjunctive conjunct according to [options]
+    (default: sequential).  [strategy] (default {!Solver.Strategy.default})
+    configures every solver the call creates; [jobs] bounds the domains
+    serving the cubes.  Statistics on an Unsat or Unknown outcome sum the
+    work of all cubes solved.  Raises like {!Solver.check} on non-width-1
+    terms. *)

@@ -152,7 +152,8 @@ let custom_options =
     |> with_conflict_budget 12345 |> with_max_iterations 77
     |> with_deadline (Some 1.5) |> with_retries 5 |> with_escalation_factor 2
     |> with_validate_models true |> with_check_independence true
-    |> with_incremental false |> with_sat_profile Sat.Aggressive)
+    |> with_incremental false
+    |> with_strategy (Solver.Strategy.of_profile Sat.Aggressive))
 
 let test_options_roundtrip () =
   List.iter
@@ -192,16 +193,13 @@ let test_options_sat_skew () =
       check "absent sat block decodes to default" true
         (Synth.Engine.sat_config options
         = Synth.Engine.sat_config Synth.Engine.default_options);
-      check "absent strategy block decodes to default" true
-        (Solver.Strategy.equal options.Synth.Engine.strategy
-           Solver.Strategy.default);
-      check "absent portfolio block decodes to sequential" true
-        (not (Synth.Portfolio.enabled options.Synth.Engine.race))
   | _ -> Alcotest.fail "old-peer frame without sat block rejected");
   (* a conservative profile's unlimited interval is max_int natively and
      null on the wire, like the conflict budget *)
   let conservative =
-    Synth.Engine.(default_options |> with_sat_profile Sat.Conservative)
+    Synth.Engine.(
+      default_options
+      |> with_strategy (Solver.Strategy.of_profile Sat.Conservative))
   in
   (match
      Proto.request_of_frame
@@ -221,73 +219,31 @@ let test_options_sat_skew () =
     | Error e -> e.Proto.code = "bad_request"
     | Ok _ -> false)
 
-(* Version-skew tolerance for the strategy/portfolio blocks, mirroring
-   the sat block above: a peer that predates them omits both, and the
-   request decodes to a sequential default-strategy run.  The protocol
-   version did not change when the blocks were added. *)
+(* Tolerance for the "strategy" and "portfolio" option objects that
+   racing-era peers send (protocol 1 then carried them too): the members
+   are ignored, so a frame carrying them decodes to the same options as
+   the frame without them — and therefore to the same hot-tier
+   fingerprint, which hashes the re-encoded options. *)
 let test_options_strategy_skew () =
-  (* a frame carrying a sat block but neither new block: the PR-7-era
-     client.  The gates must be honored and the rest defaulted. *)
-  let sat_only =
-    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true,\"sat\":{\"lbd_retention\":false,\"rephase\":true,\"subsume\":true,\"vivify\":true,\"elim\":true,\"inprocess_interval\":5000}}}"
+  let frame extra =
+    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true,\"sat\":{\"lbd_retention\":false,\"rephase\":true,\"subsume\":true,\"vivify\":true,\"elim\":true,\"inprocess_interval\":5000}"
+    ^ extra ^ "}}"
   in
-  (match Proto.request_of_frame sat_only with
-  | Ok (Proto.Synth { options; _ }) ->
-      check "sat gates honored without strategy block" false
-        (Synth.Engine.sat_config options).Sat.lbd_retention;
-      check "diversification defaults without strategy block" true
-        ((Synth.Engine.sat_config options).Sat.branch_seed = 0);
-      check "sequential without portfolio block" true
-        (not (Synth.Portfolio.enabled options.Synth.Engine.race))
-  | _ -> Alcotest.fail "sat-only frame rejected");
-  (* full roundtrip of a diversified, racing request *)
-  let racy =
-    Synth.Engine.(
-      default_options
-      |> with_strategy
-           Solver.Strategy.(
-             of_profile Sat.Aggressive
-             |> with_restart (Sat.Geometric (150, 1.5))
-             |> with_seed 7 |> with_phase Sat.Phase_rand
-             |> with_share_out false)
-      |> with_portfolio 4 |> with_cube_vars 3)
+  let decode f =
+    match Proto.request_of_frame f with
+    | Ok (Proto.Synth { options; _ }) -> options
+    | _ -> Alcotest.fail "synth frame rejected"
   in
-  (match
-     Proto.request_of_frame
-       (Proto.request_to_frame (Proto.Synth { design = "d"; options = racy }))
-   with
-  | Ok (Proto.Synth { options; _ }) ->
-      check "diversified strategy roundtrips" true
-        (Solver.Strategy.equal options.Synth.Engine.strategy
-           racy.Synth.Engine.strategy);
-      check "portfolio options roundtrip" true
-        (options.Synth.Engine.race = racy.Synth.Engine.race)
-  | _ -> Alcotest.fail "racing request did not roundtrip");
-  (* malformed blocks are rejected through the builders *)
-  let reject frame name =
-    check name true
-      (match Proto.request_of_frame frame with
-      | Error e -> e.Proto.code = "bad_request"
-      | Ok _ -> false)
+  let plain = decode (frame "") in
+  let racing =
+    decode
+      (frame
+         ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}")
   in
-  let base =
-    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true,"
-  in
-  reject
-    (base
-   ^ "\"strategy\":{\"profile\":\"default\",\"restart\":\"luby:0\",\"seed\":0,\"phase\":\"neg\",\"share_in\":true,\"share_out\":true}}}")
-    "restart luby:0 rejected";
-  reject
-    (base
-   ^ "\"strategy\":{\"profile\":\"default\",\"restart\":\"luby:100\",\"seed\":0,\"phase\":\"sideways\",\"share_in\":true,\"share_out\":true}}}")
-    "unknown phase rejected";
-  reject
-    (base ^ "\"portfolio\":{\"racers\":0,\"cube_vars\":0,\"share_interval\":2000,\"share_max_lbd\":4}}}")
-    "racers 0 rejected";
-  reject
-    (base
-   ^ "\"portfolio\":{\"racers\":1,\"cube_vars\":40,\"share_interval\":2000,\"share_max_lbd\":4}}}")
-    "cube_vars 40 rejected"
+  check "sat gates honored" false plain.Synth.Engine.strategy.Sat.lbd_retention;
+  check "racing members ignored" true (plain = racing);
+  check "one fingerprint" true
+    (Proto.options_to_json plain = Proto.options_to_json racing)
 
 (* Version-skew tolerance for the pong health report, mirroring the sat
    options block above: a protocol-1 server that predates the report
@@ -350,12 +306,6 @@ let sample_stats =
     sat_vivified = 11;
     sat_eliminated = 2;
     sat_rephases = 1;
-    races = 3;
-    race_unsat = 2;
-    race_shared_out = 40;
-    race_shared_in = 25;
-    cubes = 8;
-    cubes_unsat = 8;
     wall_seconds = 0.25;
   }
 
@@ -773,6 +723,22 @@ let test_verify_end_to_end () =
     && List.for_all (fun (_, v) -> v = "verified") r.Proto.verdicts);
   let r2 = Client.verify c ~design:"acc" Synth.Engine.default_options in
   check "verify repeat is hot" true r2.Proto.v_hot;
+  Client.close c;
+  stop_server addr th
+
+(* [deadline_seconds] is relative on the wire and counts from the engine
+   call, for verify as for synth: a roomy deadline must not turn verdicts
+   Inconclusive. *)
+let test_verify_deadline () =
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let r =
+    Client.verify c ~design:"acc"
+      Synth.Engine.(default_options |> with_deadline (Some 30.))
+  in
+  check "all instructions verified under a 30 s deadline" true
+    (r.Proto.verdicts <> []
+    && List.for_all (fun (_, v) -> v = "verified") r.Proto.verdicts);
   Client.close c;
   stop_server addr th
 
@@ -1200,6 +1166,7 @@ let () =
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
           Alcotest.test_case "cold then hot" `Quick test_synth_cold_then_hot;
           Alcotest.test_case "verify" `Quick test_verify_end_to_end;
+          Alcotest.test_case "verify deadline" `Quick test_verify_deadline;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
           Alcotest.test_case "unknown design" `Quick test_unknown_design;
           Alcotest.test_case "concurrent clients" `Quick

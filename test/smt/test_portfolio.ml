@@ -1,172 +1,127 @@
-(* Portfolio racing and cube-and-conquer must be invisible to callers:
-   the same verdicts as sequential solving and — via the determinism
-   contract — bit-identical models.  The properties drive random terms
-   from the shared generator under random strategies and racer counts;
-   the alcotest cases pin the Unsat direction (the one the portfolio
-   actually accelerates) on a prime-factoring refutation and check the
-   tally plumbing. *)
+(* The structural cube split must be invisible to callers: the same
+   verdicts as sequential solving and — via the determinism contract —
+   bit-identical models.  The property drives random disjunctions from the
+   shared generator under random fan-outs; the alcotest cases pin the
+   Unsat direction (the one the split accelerates) on a prime-factoring
+   refutation and check the tally plumbing. *)
 
 let jobs = 2 (* keep domain pressure low under the test runner *)
 
-(* {1 Strategy generator} *)
-
-let gen_restart =
-  QCheck.Gen.(
-    oneof
-      [
-        (10 -- 300 >>= fun b -> return (Sat.Luby b));
-        ( 10 -- 300 >>= fun b ->
-          oneofl [ 1.1; 1.3; 1.5; 2.0 ] >>= fun f ->
-          return (Sat.Geometric (b, f)) );
-      ])
-
-let gen_strategy =
-  QCheck.Gen.(
-    oneofl [ Sat.Default; Sat.Aggressive; Sat.Conservative ] >>= fun p ->
-    gen_restart >>= fun r ->
-    0 -- 1000 >>= fun seed ->
-    oneofl [ Sat.Phase_neg; Sat.Phase_pos; Sat.Phase_rand ] >>= fun ph ->
-    return
-      Solver.Strategy.(
-        of_profile p |> with_restart r |> with_seed seed |> with_phase ph))
-
-(* {1 Verdict and model agreement} *)
-
-let models_agree t m1 m2 =
+let models_agree vars m1 m2 =
   List.for_all
     (fun (name, _) ->
       match (m1.Solver.var_value name, m2.Solver.var_value name) with
       | Some v1, Some v2 -> Bitvec.equal v1 v2
       | None, None -> true
       | _ -> false)
-    (Term.vars t)
+    vars
 
-let agree t seq raced =
-  match (seq, raced) with
-  | Solver.Sat (m1, _), Solver.Sat (m2, _) -> models_agree t m1 m2
+let agree vars seq split =
+  match (seq, split) with
+  | Solver.Sat (m1, _), Solver.Sat (m2, _) -> models_agree vars m1 m2
   | Solver.Unsat _, Solver.Unsat _ -> true
   | _ -> false
 
-let prop_race_equals_sequential =
-  QCheck.Test.make ~name:"portfolio race = sequential" ~count:40
+(* A disjunction of 2-8 random roots, posed alone (mostly Sat) and next to
+   its own negation (Unsat, with every cube carrying the negation). *)
+let prop_split_equals_sequential =
+  QCheck.Test.make ~name:"cube-and-conquer = monolithic" ~count:40
     (QCheck.make
-       QCheck.Gen.(triple Gen_terms.gen_bool_term gen_strategy (2 -- 4))
-       ~print:(fun (g, s, n) ->
-         Printf.sprintf "%s under %s x%d" (Gen_terms.print_gen_term g)
-           (Solver.Strategy.describe s) n))
-    (fun (g, strategy, racers) ->
-      let t = g.Gen_terms.term in
-      let seq =
-        Solver.check ~config:(Solver.Strategy.sat_config strategy) [ t ]
-      in
-      let options = Synth.Portfolio.(default |> with_racers racers) in
-      agree t seq (Synth.Portfolio.check ~options ~jobs ~strategy [ t ]))
-
-let prop_cube_equals_sequential =
-  QCheck.Test.make ~name:"cube-and-conquer = monolithic" ~count:30
-    (QCheck.make
-       QCheck.Gen.(pair Gen_terms.gen_bool_term (1 -- 3))
-       ~print:(fun (g, k) ->
-         Printf.sprintf "%s cubed on %d vars" (Gen_terms.print_gen_term g) k))
-    (fun (g, k) ->
-      let t = g.Gen_terms.term in
+       QCheck.Gen.(
+         pair (list_size (2 -- 8) Gen_terms.gen_bool_term) (0 -- 3))
+       ~print:(fun (gs, k) ->
+         Printf.sprintf "%s split on %d"
+           (String.concat " | " (List.map Gen_terms.print_gen_term gs))
+           k))
+    (fun (gs, k) ->
+      let d = Term.disj (List.map (fun g -> g.Gen_terms.term) gs) in
       let options = Synth.Portfolio.(default |> with_cube_vars k) in
-      let strategy = Solver.Strategy.default in
-      let seq = Solver.check [ t ] in
-      agree t seq (Synth.Portfolio.check ~options ~jobs ~strategy [ t ])
-      (* the contradiction is always refutable and every cube must agree:
-         the ∀-verify splitter's Unsat-iff-all-cubes-Unsat direction *)
-      &&
-      match
-        Synth.Portfolio.check ~options ~jobs ~strategy
-          [ t; Term.bnot t ]
-      with
-      | Solver.Unsat _ -> true
-      | _ -> false)
+      List.for_all
+        (fun query ->
+          let tally = Synth.Portfolio.create_tally () in
+          let split = Synth.Portfolio.check ~options ~tally ~jobs query in
+          let s = Synth.Portfolio.read_tally tally in
+          agree (Term.vars d) (Solver.check query) split
+          && (match split with
+             | Solver.Unsat _ ->
+                 s.Synth.Portfolio.cubes_unsat = s.Synth.Portfolio.cubes
+             | _ -> true))
+        [ [ d ]; [ Term.bnot d; d ] ])
 
 (* {1 The Unsat direction on a fixed refutation}
 
    Factoring 251 (prime) with both factors nontrivial, multiplied without
-   wraparound: sequential, raced, and cubed solving must all refute it. *)
+   wraparound; [bands] adds a disjunctive conjunct over the first factor
+   for the split to work on. *)
+
+let pf_a = Term.var "pf_a" 8
+let pf_b = Term.var "pf_b" 8
 
 let prime_query =
-  let a = Term.var "pf_a" 8 and b = Term.var "pf_b" 8 in
   [
     Term.eq
-      (Term.mul (Term.zext a 16) (Term.zext b 16))
+      (Term.mul (Term.zext pf_a 16) (Term.zext pf_b 16))
       (Term.of_int ~width:16 251);
-    Term.ult (Term.one 8) a;
-    Term.ult (Term.one 8) b;
+    Term.ult (Term.one 8) pf_a;
+    Term.ult (Term.one 8) pf_b;
   ]
+
+let bands =
+  Term.disj
+    (List.map
+       (fun k -> Term.ult pf_a (Term.of_int ~width:8 k))
+       [ 4; 16; 64 ]
+    @ [ Term.ule (Term.of_int ~width:8 64) pf_a ])
 
 let test_prime_refuted () =
   List.iter
-    (fun (label, options) ->
-      match
-        Synth.Portfolio.check ~options ~jobs
-          ~strategy:Solver.Strategy.default prime_query
-      with
+    (fun (label, options, query) ->
+      match Synth.Portfolio.check ~options ~jobs query with
       | Solver.Unsat _ -> ()
       | Solver.Sat _ -> Alcotest.failf "%s: expected unsat, got sat" label
       | Solver.Unknown _ -> Alcotest.failf "%s: expected unsat, got unknown" label)
     [
-      ("sequential", Synth.Portfolio.default);
-      ("race of 3", Synth.Portfolio.(default |> with_racers 3));
-      ("cubes on 2 vars", Synth.Portfolio.(default |> with_cube_vars 2));
+      ("sequential", Synth.Portfolio.default, prime_query);
+      ( "no disjunction to split",
+        Synth.Portfolio.(default |> with_cube_vars 2),
+        prime_query );
+      ( "split into bands",
+        Synth.Portfolio.(default |> with_cube_vars 2),
+        bands :: prime_query );
     ]
 
 let test_tally () =
   let tally = Synth.Portfolio.create_tally () in
-  let options =
-    Synth.Portfolio.(default |> with_racers 2 |> with_share_interval 50)
+  let split k =
+    match
+      Synth.Portfolio.check
+        ~options:Synth.Portfolio.(default |> with_cube_vars k)
+        ~tally ~jobs (bands :: prime_query)
+    with
+    | Solver.Unsat _ -> ()
+    | _ -> Alcotest.fail "expected unsat"
   in
-  (match
-     Synth.Portfolio.check ~options ~tally ~jobs
-       ~strategy:Solver.Strategy.default prime_query
-   with
-  | Solver.Unsat _ -> ()
-  | _ -> Alcotest.fail "expected unsat");
-  let s = Synth.Portfolio.read_tally tally in
-  Alcotest.(check int) "one race recorded" 1 s.Synth.Portfolio.races;
-  Alcotest.(check int) "unsat recorded" 1 s.Synth.Portfolio.race_unsat;
-  Alcotest.(check int) "exactly one winner" 1
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Synth.Portfolio.win_counts);
-  (* the cube splitter accounts its fan-out *)
-  let ct = Synth.Portfolio.create_tally () in
-  (match
-     Synth.Portfolio.check
+  split 2;
+  split 1;
+  (* a goal with nothing to split is solved sequentially, uncounted *)
+  ignore
+    (Synth.Portfolio.check
        ~options:Synth.Portfolio.(default |> with_cube_vars 2)
-       ~tally:ct ~jobs ~strategy:Solver.Strategy.default prime_query
-   with
-  | Solver.Unsat _ -> ()
-  | _ -> Alcotest.fail "expected unsat");
-  let cs = Synth.Portfolio.read_tally ct in
-  Alcotest.(check int) "one cube call" 1 cs.Synth.Portfolio.cube_calls;
-  Alcotest.(check bool) "cubes fanned out" true (cs.Synth.Portfolio.cubes > 1);
-  Alcotest.(check int) "all cubes refuted" cs.Synth.Portfolio.cubes
-    cs.Synth.Portfolio.cubes_unsat
-
-let test_cancellation () =
-  (* a pre-cancelled race must stand down with Unknown, not burn budget *)
-  let options = Synth.Portfolio.(default |> with_racers 2) in
-  match
-    Synth.Portfolio.check ~options ~cancel:(fun () -> true) ~jobs
-      ~strategy:Solver.Strategy.default prime_query
-  with
-  | Solver.Unknown _ -> ()
-  | _ -> Alcotest.fail "cancelled race should return unknown"
+       ~tally ~jobs prime_query);
+  let s = Synth.Portfolio.read_tally tally in
+  Alcotest.(check int) "four bands, then two groups" 6 s.Synth.Portfolio.cubes;
+  Alcotest.(check int) "all cubes refuted" s.Synth.Portfolio.cubes
+    s.Synth.Portfolio.cubes_unsat
 
 let () =
   Alcotest.run "portfolio"
     [
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_race_equals_sequential; prop_cube_equals_sequential ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_split_equals_sequential ] );
       ( "portfolio",
         [
           Alcotest.test_case "prime refuted all modes" `Quick
             test_prime_refuted;
           Alcotest.test_case "tally accounting" `Quick test_tally;
-          Alcotest.test_case "cancellation" `Quick test_cancellation;
         ] );
     ]

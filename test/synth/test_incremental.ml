@@ -74,7 +74,12 @@ let test_rv32_incremental_verifies () =
   let vproblem =
     { problem with Synth.Engine.design = s.Synth.Engine.completed }
   in
-  let verdicts = Synth.Engine.verify ~jobs:4 ~incremental:true vproblem in
+  let verdicts =
+    Synth.Engine.(
+      verify
+        ~options:(default_options |> with_jobs 4 |> with_incremental true)
+        vproblem)
+  in
   List.iter
     (fun (iname, v) ->
       Alcotest.(check bool) (iname ^ " verified") true
@@ -87,8 +92,12 @@ let test_verify_modes_agree () =
     { problem with
       Synth.Engine.design = Designs.Accumulator.reference_design () }
   in
-  let vi = Synth.Engine.verify ~incremental:true problem in
-  let vf = Synth.Engine.verify ~incremental:false problem in
+  let verify incremental =
+    Synth.Engine.(
+      verify ~options:(default_options |> with_incremental incremental) problem)
+  in
+  let vi = verify true in
+  let vf = verify false in
   Alcotest.(check int) "same number of verdicts" (List.length vf)
     (List.length vi);
   List.iter2

@@ -41,8 +41,11 @@ let test_verify_jobs () =
     { problem with
       Synth.Engine.design = Designs.Accumulator.reference_design () }
   in
-  let v1 = Synth.Engine.verify ~jobs:1 problem in
-  let v4 = Synth.Engine.verify ~jobs:4 problem in
+  let verify jobs =
+    Synth.Engine.(verify ~options:(default_options |> with_jobs jobs) problem)
+  in
+  let v1 = verify 1 in
+  let v4 = verify 4 in
   Alcotest.(check int) "same number of verdicts" (List.length v1)
     (List.length v4);
   List.iter2

@@ -201,7 +201,11 @@ let test_verify_under_faults () =
       Synth.Engine.design = Designs.Accumulator.reference_design () }
   in
   with_plan "unknown@1,crash@1" (fun () ->
-      let verdicts = Synth.Engine.verify ~jobs:2 ~validate_models:true problem in
+      let options =
+        Synth.Engine.(
+          default_options |> with_jobs 2 |> with_validate_models true)
+      in
+      let verdicts = Synth.Engine.verify ~options problem in
       Alcotest.(check bool) "faults fired" true (Fault.fired () > 0);
       List.iter
         (fun (iname, v) ->
