@@ -64,12 +64,7 @@ module Report = struct
       ("task_retries", string_of_int st.Synth.Engine.task_retries);
       ("sat_restarts", string_of_int st.Synth.Engine.sat_restarts);
       ("sat_learnt_kept", string_of_int st.Synth.Engine.sat_learnt_kept);
-      ("sat_learnt_deleted", string_of_int st.Synth.Engine.sat_learnt_deleted);
-      ("sat_subsumed", string_of_int st.Synth.Engine.sat_subsumed);
-      ("sat_strengthened", string_of_int st.Synth.Engine.sat_strengthened);
-      ("sat_vivified", string_of_int st.Synth.Engine.sat_vivified);
-      ("sat_eliminated", string_of_int st.Synth.Engine.sat_eliminated);
-      ("sat_rephases", string_of_int st.Synth.Engine.sat_rephases) ]
+      ("sat_learnt_deleted", string_of_int st.Synth.Engine.sat_learnt_deleted) ]
 
   let record_run ~section ~label ~outcome ~wall st =
     record
@@ -920,176 +915,21 @@ let chaos () =
    enabled — run in CI via [dune build @bench-smoke].  No JSON report: the
    alias runs inside dune's sandbox. *)
 
-(* {1 SAT core profiles: baseline vs LBD retention vs inprocessing}
-
-   The same synthesis problems under four SAT core configurations:
-   the legacy activity-only solver (every modern pass off), LBD-tiered
-   retention + rephasing alone, full inprocessing (subsumption,
-   self-subsuming resolution, vivification) on top, and finally bounded
-   variable elimination as well.  The single-cycle core's M-extension
-   variant is the search-heavy workload where the passes engage (the
-   base RV32I queries stay below the inprocessing interval); the
-   monolithic RV32I rows show the unoptimized baseline query under each
-   configuration.  For a fixed configuration, jobs=4 bindings must be
-   bit-identical to jobs=1 (asserted); across configurations the passes
-   may steer the search to a different — equally verified — model, so
-   cross-config agreement is recorded but informational. *)
-
-let sat_bench () =
-  print_endline "";
-  print_endline "SAT core configurations: legacy baseline vs LBD-tiered clause";
-  print_endline "retention vs inprocessing (subsumption + vivification) vs";
-  print_endline "bounded variable elimination, same synthesis problems.";
-  print_endline "";
-  let configs =
-    [ ("baseline", Sat.conservative_config);
-      ("lbd",
-       { Sat.conservative_config with Sat.lbd_retention = true; rephase = true });
-      ("inprocess", { Sat.aggressive_config with Sat.elim = false });
-      ("inprocess+elim", Sat.aggressive_config) ]
-  in
-  Printf.printf "%-22s %-15s %8s %10s %7s %7s %7s %7s %7s\n" "Design" "Config"
-    "wall(s)" "conflicts" "kept" "del" "subs" "strng" "elim";
-  print_endline (String.make 98 '-');
-  let run_config ~design ~problem ~mode ~jobs (tag, cfg) =
-    let label =
-      Printf.sprintf "%s %s j%d%s" design tag jobs
-        (match mode with Synth.Engine.Monolithic -> " mono" | _ -> "")
-    in
-    let options =
-      Synth.Engine.(
-        default_options |> with_mode mode |> with_jobs jobs
-        |> with_deadline (Some !deadline)
-        |> with_strategy cfg)
-    in
-    let outcome, dt =
-      time (fun () -> Synth.Engine.synthesize ~options (problem ()))
-    in
-    let st, solved, outcome_str =
-      match outcome with
-      | Synth.Engine.Solved s -> (Some s.Synth.Engine.stats, Some s, "solved")
-      | Synth.Engine.Timeout st -> (Some st, None, "timeout")
-      | _ -> (None, None, "failed")
-    in
-    (match st with
-    | Some st ->
-        Printf.printf "%-22s %-15s %8.2f %10d %7d %7d %7d %7d %7d\n%!" design
-          (tag ^ if outcome_str = "timeout" then "(T)" else "")
-          dt st.Synth.Engine.conflicts st.Synth.Engine.sat_learnt_kept
-          st.Synth.Engine.sat_learnt_deleted st.Synth.Engine.sat_subsumed
-          st.Synth.Engine.sat_strengthened st.Synth.Engine.sat_eliminated
-    | None -> Printf.printf "%-22s %-15s failed\n%!" design tag);
-    Report.record_run ~section:"sat" ~label ~outcome:outcome_str ~wall:dt st;
-    (solved, dt, st)
-  in
-  let ok = ref true in
-  let same (a : Synth.Engine.solved) (b : Synth.Engine.solved) =
-    a.Synth.Engine.per_instr = b.Synth.Engine.per_instr
-    && a.Synth.Engine.shared = b.Synth.Engine.shared
-  in
-  let compare_design design problem =
-    let rows =
-      List.map
-        (fun pc ->
-          (fst pc,
-           run_config ~design ~problem ~mode:Synth.Engine.Per_instruction
-             ~jobs:1 pc))
-        configs
-    in
-    (* jobs=4 under the heaviest configuration: scheduling must not
-       change the bindings *)
-    let s4, _, _ =
-      run_config ~design ~problem ~mode:Synth.Engine.Per_instruction ~jobs:4
-        (List.hd (List.rev configs))
-    in
-    match (List.assoc "baseline" rows, List.assoc "inprocess+elim" rows, s4)
-    with
-    | (Some sb, wb, Some stb), (Some se, wi, Some sti), Some s4 ->
-        (* hard guarantee: for a fixed configuration the schedule never
-           changes the bindings (jobs=4 vs jobs=1, both under
-           inprocess+elim).  Across configurations the passes may steer
-           the search to a different — equally verified — model, so
-           cross-config agreement is reported but not asserted.  The
-           headline compares the legacy baseline against the full
-           inprocessing stack (subsumption + vivification +
-           elimination). *)
-        let schedule_identical = same se s4 in
-        let config_identical =
-          List.for_all
-            (fun (_, (s, _, _)) ->
-              match s with Some s -> same sb s | None -> false)
-            rows
-        in
-        (* learned clauses retained at end of search: everything learned
-           minus what the retention tiers and inprocessing pruned *)
-        let retained (st : Synth.Engine.stats) =
-          st.Synth.Engine.conflicts - st.Synth.Engine.sat_learnt_deleted
-          - st.Synth.Engine.sat_subsumed
-        in
-        let faster = wi < wb in
-        let leaner = retained sti < retained stb in
-        Printf.printf
-          "  %s: full inprocessing %.2fx wall vs baseline (%s), learnt \
-           retained %d vs %d (%s), jobs=4 deterministic: %s, configs agree: \
-           %s\n%!"
-          design (wb /. wi)
-          (if faster then "ok" else "slower")
-          (retained sti) (retained stb)
-          (if leaner then "ok" else "not leaner")
-          (if schedule_identical then "ok" else "BUG")
-          (if config_identical then "yes" else "no (all verified)");
-        Report.record
-          [ ("section", Report.str "sat");
-            ("label", Report.str (design ^ " summary"));
-            ("baseline_wall_seconds", Printf.sprintf "%.6f" wb);
-            ("inprocess_wall_seconds", Printf.sprintf "%.6f" wi);
-            ("baseline_learnt_retained", string_of_int (retained stb));
-            ("inprocess_learnt_retained", string_of_int (retained sti));
-            ("inprocess_faster", string_of_bool faster);
-            ("inprocess_leaner", string_of_bool leaner);
-            ("jobs4_deterministic", string_of_bool schedule_identical);
-            ("bindings_identical_across_configs",
-             string_of_bool config_identical) ];
-        if not schedule_identical then ok := false
-    | _ -> ok := false
-  in
-  compare_design "rv32-single RV32I"
-    (fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I);
-  compare_design "rv32-single RV32I+M"
-    (fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I_M);
-  (* the unoptimized monolithic query under the two extreme
-     configurations; at the default deadline this is the paper's dagger
-     row, so a timeout outcome with its conflict count is the datum *)
-  List.iter
-    (fun tag ->
-      ignore
-        (run_config ~design:"rv32-single RV32I"
-           ~problem:(fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I)
-           ~mode:Synth.Engine.Monolithic ~jobs:1
-           (tag, List.assoc tag configs)))
-    [ "baseline"; "inprocess+elim" ];
-  print_endline "";
-  if !ok then
-    print_endline
-      "sat profiles: jobs=4 bindings bit-identical to jobs=1 under every \
-       configuration"
-  else begin
-    print_endline "sat profiles: REGRESSION (see rows above)";
-    exit 1
-  end
-
 let smoke () =
   let problem = Designs.Accumulator.problem () in
-  let solve ~incremental =
-    let options = Synth.Engine.(default_options |> with_incremental incremental) in
+  let solve ?(jobs = 1) ~incremental () =
+    let options =
+      Synth.Engine.(
+        default_options |> with_incremental incremental |> with_jobs jobs)
+    in
     match Synth.Engine.synthesize ~options problem with
     | Synth.Engine.Solved s -> s
     | _ ->
         prerr_endline "bench smoke: accumulator synthesis failed";
         exit 1
   in
-  let inc = solve ~incremental:true in
-  let fresh = solve ~incremental:false in
+  let inc = solve ~incremental:true () in
+  let fresh = solve ~incremental:false () in
   let sti = inc.Synth.Engine.stats and stf = fresh.Synth.Engine.stats in
   Printf.printf
     "bench smoke: accumulator solved; %d rounds, %d queries, %d clauses \
@@ -1127,46 +967,22 @@ let smoke () =
     prerr_endline "bench smoke: accumulator bindings diverged between modes";
     exit 1
   end;
-  (* Every SAT profile must reach the same hole bindings — the passes
-     change how fast a model is found, never which model — and the
-     jobs=4 schedule must agree with jobs=1 under the most aggressive
-     profile. *)
-  let solve_profile ~jobs profile =
-    let options =
-      Synth.Engine.(
-        default_options |> with_jobs jobs
-        |> with_strategy (Solver.Strategy.of_profile profile))
-    in
-    match Synth.Engine.synthesize ~options problem with
-    | Synth.Engine.Solved s -> s
-    | _ ->
-        prerr_endline "bench smoke: profiled accumulator synthesis failed";
-        exit 1
-  in
-  let base = solve_profile ~jobs:1 Sat.Conservative in
-  let same (a : Synth.Engine.solved) (b : Synth.Engine.solved) =
-    a.Synth.Engine.per_instr = b.Synth.Engine.per_instr
-    && a.Synth.Engine.shared = b.Synth.Engine.shared
-  in
-  List.iter
-    (fun (profile, jobs) ->
-      if not (same base (solve_profile ~jobs profile)) then begin
-        Printf.eprintf
-          "bench smoke: bindings diverged under SAT profile %s (jobs=%d)\n"
-          (Sat.profile_name profile) jobs;
-        exit 1
-      end)
-    [ (Sat.Default, 1); (Sat.Aggressive, 1); (Sat.Conservative, 4);
-      (Sat.Aggressive, 4) ];
-  print_endline
-    "bench smoke: hole bindings bit-identical across all SAT profiles and \
-     schedules";
+  (* the jobs=4 schedule must reach the same hole bindings as jobs=1 *)
+  let jobs4 = solve ~jobs:4 ~incremental:true () in
+  if
+    inc.Synth.Engine.per_instr <> jobs4.Synth.Engine.per_instr
+    || inc.Synth.Engine.shared <> jobs4.Synth.Engine.shared
+  then begin
+    prerr_endline "bench smoke: accumulator bindings diverged at jobs=4";
+    exit 1
+  end;
+  print_endline "bench smoke: hole bindings bit-identical at jobs=1 and jobs=4";
   (* One traced synthesis: the emitted Chrome trace must be valid JSON
      (checked with Owl_obs's own strict parser) with a non-empty
      traceEvents array. *)
   Obs.enable ();
   Obs.enable_metrics ();
-  ignore (solve ~incremental:true);
+  ignore (solve ~incremental:true ());
   let trace = Obs.chrome_trace_string () in
   Obs.disable ();
   Obs.disable_metrics ();
@@ -1451,8 +1267,7 @@ let () =
     [ ("table1", table1); ("table2", table2); ("table3", table3);
       ("ablation", ablation); ("parallel", parallel);
       ("incremental", incremental); ("cache", cache_bench);
-      ("serve", serve_bench); ("chaos", chaos); ("sat", sat_bench);
-      ("micro", micro) ]
+      ("serve", serve_bench); ("chaos", chaos); ("micro", micro) ]
   in
   let run_sections names =
     (* histogram/counter collection across every section; the summaries
@@ -1469,7 +1284,7 @@ let () =
   | [] | [ "all" ] ->
       run_sections
         [ "table1"; "table2"; "table3"; "ablation"; "parallel";
-          "incremental"; "cache"; "serve"; "chaos"; "sat" ]
+          "incremental"; "cache"; "serve"; "chaos" ]
   | [ "smoke" ] -> smoke ()
   | (_ :: _ as names) when List.for_all (fun n -> List.mem_assoc n sections_tbl) names ->
       run_sections names
@@ -1477,5 +1292,5 @@ let () =
       prerr_endline
         "usage: main.exe \
          [all|table1|table2|table3|ablation|parallel|incremental|cache|serve|\
-         chaos|sat|micro|smoke] [--deadline=SECONDS]";
+         chaos|micro|smoke] [--deadline=SECONDS]";
       exit 1

@@ -59,83 +59,6 @@ let validate_models =
   in
   Arg.(value & flag & info [ "validate-models" ] ~doc)
 
-(* {1 Solver strategy}
-
-   [--sat-profile NAME] selects the pass profile (OWL_SAT_PROFILE is the
-   flagless equivalent; the flag wins) and the per-pass [--no-sat-*]
-   escape hatches subtract individual passes; the [strategy] term below
-   resolves all six into one [Solver.Strategy.t]. *)
-
-let sat_profile =
-  let doc =
-    "SAT core pass profile: 'default' (LBD-tiered clause retention, \
-     best-phase rephasing, subsumption and vivification between \
-     restarts), 'aggressive' (additionally bounded variable elimination, \
-     shorter inprocessing interval), or 'conservative' (all passes off — \
-     the legacy activity-only solver).  Also read from the \
-     OWL_SAT_PROFILE environment variable; the flag wins."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "sat-profile" ] ~docv:"PROFILE" ~doc)
-
-let no_sat_lbd =
-  let doc = "Disable LBD-tiered learned-clause retention (fall back to \
-             activity-ordered reduction)." in
-  Arg.(value & flag & info [ "no-sat-lbd" ] ~doc)
-
-let no_sat_rephase =
-  let doc = "Disable best-phase rephasing on restarts." in
-  Arg.(value & flag & info [ "no-sat-rephase" ] ~doc)
-
-let no_sat_subsume =
-  let doc = "Disable inprocessing subsumption and self-subsuming \
-             resolution." in
-  Arg.(value & flag & info [ "no-sat-subsume" ] ~doc)
-
-let no_sat_vivify =
-  let doc = "Disable inprocessing clause vivification." in
-  Arg.(value & flag & info [ "no-sat-vivify" ] ~doc)
-
-let no_sat_elim =
-  let doc = "Disable bounded variable elimination (only on under the \
-             'aggressive' profile to begin with)." in
-  Arg.(value & flag & info [ "no-sat-elim" ] ~doc)
-
-(* Resolve flag/env/default precedence into a strategy, then subtract
-   the per-pass escape hatches.  Unknown profile names are reported and
-   fatal, matching the fault-plan and cache behavior. *)
-let resolve_strategy sat_profile no_sat_lbd no_sat_rephase no_sat_subsume
-    no_sat_vivify no_sat_elim =
-  let name =
-    match sat_profile with
-    | Some _ -> sat_profile
-    | None -> Sys.getenv_opt "OWL_SAT_PROFILE"
-  in
-  let base =
-    match name with
-    | None -> Solver.Strategy.default
-    | Some s -> (
-        match Sat.profile_of_string (String.lowercase_ascii s) with
-        | Some p -> Solver.Strategy.of_profile p
-        | None ->
-            Printf.eprintf
-              "owl: unknown SAT profile %S (expected default, aggressive, \
-               or conservative)\n" s;
-            exit 1)
-  in
-  {
-    base with
-    Sat.lbd_retention = base.Sat.lbd_retention && not no_sat_lbd;
-    rephase = base.Sat.rephase && not no_sat_rephase;
-    subsume = base.Sat.subsume && not no_sat_subsume;
-    vivify = base.Sat.vivify && not no_sat_vivify;
-    elim = base.Sat.elim && not no_sat_elim;
-  }
-
-let strategy =
-  Term.(const resolve_strategy $ sat_profile $ no_sat_lbd $ no_sat_rephase
-        $ no_sat_subsume $ no_sat_vivify $ no_sat_elim)
-
 (* {1 Fault injection} *)
 
 let fault_plan =

@@ -141,8 +141,8 @@ let synth_cmd =
          & info [ "pyrtl" ] ~doc:"Print the generated control logic PyRTL-style (paper Fig. 7).")
   in
   let run name monolithic jobs deadline output pyrtl no_incremental retries
-      escalation_factor validate_models strategy cache_dir no_cache fault_plan
-      trace metrics =
+      escalation_factor validate_models cache_dir no_cache fault_plan trace
+      metrics =
     Args.check_jobs jobs;
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
@@ -166,7 +166,6 @@ let synth_cmd =
               |> with_retries retries
               |> with_escalation_factor escalation_factor
               |> with_validate_models validate_models
-              |> with_strategy strategy
               |> with_cache cache)
           with Invalid_argument m ->
             Printf.eprintf "owl: %s\n" m;
@@ -198,11 +197,6 @@ let synth_cmd =
             row "sat restarts" st.Synth.Engine.sat_restarts;
             row "sat learnt kept" st.Synth.Engine.sat_learnt_kept;
             row "sat learnt deleted" st.Synth.Engine.sat_learnt_deleted;
-            row "sat subsumed" st.Synth.Engine.sat_subsumed;
-            row "sat strengthened" st.Synth.Engine.sat_strengthened;
-            row "sat vivified lits" st.Synth.Engine.sat_vivified;
-            row "sat eliminated vars" st.Synth.Engine.sat_eliminated;
-            row "sat rephases" st.Synth.Engine.sat_rephases;
             Printf.printf "  %-22s %.2f\n" "wall seconds"
               st.Synth.Engine.wall_seconds;
             if pyrtl then begin
@@ -244,7 +238,7 @@ let synth_cmd =
     (Cmd.info "synth" ~doc:"Synthesize control logic for a case-study design")
     Term.(const run $ design_arg $ monolithic $ Args.jobs $ deadline $ output
           $ pyrtl $ Args.no_incremental $ Args.retries $ Args.escalation_factor
-          $ Args.validate_models $ Args.strategy $ Args.cache_dir
+          $ Args.validate_models $ Args.cache_dir
           $ Args.no_cache $ Args.fault_plan $ Args.trace $ Args.metrics)
 
 let file_arg =
@@ -414,7 +408,7 @@ let verify_cmd =
          & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock timeout.")
   in
   let run name deadline jobs no_incremental retries escalation_factor
-      validate_models strategy fault_plan trace metrics =
+      validate_models fault_plan trace metrics =
     Args.check_jobs jobs;
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
@@ -437,8 +431,7 @@ let verify_cmd =
                   |> with_incremental (not no_incremental)
                   |> with_retries retries
                   |> with_escalation_factor escalation_factor
-                  |> with_validate_models validate_models
-                  |> with_strategy strategy)
+                  |> with_validate_models validate_models)
               with Invalid_argument m ->
                 Printf.eprintf "owl: %s\n" m;
                 exit 1
@@ -469,7 +462,7 @@ let verify_cmd =
          "Formally verify the hand-written reference control against the ILA specification")
     Term.(const run $ design_arg $ deadline $ Args.jobs $ Args.no_incremental
           $ Args.retries $ Args.escalation_factor $ Args.validate_models
-          $ Args.strategy $ Args.fault_plan $ Args.trace $ Args.metrics)
+          $ Args.fault_plan $ Args.trace $ Args.metrics)
 
 let verilog_cmd =
   let run file =
@@ -728,7 +721,7 @@ let client_cmd =
      deliberately absent (the server pins each request to one domain) and
      the cache is the server's policy *)
   let remote_options monolithic deadline no_incremental retries
-      escalation_factor validate_models strategy =
+      escalation_factor validate_models =
     try
       Synth.Engine.(
         default_options
@@ -737,8 +730,7 @@ let client_cmd =
         |> with_incremental (not no_incremental)
         |> with_retries retries
         |> with_escalation_factor escalation_factor
-        |> with_validate_models validate_models
-        |> with_strategy strategy)
+        |> with_validate_models validate_models)
     with Invalid_argument m ->
       Printf.eprintf "owl: %s\n" m;
       exit 1
@@ -760,10 +752,10 @@ let client_cmd =
   in
   let synth_cmd =
     let run name addr retry monolithic deadline no_incremental retries
-        escalation_factor validate_models strategy quiet =
+        escalation_factor validate_models quiet =
       let options =
         remote_options monolithic deadline no_incremental retries
-          escalation_factor validate_models strategy
+          escalation_factor validate_models
       in
       with_client addr retry (fun c ->
           let r =
@@ -790,15 +782,14 @@ let client_cmd =
       (Cmd.info "synth" ~doc:"Synthesize a case study on the server")
       Term.(const run $ design_arg $ Args.addr $ retry_term $ monolithic
             $ deadline $ Args.no_incremental $ Args.retries
-            $ Args.escalation_factor $ Args.validate_models $ Args.strategy
-            $ quiet)
+            $ Args.escalation_factor $ Args.validate_models $ quiet)
   in
   let verify_cmd =
     let run name addr retry deadline no_incremental retries escalation_factor
-        validate_models strategy quiet =
+        validate_models quiet =
       let options =
         remote_options false deadline no_incremental retries escalation_factor
-          validate_models strategy
+          validate_models
       in
       with_client addr retry (fun c ->
           let r =
@@ -822,7 +813,7 @@ let client_cmd =
          ~doc:"Verify a case study's reference control on the server")
       Term.(const run $ design_arg $ Args.addr $ retry_term $ deadline
             $ Args.no_incremental $ Args.retries $ Args.escalation_factor
-            $ Args.validate_models $ Args.strategy $ quiet)
+            $ Args.validate_models $ quiet)
   in
   let stats_cmd =
     let json =

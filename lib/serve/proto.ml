@@ -185,22 +185,6 @@ let options_to_json (o : Synth.Engine.options) =
         Json.bool o.Synth.Engine.recovery.Synth.Engine.Recovery.validate_models );
       ("check_independence", Json.bool o.Synth.Engine.check_independence);
       ("incremental", Json.bool o.Synth.Engine.incremental);
-      (* nested so the whole SAT configuration is one optional unit: a
-         peer that predates it omits the field and the server solves with
-         its default profile (tolerant decode, protocol version unchanged) *)
-      ( "sat",
-        let c = o.Synth.Engine.strategy in
-        Json.obj
-          [
-            ("lbd_retention", Json.bool c.Sat.lbd_retention);
-            ("rephase", Json.bool c.Sat.rephase);
-            ("subsume", Json.bool c.Sat.subsume);
-            ("vivify", Json.bool c.Sat.vivify);
-            ("elim", Json.bool c.Sat.elim);
-            ( "inprocess_interval",
-              let i = c.Sat.inprocess_interval in
-              if i = max_int then "null" else Json.int i );
-          ] );
     ]
 
 let options_of_json v =
@@ -225,39 +209,11 @@ let options_of_json v =
   let* validate_models = bool_field "validate_models" v in
   let* check_independence = bool_field "check_independence" v in
   let* incremental = bool_field "incremental" v in
-  let* sat =
-    match Json.member "sat" v with
-    | None | Some Json.Null ->
-        (* older peer: field absent, solve with the default profile *)
-        Ok Synth.Engine.default_options.Synth.Engine.strategy
-    | Some sv ->
-        let* lbd_retention = bool_field "lbd_retention" sv in
-        let* rephase = bool_field "rephase" sv in
-        let* subsume = bool_field "subsume" sv in
-        let* vivify = bool_field "vivify" sv in
-        let* elim = bool_field "elim" sv in
-        let* inprocess_interval =
-          match Json.member "inprocess_interval" sv with
-          | Some Json.Null | None -> Ok max_int
-          | Some (Json.Num f) when Float.is_integer f -> Ok (int_of_float f)
-          | Some _ ->
-              fail "bad_request" "non-integer field \"inprocess_interval\""
-        in
-        Ok
-          {
-            Sat.default_config with
-            Sat.lbd_retention;
-            rephase;
-            subsume;
-            vivify;
-            elim;
-            inprocess_interval;
-          }
-  in
   (* members this protocol no longer defines — the "strategy" and
-     "portfolio" objects of racing-era peers among them — are ignored, so
-     such a frame decodes to the same options (and the same hot-tier
-     fingerprint) as one without them *)
+     "portfolio" objects of racing-era peers and the "sat" pass
+     configuration of older ones among them — are ignored, so such a frame
+     decodes to the same options (and the same hot-tier fingerprint) as
+     one without them *)
   match
     Synth.Engine.(
       default_options |> with_mode mode |> with_jobs jobs
@@ -267,7 +223,7 @@ let options_of_json v =
       |> with_escalation_factor escalation_factor
       |> with_validate_models validate_models
       |> with_check_independence check_independence
-      |> with_incremental incremental |> with_strategy sat)
+      |> with_incremental incremental)
   with
   | o -> Ok o
   | exception Invalid_argument m -> fail "bad_request" "invalid options: %s" m
@@ -382,11 +338,6 @@ let stats_to_json (st : Synth.Engine.stats) =
       ("sat_restarts", Json.int st.Synth.Engine.sat_restarts);
       ("sat_learnt_kept", Json.int st.Synth.Engine.sat_learnt_kept);
       ("sat_learnt_deleted", Json.int st.Synth.Engine.sat_learnt_deleted);
-      ("sat_subsumed", Json.int st.Synth.Engine.sat_subsumed);
-      ("sat_strengthened", Json.int st.Synth.Engine.sat_strengthened);
-      ("sat_vivified", Json.int st.Synth.Engine.sat_vivified);
-      ("sat_eliminated", Json.int st.Synth.Engine.sat_eliminated);
-      ("sat_rephases", Json.int st.Synth.Engine.sat_rephases);
       ("wall_seconds", Json.num st.Synth.Engine.wall_seconds);
     ]
 
@@ -402,7 +353,9 @@ let stats_of_json v =
   let* validation_failures = int_field "validation_failures" v in
   let* task_retries = int_field "task_retries" v in
   (* SAT-core counters postdate the first protocol 1 deployments; an older
-     peer's stats simply lack them, which reads as zero *)
+     peer's stats simply lack them, which reads as zero.  Members this
+     protocol no longer defines (the five inprocessing counters older
+     servers sent) are ignored. *)
   let opt_int name =
     match Json.member name v with
     | Some (Json.Num f) when Float.is_integer f -> int_of_float f
@@ -411,11 +364,6 @@ let stats_of_json v =
   let sat_restarts = opt_int "sat_restarts" in
   let sat_learnt_kept = opt_int "sat_learnt_kept" in
   let sat_learnt_deleted = opt_int "sat_learnt_deleted" in
-  let sat_subsumed = opt_int "sat_subsumed" in
-  let sat_strengthened = opt_int "sat_strengthened" in
-  let sat_vivified = opt_int "sat_vivified" in
-  let sat_eliminated = opt_int "sat_eliminated" in
-  let sat_rephases = opt_int "sat_rephases" in
   let* wall_seconds = float_field "wall_seconds" v in
   Ok
     {
@@ -432,11 +380,6 @@ let stats_of_json v =
       sat_restarts;
       sat_learnt_kept;
       sat_learnt_deleted;
-      sat_subsumed;
-      sat_strengthened;
-      sat_vivified;
-      sat_eliminated;
-      sat_rephases;
       wall_seconds;
     }
 

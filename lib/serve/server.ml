@@ -42,10 +42,10 @@
 
    - {e supervision}: an exception escaping a job (the planned
      [worker_kill@N] fault, or anything else run_job fails to contain)
-     downs the worker domain via [Pool.Service.Fatal]; the pool respawns
-     it.  Before dying, the worker settles the job — re-queued at the
-     head of its connection's FIFO exactly once, answered with a typed
-     ["worker_lost"] error after that;
+     downs the worker domain via [Pool.Service.Fatal]; the pool counts
+     the loss and respawns it.  Then, before dying, the worker settles the
+     job — re-queued at the head of its connection's FIFO exactly once,
+     answered with a typed ["worker_lost"] error after that;
    - {e deadlines}: a request whose [deadline_seconds] is already
      unsatisfiable at admission is answered ["timeout"] without a queue
      slot; one that expires while queued is answered ["timeout"] by the
@@ -612,17 +612,25 @@ let pull t () =
             Obs.set_trace_context (Some job.j_trace);
             Some
               (fun () ->
-                let requeued = ref false in
-                Fun.protect
-                  ~finally:(fun () ->
+                match run_job t job with
+                | () ->
                     finish t conn;
-                    if not !requeued then release t conn)
-                  (fun () ->
-                    try run_job t job
-                    with e ->
-                      requeued := settle_lost_job t job;
-                      (* down this worker; the pool respawns it *)
-                      raise (Synth.Pool.Service.Fatal e))))
+                    release t conn
+                | exception e ->
+                    (* down this worker; the pool counts the loss and
+                       respawns it before these last words settle the job,
+                       so a client answered worker_lost already sees the
+                       loss in its next health report *)
+                    raise
+                      (Synth.Pool.Service.Fatal
+                         ( e,
+                           fun () ->
+                             let requeued = ref false in
+                             Fun.protect
+                               ~finally:(fun () ->
+                                 finish t conn;
+                                 if not !requeued then release t conn)
+                               (fun () -> requeued := settle_lost_job t job) ))))
     | None ->
         if t.stopping then begin
           Mutex.unlock t.lock;

@@ -1,13 +1,11 @@
 (** A CDCL SAT solver.
 
-    Implements the standard modern architecture: two-watched-literal unit
-    propagation, first-UIP conflict analysis with clause learning, VSIDS
-    decision heuristic with phase saving, and Luby restarts — plus the
-    "between conflicts" machinery that modern solvers win with, each piece
-    individually gated by {!config}: LBD (glue)-tiered learned-clause
-    retention, best-phase rephasing, and inprocessing (subsumption with
-    self-subsuming resolution, clause vivification, bounded variable
-    elimination).
+    One fixed core with no configuration: two-watched-literal unit
+    propagation, first-UIP conflict analysis with clause learning, the
+    VSIDS decision heuristic with phase saving, Luby restarts (unit 100),
+    and a [reduce_db] that deletes the lower-activity half of the long
+    learned clauses.  The clause database changes only by learning and
+    deletion.
 
     Literals use the DIMACS convention: variable [v >= 1], positive literal
     [v], negative literal [-v].  Clauses may be added between [solve] calls
@@ -21,80 +19,23 @@ type t
 
 type result = Sat | Unsat | Unknown
 
-(** {1 Configuration} *)
-
-type restart_schedule =
-  | Luby of int
-      (** Luby staircase with the given unit run length; [Luby 100] is the
-          historical schedule. *)
-  | Geometric of int * float
-      (** First restart interval and per-restart growth factor (>= 1.0). *)
-
-type phase_init =
-  | Phase_neg  (** fresh variables decide negative first (historical) *)
-  | Phase_pos  (** fresh variables decide positive first *)
-  | Phase_rand
-      (** deterministic per-variable pseudo-random phase, seeded by
-          [branch_seed] *)
-
-type config = {
-  lbd_retention : bool;
-      (** LBD-tiered [reduce_db] with glue-clause protection (instead of
-          the legacy pure-activity policy). *)
-  rephase : bool;
-      (** Overwrite saved phases with the best (deepest-trail) snapshot
-          every few restarts. *)
-  subsume : bool;  (** Inprocessing: subsumption + self-subsumption. *)
-  vivify : bool;  (** Inprocessing: clause vivification. *)
-  elim : bool;  (** Inprocessing: bounded variable elimination. *)
-  inprocess_interval : int;
-      (** Conflicts between inprocessing rounds (>= 1). *)
-  restart : restart_schedule;  (** Restart pacing; default [Luby 100]. *)
-  branch_seed : int;
-      (** [0] (default) is the pure VSIDS index tie-break; a nonzero seed
-          perturbs fresh variables' initial activity by a tiny
-          deterministic epsilon, diversifying the early decision order. *)
-  phase : phase_init;  (** Initial decision polarity; default [Phase_neg]. *)
-}
-
-type profile = Default | Aggressive | Conservative
-(** Named presets.  [Conservative] disables every modern pass and matches
-    the legacy solver exactly; [Default] enables everything except
-    variable elimination; [Aggressive] adds elimination and inprocesses
-    more often. *)
-
-val default_config : config
-val aggressive_config : config
-val conservative_config : config
-val config_of_profile : profile -> config
-
-val profile_name : profile -> string
-val profile_of_string : string -> profile option
-
-val create : ?config:config -> unit -> t
-(** Raises [Invalid_argument] if [config.inprocess_interval < 1], the
-    restart schedule's base interval is [< 1], or a geometric factor is
-    [< 1.0]. *)
+val create : unit -> t
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its (positive) index. *)
 
-val freeze : t -> int -> unit
-(** Exempts a variable from variable elimination.  Incremental sessions
-    freeze their activation-literal guards: retraction re-constrains a
-    guard at any time, and a frozen guard never triggers the (expensive)
-    restore path that re-constraining an eliminated variable would. *)
-
 val num_vars : t -> int
+
 val num_clauses : t -> int
+(** Clauses currently in the database, problem and learned. *)
 
 val num_learnt : t -> int
 (** Learned clauses currently in the database. *)
 
 val encoded_clauses : t -> int
-(** Cumulative problem clauses added through {!add_clause}.  Unlike
-    [num_clauses - num_learnt] this never shrinks (inprocessing deletes
-    and rewrites live clauses), so incremental sessions difference it
+(** Cumulative problem clauses added through {!add_clause}, including
+    those satisfied at level 0 or reduced to units, which never occupy a
+    database slot.  It never shrinks, so incremental sessions difference it
     across [solve] calls to report how many clauses each check blasted. *)
 
 val conflicts : t -> int
@@ -121,28 +62,10 @@ val learnt_kept : t -> int
 val learnt_deleted : t -> int
 (** Learned clauses deleted by reduce rounds, cumulative. *)
 
-val subsumed : t -> int
-(** Clauses deleted by inprocessing subsumption, cumulative. *)
-
-val strengthened : t -> int
-(** Clauses shrunk by self-subsuming resolution, cumulative. *)
-
-val vivified : t -> int
-(** Literals removed by clause vivification, cumulative. *)
-
-val eliminated_vars : t -> int
-(** Variables eliminated (and not since restored), net. *)
-
-val rephases : t -> int
-(** Best-phase rephasing events, cumulative. *)
-
 val add_clause : t -> int list -> unit
 (** Adds a clause.  The empty clause (or a clause whose literals are all
     falsified at level 0) makes the instance unsatisfiable.  Raises
-    [Invalid_argument] on literals naming unallocated variables.  Adding a
-    clause that mentions an eliminated variable first restores the
-    eliminated clauses (sound, but slow — {!freeze} variables that will be
-    re-constrained). *)
+    [Invalid_argument] on literals naming unallocated variables. *)
 
 val export_learnt : t -> int list list
 (** Snapshot of the learned-clause database, in DIMACS literals.  Every
@@ -173,5 +96,4 @@ val solve : ?assumptions:int list -> ?budget:int -> ?deadline:float -> t -> resu
 
 val value : t -> int -> bool
 (** Model value of a variable after [solve] returned [Sat].  Variables the
-    search never assigned default to [false]; eliminated variables read
-    their witness-reconstructed values. *)
+    search never assigned default to [false]. *)

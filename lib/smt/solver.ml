@@ -23,11 +23,6 @@ type stats = {
   sat_restarts : int;
   sat_learnt_kept : int;
   sat_learnt_deleted : int;
-  sat_subsumed : int;
-  sat_strengthened : int;
-  sat_vivified : int;
-  sat_eliminated : int;
-  sat_rephases : int;
   trivially_unsat : bool;
 }
 
@@ -39,11 +34,6 @@ let empty_stats =
     sat_restarts = 0;
     sat_learnt_kept = 0;
     sat_learnt_deleted = 0;
-    sat_subsumed = 0;
-    sat_strengthened = 0;
-    sat_vivified = 0;
-    sat_eliminated = 0;
-    sat_rephases = 0;
     trivially_unsat = false;
   }
 
@@ -214,13 +204,13 @@ let ackermannize (assertions : Term.t list) =
 
 (* {1 Strategies}
 
-   The SAT pass configuration every solver of a run is created with. *)
+   The SAT core has no configuration; the type survives only because the
+   benchmark harness names [Strategy.default]. *)
 
 module Strategy = struct
-  type t = Sat.config
+  type t = unit
 
-  let default = Sat.default_config
-  let of_profile = Sat.config_of_profile
+  let default = ()
 end
 
 (* {1 Sessions} *)
@@ -240,17 +230,12 @@ module Session = struct
     mutable last_restarts : int;
     mutable last_learnt_kept : int;
     mutable last_learnt_deleted : int;
-    mutable last_subsumed : int;
-    mutable last_strengthened : int;
-    mutable last_vivified : int;
-    mutable last_eliminated : int;
-    mutable last_rephases : int;
   }
 
   type guard = int
 
-  let create ?config () =
-    let sat = Sat.create ?config () in
+  let create () =
+    let sat = Sat.create () in
     let blast = Blast.create sat in
     {
       sat;
@@ -263,16 +248,10 @@ module Session = struct
       last_restarts = 0;
       last_learnt_kept = 0;
       last_learnt_deleted = 0;
-      last_subsumed = 0;
-      last_strengthened = 0;
-      last_vivified = 0;
-      last_eliminated = 0;
-      last_rephases = 0;
     }
 
-  (* cumulative count of problem clauses ever encoded — inprocessing can
-     delete live clauses, so [num_clauses - num_learnt] is no longer
-     monotone and would produce negative per-check deltas *)
+  (* cumulative count of problem clauses ever encoded, satisfied and unit
+     clauses included *)
   let problem_clauses s = Sat.encoded_clauses s.sat
 
   let assert_always s t =
@@ -293,7 +272,6 @@ module Session = struct
     if Term.is_false t then begin
       (* enabling this guard must be contradictory on its own *)
       let g = Blast.fresh_lit s.blast in
-      Sat.freeze s.sat g;
       Sat.add_clause s.sat [ -g ];
       g
     end
@@ -306,21 +284,16 @@ module Session = struct
       List.iter (Blast.assert_term s.blast) (List.rev !congs);
       if Term.is_false t' then begin
         let g = Blast.fresh_lit s.blast in
-        Sat.freeze s.sat g;
-        Sat.add_clause s.sat [ -g ];
+          Sat.add_clause s.sat [ -g ];
         g
       end
       else begin
         (* blast first, then allocate the guard, so variable numbering for
            the encoded term matches what a fresh one-shot check would
-           produce.  Guards are frozen: retraction re-constrains them at
-           any time, and variable elimination must never touch them (a
-           re-constrained eliminated variable forces a full clause
-           restore) *)
+           produce *)
         let bits = Blast.blast s.blast t' in
         let g = Blast.fresh_lit s.blast in
-        Sat.freeze s.sat g;
-        Sat.add_clause s.sat [ -g; bits.(0) ];
+          Sat.add_clause s.sat [ -g; bits.(0) ];
         g
       end
     end
@@ -334,11 +307,6 @@ module Session = struct
     let restarts = Sat.restarts s.sat in
     let learnt_kept = Sat.learnt_kept s.sat in
     let learnt_deleted = Sat.learnt_deleted s.sat in
-    let subsumed = Sat.subsumed s.sat in
-    let strengthened = Sat.strengthened s.sat in
-    let vivified = Sat.vivified s.sat in
-    let eliminated = Sat.eliminated_vars s.sat in
-    let rephases = Sat.rephases s.sat in
     let d =
       {
         sat_vars = vars - s.last_vars;
@@ -347,11 +315,6 @@ module Session = struct
         sat_restarts = restarts - s.last_restarts;
         sat_learnt_kept = learnt_kept - s.last_learnt_kept;
         sat_learnt_deleted = learnt_deleted - s.last_learnt_deleted;
-        sat_subsumed = subsumed - s.last_subsumed;
-        sat_strengthened = strengthened - s.last_strengthened;
-        sat_vivified = vivified - s.last_vivified;
-        sat_eliminated = eliminated - s.last_eliminated;
-        sat_rephases = rephases - s.last_rephases;
         trivially_unsat;
       }
     in
@@ -361,11 +324,6 @@ module Session = struct
     s.last_restarts <- restarts;
     s.last_learnt_kept <- learnt_kept;
     s.last_learnt_deleted <- learnt_deleted;
-    s.last_subsumed <- subsumed;
-    s.last_strengthened <- strengthened;
-    s.last_vivified <- vivified;
-    s.last_eliminated <- eliminated;
-    s.last_rephases <- rephases;
     d
 
   (* One introspection snapshot instead of scattered accessors: the cache,
@@ -379,11 +337,6 @@ module Session = struct
     restarts : int;
     learnt_kept : int;
     learnt_deleted : int;
-    subsumed : int;
-    strengthened : int;
-    vivified : int;
-    eliminated_vars : int;
-    rephases : int;
     cached_terms : int;
     trivially_unsat : bool;
   }
@@ -397,11 +350,6 @@ module Session = struct
       restarts = Sat.restarts s.sat;
       learnt_kept = Sat.learnt_kept s.sat;
       learnt_deleted = Sat.learnt_deleted s.sat;
-      subsumed = Sat.subsumed s.sat;
-      strengthened = Sat.strengthened s.sat;
-      vivified = Sat.vivified s.sat;
-      eliminated_vars = Sat.eliminated_vars s.sat;
-      rephases = Sat.rephases s.sat;
       cached_terms = Blast.cached_terms s.blast;
       trivially_unsat = s.trivially_false;
     }
@@ -547,15 +495,14 @@ end
 
 module Arena = struct
   type t = {
-    config : Sat.config option;  (* applied to every session handed out *)
     mutable sessions : Session.t list;
     mutable shared_session : Session.t option;
   }
 
-  let create ?config () = { config; sessions = []; shared_session = None }
+  let create () = { sessions = []; shared_session = None }
 
   let session a =
-    let s = Session.create ?config:a.config () in
+    let s = Session.create () in
     a.sessions <- s :: a.sessions;
     s
 
@@ -581,11 +528,6 @@ module Arena = struct
           sat_learnt_kept = acc.sat_learnt_kept + st.Session.learnt_kept;
           sat_learnt_deleted =
             acc.sat_learnt_deleted + st.Session.learnt_deleted;
-          sat_subsumed = acc.sat_subsumed + st.Session.subsumed;
-          sat_strengthened = acc.sat_strengthened + st.Session.strengthened;
-          sat_vivified = acc.sat_vivified + st.Session.vivified;
-          sat_eliminated = acc.sat_eliminated + st.Session.eliminated_vars;
-          sat_rephases = acc.sat_rephases + st.Session.rephases;
           trivially_unsat = false;
         })
       empty_stats a.sessions
@@ -598,8 +540,8 @@ end
    call, and any number of checks may run concurrently from different
    domains. *)
 
-let check ?config ?(budget = max_int) ?deadline assertions =
-  let s = Session.create ?config () in
+let check ?(budget = max_int) ?deadline assertions =
+  let s = Session.create () in
   Session.check_with ~budget ?deadline s assertions
 
 (* First match in instance order.  Distinct read instances can evaluate to

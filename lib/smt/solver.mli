@@ -52,11 +52,6 @@ type stats = {
       (** learned clauses surviving reduce-DB rounds this check (each
           round contributes its post-reduction database size) *)
   sat_learnt_deleted : int;  (** learned clauses deleted this check *)
-  sat_subsumed : int;  (** clauses deleted by inprocessing subsumption *)
-  sat_strengthened : int;  (** clauses shrunk by self-subsuming resolution *)
-  sat_vivified : int;  (** literals removed by clause vivification *)
-  sat_eliminated : int;  (** variables removed by bounded elimination *)
-  sat_rephases : int;  (** best-phase rephasing events *)
   trivially_unsat : bool;
       (** the conjunction simplified to constant false before any search:
           no SAT work happened, so zero conflicts really means zero cost —
@@ -76,13 +71,11 @@ val stats_of : outcome -> stats
 val outcome_name : outcome -> string
 (** ["sat"], ["unsat"], or ["unknown"] — for logs and trace arguments. *)
 
-val check :
-  ?config:Sat.config -> ?budget:int -> ?deadline:float -> Term.t list -> outcome
+val check : ?budget:int -> ?deadline:float -> Term.t list -> outcome
 (** Checks satisfiability of the conjunction of the given width-1 terms.
-    [config] selects the SAT core's pass configuration (see {!Sat.config};
-    defaults to {!Sat.default_config}).  [deadline] is an absolute
-    wall-clock bound ([Unix.gettimeofday]).  Raises [Invalid_argument] if
-    any term is not width 1.  Re-entrant; see the module preamble. *)
+    [deadline] is an absolute wall-clock bound ([Unix.gettimeofday]).
+    Raises [Invalid_argument] if any term is not width 1.  Re-entrant; see
+    the module preamble. *)
 
 val ackermannize : Term.t list -> Term.t list * (Term.mem * Term.t * Term.t) list
 (** One-shot Ackermann expansion (exposed for tests): rewritten assertions
@@ -91,18 +84,14 @@ val ackermannize : Term.t list -> Term.t list * (Term.mem * Term.t * Term.t) lis
 
 (** {1 Solver strategies}
 
-    A strategy is the SAT pass configuration every solver of a run is
-    created with.  It is a plain {!Sat.config}; the engine options, the
-    CLI flags and the serve codec all carry one. *)
+    The SAT core has no configuration, so a strategy selects nothing.  The
+    module is kept only because the benchmark harness names
+    [Strategy.default] when it calls [Synth.Portfolio.check]. *)
 
 module Strategy : sig
-  type t = Sat.config
+  type t
 
   val default : t
-  (** {!Sat.default_config}. *)
-
-  val of_profile : Sat.profile -> t
-  (** {!Sat.config_of_profile}. *)
 end
 
 (** {1 Incremental sessions} *)
@@ -115,11 +104,7 @@ module Session : sig
   type guard
   (** Handle to a retractable assertion (an activation literal). *)
 
-  val create : ?config:Sat.config -> unit -> t
-  (** [config] selects the SAT core's pass configuration; defaults to
-      {!Sat.default_config}.  Sessions freeze their activation-literal
-      guards, so every configuration — including variable elimination —
-      is sound under retraction. *)
+  val create : unit -> t
 
   val assert_always : t -> Term.t -> unit
   (** Permanently asserts a width-1 term.  Asserting a constant-false term
@@ -159,18 +144,13 @@ module Session : sig
   type stats = {
     vars : int;  (** SAT variables allocated since [create] *)
     clauses : int;
-        (** problem clauses encoded since [create] (cumulative — live
-            counts can shrink when inprocessing deletes clauses) *)
+        (** problem clauses encoded since [create] (cumulative; see
+            {!Sat.encoded_clauses}) *)
     conflicts : int;  (** total conflicts across all checks *)
     learnt : int;  (** learned clauses currently in the database *)
     restarts : int;  (** total restarts across all checks *)
     learnt_kept : int;  (** learned clauses surviving reduce rounds *)
     learnt_deleted : int;  (** learned clauses deleted by reduce rounds *)
-    subsumed : int;  (** clauses deleted by inprocessing subsumption *)
-    strengthened : int;  (** clauses shrunk by self-subsuming resolution *)
-    vivified : int;  (** literals removed by clause vivification *)
-    eliminated_vars : int;  (** variables removed by bounded elimination *)
-    rephases : int;  (** best-phase rephasing events *)
     cached_terms : int;  (** size of the term → literals blasting cache *)
     trivially_unsat : bool;  (** the session is poisoned by constant false *)
   }
@@ -210,9 +190,7 @@ end
 module Arena : sig
   type t
 
-  val create : ?config:Sat.config -> unit -> t
-  (** [config] is remembered and applied to every session the arena hands
-      out (including {!shared}). *)
+  val create : unit -> t
 
   val session : t -> Session.t
   (** A fresh session owned by this arena. *)

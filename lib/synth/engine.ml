@@ -74,10 +74,6 @@ type options = {
   cache : Owl_cache.t option;
       (* cross-run synthesis cache: consult before each per-instruction
          CEGIS loop, populate after *)
-  strategy : Solver.Strategy.t;
-      (* SAT pass configuration applied to every solver this run creates;
-         excluded from problem fingerprints because it never changes which
-         models exist, only how fast one is found *)
 }
 
 let default_options =
@@ -98,11 +94,7 @@ let default_options =
     check_independence = false;
     incremental = true;
     cache = None;
-    strategy = Solver.Strategy.default;
   }
-
-(* the configuration actually handed to the SAT core *)
-let sat_config o = o.strategy
 
 let with_mode mode o = { o with schedule = { o.schedule with Schedule.mode } }
 
@@ -146,11 +138,6 @@ let with_check_independence check_independence o = { o with check_independence }
 let with_incremental incremental o = { o with incremental }
 let with_cache cache o = { o with cache }
 
-let with_strategy strategy o =
-  if strategy.Sat.inprocess_interval < 1 then
-    invalid_arg "Engine.with_strategy: inprocess_interval < 1";
-  { o with strategy }
-
 let policy_of_options (o : options) =
   Resilience.make ~retries:o.recovery.Recovery.retries
     ~escalation_factor:o.recovery.Recovery.escalation_factor
@@ -170,11 +157,6 @@ type stats = {
   mutable sat_restarts : int;
   mutable sat_learnt_kept : int;
   mutable sat_learnt_deleted : int;
-  mutable sat_subsumed : int;
-  mutable sat_strengthened : int;
-  mutable sat_vivified : int;
-  mutable sat_eliminated : int;
-  mutable sat_rephases : int;
   mutable wall_seconds : float;
 }
 
@@ -261,11 +243,6 @@ let fresh_stats () =
     sat_restarts = 0;
     sat_learnt_kept = 0;
     sat_learnt_deleted = 0;
-    sat_subsumed = 0;
-    sat_strengthened = 0;
-    sat_vivified = 0;
-    sat_eliminated = 0;
-    sat_rephases = 0;
     wall_seconds = 0.0;
   }
 
@@ -283,12 +260,7 @@ let merge_stats into from =
   into.task_retries <- into.task_retries + from.task_retries;
   into.sat_restarts <- into.sat_restarts + from.sat_restarts;
   into.sat_learnt_kept <- into.sat_learnt_kept + from.sat_learnt_kept;
-  into.sat_learnt_deleted <- into.sat_learnt_deleted + from.sat_learnt_deleted;
-  into.sat_subsumed <- into.sat_subsumed + from.sat_subsumed;
-  into.sat_strengthened <- into.sat_strengthened + from.sat_strengthened;
-  into.sat_vivified <- into.sat_vivified + from.sat_vivified;
-  into.sat_eliminated <- into.sat_eliminated + from.sat_eliminated;
-  into.sat_rephases <- into.sat_rephases + from.sat_rephases
+  into.sat_learnt_deleted <- into.sat_learnt_deleted + from.sat_learnt_deleted
 
 (* Rebuild an outcome around the scheduler's merged stats (worker Stop
    payloads carry only that worker's tally). *)
@@ -324,13 +296,6 @@ let account run (st : Solver.stats) =
     run.stats.sat_learnt_kept + st.Solver.sat_learnt_kept;
   run.stats.sat_learnt_deleted <-
     run.stats.sat_learnt_deleted + st.Solver.sat_learnt_deleted;
-  run.stats.sat_subsumed <- run.stats.sat_subsumed + st.Solver.sat_subsumed;
-  run.stats.sat_strengthened <-
-    run.stats.sat_strengthened + st.Solver.sat_strengthened;
-  run.stats.sat_vivified <- run.stats.sat_vivified + st.Solver.sat_vivified;
-  run.stats.sat_eliminated <-
-    run.stats.sat_eliminated + st.Solver.sat_eliminated;
-  run.stats.sat_rephases <- run.stats.sat_rephases + st.Solver.sat_rephases;
   if st.Solver.trivially_unsat then
     run.stats.trivial_unsats <- run.stats.trivial_unsats + 1;
   ignore (Atomic.fetch_and_add run.consumed st.Solver.sat_conflicts)
@@ -467,7 +432,7 @@ let resilient run ~check ~fresh ~validate =
 
 let solver_query run assertions =
   let q ~budget ?deadline () =
-    Solver.check ~config:(sat_config run.opts) ~budget ?deadline assertions
+    Solver.check ~budget ?deadline assertions
   in
   resilient run ~check:q ~fresh:q ~validate:(fun () -> assertions)
 
@@ -483,7 +448,7 @@ let session_query ?assumptions ~shadow run sess assertions =
     ~check:(fun ~budget ?deadline () ->
       Solver.Session.check_with ?assumptions ~budget ?deadline sess [])
     ~fresh:(fun ~budget ?deadline () ->
-      Solver.check ~config:(sat_config run.opts) ~budget ?deadline (shadow ()))
+      Solver.check ~budget ?deadline (shadow ()))
     ~validate:shadow
 
 let is_hole_var run name =
@@ -634,7 +599,7 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
      pool's. *)
   try
     Pool.map_arena ~jobs:options.schedule.Schedule.jobs
-      ~make:(fun () -> Solver.Arena.create ~config:(sat_config options) ())
+      ~make:Solver.Arena.create
       ~retries
       (fun arena (c : Ila.Conditions.conditions) ->
       Obs.span "verify.instr"
@@ -694,7 +659,7 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
                violations are found quickly in practice, so the extra
                query is cheap. *)
             match
-              Solver.check ~config:(sat_config options)
+              Solver.check
                 ~budget:options.budget.Budget.conflict_budget
                 ?deadline:(query_deadline run) [ violation ]
             with
@@ -1217,7 +1182,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
        let results =
          try
            Pool.map_arena ~jobs:options.schedule.Schedule.jobs
-             ~make:(fun () -> Solver.Arena.create ~config:(sat_config options) ())
+             ~make:Solver.Arena.create
              ~retries:options.recovery.Recovery.retries ~retried:task_retried task formulas
          with Fault.Injected_crash i ->
            fail
@@ -1252,7 +1217,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
        in
        (* one verify session per target plus one synth session, all on the
           calling domain (this path is serial) *)
-       let arena = Solver.Arena.create ~config:(sat_config options) () in
+       let arena = Solver.Arena.create () in
        let vsessions =
          List.map
            (fun v ->

@@ -95,17 +95,12 @@ type options = {
           warm-start state on partial hits; solved and timed-out loops
           populate the store.  Joint and monolithic strategies do not
           cache.  [None] (the default) disables caching. *)
-  strategy : Solver.Strategy.t;
-      (** the SAT pass configuration (see {!Solver.Strategy}) applied to
-          every solver the run creates.  Excluded from problem
-          fingerprints — it changes how fast a model is found, never
-          which models exist. *)
 }
 
 val default_options : options
 (** [Per_instruction], one job, unlimited conflicts, 256 rounds, no
     deadline, incremental sessions on, 2 retries with factor-4 escalation,
-    model validation off, no cache, {!Solver.Strategy.default}. *)
+    model validation off, no cache. *)
 
 (** {2 Setters}
 
@@ -113,8 +108,7 @@ val default_options : options
     {!with_jobs} rejects [jobs < 1], {!with_max_iterations} rejects
     [max_iterations < 1], {!with_retries} and {!with_escalation_factor}
     delegate to {!Resilience.make} (rejecting [retries < 0] and
-    [escalation_factor < 1]), and {!with_strategy} rejects
-    [inprocess_interval < 1] — all with [Invalid_argument]. *)
+    [escalation_factor < 1]) — all with [Invalid_argument]. *)
 
 val with_mode : mode -> options -> options
 val with_jobs : int -> options -> options
@@ -130,11 +124,6 @@ val with_validate_models : bool -> options -> options
 val with_check_independence : bool -> options -> options
 val with_incremental : bool -> options -> options
 val with_cache : Owl_cache.t option -> options -> options
-
-val with_strategy : Solver.Strategy.t -> options -> options
-
-val sat_config : options -> Sat.config
-(** The SAT configuration handed to every solver — [options.strategy]. *)
 
 type stats = {
   mutable iterations : int;
@@ -167,14 +156,6 @@ type stats = {
           its post-reduction database size) *)
   mutable sat_learnt_deleted : int;
       (** learned clauses deleted by reduce-DB rounds *)
-  mutable sat_subsumed : int;
-      (** clauses deleted by inprocessing subsumption *)
-  mutable sat_strengthened : int;
-      (** clauses shrunk by self-subsuming resolution *)
-  mutable sat_vivified : int;  (** literals removed by clause vivification *)
-  mutable sat_eliminated : int;
-      (** variables removed by bounded variable elimination *)
-  mutable sat_rephases : int;  (** best-phase rephasing events *)
   mutable wall_seconds : float;
 }
 

@@ -123,7 +123,7 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
    never kills its worker. *)
 
 module Service = struct
-  exception Fatal of exn
+  exception Fatal of exn * (unit -> unit)
 
   type stats = { total : int; alive : int; lost : int; respawns : int }
 
@@ -160,7 +160,7 @@ module Service = struct
        and [stats] always see it, and capacity ([alive]) never dips:
        the dying worker hands its slot straight to the new one. *)
     let rec worker () =
-      let down e =
+      let down (e, last_words) =
         Obs.incr c_service_lost;
         if Obs.recording () then
           (* the trace context the caller's [pull] installed for the task
@@ -176,7 +176,10 @@ module Service = struct
         t.lost <- t.lost + 1;
         t.respawns <- t.respawns + 1;
         t.domains <- Domain.spawn worker :: t.domains;
-        Mutex.unlock t.lock
+        Mutex.unlock t.lock;
+        (* only now, with the loss on the books, may the task's final
+           words (typically the reply reporting the loss) go out *)
+        try last_words () with _ -> Obs.incr c_service_crashes
       in
       let retire () =
         Mutex.lock t.lock;
@@ -193,7 +196,7 @@ module Service = struct
                 Obs.incr c_service_tasks;
                 None
               with
-              | Fatal e -> Some e
+              | Fatal (e, last_words) -> Some (e, last_words)
               | _ ->
                   Obs.incr c_service_crashes;
                   None

@@ -58,12 +58,15 @@ val default_jobs : unit -> int
 module Service : sig
   type t
 
-  exception Fatal of exn
-  (** A task raises [Fatal e] to declare its worker domain unusable
-      (simulating — or reacting to — a worker death).  The worker spawns
-      its own replacement and dies; the service's capacity recovers and
-      the loss shows up in {!stats} and the [pool.service.worker_lost]
-      counter.  Any other exception from a task is swallowed (counted as
+  exception Fatal of exn * (unit -> unit)
+  (** A task raises [Fatal (e, last_words)] to declare its worker domain
+      unusable (simulating — or reacting to — a worker death).  The
+      worker records the loss in {!stats} and the
+      [pool.service.worker_lost] counter, spawns its own replacement, runs
+      [last_words] (an exception from it is counted as a task crash), and
+      dies.  Whatever [last_words] does — answering the request the worker
+      died on, say — therefore happens after {!stats} counts the loss.
+      Any other exception from a task is swallowed (counted as
       [pool.service.task_crashes]): one bad request must not take a
       worker down with it. *)
 

@@ -45,11 +45,6 @@ let add_stats (a : Solver.stats) (b : Solver.stats) : Solver.stats =
     sat_restarts = a.sat_restarts + b.sat_restarts;
     sat_learnt_kept = a.sat_learnt_kept + b.sat_learnt_kept;
     sat_learnt_deleted = a.sat_learnt_deleted + b.sat_learnt_deleted;
-    sat_subsumed = a.sat_subsumed + b.sat_subsumed;
-    sat_strengthened = a.sat_strengthened + b.sat_strengthened;
-    sat_vivified = a.sat_vivified + b.sat_vivified;
-    sat_eliminated = a.sat_eliminated + b.sat_eliminated;
-    sat_rephases = a.sat_rephases + b.sat_rephases;
     trivially_unsat = a.trivially_unsat || b.trivially_unsat;
   }
 
@@ -98,8 +93,9 @@ let disjunctive_goal terms =
 
 (* {1 Entry point} *)
 
-let check ?(options = default) ?tally ?(strategy = Solver.Strategy.default)
-    ~jobs terms =
+(* [?strategy] selects nothing (the SAT core has no configuration); it is
+   kept because the benchmark harness passes it *)
+let check ?(options = default) ?tally ?strategy:_ ~jobs terms =
   match disjunctive_goal terms with
   | Some (others, ds) when options.cube_vars > 0 ->
       (* ∨-elimination: the query is Unsat iff it is Unsat with each group
@@ -118,7 +114,7 @@ let check ?(options = default) ?tally ?(strategy = Solver.Strategy.default)
             if Atomic.get sat_found then None
             else
               let o =
-                Solver.check ~config:strategy (others @ [ Term.disj group ])
+                Solver.check (others @ [ Term.disj group ])
               in
               (match o with Solver.Sat _ -> Atomic.set sat_found true | _ -> ());
               Some o)
@@ -149,7 +145,7 @@ let check ?(options = default) ?tally ?(strategy = Solver.Strategy.default)
               t.cubes <- t.cubes + ncubes;
               t.cubes_unsat <- t.cubes_unsat + n_unsat))
         tally;
-      if n_sat > 0 then Solver.check ~config:strategy terms
+      if n_sat > 0 then Solver.check terms
       else if n_unsat = ncubes then Solver.Unsat stats
       else Solver.Unknown stats
-  | _ -> Solver.check ~config:strategy terms
+  | _ -> Solver.check terms

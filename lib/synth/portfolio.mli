@@ -51,8 +51,9 @@ val check :
   Solver.outcome
 (** Decides the conjunction of width-1 terms like {!Solver.check},
     splitting the first disjunctive conjunct according to [options]
-    (default: sequential).  [strategy] (default {!Solver.Strategy.default})
-    configures every solver the call creates; [jobs] bounds the domains
-    serving the cubes.  Statistics on an Unsat or Unknown outcome sum the
-    work of all cubes solved.  Raises like {!Solver.check} on non-width-1
+    (default: sequential).  [strategy] selects nothing: the SAT core has
+    no configuration, and the argument is kept only because the benchmark
+    harness passes it.  [jobs] bounds the domains serving the cubes.
+    Statistics on an Unsat or Unknown outcome sum the work of all cubes
+    solved.  Raises like {!Solver.check} on non-width-1
     terms. *)

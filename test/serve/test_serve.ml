@@ -146,14 +146,31 @@ let test_addr_parse () =
 
 (* {1 Codecs} *)
 
+let sample_stats =
+  {
+    Synth.Engine.iterations = 4;
+    queries = 15;
+    conflicts = 1;
+    blasted_vars = 100;
+    blasted_clauses = 2000;
+    trivial_unsats = 3;
+    retried_queries = 1;
+    degraded_queries = 0;
+    validation_failures = 0;
+    task_retries = 2;
+    sat_restarts = 7;
+    sat_learnt_kept = 120;
+    sat_learnt_deleted = 55;
+    wall_seconds = 0.25;
+  }
+
 let custom_options =
   Synth.Engine.(
     default_options |> with_mode Monolithic |> with_jobs 3
     |> with_conflict_budget 12345 |> with_max_iterations 77
     |> with_deadline (Some 1.5) |> with_retries 5 |> with_escalation_factor 2
     |> with_validate_models true |> with_check_independence true
-    |> with_incremental false
-    |> with_strategy (Solver.Strategy.of_profile Sat.Aggressive))
+    |> with_incremental false)
 
 let test_options_roundtrip () =
   List.iter
@@ -180,53 +197,18 @@ let test_options_roundtrip () =
      | _ -> 0)
     = max_int)
 
-(* Version-skew tolerance for the sat options block: a protocol-1 peer
-   that predates the field omits it entirely, and the request must still
-   decode (with the default profile) rather than be rejected — the
-   protocol version did not change when the block was added. *)
-let test_options_sat_skew () =
-  let old_frame =
-    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true}}"
-  in
-  (match Proto.request_of_frame old_frame with
-  | Ok (Proto.Synth { options; _ }) ->
-      check "absent sat block decodes to default" true
-        (Synth.Engine.sat_config options
-        = Synth.Engine.sat_config Synth.Engine.default_options);
-  | _ -> Alcotest.fail "old-peer frame without sat block rejected");
-  (* a conservative profile's unlimited interval is max_int natively and
-     null on the wire, like the conflict budget *)
-  let conservative =
-    Synth.Engine.(
-      default_options
-      |> with_strategy (Solver.Strategy.of_profile Sat.Conservative))
-  in
-  (match
-     Proto.request_of_frame
-       (Proto.request_to_frame
-          (Proto.Synth { design = "d"; options = conservative }))
-   with
-  | Ok (Proto.Synth { options; _ }) ->
-      check "unlimited inprocess_interval survives" true
-        ((Synth.Engine.sat_config options).Sat.inprocess_interval = max_int)
-  | _ -> Alcotest.fail "conservative profile did not roundtrip");
-  (* malformed sat blocks are rejected through the builder, like jobs=0 *)
-  let bad =
-    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true,\"sat\":{\"lbd_retention\":true,\"rephase\":true,\"subsume\":true,\"vivify\":true,\"elim\":false,\"inprocess_interval\":0}}}"
-  in
-  check "inprocess_interval 0 rejected" true
-    (match Proto.request_of_frame bad with
-    | Error e -> e.Proto.code = "bad_request"
-    | Ok _ -> false)
-
-(* Tolerance for the "strategy" and "portfolio" option objects that
-   racing-era peers send (protocol 1 then carried them too): the members
-   are ignored, so a frame carrying them decodes to the same options as
-   the frame without them — and therefore to the same hot-tier
-   fingerprint, which hashes the re-encoded options. *)
+(* Tolerance for option and stats members that older protocol-1 peers
+   send but this protocol no longer defines: the "strategy" and
+   "portfolio" objects of racing-era peers and the "sat" pass
+   configuration of profile-era peers.  They are ignored, so a frame
+   carrying them decodes to the same options as the frame without them —
+   and therefore to the same hot-tier fingerprint, which hashes the
+   re-encoded options.  That includes an "inprocess_interval" of 0, which
+   the profile-era decoder rejected.  A result frame carrying the five
+   inprocessing stats members still decodes, to the same stats. *)
 let test_options_strategy_skew () =
   let frame extra =
-    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true,\"sat\":{\"lbd_retention\":false,\"rephase\":true,\"subsume\":true,\"vivify\":true,\"elim\":true,\"inprocess_interval\":5000}"
+    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true"
     ^ extra ^ "}}"
   in
   let decode f =
@@ -235,15 +217,62 @@ let test_options_strategy_skew () =
     | _ -> Alcotest.fail "synth frame rejected"
   in
   let plain = decode (frame "") in
-  let racing =
-    decode
-      (frame
-         ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}")
+  let sat_block interval =
+    Printf.sprintf
+      ",\"sat\":{\"lbd_retention\":false,\"rephase\":true,\"subsume\":true,\"vivify\":true,\"elim\":true,\"inprocess_interval\":%s}"
+      interval
   in
-  check "sat gates honored" false plain.Synth.Engine.strategy.Sat.lbd_retention;
-  check "racing members ignored" true (plain = racing);
-  check "one fingerprint" true
-    (Proto.options_to_json plain = Proto.options_to_json racing)
+  List.iter
+    (fun (what, extra) ->
+      let o = decode (frame extra) in
+      check (what ^ " ignored") true (plain = o);
+      check (what ^ ": one fingerprint") true
+        (Proto.options_to_json plain = Proto.options_to_json o))
+    [ ("racing members",
+       ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}");
+      ("sat block", sat_block "5000");
+      ("sat block with unlimited interval", sat_block "null");
+      ("sat block with interval 0", sat_block "0") ];
+  check "frame decodes to its options" true
+    (plain
+    = Synth.Engine.(
+        default_options |> with_max_iterations 9 |> with_retries 0
+        |> with_escalation_factor 1));
+  (* a result frame from a profile-era server: its stats carry the five
+     inprocessing counters after sat_learnt_deleted *)
+  let current =
+    Proto.reply_to_frame
+      (Proto.Synth_result
+         {
+           Proto.outcome = "solved";
+           detail = "";
+           bindings = [ ("h0", "2'x1") ];
+           stats = sample_stats;
+           hot = false;
+           trace = "";
+         })
+  in
+  let anchor = "\"sat_learnt_deleted\": 55" in
+  let rec find i =
+    if i + String.length anchor > String.length current then None
+    else if String.sub current i (String.length anchor) = anchor then Some i
+    else find (i + 1)
+  in
+  let at =
+    match find 0 with
+    | Some i -> i + String.length anchor
+    | None -> Alcotest.fail "stats member sat_learnt_deleted not found"
+  in
+  let old =
+    String.sub current 0 at
+    ^ ",\"sat_subsumed\":9,\"sat_strengthened\":4,\"sat_vivified\":11,\"sat_eliminated\":2,\"sat_rephases\":1"
+    ^ String.sub current at (String.length current - at)
+  in
+  match Proto.reply_of_frame old with
+  | Ok (Proto.Synth_result r) ->
+      check "old inprocessing stats ignored" true
+        (r.Proto.stats = sample_stats)
+  | _ -> Alcotest.fail "result frame with old stats members rejected"
 
 (* Version-skew tolerance for the pong health report, mirroring the sat
    options block above: a protocol-1 server that predates the report
@@ -285,29 +314,6 @@ let test_request_decode_errors () =
     (code_of
        (Proto.request_of_frame
           "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true}}"))
-
-let sample_stats =
-  {
-    Synth.Engine.iterations = 4;
-    queries = 15;
-    conflicts = 1;
-    blasted_vars = 100;
-    blasted_clauses = 2000;
-    trivial_unsats = 3;
-    retried_queries = 1;
-    degraded_queries = 0;
-    validation_failures = 0;
-    task_retries = 2;
-    sat_restarts = 7;
-    sat_learnt_kept = 120;
-    sat_learnt_deleted = 55;
-    sat_subsumed = 9;
-    sat_strengthened = 4;
-    sat_vivified = 11;
-    sat_eliminated = 2;
-    sat_rephases = 1;
-    wall_seconds = 0.25;
-  }
 
 let sample_cache_stats =
   {
@@ -1143,7 +1149,6 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "options roundtrip" `Quick test_options_roundtrip;
-          Alcotest.test_case "sat options skew" `Quick test_options_sat_skew;
           Alcotest.test_case "strategy/portfolio skew" `Quick
             test_options_strategy_skew;
           Alcotest.test_case "pong health skew" `Quick test_pong_health_skew;

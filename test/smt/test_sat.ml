@@ -115,26 +115,23 @@ let prop_incremental =
 
 (* {1 Structured instances} *)
 
+(* p pigeons, h holes; var [(i * h) + j + 1] = pigeon i in hole j;
+   unsat iff p > h *)
+let pigeonhole_cnf p h =
+  let v i j = (i * h) + j + 1 in
+  let every_pigeon_placed = List.init p (fun i -> List.init h (v i)) in
+  let at_most_one_per_hole =
+    List.concat
+      (List.init h (fun j ->
+           List.concat
+             (List.init p (fun i1 ->
+                  List.init (p - i1 - 1) (fun k -> [ -v i1 j; -v (i1 + k + 1) j ])))))
+  in
+  (p * h, every_pigeon_placed @ at_most_one_per_hole)
+
 let pigeonhole p h =
-  (* p pigeons, h holes; var (i,j) = pigeon i in hole j; unsat iff p > h *)
-  let s = Sat.create () in
-  let v = Array.make_matrix p h 0 in
-  for i = 0 to p - 1 do
-    for j = 0 to h - 1 do
-      v.(i).(j) <- Sat.new_var s
-    done
-  done;
-  for i = 0 to p - 1 do
-    Sat.add_clause s (Array.to_list v.(i))
-  done;
-  for j = 0 to h - 1 do
-    for i1 = 0 to p - 1 do
-      for i2 = i1 + 1 to p - 1 do
-        Sat.add_clause s [ -v.(i1).(j); -v.(i2).(j) ]
-      done
-    done
-  done;
-  s
+  let nvars, clauses = pigeonhole_cnf p h in
+  mk_solver nvars clauses
 
 let test_pigeonhole () =
   List.iter
@@ -175,6 +172,50 @@ let test_deadline_midsearch () =
     "mid-search deadline unknown" true
     (Sat.solve ~deadline:(Unix.gettimeofday () +. 0.02) s = Sat.Unknown);
   Alcotest.(check bool) "then solves" true (Sat.solve s = Sat.Unsat)
+
+(* The only path that deletes clauses: php 9 9 with one hole closed by an
+   activation literal is php 9 8 under that assumption, long enough to
+   pass the 4000-learnt reduce trigger without making the solver Unsat at
+   level 0.  The same solver then answers further assumption sets and
+   added clauses, each verdict checked against a fresh solver. *)
+let test_reduction_then_resolve () =
+  let nvars, php = pigeonhole_cnf 9 9 in
+  let a = nvars + 1 in
+  let close_last_hole = List.init 9 (fun i -> [ -a; -((i * 9) + 9) ]) in
+  let clauses = ref (php @ close_last_hole) in
+  let s = mk_solver a !clauses in
+  let agree what assumptions =
+    let fresh = mk_solver a !clauses in
+    let expected = Sat.solve ~assumptions fresh in
+    let got = Sat.solve ~assumptions s in
+    Alcotest.(check bool) (what ^ ": same verdict") true (got = expected);
+    if got = Sat.Sat then
+      Alcotest.(check bool)
+        (what ^ ": model satisfies clauses and assumptions")
+        true
+        (model_satisfies s !clauses
+        && List.for_all (fun l -> Sat.value s (abs l) = (l > 0)) assumptions)
+  in
+  Alcotest.(check bool) "php 9 8 under assumption" true
+    (Sat.solve ~assumptions:[ a ] s = Sat.Unsat);
+  Alcotest.(check bool) "reduce_db ran" true (Sat.reductions s > 0);
+  Alcotest.(check bool) "learnt clauses deleted" true (Sat.learnt_deleted s > 0);
+  agree "no assumptions" [];
+  agree "hole open" [ -a ];
+  agree "hole closed" [ a ];
+  agree "pigeon 0 in hole 0" [ -a; 1 ];
+  agree "pigeons 0 and 1 share hole 0" [ 1; 10 ];
+  let add c =
+    clauses := !clauses @ [ c ];
+    Sat.add_clause s c
+  in
+  add [ -1 ];
+  agree "after excluding pigeon 0 from hole 0" [ -a ];
+  add [ 2; 3 ];
+  agree "after forcing pigeon 0 into hole 1 or 2" [];
+  add [ -a ];
+  agree "after opening the hole for good" [];
+  agree "reopened hole assumed closed" [ a ]
 
 let test_xor_chain () =
   (* x1 xor x2 xor ... xor xn = 1 with all equalities forced pairwise *)
@@ -259,6 +300,8 @@ let () =
       ("structured",
        [ Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
          Alcotest.test_case "budget" `Quick test_budget;
+         Alcotest.test_case "reduction then re-solve" `Quick
+           test_reduction_then_resolve;
          Alcotest.test_case "deadline expired" `Quick test_deadline_expired;
          Alcotest.test_case "deadline mid-search" `Quick test_deadline_midsearch;
          Alcotest.test_case "xor chain" `Quick test_xor_chain;

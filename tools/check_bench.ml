@@ -32,8 +32,9 @@ let fail fmt =
     fmt
 
 (* stats fields every solved run has carried since the first report;
-   later fields (the sat_* inprocessing family) are validated through
-   the per-file key-set consistency check instead *)
+   later fields (the sat_* solver counters, including the inprocessing
+   counters that older reports such as BENCH_2026-08-08.json still carry)
+   are validated through the per-file key-set consistency check instead *)
 let core_stats_fields =
   [
     "iterations"; "queries"; "sat_conflicts"; "sat_vars"; "sat_clauses";
