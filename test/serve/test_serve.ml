@@ -198,48 +198,55 @@ let test_options_roundtrip () =
     = max_int)
 
 (* Tolerance for option and stats members that older protocol-1 peers
-   send but this protocol no longer defines: the "strategy" and
-   "portfolio" objects of racing-era peers and the "sat" pass
-   configuration of profile-era peers.  They are ignored, so a frame
+   send but this protocol no longer defines.  They are ignored, so a frame
    carrying them decodes to the same options as the frame without them —
    and therefore to the same hot-tier fingerprint, which hashes the
-   re-encoded options.  That includes an "inprocess_interval" of 0, which
-   the profile-era decoder rejected.  A result frame carrying the five
-   inprocessing stats members still decodes, to the same stats. *)
+   re-encoded options. *)
+let skew_frame extra =
+  "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true"
+  ^ extra ^ "}}"
+
+let decode_skew_options f =
+  match Proto.request_of_frame f with
+  | Ok (Proto.Synth { options; _ }) -> options
+  | _ -> Alcotest.fail "synth frame rejected"
+
+let check_members_ignored cases =
+  let plain = decode_skew_options (skew_frame "") in
+  List.iter
+    (fun (what, extra) ->
+      let o = decode_skew_options (skew_frame extra) in
+      check (what ^ " ignored") true (plain = o);
+      check (what ^ ": one fingerprint") true
+        (Proto.options_to_json plain = Proto.options_to_json o))
+    cases
+
+(* the "strategy" and "portfolio" objects of racing-era peers *)
 let test_options_strategy_skew () =
-  let frame extra =
-    "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true"
-    ^ extra ^ "}}"
-  in
-  let decode f =
-    match Proto.request_of_frame f with
-    | Ok (Proto.Synth { options; _ }) -> options
-    | _ -> Alcotest.fail "synth frame rejected"
-  in
-  let plain = decode (frame "") in
+  check_members_ignored
+    [ ("racing members",
+       ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}")
+    ];
+  check "frame decodes to its options" true
+    (decode_skew_options (skew_frame "")
+    = Synth.Engine.(
+        default_options |> with_max_iterations 9 |> with_retries 0
+        |> with_escalation_factor 1))
+
+(* the "sat" pass configuration of profile-era peers, including an
+   "inprocess_interval" of 0, which the profile-era decoder rejected; and
+   a result frame from a profile-era server, whose stats carry the five
+   inprocessing counters after sat_learnt_deleted *)
+let test_options_sat_skew () =
   let sat_block interval =
     Printf.sprintf
       ",\"sat\":{\"lbd_retention\":false,\"rephase\":true,\"subsume\":true,\"vivify\":true,\"elim\":true,\"inprocess_interval\":%s}"
       interval
   in
-  List.iter
-    (fun (what, extra) ->
-      let o = decode (frame extra) in
-      check (what ^ " ignored") true (plain = o);
-      check (what ^ ": one fingerprint") true
-        (Proto.options_to_json plain = Proto.options_to_json o))
-    [ ("racing members",
-       ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}");
-      ("sat block", sat_block "5000");
+  check_members_ignored
+    [ ("sat block", sat_block "5000");
       ("sat block with unlimited interval", sat_block "null");
       ("sat block with interval 0", sat_block "0") ];
-  check "frame decodes to its options" true
-    (plain
-    = Synth.Engine.(
-        default_options |> with_max_iterations 9 |> with_retries 0
-        |> with_escalation_factor 1));
-  (* a result frame from a profile-era server: its stats carry the five
-     inprocessing counters after sat_learnt_deleted *)
   let current =
     Proto.reply_to_frame
       (Proto.Synth_result
@@ -274,8 +281,8 @@ let test_options_strategy_skew () =
         (r.Proto.stats = sample_stats)
   | _ -> Alcotest.fail "result frame with old stats members rejected"
 
-(* Version-skew tolerance for the pong health report, mirroring the sat
-   options block above: a protocol-1 server that predates the report
+(* Version-skew tolerance for the pong health report, mirroring the
+   option members above: a protocol-1 server that predates the report
    sends a bare pong, which must decode to {!Proto.empty_health} rather
    than be rejected — the protocol version did not change when the
    fields were added. *)
@@ -1149,6 +1156,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "options roundtrip" `Quick test_options_roundtrip;
+          Alcotest.test_case "sat options skew" `Quick test_options_sat_skew;
           Alcotest.test_case "strategy/portfolio skew" `Quick
             test_options_strategy_skew;
           Alcotest.test_case "pong health skew" `Quick test_pong_health_skew;

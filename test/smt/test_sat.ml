@@ -1,6 +1,7 @@
 (* Tests for the CDCL SAT solver: random CNFs cross-checked against a
    brute-force oracle, pigeonhole instances, assumptions, incrementality,
-   and budget behaviour. *)
+   budget behaviour, and the restarts, clause deletion and phase saving
+   the core runs during search. *)
 
 (* {1 Brute-force oracle} *)
 
@@ -113,6 +114,105 @@ let prop_incremental =
       | Sat.Unsat -> not (brute_force nvars (c1 @ c2))
       | Sat.Unknown -> false)
 
+(* {1 Clause shapes}
+
+   The core once carried passes that rewrote particular clause shapes:
+   subsumption, vivification, bounded variable elimination, LBD-tiered
+   retention of learnt clauses and best-phase rephasing.  The passes are
+   gone, but the shapes still reach the core through [add_clause], so
+   each keeps an oracle case under its pass name.  Every shape maps a CNF
+   to an equisatisfiable one, possibly over more variables. *)
+
+(* a superset and two copies of every clause, the superset first *)
+let subsume_shape (nvars, clauses) =
+  let widen i c = ((i mod nvars) + 1) :: c in
+  (nvars, List.mapi widen clauses @ clauses @ clauses)
+
+(* every clause padded with two literals that propagation falsifies: f is
+   a unit false and g implies f; the units come after the padding *)
+let vivify_shape (nvars, clauses) =
+  let f = nvars + 1 and g = nvars + 2 in
+  (nvars + 2, List.map (fun c -> c @ [ f; g ]) clauses @ [ [ -g; f ]; [ -f ] ])
+
+(* the first two clauses of two or more literals split through a fresh
+   variable each, (a | rest) into (a | x) & (-x | rest): the occurrence
+   pattern variable elimination resolved away *)
+let elim_shape (nvars, clauses) =
+  let next = ref nvars in
+  let split = function
+    | a :: (_ :: _ as rest) when !next < nvars + 2 ->
+        incr next;
+        let x = !next in
+        [ [ a; x ]; -x :: rest ]
+    | c -> [ c ]
+  in
+  let clauses = List.concat_map split clauses in
+  (!next, clauses)
+
+(* every polarity flipped, so the initial saved phases point the other way *)
+let rephase_shape (nvars, clauses) =
+  (nvars, List.map (List.map (fun l -> -l)) clauses)
+
+(* the clauses a budgeted first solver learnt, added as problem clauses:
+   the learnt database the LBD tiers used to curate *)
+let lbd_shape (nvars, clauses) =
+  let s = mk_solver nvars clauses in
+  ignore (Sat.solve ~budget:20 s);
+  (nvars, clauses @ Sat.export_learnt s)
+
+let pass_shapes =
+  [ ("lbd", lbd_shape);
+    ("rephase", rephase_shape);
+    ("subsume", subsume_shape);
+    ("vivify", vivify_shape);
+    ("elim", elim_shape);
+    ("all", fun cnf ->
+        lbd_shape (rephase_shape (elim_shape (vivify_shape (subsume_shape cnf)))))
+  ]
+
+(* the verdict on a shaped CNF is the oracle's on the original, and a Sat
+   model satisfies every shaped clause *)
+let prop_shape_matches_oracle (tag, shape) =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "pass %s agrees with brute force" tag) arb_cnf
+    (fun (nvars, clauses) ->
+      let nvars', clauses' = shape (nvars, clauses) in
+      let s = mk_solver nvars' clauses' in
+      match Sat.solve s with
+      | Sat.Sat -> brute_force nvars clauses && model_satisfies s clauses'
+      | Sat.Unsat -> not (brute_force nvars clauses)
+      | Sat.Unknown -> false)
+
+(* An unconstrained solve, then a solve naming variables in assumptions,
+   then the assumptions added as unit clauses: the sequence that once had
+   to restore eliminated variables must still agree with the oracle. *)
+let prop_assumptions_after_elim =
+  QCheck.Test.make ~count:300 ~name:"assumptions after elimination"
+    (QCheck.pair arb_cnf
+       (QCheck.make QCheck.Gen.(list_size (1 -- 3) (pair (1 -- 4) bool))))
+    (fun ((nvars, clauses), assum_raw) ->
+      let assum =
+        List.sort_uniq Stdlib.compare
+          (List.map (fun (v, s) -> if s then v else -v) assum_raw)
+      in
+      let contradictory = List.exists (fun l -> List.mem (-l) assum) assum in
+      QCheck.assume (not contradictory);
+      let nvars = max nvars 4 in
+      let s = mk_solver nvars clauses in
+      ignore (Sat.solve s);
+      let expected =
+        brute_force nvars (List.map (fun l -> [ l ]) assum @ clauses)
+      in
+      let verdict_ok r =
+        match r with
+        | Sat.Sat -> expected && model_satisfies s clauses
+        | Sat.Unsat -> not expected
+        | Sat.Unknown -> false
+      in
+      let first_ok = verdict_ok (Sat.solve ~assumptions:assum s) in
+      List.iter (fun l -> Sat.add_clause s [ l ]) assum;
+      first_ok && verdict_ok (Sat.solve s))
+
 (* {1 Structured instances} *)
 
 (* p pigeons, h holes; var [(i * h) + j + 1] = pigeon i in hole j;
@@ -143,6 +243,51 @@ let test_pigeonhole () =
         true
         (Sat.solve s = expect))
     [ (3, 3); (4, 3); (5, 4); (6, 5); (6, 6); (7, 6) ]
+
+let test_pigeonhole_all_passes () =
+  List.iter
+    (fun (tag, shape) ->
+      let nvars, clauses = shape (pigeonhole_cnf 6 5) in
+      Alcotest.(check bool)
+        (Printf.sprintf "php 6 5 unsat in the %s shape" tag)
+        true
+        (Sat.solve (mk_solver nvars clauses) = Sat.Unsat))
+    pass_shapes
+
+(* The passes the core runs between conflicts, Luby restarts and
+   reduce_db, must report work: a regression that silently stopped either
+   would keep every equivalence case green.  10000 conflicts of php 9 8
+   pass the reduce trigger (4000 learnt plus half the database). *)
+let test_passes_engage () =
+  let s = pigeonhole 9 8 in
+  Alcotest.(check bool) "budget exhausts" true
+    (Sat.solve ~budget:10000 s = Sat.Unknown);
+  Alcotest.(check bool) "restarts happened" true (Sat.restarts s > 0);
+  Alcotest.(check bool) "reduce_db ran" true (Sat.reductions s > 0);
+  Alcotest.(check bool) "learnt clauses kept" true (Sat.learnt_kept s > 0);
+  Alcotest.(check bool) "learnt clauses deleted" true (Sat.learnt_deleted s > 0)
+
+(* Best-phase rephasing is gone; the saved phases it used to overwrite
+   remain.  Re-solving a satisfied instance that took conflicts and
+   restarts to solve must follow them back to the same model without a
+   single conflict. *)
+let test_rephase_engages () =
+  let st = Random.State.make [| 42 |] in
+  let nvars = 150 in
+  let clauses =
+    List.init (4 * nvars) (fun _ ->
+        List.init 3 (fun _ ->
+            let v = 1 + Random.State.int st nvars in
+            if Random.State.bool st then v else -v))
+  in
+  let s = mk_solver nvars clauses in
+  Alcotest.(check bool) "first solve sat" true (Sat.solve s = Sat.Sat);
+  Alcotest.(check bool) "search took conflicts" true (Sat.conflicts s > 0);
+  let model () = List.init nvars (fun v -> Sat.value s (v + 1)) in
+  let first = model () and conflicts = Sat.conflicts s in
+  Alcotest.(check bool) "second solve sat" true (Sat.solve s = Sat.Sat);
+  Alcotest.(check int) "no further conflicts" conflicts (Sat.conflicts s);
+  Alcotest.(check bool) "same model" true (model () = first)
 
 let test_budget () =
   let s = pigeonhole 9 8 in
@@ -296,9 +441,15 @@ let () =
   Alcotest.run "sat"
     [ ("oracle",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_matches_oracle; prop_assumptions; prop_incremental ]);
+         ([ prop_matches_oracle; prop_assumptions; prop_incremental ]
+         @ List.map prop_shape_matches_oracle pass_shapes
+         @ [ prop_assumptions_after_elim ]));
       ("structured",
        [ Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
+         Alcotest.test_case "pigeonhole all passes" `Quick
+           test_pigeonhole_all_passes;
+         Alcotest.test_case "passes engage" `Quick test_passes_engage;
+         Alcotest.test_case "rephase engages" `Quick test_rephase_engages;
          Alcotest.test_case "budget" `Quick test_budget;
          Alcotest.test_case "reduction then re-solve" `Quick
            test_reduction_then_resolve;

@@ -333,6 +333,101 @@ let test_import_bounds () =
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "expected sat after hostile import"
 
+(* {1 Session configurations}
+
+   A worker decides with a cold session, with one warm-started from the
+   learnt clauses of an earlier run over the same encoding (the synthesis
+   cache's replay), or with its arena's shared session.  Each
+   configuration below returns a session that asserts [t1] and guards
+   [t2]. *)
+
+let guarded s t1 t2 =
+  Solver.Session.assert_always s t1;
+  (s, Solver.Session.assert_retractable s t2)
+
+let configurations =
+  [ ("cold", fun t1 t2 -> guarded (Solver.Session.create ()) t1 t2);
+    ( "warm",
+      fun t1 t2 ->
+        (* learnt clauses are consequences of the problem clauses whatever
+           the assumptions, so a donor's first check may be replayed *)
+        let donor, g = guarded (Solver.Session.create ()) t1 t2 in
+        ignore (Solver.Session.check_with ~assumptions:[ g ] donor []);
+        let s, g = guarded (Solver.Session.create ()) t1 t2 in
+        ignore
+          (Solver.Session.import_learnt s (Solver.Session.export_learnt donor));
+        (s, g) );
+    ( "arena shared",
+      fun t1 t2 -> guarded (Solver.Arena.shared (Solver.Arena.create ())) t1 t2
+    ) ]
+
+let agree a b =
+  match (a, b) with
+  | Solver.Sat _, Solver.Sat _ | Solver.Unsat _, Solver.Unsat _ -> true
+  | _ -> false
+
+(* every configuration tracks the cold session through a guarded check,
+   retraction and a further assert, and every Sat model satisfies what
+   binds *)
+let prop_configurations_agree =
+  QCheck.Test.make ~count:100 ~name:"sessions agree across configurations"
+    arb_bool3 (fun (g1, g2, g3) ->
+      let run (_, make) =
+        let s, g = make g1.Gen_terms.term g2.Gen_terms.term in
+        let r1 = Solver.Session.check_with ~assumptions:[ g ] s [] in
+        Solver.Session.retract s g;
+        let r2 = Solver.Session.check_with s [ g3.Gen_terms.term ] in
+        let dead =
+          match Solver.Session.check_with ~assumptions:[ g ] s [] with
+          | Solver.Unsat _ -> true
+          | _ -> false
+        in
+        (r1, r2, dead)
+      in
+      let models_ok (r1, r2, dead) =
+        dead
+        && (match r1 with
+           | Solver.Sat (m, _) -> satisfies [ g1; g2 ] m
+           | _ -> true)
+        &&
+        match r2 with
+        | Solver.Sat (m, _) -> satisfies [ g1; g3 ] m
+        | _ -> true
+      in
+      match List.map run configurations with
+      | [] -> false
+      | ((c1, c2, _) as cold) :: rest ->
+          models_ok cold
+          && List.for_all
+               (fun ((r1, r2, _) as r) -> agree c1 r1 && agree c2 r2 && models_ok r)
+               rest)
+
+(* spurious Unknowns and corrupted model copies leave every configuration
+   exactly as recoverable: the corruption reaches only the returned copy *)
+let test_faults_across_configurations () =
+  List.iter
+    (fun (tag, make) ->
+      let x = Term.var "gv8_0" 8 in
+      let s, g = make (Term.eq x (Term.of_int ~width:8 42)) (Term.eq x x) in
+      (* installed after [make], whose donor check must not count *)
+      Fault.install (Fault.parse "unknown@1,corrupt@2,seed=7");
+      Fun.protect ~finally:Fault.clear (fun () ->
+          (match Solver.Session.check_with ~assumptions:[ g ] s [] with
+          | Solver.Unknown _ -> ()
+          | _ -> Alcotest.failf "%s: planned Unknown missing" tag);
+          (* check 2 returns a corrupted copy; check 3 is honest *)
+          ignore (Solver.Session.check_with s []);
+          match Solver.Session.check_with s [] with
+          | Solver.Sat (m, _) -> (
+              match m.Solver.var_value "gv8_0" with
+              | Some v ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: honest after faults" tag)
+                    42 (Bitvec.to_int_exn v)
+              | None -> Alcotest.failf "%s: model missing gv8_0" tag)
+          | _ -> Alcotest.failf "%s: expected Sat after faults" tag))
+    configurations
+
 let () =
   Alcotest.run "session"
     [ ("properties",
@@ -349,4 +444,8 @@ let () =
          Alcotest.test_case "budget" `Quick test_budget;
          Alcotest.test_case "arenas" `Quick test_arena;
          Alcotest.test_case "learnt exchange" `Quick test_learnt_exchange;
-         Alcotest.test_case "import bounds check" `Quick test_import_bounds ]) ]
+         Alcotest.test_case "import bounds check" `Quick test_import_bounds ]);
+      ("sessions",
+       Alcotest.test_case "faults across profiles" `Quick
+         test_faults_across_configurations
+       :: List.map QCheck_alcotest.to_alcotest [ prop_configurations_agree ]) ]
