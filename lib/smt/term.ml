@@ -259,6 +259,32 @@ let check_same_width name a b =
     invalid_arg
       (Printf.sprintf "Term.%s: width mismatch (%d vs %d)" name a.width b.width)
 
+(* {1 Constant unions}
+
+   An [ite]-tree whose leaves are all constants is a guarded union of
+   concrete values (Rosette's term for it), which is what a hole-controlled
+   mux over constants becomes.  Multiply, divide and carry-less multiply
+   apply to such unions leaf by leaf, so [mul (ite h k1 k2) k3] folds to
+   [ite h (k1*k3) (k2*k3)] instead of a node Blast would expand into a
+   quadratic circuit.  The cheaper operators stay off this view: their
+   circuits are linear, and distributing them only grows the DAG. *)
+
+(* Leaves of [t] as a constant union, or [None] if a leaf is not constant
+   or there are more than 8. *)
+let const_leaves t =
+  let rec go n t =
+    match t.node with
+    | Const _ -> if n < 8 then Some (n + 1) else None
+    | Ite (_, x, y) -> Option.bind (go n x) (fun n -> go n y)
+    | _ -> None
+  in
+  go 0 t
+
+let unions_fold a b =
+  match (const_leaves a, const_leaves b) with
+  | Some m, Some n -> m * n <= 16
+  | _ -> false
+
 (* {1 Simplifying constructors} *)
 
 let rec bnot a =
@@ -350,6 +376,7 @@ and mul a b =
   | None, Some y when Bitvec.is_zero y -> b
   | Some x, None when Bitvec.equal x (Bitvec.one a.width) -> b
   | None, Some y when Bitvec.equal y (Bitvec.one a.width) -> a
+  | _ when unions_fold a b -> distribute mul a b
   | _ ->
       let a, b = order2 a b in
       intern a.width (Binop (Mul, a, b))
@@ -369,6 +396,7 @@ and division op a b =
   | None, Some y when Bitvec.equal y (Bitvec.one a.width) -> (
       (* x / 1 = x, x % 1 = 0 *)
       match op with Udiv | Sdiv -> a | _ -> zero a.width)
+  | _ when unions_fold a b -> distribute (division op) a b
   | _ -> intern a.width (Binop (op, a, b))
 
 and carryless op a b =
@@ -378,9 +406,22 @@ and carryless op a b =
       const (if op = Clmul then Bitvec.clmul x y else Bitvec.clmulh x y)
   | Some x, None when Bitvec.is_zero x -> a
   | None, Some y when Bitvec.is_zero y -> b
+  | _ when unions_fold a b -> distribute (carryless op) a b
   | _ ->
       let a, b = order2 a b in
       intern a.width (Binop (op, a, b))
+
+(* Applies [f] leaf by leaf: through the [ite]s of [a], then of [b].
+   Rebuilding through [ite] merges equal leaves (Rosette's compress).  The
+   nesting follows argument order, not [order2]: callers pass operands in
+   a consistent order, so the same guards end up outermost across call
+   sites and the folded trees share more (2.93 M against 3.23 M blasted
+   clauses on RV32I+M). *)
+and distribute f a b =
+  match (a.node, b.node) with
+  | Ite (c, x, y), _ -> ite c (distribute f x b) (distribute f y b)
+  | _, Ite (c, x, y) -> ite c (distribute f a x) (distribute f a y)
+  | _ -> f a b
 
 and shift op a b =
   (* The amount operand may have any width; it is read unsigned. *)

@@ -98,11 +98,27 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
+(** Folds over constant unions: when both operands are [ite]-trees whose
+    leaves are all constants (a plain constant is a one-leaf union), with
+    at most 8 leaves each and at most 16 leaf pairs, the product is built
+    leaf by leaf — [mul (ite h k1 k2) k3] is [ite h (k1*k3) (k2*k3)] — so
+    no multiplier reaches the bit-blaster.  The [ite]s of the first
+    operand nest outside those of the second.  Past either cap the
+    operands stay a symbolic node.  The linear-circuit operators ([add],
+    logic, shifts, comparisons, [concat]) do not fold this way. *)
+
 val udiv : t -> t -> t
+(** Folds over constant unions as {!mul} does; [urem], [sdiv] and [srem]
+    too.  Leaves fold through {!Bitvec}, so a zero divisor and
+    [min_int / -1] give the RISC-V results. *)
+
 val urem : t -> t -> t
 val sdiv : t -> t -> t
 val srem : t -> t -> t
+
 val clmul : t -> t -> t
+(** Folds over constant unions as {!mul} does; so does [clmulh]. *)
+
 val clmulh : t -> t -> t
 val shl : t -> t -> t
 val lshr : t -> t -> t

@@ -555,6 +555,13 @@ let ground_reads (model : Solver.model) (root : Term.t) : Term.t =
   in
   go root
 
+(* Grounds [f] against a counterexample: substitution, then
+   [ground_reads], each under its own span so a traced run times them apart
+   from the solver queries. *)
+let ground model env f =
+  let t = Obs.span "cegis.substitute" (fun () -> Term.substitute env f) in
+  Obs.span "cegis.ground_reads" (fun () -> ground_reads model t)
+
 (* {1 Verification of completed designs}
 
    With no holes in play this is plain bounded refinement checking: for
@@ -1132,7 +1139,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
                              ("iter", Obs.Int iter);
                            ];
                      let env = cex_env trun model in
-                     let g = ground_reads model (Term.substitute env correct) in
+                     let g = ground model env correct in
                      (match synth_with g with
                      | Solver.Sat (m, _) -> refresh_table local m
                      | Solver.Unsat _ ->
@@ -1236,7 +1243,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
          let env = cex_env run model in
          List.iter
            (fun f ->
-             let g = ground_reads model (Term.substitute env f) in
+             let g = ground model env f in
              if not (Term.is_true g) then begin
                constraints := g :: !constraints;
                pending := g :: !pending

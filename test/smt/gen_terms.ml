@@ -12,11 +12,13 @@ type gen_term = {
 
 (* Variable pool: names encode the width so the global registry never sees a
    clash. *)
-(* Terms are rooted at widths in [root_widths], but derived widths (extract
-   sources, comparison operands, ...) range over 1..12, so the registered
-   pool covers all of them. *)
-let root_widths = [ 1; 2; 3; 5; 8 ]
-let var_widths = List.init 12 (fun i -> i + 1)
+(* Terms are rooted at widths in [root_widths].  Below 12 bits the derived
+   widths (extract sources, comparison operands, ...) stay within 1..12, all
+   in the pool.  Under a 32- or 64-bit root, concat and extend split the
+   width anywhere, so a derived width outside the pool gets constant leaves
+   only; its symbolic content arrives through extracts of a 64-bit source. *)
+let root_widths = [ 1; 2; 3; 5; 8; 32; 64 ]
+let var_widths = List.init 12 (fun i -> i + 1) @ [ 32; 64 ]
 let vars_per_width = 2
 
 let var_name w i = Printf.sprintf "gv%d_%d" w i
@@ -38,23 +40,80 @@ let gen_const w =
     let v = Bitvec.of_bits bits in
     return { term = Term.const v; reval = (fun _ -> v); twidth = w })
 
+let gen_leaf w =
+  if List.mem w var_widths then QCheck.Gen.oneof [ gen_var w; gen_const w ]
+  else gen_const w
+
+(* The operators Term folds over constant unions. *)
+let quadratic_binops =
+  [ (Term.mul, Bitvec.mul);
+    (Term.udiv, Bitvec.udiv);
+    (Term.urem, Bitvec.urem);
+    (Term.sdiv, Bitvec.sdiv);
+    (Term.srem, Bitvec.srem);
+    (Term.clmul, Bitvec.clmul);
+    (Term.clmulh, Bitvec.clmulh)
+  ]
+
 let binops =
   [ (Term.band, Bitvec.logand);
     (Term.bor, Bitvec.logor);
     (Term.bxor, Bitvec.logxor);
     (Term.add, Bitvec.add);
     (Term.sub, Bitvec.sub);
-    (Term.mul, Bitvec.mul);
-    (Term.udiv, Bitvec.udiv);
-    (Term.urem, Bitvec.urem);
-    (Term.sdiv, Bitvec.sdiv);
-    (Term.srem, Bitvec.srem);
-    (Term.clmul, Bitvec.clmul);
-    (Term.clmulh, Bitvec.clmulh);
     (Term.shl, Bitvec.shl);
     (Term.lshr, Bitvec.lshr);
     (Term.ashr, Bitvec.ashr)
   ]
+  @ quadratic_binops
+
+(* A constant union: an ite-tree with 1..9 constant leaves under width-1
+   guards, so some trees exceed Term's 8-leaf cap.  Guards are single bits
+   of the 1- to 3-bit variables: twelve distinct ones, so a tree seldom
+   collapses, and none outside the solver tests' brute-force pool.  Leaves
+   favour zero, one, all-ones and the signed minimum, the divisors and
+   dividends with special cases. *)
+let gen_guard =
+  QCheck.Gen.(
+    triple (1 -- 3) (0 -- (vars_per_width - 1)) (0 -- 2) >>= fun (w, i, b) ->
+    let name = var_name w i and b = b mod w in
+    return
+      {
+        term = Term.bit (Term.var name w) b;
+        reval = (fun env -> Bitvec.extract ~high:b ~low:b (env name));
+        twidth = 1;
+      })
+
+let gen_union_leaf w =
+  QCheck.Gen.(
+    frequency
+      [ (3, gen_const w);
+        ( 2,
+          oneofl
+            [ Bitvec.zero w;
+              Bitvec.one w;
+              Bitvec.ones w;
+              Bitvec.shl (Bitvec.one w) (Bitvec.of_int ~width:8 (w - 1)) ]
+          >>= fun v -> return { term = Term.const v; reval = (fun _ -> v); twidth = w } )
+      ])
+
+let rec gen_union_leaves w n =
+  let open QCheck.Gen in
+  if n <= 1 then gen_union_leaf w
+  else
+    1 -- (n - 1) >>= fun k ->
+    triple gen_guard (gen_union_leaves w k) (gen_union_leaves w (n - k))
+    >>= fun (c, a, b) ->
+    return
+      {
+        term = Term.ite c.term a.term b.term;
+        reval =
+          (fun env ->
+            if Bitvec.is_ones (c.reval env) then a.reval env else b.reval env);
+        twidth = w;
+      }
+
+let gen_union w = QCheck.Gen.(1 -- 9 >>= gen_union_leaves w)
 
 let cmps =
   [ (Term.eq, fun a b -> Bitvec.equal a b);
@@ -68,7 +127,7 @@ let bool_of b = if b then Bitvec.one 1 else Bitvec.zero 1
 
 let rec gen_sized w size =
   let open QCheck.Gen in
-  if size <= 0 then oneof [ gen_var w; gen_const w ]
+  if size <= 0 then gen_leaf w
   else
     let sub = gen_sized w (size / 2) in
     let candidates =
@@ -91,6 +150,18 @@ let rec gen_sized w size =
               reval = (fun env -> rf (a.reval env) (b.reval env));
               twidth = w;
             } );
+        (* a quadratic operator over constant unions, or a union and an
+           arbitrary operand *)
+        ( 3,
+          oneofl quadratic_binops >>= fun (tf, rf) ->
+          let side = frequency [ (3, gen_union w); (1, sub) ] in
+          pair side side >>= fun (a, b) ->
+          return
+            {
+              term = tf a.term b.term;
+              reval = (fun env -> rf (a.reval env) (b.reval env));
+              twidth = w;
+            } );
         (* ite *)
         ( 3,
           gen_sized 1 (size / 2) >>= fun c ->
@@ -106,8 +177,7 @@ let rec gen_sized w size =
         (* extract from a wider term *)
         ( 2,
           0 -- 4 >>= fun extra ->
-          let wider = min 12 (w + extra) in
-          let wider = max wider w in
+          let wider = if w <= 12 then min 12 (w + extra) else 64 in
           gen_sized wider (size / 2) >>= fun a ->
           0 -- (wider - w) >>= fun low ->
           let high = low + w - 1 in

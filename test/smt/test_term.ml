@@ -152,6 +152,89 @@ let test_vars_collection () =
   Alcotest.(check (list (pair string int))) "vars" [ ("ut_x8", 8); ("ut_y8", 8) ]
     (Term.vars t)
 
+(* Multiply, divide and carry-less multiply fold over ite-trees of constants
+   leaf by leaf, so no quadratic node reaches the blaster; every guard
+   assignment must still evaluate like Bitvec, zero divisor and
+   [min_int / -1] included.  Past 8 leaves an operand, or past 16 the leaf
+   product, stays a symbolic node. *)
+let test_constant_unions () =
+  let quadratic =
+    [ ("mul", Term.mul, Bitvec.mul);
+      ("udiv", Term.udiv, Bitvec.udiv);
+      ("urem", Term.urem, Bitvec.urem);
+      ("sdiv", Term.sdiv, Bitvec.sdiv);
+      ("srem", Term.srem, Bitvec.srem);
+      ("clmul", Term.clmul, Bitvec.clmul);
+      ("clmulh", Term.clmulh, Bitvec.clmulh) ]
+  in
+  let symbolic t =
+    Term.fold_dag
+      (fun acc n ->
+        acc
+        ||
+        match n.Term.node with
+        | Term.Binop
+            ( ( Term.Mul | Term.Udiv | Term.Urem | Term.Sdiv | Term.Srem
+              | Term.Clmul | Term.Clmulh ),
+              _,
+              _ ) ->
+            true
+        | _ -> false)
+      false t
+  in
+  let g1 = Term.var "ut_g1" 1 and g2 = Term.var "ut_g2" 1 in
+  let sel = Term.var "ut_sel8" 8 in
+  (* an ite chain with [n] distinct constant leaves under distinct guards *)
+  let chain w n =
+    let rec go i =
+      if i = n - 1 then Term.of_int ~width:w (7 * i + 5)
+      else Term.ite (Term.bit sel i) (Term.of_int ~width:w (7 * i + 5)) (go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun w ->
+      let min_int = Bitvec.shl (Bitvec.one w) (Bitvec.of_int ~width:8 (w - 1)) in
+      let big = Bitvec.of_int ~width:w 1000003 in
+      let a = Term.ite g1 (Term.const min_int) (Term.const big) in
+      let b = Term.ite g2 (Term.zero w) (Term.ones w) in
+      List.iter
+        (fun (name, tf, bf) ->
+          let t = tf a b in
+          Alcotest.(check bool) (Printf.sprintf "%s/%d folds" name w) false (symbolic t);
+          List.iter
+            (fun (v1, v2) ->
+              let env =
+                { Term.lookup_var =
+                    (fun n _ ->
+                      let bit v = Some (if v then Bitvec.one 1 else Bitvec.zero 1) in
+                      if n = "ut_g1" then bit v1 else if n = "ut_g2" then bit v2 else None);
+                  Term.lookup_read = (fun _ _ -> None) }
+              in
+              let expected =
+                bf (if v1 then min_int else big) (if v2 then Bitvec.zero w else Bitvec.ones w)
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%d at g1=%b g2=%b" name w v1 v2)
+                true
+                (Bitvec.equal (Term.eval env t) expected))
+            [ (false, false); (false, true); (true, false); (true, true) ];
+          let three = Term.of_int ~width:w 3 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%d nine leaves stay symbolic" name w)
+            true
+            (symbolic (tf (chain w 9) three));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%d 8x2 leaves fold" name w)
+            false
+            (symbolic (tf (chain w 8) b));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%d 8x3 leaves stay symbolic" name w)
+            true
+            (symbolic (tf (chain w 8) (Term.ite g1 three (chain w 2)))))
+        quadratic)
+    [ 32; 64 ]
+
 (* Canonical serialization: round trip through smart constructors must land
    on the physically identical hash-consed nodes, sharing across roots
    preserved, and the document must be a deterministic function of the DAG
@@ -211,6 +294,7 @@ let () =
          Alcotest.test_case "boolean" `Quick test_bool_rewrites;
          Alcotest.test_case "arithmetic" `Quick test_arith_rewrites;
          Alcotest.test_case "structure" `Quick test_structure_rewrites;
+         Alcotest.test_case "constant unions" `Quick test_constant_unions;
          Alcotest.test_case "tables" `Quick test_table;
          Alcotest.test_case "reads" `Quick test_reads;
          Alcotest.test_case "vars" `Quick test_vars_collection;
