@@ -181,8 +181,7 @@ let synth_cmd =
               "solved in %.2fs: %d CEGIS rounds, %d solver queries, %d conflicts\n"
               st.Synth.Engine.wall_seconds st.Synth.Engine.iterations
               st.Synth.Engine.queries st.Synth.Engine.conflicts;
-            (* the full statistics record, resilience tallies included —
-               the bench JSON is not the only place these are visible *)
+            (* the full statistics record, resilience tallies included *)
             let row name value = Printf.printf "  %-22s %d\n" name value in
             row "iterations" st.Synth.Engine.iterations;
             row "queries" st.Synth.Engine.queries;

@@ -8,12 +8,6 @@ type run_result = {
   state : Oyster.Interp.state;
 }
 
-val load_core :
-  Oyster.Ast.design ->
-  program:Bitvec.t list ->
-  dmem_init:(int * Bitvec.t) list ->
-  Oyster.Interp.state
-
 val run_core :
   Oyster.Ast.design ->
   program:Bitvec.t list ->

@@ -1,6 +1,6 @@
-(* Hand-rolled JSON emission (shared by the bench report and the Chrome
-   trace sink) and a strict recursive-descent parser used by tests to
-   validate what the emitters produce. *)
+(* Hand-rolled JSON emission (shared by the Chrome trace sink, the serve
+   wire codec and the perfbench report) and a strict recursive-descent parser used by tests
+   to validate what the emitters produce. *)
 
 (* {1 Emission} *)
 

@@ -1,13 +1,12 @@
 (** Minimal JSON: hand-rolled emission plus a small strict parser.
 
-    The emission half is the escaping/formatting code that used to live
-    privately inside the bench harness's Report module; it is shared here
-    so the benchmark report and the Chrome trace sink agree byte-for-byte
-    on escaping.  Each combinator returns a syntactically complete JSON
-    fragment, so documents compose by plain concatenation.
+    The emission half is shared so the Chrome trace sink, the serve wire
+    codec and the perfbench report agree byte-for-byte on escaping.  Each combinator returns
+    a syntactically complete JSON fragment, so documents compose by plain
+    concatenation.
 
     The parser exists for tests and smoke checks: it validates that the
-    documents this library emits (trace files, bench reports) really are
+    documents this library emits (trace files, flight dumps) really are
     JSON, and lets tests round-trip required fields without an external
     dependency. *)
 

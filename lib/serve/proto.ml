@@ -4,7 +4,7 @@
    carries the protocol version under "v".
 
    The codec builds on Owl_obs's [Json] emitter/strict parser — the same
-   code that writes the bench report and Chrome traces — so escaping is
+   code that writes Chrome traces — so escaping is
    byte-identical across every JSON the toolchain produces, and the parser
    is the strict one the test suite already trusts.
 

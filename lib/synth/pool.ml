@@ -241,5 +241,3 @@ end
 let map ~jobs f items =
   if jobs < 1 then invalid_arg "Pool.map: jobs < 1";
   map_arena ~jobs ~make:(fun () -> ()) (fun () x -> f x) items
-
-let default_jobs () = Domain.recommended_domain_count ()

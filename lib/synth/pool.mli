@@ -46,9 +46,6 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     lowest-indexed failing task is re-raised after all workers have joined,
     so blame is deterministic.  Raises [Invalid_argument] if [jobs < 1]. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — a sensible [-j] default. *)
-
 (** Long-lived worker domains for a request-serving daemon.
 
     Unlike {!map_arena}, whose workers exist for one batch, a service pool

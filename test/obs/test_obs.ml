@@ -93,6 +93,29 @@ let test_null_sink () =
   | _ -> Alcotest.fail "exception swallowed");
   checki "still no events" 0 (List.length (Obs.events ()))
 
+(* Disabled-path cost: with tracing and metrics off a span is one atomic
+   load plus a branch.  The bound is deliberately loose (it only catches
+   an accidentally expensive disabled path, e.g. a lock or an allocation),
+   so it holds on slow shared machines. *)
+let test_null_sink_overhead () =
+  Obs.disable ();
+  Obs.disable_metrics ();
+  let reps = 1_000_000 in
+  let payload () = Sys.opaque_identity 2 in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let bare = timed payload in
+  let spanned = timed (fun () -> Obs.span "noop" payload) in
+  let per_call_ns = (spanned -. bare) *. 1e9 /. float_of_int reps in
+  checkb
+    (Printf.sprintf "disabled span costs %.1f ns/call (bound 1000)" per_call_ns)
+    true (per_call_ns <= 1000.0)
+
 (* {1 Spans and ordering} *)
 
 (* per-domain streams must follow stack discipline: every End matches the
@@ -596,6 +619,43 @@ let test_tap_concurrent () =
     (mine && List.for_all Fun.id oks);
   checkb "no tap left installed" true (not (Obs.tapping ()))
 
+(* Every summary is internally consistent whatever was recorded: counts
+   are non-negative, and histograms and windows keep min <= max and
+   p50 <= p90 <= p99.  Deliberately not p99 <= max: a quantile is a
+   bucket estimate. *)
+let prop_summaries_ordered =
+  let sample =
+    QCheck.Gen.(oneof [ int_range (-8) 8; int_bound 10_000; int_bound (1 lsl 40) ])
+  in
+  QCheck.Test.make ~count:300 ~name:"summaries ordered over random samples"
+    (QCheck.make ~print:QCheck.Print.(list int) QCheck.Gen.(list sample))
+    (fun samples ->
+      Obs.reset_metrics ();
+      Obs.enable_metrics ();
+      let c = Obs.counter "test.prop.counter" in
+      let h = Obs.histogram "test.prop.histogram" in
+      let w = Obs.window "test.prop.window" in
+      List.iter
+        (fun v ->
+          Obs.incr c;
+          Obs.observe h v;
+          Obs.observe_window w v)
+        samples;
+      Obs.disable_metrics ();
+      let ok (m : Obs.metric) =
+        m.Obs.count >= 0
+        &&
+        match m.Obs.metric_kind with
+        | `Counter | `Gauge -> true
+        | `Histogram | `Window ->
+            m.Obs.min_value <= m.Obs.max_value
+            && m.Obs.p50 <= m.Obs.p90
+            && m.Obs.p90 <= m.Obs.p99
+      in
+      let ms = Obs.metrics () in
+      Obs.reset_metrics ();
+      List.for_all ok ms)
+
 let test_metrics_parallel () =
   Obs.reset_metrics ();
   Obs.enable_metrics ();
@@ -632,6 +692,8 @@ let () =
       ( "tracing",
         [
           Alcotest.test_case "null sink" `Quick test_null_sink;
+          Alcotest.test_case "disabled span overhead" `Quick
+            test_null_sink_overhead;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "multi-domain merge" `Quick test_merge_multi_domain;
           Alcotest.test_case "deterministic merge" `Quick
@@ -653,5 +715,6 @@ let () =
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "windows" `Quick test_windows;
           Alcotest.test_case "parallel recording" `Quick test_metrics_parallel;
+          QCheck_alcotest.to_alcotest prop_summaries_ordered;
         ] );
     ]

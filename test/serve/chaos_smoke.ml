@@ -1,24 +1,25 @@
-(* Chaos smoke: the seconds-scale slice of the bench harness's chaos
-   section, run on every `dune runtest` via the @chaos-smoke alias.
+(* Chaos smoke: the serve daemon under deterministic fault plans, run on
+   every `dune runtest` via the @chaos-smoke alias.
 
    Two phases against in-process daemons on /tmp sockets.  Phase one
    runs a 20-request mixed batch fault-free and records every solved
-   reply's hole bindings.  Phase two installs the miniature fault plan
-   [worker_kill@2,conn_drop@3] — the second service job downs its worker
-   domain (supervision must respawn it), the third server-written frame
-   severs its connection (the retrying client must recompute) — and
-   replays the same batch through [Client.with_retry].  The plan may
-   cost retries and recomputation; it must never cost correctness:
+   reply's hole bindings.  Phase two replays the same batch through
+   [Client.with_retry] once per fault plan ([plans] below), each against
+   a fresh daemon: worker kills, connection drops, frame delays, forced
+   sheds, and a mix of all four.  A plan may cost retries and
+   recomputation; it must never cost correctness:
 
    - zero requests fail after bounded retries (no hangs: every attempt
      is bounded, so termination of this program is the liveness check);
+   - every planned fault fires;
    - every solved reply's bindings are bit-identical to phase one
      (faults never produce a wrong answer — requests are idempotent by
      content fingerprint);
    - the daemon recovers to full capacity: a fresh cold request solves,
-     the health report shows every worker alive (and at least one lost
-     along the way), nothing queued, not degraded;
-   - the worker kill left an automatic flight-recorder dump: a valid
+     the health report shows every worker alive (and, under a worker
+     kill, at least one lost along the way), nothing queued, not
+     degraded;
+   - a worker kill leaves an automatic flight-recorder dump: a valid
      Chrome-trace JSON file in the configured dump directory whose
      events carry the killed request's trace id (which the requeued
      request's terminal reply also reports). *)
@@ -80,6 +81,21 @@ let stop addr th =
 
 let total = 20
 
+(* worker kills down the Nth service job's domain (supervision must
+   respawn it), conn_drops sever the Nth server-written frame (the
+   retrying client must recompute), frame_delays stall the Nth frame, and
+   sheds refuse the Nth admission.  Every planned fault must fire within
+   the batch; hot hits are never admitted, so the batch makes only about
+   seven admissions and the shed indices are kept low. *)
+let plans =
+  [
+    "worker_kill@2,conn_drop@3";
+    "conn_drop@3,conn_drop@11,conn_drop@19";
+    "frame_delay@5,frame_delay@12";
+    "shed@1,shed@3,shed@5";
+    "worker_kill@4,conn_drop@6,frame_delay@9,shed@2";
+  ]
+
 (* four distinct fingerprints on the accumulator plus one on the ALU:
    enough cold service jobs to reach the planned kill index, plenty of
    warm repeats to keep the hot tier honest under faults *)
@@ -139,8 +155,7 @@ let check_flight_dumps traces =
     find 0
   in
   let lost = List.filter is_lost_dump dumps in
-  if lost = [] then
-    fail "worker_kill@2 left no worker_lost flight dump in %s" dump_dir;
+  if lost = [] then fail "the worker kill left no flight dump in %s" dump_dir;
   let traced = ref false in
   List.iter
     (fun f ->
@@ -179,13 +194,10 @@ let cleanup_dumps () =
   | exception Sys_error _ -> ());
   try Unix.rmdir dump_dir with Unix.Unix_error _ -> ()
 
-let () =
-  (* phase one: fault-free baseline *)
-  let addr, th = start "baseline" in
-  let baseline, _, _ = run_batch addr in
-  stop addr th;
-  (* phase two: the same batch under the miniature fault plan *)
-  Fault.install (Fault.parse "worker_kill@2,conn_drop@3");
+let run_plan baseline plan =
+  let faults = String.split_on_char ',' plan in
+  let kills = List.exists (String.starts_with ~prefix:"worker_kill") faults in
+  Fault.install (Fault.parse plan);
   Fun.protect ~finally:Fault.clear @@ fun () ->
   let addr, th = start "faulted" in
   let faulted, traces, retried = run_batch addr in
@@ -194,9 +206,11 @@ let () =
     (fun seq b -> if b <> baseline.(seq) then incr wrong)
     faulted;
   if !wrong > 0 then
-    fail "%d of %d replies diverged from the fault-free bindings" !wrong total;
-  if Fault.fired () < 2 then
-    fail "fault plan only fired %d of 2 planned faults" (Fault.fired ());
+    fail "%s: %d of %d replies diverged from the fault-free bindings" plan
+      !wrong total;
+  if Fault.fired () < List.length faults then
+    fail "%s: only %d of %d planned faults fired" plan (Fault.fired ())
+      (List.length faults);
   (* recovery: a fresh cold fingerprint still solves on a worker, and
      the pool is back to full strength *)
   let c = Client.connect addr in
@@ -205,22 +219,33 @@ let () =
       Synth.Engine.(default_options |> with_max_iterations 997)
   in
   if post.Proto.outcome <> "solved" then
-    fail "post-fault cold request came back %s" post.Proto.outcome;
-  if post.Proto.hot then fail "post-fault cold request answered hot";
+    fail "%s: post-fault cold request came back %s" plan post.Proto.outcome;
+  if post.Proto.hot then fail "%s: post-fault cold request answered hot" plan;
   let _, _, h = Client.ping c in
   Client.close c;
   stop addr th;
   if h.Proto.workers_alive <> jobs then
-    fail "recovery incomplete: %d/%d workers alive" h.Proto.workers_alive jobs;
-  if h.Proto.workers_lost < 1 then
-    fail "worker_kill@2 left no trace in the health report";
-  if h.Proto.degraded then fail "daemon still degraded after recovery";
+    fail "%s: recovery incomplete: %d/%d workers alive" plan
+      h.Proto.workers_alive jobs;
+  if kills && h.Proto.workers_lost < 1 then
+    fail "%s: the worker kill left no trace in the health report" plan;
+  if h.Proto.degraded then fail "%s: daemon still degraded after recovery" plan;
   if h.Proto.queue_waiting <> 0 then
-    fail "%d jobs still queued after the batch" h.Proto.queue_waiting;
-  let dumps = Fun.protect ~finally:cleanup_dumps (fun () -> check_flight_dumps traces) in
+    fail "%s: %d jobs still queued after the batch" plan h.Proto.queue_waiting;
+  let dumps =
+    Fun.protect ~finally:cleanup_dumps (fun () ->
+        if kills then check_flight_dumps traces else 0)
+  in
   Printf.printf
-    "chaos smoke: %d requests ok under worker_kill@2,conn_drop@3 (%d \
-     retries, %d worker(s) lost and respawned, bindings bit-identical, %d \
-     traced flight dump(s))\n"
-    total retried h.Proto.workers_lost dumps;
+    "chaos smoke: %d requests ok under %s (%d retries, %d worker(s) lost \
+     and respawned, bindings bit-identical, %d traced flight dump(s))\n%!"
+    total plan retried h.Proto.workers_lost dumps
+
+let () =
+  (* phase one: fault-free baseline *)
+  let addr, th = start "baseline" in
+  let baseline, _, _ = run_batch addr in
+  stop addr th;
+  (* phase two: the same batch under each plan *)
+  List.iter (run_plan baseline) plans;
   print_endline "chaos smoke: ok"

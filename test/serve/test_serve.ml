@@ -835,6 +835,60 @@ let test_live_telemetry () =
   Client.close c;
   stop_server addr th
 
+(* Telemetry cost at the daemon: the same 20-request mixed batch (four
+   fingerprints per kind: 8 cold, 12 warm) against telemetry-off and
+   telemetry-on daemons, twice each.  The faster on-run must stay within
+   5% of the faster off-run, plus 50 ms for scheduler noise on a
+   sub-second batch.  Every run must answer without error and hit the hot
+   tier, and no hot reply may stream progress: one that did ran a
+   solver. *)
+let serve_batch ~telemetry () =
+  let addr, th = start_server ~queue_depth:32 ~hot:32 ~telemetry () in
+  let c = Client.connect addr in
+  let hot_replies = ref 0 and hot_with_progress = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  for seq = 0 to 19 do
+    let options =
+      Synth.Engine.(default_options |> with_max_iterations (300 + (seq mod 4)))
+    in
+    let progress = ref 0 in
+    let on_progress _ = incr progress in
+    let hot =
+      if seq mod 5 = 4 then
+        (Client.verify ~on_progress c ~design:"acc" options).Proto.v_hot
+      else begin
+        let r = Client.synth ~on_progress c ~design:"acc" options in
+        check_str "synth solved" "solved" r.Proto.outcome;
+        r.Proto.hot
+      end
+    in
+    if hot then begin
+      incr hot_replies;
+      if !progress > 0 then incr hot_with_progress
+    end
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let tier_hits =
+    match (Client.cache_stats c).Proto.hot_tier with
+    | Some h -> h.Proto.hot_hits
+    | None -> 0
+  in
+  Client.close c;
+  stop_server addr th;
+  check "hot replies" true (!hot_replies > 0);
+  check "hot-tier hits" true (tier_hits > 0);
+  check_int "hot replies streaming progress" 0 !hot_with_progress;
+  wall
+
+let test_telemetry_overhead () =
+  let min2 f = Float.min (f ()) (f ()) in
+  let off = min2 (serve_batch ~telemetry:false) in
+  let on = min2 (serve_batch ~telemetry:true) in
+  check
+    (Printf.sprintf "telemetry on %.3fs <= off %.3fs * 1.05 + 0.05s" on off)
+    true
+    (on <= (off *. 1.05) +. 0.05)
+
 let test_unknown_design () =
   let addr, th = start_server () in
   let c = Client.connect addr in
@@ -1181,6 +1235,8 @@ let () =
           Alcotest.test_case "verify" `Quick test_verify_end_to_end;
           Alcotest.test_case "verify deadline" `Quick test_verify_deadline;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
+          Alcotest.test_case "telemetry overhead" `Quick
+            test_telemetry_overhead;
           Alcotest.test_case "unknown design" `Quick test_unknown_design;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;

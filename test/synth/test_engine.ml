@@ -294,6 +294,29 @@ let test_minimize () =
     (Hdl.Pyrtl.bindings_loc m.Synth.Minimize.solved.Synth.Engine.bindings
     <= Hdl.Pyrtl.bindings_loc solved.Synth.Engine.bindings)
 
+(* {1 Tracing} *)
+
+let test_traced_synthesis () =
+  (* the engine's own spans, not synthetic ones, must export as a Chrome
+     trace that Owl_obs's strict parser accepts *)
+  Obs.enable ();
+  Obs.enable_metrics ();
+  let trace =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.disable_metrics ())
+      (fun () ->
+        ignore (solve (Designs.Accumulator.problem ()));
+        Obs.chrome_trace_string ())
+  in
+  match Json.parse trace with
+  | exception Json.Parse_error m -> Alcotest.failf "trace is not valid JSON: %s" m
+  | doc -> (
+      match Json.member "traceEvents" doc with
+      | Some (Json.Arr (_ :: _)) -> ()
+      | _ -> Alcotest.fail "trace has no traceEvents")
+
 let () =
   Alcotest.run "engine"
     [ ("alu",
@@ -309,4 +332,7 @@ let () =
          Alcotest.test_case "overlapping decodes" `Quick test_overlapping_decodes ]);
       ("minimize", [ Alcotest.test_case "don't-cares" `Quick test_minimize ]);
       ("gate",
-       [ Alcotest.test_case "independence pre-check" `Quick test_independence_gate ]) ]
+       [ Alcotest.test_case "independence pre-check" `Quick test_independence_gate ]);
+      ("tracing",
+       [ Alcotest.test_case "traced synthesis emits a valid Chrome trace" `Quick
+           test_traced_synthesis ]) ]

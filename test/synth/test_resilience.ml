@@ -102,6 +102,16 @@ let solve ?(jobs = 1) ?retries ?validate_models problem =
   | Synth.Engine.Solved s -> s
   | _ -> Alcotest.fail "synthesis failed"
 
+let test_clean_run_no_recovery () =
+  (* with no fault plan, no budget and no deadline the ladder, the
+     validation retries and the pool's task retries must all stay idle *)
+  let st = (solve (Designs.Accumulator.problem ())).Synth.Engine.stats in
+  Alcotest.(check int) "retried queries" 0 st.Synth.Engine.retried_queries;
+  Alcotest.(check int) "degraded queries" 0 st.Synth.Engine.degraded_queries;
+  Alcotest.(check int) "validation failures" 0
+    st.Synth.Engine.validation_failures;
+  Alcotest.(check int) "task retries" 0 st.Synth.Engine.task_retries
+
 let test_spurious_unknowns_recover () =
   let clean = solve (Designs.Accumulator.problem ()) in
   with_plan "unknown@1,unknown@2" (fun () ->
@@ -225,7 +235,9 @@ let () =
          Alcotest.test_case "exhausted retries blame" `Quick
            test_pool_retry_exhausts ]);
       ("engine",
-       [ Alcotest.test_case "spurious unknowns recover" `Quick
+       [ Alcotest.test_case "clean run engages no recovery" `Quick
+           test_clean_run_no_recovery;
+         Alcotest.test_case "spurious unknowns recover" `Quick
            test_spurious_unknowns_recover;
          Alcotest.test_case "corrupted model rejected" `Quick
            test_corrupt_model_rejected;
