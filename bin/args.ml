@@ -3,9 +3,10 @@
    Several subcommands (synth, verify) accept the same engine-tuning,
    fault-injection, observability, and cache flags.  Each flag — and its
    environment-variable fallback, where one exists — is declared exactly
-   once here; the subcommands compose the [Term]s and call the
-   corresponding [install_*]/[apply_*] helper.  The precedence rule is
-   uniform: explicit flag beats environment variable beats default. *)
+   once here; the subcommands compose the [Term]s ([engine_options] for
+   the engine-tuning ones) and call the corresponding [install_*] helper.
+   The precedence rule is uniform: explicit flag beats environment
+   variable beats default. *)
 
 open Cmdliner
 
@@ -32,9 +33,6 @@ let no_incremental =
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 
-let default_recovery =
-  Synth.Engine.default_options.Synth.Engine.recovery
-
 let retries =
   let doc =
     "Extra attempts per solver query (and per crashed worker task) before \
@@ -42,13 +40,13 @@ let retries =
      conflict budgets and deadline slices, the final attempt on a fresh \
      one-shot solver."
   in
-  Arg.(value & opt int default_recovery.Synth.Engine.Recovery.retries
+  Arg.(value & opt int Synth.Resilience.default.Synth.Resilience.retries
        & info [ "retries" ] ~docv:"K" ~doc)
 
 let escalation_factor =
   let doc = "Geometric budget/time growth per retry attempt." in
   Arg.(value
-       & opt int default_recovery.Synth.Engine.Recovery.escalation_factor
+       & opt int Synth.Resilience.default.Synth.Resilience.escalation_factor
        & info [ "escalation-factor" ] ~docv:"F" ~doc)
 
 let validate_models =
@@ -58,6 +56,49 @@ let validate_models =
      fall back to a fresh solver."
   in
   Arg.(value & flag & info [ "validate-models" ] ~doc)
+
+let monolithic =
+  Arg.(value & flag
+       & info [ "monolithic" ]
+           ~doc:"Disable the per-instruction optimization (paper 3.3.1).")
+
+(* The engine options of [owl synth], [owl verify], [owl client synth] and
+   [owl client verify], built in one place.  [~synth] adds --monolithic;
+   [~remote] drops --jobs (the server pins each request to one domain) and
+   words --deadline for the server.  The cache is not an option here: it
+   is the local command's to open, and the server's policy remotely. *)
+let engine_options ~synth ~remote =
+  let build monolithic jobs deadline no_incremental retries escalation_factor
+      validate_models =
+    check_jobs jobs;
+    try
+      Synth.Engine.(
+        default_options
+        |> with_mode (if monolithic then Monolithic else Per_instruction)
+        |> with_jobs jobs
+        |> with_deadline deadline
+        |> with_incremental (not no_incremental)
+        |> with_retries retries
+        |> with_escalation_factor escalation_factor
+        |> with_validate_models validate_models)
+    with Invalid_argument m ->
+      Printf.eprintf "owl: %s\n" m;
+      exit 1
+  in
+  let deadline =
+    let doc =
+      if remote then "Server-side wall-clock timeout for this request."
+      else "Wall-clock timeout."
+    in
+    Arg.(value & opt (some float) None
+         & info [ "deadline" ] ~docv:"SECONDS" ~doc)
+  in
+  Term.(
+    const build
+    $ (if synth then monolithic else const false)
+    $ (if remote then const 1 else jobs)
+    $ deadline $ no_incremental $ retries $ escalation_factor
+    $ validate_models)
 
 (* {1 Fault injection} *)
 

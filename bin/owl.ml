@@ -122,15 +122,6 @@ let or_engine_error f =
     exit 6
 
 let synth_cmd =
-  let monolithic =
-    Arg.(value & flag
-         & info [ "monolithic" ]
-             ~doc:"Disable the per-instruction optimization (paper 3.3.1).")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock timeout.")
-  in
   let output =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE"
@@ -140,10 +131,8 @@ let synth_cmd =
     Arg.(value & flag
          & info [ "pyrtl" ] ~doc:"Print the generated control logic PyRTL-style (paper Fig. 7).")
   in
-  let run name monolithic jobs deadline output pyrtl no_incremental retries
-      escalation_factor validate_models cache_dir no_cache fault_plan trace
+  let run name options output pyrtl cache_dir no_cache fault_plan trace
       metrics =
-    Args.check_jobs jobs;
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
     match lookup name with
@@ -155,22 +144,7 @@ let synth_cmd =
         if cache <> None then
           (* [at_exit] so the timeout/unrealizable exit paths report too *)
           at_exit (fun () -> Args.report_cache cache);
-        let options =
-          try
-            Synth.Engine.(
-              default_options
-              |> with_mode (if monolithic then Monolithic else Per_instruction)
-              |> with_jobs jobs
-              |> with_deadline deadline
-              |> with_incremental (not no_incremental)
-              |> with_retries retries
-              |> with_escalation_factor escalation_factor
-              |> with_validate_models validate_models
-              |> with_cache cache)
-          with Invalid_argument m ->
-            Printf.eprintf "owl: %s\n" m;
-            exit 1
-        in
+        let options = Synth.Engine.with_cache cache options in
         match
           or_engine_error (fun () ->
               Synth.Engine.synthesize ~options (e.problem ()))
@@ -235,10 +209,10 @@ let synth_cmd =
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesize control logic for a case-study design")
-    Term.(const run $ design_arg $ monolithic $ Args.jobs $ deadline $ output
-          $ pyrtl $ Args.no_incremental $ Args.retries $ Args.escalation_factor
-          $ Args.validate_models $ Args.cache_dir
-          $ Args.no_cache $ Args.fault_plan $ Args.trace $ Args.metrics)
+    Term.(const run $ design_arg
+          $ Args.engine_options ~synth:true ~remote:false
+          $ output $ pyrtl $ Args.cache_dir $ Args.no_cache $ Args.fault_plan
+          $ Args.trace $ Args.metrics)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.oyster")
@@ -402,13 +376,7 @@ let independence_cmd =
 
 let verify_cmd =
   (* verify the hand-written reference control against the specification *)
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock timeout.")
-  in
-  let run name deadline jobs no_incremental retries escalation_factor
-      validate_models fault_plan trace metrics =
-    Args.check_jobs jobs;
+  let run name options fault_plan trace metrics =
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
     match lookup name with
@@ -423,18 +391,6 @@ let verify_cmd =
         | Some f ->
             let problem = e.problem () in
             let problem = { problem with Synth.Engine.design = f () } in
-            let options =
-              try
-                Synth.Engine.(
-                  default_options |> with_jobs jobs |> with_deadline deadline
-                  |> with_incremental (not no_incremental)
-                  |> with_retries retries
-                  |> with_escalation_factor escalation_factor
-                  |> with_validate_models validate_models)
-              with Invalid_argument m ->
-                Printf.eprintf "owl: %s\n" m;
-                exit 1
-            in
             let results =
               or_engine_error (fun () -> Synth.Engine.verify ~options problem)
             in
@@ -459,8 +415,8 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:
          "Formally verify the hand-written reference control against the ILA specification")
-    Term.(const run $ design_arg $ deadline $ Args.jobs $ Args.no_incremental
-          $ Args.retries $ Args.escalation_factor $ Args.validate_models
+    Term.(const run $ design_arg
+          $ Args.engine_options ~synth:false ~remote:false
           $ Args.fault_plan $ Args.trace $ Args.metrics)
 
 let verilog_cmd =
@@ -716,46 +672,13 @@ let client_cmd =
           Printf.printf "  ! degraded to a fresh solver (attempt %d)\n%!"
             attempt
   in
-  (* the subset of the engine options that makes sense remotely; jobs is
-     deliberately absent (the server pins each request to one domain) and
-     the cache is the server's policy *)
-  let remote_options monolithic deadline no_incremental retries
-      escalation_factor validate_models =
-    try
-      Synth.Engine.(
-        default_options
-        |> with_mode (if monolithic then Monolithic else Per_instruction)
-        |> with_deadline deadline
-        |> with_incremental (not no_incremental)
-        |> with_retries retries
-        |> with_escalation_factor escalation_factor
-        |> with_validate_models validate_models)
-    with Invalid_argument m ->
-      Printf.eprintf "owl: %s\n" m;
-      exit 1
-  in
-  let monolithic =
-    Arg.(value & flag
-         & info [ "monolithic" ]
-             ~doc:"Disable the per-instruction optimization (paper 3.3.1).")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"Server-side wall-clock timeout for this request.")
-  in
   let print_stats (st : Synth.Engine.stats) =
     Printf.printf "  %d CEGIS rounds, %d solver queries, %d conflicts, %.2fs\n"
       st.Synth.Engine.iterations st.Synth.Engine.queries
       st.Synth.Engine.conflicts st.Synth.Engine.wall_seconds
   in
   let synth_cmd =
-    let run name addr retry monolithic deadline no_incremental retries
-        escalation_factor validate_models quiet =
-      let options =
-        remote_options monolithic deadline no_incremental retries
-          escalation_factor validate_models
-      in
+    let run name addr retry options quiet =
       with_client addr retry (fun c ->
           let r =
             Owl_serve.Client.synth ~on_progress:(on_progress quiet) c
@@ -779,17 +702,11 @@ let client_cmd =
     in
     Cmd.v
       (Cmd.info "synth" ~doc:"Synthesize a case study on the server")
-      Term.(const run $ design_arg $ Args.addr $ retry_term $ monolithic
-            $ deadline $ Args.no_incremental $ Args.retries
-            $ Args.escalation_factor $ Args.validate_models $ quiet)
+      Term.(const run $ design_arg $ Args.addr $ retry_term
+            $ Args.engine_options ~synth:true ~remote:true $ quiet)
   in
   let verify_cmd =
-    let run name addr retry deadline no_incremental retries escalation_factor
-        validate_models quiet =
-      let options =
-        remote_options false deadline no_incremental retries escalation_factor
-          validate_models
-      in
+    let run name addr retry options quiet =
       with_client addr retry (fun c ->
           let r =
             Owl_serve.Client.verify ~on_progress:(on_progress quiet) c
@@ -810,9 +727,8 @@ let client_cmd =
     Cmd.v
       (Cmd.info "verify"
          ~doc:"Verify a case study's reference control on the server")
-      Term.(const run $ design_arg $ Args.addr $ retry_term $ deadline
-            $ Args.no_incremental $ Args.retries $ Args.escalation_factor
-            $ Args.validate_models $ quiet)
+      Term.(const run $ design_arg $ Args.addr $ retry_term
+            $ Args.engine_options ~synth:false ~remote:true $ quiet)
   in
   let stats_cmd =
     let json =

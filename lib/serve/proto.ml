@@ -146,8 +146,8 @@ let float_field name v =
 
 (* {1 Engine options}
 
-   The wire form of the PR 5 builder records.  Serialization walks the
-   Schedule/Budget/Recovery sub-records; deserialization pipes
+   The wire form of the builder records.  Serialization walks the
+   Schedule/Budget sub-records and the recovery policy; deserialization pipes
    [default_options] through the [with_*] setters, so the builders'
    validation is the wire validation — a request with [jobs = 0] or
    [escalation_factor = 0] is rejected exactly where a native caller
@@ -178,11 +178,11 @@ let options_to_json (o : Synth.Engine.options) =
         match o.Synth.Engine.budget.Synth.Engine.Budget.deadline_seconds with
         | None -> "null"
         | Some d -> Json.num d );
-      ("retries", Json.int o.Synth.Engine.recovery.Synth.Engine.Recovery.retries);
+      ("retries", Json.int o.Synth.Engine.recovery.Synth.Resilience.retries);
       ( "escalation_factor",
-        Json.int o.Synth.Engine.recovery.Synth.Engine.Recovery.escalation_factor );
+        Json.int o.Synth.Engine.recovery.Synth.Resilience.escalation_factor );
       ( "validate_models",
-        Json.bool o.Synth.Engine.recovery.Synth.Engine.Recovery.validate_models );
+        Json.bool o.Synth.Engine.recovery.Synth.Resilience.validate_models );
       ("check_independence", Json.bool o.Synth.Engine.check_independence);
       ("incremental", Json.bool o.Synth.Engine.incremental);
     ]

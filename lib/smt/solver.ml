@@ -327,8 +327,8 @@ module Session = struct
     d
 
   (* One introspection snapshot instead of scattered accessors: the cache,
-     the obs instrumentation, and the arena aggregate all read the same
-     record, so adding a field means adding it in exactly one place. *)
+     the obs instrumentation, and the tests all read the same record, so
+     adding a field means adding it in exactly one place. *)
   type stats = {
     vars : int;
     clauses : int;
@@ -483,54 +483,6 @@ module Session = struct
   let import_dropped s = Sat.import_dropped s.sat
 
   let num_vars s = Sat.num_vars s.sat
-end
-
-(* {1 Arenas}
-
-   A session allocation scope: one arena per worker domain gives each
-   domain its own private sessions (nothing inside a session is locked, so
-   sessions must never cross domains) while keeping an aggregate view for
-   benchmarking.  [shared] memoizes one session per arena for callers that
-   want cross-task reuse within a worker. *)
-
-module Arena = struct
-  type t = {
-    mutable sessions : Session.t list;
-    mutable shared_session : Session.t option;
-  }
-
-  let create () = { sessions = []; shared_session = None }
-
-  let session a =
-    let s = Session.create () in
-    a.sessions <- s :: a.sessions;
-    s
-
-  let shared a =
-    match a.shared_session with
-    | Some s -> s
-    | None ->
-        let s = session a in
-        a.shared_session <- Some s;
-        s
-
-  let session_count a = List.length a.sessions
-
-  let stats a =
-    List.fold_left
-      (fun acc s ->
-        let st = Session.stats s in
-        {
-          sat_vars = acc.sat_vars + st.Session.vars;
-          sat_clauses = acc.sat_clauses + st.Session.clauses;
-          sat_conflicts = acc.sat_conflicts + st.Session.conflicts;
-          sat_restarts = acc.sat_restarts + st.Session.restarts;
-          sat_learnt_kept = acc.sat_learnt_kept + st.Session.learnt_kept;
-          sat_learnt_deleted =
-            acc.sat_learnt_deleted + st.Session.learnt_deleted;
-          trivially_unsat = false;
-        })
-      empty_stats a.sessions
 end
 
 (* {1 One-shot checking}

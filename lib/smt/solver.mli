@@ -21,9 +21,8 @@
     statistics are all per call, and the term layer it builds on is
     domain-safe.  Concurrent [check] calls from different domains are
     therefore independent.  A {!Session.t} is single-owner: nothing inside
-    it is locked, so a session must stay on the domain that created it
-    (use one {!Arena} per worker domain).  Distinct sessions on distinct
-    domains never interact. *)
+    it is locked, so a session must stay on the domain that created it.
+    Distinct sessions on distinct domains never interact. *)
 
 type model = {
   var_value : string -> Bitvec.t option;
@@ -178,32 +177,6 @@ module Session : sig
 
   val num_vars : t -> int
   (** SAT variables allocated so far (for clause-sharing sanity checks). *)
-end
-
-(** {1 Session arenas}
-
-    One arena per worker domain: sessions are unlocked single-owner state,
-    so a pool worker allocates every session it needs from its own arena
-    and nothing is ever shared across domains.  The arena also aggregates
-    statistics over the sessions it handed out. *)
-
-module Arena : sig
-  type t
-
-  val create : unit -> t
-
-  val session : t -> Session.t
-  (** A fresh session owned by this arena. *)
-
-  val shared : t -> Session.t
-  (** The arena's memoized session (created on first use) — for callers
-      that want to reuse one encoding cache across successive tasks on the
-      same worker. *)
-
-  val session_count : t -> int
-
-  val stats : t -> stats
-  (** Cumulative statistics summed over the arena's sessions. *)
 end
 
 val read_lookup : model -> Term.mem -> Bitvec.t -> Bitvec.t option

@@ -9,18 +9,21 @@
                    UNSAT proves the candidate correct, a model becomes a new
                    counterexample.
 
-   Three strategies, selected by hole kinds and [mode]:
+   There is one loop, [cegis], over a list of verify targets and a list of
+   correctness formulas.  Three strategies, selected by hole kinds and
+   [mode], differ only in what they hand it:
 
-   - independent (Per_instruction mode, no Shared holes): each instruction
-     gets its own CEGIS loop over its own copy of the hole constants — the
-     paper's §3.3.1 optimization; results are joined by the control union.
+   - independent (Per_instruction mode, no Shared holes): one loop per
+     instruction, over its own copy of the hole constants, with one target
+     and one formula — the paper's §3.3.1 optimization; results are joined
+     by the control union.
 
    - joint (Per_instruction mode with Shared holes, e.g. FSM state
-     encodings): one synthesis loop over all constants, but verification
-     stays per-instruction (small queries).
+     encodings): one loop over all constants, with every instruction's
+     violation as a separate (small) target.
 
    - monolithic (Monolithic mode, the paper's "without optimization" rows):
-     verification is a single query over the disjunction of all instructions'
+     one loop whose single target is the disjunction of all instructions'
      violation formulas — the formula whose size makes solving times explode
      (Table 1). *)
 
@@ -47,22 +50,10 @@ module Budget = struct
   }
 end
 
-module Recovery = struct
-  type t = {
-    retries : int;
-        (* extra attempts per solver query when an attempt comes back
-           Unknown (or its model fails validation); see Resilience *)
-    escalation_factor : int;  (* geometric budget/time growth per attempt *)
-    validate_models : bool;
-        (* cross-check every Sat model by concrete evaluation of the
-           asserted terms before trusting it *)
-  }
-end
-
 type options = {
   schedule : Schedule.t;
   budget : Budget.t;
-  recovery : Recovery.t;
+  recovery : Resilience.policy;
   check_independence : bool;
       (* verify the instruction-independence preconditions (paper 3.3.1)
          before synthesizing; abstraction-function assume wires act as the
@@ -85,12 +76,7 @@ let default_options =
         max_iterations = 256;
         deadline_seconds = None;
       };
-    recovery =
-      {
-        Recovery.retries = Resilience.default.Resilience.retries;
-        escalation_factor = Resilience.default.Resilience.escalation_factor;
-        validate_models = Resilience.default.Resilience.validate_models;
-      };
+    recovery = Resilience.default;
     check_independence = false;
     incremental = true;
     cache = None;
@@ -113,35 +99,32 @@ let with_max_iterations max_iterations o =
 let with_deadline deadline_seconds o =
   { o with budget = { o.budget with Budget.deadline_seconds } }
 
-(* The recovery builders delegate validation to Resilience.make so the
-   engine and the standalone Resilience API can never drift apart. *)
-let check_recovery (r : Recovery.t) =
-  ignore
-    (Resilience.make ~retries:r.Recovery.retries
-       ~escalation_factor:r.Recovery.escalation_factor
-       ~validate_models:r.Recovery.validate_models ())
-
+(* The recovery builders validate through Resilience.make, so the engine
+   and the standalone Resilience API can never drift apart. *)
 let with_retries retries o =
-  let recovery = { o.recovery with Recovery.retries } in
-  check_recovery recovery;
-  { o with recovery }
+  let r = o.recovery in
+  {
+    o with
+    recovery =
+      Resilience.make ~retries ~escalation_factor:r.Resilience.escalation_factor
+        ~validate_models:r.Resilience.validate_models ();
+  }
 
 let with_escalation_factor escalation_factor o =
-  let recovery = { o.recovery with Recovery.escalation_factor } in
-  check_recovery recovery;
-  { o with recovery }
+  let r = o.recovery in
+  {
+    o with
+    recovery =
+      Resilience.make ~retries:r.Resilience.retries ~escalation_factor
+        ~validate_models:r.Resilience.validate_models ();
+  }
 
 let with_validate_models validate_models o =
-  { o with recovery = { o.recovery with Recovery.validate_models } }
+  { o with recovery = { o.recovery with Resilience.validate_models } }
 
 let with_check_independence check_independence o = { o with check_independence }
 let with_incremental incremental o = { o with incremental }
 let with_cache cache o = { o with cache }
-
-let policy_of_options (o : options) =
-  Resilience.make ~retries:o.recovery.Recovery.retries
-    ~escalation_factor:o.recovery.Recovery.escalation_factor
-    ~validate_models:o.recovery.Recovery.validate_models ()
 
 type stats = {
   mutable iterations : int;
@@ -213,7 +196,6 @@ type run = {
   consumed : int Atomic.t;  (* conflicts consumed across all workers *)
   started : float;
   hole_marker : string;  (* prefix identifying hole variables *)
-  policy : Resilience.policy;  (* derived once from [opts] *)
   tasks_left : int Atomic.t;
       (* per-instruction tasks not yet completed, shared by all workers:
          the denominator of the resilience ladder's deadline slices *)
@@ -224,7 +206,7 @@ type run = {
 }
 
 exception Stop of outcome
-exception Cancelled
+exception Cancelled = Pool.Cancelled
 
 let now () = Unix.gettimeofday ()
 
@@ -359,15 +341,15 @@ let model_satisfies model terms =
    {e on} the fresh rung is a hard error: at that point the model came
    from a stateless solver, so something is wrong beyond a transient. *)
 let resilient run ~check ~fresh ~validate =
-  let p = run.policy in
+  let p = run.opts.recovery in
   let total = run.opts.budget.Budget.conflict_budget in
-  let attempts = Resilience.attempts p in
   let rec go attempt =
     let remaining = budget_remaining run in
-    (* [attempt] exceeds [attempts] only on the bonus validation rung *)
-    let rung = min attempt attempts in
-    let use_fresh = attempt > 1 && attempt >= attempts in
-    let final = attempt >= attempts in
+    (* [attempt] exceeds the ladder's length only on the bonus validation
+       rung *)
+    let rung = min attempt (Resilience.attempts p) in
+    let final = Resilience.is_final p ~attempt in
+    let use_fresh = attempt > 1 && final in
     let budget = Resilience.attempt_budget p ~total ~remaining ~attempt:rung in
     let deadline =
       Resilience.slice_deadline p ~now:(now ()) ~hard:(query_deadline run)
@@ -430,26 +412,64 @@ let resilient run ~check ~fresh ~validate =
   in
   go 1
 
-let solver_query run assertions =
-  let q ~budget ?deadline () =
-    Solver.check ~budget ?deadline assertions
-  in
-  resilient run ~check:q ~fresh:q ~validate:(fun () -> assertions)
+(* {1 Incremental or fresh}
 
-(* The incremental counterpart: the query runs inside a persistent session
-   ([assertions] are asserted permanently — once, before the ladder, so
-   retries re-search without re-asserting — and [assumptions] name
-   retractable guards).  [shadow] must restate the whole logical query as
-   plain terms: it is what the degraded fresh-solver rung solves and what
-   model validation evaluates. *)
-let session_query ?assumptions ~shadow run sess assertions =
-  List.iter (Solver.Session.assert_always sess) assertions;
-  resilient run
-    ~check:(fun ~budget ?deadline () ->
-      Solver.Session.check_with ?assumptions ~budget ?deadline sess [])
-    ~fresh:(fun ~budget ?deadline () ->
-      Solver.check ~budget ?deadline (shadow ()))
-    ~validate:shadow
+   The one place [options.incremental] is read.  A lane carries one stream
+   of related queries: one verify target's successive candidates, or one
+   loop's accumulating synth constraints.  Incrementally it is a persistent
+   session — SAT state, the blasting cache and learned clauses survive from
+   query to query; otherwise it is nothing, and every query re-encodes its
+   terms on a one-shot solver.  A lane is created by the loop that uses it
+   and becomes garbage when that loop returns.
+
+   Either way a query climbs the resilient ladder, and its degraded rung
+   and model validation see the whole logical query as plain terms. *)
+module Lane = struct
+  type t = Solver.Session.t option
+
+  let create (o : options) =
+    if o.incremental then Some (Solver.Session.create ()) else None
+
+  (* Is the conjunction of [terms] satisfiable?  A session must already
+     hold [terms] — permanently, or behind the [assumptions] guards; a
+     fresh lane sends them now. *)
+  let check run ?(assumptions = []) lane terms =
+    let fresh ~budget ?deadline () = Solver.check ~budget ?deadline terms in
+    let check =
+      match lane with
+      | None -> fresh
+      | Some s ->
+          fun ~budget ?deadline () ->
+            Solver.Session.check_with ~assumptions ~budget ?deadline s []
+    in
+    resilient run ~check ~fresh ~validate:(fun () -> terms)
+
+  (* Is the hole-free formula [v] satisfiable?  A session takes [v] behind
+     a fresh activation literal and retracts it afterwards: the stale
+     candidate's clauses are disabled for good while everything learned
+     stays, and the next candidate re-encodes only its own folded cones. *)
+  let check_candidate run lane v =
+    match lane with
+    | None -> check run lane [ v ]
+    | Some s ->
+        let g = Solver.Session.assert_retractable s v in
+        Fun.protect
+          ~finally:(fun () -> Solver.Session.retract s g)
+          (fun () -> check run ~assumptions:[ g ] lane [ v ])
+
+  (* Permanently asserts constraints the session has not seen yet (oldest
+     first); a fresh lane re-sends the whole set at each [check] instead. *)
+  let assert_all lane ts =
+    Option.iter (fun s -> List.iter (Solver.Session.assert_always s) ts) lane
+
+  let export_learnt lane =
+    Option.fold ~none:[] ~some:Solver.Session.export_learnt lane
+
+  let import_learnt lane clauses =
+    Option.fold ~none:0
+      ~some:(fun s -> Solver.Session.import_learnt s clauses)
+      lane
+end
 
 let is_hole_var run name =
   (* hole variables are <prefix>hole!<name> plus the per-instruction suffix *)
@@ -466,25 +486,13 @@ let candidate_env run (candidate : (string, Bitvec.t) Hashtbl.t) =
     Term.lookup_read = (fun _ _ -> None);
   }
 
-let cex_env run (model : Solver.model) =
+(* A counterexample's state: [model_env] with the holes left symbolic. *)
+let cex_env run model =
+  let env = model_env model in
   {
+    env with
     Term.lookup_var =
-      (fun n w ->
-        if is_hole_var run n then None
-        else
-          match model.Solver.var_value n with
-          | Some v -> Some v
-          | None -> Some (Bitvec.zero w));
-    Term.lookup_read =
-      (fun m a ->
-        match
-          List.find_opt
-            (fun (name, addr, _) ->
-              String.equal name m.Term.mem_name && Bitvec.equal addr a)
-            model.Solver.read_values
-        with
-        | Some (_, _, v) -> Some v
-        | None -> Some (Bitvec.zero m.Term.data_width));
+      (fun n w -> if is_hole_var run n then None else env.Term.lookup_var n w);
   }
 
 (* Ground the residual memory reads of a counterexample-substituted formula.
@@ -562,6 +570,111 @@ let ground model env f =
   let t = Obs.span "cegis.substitute" (fun () -> Term.substitute env f) in
   Obs.span "cegis.ground_reads" (fun () -> ground_reads model t)
 
+(* {1 The CEGIS loop} *)
+
+(* Updates hole values in [tbl] from a synthesis model.  Variables the
+   model does not constrain (simplified away, or belonging to another
+   instruction's loop) keep their current value. *)
+let refresh_table tbl model =
+  Hashtbl.iter
+    (fun n _old ->
+      match model.Solver.var_value n with
+      | Some v -> Hashtbl.replace tbl n v
+      | None -> ())
+    (Hashtbl.copy tbl)
+
+(* The synth half of a loop: every ground counterexample constraint so
+   far, newest first — the fresh lane's whole query, and otherwise what
+   the ladder's degraded rung re-solves and model validation evaluates —
+   and the lane they were asserted into.  The caller creates it, so the
+   cache can seed it before the loop and persist it afterwards. *)
+type synth = { mutable lane : Lane.t; mutable constraints : Term.t list }
+
+let new_synth run = { lane = Lane.create run.opts; constraints = [] }
+
+(* One CEGIS loop (§3.3).  Each round verifies [candidate] against every
+   target in [targets], each in its own lane; every counterexample found
+   grounds every formula of [corrects] into a synth constraint (dropping
+   those that fold to true), and the synth query over all constraints
+   refreshes [candidate] in place.  Returns once every target is refuted;
+   raises [Stop] with [Timeout] after [max_iterations] rounds and with
+   [Unrealizable] when the constraints admit no hole values.  [instr]
+   names the instruction the loop serves ([None] for a joint loop); it
+   labels the spans. *)
+let cegis run synth ~instr ~targets ~corrects candidate =
+  let label = Option.value instr ~default:"joint" in
+  let verifiers = List.map (fun v -> (v, Lane.create run.opts)) targets in
+  let verify (violation, lane) =
+    Obs.span "cegis.verify"
+      ~args:[ ("instr", Obs.Str label) ]
+      ~result:(fun r -> [ ("counterexample", Obs.Bool (r <> None)) ])
+      (fun () ->
+        let v = Term.substitute (candidate_env run candidate) violation in
+        match Lane.check_candidate run lane v with
+        | Solver.Sat (m, _) -> Some m
+        | Solver.Unsat _ -> None
+        | Solver.Unknown _ -> fail "internal: resilient query returned Unknown")
+  in
+  let synth_with added =
+    synth.constraints <- added @ synth.constraints;
+    let result =
+      Obs.span "cegis.synth"
+        ~args:
+          [
+            ("instr", Obs.Str label);
+            ("constraints", Obs.Int (List.length synth.constraints));
+          ]
+        ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
+        (fun () ->
+          Lane.assert_all synth.lane (List.rev added);
+          Lane.check run synth.lane synth.constraints)
+    in
+    match result with
+    | Solver.Sat (m, _) -> refresh_table candidate m
+    | Solver.Unsat _ -> raise (Stop (Unrealizable { instr; stats = run.stats }))
+    | Solver.Unknown _ -> fail "internal: resilient query returned Unknown"
+  in
+  (* the iteration span closes before the recursive call, so nesting
+     depth stays constant however many rounds run *)
+  let rec loop iter =
+    if iter > run.opts.budget.Budget.max_iterations then
+      raise (Stop (Timeout run.stats));
+    run.stats.iterations <- run.stats.iterations + 1;
+    let continue =
+      Obs.span "cegis.iteration"
+        ~args:[ ("instr", Obs.Str label); ("iter", Obs.Int iter) ]
+        ~result:(fun k -> [ ("counterexample", Obs.Bool k) ])
+      @@ fun () ->
+      match List.filter_map verify verifiers with
+      | [] -> false
+      | models ->
+          if Obs.recording () then
+            Obs.instant "cegis.counterexample"
+              ~args:
+                [
+                  ("instr", Obs.Str label);
+                  ("iter", Obs.Int iter);
+                  ("models", Obs.Int (List.length models));
+                ];
+          (* newest first: the last formula of the last model leads *)
+          let added =
+            List.fold_left
+              (fun acc model ->
+                let env = cex_env run model in
+                List.fold_left
+                  (fun acc f ->
+                    let g = ground model env f in
+                    if Term.is_true g then acc else g :: acc)
+                  acc corrects)
+              [] models
+          in
+          synth_with added;
+          true
+    in
+    if continue then loop (iter + 1)
+  in
+  loop 1
+
 (* {1 Verification of completed designs}
 
    With no holes in play this is plain bounded refinement checking: for
@@ -588,27 +701,26 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
       consumed = Atomic.make 0;
       started = now ();
       hole_marker = trace.Oyster.Symbolic.prefix ^ "hole!";
-      policy = policy_of_options options;
       tasks_left = Atomic.make (List.length conds);
       cancel;
     }
   in
-  let retries = options.recovery.Recovery.retries in
+  let retries = options.recovery.Resilience.retries in
   (* Each instruction's refinement check is an independent solver query, so
      they fan out over the worker pool; results keep instruction order.
-     Incrementally, every worker keeps one session for all the instructions
-     it picks up: the refined violations share the datapath trace, so the
+     Every worker keeps one lane for all the instructions it picks up:
+     incrementally, the refined violations share the datapath trace, so the
      blasting cache re-encodes only each instruction's decode-specific
-     cones.  Which instructions share a worker's session depends on the
+     cones.  Which instructions share a worker's lane depends on the
      dynamic schedule, but with an unexhausted budget that only perturbs
      search order, never the Verified/Violated verdict.  Tasks crashed by
-     an injected fault are retried on a fresh arena like the synthesis
-     pool's. *)
+     an injected fault are retried on a fresh lane like the synthesis
+     pool's; cancellation is not retried. *)
   try
     Pool.map_arena ~jobs:options.schedule.Schedule.jobs
-      ~make:Solver.Arena.create
+      ~make:(fun () -> Lane.create options)
       ~retries
-      (fun arena (c : Ila.Conditions.conditions) ->
+      (fun lane (c : Ila.Conditions.conditions) ->
       Obs.span "verify.instr"
         ~args:[ ("instr", Obs.Str c.Ila.Conditions.instr_name) ]
         ~result:(fun (_, v) ->
@@ -636,26 +748,9 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
       let refined = Refine.apply pins violation in
       (* the ladder of [synthesize]; only an exhausted ladder reads
          differently here — Inconclusive rather than Timeout *)
-      let ladder query =
-        try query () with Stop _ -> Solver.Unknown Solver.empty_stats
-      in
-      let refined_outcome =
-        if options.incremental then begin
-          let s = Solver.Arena.shared arena in
-          let g = Solver.Session.assert_retractable s refined in
-          let r =
-            ladder (fun () ->
-                session_query ~assumptions:[ g ]
-                  ~shadow:(fun () -> [ refined ])
-                  run s [])
-          in
-          Solver.Session.retract s g;
-          r
-        end
-        else ladder (fun () -> solver_query run [ refined ])
-      in
       let verdict =
-        match refined_outcome with
+        match Lane.check_candidate run lane refined with
+        | exception Stop _ -> Inconclusive
         | Solver.Unsat _ -> Verified
         | Solver.Unknown _ -> Inconclusive
         | Solver.Sat (m, _) -> (
@@ -715,6 +810,158 @@ let monolithic_violation ?(refine = true) (problem : problem) : Term.t =
          else violation)
        conds)
 
+(* {1 The per-instruction cache around the loop} *)
+
+(* [cegis] for one independent instruction, consulting [cache] first and
+   populating it afterwards.  [holes] are the loop's hole variables (with
+   widths), [local] its candidate table. *)
+let cached_cegis run cache ~design ~instr ~holes ~correct ~violation local =
+  (* Content-addressed identity of this per-instruction problem.  [fp]
+     keys the result tier: the canonical serialization of the correctness
+     and violation formulas pins the whole problem (sketch structure,
+     pre/post, abstraction wires, hole copies), and the solver-relevant
+     [incremental] flag rides along.  Budgets, deadlines, retries, and
+     [jobs] deliberately do not: they change how hard the engine tries,
+     never which bindings are correct — so jobs=1 and jobs=4 share
+     entries.  [warm_key] is coarser: design/instruction/hole signature
+     only, so a near-miss problem (same instruction, edited sketch) still
+     finds its accumulated counterexamples. *)
+  let holes_line =
+    String.concat " " (List.map (fun (n, w) -> Printf.sprintf "%s:%d" n w) holes)
+  in
+  let fp =
+    Owl_cache.fingerprint
+      (Printf.sprintf "owl-problem 1\nincremental %b\nholes %s\n%s"
+         run.opts.incremental holes_line
+         (Term.serialize [ correct; violation ]))
+  in
+  let warm_key =
+    Owl_cache.fingerprint
+      (Printf.sprintf "owl-warm 1\ndesign %s\ninstr %s\nincremental %b\nholes %s\n"
+         design instr run.opts.incremental holes_line)
+  in
+  (* Result tier: a structurally sound entry is only trusted after
+     re-proving its bindings by concrete evaluation of the stored ground
+     constraints (the validate_models machinery), so a stale or corrupted
+     entry degrades to a miss, never to wrong control logic. *)
+  let cached_result =
+    Obs.span "cache.lookup"
+      ~args:[ ("instr", Obs.Str instr) ]
+      ~result:(fun r -> [ ("hit", Obs.Bool (r <> None)) ])
+      (fun () ->
+        Owl_cache.lookup_result cache ~fp ~validate:(fun bindings constraints ->
+            List.length bindings = List.length holes
+            && List.for_all2
+                 (fun (n, w) (bn, bv) -> String.equal n bn && Bitvec.width bv = w)
+                 holes bindings
+            &&
+            let env =
+              {
+                Term.lookup_var =
+                  (fun n w ->
+                    match List.assoc_opt n bindings with
+                    | Some v when Bitvec.width v = w -> Some v
+                    | _ -> Some (Bitvec.zero w));
+                Term.lookup_read = (fun _ _ -> None);
+              }
+            in
+            List.for_all (fun t -> Bitvec.is_ones (Term.eval env t)) constraints))
+  in
+  match cached_result with
+  | Some bindings -> List.iter (fun (n, v) -> Hashtbl.replace local n v) bindings
+  | None ->
+      let synth = new_synth run in
+      (* Warm-start state worth persisting: the accumulated ground
+         counterexample constraints (oldest first, the order a replay must
+         re-assert them in) plus the synth session's learned clauses.
+         Stored on success and on timeout — a timed-out loop's partial work
+         is exactly what a rerun with a bigger budget wants back. *)
+      let store_warm_state () =
+        let cex = List.rev synth.constraints in
+        let clauses = Lane.export_learnt synth.lane in
+        if cex <> [] || clauses <> [] then
+          Owl_cache.store_warm cache ~key:warm_key
+            { Owl_cache.exact_fp = fp; clauses; cex }
+      in
+      (* Replay persisted warm-start state before the first CEGIS round.
+         Counterexample constraints survive sketch edits (they only narrow
+         the hole space, and the loop re-verifies whatever they produce),
+         but two soundness guards apply:
+
+         - only constraints over exactly this problem's hole variables are
+           usable, and learned clauses are imported only on an exact
+           fingerprint match with a full replay — identical assertion
+           sequence means identical variable numbering, which is what
+           makes foreign clauses sound;
+         - if the replayed constraints are already unsatisfiable, the
+           staleness is over-constraining an edited sketch: the replay is
+           discarded wholesale (clean lane, empty constraint set) so a
+           stale cache can never turn into a spurious Unrealizable. *)
+      let replay_warm () =
+        match Owl_cache.lookup_warm cache ~key:warm_key with
+        | None -> ()
+        | Some w -> (
+            let usable =
+              List.filter
+                (fun t ->
+                  List.for_all
+                    (fun (n, tw) ->
+                      match List.assoc_opt n holes with
+                      | Some w' -> w' = tw
+                      | None -> false)
+                    (Term.vars t))
+                w.Owl_cache.cex
+            in
+            if usable <> [] then begin
+              Lane.assert_all synth.lane usable;
+              let imported =
+                if
+                  List.length usable = List.length w.Owl_cache.cex
+                  && String.equal w.Owl_cache.exact_fp fp
+                then Lane.import_learnt synth.lane w.Owl_cache.clauses
+                else 0
+              in
+              synth.constraints <- List.rev usable;
+              if Obs.recording () then
+                Obs.instant "cache.warm_replay"
+                  ~args:
+                    [
+                      ("instr", Obs.Str instr);
+                      ("cex", Obs.Int (List.length usable));
+                      ("clauses", Obs.Int imported);
+                    ];
+              match Lane.check run synth.lane synth.constraints with
+              | Solver.Sat (m, _) -> refresh_table local m
+              | Solver.Unsat _ ->
+                  if Obs.recording () then
+                    Obs.instant "cache.warm_discard"
+                      ~args:[ ("instr", Obs.Str instr) ];
+                  synth.constraints <- [];
+                  synth.lane <- Lane.create run.opts
+              | Solver.Unknown _ -> fail "internal: resilient query returned Unknown"
+            end)
+      in
+      (match
+         replay_warm ();
+         cegis run synth ~instr:(Some instr) ~targets:[ violation ]
+           ~corrects:[ correct ] local
+       with
+      | () -> ()
+      | exception (Stop (Timeout _) as e) ->
+          store_warm_state ();
+          raise e);
+      (* populate both tiers: the bindings just proven (with the ground
+         constraints as re-checkable evidence) and the warm-start state *)
+      let bindings =
+        List.map
+          (fun (n, w) ->
+            (n, Option.value (Hashtbl.find_opt local n) ~default:(Bitvec.zero w)))
+          holes
+      in
+      Owl_cache.store_result cache ~fp ~bindings
+        ~constraints:(List.rev synth.constraints);
+      store_warm_state ()
+
 (* {1 The synthesis core} *)
 
 let synthesize ?(options = default_options) ?(cancel = fun () -> false)
@@ -733,7 +980,6 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
       consumed = Atomic.make 0;
       started;
       hole_marker = trace.Oyster.Symbolic.prefix ^ "hole!";
-      policy = policy_of_options options;
       tasks_left = Atomic.make 1;
       cancel;
     }
@@ -815,58 +1061,25 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
           (fun (n, w) -> Hashtbl.replace candidate n (Bitvec.zero w))
           (hole_vars_of_instr iname))
       instr_names;
-    (* Update hole values in [tbl] from a synthesis model.  Variables the
-       model does not constrain (simplified away, or belonging to another
-       instruction's already-solved loop) keep their current value. *)
-    let refresh_table tbl model =
-      Hashtbl.iter
-        (fun n _old ->
-          match model.Solver.var_value n with
-          | Some v -> Hashtbl.replace tbl n v
-          | None -> ())
-        (Hashtbl.copy tbl)
-    in
-    (* Verify one candidate against a (possibly shared) verification
-       session: assert the candidate-substituted violation behind a fresh
-       activation literal, check with that guard assumed, then retract it.
-       The violation's hole-free cones are identical from iteration to
-       iteration, so the session's blasting cache re-encodes only the
-       folded candidate cones; the retracted guard permanently disables the
-       stale candidate's clauses while everything learned stays. *)
-    let session_verify trun sess violation candidate =
-      let v = Term.substitute (candidate_env trun candidate) violation in
-      let g = Solver.Session.assert_retractable sess v in
-      let result =
-        session_query ~assumptions:[ g ] ~shadow:(fun () -> [ v ]) trun sess []
-      in
-      Solver.Session.retract sess g;
-      match result with
-      | Solver.Sat (m, _) -> Some m
-      | Solver.Unsat _ -> None
-      | Solver.Unknown _ -> fail "internal: resilient query returned Unknown"
-    in
-    let fresh_verify trun violation candidate =
-      let v = Term.substitute (candidate_env trun candidate) violation in
-      match solver_query trun [ v ] with
-      | Solver.Sat (m, _) -> Some m
-      | Solver.Unsat _ -> None
-      | Solver.Unknown _ -> fail "internal: resilient query returned Unknown"
-    in
     let independent = options.schedule.Schedule.mode = Per_instruction && shared_holes = [] in
     (if independent then begin
        (* The paper's per-instruction strategy: separate small CEGIS loops,
           independent by construction (paper 3.3.1), fanned out across the
-          worker pool.  Each task owns its stats and its slice of the
-          candidate (the per-instruction renamed hole copies are disjoint),
-          so workers share nothing but the term table, the solver (both
-          re-entrant) and the conflict-budget counter.  The merge is
-          deterministic: results land in instruction order, and on failure
-          the lowest-indexed failing instruction is reported — the same one
-          the serial schedule blames. *)
+          worker pool.  Each task owns its stats, its lanes and its slice of
+          the candidate (the per-instruction renamed hole copies are
+          disjoint), so workers share nothing but the term table, the
+          solver (both re-entrant) and the conflict-budget counter.  The
+          lanes are per task, not per worker, so the query sequence each
+          one sees is independent of the dynamic schedule and the bindings
+          are identical for any [jobs].  The merge is deterministic: results
+          land in instruction order, and on failure the lowest-indexed
+          failing instruction is reported — the same one the serial
+          schedule blames. *)
        let failed = Atomic.make false in
-       let task arena ((c : Ila.Conditions.conditions), correct, violation) =
+       let task () ((c : Ila.Conditions.conditions), correct, violation) =
+         let iname = c.Ila.Conditions.instr_name in
          Obs.span "cegis.instr"
-           ~args:[ ("instr", Obs.Str c.Ila.Conditions.instr_name) ]
+           ~args:[ ("instr", Obs.Str iname) ]
            ~result:(fun (r, (ts : stats)) ->
              [
                ( "status",
@@ -882,319 +1095,42 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
          let trun = { run with stats = fresh_stats () } in
          (* serial fallback keeps the historical early exit; parallel
             workers run to completion so blame stays deterministic *)
-         if trun.opts.schedule.Schedule.jobs = 1 && Atomic.get failed then (`Skipped, trun.stats)
+         if options.schedule.Schedule.jobs = 1 && Atomic.get failed then
+           (`Skipped, trun.stats)
          else begin
-           let iname = c.Ila.Conditions.instr_name in
-           let expected_holes = hole_vars_of_instr iname in
+           let holes = hole_vars_of_instr iname in
            let local : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 16 in
-           List.iter
-             (fun (n, w) -> Hashtbl.replace local n (Bitvec.zero w))
-             expected_holes;
-           (* Content-addressed identity of this per-instruction problem.
-              [fp] keys the result tier: the canonical serialization of the
-              correctness and violation formulas pins the whole problem
-              (sketch structure, pre/post, abstraction wires, hole copies),
-              and the solver-relevant [incremental] flag rides along.
-              Budgets, deadlines, retries, and [jobs] deliberately do not:
-              they change how hard the engine tries, never which bindings
-              are correct — so jobs=1 and jobs=4 share entries.  [warm_key]
-              is coarser: design/instruction/hole signature only, so a
-              near-miss problem (same instruction, edited sketch) still
-              finds its accumulated counterexamples. *)
-           let fp, warm_key =
+           List.iter (fun (n, w) -> Hashtbl.replace local n (Bitvec.zero w)) holes;
+           let solve () =
              match options.cache with
-             | None -> ("", "")
-             | Some _ ->
-                 let holes_line =
-                   String.concat " "
-                     (List.map
-                        (fun (n, w) -> Printf.sprintf "%s:%d" n w)
-                        expected_holes)
-                 in
-                 ( Owl_cache.fingerprint
-                     (Printf.sprintf "owl-problem 1\nincremental %b\nholes %s\n%s"
-                        options.incremental holes_line
-                        (Term.serialize [ correct; violation ])),
-                   Owl_cache.fingerprint
-                     (Printf.sprintf
-                        "owl-warm 1\ndesign %s\ninstr %s\nincremental %b\n\
-                         holes %s\n"
-                        problem.design.Oyster.Ast.name iname
-                        options.incremental holes_line) )
+             | None ->
+                 cegis trun (new_synth trun) ~instr:(Some iname)
+                   ~targets:[ violation ] ~corrects:[ correct ] local
+             | Some cache ->
+                 cached_cegis trun cache ~design:problem.design.Oyster.Ast.name
+                   ~instr:iname ~holes ~correct ~violation local
            in
-           (* Result tier: a structurally sound entry is only trusted after
-              re-proving its bindings by concrete evaluation of the stored
-              ground constraints (the validate_models machinery), so a
-              stale or corrupted entry degrades to a miss, never to wrong
-              control logic. *)
-           let cached_result =
-             match options.cache with
-             | None -> None
-             | Some cch ->
-                 Obs.span "cache.lookup"
-                   ~args:[ ("instr", Obs.Str iname) ]
-                   ~result:(fun r -> [ ("hit", Obs.Bool (r <> None)) ])
-                   (fun () ->
-                     Owl_cache.lookup_result cch ~fp
-                       ~validate:(fun bindings constraints ->
-                         List.length bindings = List.length expected_holes
-                         && List.for_all2
-                              (fun (n, w) (bn, bv) ->
-                                String.equal n bn && Bitvec.width bv = w)
-                              expected_holes bindings
-                         &&
-                         let env =
-                           {
-                             Term.lookup_var =
-                               (fun n w ->
-                                 match List.assoc_opt n bindings with
-                                 | Some v when Bitvec.width v = w -> Some v
-                                 | _ -> Some (Bitvec.zero w));
-                             Term.lookup_read = (fun _ _ -> None);
-                           }
-                         in
-                         List.for_all
-                           (fun t -> Bitvec.is_ones (Term.eval env t))
-                           constraints))
+           let result =
+             match solve () with
+             | () -> `Solved local
+             | exception Stop o ->
+                 Atomic.set failed true;
+                 `Stopped o
            in
-           match cached_result with
-           | Some bindings ->
-               List.iter (fun (n, v) -> Hashtbl.replace local n v) bindings;
-               ignore (Atomic.fetch_and_add run.tasks_left (-1));
-               (`Solved local, trun.stats)
-           | None ->
-           (* Incremental mode keeps two sessions for the whole loop — one
-              for verify queries (candidates come and go via activation
-              literals), one for synth queries (counterexample constraints
-              only accumulate, so they are asserted permanently).  The
-              sessions are per task, not per worker, so the query sequence
-              each one sees is independent of the dynamic schedule and the
-              bindings are identical for any [jobs].  The synth session
-              sits behind a ref: discarding a stale warm-start replay swaps
-              in a clean one. *)
-           let sessions =
-             if options.incremental then
-               Some (Solver.Arena.session arena, ref (Solver.Arena.session arena))
-             else None
-           in
-           (* every accumulated ground constraint, newest first — the fresh
-              mode's whole query, and in incremental mode the shadow of the
-              synth session's asserted set (what the resilience ladder's
-              degraded fresh-solver rung re-solves, and what model
-              validation evaluates) *)
-           let local_constraints = ref [] in
-           let verify_candidate () =
-             Obs.span "cegis.verify"
-               ~args:[ ("instr", Obs.Str c.Ila.Conditions.instr_name) ]
-               ~result:(fun r -> [ ("counterexample", Obs.Bool (r <> None)) ])
-               (fun () ->
-                 match sessions with
-                 | Some (vsess, _) -> session_verify trun vsess violation local
-                 | None -> fresh_verify trun violation local)
-           in
-           let synth_with g =
-             local_constraints := g :: !local_constraints;
-             Obs.span "cegis.synth"
-               ~args:
-                 [
-                   ("instr", Obs.Str c.Ila.Conditions.instr_name);
-                   ("constraints", Obs.Int (List.length !local_constraints));
-                 ]
-               ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
-               (fun () ->
-                 match sessions with
-                 | Some (_, ssess) ->
-                     session_query ~shadow:(fun () -> !local_constraints) trun
-                       !ssess [ g ]
-                 | None -> solver_query trun !local_constraints)
-           in
-           (* Warm-start state worth persisting: the accumulated ground
-              counterexample constraints (oldest first, the order a replay
-              must re-assert them in) plus the synth session's learned
-              clauses.  Stored on success and on timeout — a timed-out
-              loop's partial work is exactly what a rerun with a bigger
-              budget wants back. *)
-           let store_warm_state () =
-             match options.cache with
-             | None -> ()
-             | Some cch ->
-                 let cex = List.rev !local_constraints in
-                 let clauses =
-                   match sessions with
-                   | Some (_, ssess) -> Solver.Session.export_learnt !ssess
-                   | None -> []
-                 in
-                 if cex <> [] || clauses <> [] then
-                   Owl_cache.store_warm cch ~key:warm_key
-                     { Owl_cache.exact_fp = fp; clauses; cex }
-           in
-           (* Replay persisted warm-start state before the first CEGIS
-              round.  Counterexample constraints survive sketch edits (they
-              only narrow the hole space, and the loop re-verifies whatever
-              they produce), but two soundness guards apply:
-
-              - only constraints over exactly this problem's hole variables
-                are usable, and learned clauses are imported only on an
-                exact fingerprint match with a full replay — identical
-                assertion sequence means identical variable numbering,
-                which is what makes foreign clauses sound;
-              - if the replayed constraints are already unsatisfiable, the
-                staleness is over-constraining an edited sketch: the replay
-                is discarded wholesale (clean session, empty constraint
-                set) so a stale cache can never turn into a spurious
-                Unrealizable. *)
-           let replay_warm () =
-             match options.cache with
-             | None -> ()
-             | Some cch -> (
-                 match Owl_cache.lookup_warm cch ~key:warm_key with
-                 | None -> ()
-                 | Some w ->
-                     let usable =
-                       List.filter
-                         (fun t ->
-                           List.for_all
-                             (fun (n, tw) ->
-                               match List.assoc_opt n expected_holes with
-                               | Some w' -> w' = tw
-                               | None -> false)
-                             (Term.vars t))
-                         w.Owl_cache.cex
-                     in
-                     if usable <> [] then begin
-                       let full =
-                         List.length usable = List.length w.Owl_cache.cex
-                       in
-                       let imported =
-                         match sessions with
-                         | Some (_, ssess) ->
-                             List.iter
-                               (Solver.Session.assert_always !ssess)
-                               usable;
-                             if full && String.equal w.Owl_cache.exact_fp fp
-                             then
-                               Solver.Session.import_learnt !ssess
-                                 w.Owl_cache.clauses
-                             else 0
-                         | None -> 0
-                       in
-                       local_constraints := List.rev usable;
-                       if Obs.recording () then
-                         Obs.instant "cache.warm_replay"
-                           ~args:
-                             [
-                               ("instr", Obs.Str iname);
-                               ("cex", Obs.Int (List.length usable));
-                               ("clauses", Obs.Int imported);
-                             ];
-                       let result =
-                         match sessions with
-                         | Some (_, ssess) ->
-                             session_query
-                               ~shadow:(fun () -> !local_constraints)
-                               trun !ssess []
-                         | None -> solver_query trun !local_constraints
-                       in
-                       match result with
-                       | Solver.Sat (m, _) -> refresh_table local m
-                       | Solver.Unsat _ ->
-                           if Obs.recording () then
-                             Obs.instant "cache.warm_discard"
-                               ~args:[ ("instr", Obs.Str iname) ];
-                           local_constraints := [];
-                           (match sessions with
-                           | Some (_, ssess) ->
-                               ssess := Solver.Arena.session arena
-                           | None -> ())
-                       | Solver.Unknown _ ->
-                           fail "internal: resilient query returned Unknown"
-                     end)
-           in
-           try
-             replay_warm ();
-             (* the iteration span closes before the recursive call, so
-                nesting depth stays constant however many rounds run *)
-             let rec loop iter =
-               if iter > options.budget.Budget.max_iterations then
-                 raise (Stop (Timeout trun.stats));
-               trun.stats.iterations <- trun.stats.iterations + 1;
-               let continue =
-                 Obs.span "cegis.iteration"
-                   ~args:
-                     [
-                       ("instr", Obs.Str c.Ila.Conditions.instr_name);
-                       ("iter", Obs.Int iter);
-                     ]
-                   ~result:(fun k -> [ ("counterexample", Obs.Bool k) ])
-                 @@ fun () ->
-                 match verify_candidate () with
-                 | None -> false
-                 | Some model ->
-                     if Obs.recording () then
-                       Obs.instant "cegis.counterexample"
-                         ~args:
-                           [
-                             ( "instr",
-                               Obs.Str c.Ila.Conditions.instr_name );
-                             ("iter", Obs.Int iter);
-                           ];
-                     let env = cex_env trun model in
-                     let g = ground model env correct in
-                     (match synth_with g with
-                     | Solver.Sat (m, _) -> refresh_table local m
-                     | Solver.Unsat _ ->
-                         raise
-                           (Stop
-                              (Unrealizable
-                                 {
-                                   instr = Some c.Ila.Conditions.instr_name;
-                                   stats = trun.stats;
-                                 }))
-                     | Solver.Unknown _ ->
-                         fail "internal: resilient query returned Unknown");
-                     true
-               in
-               if continue then loop (iter + 1)
-             in
-             loop 1;
-             (* populate both tiers: the bindings just proven (with the
-                ground constraints as re-checkable evidence) and the
-                warm-start state *)
-             (match options.cache with
-             | None -> ()
-             | Some cch ->
-                 let bindings =
-                   List.map
-                     (fun (n, w) ->
-                       ( n,
-                         match Hashtbl.find_opt local n with
-                         | Some v -> v
-                         | None -> Bitvec.zero w ))
-                     expected_holes
-                 in
-                 Owl_cache.store_result cch ~fp ~bindings
-                   ~constraints:(List.rev !local_constraints);
-                 store_warm_state ());
-             ignore (Atomic.fetch_and_add run.tasks_left (-1));
-             (`Solved local, trun.stats)
-           with Stop o ->
-             (match o with Timeout _ -> store_warm_state () | _ -> ());
-             Atomic.set failed true;
-             ignore (Atomic.fetch_and_add run.tasks_left (-1));
-             (`Stopped o, trun.stats)
+           ignore (Atomic.fetch_and_add run.tasks_left (-1));
+           (result, trun.stats)
          end
        in
        Atomic.set run.tasks_left (List.length formulas);
        let task_retried = Atomic.make 0 in
+       let retries = options.recovery.Resilience.retries in
        let results =
          try
-           Pool.map_arena ~jobs:options.schedule.Schedule.jobs
-             ~make:Solver.Arena.create
-             ~retries:options.recovery.Recovery.retries ~retried:task_retried task formulas
+           Pool.map_arena ~jobs:options.schedule.Schedule.jobs ~make:ignore
+             ~retries ~retried:task_retried task formulas
          with Fault.Injected_crash i ->
-           fail
-             "worker task attempt %d crashed and exhausted %d retries" i
-             options.recovery.Recovery.retries
+           fail "worker task attempt %d crashed and exhausted %d retries" i
+             retries
        in
        run.stats.task_retries <-
          run.stats.task_retries + Atomic.get task_retried;
@@ -1213,103 +1149,18 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
            | (`Skipped | `Stopped _), _ -> ())
          results
      end
-     else begin
+     else
        (* joint synthesis; verification granularity depends on the mode.
           Shared holes couple the loops, so this path stays serial. *)
-       let corrects = List.map (fun (_, f, _) -> f) formulas in
-       let verify_targets =
+       let violations = List.map (fun (_, _, v) -> v) formulas in
+       let targets =
          match options.schedule.Schedule.mode with
-         | Monolithic -> [ Term.disj (List.map (fun (_, _, v) -> v) formulas) ]
-         | Per_instruction -> List.map (fun (_, _, v) -> v) formulas
+         | Monolithic -> [ Term.disj violations ]
+         | Per_instruction -> violations
        in
-       (* one verify session per target plus one synth session, all on the
-          calling domain (this path is serial) *)
-       let arena = Solver.Arena.create () in
-       let vsessions =
-         List.map
-           (fun v ->
-             (v, if options.incremental then Some (Solver.Arena.session arena) else None))
-           verify_targets
-       in
-       let synth_sess =
-         if options.incremental then Some (Solver.Arena.session arena) else None
-       in
-       (* fresh mode re-sends the whole pool each synth query; incremental
-          mode asserts each constraint once, so it only tracks the not yet
-          asserted tail *)
-       let constraints : Term.t list ref = ref [] in
-       let pending : Term.t list ref = ref [] in
-       let add_cex_for model =
-         let env = cex_env run model in
-         List.iter
-           (fun f ->
-             let g = ground model env f in
-             if not (Term.is_true g) then begin
-               constraints := g :: !constraints;
-               pending := g :: !pending
-             end)
-           corrects
-       in
-       let synth_step () =
-         let result =
-           Obs.span "cegis.synth"
-             ~args:
-               [
-                 ("instr", Obs.Str "joint");
-                 ("constraints", Obs.Int (List.length !constraints));
-               ]
-             ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
-             (fun () ->
-               match synth_sess with
-               | Some s ->
-                   let fresh = List.rev !pending in
-                   pending := [];
-                   session_query ~shadow:(fun () -> !constraints) run s fresh
-               | None -> solver_query run !constraints)
-         in
-         match result with
-         | Solver.Sat (m, _) -> refresh_table candidate m
-         | Solver.Unsat _ ->
-             raise (Stop (Unrealizable { instr = None; stats = run.stats }))
-         | Solver.Unknown _ ->
-             fail "internal: resilient query returned Unknown"
-       in
-       let verify (v, sess) =
-         Obs.span "cegis.verify"
-           ~args:[ ("instr", Obs.Str "joint") ]
-           ~result:(fun r -> [ ("counterexample", Obs.Bool (r <> None)) ])
-           (fun () ->
-             match sess with
-             | Some s -> session_verify run s v candidate
-             | None -> fresh_verify run v candidate)
-       in
-       let rec loop iter =
-         if iter > options.budget.Budget.max_iterations then raise (Stop (Timeout run.stats));
-         run.stats.iterations <- run.stats.iterations + 1;
-         let continue =
-           Obs.span "cegis.iteration"
-             ~args:[ ("instr", Obs.Str "joint"); ("iter", Obs.Int iter) ]
-             ~result:(fun k -> [ ("counterexample", Obs.Bool k) ])
-           @@ fun () ->
-           match List.filter_map verify vsessions with
-           | [] -> false
-           | models ->
-               if Obs.recording () then
-                 Obs.instant "cegis.counterexample"
-                   ~args:
-                     [
-                       ("instr", Obs.Str "joint");
-                       ("iter", Obs.Int iter);
-                       ("models", Obs.Int (List.length models));
-                     ];
-               List.iter add_cex_for models;
-               synth_step ();
-               true
-         in
-         if continue then loop (iter + 1)
-       in
-       loop 1
-     end);
+       cegis run (new_synth run) ~instr:None ~targets
+         ~corrects:(List.map (fun (_, f, _) -> f) formulas)
+         candidate);
     (* assemble results *)
     let per_instr =
       List.map

@@ -2,14 +2,20 @@
     that every specification instruction's precondition implies its
     postcondition, for all initial states — Equation (1), decided by CEGIS.
 
-    Strategy selection:
+    The engine runs one CEGIS loop; the strategy decides what it is
+    given:
     - independent per-instruction CEGIS when the mode is [Per_instruction]
-      and no [Shared] holes exist (the paper's §3.3.1 optimization);
-    - joint synthesis with per-instruction verification when [Shared] holes
-      (FSM state encodings) must be consistent across instructions;
-    - [Monolithic]: one verification query over the disjunction of all
-      instructions' violation formulas — the unoptimized baseline whose
-      solving time explodes (Table 1's dagger rows). *)
+      and no [Shared] holes exist (the paper's §3.3.1 optimization): one
+      loop per instruction, verifying that instruction's violation alone;
+    - joint synthesis when [Shared] holes (FSM state encodings) must be
+      consistent across instructions: one loop over all holes that still
+      verifies each instruction's violation as a separate query;
+    - [Monolithic]: one loop whose single verification query is the
+      disjunction of all instructions' violation formulas — the
+      unoptimized baseline whose solving time explodes (Table 1's dagger
+      rows).
+    Each loop creates its solver sessions itself and drops them when it
+    returns. *)
 
 type mode = Per_instruction | Monolithic
 
@@ -50,44 +56,35 @@ module Budget : sig
   }
 end
 
-(** How solver hiccups are retried and models cross-checked; see
-    {!Resilience}. *)
-module Recovery : sig
-  type t = {
-    retries : int;
-        (** extra attempts per solver query (and per crashed pool task)
-            before giving up: an [Unknown] outcome climbs the {!Resilience}
-            ladder — geometrically escalating conflict budgets and deadline
-            slices, the final attempt degrading from the incremental
-            session to a fresh one-shot solver — instead of immediately
-            timing the run out.  With the default unlimited budget and no
-            deadline the ladder only engages under injected or
-            environmental faults, so it costs nothing otherwise. *)
-    escalation_factor : int;
-        (** geometric budget/time growth per retry attempt *)
-    validate_models : bool;
-        (** cross-check every [Sat] model by concretely evaluating the
-            asserted terms before trusting it; a failed check retries and
-            ultimately falls back to a fresh solver rather than emitting
-            wrong bindings.  Off by default (pay-as-you-go). *)
-  }
-end
-
 type options = {
   schedule : Schedule.t;
   budget : Budget.t;
-  recovery : Recovery.t;
+  recovery : Resilience.policy;
+      (** how solver hiccups are retried and models cross-checked.
+          [retries] also bounds the re-executions of a crashed pool task.
+          An [Unknown] outcome climbs the {!Resilience} ladder —
+          geometrically escalating conflict budgets and deadline slices,
+          the final attempt degrading from the incremental session to a
+          fresh one-shot solver — instead of immediately timing the run
+          out.  With the default unlimited budget and no deadline the
+          ladder only engages under injected or environmental faults, so
+          it costs nothing otherwise.  With [validate_models] (off by
+          default) every [Sat] model is concretely evaluated against the
+          asserted terms before it is trusted; a failed check retries and
+          ultimately falls back to a fresh solver rather than emitting
+          wrong bindings. *)
   check_independence : bool;
       (** verify the instruction-independence preconditions (paper §3.3.1)
           before synthesizing; the abstraction function's assume wires act
           as the permitted feedback cuts *)
   incremental : bool;
-      (** keep one persistent {!Solver.Session} pair per CEGIS loop — SAT
-          state, the Tseitin blasting cache, and learned clauses survive
-          across iterations, stale candidates are retracted via activation
-          literals — instead of re-encoding every query from scratch.  On
-          by default; [false] restores the historical fresh-solver-per-query
-          behavior (the [--no-incremental] escape hatch). *)
+      (** keep persistent {!Solver.Session}s per CEGIS loop (one for each
+          verify query, one for the synth query) — SAT state, the Tseitin
+          blasting cache, and learned clauses survive across iterations,
+          stale candidates are retracted via activation literals — instead
+          of re-encoding every query from scratch.  On by default; [false]
+          restores the historical fresh-solver-per-query behavior (the
+          [--no-incremental] escape hatch). *)
   cache : Owl_cache.t option;
       (** cross-run synthesis cache (see {!Owl_cache}): before each
           independent per-instruction CEGIS loop the engine consults the
@@ -149,7 +146,7 @@ type stats = {
       (** [Sat] models rejected by concrete evaluation of the asserted
           terms (with [validate_models]) *)
   mutable task_retries : int;
-      (** crashed pool tasks re-executed on a fresh worker arena *)
+      (** crashed pool tasks re-executed on fresh worker state *)
   mutable sat_restarts : int;  (** solver restarts, summed over queries *)
   mutable sat_learnt_kept : int;
       (** learned clauses surviving reduce-DB rounds (each round counts
@@ -234,10 +231,11 @@ val synthesize :
     bit-for-bit deterministic.
 
     With [options.incremental] (the default) each CEGIS loop keeps one
-    verify session and one synth session for its lifetime: counterexample
-    constraints are asserted once and accumulate, candidate violations are
-    asserted behind activation literals and retracted when refuted, and
-    the Tseitin cache re-encodes only each iteration's new cones.  The
+    session per verify query and one synth session for its lifetime, and
+    drops them when it returns: counterexample constraints are asserted
+    once and accumulate, candidate violations are asserted behind
+    activation literals and retracted when refuted, and the Tseitin cache
+    re-encodes only each iteration's new cones.  The
     sessions are per loop (never shared between instructions), so
     incremental bindings are identical for any [jobs] value; they may
     differ from fresh-mode bindings (both satisfy the specification — the
@@ -288,7 +286,7 @@ val verify :
     model concretely evaluated before it is trusted.  Only an exhausted
     ladder reads differently: [Inconclusive] where synthesis reports
     [Timeout].  Crashed worker tasks are retried up to [retries] times on
-    a fresh arena. *)
+    a fresh session; cancellation is never retried. *)
 
 val monolithic_violation : ?refine:bool -> problem -> Term.t
 (** The monolithic ∀-verify query in closed form: the disjunction over

@@ -9,12 +9,13 @@
    Results are stored by task index and returned in input order, so callers
    see a deterministic shape regardless of completion order.  A task that
    raises is first retried up to [retries] times, each retry on fresh
-   per-worker state (a crashed worker's arena may be mid-mutation, so it is
+   per-worker state (a crashed worker's state may be mid-mutation, so it is
    abandoned rather than reused); only a task whose every attempt raised
    becomes [Raised].  That does not tear the pool down mid-run either:
    every task still executes, and the exception of the lowest-indexed
    failing task is re-raised after all workers have joined (deterministic
-   blame). *)
+   blame).  [Cancelled] is the exception to both rules: it is never
+   retried, no further task starts, and it is what the pool re-raises. *)
 
 type 'b cell = Pending | Done of 'b | Raised of exn
 
@@ -22,12 +23,13 @@ let c_tasks = Obs.counter "pool.tasks"
 let c_task_crashes = Obs.counter "pool.task_crashes"
 let h_task_latency = Obs.histogram "pool.task.latency_us"
 
-(* [map_arena] is the general form: each worker calls [make] at startup
-   (and once more per retry attempt), and passes the resulting per-worker
-   state to every task it executes.  This is how the engine gives each
-   domain its own {!Solver.Arena} — sessions are unlocked single-owner
-   state, so they must be allocated on (and never leave) the domain that
-   uses them. *)
+exception Cancelled
+
+(* Each worker calls [make] at startup (and once more per retry attempt),
+   and passes the resulting per-worker state to every task it executes.
+   This is how [Engine.verify] gives each domain its own solver session —
+   sessions are unlocked single-owner state, so they must be allocated on
+   (and never leave) the domain that uses them. *)
 let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
   if jobs < 1 then invalid_arg "Pool.map_arena: jobs < 1";
   if retries < 0 then invalid_arg "Pool.map_arena: retries < 0";
@@ -37,6 +39,7 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
   else begin
     let results = Array.make n Pending in
     let cursor = Atomic.make 0 in
+    let cancelled = Atomic.make false in
     let run_task w i =
       (* [Fault.on_task] is the crash-injection point: it counts this
          attempt and raises when the installed fault plan says so, taking
@@ -50,6 +53,9 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
               f w arr.(i))
         with
         | v -> Done v
+        | exception Cancelled ->
+            Atomic.set cancelled true;
+            Raised Cancelled
         | exception e ->
             let will_retry = k < retries in
             Obs.incr c_task_crashes;
@@ -88,7 +94,7 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
           let w = make () in
           let rec go () =
             let i = Atomic.fetch_and_add cursor 1 in
-            if i < n then begin
+            if i < n && not (Atomic.get cancelled) then begin
               results.(i) <- run_task w i;
               incr executed;
               go ()
@@ -103,7 +109,9 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
     in
     worker ();
     List.iter Domain.join spawned;
-    (* first failure by index wins; otherwise collect in order *)
+    (* cancellation wins, then the first failure by index; otherwise
+       collect in order *)
+    if Atomic.get cancelled then raise Cancelled;
     Array.iter (function Raised e -> raise e | _ -> ()) results;
     Array.to_list
       (Array.map
@@ -237,7 +245,3 @@ module Service = struct
     in
     drain []
 end
-
-let map ~jobs f items =
-  if jobs < 1 then invalid_arg "Pool.map: jobs < 1";
-  map_arena ~jobs ~make:(fun () -> ()) (fun () x -> f x) items

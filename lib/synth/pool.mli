@@ -6,6 +6,10 @@
     deliberately minimal: a shared atomic task cursor, [jobs - 1] spawned
     domains plus the calling domain, results returned in input order. *)
 
+exception Cancelled
+(** Raised by a task to cancel its {!map_arena} batch; the engine's
+    [Engine.Cancelled] is this exception. *)
+
 val map_arena :
   jobs:int ->
   make:(unit -> 'w) ->
@@ -14,15 +18,18 @@ val map_arena :
   ('w -> 'a -> 'b) ->
   'a list ->
   'b list
-(** [map_arena ~jobs ~make f items] is {!map} with per-worker state: each
-    worker domain calls [make ()] once before pulling tasks, and every
-    task that worker executes receives that worker's state as the first
-    argument.  The engine uses this to give each domain a private
-    {!Solver.Arena} — incremental solver sessions are unlocked
-    single-owner state, so they are allocated per worker and never cross
-    domains.  Which tasks share a worker's state depends on the dynamic
-    schedule; state must therefore only carry caches or other
-    result-invariant context.
+(** [map_arena ~jobs ~make f items] applies [f] to every item, running up
+    to [jobs] applications concurrently, and returns the results in input
+    order.  With [jobs = 1] no domain is spawned and the applications run
+    inline, in order — a true serial fallback.
+
+    Each worker domain calls [make ()] once before pulling tasks, and
+    every task that worker executes receives that worker's state as the
+    first argument.  [Engine.verify] uses this to give each domain a
+    private solver session — sessions are unlocked single-owner state, so
+    they are allocated per worker and never cross domains.  Which tasks
+    share a worker's state depends on the dynamic schedule; state must
+    therefore only carry caches or other result-invariant context.
 
     A task that raises is re-executed up to [retries] times (default 0),
     each retry on a fresh [make ()] state — a crashed attempt may have
@@ -31,20 +38,14 @@ val map_arena :
     surface recovery counts in their statistics.  Every attempt first
     passes the {!Fault.on_task} crash-injection point, which is how
     simulated worker crashes exercise exactly this path.  Only a task
-    whose every attempt raised counts as failed; exception and ordering
-    behavior for such tasks are exactly {!map}'s (lowest-indexed failing
-    task re-raised after all workers join).  Raises [Invalid_argument] if
-    [retries < 0]. *)
+    whose every attempt raised counts as failed; every task still runs to
+    completion and the exception of the lowest-indexed failing task is
+    re-raised after all workers have joined, so blame is deterministic.
 
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] applies [f] to every item, running up to [jobs]
-    applications concurrently, and returns the results in input order.
-
-    With [jobs = 1] no domain is spawned and the applications run inline,
-    in order — a true serial fallback.  If one or more applications raise,
-    every task still runs to completion and the exception of the
-    lowest-indexed failing task is re-raised after all workers have joined,
-    so blame is deterministic.  Raises [Invalid_argument] if [jobs < 1]. *)
+    A task that raises {!Cancelled} cancels the batch instead: it is
+    neither retried nor counted as a crash, no further task starts, and
+    [Cancelled] is re-raised once the running tasks finish.  Raises
+    [Invalid_argument] if [jobs < 1] or [retries < 0]. *)
 
 (** Long-lived worker domains for a request-serving daemon.
 

@@ -327,6 +327,41 @@ let test_corrupt_store_resolves () =
   Alcotest.(check bool) "re-solve matches" true (same_bindings cold again);
   Alcotest.(check bool) "store repopulated" true (k.Owl_cache.writes > 0)
 
+(* a timed-out loop's counterexamples come back on the next run: the
+   rerun replays them before its first round and still proves a correct
+   design *)
+let test_warm_replay () =
+  let c = Owl_cache.open_dir (fresh_dir ()) in
+  let options = Synth.Engine.(default_options |> with_cache (Some c)) in
+  (match
+     Synth.Engine.synthesize
+       ~options:(Synth.Engine.with_max_iterations 1 options)
+       (Designs.Alu.problem ())
+   with
+  | Synth.Engine.Timeout _ -> ()
+  | _ -> Alcotest.fail "one round cannot solve the alu");
+  let d = Owl_cache.disk_stats c in
+  Alcotest.(check int) "nothing solved" 0 d.Owl_cache.result_entries;
+  Alcotest.(check bool) "timeout stores warm state" true
+    (d.Owl_cache.warm_entries > 0);
+  let replays = ref 0 in
+  let solved =
+    Obs.with_tap
+      (fun _ name _ -> if name = "cache.warm_replay" then incr replays)
+      (fun () ->
+        match Synth.Engine.synthesize ~options (Designs.Alu.problem ()) with
+        | Synth.Engine.Solved s -> s
+        | _ -> Alcotest.fail "warm rerun failed")
+  in
+  Alcotest.(check bool) "rerun replays warm state" true (!replays > 0);
+  List.iter
+    (fun (iname, v) ->
+      Alcotest.(check bool) (iname ^ " verified") true
+        (v = Synth.Engine.Verified))
+    (Synth.Engine.verify
+       { (Designs.Alu.problem ()) with
+         Synth.Engine.design = solved.Synth.Engine.completed })
+
 let () =
   Alcotest.run "cache"
     [ ("store",
@@ -343,4 +378,6 @@ let () =
        [ Alcotest.test_case "cold vs warm bit-identical" `Quick
            test_cold_vs_warm;
          Alcotest.test_case "corrupt store re-solves" `Quick
-           test_corrupt_store_resolves ]) ]
+           test_corrupt_store_resolves;
+         Alcotest.test_case "timeout warm-starts the rerun" `Quick
+           test_warm_replay ]) ]

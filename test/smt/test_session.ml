@@ -216,33 +216,24 @@ let test_budget () =
   | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "session unusable after budget exhaustion"
 
-(* One arena per domain: sessions created by concurrent arenas never
-   interact, and the arena aggregates its sessions' statistics. *)
-let test_arena () =
+(* Sessions are single-owner state, one per domain: sessions created and
+   checked concurrently on two domains never interact. *)
+let test_concurrent_sessions () =
   let job name rhs () =
-    let arena = Solver.Arena.create () in
-    let s1 = Solver.Arena.session arena in
+    let s = Solver.Session.create () in
     let a = Term.var name 8 in
-    let r =
-      Solver.Session.check_with s1
-        [ Term.eq (Term.mul a a) (Term.of_int ~width:8 rhs) ]
-    in
-    let shared = Solver.Arena.shared arena in
-    let r2 = Solver.Session.check_with shared [ Term.eq a a ] in
-    (r, r2, Solver.Arena.session_count arena, Solver.Arena.stats arena)
+    Solver.Session.check_with s
+      [ Term.eq (Term.mul a a) (Term.of_int ~width:8 rhs) ]
   in
   let d1 = Domain.spawn (job "ss_conc_a" 25) in
   let d2 = Domain.spawn (job "ss_conc_b" 3) in
-  let r1, t1, n1, st1 = Domain.join d1 in
-  let r2, _, _, _ = Domain.join d2 in
-  (match (r1, t1) with
-  | Solver.Sat _, Solver.Sat _ -> ()
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  (match r1 with
+  | Solver.Sat _ -> ()
   | _ -> Alcotest.fail "square query: expected sat");
-  (match r2 with
+  match r2 with
   | Solver.Unsat _ -> ()
-  | _ -> Alcotest.fail "non-square query: expected unsat");
-  Alcotest.(check int) "two sessions per arena" 2 n1;
-  Alcotest.(check bool) "arena stats aggregated" true (st1.Solver.sat_vars > 0)
+  | _ -> Alcotest.fail "non-square query: expected unsat"
 
 (* Learned-clause exchange: exporting from a finished session and replaying
    into a fresh one asserting the identical problem (in the identical order,
@@ -335,11 +326,10 @@ let test_import_bounds () =
 
 (* {1 Session configurations}
 
-   A worker decides with a cold session, with one warm-started from the
+   A worker decides with a cold session or with one warm-started from the
    learnt clauses of an earlier run over the same encoding (the synthesis
-   cache's replay), or with its arena's shared session.  Each
-   configuration below returns a session that asserts [t1] and guards
-   [t2]. *)
+   cache's replay).  Each configuration below returns a session that
+   asserts [t1] and guards [t2]. *)
 
 let guarded s t1 t2 =
   Solver.Session.assert_always s t1;
@@ -356,10 +346,7 @@ let configurations =
         let s, g = guarded (Solver.Session.create ()) t1 t2 in
         ignore
           (Solver.Session.import_learnt s (Solver.Session.export_learnt donor));
-        (s, g) );
-    ( "arena shared",
-      fun t1 t2 -> guarded (Solver.Arena.shared (Solver.Arena.create ())) t1 t2
-    ) ]
+        (s, g) ) ]
 
 let agree a b =
   match (a, b) with
@@ -442,7 +429,8 @@ let () =
          Alcotest.test_case "trivially unsat" `Quick test_trivially_unsat;
          Alcotest.test_case "stats deltas" `Quick test_stats_deltas;
          Alcotest.test_case "budget" `Quick test_budget;
-         Alcotest.test_case "arenas" `Quick test_arena;
+         Alcotest.test_case "concurrent sessions" `Quick
+           test_concurrent_sessions;
          Alcotest.test_case "learnt exchange" `Quick test_learnt_exchange;
          Alcotest.test_case "import bounds check" `Quick test_import_bounds ]);
       ("sessions",

@@ -1,9 +1,10 @@
 (* Incremental-session equivalence: the engine with [incremental] (the
    default) must be a pure performance change, never a correctness one.
 
-   - On the small case studies (accumulator, pipelined ALU) the incremental
-     and fresh modes currently find the exact same hole constants — locked
-     in here as a regression net.
+   - On the small case studies (accumulator, pipelined ALU), in both
+     per-instruction and monolithic mode, the incremental and fresh modes
+     currently find the exact same hole constants — locked in here as a
+     regression net.
    - On larger designs the modes may legitimately diverge (persistent
      learned clauses steer the solver to a different correct model), so
      the guarantee checked there is semantic: the incremental solution's
@@ -16,33 +17,46 @@
      fresh mode gets the same check so the escape hatch stays healthy).
    - [Engine.verify] verdicts must agree between incremental and fresh. *)
 
-let solve ~incremental ?(jobs = 1) problem =
+let solve ~incremental ?(jobs = 1) ?(mode = Synth.Engine.Per_instruction)
+    problem =
   let options =
-    Synth.Engine.(default_options |> with_incremental incremental |> with_jobs jobs)
+    Synth.Engine.(
+      default_options |> with_incremental incremental |> with_jobs jobs
+      |> with_mode mode)
   in
   match Synth.Engine.synthesize ~options problem with
   | Synth.Engine.Solved s -> s
   | _ -> Alcotest.fail "synthesis failed"
 
+(* the small designs under both verification shapes: per-instruction
+   targets (the accumulator's shared holes make it a joint loop) and the
+   monolithic disjunction *)
+let small_designs =
+  List.concat_map
+    (fun (name, mk) ->
+      [ (name, mk, Synth.Engine.Per_instruction);
+        (name ^ " monolithic", mk, Synth.Engine.Monolithic) ])
+    [ ("accumulator", Designs.Accumulator.problem);
+      ("alu", Designs.Alu.problem) ]
+
 let test_same_bindings_small () =
   List.iter
-    (fun (name, mk) ->
-      let si = solve ~incremental:true (mk ()) in
-      let sf = solve ~incremental:false (mk ()) in
+    (fun (name, mk, mode) ->
+      let si = solve ~incremental:true ~mode (mk ()) in
+      let sf = solve ~incremental:false ~mode (mk ()) in
       Alcotest.(check bool) (name ^ ": per_instr identical") true
         (si.Synth.Engine.per_instr = sf.Synth.Engine.per_instr);
       Alcotest.(check bool) (name ^ ": shared identical") true
         (si.Synth.Engine.shared = sf.Synth.Engine.shared);
       Alcotest.(check bool) (name ^ ": bindings identical") true
         (si.Synth.Engine.bindings = sf.Synth.Engine.bindings))
-    [ ("accumulator", Designs.Accumulator.problem);
-      ("alu", Designs.Alu.problem) ]
+    small_designs
 
 let test_fewer_clauses () =
   List.iter
-    (fun (name, mk) ->
-      let si = solve ~incremental:true (mk ()) in
-      let sf = solve ~incremental:false (mk ()) in
+    (fun (name, mk, mode) ->
+      let si = solve ~incremental:true ~mode (mk ()) in
+      let sf = solve ~incremental:false ~mode (mk ()) in
       let ci = si.Synth.Engine.stats.Synth.Engine.blasted_clauses in
       let cf = sf.Synth.Engine.stats.Synth.Engine.blasted_clauses in
       Alcotest.(check bool)
@@ -53,8 +67,7 @@ let test_fewer_clauses () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d < %d clauses" name ci cf)
         true (ci < cf))
-    [ ("accumulator", Designs.Accumulator.problem);
-      ("alu", Designs.Alu.problem) ]
+    small_designs
 
 let test_fresh_jobs_determinism () =
   (* the --no-incremental escape hatch keeps the scheduler-independence

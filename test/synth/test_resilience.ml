@@ -7,7 +7,8 @@
    run, at any job count.  Spurious Unknowns leave solver state untouched,
    corruption damages only the returned model copy (a session retry
    reproduces the honest model via phase saving), and crashed tasks replay
-   on a fresh arena, so nothing a planned fault does can steer the search.
+   on fresh worker state, so nothing a planned fault does can steer the
+   search.
 
    Fault plans are process-global: every test installs under Fun.protect
    so a failure cannot leak a plan into later tests. *)
@@ -223,6 +224,38 @@ let test_verify_under_faults () =
             (v = Synth.Engine.Verified))
         verdicts)
 
+(* Cancellation is the caller's request, not a crash: it propagates on
+   its first raise, is never retried, and stops the pool from starting
+   further tasks. *)
+let test_cancel_not_retried () =
+  let metric name =
+    match
+      List.find_opt (fun m -> m.Obs.metric_name = name) (Obs.metrics ())
+    with
+    | Some m -> m.Obs.count
+    | None -> 0
+  in
+  let cancel () = true in
+  let expect_cancelled label f =
+    Obs.reset_metrics ();
+    (match f () with
+    | exception Synth.Engine.Cancelled -> ()
+    | _ -> Alcotest.failf "%s: expected Cancelled" label);
+    Alcotest.(check int) (label ^ ": no task crashes") 0
+      (metric "pool.task_crashes");
+    Alcotest.(check int) (label ^ ": one task started") 1
+      (metric "pool.tasks")
+  in
+  Obs.enable_metrics ();
+  Fun.protect ~finally:Obs.disable_metrics (fun () ->
+      expect_cancelled "synthesize" (fun () ->
+          ignore (Synth.Engine.synthesize ~cancel (Designs.Alu.problem ())));
+      expect_cancelled "verify" (fun () ->
+          ignore
+            (Synth.Engine.verify ~cancel
+               { (Designs.Alu.problem ()) with
+                 Synth.Engine.design = Designs.Alu.reference_design () })))
+
 let () =
   Alcotest.run "resilience"
     [ ("ladder",
@@ -247,4 +280,6 @@ let () =
            test_corrupt_degrades_to_fresh;
          Alcotest.test_case "rv32 fault transparency" `Slow
            test_rv32_fault_transparency;
-         Alcotest.test_case "verify recovers" `Quick test_verify_under_faults ]) ]
+         Alcotest.test_case "verify recovers" `Quick test_verify_under_faults;
+         Alcotest.test_case "cancellation is not retried" `Quick
+           test_cancel_not_retried ]) ]
