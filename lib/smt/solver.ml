@@ -90,117 +90,59 @@ let corrupt_model (m : model) =
    embeds the memory, whose data width is fixed. *)
 
 type ack = {
-  ack_memo : (int, Term.t) Hashtbl.t;  (* original term id -> rewritten *)
-  (* (mem name, rewritten address id) -> replacement variable *)
-  ack_instance_tbl : (string * int, Term.t) Hashtbl.t;
-  (* per memory, the (address, variable) instances, newest first *)
-  ack_by_mem : (string, (Term.t * Term.t) list) Hashtbl.t;
-  mutable ack_counter : int;
+  rewrite : Term.t -> Term.t;  (* one memo for the state's whole life *)
   (* all instances in traversal order, newest first *)
-  mutable ack_instances_rev : (Term.mem * Term.t * Term.t) list;
+  instances_rev : (Term.mem * Term.t * Term.t) list ref;
+  (* congruences owed by instances not yet handed out, newest first *)
+  congs_rev : Term.t list ref;
 }
 
 let ack_create () =
-  {
-    ack_memo = Hashtbl.create 256;
-    ack_instance_tbl = Hashtbl.create 64;
-    ack_by_mem = Hashtbl.create 8;
-    ack_counter = 0;
-    ack_instances_rev = [];
-  }
-
-(* Rewrites [t], extending the instance table; appends the congruence
-   constraints owed by newly discovered instances to [congs] (in reverse
-   discovery order — callers reverse once at the end). *)
-let ack_rewrite (a : ack) (congs : Term.t list ref) (t : Term.t) : Term.t =
-  let rec go (t : Term.t) : Term.t =
-    match Hashtbl.find_opt a.ack_memo (Term.id t) with
-    | Some r -> r
+  (* (mem name, rewritten address id) -> replacement variable *)
+  let table = Hashtbl.create 64 in
+  (* per memory, the (address, variable) instances, newest first *)
+  let by_mem = Hashtbl.create 8 in
+  let count = ref 0 and instances_rev = ref [] and congs_rev = ref [] in
+  let instance (m : Term.mem) addr =
+    let key = (m.Term.mem_name, Term.id addr) in
+    match Hashtbl.find_opt table key with
+    | Some v -> v
     | None ->
-        let r =
-          match t.Term.node with
-          | Term.Const _ | Term.Var _ -> t
-          | Term.Not x -> Term.bnot (go x)
-          | Term.Binop (op, x, y) -> (
-              let x = go x and y = go y in
-              match op with
-              | Term.And -> Term.band x y
-              | Term.Or -> Term.bor x y
-              | Term.Xor -> Term.bxor x y
-              | Term.Add -> Term.add x y
-              | Term.Sub -> Term.sub x y
-              | Term.Mul -> Term.mul x y
-              | Term.Udiv -> Term.udiv x y
-              | Term.Urem -> Term.urem x y
-              | Term.Sdiv -> Term.sdiv x y
-              | Term.Srem -> Term.srem x y
-              | Term.Clmul -> Term.clmul x y
-              | Term.Clmulh -> Term.clmulh x y
-              | Term.Shl -> Term.shl x y
-              | Term.Lshr -> Term.lshr x y
-              | Term.Ashr -> Term.ashr x y)
-          | Term.Cmp (op, x, y) -> (
-              let x = go x and y = go y in
-              match op with
-              | Term.Eq -> Term.eq x y
-              | Term.Ult -> Term.ult x y
-              | Term.Ule -> Term.ule x y
-              | Term.Slt -> Term.slt x y
-              | Term.Sle -> Term.sle x y)
-          | Term.Ite (c, x, y) -> Term.ite (go c) (go x) (go y)
-          | Term.Extract (h, l, x) -> Term.extract ~high:h ~low:l (go x)
-          | Term.Concat (x, y) -> Term.concat (go x) (go y)
-          | Term.Table (tb, i) -> Term.table_read tb (go i)
-          | Term.Read (m, addr) -> (
-              let addr = go addr in
-              let key = (m.Term.mem_name, Term.id addr) in
-              match Hashtbl.find_opt a.ack_instance_tbl key with
-              | Some v -> v
-              | None ->
-                  a.ack_counter <- a.ack_counter + 1;
-                  Obs.incr c_ack_instances;
-                  if Obs.enabled () then
-                    Obs.instant "solver.ack_instance"
-                      ~args:
-                        [
-                          ("mem", Obs.Str m.Term.mem_name);
-                          ("instances", Obs.Int a.ack_counter);
-                        ];
-                  let v =
-                    Term.var
-                      (Printf.sprintf "ack!%s!%d" m.Term.mem_name a.ack_counter)
-                      m.Term.data_width
-                  in
-                  Hashtbl.add a.ack_instance_tbl key v;
-                  let earlier =
-                    Option.value ~default:[]
-                      (Hashtbl.find_opt a.ack_by_mem m.Term.mem_name)
-                  in
-                  (* congruence with every earlier instance of this memory;
-                     [earlier] is newest-first, which is deterministic *)
-                  List.iter
-                    (fun (a2, v2) ->
-                      congs :=
-                        Term.implies (Term.eq addr a2) (Term.eq v v2) :: !congs)
-                    earlier;
-                  Hashtbl.replace a.ack_by_mem m.Term.mem_name
-                    ((addr, v) :: earlier);
-                  a.ack_instances_rev <- (m, addr, v) :: a.ack_instances_rev;
-                  v)
+        incr count;
+        Obs.incr c_ack_instances;
+        if Obs.enabled () then
+          Obs.instant "solver.ack_instance"
+            ~args:[ ("mem", Obs.Str m.Term.mem_name); ("instances", Obs.Int !count) ];
+        let v =
+          Term.var (Printf.sprintf "ack!%s!%d" m.Term.mem_name !count) m.Term.data_width
         in
-        Hashtbl.add a.ack_memo (Term.id t) r;
-        r
+        Hashtbl.add table key v;
+        let earlier = Option.value ~default:[] (Hashtbl.find_opt by_mem m.Term.mem_name) in
+        (* congruence with every earlier instance of this memory; [earlier]
+           is newest-first, which is deterministic *)
+        List.iter
+          (fun (a2, v2) ->
+            congs_rev := Term.implies (Term.eq addr a2) (Term.eq v v2) :: !congs_rev)
+          earlier;
+        Hashtbl.replace by_mem m.Term.mem_name ((addr, v) :: earlier);
+        instances_rev := (m, addr, v) :: !instances_rev;
+        v
   in
-  go t
+  let rewrite =
+    Term.rewriter (fun go t ->
+        match t.Term.node with
+        | Term.Read (m, addr) -> Some (instance m (go addr))
+        | _ -> None)
+  in
+  { rewrite; instances_rev; congs_rev }
 
 (* One-shot expansion (kept for tests and external callers): rewrites the
    assertions against a fresh state and returns the congruence constraints
    alongside, plus the instances in traversal order. *)
 let ackermannize (assertions : Term.t list) =
   let a = ack_create () in
-  let congs = ref [] in
-  let rewritten = List.map (ack_rewrite a congs) assertions in
-  (rewritten @ List.rev !congs, List.rev a.ack_instances_rev)
+  let rewritten = List.map a.rewrite assertions in
+  (rewritten @ List.rev !(a.congs_rev), List.rev !(a.instances_rev))
 
 (* {1 Strategies}
 
@@ -254,16 +196,25 @@ module Session = struct
      clauses included *)
   let problem_clauses s = Sat.encoded_clauses s.sat
 
+  (* Rewrites [t], extending the session's instance table; returns it with
+     the congruence constraints its new instances owe, in discovery order. *)
+  let ackermannize s t =
+    Obs.span "solver.ackermannize" (fun () ->
+        let t = s.ack.rewrite t in
+        let congs = List.rev !(s.ack.congs_rev) in
+        s.ack.congs_rev := [];
+        (t, congs))
+
   let assert_always s t =
     if Term.width t <> 1 then
       invalid_arg "Solver.Session.assert_always: assertion width <> 1";
     if Term.is_false t then s.trivially_false <- true
     else begin
-      let congs = ref [] in
-      let t' = ack_rewrite s.ack congs t in
-      List.iter (Blast.assert_term s.blast) (List.rev !congs);
-      if Term.is_false t' then s.trivially_false <- true
-      else Blast.assert_term s.blast t'
+      let t', congs = ackermannize s t in
+      Obs.span "blast.assert" (fun () ->
+          List.iter (Blast.assert_term s.blast) congs;
+          if Term.is_false t' then s.trivially_false <- true
+          else Blast.assert_term s.blast t')
     end
 
   let assert_retractable s t =
@@ -276,26 +227,26 @@ module Session = struct
       g
     end
     else begin
-      let congs = ref [] in
-      let t' = ack_rewrite s.ack congs t in
-      (* congruence constraints relate Ackermann variables only; they are
-         valid regardless of which guarded assertions are active, so they
-         are asserted permanently *)
-      List.iter (Blast.assert_term s.blast) (List.rev !congs);
-      if Term.is_false t' then begin
-        let g = Blast.fresh_lit s.blast in
-          Sat.add_clause s.sat [ -g ];
-        g
-      end
-      else begin
-        (* blast first, then allocate the guard, so variable numbering for
-           the encoded term matches what a fresh one-shot check would
-           produce *)
-        let bits = Blast.blast s.blast t' in
-        let g = Blast.fresh_lit s.blast in
-          Sat.add_clause s.sat [ -g; bits.(0) ];
-        g
-      end
+      let t', congs = ackermannize s t in
+      Obs.span "blast.assert" (fun () ->
+          (* congruence constraints relate Ackermann variables only; they
+             are valid regardless of which guarded assertions are active,
+             so they are asserted permanently *)
+          List.iter (Blast.assert_term s.blast) congs;
+          if Term.is_false t' then begin
+            let g = Blast.fresh_lit s.blast in
+            Sat.add_clause s.sat [ -g ];
+            g
+          end
+          else begin
+            (* blast first, then allocate the guard, so variable numbering
+               for the encoded term matches what a fresh one-shot check
+               would produce *)
+            let bits = Blast.blast s.blast t' in
+            let g = Blast.fresh_lit s.blast in
+            Sat.add_clause s.sat [ -g; bits.(0) ];
+            g
+          end)
     end
 
   let retract s g = Sat.add_clause s.sat [ -g ]
@@ -384,7 +335,7 @@ module Session = struct
       List.rev_map
         (fun ((m : Term.mem), addr, v) ->
           (m.Term.mem_name, Term.eval env addr, Term.eval env v))
-        s.ack.ack_instances_rev
+        !(s.ack.instances_rev)
     in
     (* First match in instance order is canonical (congruence forces
        aliasing instances to agree), so the index keeps the first binding
@@ -481,8 +432,6 @@ module Session = struct
   let export_learnt s = Sat.export_learnt s.sat
   let import_learnt s clauses = Sat.import_learnt s.sat clauses
   let import_dropped s = Sat.import_dropped s.sat
-
-  let num_vars s = Sat.num_vars s.sat
 end
 
 (* {1 One-shot checking}

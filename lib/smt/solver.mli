@@ -174,9 +174,6 @@ module Session : sig
 
   val import_dropped : t -> int
   (** Imported clauses rejected by the bounds check, cumulative. *)
-
-  val num_vars : t -> int
-  (** SAT variables allocated so far (for clause-sharing sanity checks). *)
 end
 
 val read_lookup : model -> Term.mem -> Bitvec.t -> Bitvec.t option

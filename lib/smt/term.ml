@@ -506,19 +506,20 @@ and ite c a b =
           (* collapse nested ite on the same condition, or its negation
              (hash-consing makes the negation check a pointer test) *)
           let negates c' = match c'.node with Not d -> d == c | _ -> false in
-          let a =
+          let a' =
             match a.node with
             | Ite (c', x, y) ->
                 if c' == c then x else if negates c' then y else a
             | _ -> a
           in
-          let b =
+          let b' =
             match b.node with
             | Ite (c', x, y) ->
                 if c' == c then y else if negates c' then x else b
             | _ -> b
           in
-          if a == b then a
+          (* a collapsed arm may enable the rules above, e.g. constant arms *)
+          if a' != a || b' != b then ite c a' b'
           else
             (* guard merging: an arm that is itself an ite sharing the
                other arm folds into a single ite under a conjoined or
@@ -588,6 +589,17 @@ let urem = division Urem
 let sdiv = division Sdiv
 let srem = division Srem
 let neg a = sub (zero a.width) a
+
+let binop = function
+  | And -> band
+  | Or -> bor
+  | Xor -> bxor
+  | Add -> add
+  | Sub -> sub
+  | Mul -> mul
+  | (Udiv | Urem | Sdiv | Srem) as op -> division op
+  | (Clmul | Clmulh) as op -> carryless op
+  | (Shl | Lshr | Ashr) as op -> shift op
 
 let zext a w =
   if w < a.width then invalid_arg "Term.zext";
@@ -659,6 +671,46 @@ let fold_dag f acc root =
   in
   go root;
   !acc
+
+(* The children's visit order is part of the interface (Ackermann
+   numbering follows it), so it is spelled out with [let]s: binop and
+   comparison operands left to right, a concatenation's low part first, an
+   ite's else arm, then arm, then condition.  A node is rebuilt even when
+   no child changed, which is what makes a rewrite re-normalize. *)
+let rewriter hook =
+  let memo = Hashtbl.create 64 in
+  let rec go t =
+    match Hashtbl.find_opt memo t.id with
+    | Some r -> r
+    | None ->
+        let r =
+          match hook go t with
+          | Some r -> r
+          | None -> (
+              match t.node with
+              | Const _ | Var _ -> t
+              | Not x -> bnot (go x)
+              | Binop (op, x, y) ->
+                  let x = go x in
+                  binop op x (go y)
+              | Cmp (op, x, y) ->
+                  let x = go x in
+                  cmp op x (go y)
+              | Ite (c, x, y) ->
+                  let y = go y in
+                  let x = go x in
+                  ite (go c) x y
+              | Extract (high, low, x) -> extract ~high ~low (go x)
+              | Concat (hi, lo) ->
+                  let lo = go lo in
+                  concat (go hi) lo
+              | Read (m, a) -> read m (go a)
+              | Table (tb, i) -> table_read tb (go i))
+        in
+        Hashtbl.add memo t.id r;
+        r
+  in
+  go
 
 let size t = fold_dag (fun n _ -> n + 1) 0 t
 
@@ -940,35 +992,9 @@ let deserialize (doc : string) : t list =
           | [ "v"; w; name ] -> push (var name (int_of w))
           | [ "n"; a ] -> push (bnot (node (int_of a)))
           | [ "b"; op; a; b ] ->
-              let op = binop_of_tag op in
-              let a = node (int_of a) and b = node (int_of b) in
-              push
-                (match op with
-                | And -> band a b
-                | Or -> bor a b
-                | Xor -> bxor a b
-                | Add -> add a b
-                | Sub -> sub a b
-                | Mul -> mul a b
-                | Udiv -> udiv a b
-                | Urem -> urem a b
-                | Sdiv -> sdiv a b
-                | Srem -> srem a b
-                | Clmul -> clmul a b
-                | Clmulh -> clmulh a b
-                | Shl -> shl a b
-                | Lshr -> lshr a b
-                | Ashr -> ashr a b)
+              push (binop (binop_of_tag op) (node (int_of a)) (node (int_of b)))
           | [ "p"; op; a; b ] ->
-              let op = cmpop_of_tag op in
-              let a = node (int_of a) and b = node (int_of b) in
-              push
-                (match op with
-                | Eq -> eq a b
-                | Ult -> ult a b
-                | Ule -> ule a b
-                | Slt -> slt a b
-                | Sle -> sle a b)
+              push (cmp (cmpop_of_tag op) (node (int_of a)) (node (int_of b)))
           | [ "i"; c; a; b ] ->
               push (ite (node (int_of c)) (node (int_of a)) (node (int_of b)))
           | [ "x"; h; l; a ] ->
@@ -1063,89 +1089,26 @@ let eval env root =
   in
   go root
 
+(* Each call makes its own rewriter: [env] and [f] may read mutable state
+   (the engine's candidate table), so a memo must not outlive the call. *)
 let substitute env root =
-  let memo = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some v -> v
-    | None ->
-        let v =
-          match t.node with
-          | Const _ -> t
-          | Var s -> (
-              match env.lookup_var s t.width with Some v -> const v | None -> t)
-          | Not x -> bnot (go x)
-          | Binop (And, a, b) -> band (go a) (go b)
-          | Binop (Or, a, b) -> bor (go a) (go b)
-          | Binop (Xor, a, b) -> bxor (go a) (go b)
-          | Binop (Add, a, b) -> add (go a) (go b)
-          | Binop (Sub, a, b) -> sub (go a) (go b)
-          | Binop (Mul, a, b) -> mul (go a) (go b)
-          | Binop (Udiv, a, b) -> udiv (go a) (go b)
-          | Binop (Urem, a, b) -> urem (go a) (go b)
-          | Binop (Sdiv, a, b) -> sdiv (go a) (go b)
-          | Binop (Srem, a, b) -> srem (go a) (go b)
-          | Binop (Clmul, a, b) -> clmul (go a) (go b)
-          | Binop (Clmulh, a, b) -> clmulh (go a) (go b)
-          | Binop (Shl, a, b) -> shl (go a) (go b)
-          | Binop (Lshr, a, b) -> lshr (go a) (go b)
-          | Binop (Ashr, a, b) -> ashr (go a) (go b)
-          | Cmp (o, a, b) -> cmp o (go a) (go b)
-          | Ite (c, a, b) ->
-              let c = go c in
-              (* Avoid rebuilding the dead branch when the condition folds. *)
-              if is_true c then go a else if is_false c then go b else ite c (go a) (go b)
-          | Extract (h, l, x) -> extract ~high:h ~low:l (go x)
-          | Concat (a, b) -> concat (go a) (go b)
-          | Read (m, a) -> (
-              let a = go a in
-              match is_const a with
-              | Some addr -> (
-                  match env.lookup_read m addr with
-                  | Some v -> const v
-                  | None -> read m a)
-              | None -> read m a)
-          | Table (tb, a) -> table_read tb (go a)
-        in
-        Hashtbl.add memo t.id v;
-        v
-  in
-  go root
+  rewriter
+    (fun go t ->
+      match t.node with
+      | Var s -> Option.map const (env.lookup_var s t.width)
+      | Read (m, a) ->
+          Option.bind (is_const (go a)) (env.lookup_read m) |> Option.map const
+      | Ite (c, a, b) ->
+          (* Avoid rebuilding the dead branch when the condition folds. *)
+          let c = go c in
+          if is_true c then Some (go a) else if is_false c then Some (go b) else None
+      | _ -> None)
+    root
 
 let rename f root =
-  let memo = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some v -> v
-    | None ->
-        let v =
-          match t.node with
-          | Const _ -> t
-          | Var s -> (match f s with Some s' -> var s' t.width | None -> t)
-          | Not x -> bnot (go x)
-          | Binop (And, a, b) -> band (go a) (go b)
-          | Binop (Or, a, b) -> bor (go a) (go b)
-          | Binop (Xor, a, b) -> bxor (go a) (go b)
-          | Binop (Add, a, b) -> add (go a) (go b)
-          | Binop (Sub, a, b) -> sub (go a) (go b)
-          | Binop (Mul, a, b) -> mul (go a) (go b)
-          | Binop (Udiv, a, b) -> udiv (go a) (go b)
-          | Binop (Urem, a, b) -> urem (go a) (go b)
-          | Binop (Sdiv, a, b) -> sdiv (go a) (go b)
-          | Binop (Srem, a, b) -> srem (go a) (go b)
-          | Binop (Clmul, a, b) -> clmul (go a) (go b)
-          | Binop (Clmulh, a, b) -> clmulh (go a) (go b)
-          | Binop (Shl, a, b) -> shl (go a) (go b)
-          | Binop (Lshr, a, b) -> lshr (go a) (go b)
-          | Binop (Ashr, a, b) -> ashr (go a) (go b)
-          | Cmp (o, a, b) -> cmp o (go a) (go b)
-          | Ite (c, a, b) -> ite (go c) (go a) (go b)
-          | Extract (h, l, x) -> extract ~high:h ~low:l (go x)
-          | Concat (a, b) -> concat (go a) (go b)
-          | Read (m, a) -> read m (go a)
-          | Table (tb, a) -> table_read tb (go a)
-        in
-        Hashtbl.add memo t.id v;
-        v
-  in
-  go root
+  rewriter
+    (fun _ t ->
+      match t.node with
+      | Var s -> Option.map (fun s' -> var s' t.width) (f s)
+      | _ -> None)
+    root

@@ -156,6 +156,24 @@ val is_const : t -> Bitvec.t option
 val is_true : t -> bool
 val is_false : t -> bool
 
+(** {1 Rewriting} *)
+
+val rewriter : ((t -> t) -> t -> t option) -> t -> t
+(** [rewriter hook] is a memoized bottom-up rewrite.  For each distinct
+    node, [hook go t] may return [Some r] to replace [t] by [r] ([go] is the
+    rewrite itself, for the children the hook needs); on [None] the node is
+    rebuilt from its rewritten children through the smart constructors.
+    Rebuilding happens even when no child changed, so a rewrite also
+    re-normalizes; with a hook that never fires it returns its argument.
+    The returned function owns one memo keyed by node id: reuse it to share
+    work across roots, but only while [hook] means the same thing.
+
+    Children are visited in a fixed order, which callers that number
+    things by first visit (Ackermann expansion) rely on: binop and
+    comparison operands left to right, a concatenation's low part before
+    its high part, and an ite's else arm, then its then arm, then its
+    condition. *)
+
 val size : t -> int
 (** Number of distinct nodes in the DAG rooted at the term. *)
 
@@ -210,9 +228,12 @@ val eval : env -> t -> Bitvec.t
     a read is unresolved. *)
 
 val substitute : env -> t -> t
-(** Partial evaluation: replaces bound variables with constants, resolves
-    reads whose address becomes concrete, and re-simplifies.  Unbound
-    variables remain symbolic. *)
+(** Partial evaluation, as a {!rewriter} hook: replaces bound variables
+    with constants, resolves reads whose address becomes concrete, and
+    rewrites only the live arm of an ite whose condition folds.  Everything
+    else is rebuilt through the smart constructors, so the result is
+    re-simplified.  Unbound variables remain symbolic. *)
 
 val rename : (string -> string option) -> t -> t
-(** Renames variables (e.g. to freshen hole instances per CEGIS copy). *)
+(** Renames the variables [f] maps to [Some], as a {!rewriter} hook (e.g.
+    to freshen hole instances per CEGIS copy). *)

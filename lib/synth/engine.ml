@@ -505,7 +505,6 @@ let cex_env run model =
    over the model's read set, defaulting to zero — one concrete memory, the
    same one [cex_env] exposes for concrete addresses. *)
 let ground_reads (model : Solver.model) (root : Term.t) : Term.t =
-  let memo = Hashtbl.create 64 in
   let mem_fun (m : Term.mem) addr =
     let entries =
       List.filter
@@ -518,50 +517,12 @@ let ground_reads (model : Solver.model) (root : Term.t) : Term.t =
       (Term.zero m.Term.data_width)
       entries
   in
-  let rec go (t : Term.t) =
-    match Hashtbl.find_opt memo (Term.id t) with
-    | Some r -> r
-    | None ->
-        let r =
-          match t.Term.node with
-          | Term.Const _ | Term.Var _ -> t
-          | Term.Not x -> Term.bnot (go x)
-          | Term.Binop (op, a, b) -> (
-              let a = go a and b = go b in
-              match op with
-              | Term.And -> Term.band a b
-              | Term.Or -> Term.bor a b
-              | Term.Xor -> Term.bxor a b
-              | Term.Add -> Term.add a b
-              | Term.Sub -> Term.sub a b
-              | Term.Mul -> Term.mul a b
-              | Term.Udiv -> Term.udiv a b
-              | Term.Urem -> Term.urem a b
-              | Term.Sdiv -> Term.sdiv a b
-              | Term.Srem -> Term.srem a b
-              | Term.Clmul -> Term.clmul a b
-              | Term.Clmulh -> Term.clmulh a b
-              | Term.Shl -> Term.shl a b
-              | Term.Lshr -> Term.lshr a b
-              | Term.Ashr -> Term.ashr a b)
-          | Term.Cmp (op, a, b) -> (
-              let a = go a and b = go b in
-              match op with
-              | Term.Eq -> Term.eq a b
-              | Term.Ult -> Term.ult a b
-              | Term.Ule -> Term.ule a b
-              | Term.Slt -> Term.slt a b
-              | Term.Sle -> Term.sle a b)
-          | Term.Ite (c, a, b) -> Term.ite (go c) (go a) (go b)
-          | Term.Extract (h, l, x) -> Term.extract ~high:h ~low:l (go x)
-          | Term.Concat (a, b) -> Term.concat (go a) (go b)
-          | Term.Table (tb, i) -> Term.table_read tb (go i)
-          | Term.Read (m, a) -> mem_fun m (go a)
-        in
-        Hashtbl.add memo (Term.id t) r;
-        r
-  in
-  go root
+  Term.rewriter
+    (fun go t ->
+      match t.Term.node with
+      | Term.Read (m, a) -> Some (mem_fun m (go a))
+      | _ -> None)
+    root
 
 (* Grounds [f] against a counterexample: substitution, then
    [ground_reads], each under its own span so a traced run times them apart

@@ -209,7 +209,9 @@ val problem_prefix : problem -> string
 val ground_reads : Solver.model -> Term.t -> Term.t
 (** Replaces residual (hole-address-dependent) memory reads of a
     counterexample-substituted formula by the counterexample's memory
-    function; exposed for the {!Minimize} pass and tests. *)
+    function: an ite chain over the model's [read_values], reading 0 at
+    every other address.  The CEGIS loop calls it on each counterexample;
+    it is exposed only for tests. *)
 
 val synthesize :
   ?options:options -> ?cancel:(unit -> bool) -> problem -> outcome

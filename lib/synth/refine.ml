@@ -80,53 +80,9 @@ let refined_of_pins (base : Term.t) (bits : bool option array) : Term.t =
 
 let apply (pins : pins) (root : Term.t) : Term.t =
   if is_empty pins then root
-  else begin
-    let memo = Hashtbl.create 64 in
-    let rec go (t : Term.t) =
-      match Hashtbl.find_opt memo (Term.id t) with
-      | Some r -> r
-      | None ->
-          let r =
-            match Hashtbl.find_opt pins (Term.id t) with
-            | Some (base, bits) -> refined_of_pins base bits
-            | None -> (
-                match t.Term.node with
-                | Term.Const _ | Term.Var _ -> t
-                | Term.Not x -> Term.bnot (go x)
-                | Term.Binop (op, a, b) -> (
-                    let a = go a and b = go b in
-                    match op with
-                    | Term.And -> Term.band a b
-                    | Term.Or -> Term.bor a b
-                    | Term.Xor -> Term.bxor a b
-                    | Term.Add -> Term.add a b
-                    | Term.Sub -> Term.sub a b
-                    | Term.Mul -> Term.mul a b
-                    | Term.Udiv -> Term.udiv a b
-                    | Term.Urem -> Term.urem a b
-                    | Term.Sdiv -> Term.sdiv a b
-                    | Term.Srem -> Term.srem a b
-                    | Term.Clmul -> Term.clmul a b
-                    | Term.Clmulh -> Term.clmulh a b
-                    | Term.Shl -> Term.shl a b
-                    | Term.Lshr -> Term.lshr a b
-                    | Term.Ashr -> Term.ashr a b)
-                | Term.Cmp (op, a, b) -> (
-                    let a = go a and b = go b in
-                    match op with
-                    | Term.Eq -> Term.eq a b
-                    | Term.Ult -> Term.ult a b
-                    | Term.Ule -> Term.ule a b
-                    | Term.Slt -> Term.slt a b
-                    | Term.Sle -> Term.sle a b)
-                | Term.Ite (c, a, b) -> Term.ite (go c) (go a) (go b)
-                | Term.Extract (h, l, x) -> Term.extract ~high:h ~low:l (go x)
-                | Term.Concat (a, b) -> Term.concat (go a) (go b)
-                | Term.Table (tb, i) -> Term.table_read tb (go i)
-                | Term.Read (m, a) -> Term.read m (go a))
-          in
-          Hashtbl.add memo (Term.id t) r;
-          r
-    in
-    go root
-  end
+  else
+    Term.rewriter
+      (fun _ t ->
+        Hashtbl.find_opt pins (Term.id t)
+        |> Option.map (fun (base, bits) -> refined_of_pins base bits))
+      root

@@ -115,6 +115,39 @@ let rec gen_union_leaves w n =
 
 let gen_union w = QCheck.Gen.(1 -- 9 >>= gen_union_leaves w)
 
+(* {1 Memories and tables}
+
+   Reads come from two small memories per data width (3- and 4-bit
+   addresses) and from one 4-entry table per data width; the names embed
+   the widths, so hash-consing by name never meets a clash.  The reference
+   evaluator reads every memory through the fixed function [mem_value],
+   which [term_env_of] in the tests exposes as [lookup_read]. *)
+
+let hash_bits w key =
+  Bitvec.of_bits (Array.init w (fun i -> Hashtbl.hash (key, i) land 1 = 1))
+
+let mem_value (m : Term.mem) addr =
+  hash_bits m.Term.data_width (m.Term.mem_name, Bitvec.to_string addr)
+
+let mem_of w aw =
+  { Term.mem_name = Printf.sprintf "gm%d_%d" w aw; addr_width = aw; data_width = w }
+
+(* one physical table per width, so the registry sees the same contents *)
+let tables : (int, Term.table) Hashtbl.t = Hashtbl.create 16
+
+let table_of w =
+  match Hashtbl.find_opt tables w with
+  | Some tb -> tb
+  | None ->
+      let name = Printf.sprintf "gt%d" w in
+      let tb =
+        { Term.tab_name = name;
+          tab_addr_width = 2;
+          tab_data = Array.init 4 (fun i -> hash_bits w (name, i)) }
+      in
+      Hashtbl.add tables w tb;
+      tb
+
 let cmps =
   [ (Term.eq, fun a b -> Bitvec.equal a b);
     (Term.ult, Bitvec.ult);
@@ -125,13 +158,43 @@ let cmps =
 
 let bool_of b = if b then Bitvec.one 1 else Bitvec.zero 1
 
-let rec gen_sized w size =
+(* [~memory] adds memory and table reads; they are left out of the terms
+   the solver suites decide, whose reference semantics fix one memory
+   while the solver leaves memory uninterpreted. *)
+let rec gen_sized ~memory w size =
   let open QCheck.Gen in
+  let gen_sized = gen_sized ~memory in
   if size <= 0 then gen_leaf w
   else
     let sub = gen_sized w (size / 2) in
+    let reads =
+      [ (* memory read at a generated address *)
+        ( 2,
+          oneofl [ 3; 4 ] >>= fun aw ->
+          gen_sized aw (size / 2) >>= fun a ->
+          let m = mem_of w aw in
+          return
+            {
+              term = Term.read m a.term;
+              reval = (fun env -> mem_value m (a.reval env));
+              twidth = w;
+            } );
+        (* table read *)
+        ( 1,
+          gen_sized 2 (size / 2) >>= fun i ->
+          let tb = table_of w in
+          return
+            {
+              term = Term.table_read tb i.term;
+              reval =
+                (fun env -> tb.Term.tab_data.(Bitvec.to_int_exn (i.reval env)));
+              twidth = w;
+            } )
+      ]
+    in
     let candidates =
-      [ (* unary not *)
+      (if memory then reads else [])
+      @ [ (* unary not *)
         ( 2,
           sub >>= fun a ->
           return
@@ -242,9 +305,9 @@ let rec gen_sized w size =
 let gen_any_width =
   QCheck.Gen.(
     oneofl root_widths >>= fun w ->
-    0 -- 12 >>= fun size -> gen_sized w size)
+    0 -- 12 >>= fun size -> gen_sized ~memory:true w size)
 
-let gen_bool_term = QCheck.Gen.(0 -- 14 >>= fun size -> gen_sized 1 size)
+let gen_bool_term = QCheck.Gen.(0 -- 14 >>= fun size -> gen_sized ~memory:false 1 size)
 
 let gen_env =
   (* random assignment to the whole variable pool *)

@@ -310,7 +310,7 @@ let test_import_bounds () =
   Alcotest.(check bool) "something to import" true (sound <> []);
   let s2 = Solver.Session.create () in
   List.iter (fun t -> ignore (Solver.Session.assert_retractable s2 t)) problem;
-  let nv = Solver.Session.num_vars s2 in
+  let nv = (Solver.Session.stats s2).Solver.Session.vars in
   Alcotest.(check bool) "variables allocated" true (nv > 0);
   Alcotest.(check int) "fresh session dropped nothing" 0
     (Solver.Session.import_dropped s2);

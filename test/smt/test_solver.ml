@@ -211,6 +211,36 @@ let test_read_lookup_duplicates () =
       | None -> Alcotest.fail "aliased address missing from model")
   | _ -> Alcotest.fail "expected sat"
 
+(* Ackermann variables are numbered in first-visit order and their
+   congruences are blasted in that order, so the walk order is part of the
+   encoding: binop and comparison operands left to right, a concatenation
+   low part first, and an ite else arm, then then arm, then condition. *)
+let test_ackermann_numbering () =
+  let m = { Term.mem_name = "sv_ackn"; addr_width = 4; data_width = 8 } in
+  let addr n = Term.var ("sv_ackn_" ^ n) 4 in
+  let r n = Term.read m (addr n) in
+  let g = Term.var "sv_ackn_g" 1 in
+  let root =
+    Term.ult
+      (Term.concat (r "a") (Term.sub (r "b") (r "c")))
+      (Term.concat (Term.ite g (r "d") (r "e")) (r "f"))
+  in
+  let rewritten, instances = Solver.ackermannize [ root ] in
+  let show (t : Term.t) = Format.asprintf "%a" Term.pp t in
+  Alcotest.(check (list (triple string string string)))
+    "instances in visit order"
+    [ ("sv_ackn", "sv_ackn_b", "ack!sv_ackn!1");
+      ("sv_ackn", "sv_ackn_c", "ack!sv_ackn!2");
+      ("sv_ackn", "sv_ackn_a", "ack!sv_ackn!3");
+      ("sv_ackn", "sv_ackn_f", "ack!sv_ackn!4");
+      ("sv_ackn", "sv_ackn_e", "ack!sv_ackn!5");
+      ("sv_ackn", "sv_ackn_d", "ack!sv_ackn!6") ]
+    (List.map
+       (fun ((mem : Term.mem), a, v) -> (mem.Term.mem_name, show a, show v))
+       instances);
+  (* the rewritten root, then one congruence per pair of instances *)
+  Alcotest.(check int) "root plus 15 congruences" 16 (List.length rewritten)
+
 let test_concurrent_checks () =
   (* two domains build terms and run checks concurrently; each outcome must
      carry its own correct stats — there is no process-global solver state
@@ -247,4 +277,5 @@ let () =
          Alcotest.test_case "stats" `Quick test_stats;
          Alcotest.test_case "read_lookup duplicate addresses" `Quick
            test_read_lookup_duplicates;
-         Alcotest.test_case "concurrent checks" `Quick test_concurrent_checks ]) ]
+         Alcotest.test_case "concurrent checks" `Quick test_concurrent_checks;
+         Alcotest.test_case "ackermann numbering" `Quick test_ackermann_numbering ]) ]

@@ -4,11 +4,51 @@
 let term_env_of f =
   {
     Term.lookup_var = (fun name _ -> Some (f name));
-    Term.lookup_read = (fun _ _ -> None);
+    Term.lookup_read = (fun m a -> Some (Gen_terms.mem_value m a));
   }
 
 let prop name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:1000 ~name arb f)
+
+let has_memory t =
+  Term.fold_dag
+    (fun acc n ->
+      acc || match n.Term.node with Term.Read _ | Term.Table _ -> true | _ -> false)
+    false t
+
+(* Terms with at least one memory or table read, with an environment. *)
+let arb_memory_term_env =
+  let rec gen st =
+    let (g, _) as ge = QCheck.Gen.pair Gen_terms.gen_any_width Gen_terms.gen_env st in
+    if has_memory g.Gen_terms.term then ge else gen st
+  in
+  QCheck.make gen ~print:(fun (g, _) -> Gen_terms.print_gen_term g)
+
+(* A counterexample memory over the term's reads: each address its reads
+   evaluate to under [env] is mapped, with probability one half, to a
+   random value.  Returns those [read_values] and an environment whose
+   reads see them, and 0 wherever nothing is mapped. *)
+let cex_memory env t seed =
+  let st = Random.State.make [| seed |] in
+  let values = ref [] in
+  let lookup (m : Term.mem) a =
+    List.find_map
+      (fun (n, a', v) ->
+        if n = m.Term.mem_name && Bitvec.equal a a' then Some v else None)
+      !values
+  in
+  let memory m a =
+    Some (Option.value (lookup m a) ~default:(Bitvec.zero m.Term.data_width))
+  in
+  let env = { (term_env_of env) with Term.lookup_read = memory } in
+  List.iter
+    (fun ((m : Term.mem), a) ->
+      let a = Term.eval env a in
+      if lookup m a = None && Random.State.bool st then
+        let v = Bitvec.of_bits (Array.init m.Term.data_width (fun _ -> Random.State.bool st)) in
+        values := (m.Term.mem_name, a, v) :: !values)
+    (Term.reads t);
+  (!values, env)
 
 let props =
   [ prop "eval agrees with reference" Gen_terms.arb_term_env (fun (g, env) ->
@@ -34,7 +74,50 @@ let props =
     prop "pp then size is stable" Gen_terms.arb_term_env (fun (g, _) ->
         (* printing must not mutate or crash; size is positive *)
         let s = Format.asprintf "%a" Term.pp g.Gen_terms.term in
-        String.length s > 0 && Term.size g.Gen_terms.term > 0)
+        String.length s > 0 && Term.size g.Gen_terms.term > 0);
+    (* every interned node is already normal: rebuilding it through the
+       smart constructors gives it back *)
+    prop "rebuild is the identity" arb_memory_term_env (fun (g, _) ->
+        Term.rewriter (fun _ _ -> None) g.Gen_terms.term == g.Gen_terms.term);
+    prop "ground_reads evaluates like the counterexample memory"
+      (QCheck.pair arb_memory_term_env QCheck.int)
+      (fun ((g, env), seed) ->
+        let t = g.Gen_terms.term in
+        let read_values, mem_env = cex_memory env t seed in
+        let model =
+          { Solver.var_value = (fun _ -> None);
+            read_values;
+            read_index = lazy (Hashtbl.create 1) }
+        in
+        let grounded = Synth.Engine.ground_reads model t in
+        Term.reads grounded = []
+        && Bitvec.equal
+             (Term.eval { mem_env with Term.lookup_read = (fun _ _ -> None) } grounded)
+             (Term.eval mem_env t));
+    prop "ackermannize preserves evaluation" arb_memory_term_env (fun (g, env) ->
+        let t = g.Gen_terms.term in
+        match Solver.ackermannize [ t ] with
+        | [], _ -> false
+        | t' :: congs, instances ->
+            (* instances come innermost first, so each address only names
+               Ackermann variables already valued *)
+            let acks = Hashtbl.create 8 in
+            let env' =
+              { Term.lookup_var =
+                  (fun n _ ->
+                    match Hashtbl.find_opt acks n with
+                    | Some v -> Some v
+                    | None -> Some (env n));
+                Term.lookup_read = (fun _ _ -> None) }
+            in
+            List.iter
+              (fun (m, a, v) ->
+                let name = Format.asprintf "%a" Term.pp v in
+                Hashtbl.replace acks name (Gen_terms.mem_value m (Term.eval env' a)))
+              instances;
+            Term.reads t' = []
+            && Bitvec.equal (Term.eval env' t') (g.Gen_terms.reval env)
+            && List.for_all (fun c -> Bitvec.is_ones (Term.eval env' c)) congs)
   ]
 
 (* {1 Unit tests for specific rewrites} *)
@@ -98,6 +181,10 @@ let test_structure_rewrites () =
   Alcotest.check tt "ite not cond" (Term.ite c1 y8 x8)
     (Term.ite (Term.bnot c1) x8 y8);
   Alcotest.check tt "ite bool collapse" c1 (Term.ite c1 Term.tru Term.fls);
+  (* collapsing a nested ite on the same condition leaves constant arms,
+     which must fold too *)
+  Alcotest.check tt "ite nested collapse folds" c1
+    (Term.ite c1 (Term.ite c1 Term.tru (Term.var "ut_z1" 1)) Term.fls);
   (* eq of ite with const arms resolves to the condition *)
   Alcotest.check tt "eq ite const"
     c1

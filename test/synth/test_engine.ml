@@ -296,20 +296,46 @@ let test_minimize () =
 
 (* {1 Tracing} *)
 
+(* The names of the spans each [name] span opens inside, per occurrence. *)
+let enclosing name events =
+  let stacks = Hashtbl.create 4 in
+  List.fold_left
+    (fun acc (e : Obs.event) ->
+      let stack = Option.value (Hashtbl.find_opt stacks e.Obs.dom) ~default:[] in
+      match e.Obs.ph with
+      | Obs.Begin ->
+          Hashtbl.replace stacks e.Obs.dom (e.Obs.name :: stack);
+          if e.Obs.name = name then stack :: acc else acc
+      | Obs.End ->
+          Hashtbl.replace stacks e.Obs.dom (match stack with [] -> [] | _ :: s -> s);
+          acc
+      | Obs.Instant -> acc)
+    [] events
+
 let test_traced_synthesis () =
   (* the engine's own spans, not synthetic ones, must export as a Chrome
      trace that Owl_obs's strict parser accepts *)
   Obs.enable ();
   Obs.enable_metrics ();
-  let trace =
+  let trace, events =
     Fun.protect
       ~finally:(fun () ->
         Obs.disable ();
         Obs.disable_metrics ())
       (fun () ->
         ignore (solve (Designs.Accumulator.problem ()));
-        Obs.chrome_trace_string ())
+        (Obs.chrome_trace_string (), Obs.events ()))
   in
+  (* the encoding of a CEGIS query splits into Ackermann expansion and
+     blasting, each timed inside the verify or synth step it serves *)
+  List.iter
+    (fun name ->
+      let in_cegis stack = List.mem "cegis.verify" stack || List.mem "cegis.synth" stack in
+      Alcotest.(check bool)
+        (name ^ " nested under cegis.verify or cegis.synth")
+        true
+        (List.exists in_cegis (enclosing name events)))
+    [ "solver.ackermannize"; "blast.assert" ];
   match Json.parse trace with
   | exception Json.Parse_error m -> Alcotest.failf "trace is not valid JSON: %s" m
   | doc -> (
