@@ -29,7 +29,8 @@ let no_incremental =
   let doc =
     "Use a fresh solver for every query instead of reusing incremental \
      solver sessions (SAT state, blasting cache, learned clauses) across \
-     CEGIS iterations.  Escape hatch for debugging and A/B timing."
+     CEGIS iterations, and across the unpinned instructions one worker \
+     verifies.  Escape hatch for debugging and A/B timing."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 

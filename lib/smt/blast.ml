@@ -137,8 +137,7 @@ let cached_terms c = c.cached_terms_fn ()
 
 let h_clauses_per_assert = Obs.histogram "blast.clauses_per_assert"
 
-(* [Sat.num_clauses] walks the free list, so only snapshot it when the
-   metric will actually be recorded *)
+(* the per-assert clause delta is recorded only when metrics are on *)
 let with_clause_count c f =
   if Obs.metrics_enabled () then begin
     let before = Sat.num_clauses c.sat in

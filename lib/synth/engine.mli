@@ -82,9 +82,11 @@ type options = {
           verify query, one for the synth query) — SAT state, the Tseitin
           blasting cache, and learned clauses survive across iterations,
           stale candidates are retracted via activation literals — instead
-          of re-encoding every query from scratch.  On by default; [false]
-          restores the historical fresh-solver-per-query behavior (the
-          [--no-incremental] escape hatch). *)
+          of re-encoding every query from scratch.  {!verify} uses it
+          too, with one session per worker for the instructions whose
+          preconditions pin no instruction-word field.  On by default;
+          [false] restores the historical fresh-solver-per-query behavior
+          (the [--no-incremental] escape hatch). *)
   cache : Owl_cache.t option;
       (** cross-run synthesis cache (see {!Owl_cache}): before each
           independent per-instruction CEGIS loop the engine consults the
@@ -273,13 +275,17 @@ val verify :
     [deadline_seconds] counts from the call.
 
     With [options.incremental] (the default) each worker reuses one
-    solver session across the instructions it checks, so the shared
-    datapath trace is blasted once per worker instead of once per
-    instruction.  Which instructions share a session depends on the
-    dynamic schedule; with an unexhausted budget this never changes a
-    verdict (counterexample models are re-derived by a fresh check, so
-    they are schedule-independent too), but under a tight budget the
-    exact query that exhausts it may differ from the fresh mode's.
+    solver session across the instructions it checks whose preconditions
+    pin no instruction-word field: their queries are the same datapath
+    formula, blasted once per worker.  An instruction with pins is
+    specialized to itself by field refinement, shares almost nothing with
+    the others, and is checked on its own one-shot solver, so no later
+    query propagates through its retracted cone.  Which instructions
+    share a session depends on the dynamic schedule; with an unexhausted
+    budget this never changes a verdict (counterexample models are
+    re-derived by a fresh check, so they are schedule-independent too),
+    but under a tight budget the exact query that exhausts it may differ
+    from the fresh mode's.
 
     Each instruction's query climbs the same {!Resilience} ladder as a
     synthesis query: escalating rungs, deadline slices dividing the

@@ -10,7 +10,8 @@
    see a deterministic shape regardless of completion order.  A task that
    raises is first retried up to [retries] times, each retry on fresh
    per-worker state (a crashed worker's state may be mid-mutation, so it is
-   abandoned rather than reused); only a task whose every attempt raised
+   replaced for good: the worker carries on with the state its last
+   attempt ran on); only a task whose every attempt raised
    becomes [Raised].  That does not tear the pool down mid-run either:
    every task still executes, and the exception of the lowest-indexed
    failing task is re-raised after all workers have joined (deterministic
@@ -40,6 +41,7 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
     let results = Array.make n Pending in
     let cursor = Atomic.make 0 in
     let cancelled = Atomic.make false in
+    (* returns the cell and the state the last attempt ran on *)
     let run_task w i =
       (* [Fault.on_task] is the crash-injection point: it counts this
          attempt and raises when the installed fault plan says so, taking
@@ -52,10 +54,10 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
               Fault.on_task ();
               f w arr.(i))
         with
-        | v -> Done v
+        | v -> (w, Done v)
         | exception Cancelled ->
             Atomic.set cancelled true;
-            Raised Cancelled
+            (w, Raised Cancelled)
         | exception e ->
             let will_retry = k < retries in
             Obs.incr c_task_crashes;
@@ -68,7 +70,7 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
                     ("exn", Obs.Str (Printexc.to_string e));
                     ("will_retry", Obs.Bool will_retry);
                   ];
-            if not will_retry then Raised e
+            if not will_retry then (w, Raised e)
             else begin
               (match retried with
               | Some c -> Atomic.incr c
@@ -79,28 +81,28 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
       let t_start =
         if Obs.metrics_enabled () then Unix.gettimeofday () else 0.0
       in
-      let r = attempt w 0 in
+      let w, r = attempt w 0 in
       Obs.incr c_tasks;
       if Obs.metrics_enabled () then
         Obs.observe h_task_latency
           (int_of_float ((Unix.gettimeofday () -. t_start) *. 1e6));
-      r
+      (w, r)
     in
     let worker () =
       let executed = ref 0 in
       Obs.span "pool.worker"
         ~result:(fun () -> [ ("tasks", Obs.Int !executed) ])
         (fun () ->
-          let w = make () in
-          let rec go () =
+          let rec go w =
             let i = Atomic.fetch_and_add cursor 1 in
             if i < n && not (Atomic.get cancelled) then begin
-              results.(i) <- run_task w i;
+              let w, r = run_task w i in
+              results.(i) <- r;
               incr executed;
-              go ()
+              go w
             end
           in
-          go ())
+          go (make ()))
     in
     let spawned =
       List.init

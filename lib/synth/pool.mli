@@ -33,8 +33,9 @@ val map_arena :
 
     A task that raises is re-executed up to [retries] times (default 0),
     each retry on a fresh [make ()] state — a crashed attempt may have
-    left the worker's state mid-mutation, so it is abandoned for that
-    task.  Each retry increments [retried] when given, so callers can
+    left the worker's state mid-mutation, so the worker drops it for good
+    and runs its later tasks on the state of the task's last attempt.
+    Each retry increments [retried] when given, so callers can
     surface recovery counts in their statistics.  Every attempt first
     passes the {!Fault.on_task} crash-injection point, which is how
     simulated worker crashes exercise exactly this path.  Only a task

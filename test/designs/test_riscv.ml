@@ -109,8 +109,17 @@ let test_two_stage_reference_cosim () =
     Isa.Rv32.RV32I_Zbkc
 
 let test_two_stage_synthesis () =
-  let solved = solve (Designs.Riscv_two_stage.problem Isa.Rv32.RV32I) in
-  cosim ~seeds:[ 21; 22; 23 ] solved.Synth.Engine.completed Isa.Rv32.RV32I
+  let problem = Designs.Riscv_two_stage.problem Isa.Rv32.RV32I in
+  let solved = solve problem in
+  cosim ~seeds:[ 21; 22; 23 ] solved.Synth.Engine.completed Isa.Rv32.RV32I;
+  List.iter
+    (fun (instr, verdict) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s verified" instr)
+        true
+        (verdict = Synth.Engine.Verified))
+    (Synth.Engine.verify
+       { problem with Synth.Engine.design = solved.Synth.Engine.completed })
 
 (* Back-to-back dependent instructions exercise the write-back forwarding in
    the two-stage pipeline. *)

@@ -15,7 +15,10 @@
    - Within incremental mode, bindings are independent of [jobs] (the
      test_parallel suite covers this for the default options; here the
      fresh mode gets the same check so the escape hatch stays healthy).
-   - [Engine.verify] verdicts must agree between incremental and fresh. *)
+   - [Engine.verify] verdicts must agree between incremental and fresh,
+     and its worker session serves only the unpinned instructions: a
+     pinned reference encodes exactly what fresh mode does, an unpinned
+     one strictly less. *)
 
 let solve ~incremental ?(jobs = 1) ?(mode = Synth.Engine.Per_instruction)
     problem =
@@ -127,6 +130,42 @@ let test_verify_modes_agree () =
       Alcotest.(check bool) ("verdict for " ^ n1) true same)
     vi vf
 
+(* total clauses blasted over one [Engine.verify] call, read from the
+   per-check histogram *)
+let verify_clauses ~incremental problem =
+  Obs.enable_metrics ();
+  Obs.reset_metrics ();
+  Fun.protect ~finally:Obs.disable_metrics @@ fun () ->
+  ignore
+    (Synth.Engine.(
+       verify ~options:(default_options |> with_incremental incremental))
+       problem);
+  List.fold_left
+    (fun acc (m : Obs.metric) ->
+      if m.Obs.metric_name = "solver.check.clauses" then acc + m.Obs.sum
+      else acc)
+    0 (Obs.metrics ())
+
+let test_verify_sharing_rule () =
+  (* every ALU instruction pins its opcode, so each gets its own solver *)
+  let alu =
+    { (Designs.Alu.problem ()) with
+      Synth.Engine.design = Designs.Alu.reference_design () }
+  in
+  let si = verify_clauses ~incremental:true alu in
+  let sf = verify_clauses ~incremental:false alu in
+  Alcotest.(check int) "pinned: one-shot solvers either way" sf si;
+  (* GCD pins nothing, so its instructions share the worker's session *)
+  let gcd =
+    { (Designs.Gcd.problem ()) with
+      Synth.Engine.design = Designs.Gcd.reference_design () }
+  in
+  let si = verify_clauses ~incremental:true gcd in
+  let sf = verify_clauses ~incremental:false gcd in
+  Alcotest.(check bool)
+    (Printf.sprintf "unpinned: shared %d < %d one-shot clauses" si sf)
+    true (si < sf)
+
 let () =
   Alcotest.run "incremental"
     [ ("equivalence",
@@ -139,4 +178,6 @@ let () =
          Alcotest.test_case "rv32 incremental solution verifies" `Quick
            test_rv32_incremental_verifies;
          Alcotest.test_case "verify verdicts agree across modes" `Quick
-           test_verify_modes_agree ]) ]
+           test_verify_modes_agree;
+         Alcotest.test_case "verify shares sessions only when unpinned"
+           `Quick test_verify_sharing_rule ]) ]

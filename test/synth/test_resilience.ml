@@ -90,6 +90,25 @@ let test_pool_retry_exhausts () =
         | exception Fault.Injected_crash _ -> true
         | _ -> false))
 
+let test_pool_retry_keeps_fresh_state () =
+  (* task 1's first attempt dirties its worker state and crashes; the
+     retry runs on a fresh state, and so must every later task *)
+  let crashed = ref false in
+  let results =
+    Synth.Pool.map_arena ~jobs:1 ~make:(fun () -> ref false) ~retries:1
+      (fun dirty x ->
+        if !dirty then -1
+        else if x = 1 && not !crashed then begin
+          crashed := true;
+          dirty := true;
+          failwith "crashed mid-mutation"
+        end
+        else x)
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list int)) "no task sees the crashed state" [ 1; 2; 3 ]
+    results
+
 (* ---------- whole-engine recovery ---------- *)
 
 let solve ?(jobs = 1) ?retries ?validate_models problem =
@@ -266,7 +285,9 @@ let () =
        [ Alcotest.test_case "crash retried on fresh state" `Quick
            test_pool_retry_recovers;
          Alcotest.test_case "exhausted retries blame" `Quick
-           test_pool_retry_exhausts ]);
+           test_pool_retry_exhausts;
+         Alcotest.test_case "crashed state is not reused" `Quick
+           test_pool_retry_keeps_fresh_state ]);
       ("engine",
        [ Alcotest.test_case "clean run engages no recovery" `Quick
            test_clean_run_no_recovery;
