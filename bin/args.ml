@@ -140,7 +140,9 @@ let trace =
     "Record a trace of solver, CEGIS, and worker-pool activity and write \
      it to $(docv) as Chrome trace-event JSON (viewable in chrome://tracing \
      or Perfetto).  Also read from the OWL_TRACE environment variable; the \
-     flag wins.  Implies metrics collection."
+     flag wins.  Implies metrics collection.  The trace keeps the newest \
+     262144 events per domain; under `owl serve' it holds the daemon's \
+     newest 4096 events per domain unless --no-telemetry is given."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -275,16 +277,17 @@ let no_telemetry =
   let doc =
     "Disable the daemon's live telemetry: the metric registry (counters, \
      gauges, sliding latency windows — served by `owl client metrics' and \
-     `owl top') and the always-on flight recorder (served by `owl client \
-     dump-trace').  Both revert to null sinks, the measured-overhead \
+     `owl top') and the event ring that keeps the newest 4096 spans and \
+     instants per domain as a black box (served by `owl client \
+     dump-trace').  The daemon then starts neither: the measured-overhead \
      baseline."
   in
   Arg.(value & flag & info [ "no-telemetry" ] ~doc)
 
 let dump_dir =
   let doc =
-    "Directory for automatic flight-recorder dumps: when a worker domain \
-     is lost or the daemon enters degraded mode, the recorder's recent \
+    "Directory for automatic black-box dumps: when a worker domain is \
+     lost or the daemon enters degraded mode, the event ring's recent \
      spans are written there as owl-flight-*.json Chrome-trace files \
      (created if missing).  Without this flag automatic dumps are off; \
      `owl client dump-trace' works either way."

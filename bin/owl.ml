@@ -873,12 +873,12 @@ let client_cmd =
               let oc = open_out file in
               output_string oc doc;
               close_out oc;
-              Printf.eprintf "flight trace written to %s\n" file)
+              Printf.eprintf "trace dump written to %s\n" file)
     in
     Cmd.v
       (Cmd.info "dump-trace"
          ~doc:
-           "Dump the server's flight recorder (recent spans, Chrome-trace \
+           "Dump the server's event ring (its newest spans, Chrome-trace \
             JSON), optionally filtered to one request")
       Term.(const run $ Args.addr $ retry_term $ trace $ output)
   in

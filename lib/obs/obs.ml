@@ -3,15 +3,11 @@
    Layout mirrors {!Fault}: the whole recording state hangs off one
    [Atomic.t], so the disabled path of every instrumentation point is a
    single atomic load and a branch — the "null sink".  When enabled, each
-   domain records into its own fixed-capacity buffer (reached through
-   domain-local storage, so the hot path takes no locks); buffers register
-   themselves with the epoch on a domain's first event, which is the only
-   mutex in the system and runs once per domain per epoch.
-
-   The flight recorder is a second, independent sink with the same
-   discipline but wraparound semantics: instead of dropping the newest
-   events when full, each domain's ring overwrites the oldest, so a dump
-   always shows the most recent window of activity. *)
+   domain records into its own fixed-capacity ring (reached through
+   domain-local storage, so the hot path takes no locks), overwriting its
+   oldest events once full; rings register themselves with the epoch on a
+   domain's first event, which is the only mutex in the system and runs
+   once per domain per epoch. *)
 
 type arg = Int of int | Float of float | Str of string | Bool of bool
 type phase = Begin | End | Instant
@@ -26,27 +22,31 @@ type event = {
   trace : string option;
 }
 
+(* Slot [seq mod capacity] holds the event numbered [seq]; an event's own
+   [seq] field tells a reader whether the slot still holds the event it
+   looked for. *)
 type ring = {
   r_epoch : int;
   r_dom : int;
   r_events : event array;
-  mutable r_len : int;
-  mutable r_dropped : int;
+  mutable r_total : int;  (* lifetime writes; also the seq source *)
 }
 
 type state = {
   epoch : int;
   capacity : int;
   t0 : float;
-  mutable rings : ring list;  (* guarded by [reg_mutex]; newest first *)
+  mutable rings : ring list;  (* guarded by [reg_mutex] *)
   reg_mutex : Mutex.t;
 }
 
 let current : state option Atomic.t = Atomic.make None
 let epoch_counter = Atomic.make 0
 
+(* [seq = -1] matches no event number, so an unwritten slot never passes
+   for a recorded one *)
 let dummy_event =
-  { ph = Instant; name = ""; ts = 0.0; dom = 0; seq = 0; args = []; trace = None }
+  { ph = Instant; name = ""; ts = 0.0; dom = 0; seq = -1; args = []; trace = None }
 
 (* Each domain caches its ring here; the epoch tag invalidates rings from
    a previous enable so recordings never bleed across epochs. *)
@@ -91,85 +91,6 @@ let with_trace_context id thunk =
   slot := Some id;
   Fun.protect ~finally:(fun () -> slot := saved) thunk
 
-(* {1 Flight recorder}
-
-   Always-on black box: a bounded per-domain ring of the most recent
-   events, overwriting the oldest.  Independent of the tracing epoch so a
-   server can keep it running for its whole life while one-shot traces
-   come and go. *)
-
-type fring = {
-  f_epoch : int;
-  f_dom : int;
-  f_events : event array;
-  mutable f_next : int;  (* next write slot *)
-  mutable f_total : int;  (* lifetime writes; also the seq source *)
-}
-
-type fstate = {
-  fl_epoch : int;
-  fl_capacity : int;
-  fl_t0 : float;
-  mutable fl_rings : fring list;  (* guarded by [fl_mutex] *)
-  fl_mutex : Mutex.t;
-}
-
-let flight : fstate option Atomic.t = Atomic.make None
-let default_flight_capacity = 4096
-
-let enable_flight ?(capacity = default_flight_capacity) () =
-  if capacity < 1 then invalid_arg "Obs.enable_flight: capacity < 1";
-  Atomic.set flight
-    (Some
-       {
-         fl_epoch = 1 + Atomic.fetch_and_add epoch_counter 1;
-         fl_capacity = capacity;
-         fl_t0 = Unix.gettimeofday ();
-         fl_rings = [];
-         fl_mutex = Mutex.create ();
-       })
-
-let disable_flight () = Atomic.set flight None
-let flight_enabled () = Atomic.get flight <> None
-
-let fring_key : fring option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let fring_for fs =
-  let slot = Domain.DLS.get fring_key in
-  match !slot with
-  | Some r when r.f_epoch = fs.fl_epoch -> r
-  | _ ->
-      let r =
-        {
-          f_epoch = fs.fl_epoch;
-          f_dom = (Domain.self () :> int);
-          f_events = Array.make fs.fl_capacity dummy_event;
-          f_next = 0;
-          f_total = 0;
-        }
-      in
-      Mutex.lock fs.fl_mutex;
-      fs.fl_rings <- r :: fs.fl_rings;
-      Mutex.unlock fs.fl_mutex;
-      slot := Some r;
-      r
-
-let femit fs ph name args trace =
-  let r = fring_for fs in
-  r.f_events.(r.f_next) <-
-    {
-      ph;
-      name;
-      ts = Unix.gettimeofday () -. fs.fl_t0;
-      dom = r.f_dom;
-      seq = r.f_total;
-      args;
-      trace;
-    };
-  r.f_next <- (r.f_next + 1) mod Array.length r.f_events;
-  r.f_total <- r.f_total + 1
-
 (* {1 Taps}
 
    A tap is a per-domain callback that observes every span Begin/End and
@@ -205,7 +126,7 @@ let with_tap f thunk =
       slot := saved)
     thunk
 
-let recording () = enabled () || flight_enabled () || tapping ()
+let recording () = enabled () || tapping ()
 
 let ring_for st =
   let slot = Domain.DLS.get ring_key in
@@ -217,8 +138,7 @@ let ring_for st =
           r_epoch = st.epoch;
           r_dom = (Domain.self () :> int);
           r_events = Array.make st.capacity dummy_event;
-          r_len = 0;
-          r_dropped = 0;
+          r_total = 0;
         }
       in
       Mutex.lock st.reg_mutex;
@@ -227,137 +147,137 @@ let ring_for st =
       slot := Some r;
       r
 
-let emit st ph name args trace =
+let emit st ph name args =
   let r = ring_for st in
-  if r.r_len < Array.length r.r_events then begin
-    r.r_events.(r.r_len) <-
-      {
-        ph;
-        name;
-        ts = Unix.gettimeofday () -. st.t0;
-        dom = r.r_dom;
-        seq = r.r_len;
-        args;
-        trace;
-      };
-    r.r_len <- r.r_len + 1
-  end
-  else r.r_dropped <- r.r_dropped + 1
+  let seq = r.r_total in
+  r.r_events.(seq mod Array.length r.r_events) <-
+    {
+      ph;
+      name;
+      ts = Unix.gettimeofday () -. st.t0;
+      dom = r.r_dom;
+      seq;
+      args;
+      trace = trace_context ();
+    };
+  r.r_total <- seq + 1
 
-(* One fan-out point for every sink; the trace context is read only when
-   at least one buffer sink is live (taps receive args as given — the
-   trace id travels with the server's own progress protocol there). *)
-let record st fs tapped ph name args =
-  let trace =
-    match (st, fs) with None, None -> None | _ -> trace_context ()
-  in
-  (match st with Some s -> emit s ph name args trace | None -> ());
-  (match fs with Some f -> femit f ph name args trace | None -> ());
+(* One fan-out point for the ring and the tap (taps receive args as given
+   — the trace id travels with the server's own progress protocol
+   there). *)
+let record st tapped ph name args =
+  (match st with Some s -> emit s ph name args | None -> ());
   if tapped then feed_tap ph name args
 
 let span ?(args = []) ?result name f =
   let st = Atomic.get current in
-  let fs = Atomic.get flight in
   let tapped = tapping () in
-  match (st, fs) with
-  | None, None when not tapped -> f ()
+  match st with
+  | None when not tapped -> f ()
   | _ -> (
-      record st fs tapped Begin name args;
+      record st tapped Begin name args;
       match f () with
       | v ->
           let rargs = match result with None -> [] | Some g -> g v in
-          record st fs tapped End name rargs;
+          record st tapped End name rargs;
           v
       | exception e ->
           let eargs = [ ("exception", Str (Printexc.to_string e)) ] in
-          record st fs tapped End name eargs;
+          record st tapped End name eargs;
           raise e)
 
 let instant ?(args = []) name =
   let st = Atomic.get current in
-  let fs = Atomic.get flight in
-  if st <> None || fs <> None || Atomic.get taps_active > 0 then
-    record st fs true Instant name args
+  if Option.is_some st || Atomic.get taps_active > 0 then
+    record st true Instant name args
 
-let snapshot_rings st =
+let registered_rings st =
   Mutex.lock st.reg_mutex;
   let rings = st.rings in
   Mutex.unlock st.reg_mutex;
-  (* snapshot each ring's length so concurrent recording after this point
-     is invisible; sort by domain id for a canonical ring order *)
-  List.sort (fun (a, _) (b, _) -> compare a.r_dom b.r_dom)
-    (List.map (fun r -> (r, r.r_len)) rings)
+  rings
+
+(* One ring's surviving events, oldest first.  The read walks the event
+   numbers the ring still holds and keeps a slot only while its [seq] is
+   the one expected: a slot the writer lapped mid-read restarts the run
+   (so the kept events stay contiguous), and a slot whose write is not
+   yet visible ends it.  Each slot read is a single pointer load, so every
+   kept event is whole, in the domain's own order, even while the domain
+   records.  Ends whose Begin fell off the old end are dropped, so the
+   result is well nested. *)
+let ring_snapshot r =
+  let cap = Array.length r.r_events and total = r.r_total in
+  let rec read seq acc =
+    if seq >= total then acc
+    else
+      let ev = r.r_events.(seq mod cap) in
+      if ev.seq = seq then read (seq + 1) (ev :: acc)
+      else if ev.seq > seq then read (seq + 1) []
+      else acc
+  in
+  let depth = ref 0 in
+  List.filter
+    (fun ev ->
+      match ev.ph with
+      | Begin ->
+          incr depth;
+          true
+      | End when !depth = 0 -> false
+      | End ->
+          decr depth;
+          true
+      | Instant -> true)
+    (List.rev (read (max 0 (total - cap)) []))
 
 (* K-way merge ordered by (ts, dom).  Heads are consumed in per-ring
    order, so one domain's events are never reordered even if its clock
    stepped backward; ties across domains break by domain id, making the
-   merged stream a pure function of the buffers. *)
-let events () =
+   merged stream a pure function of the snapshots. *)
+let merge (rings : event array array) =
+  let idx = Array.map (fun _ -> 0) rings in
+  let out = ref [] in
+  let continue = ref true in
+  while !continue do
+    let best = ref (-1) in
+    Array.iteri
+      (fun i r ->
+        if idx.(i) < Array.length r then
+          match !best with
+          | -1 -> best := i
+          | b ->
+              let eb = rings.(b).(idx.(b)) and ei = r.(idx.(i)) in
+              if ei.ts < eb.ts || (ei.ts = eb.ts && ei.dom < eb.dom) then
+                best := i)
+      rings;
+    if !best < 0 then continue := false
+    else begin
+      out := rings.(!best).(idx.(!best)) :: !out;
+      idx.(!best) <- idx.(!best) + 1
+    end
+  done;
+  List.rev !out
+
+let events ?trace () =
   match Atomic.get current with
   | None -> []
   | Some st ->
-      let rings = Array.of_list (snapshot_rings st) in
-      let idx = Array.map (fun _ -> 0) rings in
-      let out = ref [] in
-      let continue = ref true in
-      while !continue do
-        let best = ref (-1) in
-        Array.iteri
-          (fun i (r, len) ->
-            if idx.(i) < len then
-              match !best with
-              | -1 -> best := i
-              | b ->
-                  let rb, _ = rings.(b) in
-                  let eb = rb.r_events.(idx.(b))
-                  and ei = r.r_events.(idx.(i)) in
-                  if ei.ts < eb.ts || (ei.ts = eb.ts && ei.dom < eb.dom) then
-                    best := i)
-          rings;
-        if !best < 0 then continue := false
-        else begin
-          let r, _ = rings.(!best) in
-          out := r.r_events.(idx.(!best)) :: !out;
-          idx.(!best) <- idx.(!best) + 1
-        end
-      done;
-      List.rev !out
+      let keep =
+        match trace with
+        | None -> Fun.const true
+        | Some id -> fun ev -> ev.trace = Some id
+      in
+      registered_rings st
+      |> List.sort (fun a b -> compare a.r_dom b.r_dom)
+      |> List.map (fun r -> Array.of_list (List.filter keep (ring_snapshot r)))
+      |> Array.of_list |> merge
 
 let dropped () =
   match Atomic.get current with
   | None -> 0
   | Some st ->
-      List.fold_left (fun acc (r, _) -> acc + r.r_dropped) 0 (snapshot_rings st)
-
-(* Flight snapshot: each ring's slots in chronological order (from the
-   oldest surviving slot through the newest write), then a stable sort by
-   (ts, dom).  Writers may lap the snapshot mid-read — each slot read is
-   still a whole event (a single pointer load), so the result is always a
-   list of well-formed events even if the window edges tear. *)
-let flight_events ?trace () =
-  match Atomic.get flight with
-  | None -> []
-  | Some fs ->
-      Mutex.lock fs.fl_mutex;
-      let rings = fs.fl_rings in
-      Mutex.unlock fs.fl_mutex;
-      let ring_events r =
-        let cap = Array.length r.f_events in
-        let next = r.f_next and total = r.f_total in
-        let n = min total cap in
-        let first = if total <= cap then 0 else next in
-        List.init n (fun i -> r.f_events.((first + i) mod cap))
-      in
-      let evs = List.concat_map ring_events rings in
-      let evs =
-        match trace with
-        | None -> evs
-        | Some id -> List.filter (fun ev -> ev.trace = Some id) evs
-      in
-      List.stable_sort
-        (fun a b ->
-          if a.ts <> b.ts then compare a.ts b.ts else compare a.dom b.dom)
-        evs
+      List.fold_left
+        (fun acc r -> acc + max 0 (r.r_total - st.capacity))
+        0 (registered_rings st)
 
 (* {1 Chrome trace-event export}
 
@@ -406,7 +326,7 @@ let chrome_event ev =
   in
   Json.obj fields
 
-let chrome_doc ?(tail = []) evs =
+let chrome_doc ~tail evs =
   let doms = List.sort_uniq compare (List.map (fun ev -> ev.dom) evs) in
   let meta =
     Json.obj
@@ -436,8 +356,10 @@ let chrome_doc ?(tail = []) evs =
       ("displayTimeUnit", Json.str "ms");
     ]
 
-let chrome_trace_string () =
-  let n_dropped = dropped () in
+(* The dropped count is process-wide, so only the whole-ring export
+   reports it; a one-request slice is exactly that request's events. *)
+let chrome_trace_string ?trace () =
+  let n_dropped = if trace = None then dropped () else 0 in
   let tail =
     if n_dropped = 0 then []
     else
@@ -455,147 +377,109 @@ let chrome_trace_string () =
           ];
       ]
   in
-  chrome_doc ~tail (events ())
+  chrome_doc ~tail (events ?trace ())
 
 let write_chrome_trace oc = output_string oc (chrome_trace_string ())
-let flight_trace_string ?trace () = chrome_doc (flight_events ?trace ())
 
 (* {1 Metrics}
 
-   A flat registry of named counters, gauges, log₂-bucketed histograms,
-   and sliding-window histograms.  The registry is mutex-guarded (metric
-   handles are created once, at module initialization of the instrumented
-   libraries); recording through a handle is atomic operations only.  The
-   enabled flag makes the disabled path one load and a branch, like
-   tracing. *)
+   One flat registry of named cells.  A cell is a counter, a gauge, a
+   log₂-bucketed histogram, or a sliding window — a ring of per-second
+   histograms — so histograms and windows share one distribution record,
+   one recording path and one summarizing path.  The registry is
+   mutex-guarded (metric handles are created once, at module
+   initialization of the instrumented libraries); recording through a
+   handle is atomic operations only.  The enabled flag makes the disabled
+   path one load and a branch, like tracing. *)
 
 let metrics_on = Atomic.make false
 let enable_metrics () = Atomic.set metrics_on true
 let disable_metrics () = Atomic.set metrics_on false
 let metrics_enabled () = Atomic.get metrics_on
 
-type counter = { c_name : string; c_value : int Atomic.t }
+type kind = [ `Counter | `Gauge | `Histogram | `Window ]
 
-type gauge = { g_name : string; g_value : int Atomic.t; g_set : bool Atomic.t }
-
-type histogram = {
-  h_name : string;
-  h_count : int Atomic.t;
-  h_sum : int Atomic.t;
-  h_min : int Atomic.t;
-  h_max : int Atomic.t;
-  h_buckets : int Atomic.t array;  (* 64: bucket 0 = "<= 0", i = 2^(i-1).. *)
+type dist = {
+  d_sec : int Atomic.t;  (* window slot: the epoch second it holds, -1 = empty *)
+  d_count : int Atomic.t;
+  d_sum : int Atomic.t;
+  d_min : int Atomic.t;
+  d_max : int Atomic.t;
+  d_buckets : int Atomic.t array;  (* 64: bucket 0 = "<= 0", i = 2^(i-1).. *)
 }
 
-(* One slot per second of the window; a slot is reset (under its own
-   mutex, at most once per second) the first time an observation lands in
-   a new second that maps onto it. *)
-type wslot = {
-  ws_sec : int Atomic.t;  (* epoch second this slot holds; -1 = empty *)
-  ws_count : int Atomic.t;
-  ws_sum : int Atomic.t;
-  ws_buckets : int Atomic.t array;
-  ws_lock : Mutex.t;
+type cell = {
+  name : string;
+  kind : kind;
+  value : int Atomic.t;  (* counter total, gauge level *)
+  set : bool Atomic.t;  (* a gauge shows once it has been set *)
+  dists : dist array;  (* one for a histogram, one per second for a window *)
 }
 
-type window = { w_name : string; w_seconds : int; w_slots : wslot array }
+type counter = cell
+type gauge = cell
+type histogram = cell
+type window = cell
+
+let clear_dist d =
+  Atomic.set d.d_count 0;
+  Atomic.set d.d_sum 0;
+  Atomic.set d.d_min max_int;
+  Atomic.set d.d_max min_int;
+  Array.iter (fun b -> Atomic.set b 0) d.d_buckets
+
+let new_dist () =
+  {
+    d_sec = Atomic.make (-1);
+    d_count = Atomic.make 0;
+    d_sum = Atomic.make 0;
+    d_min = Atomic.make max_int;
+    d_max = Atomic.make min_int;
+    d_buckets = Array.init 64 (fun _ -> Atomic.make 0);
+  }
 
 let registry_mutex = Mutex.create ()
-let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 32
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 32
-let windows : (string, window) Hashtbl.t = Hashtbl.create 32
+let registry : (kind * string, cell) Hashtbl.t = Hashtbl.create 64
 
-let counter name =
+let register ?(dists = 0) kind name =
   Mutex.lock registry_mutex;
   let c =
-    match Hashtbl.find_opt counters name with
+    match Hashtbl.find_opt registry (kind, name) with
     | Some c -> c
     | None ->
-        let c = { c_name = name; c_value = Atomic.make 0 } in
-        Hashtbl.add counters name c;
+        let c =
+          {
+            name;
+            kind;
+            value = Atomic.make 0;
+            set = Atomic.make false;
+            dists = Array.init dists (fun _ -> new_dist ());
+          }
+        in
+        Hashtbl.add registry (kind, name) c;
         c
   in
   Mutex.unlock registry_mutex;
   c
 
-let gauge name =
-  Mutex.lock registry_mutex;
-  let g =
-    match Hashtbl.find_opt gauges name with
-    | Some g -> g
-    | None ->
-        let g =
-          { g_name = name; g_value = Atomic.make 0; g_set = Atomic.make false }
-        in
-        Hashtbl.add gauges name g;
-        g
-  in
-  Mutex.unlock registry_mutex;
-  g
+let counter name = register `Counter name
+let gauge name = register `Gauge name
+let histogram name = register ~dists:1 `Histogram name
 
-let histogram name =
-  Mutex.lock registry_mutex;
-  let h =
-    match Hashtbl.find_opt histograms name with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            h_name = name;
-            h_count = Atomic.make 0;
-            h_sum = Atomic.make 0;
-            h_min = Atomic.make max_int;
-            h_max = Atomic.make min_int;
-            h_buckets = Array.init 64 (fun _ -> Atomic.make 0);
-          }
-        in
-        Hashtbl.add histograms name h;
-        h
-  in
-  Mutex.unlock registry_mutex;
-  h
-
-let default_window_seconds = 60
-
-let window ?(seconds = default_window_seconds) name =
+let window ?(seconds = 60) name =
   if seconds < 1 then invalid_arg "Obs.window: seconds < 1";
-  Mutex.lock registry_mutex;
-  let w =
-    match Hashtbl.find_opt windows name with
-    | Some w -> w
-    | None ->
-        let w =
-          {
-            w_name = name;
-            w_seconds = seconds;
-            w_slots =
-              Array.init seconds (fun _ ->
-                  {
-                    ws_sec = Atomic.make (-1);
-                    ws_count = Atomic.make 0;
-                    ws_sum = Atomic.make 0;
-                    ws_buckets = Array.init 64 (fun _ -> Atomic.make 0);
-                    ws_lock = Mutex.create ();
-                  });
-          }
-        in
-        Hashtbl.add windows name w;
-        w
-  in
-  Mutex.unlock registry_mutex;
-  w
+  register ~dists:seconds `Window name
 
 let incr ?(by = 1) c =
-  if Atomic.get metrics_on then ignore (Atomic.fetch_and_add c.c_value by)
+  if Atomic.get metrics_on then ignore (Atomic.fetch_and_add c.value by)
 
 let set_gauge g v =
   if Atomic.get metrics_on then begin
-    Atomic.set g.g_value v;
-    Atomic.set g.g_set true
+    Atomic.set g.value v;
+    Atomic.set g.set true
   end
 
-let gauge_value g = Atomic.get g.g_value
+let gauge_value g = Atomic.get g.value
 
 let bucket_of v =
   if v <= 0 then 0
@@ -612,58 +496,39 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-let observe h v =
-  if Atomic.get metrics_on then begin
-    Atomic.incr h.h_count;
-    ignore (Atomic.fetch_and_add h.h_sum v);
-    atomic_min h.h_min v;
-    atomic_max h.h_max v;
-    Atomic.incr h.h_buckets.(bucket_of v)
-  end
+let record_dist d v =
+  Atomic.incr d.d_count;
+  ignore (Atomic.fetch_and_add d.d_sum v);
+  atomic_min d.d_min v;
+  atomic_max d.d_max v;
+  Atomic.incr d.d_buckets.(bucket_of v)
+
+let observe h v = if Atomic.get metrics_on then record_dist h.dists.(0) v
+
+(* A window slot is recycled (under [recycle_mutex], at most once per
+   second) the first time an observation lands in a new second that maps
+   onto it; its second is published only after the clear, so observers of
+   the same second never race the reset. *)
+let recycle_mutex = Mutex.create ()
 
 let observe_window w v =
   if Atomic.get metrics_on then begin
     let now = int_of_float (Unix.gettimeofday ()) in
-    let slot = w.w_slots.(now mod w.w_seconds) in
-    if Atomic.get slot.ws_sec <> now then begin
-      Mutex.lock slot.ws_lock;
-      if Atomic.get slot.ws_sec <> now then begin
-        Atomic.set slot.ws_count 0;
-        Atomic.set slot.ws_sum 0;
-        Array.iter (fun b -> Atomic.set b 0) slot.ws_buckets;
-        Atomic.set slot.ws_sec now
+    let d = w.dists.(now mod Array.length w.dists) in
+    if Atomic.get d.d_sec <> now then begin
+      Mutex.lock recycle_mutex;
+      if Atomic.get d.d_sec <> now then begin
+        clear_dist d;
+        Atomic.set d.d_sec now
       end;
-      Mutex.unlock slot.ws_lock
+      Mutex.unlock recycle_mutex
     end;
-    (* an observation racing the reset above can land in the freshly
-       cleared slot or be cleared with the stale second — a one-in-a-slot
-       attribution blur that sliding-window telemetry tolerates *)
-    Atomic.incr slot.ws_count;
-    ignore (Atomic.fetch_and_add slot.ws_sum v);
-    Atomic.incr slot.ws_buckets.(bucket_of v)
+    record_dist d v
   end
-
-(* Merge the slots still inside the window into one bucket array. *)
-let window_totals w =
-  let now = int_of_float (Unix.gettimeofday ()) in
-  let count = ref 0 and sum = ref 0 in
-  let buckets = Array.make 64 0 in
-  Array.iter
-    (fun s ->
-      let sec = Atomic.get s.ws_sec in
-      if sec >= 0 && now - sec < w.w_seconds then begin
-        count := !count + Atomic.get s.ws_count;
-        sum := !sum + Atomic.get s.ws_sum;
-        Array.iteri
-          (fun i b -> buckets.(i) <- buckets.(i) + Atomic.get b)
-          s.ws_buckets
-      end)
-    w.w_slots;
-  (!count, !sum, buckets)
 
 type metric = {
   metric_name : string;
-  metric_kind : [ `Counter | `Gauge | `Histogram | `Window ];
+  metric_kind : kind;
   count : int;
   sum : int;
   min_value : int;
@@ -708,99 +573,63 @@ let quantile ?(clamp_lo = 0) ?(clamp_hi = max_int) buckets total q =
     min clamp_hi (max clamp_lo est)
   end
 
+(* One summary per cell: a counter or gauge is its value; a histogram or
+   window is the merge of its distributions still inside the window (a
+   histogram's single one always is). *)
+let summarize ~now c =
+  let summary ?(lo = 0) ?(hi = 0) ?(q = fun _ -> 0) count sum =
+    Some
+      {
+        metric_name = c.name;
+        metric_kind = c.kind;
+        count;
+        sum;
+        min_value = lo;
+        max_value = hi;
+        p50 = q 0.50;
+        p90 = q 0.90;
+        p99 = q 0.99;
+      }
+  in
+  let v = Atomic.get c.value in
+  match c.kind with
+  | `Counter -> if v = 0 then None else summary v v
+  | `Gauge -> if Atomic.get c.set then summary v v else None
+  | `Histogram | `Window ->
+      let live d =
+        c.kind = `Histogram
+        ||
+        let sec = Atomic.get d.d_sec in
+        sec >= 0 && now - sec < Array.length c.dists
+      in
+      let count = ref 0 and sum = ref 0 and lo = ref max_int and hi = ref min_int in
+      let buckets = Array.make 64 0 in
+      Array.iter
+        (fun d ->
+          if live d then begin
+            count := !count + Atomic.get d.d_count;
+            sum := !sum + Atomic.get d.d_sum;
+            lo := min !lo (Atomic.get d.d_min);
+            hi := max !hi (Atomic.get d.d_max);
+            Array.iteri
+              (fun i b -> buckets.(i) <- buckets.(i) + Atomic.get b)
+              d.d_buckets
+          end)
+        c.dists;
+      if !count = 0 then None
+      else
+        summary ~lo:!lo ~hi:!hi
+          ~q:(quantile ~clamp_lo:!lo ~clamp_hi:!hi buckets !count)
+          !count !sum
+
 let metrics () =
   Mutex.lock registry_mutex;
-  let cs = Hashtbl.fold (fun _ c acc -> c :: acc) counters [] in
-  let gs = Hashtbl.fold (fun _ g acc -> g :: acc) gauges [] in
-  let hs = Hashtbl.fold (fun _ h acc -> h :: acc) histograms [] in
-  let ws = Hashtbl.fold (fun _ w acc -> w :: acc) windows [] in
+  let cells = Hashtbl.fold (fun _ c acc -> c :: acc) registry [] in
   Mutex.unlock registry_mutex;
-  let counter_metrics =
-    List.filter_map
-      (fun c ->
-        let v = Atomic.get c.c_value in
-        if v = 0 then None
-        else
-          Some
-            {
-              metric_name = c.c_name;
-              metric_kind = `Counter;
-              count = v;
-              sum = v;
-              min_value = 0;
-              max_value = 0;
-              p50 = 0;
-              p90 = 0;
-              p99 = 0;
-            })
-      cs
-  in
-  let gauge_metrics =
-    List.filter_map
-      (fun g ->
-        if not (Atomic.get g.g_set) then None
-        else
-          let v = Atomic.get g.g_value in
-          Some
-            {
-              metric_name = g.g_name;
-              metric_kind = `Gauge;
-              count = v;
-              sum = v;
-              min_value = 0;
-              max_value = 0;
-              p50 = 0;
-              p90 = 0;
-              p99 = 0;
-            })
-      gs
-  in
-  let histogram_metrics =
-    List.filter_map
-      (fun h ->
-        let count = Atomic.get h.h_count in
-        if count = 0 then None
-        else begin
-          let buckets = Array.map Atomic.get h.h_buckets in
-          let lo = Atomic.get h.h_min and hi = Atomic.get h.h_max in
-          Some
-            {
-              metric_name = h.h_name;
-              metric_kind = `Histogram;
-              count;
-              sum = Atomic.get h.h_sum;
-              min_value = lo;
-              max_value = hi;
-              p50 = quantile ~clamp_lo:lo ~clamp_hi:hi buckets count 0.50;
-              p90 = quantile ~clamp_lo:lo ~clamp_hi:hi buckets count 0.90;
-              p99 = quantile ~clamp_lo:lo ~clamp_hi:hi buckets count 0.99;
-            }
-        end)
-      hs
-  in
-  let window_metrics =
-    List.filter_map
-      (fun w ->
-        let count, sum, buckets = window_totals w in
-        if count = 0 then None
-        else
-          Some
-            {
-              metric_name = w.w_name;
-              metric_kind = `Window;
-              count;
-              sum;
-              min_value = 0;
-              max_value = 0;
-              p50 = quantile buckets count 0.50;
-              p90 = quantile buckets count 0.90;
-              p99 = quantile buckets count 0.99;
-            })
-      ws
-  in
+  let now = int_of_float (Unix.gettimeofday ()) in
   List.sort
     (fun a b -> compare a.metric_name b.metric_name)
-    (counter_metrics @ gauge_metrics @ histogram_metrics @ window_metrics)
+    (List.filter_map (summarize ~now) cells)
 
 let summary_table () =
   let ms = metrics () in
@@ -810,20 +639,17 @@ let summary_table () =
       (fun m -> m.metric_kind = `Histogram || m.metric_kind = `Window)
       ms
   in
-  let counts = List.filter (fun m -> m.metric_kind = `Counter) ms in
-  let gs = List.filter (fun m -> m.metric_kind = `Gauge) ms in
-  if counts <> [] then begin
-    Buffer.add_string b "counters:\n";
-    List.iter
-      (fun m -> Buffer.add_string b (Printf.sprintf "  %-36s %12d\n" m.metric_name m.count))
-      counts
-  end;
-  if gs <> [] then begin
-    Buffer.add_string b "gauges:\n";
-    List.iter
-      (fun m -> Buffer.add_string b (Printf.sprintf "  %-36s %12d\n" m.metric_name m.count))
-      gs
-  end;
+  let scalars title kind =
+    match List.filter (fun m -> m.metric_kind = kind) ms with
+    | [] -> ()
+    | l ->
+        Buffer.add_string b (title ^ ":\n");
+        List.iter
+          (fun m -> Printf.bprintf b "  %-36s %12d\n" m.metric_name m.count)
+          l
+  in
+  scalars "counters" `Counter;
+  scalars "gauges" `Gauge;
   if hists <> [] then begin
     Buffer.add_string b
       (Printf.sprintf
@@ -845,28 +671,14 @@ let summary_table () =
 
 let reset_metrics () =
   Mutex.lock registry_mutex;
-  Hashtbl.iter (fun _ c -> Atomic.set c.c_value 0) counters;
   Hashtbl.iter
-    (fun _ g ->
-      Atomic.set g.g_value 0;
-      Atomic.set g.g_set false)
-    gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Atomic.set h.h_count 0;
-      Atomic.set h.h_sum 0;
-      Atomic.set h.h_min max_int;
-      Atomic.set h.h_max min_int;
-      Array.iter (fun b -> Atomic.set b 0) h.h_buckets)
-    histograms;
-  Hashtbl.iter
-    (fun _ w ->
+    (fun _ c ->
+      Atomic.set c.value 0;
+      Atomic.set c.set false;
       Array.iter
-        (fun s ->
-          Atomic.set s.ws_sec (-1);
-          Atomic.set s.ws_count 0;
-          Atomic.set s.ws_sum 0;
-          Array.iter (fun b -> Atomic.set b 0) s.ws_buckets)
-        w.w_slots)
-    windows;
+        (fun d ->
+          clear_dist d;
+          Atomic.set d.d_sec (-1))
+        c.dists)
+    registry;
   Mutex.unlock registry_mutex

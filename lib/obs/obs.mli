@@ -1,38 +1,36 @@
 (** Owl_obs: domain-safe tracing and metrics for the synthesis runtime.
 
-    Three independent facilities share this module:
+    Two independent facilities share this module:
 
     - {b Tracing}: spans ({!span}) and instant events ({!instant}) carrying
-      a timestamp, the recording domain's id, and structured key→value
-      arguments.  Events land in a per-domain in-memory ring buffer (no
-      locks on the hot path; buffer registration on a domain's first event
-      is the only synchronized step) and are merged post-hoc into one
-      deterministic stream ({!events}), exportable as Chrome trace-event
-      JSON ({!write_chrome_trace}) that [chrome://tracing] and Perfetto
-      open directly.
-
-    - {b Flight recorder}: a second, always-on-capable sink with
-      wraparound semantics — each domain keeps a bounded ring of its most
-      recent events, overwriting the oldest — so a long-lived server can
-      dump "what just happened" on demand or on failure without paying for
-      (or truncating) a whole-process trace.
+      a timestamp, the recording domain's id, the domain's trace context,
+      and structured key→value arguments.  Events land in one bounded
+      per-domain ring that overwrites its oldest events once full (no
+      locks on the hot path; ring registration on a domain's first event
+      is the only synchronized step).  The ring is exported on demand:
+      {!events} merges the rings into one deterministic stream, optionally
+      filtered to one request's trace context, and {!chrome_trace_string}
+      renders it as Chrome trace-event JSON that [chrome://tracing] and
+      Perfetto open directly.  The same ring serves a one-shot CLI trace
+      and a long-lived server's black box.
 
     - {b Metrics}: named {!counter}s, {!gauge}s, log-scaled {!histogram}s
       (powers of two), and sliding-window histograms ({!window}),
       summarized as a table ({!summary_table}) or structured records
       ({!metrics}) for embedding in reports.
 
-    All are off by default.  The disabled path — the "null sink" — is one
+    Both are off by default.  The disabled path — the "null sink" — is one
     atomic load and a branch per call site: [span] runs its thunk directly,
     [instant]/[observe]/[incr] return immediately.  Instrumentation is
     therefore safe to leave in the hottest solver paths.
 
-    {b Domain-safety.}  Recording is lock-free per domain; enabling,
-    disabling, and draining are meant for the orchestrating domain.
-    Timestamps come from [Unix.gettimeofday]; per-domain event order is
-    preserved by construction (the merge never reorders one domain's
-    events even if the clock steps), and cross-domain order is by
-    timestamp with the domain id as the deterministic tie-break. *)
+    {b Domain-safety.}  Recording is lock-free per domain; enabling and
+    disabling are meant for the orchestrating domain, and exports may run
+    on any domain while others record.  Timestamps come from
+    [Unix.gettimeofday]; per-domain event order is preserved by
+    construction (the merge never reorders one domain's events even if
+    the clock steps), and cross-domain order is by timestamp with the
+    domain id as the deterministic tie-break. *)
 
 type arg =
   | Int of int
@@ -43,15 +41,14 @@ type arg =
 (** {1 Tracing} *)
 
 val enable : ?capacity:int -> unit -> unit
-(** Starts a fresh recording epoch: clears any previous recording and
-    begins collecting events into per-domain buffers of [capacity] events
-    each (default 2{^18}).  When a domain's buffer fills, further events
-    from that domain are dropped and counted ({!dropped}) — the kept
-    prefix stays well-nested.  Raises [Invalid_argument] if
-    [capacity < 1]. *)
+(** Starts (or restarts) the ring: clears any previous recording and
+    begins collecting events into per-domain rings of [capacity] events
+    each (default 2{^18}).  When a domain's ring is full, each new event
+    overwrites that domain's oldest one, which is counted in {!dropped}.
+    Raises [Invalid_argument] if [capacity < 1]. *)
 
 val disable : unit -> unit
-(** Stops recording and discards the recording state.  Call {!events} or
+(** Stops recording and discards the ring.  Call {!events} or
     {!write_chrome_trace} first to keep the data. *)
 
 val enabled : unit -> bool
@@ -66,8 +63,7 @@ val span :
     event with [args] before, an [End] event after.  [result] computes
     arguments for the [End] event from [f]'s value — the hook for delta
     statistics that only exist once the work is done; it is not called
-    when tracing is disabled (unless a tap or the flight recorder is
-    active).  If [f] raises, the [End] event carries the exception
+    when tracing is disabled (unless a tap is active).  If [f] raises, the [End] event carries the exception
     (printed) as its argument and the exception is re-raised, so spans
     always nest properly per domain. *)
 
@@ -77,8 +73,7 @@ val instant : ?args:(string * arg) list -> string -> unit
 (** {2 Trace context: request-scoped identity}
 
     A per-domain slot naming the request the domain is currently working
-    for.  While set, every event the domain records — in the tracing
-    epoch and in the flight recorder — carries the id in its
+    for.  While set, every event the domain records carries the id in its
     {!event.trace} field (and as a ["trace"] argument in Chrome exports),
     so one request's span tree can be filtered out of a merged stream.
     The serve daemon mints an id at admission, stores it with the queued
@@ -94,29 +89,6 @@ val trace_context : unit -> string option
 val with_trace_context : string -> (unit -> 'a) -> 'a
 (** [with_trace_context id f] runs [f ()] with the context set to [id],
     restoring the previous context afterwards (also on exceptions). *)
-
-(** {2 Flight recorder}
-
-    A bounded per-domain ring of the most recent spans/instants with
-    overwrite-oldest semantics, independent of the tracing epoch.  Meant
-    to stay enabled for a server's whole life: the ring is the black box
-    that a [dump_trace] request, a lost worker, or entry into degraded
-    mode snapshots. *)
-
-val enable_flight : ?capacity:int -> unit -> unit
-(** Starts (or restarts, clearing) the flight recorder with per-domain
-    rings of [capacity] events (default 4096).  Raises [Invalid_argument]
-    if [capacity < 1]. *)
-
-val disable_flight : unit -> unit
-val flight_enabled : unit -> bool
-
-val flight_trace_string : ?trace:string -> unit -> string
-(** The flight recorder's current contents as a Chrome trace-event JSON
-    document (same format as {!chrome_trace_string}).  With [?trace],
-    only events recorded under that trace context are kept — a single
-    request's span tree.  Concurrent recording may tear the window's
-    edges but every exported event is whole. *)
 
 type phase = Begin | End | Instant
 
@@ -143,38 +115,44 @@ val tapping : unit -> bool
 (** Whether the calling domain currently has a tap installed. *)
 
 val recording : unit -> bool
-(** [enabled () || flight_enabled () || tapping ()] — the guard
+(** [enabled () || tapping ()] — the guard
     instrumentation sites use around argument construction for
     conditional {!instant}s. *)
 
 type event = {
   ph : phase;
   name : string;
-  ts : float;  (** seconds since {!enable} (or {!enable_flight}) *)
+  ts : float;  (** seconds since {!enable} *)
   dom : int;  (** recording domain id *)
-  seq : int;  (** per-domain sequence number *)
+  seq : int;
+      (** per-domain sequence number: how many events the domain had
+          recorded before this one since {!enable} *)
   args : (string * arg) list;
   trace : string option;  (** the trace context at recording time *)
 }
 
-val events : unit -> event list
-(** The merged event stream of the current epoch: a deterministic k-way
-    merge of the per-domain buffers ordered by [(ts, dom)] that preserves
-    each domain's own order exactly.  Empty when disabled. *)
-
-val flight_events : ?trace:string -> unit -> event list
-(** The flight recorder's surviving events, oldest first (sorted by
-    [(ts, dom)]), optionally filtered to one trace context. *)
+val events : ?trace:string -> unit -> event list
+(** The rings' current contents as one stream: a snapshot of each
+    domain's ring, oldest to newest, merged deterministically by
+    [(ts, dom)] without reordering any domain's own events.  A snapshot
+    taken while domains record holds only whole events, with strictly
+    increasing [seq] per domain; the [End]s whose [Begin] was overwritten
+    are left out, so every domain's stream is well nested (spans still
+    open at the snapshot keep their [Begin] alone).  With [?trace], only
+    events recorded under that trace context are kept — one request's
+    span tree.  Empty when disabled. *)
 
 val dropped : unit -> int
-(** Events dropped across all domains because a buffer filled. *)
+(** Events overwritten across all domains because a ring was full. *)
 
-val chrome_trace_string : unit -> string
-(** The current epoch as a Chrome trace-event JSON document
+val chrome_trace_string : ?trace:string -> unit -> string
+(** {!events} as a Chrome trace-event JSON document
     ([{"traceEvents": [...]}]): spans as ["B"]/["E"] pairs, instants as
     ["i"] with thread scope, one [tid] per domain, timestamps in
-    microseconds, plus process/thread-name metadata.  Open the result in
-    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}. *)
+    microseconds, plus process/thread-name metadata.  Without [?trace], a
+    global ["obs.dropped_events"] instant reports a non-zero {!dropped}.
+    Open the result in [chrome://tracing] or
+    {{:https://ui.perfetto.dev}Perfetto}. *)
 
 val write_chrome_trace : out_channel -> unit
 
@@ -237,7 +215,7 @@ type metric = {
   max_value : int;
   p50 : int;
       (** quantiles are linearly interpolated within the landing log2
-          bucket and clamped to the observed min/max (histograms) *)
+          bucket and clamped to the observed min/max *)
   p90 : int;
   p99 : int;
 }

@@ -57,11 +57,11 @@ val metrics : t -> Proto.wire_metric list
     {!Proto.metrics_to_json}. *)
 
 val dump_trace : ?trace:string -> t -> string
-(** The server's flight recorder — the bounded per-domain ring of
-    recent spans and instants — serialized as Chrome trace-event JSON.
+(** The server's event ring — the bounded per-domain ring of its newest
+    spans and instants — serialized as Chrome trace-event JSON.
     [?trace] restricts the dump to the events of one request-scoped
     trace id (as returned in {!Proto.synth_result.trace}).  The JSON is
-    empty-but-valid when telemetry is disabled. *)
+    empty-but-valid when the ring is off (telemetry disabled). *)
 
 val shutdown : t -> unit
 (** Asks the daemon to drain and exit; returns once acknowledged. *)

@@ -102,7 +102,7 @@ type request =
       (** snapshot of the server's live metric registry: counters,
           gauges, histograms, sliding windows *)
   | Dump_trace of { trace : string option }
-      (** the server's flight recorder as Chrome trace JSON; with
+      (** the server's event ring as Chrome trace JSON; with
           [Some id], only events recorded under that trace context —
           one request's span tree *)
   | Shutdown
@@ -245,7 +245,7 @@ type reply =
   | Pong of { server : string; protocol : int; health : health }
   | Metrics_reply of wire_metric list
   | Dump_trace_reply of { trace_json : string }
-      (** the flight recorder dump: a complete Chrome trace-event JSON
+      (** the event-ring dump: a complete Chrome trace-event JSON
           document carried as a string payload *)
   | Busy of { queue_depth : int }
       (** admission control refused the request: the bounded queue

@@ -74,6 +74,10 @@ type config = {
 
 let build_id = "owl-serve/1.0 proto-" ^ string_of_int Proto.version
 
+(* per-domain events the telemetry ring keeps: a full ring renders to
+   about 0.6 MB of Chrome JSON per domain, far below [Proto.max_frame] *)
+let ring_capacity = 4096
+
 let c_requests = Obs.counter "serve.requests"
 let c_rejected = Obs.counter "serve.rejected"
 let c_worker_lost = Obs.counter "serve.worker_lost"
@@ -160,13 +164,13 @@ let mint_trace t =
     (int_of_float (t.started_at *. 1e6) land 0xffffff)
     (Atomic.fetch_and_add t.trace_ctr 1)
 
-(* The flight recorder's black-box dump: best-effort, never fails the
+(* The event ring's black-box dump: best-effort, never fails the
    caller — a telemetry path must not take down a serving path. *)
 let flight_dump t ~reason =
   match t.cfg.dump_dir with
   | None -> ()
   | Some dir ->
-      if Obs.flight_enabled () then begin
+      if Obs.enabled () then begin
         (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
         let file =
           Filename.concat dir
@@ -177,7 +181,7 @@ let flight_dump t ~reason =
           let oc = open_out file in
           Fun.protect
             ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc (Obs.flight_trace_string ()))
+            (fun () -> Obs.write_chrome_trace oc)
         with Sys_error _ -> ()
       end
 
@@ -467,7 +471,7 @@ let reply_of_cached ~hot ~trace = function
 let rec run_job t job =
   (* the worker-kill chaos hook sits before any real work: an injected
      kill takes exactly the path a worker dying mid-job would — inside
-     the serve.job span, so the flight recorder shows the aborted span *)
+     the serve.job span, so the event ring shows the aborted span *)
   Obs.span "serve.job"
     ~args:
       [
@@ -551,7 +555,7 @@ let settle_lost_job t job =
   let conn = job.j_conn in
   Obs.incr c_worker_lost;
   (* the dying worker's trace context is still installed, so this instant
-     lands in the flight recorder tagged with the killed request — then
+     lands in the event ring tagged with the killed request — then
      the dump snapshots the black box before the domain unwinds *)
   Obs.instant "serve.worker_lost"
     ~args:
@@ -749,7 +753,7 @@ let handle t conn ~trace (req : Proto.request) =
       ignore
         (send conn
            (Proto.Dump_trace_reply
-              { trace_json = Obs.flight_trace_string ?trace:filter () }));
+              { trace_json = Obs.chrome_trace_string ?trace:filter () }));
       bump_served t
   | Proto.Shutdown ->
       ignore (send conn Proto.Shutdown_ack);
@@ -911,12 +915,14 @@ let run ?(ready = fun () -> ()) cfg ~lookup =
       dump_ctr = Atomic.make 0;
     }
   in
-  (* live telemetry: the metric registry plus the always-on flight
-     recorder, for the daemon's whole life.  [telemetry = false] is the
-     measured-overhead baseline — both stay null sinks. *)
+  (* live telemetry: the metric registry plus the event ring as the
+     daemon's black box.  The ring restarts at [ring_capacity] so every
+     dump stays far below [Proto.max_frame]; [telemetry = false] is the
+     measured-overhead baseline and leaves both as they were. *)
+  let ring_was_on = Obs.enabled () in
   if cfg.telemetry then begin
     Obs.enable_metrics ();
-    Obs.enable_flight ()
+    Obs.enable ~capacity:ring_capacity ()
   end;
   let pool = Synth.Pool.Service.start ~jobs:cfg.jobs ~pull:(pull t) in
   t.pool <- Some pool;
@@ -969,10 +975,11 @@ let run ?(ready = fun () -> ()) cfg ~lookup =
         t.conns);
   List.iter Thread.join !threads;
   (* stop recording (accumulated metric values persist for at_exit
-     summaries; the flight rings are dropped) so a telemetry-off run
-     started later in the same process really is off *)
+     summaries) so a telemetry-off run started later in the same process
+     really is off; a ring that was already running before the daemon —
+     [owl serve --trace] — keeps running for the caller's export *)
   if cfg.telemetry then begin
-    Obs.disable_flight ();
+    if not ring_was_on then Obs.disable ();
     Obs.disable_metrics ()
   end;
   (try Unix.close wake_r with Unix.Unix_error _ -> ());

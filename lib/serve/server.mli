@@ -39,11 +39,14 @@ type config = {
   telemetry : bool;
       (** enable live telemetry for the daemon's lifetime: the metric
           registry (counters, gauges, the latency window served by the
-          [metrics] request) and the always-on flight recorder (served
-          by [dump_trace]).  [false] keeps both as null sinks — the
-          measured-overhead baseline. *)
+          [metrics] request) and the {!Obs} event ring as a black
+          box of the newest 4096 events per domain (served by
+          [dump_trace]).  The daemon restarts the ring at start and
+          disables it at teardown unless it was already running.  [false]
+          leaves both as they were — off, the measured-overhead
+          baseline. *)
   dump_dir : string option;
-      (** where automatic flight-recorder dumps go (timestamped
+      (** where automatic black-box dumps of the event ring go (timestamped
           [owl-flight-<pid>-<reason>-<n>.json] files, written on
           [worker_lost] and on entry into degraded mode); [None]
           disables automatic dumps.  Requires [telemetry]. *)

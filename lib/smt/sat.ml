@@ -707,13 +707,6 @@ let solve_inner ?(assumptions = []) ?(budget = max_int) ?deadline s =
             s.n_restarts <- s.n_restarts + 1;
             next_restart :=
               !conflicts_this + restart_interval (!restart_count + 1);
-            if Obs.enabled () then
-              Obs.instant "sat.restart"
-                ~args:
-                  [
-                    ("conflicts", Obs.Int !conflicts_this);
-                    ("learnt", Obs.Int s.learnt_count);
-                  ];
             cancel_until s (min (Array.length assum) (decision_level s))
           end
           else if s.learnt_count > 4000 + (num_clauses s / 2) then begin

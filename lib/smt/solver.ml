@@ -110,9 +110,6 @@ let ack_create () =
     | None ->
         incr count;
         Obs.incr c_ack_instances;
-        if Obs.enabled () then
-          Obs.instant "solver.ack_instance"
-            ~args:[ ("mem", Obs.Str m.Term.mem_name); ("instances", Obs.Int !count) ];
         let v =
           Term.var (Printf.sprintf "ack!%s!%d" m.Term.mem_name !count) m.Term.data_width
         in

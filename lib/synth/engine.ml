@@ -184,6 +184,17 @@ type problem = {
 let problem_prefix (problem : problem) =
   "p!" ^ problem.design.Oyster.Ast.name ^ "!"
 
+(* The two set-up stages every entry point runs before its first query,
+   each in its own span so a trace attributes their time. *)
+let symbolic_trace (problem : problem) =
+  Obs.span "synth.symbolic" (fun () ->
+      Oyster.Symbolic.eval ~prefix:(problem_prefix problem) problem.design
+        ~cycles:problem.af.Ila.Absfun.cycles)
+
+let compile_conditions (problem : problem) trace =
+  Obs.span "synth.conditions" (fun () ->
+      Ila.Conditions.compile problem.spec problem.af trace)
+
 (* {1 Internal bookkeeping} *)
 
 (* One [run] per worker: [stats] is that worker's private tally (the
@@ -650,11 +661,8 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
     (problem : problem) : (string * verdict) list =
   if Oyster.Ast.holes problem.design <> [] then
     fail "Engine.verify: design still has holes (synthesize first)";
-  let trace =
-    Oyster.Symbolic.eval ~prefix:(problem_prefix problem) problem.design
-      ~cycles:problem.af.Ila.Absfun.cycles
-  in
-  let conds = Ila.Conditions.compile problem.spec problem.af trace in
+  let trace = symbolic_trace problem in
+  let conds = compile_conditions problem trace in
   let base =
     {
       opts = options;
@@ -760,11 +768,8 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
 let monolithic_violation ?(refine = true) (problem : problem) : Term.t =
   if Oyster.Ast.holes problem.design <> [] then
     fail "Engine.monolithic_violation: design still has holes (synthesize first)";
-  let trace =
-    Oyster.Symbolic.eval ~prefix:(problem_prefix problem) problem.design
-      ~cycles:problem.af.Ila.Absfun.cycles
-  in
-  let conds = Ila.Conditions.compile problem.spec problem.af trace in
+  let trace = symbolic_trace problem in
+  let conds = compile_conditions problem trace in
   if conds = [] then fail "Engine.monolithic_violation: specification has no instructions";
   Term.disj
     (List.map
@@ -938,10 +943,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
   if options.schedule.Schedule.jobs < 1 then fail "Engine.synthesize: options.schedule.Schedule.jobs < 1";
   let stats = fresh_stats () in
   let started = now () in
-  let trace =
-    Oyster.Symbolic.eval ~prefix:(problem_prefix problem) problem.design
-      ~cycles:problem.af.Ila.Absfun.cycles
-  in
+  let trace = symbolic_trace problem in
   let run =
     {
       opts = options;
@@ -954,14 +956,17 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
     }
   in
   try
-    let conds = Ila.Conditions.compile problem.spec problem.af trace in
+    let conds = compile_conditions problem trace in
     if conds = [] then fail "specification has no instructions";
     let holes = Oyster.Ast.holes problem.design in
     if holes = [] then fail "sketch has no holes";
     if options.check_independence then begin
-      let allowed_cuts = List.map fst problem.af.Ila.Absfun.assumes in
-      let excl = Independence.check_mutual_exclusion conds in
-      let fb = Independence.check_no_feedback ~allowed_cuts problem.design in
+      let excl, fb =
+        Obs.span "synth.independence" (fun () ->
+            let allowed_cuts = List.map fst problem.af.Ila.Absfun.assumes in
+            ( Independence.check_mutual_exclusion conds,
+              Independence.check_no_feedback ~allowed_cuts problem.design ))
+      in
       if
         excl.Independence.overlapping <> []
         || fb.Independence.feedback_paths <> []
@@ -1155,34 +1160,36 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
             | None -> Bitvec.zero w ))
         (List.combine shared_holes shared_hole_vars)
     in
-    (* reconstruct precondition expressions over the datapath namespace *)
-    let prefer = List.concat_map (fun (h : Oyster.Ast.hole_decl) -> h.Oyster.Ast.deps) holes in
-    let ctx = Reconstruct.ctx_of_trace ~prefer trace in
-    let pre_exprs, missing =
-      List.fold_left
-        (fun (acc, missing) (c : Ila.Conditions.conditions) ->
-          match Reconstruct.expr_of_term ctx c.Ila.Conditions.pre with
-          | Some e -> ((c.Ila.Conditions.instr_name, e) :: acc, missing)
-          | None -> (acc, c.Ila.Conditions.instr_name :: missing))
-        ([], []) conds
-    in
-    run.stats.wall_seconds <- now () -. run.started;
-    if missing <> [] then
-      Union_failed
-        {
-          diagnostic =
-            Printf.sprintf
-              "preconditions of %s are not expressible over the datapath wires"
-              (String.concat ", " missing);
-          stats = run.stats;
-        }
-    else begin
-      let completed, bindings =
-        Union.apply problem.design ~pre_exprs ~shared ~per_instr
-      in
-      run.stats.wall_seconds <- now () -. run.started;
-      Solved { completed; bindings; per_instr; shared; pre_exprs; stats = run.stats }
-    end
+    (* reconstruct precondition expressions over the datapath namespace,
+       then splice them and the bindings into the sketch *)
+    Obs.span "synth.union" (fun () ->
+        let prefer = List.concat_map (fun (h : Oyster.Ast.hole_decl) -> h.Oyster.Ast.deps) holes in
+        let ctx = Reconstruct.ctx_of_trace ~prefer trace in
+        let pre_exprs, missing =
+          List.fold_left
+            (fun (acc, missing) (c : Ila.Conditions.conditions) ->
+              match Reconstruct.expr_of_term ctx c.Ila.Conditions.pre with
+              | Some e -> ((c.Ila.Conditions.instr_name, e) :: acc, missing)
+              | None -> (acc, c.Ila.Conditions.instr_name :: missing))
+            ([], []) conds
+        in
+        run.stats.wall_seconds <- now () -. run.started;
+        if missing <> [] then
+          Union_failed
+            {
+              diagnostic =
+                Printf.sprintf
+                  "preconditions of %s are not expressible over the datapath wires"
+                  (String.concat ", " missing);
+              stats = run.stats;
+            }
+        else begin
+          let completed, bindings =
+            Union.apply problem.design ~pre_exprs ~shared ~per_instr
+          in
+          run.stats.wall_seconds <- now () -. run.started;
+          Solved { completed; bindings; per_instr; shared; pre_exprs; stats = run.stats }
+        end)
   with
   | Stop outcome ->
       stats.wall_seconds <- now () -. started;

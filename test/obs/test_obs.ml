@@ -119,8 +119,8 @@ let test_null_sink_overhead () =
 (* {1 Spans and ordering} *)
 
 (* per-domain streams must follow stack discipline: every End matches the
-   most recent open Begin *)
-let well_nested events =
+   most recent open Begin (and, when [closed], every Begin is closed) *)
+let well_nested ?(closed = true) events =
   let ok = ref true in
   let stacks = Hashtbl.create 8 in
   List.iter
@@ -141,7 +141,7 @@ let well_nested events =
           | _ -> ok := false)
       | Obs.Instant -> ())
     events;
-  Hashtbl.iter (fun _ s -> if !s <> [] then ok := false) stacks;
+  if closed then Hashtbl.iter (fun _ s -> if !s <> [] then ok := false) stacks;
   !ok
 
 let test_span_nesting () =
@@ -266,7 +266,7 @@ let test_merge_deterministic () =
   checkb "same stream" true (a = b);
   checki "jobs=4 event count" (4 * 25 * 3) (List.length a)
 
-let test_drop_newest () =
+let test_overflow_keeps_newest () =
   Obs.enable ~capacity:4 ();
   for i = 1 to 10 do
     Obs.instant "e" ~args:[ ("i", Obs.Int i) ]
@@ -274,13 +274,80 @@ let test_drop_newest () =
   let evs = Obs.events () in
   let n_dropped = Obs.dropped () in
   Obs.disable ();
-  checki "kept prefix" 4 (List.length evs);
-  checki "dropped the rest" 6 n_dropped;
-  (* drop-newest keeps the earliest events *)
+  checki "ring keeps capacity" 4 (List.length evs);
+  checki "overwritten events counted" 6 n_dropped;
+  (* overwrite-oldest: the survivors are the newest 4, oldest first *)
   List.iteri
     (fun idx (e : Obs.event) ->
-      checkb "prefix kept in order" true (e.Obs.args = [ ("i", Obs.Int (idx + 1)) ]))
+      checkb "newest kept in order" true (e.Obs.args = [ ("i", Obs.Int (7 + idx)) ]))
     evs
+
+(* A wrapped ring loses the Begins of its oldest spans; the export drops
+   their orphan Ends so every domain's stream stays well nested. *)
+let test_wrapped_spans_nest () =
+  Obs.enable ~capacity:5 ();
+  Obs.span "outer" (fun () ->
+      Obs.span "a" ignore;
+      Obs.span "b" ignore);
+  Obs.instant "after";
+  let evs = Obs.events () in
+  Obs.disable ();
+  (* the ring holds [E a; B b; E b; E outer; i after]: E a and E outer
+     lost their Begins *)
+  check
+    Alcotest.(list string)
+    "orphan Ends dropped" [ "b"; "b"; "after" ]
+    (List.map (fun (e : Obs.event) -> e.Obs.name) evs);
+  checkb "well nested" true (well_nested evs)
+
+(* Two domains record nested spans into a small ring while the main
+   domain snapshots it: every snapshot holds whole events, at most a
+   ring's worth per domain, in strictly increasing [seq] per domain, and
+   never an End without its Begin.  Three thousand snapshots, because a
+   snapshot that skipped the [seq] check survived two hundred and, in
+   some runs, a thousand. *)
+let test_snapshot_while_recording () =
+  let capacity = 64 in
+  Obs.enable ~capacity ();
+  let stop = Atomic.make false and running = Atomic.make 0 in
+  let recorder id () =
+    let first = ref true in
+    while not (Atomic.get stop) do
+      Obs.span "outer" ~args:[ ("who", Obs.Int id) ] (fun () ->
+          Obs.span "inner" (fun () -> Obs.instant "tick"));
+      if !first then begin
+        first := false;
+        Atomic.incr running
+      end
+    done
+  in
+  let spawned = List.init 2 (fun id -> Domain.spawn (recorder id)) in
+  while Atomic.get running < 2 do
+    Domain.cpu_relax ()
+  done;
+  let ok = ref true and doms_seen = ref 0 in
+  for _ = 1 to 3000 do
+    let evs = Obs.events () in
+    let doms = List.sort_uniq compare (List.map (fun (e : Obs.event) -> e.Obs.dom) evs) in
+    doms_seen := max !doms_seen (List.length doms);
+    let per_dom = Hashtbl.create 4 in
+    List.iter
+      (fun (e : Obs.event) ->
+        let n, last =
+          Option.value (Hashtbl.find_opt per_dom e.Obs.dom) ~default:(0, -1)
+        in
+        if e.Obs.seq <= last then ok := false;
+        Hashtbl.replace per_dom e.Obs.dom (n + 1, e.Obs.seq))
+      evs;
+    Hashtbl.iter (fun _ (n, _) -> if n > capacity then ok := false) per_dom;
+    (* spans still open at the snapshot keep their Begin alone *)
+    if not (well_nested ~closed:false evs) then ok := false
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join spawned;
+  Obs.disable ();
+  checki "snapshots saw both recorders" 2 !doms_seen;
+  checkb "every snapshot bounded, ordered and nested" true !ok
 
 (* {1 Chrome trace export} *)
 
@@ -481,15 +548,15 @@ let test_windows () =
   Obs.disable_metrics ();
   Obs.reset_metrics ()
 
-(* {1 Flight recorder and trace context} *)
+(* {1 Wraparound and trace context (the "flight" group: the ring as a
+   server's black box)} *)
 
-let test_flight_wraparound () =
-  Obs.disable ();
-  Obs.enable_flight ~capacity:8 ();
+let test_wraparound () =
+  Obs.enable ~capacity:8 ();
   for i = 1 to 20 do
     Obs.instant "f" ~args:[ ("i", Obs.Int i) ]
   done;
-  let evs = Obs.flight_events () in
+  let evs = Obs.events () in
   checki "ring keeps capacity" 8 (List.length evs);
   (* overwrite-oldest: the survivors are the newest 8, oldest first *)
   List.iteri
@@ -497,20 +564,20 @@ let test_flight_wraparound () =
       checkb "newest kept in order" true
         (e.Obs.args = [ ("i", Obs.Int (13 + idx)) ]))
     evs;
-  let s = Obs.flight_trace_string () in
+  let s = Obs.chrome_trace_string () in
   (match Json.parse s with
   | doc -> (
       match Json.member "traceEvents" doc with
       | Some (Json.Arr (_ :: _)) -> ()
-      | _ -> Alcotest.fail "flight dump has no traceEvents")
+      | _ -> Alcotest.fail "wrapped dump has no traceEvents")
   | exception Json.Parse_error m ->
-      Alcotest.fail ("flight dump is not valid JSON: " ^ m));
-  Obs.disable_flight ();
-  checki "disabled recorder is empty" 0 (List.length (Obs.flight_events ()))
+      Alcotest.fail ("wrapped dump is not valid JSON: " ^ m));
+  Obs.disable ();
+  checki "disabled ring is empty" 0 (List.length (Obs.events ()))
 
 let test_trace_context () =
   checkb "no initial context" true (Obs.trace_context () = None);
-  Obs.enable_flight ();
+  Obs.enable ();
   Obs.with_trace_context "req-1" (fun () ->
       checkb "context visible inside" true
         (Obs.trace_context () = Some "req-1");
@@ -519,7 +586,7 @@ let test_trace_context () =
   checkb "context restored" true (Obs.trace_context () = None);
   Obs.with_trace_context "req-2" (fun () -> Obs.instant "b");
   Obs.instant "c";
-  let all = Obs.flight_events () in
+  let all = Obs.events () in
   let trace_of name =
     (List.find (fun (e : Obs.event) -> e.Obs.name = name) all).Obs.trace
   in
@@ -527,14 +594,14 @@ let test_trace_context () =
   checkb "b tagged" true (trace_of "b" = Some "req-2");
   checkb "c untagged" true (trace_of "c" = None);
   (* the filter isolates one request's events, span Begin/End included *)
-  let one = Obs.flight_events ~trace:"req-1" () in
+  let one = Obs.events ~trace:"req-1" () in
   checki "filtered count" 3 (List.length one);
   checkb "filtered names" true
     (List.for_all
        (fun (e : Obs.event) -> e.Obs.name = "a" || e.Obs.name = "s")
        one);
   (* the filtered Chrome export tags every event with the id *)
-  (match Json.parse (Obs.flight_trace_string ~trace:"req-1" ()) with
+  (match Json.parse (Obs.chrome_trace_string ~trace:"req-1" ()) with
   | doc -> (
       match Json.member "traceEvents" doc with
       | Some (Json.Arr all_evs) ->
@@ -565,7 +632,7 @@ let test_trace_context () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "exception swallowed");
   checkb "context restored after raise" true (Obs.trace_context () = None);
-  Obs.disable_flight ()
+  Obs.disable ()
 
 (* {1 Concurrent taps} *)
 
@@ -698,13 +765,17 @@ let () =
           Alcotest.test_case "multi-domain merge" `Quick test_merge_multi_domain;
           Alcotest.test_case "deterministic merge" `Quick
             test_merge_deterministic;
-          Alcotest.test_case "drop newest" `Quick test_drop_newest;
+          Alcotest.test_case "overflow keeps the newest" `Quick
+            test_overflow_keeps_newest;
+          Alcotest.test_case "wrapped spans nest" `Quick test_wrapped_spans_nest;
+          Alcotest.test_case "snapshot while recording" `Quick
+            test_snapshot_while_recording;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace;
           Alcotest.test_case "concurrent taps" `Quick test_tap_concurrent;
         ] );
       ( "flight",
         [
-          Alcotest.test_case "wraparound ring" `Quick test_flight_wraparound;
+          Alcotest.test_case "wraparound ring" `Quick test_wraparound;
           Alcotest.test_case "trace context" `Quick test_trace_context;
         ] );
       ( "metrics",

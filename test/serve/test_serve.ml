@@ -835,6 +835,42 @@ let test_live_telemetry () =
   Client.close c;
   stop_server addr th
 
+(* The daemon's ring lifecycle.  A telemetry-on daemon booted while the
+   event ring runs (as under `owl serve --trace FILE`) restarts it as its
+   black box, answers dump_trace from it, and leaves it running after
+   shutdown so the caller can still export the daemon's events; a
+   telemetry-off daemon started with the ring off records nothing. *)
+let test_ring_lifecycle () =
+  Obs.enable ();
+  let addr, th = start_server ~telemetry:true () in
+  let c = Client.connect addr in
+  let r = Client.synth c ~design:"acc" Synth.Engine.default_options in
+  check_str "request solved" "solved" r.Proto.outcome;
+  (match Json.parse (Client.dump_trace c) with
+  | doc -> (
+      match Json.member "traceEvents" doc with
+      | Some (Json.Arr evs) ->
+          check "dump holds the request's events" true
+            (List.exists
+               (fun ev -> Json.member "ph" ev <> Some (Json.String "M"))
+               evs)
+      | _ -> Alcotest.fail "ring dump has no traceEvents")
+  | exception Json.Parse_error m ->
+      Alcotest.fail ("ring dump is not valid JSON: " ^ m));
+  Client.close c;
+  stop_server addr th;
+  check "ring still running after shutdown" true (Obs.enabled ());
+  check "ring kept the daemon's spans" true
+    (List.exists (fun (e : Obs.event) -> e.Obs.name = "serve.job") (Obs.events ()));
+  Obs.disable ();
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let r = Client.synth c ~design:"alu" Synth.Engine.default_options in
+  check_str "telemetry-off request solved" "solved" r.Proto.outcome;
+  Client.close c;
+  stop_server addr th;
+  check "telemetry-off daemon records nothing" true (Obs.events () = [])
+
 (* Telemetry cost at the daemon: the same 20-request mixed batch (four
    fingerprints per kind: 8 cold, 12 warm) against telemetry-off and
    telemetry-on daemons, twice each.  The faster on-run must stay within
@@ -1235,6 +1271,7 @@ let () =
           Alcotest.test_case "verify" `Quick test_verify_end_to_end;
           Alcotest.test_case "verify deadline" `Quick test_verify_deadline;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
+          Alcotest.test_case "ring lifecycle" `Quick test_ring_lifecycle;
           Alcotest.test_case "telemetry overhead" `Quick
             test_telemetry_overhead;
           Alcotest.test_case "unknown design" `Quick test_unknown_design;

@@ -323,9 +323,25 @@ let test_traced_synthesis () =
         Obs.disable ();
         Obs.disable_metrics ())
       (fun () ->
-        ignore (solve (Designs.Accumulator.problem ()));
+        let options =
+          Synth.Engine.(default_options |> with_check_independence true)
+        in
+        ignore (solve ~options (Designs.Accumulator.problem ()));
         (Obs.chrome_trace_string (), Obs.events ()))
   in
+  (* the set-up stages are attributed too: symbolic evaluation opens the
+     trace, and condition compilation, the independence gate and the
+     final union each have a span *)
+  (match events with
+  | e :: _ ->
+      Alcotest.(check string) "first event" "synth.symbolic" e.Obs.name;
+      Alcotest.(check bool) "first event is a Begin" true (e.Obs.ph = Obs.Begin)
+  | [] -> Alcotest.fail "no events");
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " recorded") true
+        (List.exists (fun (e : Obs.event) -> e.Obs.name = name) events))
+    [ "synth.symbolic"; "synth.conditions"; "synth.independence"; "synth.union" ];
   (* the encoding of a CEGIS query splits into Ackermann expansion and
      blasting, each timed inside the verify or synth step it serves *)
   List.iter
