@@ -190,10 +190,9 @@ let cache_dir =
   let doc =
     "Enable the cross-run synthesis cache rooted at $(docv): solved \
      per-instruction problems are fingerprinted and their hole bindings \
-     reused (after re-validation) on later runs; near-miss problems \
-     warm-start from accumulated counterexamples and learned clauses.  \
-     Also read from the OWL_CACHE_DIR environment variable; the flag \
-     wins.  The conventional directory is '.owl-cache'."
+     reused (after re-validation) on later runs; any other problem is \
+     solved from scratch.  Also read from the OWL_CACHE_DIR environment \
+     variable; the flag wins.  The conventional directory is '.owl-cache'."
   in
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR" ~doc)

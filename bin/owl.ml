@@ -519,9 +519,8 @@ let cache_cmd =
             (Owl_serve.Proto.cache_stats_to_json
                { empty_stats with Owl_serve.Proto.disk = Some s })
         else
-          Printf.printf "%s: %d result entries, %d warm entries, %d bytes\n"
-            dir s.Owl_cache.result_entries s.Owl_cache.warm_entries
-            s.Owl_cache.total_bytes
+          Printf.printf "%s: %d result entries, %d bytes\n" dir
+            s.Owl_cache.result_entries s.Owl_cache.total_bytes
     in
     Cmd.v (Cmd.info "stats" ~doc:"Show entry counts and on-disk size")
       Term.(const run $ dir_term $ json)
@@ -756,9 +755,8 @@ let client_cmd =
             | None -> print_endline "disk cache: none");
             (match s.Owl_serve.Proto.disk with
             | Some d ->
-                Printf.printf "disk usage: %d result entries, %d warm entries, %d bytes\n"
-                  d.Owl_cache.result_entries d.Owl_cache.warm_entries
-                  d.Owl_cache.total_bytes
+                Printf.printf "disk usage: %d result entries, %d bytes\n"
+                  d.Owl_cache.result_entries d.Owl_cache.total_bytes
             | None -> ());
             Printf.printf "served %d, rejected %d, up %.1fs\n"
               s.Owl_serve.Proto.served s.Owl_serve.Proto.rejected

@@ -1,14 +1,13 @@
 (* Content-addressed on-disk synthesis cache.
 
-   Layout: <root>/r/<fingerprint> for the result tier and
-   <root>/w/<key> for the warm tier, where both names are SHA-256 hex
-   strings produced by [fingerprint].  Every entry is one file:
+   Layout: <root>/r/<fingerprint>, where the name is a SHA-256 hex string
+   produced by [fingerprint].  Every entry is one file:
 
-     owl-cache <version> <kind> <payload-sha256> <payload-length>\n
+     owl-cache <version> result <payload-sha256> <payload-length>\n
      <payload bytes>
 
-   The header makes stale detection cheap and total: a version bump, a
-   kind mix-up, a truncation (payload shorter than declared), trailing
+   The header makes stale detection cheap and total: a version bump, any
+   kind other than "result", a truncation (payload shorter than declared), trailing
    junk (longer), or any bit flip (checksum) all classify the entry as
    stale, which readers treat as a miss.  Payload parsing goes through
    the Term smart constructors, so even a checksum-valid but logically
@@ -72,11 +71,9 @@ let rec mkdir_p path =
   end
 
 let result_dir root = Filename.concat root "r"
-let warm_dir root = Filename.concat root "w"
 
 let open_dir root =
   mkdir_p (result_dir root);
-  mkdir_p (warm_dir root);
   {
     root;
     n_hits = Atomic.make 0;
@@ -97,12 +94,12 @@ let tmp_path dir =
        (Domain.self () :> int)
        (Atomic.fetch_and_add tmp_counter 1))
 
-let write_entry c ~path ~kind payload =
+let write_entry c ~path payload =
   try
     let tmp = tmp_path (Filename.dirname path) in
     let oc = open_out_bin tmp in
     (try
-       Printf.fprintf oc "owl-cache %d %s %s %d\n" format_version kind
+       Printf.fprintf oc "owl-cache %d result %s %d\n" format_version
          (Sha256.digest_hex payload)
          (String.length payload);
        output_string oc payload;
@@ -117,7 +114,7 @@ let write_entry c ~path ~kind payload =
 
 type read_result = Absent | Stale | Entry of string
 
-let read_entry path kind =
+let read_entry path =
   match open_in_bin path with
   | exception Sys_error _ -> Absent
   | ic ->
@@ -128,7 +125,7 @@ let read_entry path kind =
           | [ "owl-cache"; v; k; sha; len ] -> (
               match (int_of_string_opt v, int_of_string_opt len) with
               | Some v, Some len
-                when v = format_version && k = kind && len >= 0
+                when v = format_version && k = "result" && len >= 0
                      && len <= in_channel_length ic ->
                   let payload = really_input_string ic len in
                   let trailing =
@@ -172,24 +169,13 @@ let count_of header line =
       | _ -> failwith "cache entry count out of range")
   | _ -> failwith "cache entry bad section header"
 
-(* Terms ride along as a Term.serialize document occupying the rest of the
-   payload; an empty list skips the document entirely (and the count line
-   cross-checks the roots actually present). *)
-let emit_terms buf count_header ts =
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d\n" count_header (List.length ts));
-  if ts <> [] then Buffer.add_string buf (Term.serialize ts)
+(* {1 Result tier}
 
-let parse_terms next rest count_header =
-  let n = count_of count_header (next ()) in
-  if n = 0 then []
-  else begin
-    let ts = Term.deserialize (rest ()) in
-    if List.length ts <> n then failwith "cache entry root count mismatch";
-    ts
-  end
-
-(* {1 Result tier} *)
+   A payload is a "bindings N" section, one "name value" line per
+   binding, then a "constraints N" line.  The constraints ride along as a
+   Term.serialize document occupying the rest of the payload; an empty
+   list skips the document entirely (and the count line cross-checks the
+   roots actually present). *)
 
 let result_path c fp = Filename.concat (result_dir c.root) fp
 
@@ -203,8 +189,10 @@ let store_result c ~fp ~bindings ~constraints =
         invalid_arg "Owl_cache.store_result: binding name contains whitespace";
       Buffer.add_string buf (Printf.sprintf "%s %s\n" name (Bitvec.to_string v)))
     bindings;
-  emit_terms buf "constraints" constraints;
-  write_entry c ~path:(result_path c fp) ~kind:"result" (Buffer.contents buf)
+  Buffer.add_string buf
+    (Printf.sprintf "constraints %d\n" (List.length constraints));
+  if constraints <> [] then Buffer.add_string buf (Term.serialize constraints);
+  write_entry c ~path:(result_path c fp) (Buffer.contents buf)
 
 let parse_result payload =
   let next, rest = line_reader payload in
@@ -215,11 +203,18 @@ let parse_result payload =
         | [ name; v ] -> (name, Bitvec.of_string v)
         | _ -> failwith "cache entry bad binding")
   in
-  (bindings, parse_terms next rest "constraints")
+  let n = count_of "constraints" (next ()) in
+  if n = 0 then (bindings, [])
+  else begin
+    let constraints = Term.deserialize (rest ()) in
+    if List.length constraints <> n then
+      failwith "cache entry root count mismatch";
+    (bindings, constraints)
+  end
 
 let lookup_result c ~fp ~validate =
   check_name "result fingerprint" fp;
-  match read_entry (result_path c fp) "result" with
+  match read_entry (result_path c fp) with
   | Absent ->
       miss c;
       None
@@ -244,77 +239,9 @@ let lookup_result c ~fp ~validate =
             None
           end)
 
-(* {1 Warm tier} *)
-
-type warm = { exact_fp : string; clauses : int list list; cex : Term.t list }
-
-let warm_path c key = Filename.concat (warm_dir c.root) key
-
-let store_warm c ~key w =
-  check_name "warm key" key;
-  check_name "warm exact fingerprint" w.exact_fp;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "exact %s\n" w.exact_fp);
-  Buffer.add_string buf (Printf.sprintf "clauses %d\n" (List.length w.clauses));
-  List.iter
-    (fun lits ->
-      Buffer.add_string buf
-        (String.concat " " (List.map string_of_int lits));
-      Buffer.add_char buf '\n')
-    w.clauses;
-  emit_terms buf "cex" w.cex;
-  write_entry c ~path:(warm_path c key) ~kind:"warm" (Buffer.contents buf)
-
-let parse_warm payload =
-  let next, rest = line_reader payload in
-  let exact_fp =
-    match String.split_on_char ' ' (next ()) with
-    | [ "exact"; fp ] ->
-        check_name "stored exact fingerprint" fp;
-        fp
-    | _ -> failwith "cache entry bad exact line"
-  in
-  let n = count_of "clauses" (next ()) in
-  let clauses =
-    List.init n (fun _ ->
-        let lits =
-          List.map
-            (fun tok ->
-              match int_of_string_opt tok with
-              | Some l when l <> 0 -> l
-              | _ -> failwith "cache entry bad literal")
-            (String.split_on_char ' ' (next ()))
-        in
-        if lits = [] then failwith "cache entry empty clause";
-        lits)
-  in
-  { exact_fp; clauses; cex = parse_terms next rest "cex" }
-
-let lookup_warm c ~key =
-  check_name "warm key" key;
-  match read_entry (warm_path c key) "warm" with
-  | Absent ->
-      miss c;
-      None
-  | Stale ->
-      stale c;
-      None
-  | Entry payload -> (
-      match parse_warm payload with
-      | exception _ ->
-          stale c;
-          None
-      | w ->
-          hit c;
-          Some w)
-
 (* {1 Maintenance} *)
 
-type disk_stats = {
-  result_entries : int;
-  warm_entries : int;
-  total_bytes : int;
-}
+type disk_stats = { result_entries : int; total_bytes : int }
 
 let is_tmp name =
   String.length name >= 4 && String.sub name 0 4 = "tmp."
@@ -336,42 +263,32 @@ let scan dir =
         ([], 0) names
 
 let disk_stats c =
-  let r, rb = scan (result_dir c.root) in
-  let w, wb = scan (warm_dir c.root) in
-  {
-    result_entries = List.length r;
-    warm_entries = List.length w;
-    total_bytes = rb + wb;
-  }
+  let r, bytes = scan (result_dir c.root) in
+  { result_entries = List.length r; total_bytes = bytes }
 
 let clear c =
-  let removed = ref 0 in
-  let sweep dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> ()
-    | names ->
-        Array.iter
-          (fun name ->
-            try
-              Sys.remove (Filename.concat dir name);
-              incr removed
-            with Sys_error _ -> ())
-          names
-  in
-  sweep (result_dir c.root);
-  sweep (warm_dir c.root);
-  !removed
+  match Sys.readdir (result_dir c.root) with
+  | exception Sys_error _ -> 0
+  | names ->
+      Array.fold_left
+        (fun removed name ->
+          try
+            Sys.remove (Filename.concat (result_dir c.root) name);
+            removed + 1
+          with Sys_error _ -> removed)
+        0 names
 
 (* {1 In-process LRU (the serve hot tier)}
 
    A small mutex-guarded LRU keyed by fingerprint strings.  The on-disk
-   tiers above survive process restarts but cost a file read, a checksum,
-   and a re-validation per hit; a daemon answering the same problem for
-   many clients wants repeats to cost a hash lookup and nothing else.
-   Classic doubly-linked-list-over-hashtable: find and add are O(1), the
-   lock is held for pointer surgery only.  Values are stored as given —
-   the hot tier holds already-encoded replies, so no validation happens
-   here; anything whose staleness matters belongs in the tiers above. *)
+   result tier above survives process restarts but costs a file read, a
+   checksum, and a re-validation per hit; a daemon answering the same
+   problem for many clients wants repeats to cost a hash lookup and
+   nothing else.  Classic doubly-linked-list-over-hashtable: find and add
+   are O(1), the lock is held for pointer surgery only.  Values are
+   stored as given — the hot tier holds already-encoded replies, so no
+   validation happens here; anything whose staleness matters belongs in
+   the result tier. *)
 
 module Lru = struct
   type 'v node = {

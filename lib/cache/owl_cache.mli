@@ -5,20 +5,13 @@
     well.  This store keys each synthesis problem by a {e fingerprint} —
     the SHA-256 of a canonical document combining {!Term.serialize} output
     (deterministic: same DAG ⇒ same bytes in every process) with the
-    solver-relevant options — and persists two tiers per fingerprint:
-
-    - the {b result tier} maps an exact problem fingerprint to the solved
-      hole bindings plus the ground constraint terms they were proven
-      against.  A hit is re-validated by concrete evaluation before being
-      trusted, so a stale or corrupted entry degrades to a miss, never to
-      a wrong answer;
-    - the {b warm tier} is keyed by a coarser per-instruction key that
-      survives sketch edits, and persists the accumulated counterexample
-      constraints plus the learned SAT clauses (stamped with the exact
-      fingerprint they were learned on).  Near-miss problems replay the
-      counterexamples to skip early CEGIS rounds; the clauses are only
-      replayed when the exact fingerprint still matches, because clause
-      reuse is sound only under identical variable numbering.
+    solver-relevant options — and persists one tier, the {b result tier}:
+    it maps an exact problem fingerprint to the solved hole bindings plus
+    the ground constraint terms they were proven against.  A hit is
+    re-validated by concrete evaluation before being trusted, so a stale
+    or corrupted entry degrades to a miss, never to a wrong answer.  A
+    miss costs a full solve: nothing of a timed-out or unfinished loop is
+    kept, so the bindings never depend on what the cache held before.
 
     {b Crash and concurrency safety.}  Every write goes to a unique
     temporary file in the entry's directory and is published with
@@ -61,7 +54,7 @@ val fingerprint : string -> string
     without enabling metrics globally. *)
 
 type counters = {
-  hits : int;  (** validated result hits + warm hits *)
+  hits : int;  (** validated result hits *)
   misses : int;  (** entry absent *)
   stale : int;
       (** entry present but unusable: version mismatch, truncation,
@@ -96,41 +89,17 @@ val lookup_result :
     the entry stale and returns [None].  Only a validated entry counts as
     a hit. *)
 
-(** {1 Warm tier} *)
-
-type warm = {
-  exact_fp : string;
-      (** the exact problem fingerprint the clauses were learned on *)
-  clauses : int list list;
-      (** learned SAT clauses ({!Solver.Session.export_learnt}); replay
-          {b only} when [exact_fp] equals the current problem fingerprint *)
-  cex : Term.t list;
-      (** accumulated counterexample constraints over hole variables,
-          oldest first — replayable across sketch edits because the engine
-          re-proves everything they imply *)
-}
-
-val store_warm : t -> key:string -> warm -> unit
-(** Publishes warm-start state under a per-instruction key (already a
-    fingerprint; see {!fingerprint}).  Best-effort like {!store_result}. *)
-
-val lookup_warm : t -> key:string -> warm option
-(** Structurally validated warm state, or [None] (miss or stale).  The
-    caller still owes the soundness guards documented on {!warm}. *)
-
 (** {1 Maintenance (the [owl cache] subcommands)} *)
 
-type disk_stats = {
-  result_entries : int;
-  warm_entries : int;
-  total_bytes : int;
-}
+type disk_stats = { result_entries : int; total_bytes : int }
 
 val disk_stats : t -> disk_stats
 
 val clear : t -> int
-(** Removes every entry (and stray temporary file); returns how many
-    files were deleted.  The directory structure is kept. *)
+(** Removes every result entry (and stray temporary file); returns how
+    many files were deleted.  The directory structure is kept.  A [w/]
+    directory left by an older build (the retired warm-start tier) is
+    neither read nor swept; it may be deleted by hand. *)
 
 (** {1 In-process LRU}
 
@@ -138,11 +107,11 @@ val clear : t -> int
     bounded, mutex-guarded, string-keyed LRU mapping problem fingerprints
     to already-computed values (encoded replies, in the daemon), so repeat
     problems from any client are answered without touching the solver or
-    the disk tiers.  Purely in-memory; nothing here survives the process.
+    the disk.  Purely in-memory; nothing here survives the process.
     Safe to share across domains and threads — every operation takes the
     internal lock for its pointer surgery only.
 
-    Accounting mirrors the on-disk tiers: per-handle counters plus the
+    Accounting mirrors the on-disk tier: per-handle counters plus the
     [cache.hot.hit] / [cache.hot.miss] / [cache.hot.eviction] metrics. *)
 module Lru : sig
   type 'v t

@@ -581,7 +581,6 @@ let cache_stats_to_json (c : cache_stats) =
             Json.obj
               [
                 ("result_entries", Json.int d.Owl_cache.result_entries);
-                ("warm_entries", Json.int d.Owl_cache.warm_entries);
                 ("total_bytes", Json.int d.Owl_cache.total_bytes);
               ])
           c.disk );
@@ -622,9 +621,8 @@ let cache_stats_of_json v =
   let* disk =
     sub "disk" (fun o ->
         let* result_entries = int_field "result_entries" o in
-        let* warm_entries = int_field "warm_entries" o in
         let* total_bytes = int_field "total_bytes" o in
-        Ok { Owl_cache.result_entries; warm_entries; total_bytes })
+        Ok { Owl_cache.result_entries; total_bytes })
   in
   let* store =
     sub "store" (fun o ->

@@ -77,9 +77,6 @@ type t = {
       (* cumulative problem clauses added through the external API — the
          monotone count statistics deltas need (clauses satisfied at level
          0 or reduced to units never occupy a slot) *)
-  mutable n_import_dropped : int;
-      (* imported clauses rejected by the bounds check: they named
-         variables this solver never allocated *)
 }
 
 let create () =
@@ -115,7 +112,6 @@ let create () =
     n_learnt_kept = 0;
     n_learnt_deleted = 0;
     n_encoded = 0;
-    n_import_dropped = 0;
   }
 
 let num_vars s = s.nvars
@@ -129,7 +125,6 @@ let reductions s = s.n_reductions
 let learnt_kept s = s.n_learnt_kept
 let learnt_deleted s = s.n_learnt_deleted
 let encoded_clauses s = s.n_encoded
-let import_dropped s = s.n_import_dropped
 
 (* {1 Variable allocation} *)
 
@@ -540,10 +535,10 @@ let reduce_db s =
 
 (* {1 Adding clauses} *)
 
-let add_clause_gen s ~learnt ext_lits =
+let add_clause s ext_lits =
   s.model_valid <- false;
   cancel_until s 0;
-  if not learnt then s.n_encoded <- s.n_encoded + 1;
+  s.n_encoded <- s.n_encoded + 1;
   if s.ok then begin
     let to_int l =
       let v = abs l in
@@ -563,19 +558,13 @@ let add_clause_gen s ~learnt ext_lits =
         | [ l ] ->
             enqueue s l (-1);
             if propagate s >= 0 then s.ok <- false
-        | _ -> ignore (alloc_clause s (Array.of_list lits) learnt)
+        | _ -> ignore (alloc_clause s (Array.of_list lits) false)
     end
   end
 
-let add_clause s ext_lits = add_clause_gen s ~learnt:false ext_lits
-
-(* Learned-clause exchange (the cross-run warm-start path).  Exported
-   clauses are consequences of the formula they were learned from, so they
-   are only sound to import into a solver holding {e the same} encoding —
-   the cache guards this with an exact problem fingerprint.  Imports are
-   allocated as learnt clauses: they never count as problem clauses in the
-   statistics and [reduce_db] may drop them again if they turn out not to
-   pull their weight. *)
+(* A test hook: the "lbd" shape of [test_sat] adds a budgeted solve's
+   learned clauses to the problem clauses and checks that the verdict and
+   the models do not change, i.e. that every learned clause is implied. *)
 
 let export_learnt s =
   let out = ref [] in
@@ -589,26 +578,6 @@ let export_learnt s =
       out := Array.to_list (Array.map to_ext c.lits) :: !out
   done;
   !out
-
-let import_learnt s clauses =
-  let imported = ref 0 in
-  List.iter
-    (fun lits ->
-      if
-        lits <> []
-        && List.for_all (fun l -> l <> min_int && abs l >= 1 && abs l <= s.nvars) lits
-      then begin
-        add_clause_gen s ~learnt:true lits;
-        incr imported
-      end
-      else
-        (* clause over variables this solver never allocated (or empty):
-           silently adding it would index watch lists out of range, so it
-           is dropped — and counted, because a high drop rate means the
-           exporter and importer do not share an encoding *)
-        s.n_import_dropped <- s.n_import_dropped + 1)
-    clauses;
-  !imported
 
 (* {1 Search} *)
 

@@ -68,23 +68,10 @@ val add_clause : t -> int list -> unit
     [Invalid_argument] on literals naming unallocated variables. *)
 
 val export_learnt : t -> int list list
-(** Snapshot of the learned-clause database, in DIMACS literals.  Every
-    exported clause is a consequence of the problem clauses the solver has
-    seen, so the list is only meaningful for re-import into a solver holding
-    the same encoding (same variable numbering) — the synthesis cache pins
-    this with an exact problem fingerprint before replaying. *)
-
-val import_learnt : t -> int list list -> int
-(** Replays previously exported clauses, allocating them as {e learnt}: they
-    never count as problem clauses in the statistics and the activity-based
-    deletion may drop them again.  Clauses naming variables the solver has
-    not allocated yet are dropped — never handed to the watch lists — and
-    counted in {!import_dropped} (the exporting run may have blasted more
-    terms, or the peer may not share this encoding at all).  Returns the
-    number of clauses actually imported. *)
-
-val import_dropped : t -> int
-(** Imported clauses rejected by the bounds check, cumulative. *)
+(** Snapshot of the learned-clause database, in DIMACS literals.  A test
+    hook: the ["lbd"] clause shape of [test_sat] adds these clauses to the
+    problem clauses and checks that the verdict does not change, i.e. that
+    every learned clause is implied by the formula. *)
 
 val solve : ?assumptions:int list -> ?budget:int -> ?deadline:float -> t -> result
 (** [solve ~assumptions ~budget ~deadline s] checks satisfiability under the

@@ -420,15 +420,6 @@ module Session = struct
       Obs.observe h_check_clauses st.sat_clauses;
       outcome
     end
-
-  (* Cross-run warm starts: the cache exports a finished session's learned
-     clauses and replays them into a future session for the {e same}
-     problem fingerprint.  Replay is sound only under identical variable
-     numbering, which the deterministic blasting order guarantees when the
-     fingerprints match exactly — the cache layer enforces that guard. *)
-  let export_learnt s = Sat.export_learnt s.sat
-  let import_learnt s clauses = Sat.import_learnt s.sat clauses
-  let import_dropped s = Sat.import_dropped s.sat
 end
 
 (* {1 One-shot checking}

@@ -154,26 +154,11 @@ module Session : sig
     trivially_unsat : bool;  (** the session is poisoned by constant false *)
   }
   (** One introspection snapshot covering everything callers used to read
-      through individual accessors — the cache, the observability layer,
-      and tests all consume this single record. *)
+      through individual accessors. *)
 
   val stats : t -> stats
   (** Cumulative totals since [create] (not per-check deltas; those travel
       inside each {!outcome}). *)
-
-  val export_learnt : t -> int list list
-  (** The session's learned clauses, for the cross-run warm-start cache.
-      Only sound to replay into a session holding the identical encoding
-      (same problem fingerprint ⇒ same deterministic variable numbering). *)
-
-  val import_learnt : t -> int list list -> int
-  (** Replays exported learned clauses into this session; clauses naming
-      variables not yet allocated are dropped (and counted in
-      {!import_dropped}).  Returns how many were imported.  See
-      {!Sat.import_learnt}. *)
-
-  val import_dropped : t -> int
-  (** Imported clauses rejected by the bounds check, cumulative. *)
 end
 
 val read_lookup : model -> Term.mem -> Bitvec.t -> Bitvec.t option

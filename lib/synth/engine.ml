@@ -436,8 +436,6 @@ let resilient run ~check ~fresh ~validate =
    Either way a query climbs the resilient ladder, and its degraded rung
    and model validation see the whole logical query as plain terms. *)
 module Lane = struct
-  type t = Solver.Session.t option
-
   let create (o : options) =
     if o.incremental then Some (Solver.Session.create ()) else None
 
@@ -472,14 +470,6 @@ module Lane = struct
      first); a fresh lane re-sends the whole set at each [check] instead. *)
   let assert_all lane ts =
     Option.iter (fun s -> List.iter (Solver.Session.assert_always s) ts) lane
-
-  let export_learnt lane =
-    Option.fold ~none:[] ~some:Solver.Session.export_learnt lane
-
-  let import_learnt lane clauses =
-    Option.fold ~none:0
-      ~some:(fun s -> Solver.Session.import_learnt s clauses)
-      lane
 end
 
 let is_hole_var run name =
@@ -555,27 +545,23 @@ let refresh_table tbl model =
       | None -> ())
     (Hashtbl.copy tbl)
 
-(* The synth half of a loop: every ground counterexample constraint so
-   far, newest first — the fresh lane's whole query, and otherwise what
-   the ladder's degraded rung re-solves and model validation evaluates —
-   and the lane they were asserted into.  The caller creates it, so the
-   cache can seed it before the loop and persist it afterwards. *)
-type synth = { mutable lane : Lane.t; mutable constraints : Term.t list }
-
-let new_synth run = { lane = Lane.create run.opts; constraints = [] }
-
 (* One CEGIS loop (§3.3).  Each round verifies [candidate] against every
    target in [targets], each in its own lane; every counterexample found
    grounds every formula of [corrects] into a synth constraint (dropping
    those that fold to true), and the synth query over all constraints
-   refreshes [candidate] in place.  Returns once every target is refuted;
-   raises [Stop] with [Timeout] after [max_iterations] rounds and with
-   [Unrealizable] when the constraints admit no hole values.  [instr]
-   names the instruction the loop serves ([None] for a joint loop); it
-   labels the spans. *)
-let cegis run synth ~instr ~targets ~corrects candidate =
+   refreshes [candidate] in place.  Returns the ground constraints, oldest
+   first, once every target is refuted; raises [Stop] with [Timeout] after
+   [max_iterations] rounds and with [Unrealizable] when the constraints
+   admit no hole values.  [instr] names the instruction the loop serves
+   ([None] for a joint loop); it labels the spans. *)
+let cegis run ~instr ~targets ~corrects candidate =
   let label = Option.value instr ~default:"joint" in
   let verifiers = List.map (fun v -> (v, Lane.create run.opts)) targets in
+  (* the synth half: every ground constraint so far, newest first — the
+     fresh lane's whole query, and otherwise what the ladder's degraded
+     rung re-solves and model validation evaluates *)
+  let synth_lane = Lane.create run.opts in
+  let constraints = ref [] in
   let verify (violation, lane) =
     Obs.span "cegis.verify"
       ~args:[ ("instr", Obs.Str label) ]
@@ -588,18 +574,18 @@ let cegis run synth ~instr ~targets ~corrects candidate =
         | Solver.Unknown _ -> fail "internal: resilient query returned Unknown")
   in
   let synth_with added =
-    synth.constraints <- added @ synth.constraints;
+    constraints := added @ !constraints;
     let result =
       Obs.span "cegis.synth"
         ~args:
           [
             ("instr", Obs.Str label);
-            ("constraints", Obs.Int (List.length synth.constraints));
+            ("constraints", Obs.Int (List.length !constraints));
           ]
         ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
         (fun () ->
-          Lane.assert_all synth.lane (List.rev added);
-          Lane.check run synth.lane synth.constraints)
+          Lane.assert_all synth_lane (List.rev added);
+          Lane.check run synth_lane !constraints)
     in
     match result with
     | Solver.Sat (m, _) -> refresh_table candidate m
@@ -645,7 +631,8 @@ let cegis run synth ~instr ~targets ~corrects candidate =
     in
     if continue then loop (iter + 1)
   in
-  loop 1
+  loop 1;
+  List.rev !constraints
 
 (* {1 Verification of completed designs}
 
@@ -733,15 +720,13 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
         | Solver.Sat (m, _) -> (
             (* The refined model lacks the pinned bits (they folded away);
                re-check the original formula to report a faithful
-               counterexample.  A fresh check keeps the reported model
-               deterministic even under parallel incremental schedules;
+               counterexample.  A fresh lane keeps the reported model
+               deterministic even under parallel incremental schedules,
+               and the ladder validates it like any other model;
                violations are found quickly in practice, so the extra
                query is cheap. *)
-            match
-              Solver.check
-                ~budget:options.budget.Budget.conflict_budget
-                ?deadline:(query_deadline run) [ violation ]
-            with
+            match Lane.check run None [ violation ] with
+            | exception Stop _ -> Violated m
             | Solver.Sat (m', _) -> Violated m'
             | Solver.Unsat _ | Solver.Unknown _ -> Violated m)
       in
@@ -789,35 +774,26 @@ let monolithic_violation ?(refine = true) (problem : problem) : Term.t =
 (* [cegis] for one independent instruction, consulting [cache] first and
    populating it afterwards.  [holes] are the loop's hole variables (with
    widths), [local] its candidate table. *)
-let cached_cegis run cache ~design ~instr ~holes ~correct ~violation local =
-  (* Content-addressed identity of this per-instruction problem.  [fp]
-     keys the result tier: the canonical serialization of the correctness
-     and violation formulas pins the whole problem (sketch structure,
-     pre/post, abstraction wires, hole copies), and the solver-relevant
-     [incremental] flag rides along.  Budgets, deadlines, retries, and
-     [jobs] deliberately do not: they change how hard the engine tries,
-     never which bindings are correct — so jobs=1 and jobs=4 share
-     entries.  [warm_key] is coarser: design/instruction/hole signature
-     only, so a near-miss problem (same instruction, edited sketch) still
-     finds its accumulated counterexamples. *)
-  let holes_line =
-    String.concat " " (List.map (fun (n, w) -> Printf.sprintf "%s:%d" n w) holes)
-  in
+let cached_cegis run cache ~instr ~holes ~correct ~violation local =
+  (* Content-addressed identity of this per-instruction problem: the
+     canonical serialization of the correctness and violation formulas
+     pins the whole problem (sketch structure, pre/post, abstraction
+     wires, hole copies), and the solver-relevant [incremental] flag
+     rides along.  Budgets, deadlines, retries, and [jobs] deliberately
+     do not: they change how hard the engine tries, never which bindings
+     are correct — so jobs=1 and jobs=4 share entries. *)
   let fp =
     Owl_cache.fingerprint
       (Printf.sprintf "owl-problem 1\nincremental %b\nholes %s\n%s"
-         run.opts.incremental holes_line
+         run.opts.incremental
+         (String.concat " "
+            (List.map (fun (n, w) -> Printf.sprintf "%s:%d" n w) holes))
          (Term.serialize [ correct; violation ]))
   in
-  let warm_key =
-    Owl_cache.fingerprint
-      (Printf.sprintf "owl-warm 1\ndesign %s\ninstr %s\nincremental %b\nholes %s\n"
-         design instr run.opts.incremental holes_line)
-  in
-  (* Result tier: a structurally sound entry is only trusted after
-     re-proving its bindings by concrete evaluation of the stored ground
-     constraints (the validate_models machinery), so a stale or corrupted
-     entry degrades to a miss, never to wrong control logic. *)
+  (* A structurally sound entry is only trusted after re-proving its
+     bindings by concrete evaluation of the stored ground constraints
+     (the validate_models machinery), so a stale or corrupted entry
+     degrades to a miss, never to wrong control logic. *)
   let cached_result =
     Obs.span "cache.lookup"
       ~args:[ ("instr", Obs.Str instr) ]
@@ -844,97 +820,19 @@ let cached_cegis run cache ~design ~instr ~holes ~correct ~violation local =
   match cached_result with
   | Some bindings -> List.iter (fun (n, v) -> Hashtbl.replace local n v) bindings
   | None ->
-      let synth = new_synth run in
-      (* Warm-start state worth persisting: the accumulated ground
-         counterexample constraints (oldest first, the order a replay must
-         re-assert them in) plus the synth session's learned clauses.
-         Stored on success and on timeout — a timed-out loop's partial work
-         is exactly what a rerun with a bigger budget wants back. *)
-      let store_warm_state () =
-        let cex = List.rev synth.constraints in
-        let clauses = Lane.export_learnt synth.lane in
-        if cex <> [] || clauses <> [] then
-          Owl_cache.store_warm cache ~key:warm_key
-            { Owl_cache.exact_fp = fp; clauses; cex }
+      let constraints =
+        cegis run ~instr:(Some instr) ~targets:[ violation ]
+          ~corrects:[ correct ] local
       in
-      (* Replay persisted warm-start state before the first CEGIS round.
-         Counterexample constraints survive sketch edits (they only narrow
-         the hole space, and the loop re-verifies whatever they produce),
-         but two soundness guards apply:
-
-         - only constraints over exactly this problem's hole variables are
-           usable, and learned clauses are imported only on an exact
-           fingerprint match with a full replay — identical assertion
-           sequence means identical variable numbering, which is what
-           makes foreign clauses sound;
-         - if the replayed constraints are already unsatisfiable, the
-           staleness is over-constraining an edited sketch: the replay is
-           discarded wholesale (clean lane, empty constraint set) so a
-           stale cache can never turn into a spurious Unrealizable. *)
-      let replay_warm () =
-        match Owl_cache.lookup_warm cache ~key:warm_key with
-        | None -> ()
-        | Some w -> (
-            let usable =
-              List.filter
-                (fun t ->
-                  List.for_all
-                    (fun (n, tw) ->
-                      match List.assoc_opt n holes with
-                      | Some w' -> w' = tw
-                      | None -> false)
-                    (Term.vars t))
-                w.Owl_cache.cex
-            in
-            if usable <> [] then begin
-              Lane.assert_all synth.lane usable;
-              let imported =
-                if
-                  List.length usable = List.length w.Owl_cache.cex
-                  && String.equal w.Owl_cache.exact_fp fp
-                then Lane.import_learnt synth.lane w.Owl_cache.clauses
-                else 0
-              in
-              synth.constraints <- List.rev usable;
-              if Obs.recording () then
-                Obs.instant "cache.warm_replay"
-                  ~args:
-                    [
-                      ("instr", Obs.Str instr);
-                      ("cex", Obs.Int (List.length usable));
-                      ("clauses", Obs.Int imported);
-                    ];
-              match Lane.check run synth.lane synth.constraints with
-              | Solver.Sat (m, _) -> refresh_table local m
-              | Solver.Unsat _ ->
-                  if Obs.recording () then
-                    Obs.instant "cache.warm_discard"
-                      ~args:[ ("instr", Obs.Str instr) ];
-                  synth.constraints <- [];
-                  synth.lane <- Lane.create run.opts
-              | Solver.Unknown _ -> fail "internal: resilient query returned Unknown"
-            end)
-      in
-      (match
-         replay_warm ();
-         cegis run synth ~instr:(Some instr) ~targets:[ violation ]
-           ~corrects:[ correct ] local
-       with
-      | () -> ()
-      | exception (Stop (Timeout _) as e) ->
-          store_warm_state ();
-          raise e);
-      (* populate both tiers: the bindings just proven (with the ground
-         constraints as re-checkable evidence) and the warm-start state *)
+      (* the bindings just proven, with the ground constraints as
+         re-checkable evidence *)
       let bindings =
         List.map
           (fun (n, w) ->
             (n, Option.value (Hashtbl.find_opt local n) ~default:(Bitvec.zero w)))
           holes
       in
-      Owl_cache.store_result cache ~fp ~bindings
-        ~constraints:(List.rev synth.constraints);
-      store_warm_state ()
+      Owl_cache.store_result cache ~fp ~bindings ~constraints
 
 (* {1 The synthesis core} *)
 
@@ -1078,11 +976,12 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
            let solve () =
              match options.cache with
              | None ->
-                 cegis trun (new_synth trun) ~instr:(Some iname)
-                   ~targets:[ violation ] ~corrects:[ correct ] local
+                 ignore
+                   (cegis trun ~instr:(Some iname) ~targets:[ violation ]
+                      ~corrects:[ correct ] local)
              | Some cache ->
-                 cached_cegis trun cache ~design:problem.design.Oyster.Ast.name
-                   ~instr:iname ~holes ~correct ~violation local
+                 cached_cegis trun cache ~instr:iname ~holes ~correct
+                   ~violation local
            in
            let result =
              match solve () with
@@ -1132,9 +1031,10 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
          | Monolithic -> [ Term.disj violations ]
          | Per_instruction -> violations
        in
-       cegis run (new_synth run) ~instr:None ~targets
-         ~corrects:(List.map (fun (_, f, _) -> f) formulas)
-         candidate);
+       ignore
+         (cegis run ~instr:None ~targets
+            ~corrects:(List.map (fun (_, f, _) -> f) formulas)
+            candidate));
     (* assemble results *)
     let per_instr =
       List.map

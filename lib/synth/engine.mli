@@ -89,11 +89,13 @@ type options = {
           (the [--no-incremental] escape hatch). *)
   cache : Owl_cache.t option;
       (** cross-run synthesis cache (see {!Owl_cache}): before each
-          independent per-instruction CEGIS loop the engine consults the
-          result tier (validated hits skip the loop entirely) and replays
-          warm-start state on partial hits; solved and timed-out loops
-          populate the store.  Joint and monolithic strategies do not
-          cache.  [None] (the default) disables caching. *)
+          independent per-instruction CEGIS loop the engine looks its
+          problem fingerprint up in the result tier (a validated hit skips
+          the loop entirely); a miss runs the loop from scratch and a
+          solved loop stores its bindings.  Nothing of a timed-out loop is
+          kept, so the bindings never depend on the cache's history.
+          Joint and monolithic strategies do not cache.  [None] (the
+          default) disables caching. *)
 }
 
 val default_options : options

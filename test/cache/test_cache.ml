@@ -1,9 +1,9 @@
 (* The cross-run synthesis cache: entry-format robustness (truncation,
    corruption, version skew must all degrade to misses, never to wrong
    answers or crashes), concurrent writers, and the end-to-end
-   cold-vs-warm engine contract — warm reruns reproduce the cold
-   bindings bit for bit with fewer solver queries, at jobs=1 and
-   jobs=4. *)
+   cold-vs-warm engine contract — reruns on a populated store reproduce
+   the cold bindings bit for bit without a solver query, at jobs=1 and
+   jobs=4, and a timed-out run leaves nothing that changes them. *)
 
 let dir_counter = ref 0
 
@@ -159,7 +159,7 @@ let test_version_mismatch () =
            kind sha len payload);
       Alcotest.(check bool) "future version reads as miss" true
         (Owl_cache.lookup_result c ~fp ~validate:accept = None);
-      (* kind confusion (a warm entry's bytes under a result name) too *)
+      (* kind confusion (another kind's bytes under a result name) too *)
       write_file path
         (Printf.sprintf "%s %s warm %s %s\n%s" magic v sha len payload);
       Alcotest.(check bool) "kind mismatch reads as miss" true
@@ -168,55 +168,16 @@ let test_version_mismatch () =
   let k = Owl_cache.counters c in
   Alcotest.(check int) "both classified stale" 2 k.Owl_cache.stale
 
-let test_warm_roundtrip () =
-  let c = Owl_cache.open_dir (fresh_dir ()) in
-  let key = Owl_cache.fingerprint "warm-key" in
-  let exact_fp = Owl_cache.fingerprint "warm-exact" in
-  Alcotest.(check bool) "absent" true (Owl_cache.lookup_warm c ~key = None);
-  let w =
-    { Owl_cache.exact_fp;
-      clauses = [ [ 1; -2; 3 ]; [ -1 ]; [ 2; 4 ] ];
-      cex = sample_constraints }
-  in
-  Owl_cache.store_warm c ~key w;
-  (match Owl_cache.lookup_warm c ~key with
-  | Some w' ->
-      Alcotest.(check string) "exact fp" exact_fp w'.Owl_cache.exact_fp;
-      Alcotest.(check (list (list int))) "clauses" w.Owl_cache.clauses
-        w'.Owl_cache.clauses;
-      Alcotest.(check int) "cex count" 2 (List.length w'.Owl_cache.cex);
-      (* deserialized terms are hash-consed back to equal DAGs: byte
-         equality of the canonical serialization is the contract *)
-      Alcotest.(check string) "cex terms"
-        (Term.serialize w.Owl_cache.cex)
-        (Term.serialize w'.Owl_cache.cex)
-  | None -> Alcotest.fail "expected warm state");
-  (* clauses survive an empty-cex entry and vice versa *)
-  let key2 = Owl_cache.fingerprint "warm-key-2" in
-  Owl_cache.store_warm c ~key:key2
-    { Owl_cache.exact_fp; clauses = []; cex = [] };
-  match Owl_cache.lookup_warm c ~key:key2 with
-  | Some w' ->
-      Alcotest.(check int) "no clauses" 0 (List.length w'.Owl_cache.clauses);
-      Alcotest.(check int) "no cex" 0 (List.length w'.Owl_cache.cex)
-  | None -> Alcotest.fail "expected empty warm state"
-
 let test_stats_and_clear () =
   let c = Owl_cache.open_dir (fresh_dir ()) in
   store_sample c (Owl_cache.fingerprint "p1");
   store_sample c (Owl_cache.fingerprint "p2");
-  Owl_cache.store_warm c
-    ~key:(Owl_cache.fingerprint "w1")
-    { Owl_cache.exact_fp = Owl_cache.fingerprint "p1";
-      clauses = [ [ 1 ] ]; cex = [] };
   let s = Owl_cache.disk_stats c in
   Alcotest.(check int) "result entries" 2 s.Owl_cache.result_entries;
-  Alcotest.(check int) "warm entries" 1 s.Owl_cache.warm_entries;
   Alcotest.(check bool) "bytes counted" true (s.Owl_cache.total_bytes > 0);
-  Alcotest.(check int) "clear removes all" 3 (Owl_cache.clear c);
+  Alcotest.(check int) "clear removes all" 2 (Owl_cache.clear c);
   let s = Owl_cache.disk_stats c in
-  Alcotest.(check int) "empty after clear" 0
-    (s.Owl_cache.result_entries + s.Owl_cache.warm_entries)
+  Alcotest.(check int) "empty after clear" 0 s.Owl_cache.result_entries
 
 (* Concurrent writers racing on the same fingerprints: publication is
    atomic rename, so readers running amid the writes must only ever see
@@ -308,16 +269,12 @@ let test_corrupt_store_resolves () =
   let root = fresh_dir () in
   let c = Owl_cache.open_dir root in
   let cold = solve ~jobs:1 ~cache:(Some c) () in
-  (* trash every entry of both tiers in place *)
-  List.iter
-    (fun tier ->
-      let d = Filename.concat root tier in
-      Array.iter
-        (fun name ->
-          write_file (Filename.concat d name)
-            "owl-cache 1 result deadbeef 4\njunk")
-        (Sys.readdir d))
-    [ "r"; "w" ];
+  (* trash every entry in place *)
+  let d = Filename.concat root "r" in
+  Array.iter
+    (fun name ->
+      write_file (Filename.concat d name) "owl-cache 1 result deadbeef 4\njunk")
+    (Sys.readdir d);
   let c2 = Owl_cache.open_dir root in
   let again = solve ~jobs:1 ~cache:(Some c2) () in
   let k = Owl_cache.counters c2 in
@@ -327,10 +284,9 @@ let test_corrupt_store_resolves () =
   Alcotest.(check bool) "re-solve matches" true (same_bindings cold again);
   Alcotest.(check bool) "store repopulated" true (k.Owl_cache.writes > 0)
 
-(* a timed-out loop's counterexamples come back on the next run: the
-   rerun replays them before its first round and still proves a correct
-   design *)
-let test_warm_replay () =
+(* nothing of a timed-out run survives it: the rerun on the same
+   directory solves from scratch and lands on the uncached bindings *)
+let test_timeout_leaves_no_state () =
   let c = Owl_cache.open_dir (fresh_dir ()) in
   let options = Synth.Engine.(default_options |> with_cache (Some c)) in
   (match
@@ -340,27 +296,15 @@ let test_warm_replay () =
    with
   | Synth.Engine.Timeout _ -> ()
   | _ -> Alcotest.fail "one round cannot solve the alu");
-  let d = Owl_cache.disk_stats c in
-  Alcotest.(check int) "nothing solved" 0 d.Owl_cache.result_entries;
-  Alcotest.(check bool) "timeout stores warm state" true
-    (d.Owl_cache.warm_entries > 0);
-  let replays = ref 0 in
-  let solved =
-    Obs.with_tap
-      (fun _ name _ -> if name = "cache.warm_replay" then incr replays)
-      (fun () ->
-        match Synth.Engine.synthesize ~options (Designs.Alu.problem ()) with
-        | Synth.Engine.Solved s -> s
-        | _ -> Alcotest.fail "warm rerun failed")
+  Alcotest.(check int) "nothing solved" 0
+    (Owl_cache.disk_stats c).Owl_cache.result_entries;
+  let rerun =
+    match Synth.Engine.synthesize ~options (Designs.Alu.problem ()) with
+    | Synth.Engine.Solved s -> s
+    | _ -> Alcotest.fail "rerun failed"
   in
-  Alcotest.(check bool) "rerun replays warm state" true (!replays > 0);
-  List.iter
-    (fun (iname, v) ->
-      Alcotest.(check bool) (iname ^ " verified") true
-        (v = Synth.Engine.Verified))
-    (Synth.Engine.verify
-       { (Designs.Alu.problem ()) with
-         Synth.Engine.design = solved.Synth.Engine.completed })
+  Alcotest.(check bool) "rerun = uncached bindings" true
+    (same_bindings (solve ~jobs:1 ~cache:None ()) rerun)
 
 let () =
   Alcotest.run "cache"
@@ -370,7 +314,6 @@ let () =
          Alcotest.test_case "truncated entry" `Quick test_truncated_entry;
          Alcotest.test_case "corrupted entry" `Quick test_corrupted_entry;
          Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
-         Alcotest.test_case "warm roundtrip" `Quick test_warm_roundtrip;
          Alcotest.test_case "stats and clear" `Quick test_stats_and_clear;
          Alcotest.test_case "concurrent writers" `Quick
            test_concurrent_writers ]);
@@ -379,5 +322,5 @@ let () =
            test_cold_vs_warm;
          Alcotest.test_case "corrupt store re-solves" `Quick
            test_corrupt_store_resolves;
-         Alcotest.test_case "timeout warm-starts the rerun" `Quick
-           test_warm_replay ]) ]
+         Alcotest.test_case "timeout leaves no state behind" `Quick
+           test_timeout_leaves_no_state ]) ]

@@ -233,6 +233,18 @@ let test_options_strategy_skew () =
         default_options |> with_max_iterations 9 |> with_retries 0
         |> with_escalation_factor 1))
 
+(* [frame] with [extra] members spliced in right after [anchor] *)
+let splice ~anchor extra frame =
+  let n = String.length anchor in
+  let rec find i =
+    if i + n > String.length frame then
+      Alcotest.failf "anchor %s not found" anchor
+    else if String.sub frame i n = anchor then i + n
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.sub frame 0 at ^ extra ^ String.sub frame at (String.length frame - at)
+
 (* the "sat" pass configuration of profile-era peers, including an
    "inprocess_interval" of 0, which the profile-era decoder rejected; and
    a result frame from a profile-era server, whose stats carry the five
@@ -259,21 +271,10 @@ let test_options_sat_skew () =
            trace = "";
          })
   in
-  let anchor = "\"sat_learnt_deleted\": 55" in
-  let rec find i =
-    if i + String.length anchor > String.length current then None
-    else if String.sub current i (String.length anchor) = anchor then Some i
-    else find (i + 1)
-  in
-  let at =
-    match find 0 with
-    | Some i -> i + String.length anchor
-    | None -> Alcotest.fail "stats member sat_learnt_deleted not found"
-  in
   let old =
-    String.sub current 0 at
-    ^ ",\"sat_subsumed\":9,\"sat_strengthened\":4,\"sat_vivified\":11,\"sat_eliminated\":2,\"sat_rephases\":1"
-    ^ String.sub current at (String.length current - at)
+    splice ~anchor:"\"sat_learnt_deleted\": 55"
+      ",\"sat_subsumed\":9,\"sat_strengthened\":4,\"sat_vivified\":11,\"sat_eliminated\":2,\"sat_rephases\":1"
+      current
   in
   match Proto.reply_of_frame old with
   | Ok (Proto.Synth_result r) ->
@@ -325,7 +326,7 @@ let test_request_decode_errors () =
 let sample_cache_stats =
   {
     Proto.disk =
-      Some { Owl_cache.result_entries = 3; warm_entries = 5; total_bytes = 999 };
+      Some { Owl_cache.result_entries = 3; total_bytes = 999 };
     store = Some { Owl_cache.hits = 1; misses = 2; stale = 3; writes = 4 };
     hot_tier =
       Some
@@ -450,6 +451,18 @@ let test_reply_roundtrip () =
       | Ok got -> check "reply roundtrip" true (got = reply)
       | Error e -> Alcotest.fail ("reply failed to decode: " ^ e.Proto.message))
     replies
+
+(* a server from before the warm-start tier was retired reports its
+   entry count; the member is ignored like any unknown one *)
+let test_cache_stats_skew () =
+  let old =
+    splice ~anchor:"\"result_entries\": 3" ",\"warm_entries\": 5"
+      (Proto.reply_to_frame (Proto.Cache_stats_reply sample_cache_stats))
+  in
+  match Proto.reply_of_frame old with
+  | Ok (Proto.Cache_stats_reply c) ->
+      check "old warm_entries ignored" true (c = sample_cache_stats)
+  | _ -> Alcotest.fail "cache stats with warm_entries rejected"
 
 let test_request_roundtrip () =
   List.iter
@@ -1247,6 +1260,7 @@ let () =
         [
           Alcotest.test_case "options roundtrip" `Quick test_options_roundtrip;
           Alcotest.test_case "sat options skew" `Quick test_options_sat_skew;
+          Alcotest.test_case "cache stats skew" `Quick test_cache_stats_skew;
           Alcotest.test_case "strategy/portfolio skew" `Quick
             test_options_strategy_skew;
           Alcotest.test_case "pong health skew" `Quick test_pong_health_skew;

@@ -235,185 +235,65 @@ let test_concurrent_sessions () =
   | Solver.Unsat _ -> ()
   | _ -> Alcotest.fail "non-square query: expected unsat"
 
-(* Learned-clause exchange: exporting from a finished session and replaying
-   into a fresh one asserting the identical problem (in the identical order,
-   hence identical variable numbering) must preserve the answer, register
-   the clauses as learnt (not problem clauses), and skip clauses naming
-   variables the importer has not allocated. *)
-let test_learnt_exchange () =
-  let a = Term.var "ss_lx_a" 16 and b = Term.var "ss_lx_b" 16 in
-  let problem =
-    [ Term.eq (Term.mul a b) (Term.of_int ~width:16 3127);
-      Term.ult (Term.one 16) a; Term.ult (Term.one 16) b;
-      Term.ule a b ]
-  in
-  let s1 = Solver.Session.create () in
-  let r1 = Solver.Session.check_with s1 problem in
-  let exported = Solver.Session.export_learnt s1 in
-  Alcotest.(check bool) "something learned" true (exported <> []);
-  let s2 = Solver.Session.create () in
-  (* encode the same problem first so the variables exist, via a guard that
-     costs no search *)
-  List.iter
-    (fun t -> ignore (Solver.Session.assert_retractable s2 t))
-    problem;
-  let before = Solver.Session.stats s2 in
-  let n = Solver.Session.import_learnt s2 exported in
-  let after = Solver.Session.stats s2 in
-  Alcotest.(check bool) "imported some" true (n > 0);
-  Alcotest.(check int) "registered as learnt" n
-    (after.Solver.Session.learnt - before.Solver.Session.learnt);
-  Alcotest.(check int) "no new problem clauses"
-    before.Solver.Session.clauses after.Solver.Session.clauses;
-  let r2 = Solver.Session.check_with s2 problem in
-  (* imported clauses may steer the search to a different — but still
-     correct — model, so validate each model concretely rather than
-     comparing them bit for bit *)
-  let validate label = function
-    | Solver.Sat (m, _) ->
-        let env =
-          { Term.lookup_var = (fun n _ -> m.Solver.var_value n);
-            Term.lookup_read = (fun _ _ -> None) }
-        in
-        List.iter
-          (fun t ->
-            Alcotest.(check bool)
-              (label ^ " model satisfies") true
-              (Bitvec.to_int_exn (Term.eval env t) = 1))
-          problem
-    | _ -> Alcotest.failf "%s: expected sat" label
-  in
-  validate "cold" r1;
-  validate "warm" r2;
-  (* clauses over unallocated variables are skipped, not crashed on *)
-  let s3 = Solver.Session.create () in
-  Alcotest.(check int) "unknown vars skipped" 0
-    (Solver.Session.import_learnt s3 exported)
+(* {1 Guarded sessions}
 
-(* Regression for the importer's bounds check: clauses naming variables
-   the session never allocated, zero literals, the unnegatable [min_int],
-   and the empty clause must be dropped — and counted via
-   [import_dropped] — rather than corrupting the watch lists, and the
-   session must keep answering correctly afterwards. *)
-let test_import_bounds () =
-  let a = Term.var "ss_ib_a" 16 and b = Term.var "ss_ib_b" 16 in
-  let problem =
-    [ Term.eq (Term.mul a b) (Term.of_int ~width:16 3127);
-      Term.ult (Term.one 16) a; Term.ult (Term.one 16) b;
-      Term.ule a b ]
-  in
-  let s1 = Solver.Session.create () in
-  (match Solver.Session.check_with s1 problem with
-  | Solver.Sat _ -> ()
-  | _ -> Alcotest.fail "factoring query: expected sat");
-  let sound = Solver.Session.export_learnt s1 in
-  Alcotest.(check bool) "something to import" true (sound <> []);
-  let s2 = Solver.Session.create () in
-  List.iter (fun t -> ignore (Solver.Session.assert_retractable s2 t)) problem;
-  let nv = (Solver.Session.stats s2).Solver.Session.vars in
-  Alcotest.(check bool) "variables allocated" true (nv > 0);
-  Alcotest.(check int) "fresh session dropped nothing" 0
-    (Solver.Session.import_dropped s2);
-  let bad = [ [ nv + 1 ]; [ 1; -(nv + 5) ]; [ 0 ]; [ min_int ]; [] ] in
-  let n = Solver.Session.import_learnt s2 (sound @ bad) in
-  Alcotest.(check int) "in-range clauses imported" (List.length sound) n;
-  Alcotest.(check int) "hostile clauses counted as dropped"
-    (List.length bad)
-    (Solver.Session.import_dropped s2);
-  match Solver.Session.check_with s2 problem with
-  | Solver.Sat _ -> ()
-  | _ -> Alcotest.fail "expected sat after hostile import"
-
-(* {1 Session configurations}
-
-   A worker decides with a cold session or with one warm-started from the
-   learnt clauses of an earlier run over the same encoding (the synthesis
-   cache's replay).  Each configuration below returns a session that
-   asserts [t1] and guards [t2]. *)
+   A worker decides with a session that asserts [t1] and guards [t2]. *)
 
 let guarded s t1 t2 =
   Solver.Session.assert_always s t1;
   (s, Solver.Session.assert_retractable s t2)
-
-let configurations =
-  [ ("cold", fun t1 t2 -> guarded (Solver.Session.create ()) t1 t2);
-    ( "warm",
-      fun t1 t2 ->
-        (* learnt clauses are consequences of the problem clauses whatever
-           the assumptions, so a donor's first check may be replayed *)
-        let donor, g = guarded (Solver.Session.create ()) t1 t2 in
-        ignore (Solver.Session.check_with ~assumptions:[ g ] donor []);
-        let s, g = guarded (Solver.Session.create ()) t1 t2 in
-        ignore
-          (Solver.Session.import_learnt s (Solver.Session.export_learnt donor));
-        (s, g) ) ]
 
 let agree a b =
   match (a, b) with
   | Solver.Sat _, Solver.Sat _ | Solver.Unsat _, Solver.Unsat _ -> true
   | _ -> false
 
-(* every configuration tracks the cold session through a guarded check,
-   retraction and a further assert, and every Sat model satisfies what
-   binds *)
+(* a guarded check, its retraction and a further assert on one session
+   agree with one-shot checks of the same formulas, and every Sat model
+   satisfies what binds *)
 let prop_configurations_agree =
   QCheck.Test.make ~count:100 ~name:"sessions agree across configurations"
     arb_bool3 (fun (g1, g2, g3) ->
-      let run (_, make) =
-        let s, g = make g1.Gen_terms.term g2.Gen_terms.term in
-        let r1 = Solver.Session.check_with ~assumptions:[ g ] s [] in
-        Solver.Session.retract s g;
-        let r2 = Solver.Session.check_with s [ g3.Gen_terms.term ] in
-        let dead =
-          match Solver.Session.check_with ~assumptions:[ g ] s [] with
-          | Solver.Unsat _ -> true
-          | _ -> false
-        in
-        (r1, r2, dead)
+      let s, g =
+        guarded (Solver.Session.create ()) g1.Gen_terms.term g2.Gen_terms.term
       in
-      let models_ok (r1, r2, dead) =
-        dead
-        && (match r1 with
-           | Solver.Sat (m, _) -> satisfies [ g1; g2 ] m
-           | _ -> true)
-        &&
-        match r2 with
-        | Solver.Sat (m, _) -> satisfies [ g1; g3 ] m
-        | _ -> true
+      let r1 = Solver.Session.check_with ~assumptions:[ g ] s [] in
+      Solver.Session.retract s g;
+      let r2 = Solver.Session.check_with s [ g3.Gen_terms.term ] in
+      let dead =
+        match Solver.Session.check_with ~assumptions:[ g ] s [] with
+        | Solver.Unsat _ -> true
+        | _ -> false
       in
-      match List.map run configurations with
-      | [] -> false
-      | ((c1, c2, _) as cold) :: rest ->
-          models_ok cold
-          && List.for_all
-               (fun ((r1, r2, _) as r) -> agree c1 r1 && agree c2 r2 && models_ok r)
-               rest)
+      let one_shot gs = Solver.check (List.map (fun g -> g.Gen_terms.term) gs) in
+      let ok r gs =
+        agree r (one_shot gs)
+        && match r with Solver.Sat (m, _) -> satisfies gs m | _ -> true
+      in
+      dead && ok r1 [ g1; g2 ] && ok r2 [ g1; g3 ])
 
-(* spurious Unknowns and corrupted model copies leave every configuration
+(* spurious Unknowns and corrupted model copies leave a guarded session
    exactly as recoverable: the corruption reaches only the returned copy *)
 let test_faults_across_configurations () =
-  List.iter
-    (fun (tag, make) ->
-      let x = Term.var "gv8_0" 8 in
-      let s, g = make (Term.eq x (Term.of_int ~width:8 42)) (Term.eq x x) in
-      (* installed after [make], whose donor check must not count *)
-      Fault.install (Fault.parse "unknown@1,corrupt@2,seed=7");
-      Fun.protect ~finally:Fault.clear (fun () ->
-          (match Solver.Session.check_with ~assumptions:[ g ] s [] with
-          | Solver.Unknown _ -> ()
-          | _ -> Alcotest.failf "%s: planned Unknown missing" tag);
-          (* check 2 returns a corrupted copy; check 3 is honest *)
-          ignore (Solver.Session.check_with s []);
-          match Solver.Session.check_with s [] with
-          | Solver.Sat (m, _) -> (
-              match m.Solver.var_value "gv8_0" with
-              | Some v ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s: honest after faults" tag)
-                    42 (Bitvec.to_int_exn v)
-              | None -> Alcotest.failf "%s: model missing gv8_0" tag)
-          | _ -> Alcotest.failf "%s: expected Sat after faults" tag))
-    configurations
+  let x = Term.var "gv8_0" 8 in
+  let s, g =
+    guarded (Solver.Session.create ()) (Term.eq x (Term.of_int ~width:8 42))
+      (Term.eq x x)
+  in
+  Fault.install (Fault.parse "unknown@1,corrupt@2,seed=7");
+  Fun.protect ~finally:Fault.clear (fun () ->
+      (match Solver.Session.check_with ~assumptions:[ g ] s [] with
+      | Solver.Unknown _ -> ()
+      | _ -> Alcotest.fail "planned Unknown missing");
+      (* check 2 returns a corrupted copy; check 3 is honest *)
+      ignore (Solver.Session.check_with s []);
+      match Solver.Session.check_with s [] with
+      | Solver.Sat (m, _) -> (
+          match m.Solver.var_value "gv8_0" with
+          | Some v ->
+              Alcotest.(check int) "honest after faults" 42 (Bitvec.to_int_exn v)
+          | None -> Alcotest.fail "model missing gv8_0")
+      | _ -> Alcotest.fail "expected Sat after faults")
 
 let () =
   Alcotest.run "session"
@@ -430,9 +310,7 @@ let () =
          Alcotest.test_case "stats deltas" `Quick test_stats_deltas;
          Alcotest.test_case "budget" `Quick test_budget;
          Alcotest.test_case "concurrent sessions" `Quick
-           test_concurrent_sessions;
-         Alcotest.test_case "learnt exchange" `Quick test_learnt_exchange;
-         Alcotest.test_case "import bounds check" `Quick test_import_bounds ]);
+           test_concurrent_sessions ]);
       ("sessions",
        Alcotest.test_case "faults across profiles" `Quick
          test_faults_across_configurations

@@ -138,6 +138,63 @@ let test_violation_model () =
       Alcotest.(check bool) "model has reads" true (m.Solver.read_values <> [])
   | _ -> Alcotest.fail "expected a violation with a model"
 
+(* A corrupted re-check must not become the answer.  The refined query's
+   model lacks the pinned instruction-word bits, so a Sat verdict is
+   re-checked on the unrefined violation; that re-check climbs the same
+   ladder, so [validate_models] catches a corrupted model there too.  At
+   one job ADD's refined check is solver check 1 and its re-check check 2. *)
+let test_violation_model_validated () =
+  let bad_bindings =
+    List.map
+      (fun (h, e) ->
+        if h = "reg_we" then (h, Oyster.Ast.Const (Bitvec.zero 1)) else (h, e))
+      (Designs.Alu.reference_bindings ())
+  in
+  let design = Oyster.Ast.fill_holes (Designs.Alu.sketch ()) bad_bindings in
+  let problem = { (Designs.Alu.problem ()) with Synth.Engine.design = design } in
+  let options =
+    Synth.Engine.(default_options |> with_jobs 1 |> with_validate_models true)
+  in
+  Fault.install (Fault.parse "corrupt@2");
+  let verdicts =
+    Fun.protect ~finally:Fault.clear (fun () ->
+        let v = Synth.Engine.verify ~options problem in
+        Alcotest.(check int) "corruption fired" 1 (Fault.fired ());
+        v)
+  in
+  let trace =
+    Oyster.Symbolic.eval
+      ~prefix:(Synth.Engine.problem_prefix problem)
+      design ~cycles:problem.Synth.Engine.af.Ila.Absfun.cycles
+  in
+  let c =
+    List.find
+      (fun c -> c.Ila.Conditions.instr_name = "ADD")
+      (Ila.Conditions.compile problem.Synth.Engine.spec
+         problem.Synth.Engine.af trace)
+  in
+  let violation =
+    Term.band c.Ila.Conditions.pre
+      (Term.band c.Ila.Conditions.assumes (Term.bnot c.Ila.Conditions.post))
+  in
+  match List.assoc "ADD" verdicts with
+  | Synth.Engine.Violated m ->
+      let env =
+        {
+          Term.lookup_var =
+            (fun n w ->
+              Some (Option.value (m.Solver.var_value n) ~default:(Bitvec.zero w)));
+          Term.lookup_read =
+            (fun mem a ->
+              Some
+                (Option.value (Solver.read_lookup m mem a)
+                   ~default:(Bitvec.zero mem.Term.data_width)));
+        }
+      in
+      Alcotest.(check bool) "model violates ADD" true
+        (Bitvec.is_ones (Term.eval env violation))
+  | _ -> Alcotest.fail "expected a violation with a model"
+
 let () =
   Alcotest.run "verify"
     [ ("verify",
@@ -149,4 +206,6 @@ let () =
        [ Alcotest.test_case "wrong ALU select" `Quick test_mutated_alu_control;
          Alcotest.test_case "write enable stuck" `Quick test_mutated_write_enable;
          Alcotest.test_case "swapped FSM encodings" `Quick test_mutated_gcd_encoding;
-         Alcotest.test_case "violation model" `Quick test_violation_model ]) ]
+         Alcotest.test_case "violation model" `Quick test_violation_model;
+         Alcotest.test_case "violation model validated" `Quick
+           test_violation_model_validated ]) ]
