@@ -285,9 +285,9 @@ let no_telemetry =
 
 let dump_dir =
   let doc =
-    "Directory for automatic black-box dumps: when a worker domain is \
-     lost or the daemon enters degraded mode, the event ring's recent \
-     spans are written there as owl-flight-*.json Chrome-trace files \
+    "Directory for automatic black-box dumps: when a job is lost to an \
+     exception that escaped it, the event ring's recent spans are \
+     written there as owl-flight-*.json Chrome-trace files \
      (created if missing).  Without this flag automatic dumps are off; \
      `owl client dump-trace' works either way."
   in

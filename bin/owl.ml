@@ -780,24 +780,16 @@ let client_cmd =
             Printf.printf "up %.1fs, build %s\n" h.Owl_serve.Proto.uptime_s
               (if h.Owl_serve.Proto.build = "" then "?"
                else h.Owl_serve.Proto.build);
-          Printf.printf
-            "workers %d/%d alive (%d lost), %d queued%s\n"
-            h.Owl_serve.Proto.workers_alive h.Owl_serve.Proto.workers
-            h.Owl_serve.Proto.workers_lost h.Owl_serve.Proto.queue_waiting
-            (if h.Owl_serve.Proto.degraded then " [DEGRADED]" else "");
+          Printf.printf "workers %d (%d lost), %d queued\n"
+            h.Owl_serve.Proto.workers h.Owl_serve.Proto.workers_lost
+            h.Owl_serve.Proto.queue_waiting;
           if h.Owl_serve.Proto.hot_capacity > 0 then
             Printf.printf "hot tier %d/%d entries\n"
               h.Owl_serve.Proto.hot_size h.Owl_serve.Proto.hot_capacity;
-          if
-            h.Owl_serve.Proto.cancelled > 0
-            || h.Owl_serve.Proto.shed > 0
-            || h.Owl_serve.Proto.timeouts > 0
-            || h.Owl_serve.Proto.degraded_seconds > 0.0
+          if h.Owl_serve.Proto.cancelled > 0 || h.Owl_serve.Proto.timeouts > 0
           then
-            Printf.printf
-              "cancelled %d, shed %d, timeouts %d, degraded %.1fs total\n"
-              h.Owl_serve.Proto.cancelled h.Owl_serve.Proto.shed
-              h.Owl_serve.Proto.timeouts h.Owl_serve.Proto.degraded_seconds)
+            Printf.printf "cancelled %d, timeouts %d\n"
+              h.Owl_serve.Proto.cancelled h.Owl_serve.Proto.timeouts)
     in
     Cmd.v
       (Cmd.info "ping"
@@ -940,15 +932,12 @@ let top_cmd =
           let stats = Owl_serve.Client.cache_stats c in
           let now = Unix.gettimeofday () in
           if not one_shot then print_string "\027[2J\027[H";
-          Printf.printf "owl top — %s%s  up %.0fs  served %d  rejected %d\n"
-            server
-            (if h.Owl_serve.Proto.degraded then "  [DEGRADED]" else "")
-            h.Owl_serve.Proto.uptime_s stats.Owl_serve.Proto.served
+          Printf.printf "owl top — %s  up %.0fs  served %d  rejected %d\n"
+            server h.Owl_serve.Proto.uptime_s stats.Owl_serve.Proto.served
             stats.Owl_serve.Proto.rejected;
-          Printf.printf
-            "workers   %d/%d alive (%d lost)   queue %d   in-flight %s\n"
-            h.Owl_serve.Proto.workers_alive h.Owl_serve.Proto.workers
-            h.Owl_serve.Proto.workers_lost h.Owl_serve.Proto.queue_waiting
+          Printf.printf "workers   %d (%d lost)   queue %d   in-flight %s\n"
+            h.Owl_serve.Proto.workers h.Owl_serve.Proto.workers_lost
+            h.Owl_serve.Proto.queue_waiting
             (match gauge "serve.inflight" ms with
             | Some n -> string_of_int n
             | None -> "?");

@@ -351,18 +351,22 @@ module Lru = struct
     Mutex.lock t.l_mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.l_mutex) f
 
-  let find t key =
+  let find ?(count = true) t key =
     locked t (fun () ->
         match Hashtbl.find_opt t.l_tbl key with
         | Some n ->
-            t.l_hits <- t.l_hits + 1;
-            Obs.incr c_hot_hit;
+            if count then begin
+              t.l_hits <- t.l_hits + 1;
+              Obs.incr c_hot_hit
+            end;
             unlink t n;
             push_front t n;
             Some n.n_value
         | None ->
-            t.l_misses <- t.l_misses + 1;
-            Obs.incr c_hot_miss;
+            if count then begin
+              t.l_misses <- t.l_misses + 1;
+              Obs.incr c_hot_miss
+            end;
             None)
 
   let add t key value =

@@ -124,8 +124,10 @@ module Lru : sig
 
   val capacity : 'v t -> int
 
-  val find : 'v t -> string -> 'v option
-  (** O(1); a hit refreshes the entry's recency. *)
+  val find : ?count:bool -> 'v t -> string -> 'v option
+  (** O(1); a hit refreshes the entry's recency.  [~count:false] leaves
+      the hit and miss tallies alone: a re-probe for a request whose
+      first probe already counted (default [true]). *)
 
   val add : 'v t -> string -> 'v -> unit
   (** Inserts or overwrites, evicting from the cold end on overflow. *)

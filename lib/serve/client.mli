@@ -27,8 +27,8 @@ val connect : Proto.addr -> t
 val close : t -> unit
 
 val ping : t -> string * int * Proto.health
-(** Server name, protocol version, and the health report (worker
-    capacity, queue depth, degraded flag — see {!Proto.health}).  An
+(** Server name, protocol version, and the health report (workers,
+    lost jobs, queue depth — see {!Proto.health}).  An
     old server that predates the report answers with
     {!Proto.empty_health}. *)
 

@@ -431,18 +431,15 @@ type cache_stats = {
 (* The [ping] health report, grown for load balancers and chaos asserts.
    Every field postdates the first protocol-1 deployments, so the decode
    is tolerant: an old server's bare pong reads as an all-zero report
-   (workers unknown, nothing shed), and the protocol version is
-   unchanged. *)
+   (workers unknown, nothing lost), and the protocol version is
+   unchanged.  The four worker-capacity and shedding members an older
+   server still sends are ignored like any unknown member. *)
 type health = {
   workers : int;  (* configured worker domains *)
-  workers_alive : int;
-  workers_lost : int;  (* cumulative worker-domain deaths *)
+  workers_lost : int;  (* job executions lost to an escaped exception *)
   queue_waiting : int;  (* jobs admitted but not yet running *)
-  degraded : bool;  (* shedding solver work right now *)
   cancelled : int;  (* jobs cancelled by client disconnect *)
-  shed : int;  (* solver requests answered Busy while degraded *)
   timeouts : int;  (* requests answered timeout before reaching a solver *)
-  degraded_seconds : float;  (* cumulative time spent degraded *)
   uptime_s : float;  (* seconds since the daemon started listening *)
   build : string;  (* server build identifier *)
   hot_size : int;  (* hot-tier entries resident right now *)
@@ -452,14 +449,10 @@ type health = {
 let empty_health =
   {
     workers = 0;
-    workers_alive = 0;
     workers_lost = 0;
     queue_waiting = 0;
-    degraded = false;
     cancelled = 0;
-    shed = 0;
     timeouts = 0;
-    degraded_seconds = 0.0;
     uptime_s = 0.0;
     build = "";
     hot_size = 0;
@@ -707,14 +700,10 @@ let reply_to_frame = function
           ("server", Json.str server);
           ("protocol", Json.int protocol);
           ("workers", Json.int h.workers);
-          ("workers_alive", Json.int h.workers_alive);
           ("workers_lost", Json.int h.workers_lost);
           ("queue_waiting", Json.int h.queue_waiting);
-          ("degraded", Json.bool h.degraded);
           ("cancelled", Json.int h.cancelled);
-          ("shed", Json.int h.shed);
           ("timeouts", Json.int h.timeouts);
-          ("degraded_seconds", Json.num h.degraded_seconds);
           ("uptime_s", Json.num h.uptime_s);
           ("build", Json.str h.build);
           ("hot_size", Json.int h.hot_size);
@@ -770,20 +759,10 @@ let reply_of_frame payload =
       let health =
         {
           workers = opt_int "workers";
-          workers_alive = opt_int "workers_alive";
           workers_lost = opt_int "workers_lost";
           queue_waiting = opt_int "queue_waiting";
-          degraded =
-            (match Json.member "degraded" v with
-            | Some (Json.Bool b) -> b
-            | _ -> false);
           cancelled = opt_int "cancelled";
-          shed = opt_int "shed";
           timeouts = opt_int "timeouts";
-          degraded_seconds =
-            (match Json.member "degraded_seconds" v with
-            | Some (Json.Num f) -> f
-            | _ -> 0.0);
           uptime_s =
             (match Json.member "uptime_s" v with
             | Some (Json.Num f) -> f

@@ -198,25 +198,24 @@ val cache_stats_of_json : Json.value -> (cache_stats, error) result
 
 type health = {
   workers : int;  (** configured worker domains *)
-  workers_alive : int;  (** currently running (supervision respawns) *)
-  workers_lost : int;  (** cumulative worker-domain deaths *)
+  workers_lost : int;
+      (** cumulative job executions lost to an exception escaping the
+          job; each is retried once, then answered ["worker_lost"] *)
   queue_waiting : int;  (** jobs admitted but not yet running *)
-  degraded : bool;  (** shedding solver work right now *)
   cancelled : int;  (** jobs cancelled by client disconnect *)
-  shed : int;  (** solver requests answered [Busy] while degraded *)
   timeouts : int;
       (** requests answered ["timeout"] before reaching a solver *)
-  degraded_seconds : float;  (** cumulative time spent degraded *)
   uptime_s : float;  (** seconds since the daemon started listening *)
   build : string;  (** server build identifier, e.g. ["owl/1.0.0"] *)
   hot_size : int;  (** hot-tier entries resident right now *)
   hot_capacity : int;  (** hot-tier capacity ([0] = no hot tier) *)
 }
-(** The [ping] health report — a one-stop liveness probe: worker pool
-    state, queue, degradation, uptime, build, and hot-tier occupancy.
-    All fields postdate the first protocol-1 servers; a bare old-style
-    pong decodes as {!empty_health} (tolerant decode, version
-    unchanged). *)
+(** The [ping] health report — a one-stop liveness probe: workers, lost
+    jobs, queue, uptime, build, and hot-tier occupancy.  All fields
+    postdate the first protocol-1 servers; a bare old-style pong decodes
+    as {!empty_health} (tolerant decode, version unchanged), and the
+    four worker-capacity and shedding members an older server still
+    sends are ignored. *)
 
 val empty_health : health
 
@@ -249,9 +248,8 @@ type reply =
           document carried as a string payload *)
   | Busy of { queue_depth : int }
       (** admission control refused the request: the bounded queue
-          already holds [queue_depth] jobs — or the daemon is degraded
-          (pool lost, or a planned [shed@N] fault) and is shedding solver
-          work.  Back off and retry. *)
+          already holds [queue_depth] jobs — or a planned [shed@N] fault
+          refused it.  Back off and retry. *)
   | Err of error
   | Shutdown_ack
 

@@ -1,8 +1,8 @@
 (* The owl serve daemon.
 
-   One listener (Unix or TCP), one reader systhread per connection, and a
-   persistent pool of worker domains ([Pool.Service]) executing synthesis
-   and verification jobs.  The division of labor:
+   One listener (Unix or TCP), one reader systhread per connection, and
+   [jobs] worker domains executing synthesis and verification jobs.  The
+   division of labor:
 
    - the {e reader} owns the connection's request stream.  It answers
      control requests (ping, cache stats, shutdown) and hot-tier hits
@@ -40,12 +40,11 @@
 
    Failure handling (see DESIGN.md §13):
 
-   - {e supervision}: an exception escaping a job (the planned
-     [worker_kill@N] fault, or anything else run_job fails to contain)
-     downs the worker domain via [Pool.Service.Fatal]; the pool counts
-     the loss and respawns it.  Then, before dying, the worker settles the
-     job — re-queued at the head of its connection's FIFO exactly once,
-     answered with a typed ["worker_lost"] error after that;
+   - {e lost jobs}: an exception escaping a job (the planned
+     [worker_kill@N] fault, or anything else run_job fails to contain) is
+     caught by the worker loop that ran it, which counts the loss and
+     retries the job once in place — answering a typed ["worker_lost"]
+     error if the retry raises too — and goes on serving;
    - {e deadlines}: a request whose [deadline_seconds] is already
      unsatisfiable at admission is answered ["timeout"] without a queue
      slot; one that expires while queued is answered ["timeout"] by the
@@ -55,11 +54,10 @@
      the progress tap notices) flips the job's cancel token.  Queued
      jobs are dropped immediately, their admission slots released; the
      running job is cancelled cooperatively — the engine polls the token
-     wherever it checks its deadline;
-   - {e degraded mode}: with zero workers alive the daemon still answers
-     ping/cache_stats and hot-tier hits, shedding only cold solver work
-     with [Busy].  [ping] reports worker capacity, queue depth, and the
-     cumulative counters so a load balancer can see all of this. *)
+     wherever it checks its deadline.
+
+   [ping] reports the worker count, the lost jobs, queue depth and the
+   cumulative counters so a load balancer can see all of this. *)
 
 type config = {
   addr : Proto.addr;
@@ -82,13 +80,8 @@ let c_requests = Obs.counter "serve.requests"
 let c_rejected = Obs.counter "serve.rejected"
 let c_worker_lost = Obs.counter "serve.worker_lost"
 let c_cancelled = Obs.counter "serve.cancelled"
-let c_shed = Obs.counter "serve.shed"
 let c_timeout = Obs.counter "serve.timeout"
-
-let c_degraded_ms = Obs.counter "serve.degraded_ms"
-(* degraded time is a duration, surfaced as [degraded_seconds] in the
-   health reply; the Obs counter keeps integer milliseconds *)
-
+let c_tasks = Obs.counter "pool.service.tasks"
 let h_job_latency = Obs.histogram "serve.job.latency_us"
 
 let w_job_latency = Obs.window "serve.job.latency_us.1m"
@@ -99,7 +92,6 @@ let w_job_latency = Obs.window "serve.job.latency_us.1m"
    taken (so a scrape always sees current depth, not the last change) *)
 let g_queue = Obs.gauge "serve.queue_waiting"
 let g_inflight = Obs.gauge "serve.inflight"
-let g_workers_alive = Obs.gauge "serve.workers_alive"
 let g_workers_total = Obs.gauge "serve.workers_total"
 let g_hot_size = Obs.gauge "serve.hot_tier.size"
 
@@ -128,7 +120,6 @@ and job = {
   j_conn : conn;
   j_deadline : float option;  (* absolute, fixed at admission *)
   j_cancel : bool Atomic.t;  (* client gone — stop working for it *)
-  mutable j_requeued : bool;  (* already survived one worker loss *)
 }
 
 type t = {
@@ -144,11 +135,8 @@ type t = {
   mutable served : int;
   mutable rejected : int;
   mutable cancelled : int;  (* jobs dropped or stopped for a dead client *)
-  mutable shed : int;  (* cold solver work refused while degraded *)
   mutable timeouts : int;  (* requests answered "timeout" pre-solver *)
-  mutable degraded_since : float option;  (* inside a degraded span *)
-  mutable degraded_accum : float;  (* closed degraded spans, seconds *)
-  mutable pool : Synth.Pool.Service.t option;  (* set once, right after start *)
+  mutable lost : int;  (* job executions lost to an escaped exception *)
   mutable conns : conn list;
   hot : cached Owl_cache.Lru.t;
   started_at : float;
@@ -223,45 +211,6 @@ let send conn reply =
           | exception (Unix.Unix_error _ | Proto.Framing_error _) -> false))
 
 let bump_served t = locked t.lock (fun () -> t.served <- t.served + 1)
-
-(* {1 Degraded mode} *)
-
-let pool_stats t =
-  match t.pool with
-  | Some p -> Synth.Pool.Service.stats p
-  | None ->
-      (* only before [Service.start] returns; nothing has run yet *)
-      Synth.Pool.Service.
-        { total = t.cfg.jobs; alive = t.cfg.jobs; lost = 0; respawns = 0 }
-
-(* under t.lock: fold the degraded flag into the span accounting.  The
-   daemon is degraded while it has no live worker (and is not merely
-   shutting down) — it keeps answering control traffic and hot hits but
-   sheds cold solver work. *)
-let note_degraded t ~alive =
-  let degraded = alive = 0 && not t.stopping in
-  (match (t.degraded_since, degraded) with
-  | None, true ->
-      t.degraded_since <- Some (Unix.gettimeofday ());
-      (* black-box the moment the pool went dark.  File IO under t.lock,
-         but entry into degraded mode is rare and the dump is bounded. *)
-      Obs.instant "serve.degraded" ~args:[ ("reason", Obs.Str "no_workers") ];
-      flight_dump t ~reason:"degraded"
-  | Some s, false ->
-      let span = Unix.gettimeofday () -. s in
-      t.degraded_accum <- t.degraded_accum +. span;
-      t.degraded_since <- None;
-      Obs.incr ~by:(int_of_float (span *. 1e3)) c_degraded_ms
-  | _ -> ());
-  degraded
-
-(* under t.lock *)
-let degraded_seconds t =
-  t.degraded_accum
-  +.
-  match t.degraded_since with
-  | Some s -> Unix.gettimeofday () -. s
-  | None -> 0.0
 
 (* {1 The scheduler} *)
 
@@ -468,10 +417,17 @@ let reply_of_cached ~hot ~trace = function
   | C_synth r -> Proto.Synth_result { r with Proto.hot; trace }
   | C_verify r -> Proto.Verify_result { r with Proto.v_hot = hot; v_trace = trace }
 
+(* A timeout, or an inconclusive verdict, reflects the queue wait and the
+   machine's load as much as the request: a repeat must solve afresh *)
+let load_dependent = function
+  | C_synth r -> r.Proto.outcome = "timeout"
+  | C_verify r ->
+      List.exists (fun (_, v) -> v = "inconclusive") r.Proto.verdicts
+
 let rec run_job t job =
   (* the worker-kill chaos hook sits before any real work: an injected
-     kill takes exactly the path a worker dying mid-job would — inside
-     the serve.job span, so the event ring shows the aborted span *)
+     kill takes exactly the path any exception escaping a job would —
+     inside the serve.job span, so the event ring shows the aborted span *)
   Obs.span "serve.job"
     ~args:
       [
@@ -510,8 +466,9 @@ and run_job_body t job =
             }))
   end
   else begin
-    (* a duplicate may have been computed while this job sat in the queue *)
-    (match Owl_cache.Lru.find t.hot job.j_fp with
+    (* a duplicate may have been computed while this job sat in the
+       queue; the reader already counted this request's probe *)
+    (match Owl_cache.Lru.find ~count:false t.hot job.j_fp with
     | Some hit ->
         ignore (send conn (reply_of_cached ~hot:true ~trace:job.j_trace hit));
         bump_served t
@@ -534,7 +491,8 @@ and run_job_body t job =
             end;
             ignore (send conn (Proto.Err e))
         | Ok cached ->
-            Owl_cache.Lru.add t.hot job.j_fp cached;
+            if not (load_dependent cached) then
+              Owl_cache.Lru.add t.hot job.j_fp cached;
             ignore
               (send conn (reply_of_cached ~hot:false ~trace:job.j_trace cached));
             bump_served t));
@@ -545,54 +503,53 @@ and run_job_body t job =
     end
   end
 
-(* The executing worker is about to die with this job in hand (it raised
-   through [run_job]).  Give the job one second chance: back to the head
-   of its connection's FIFO — unless it already had one, or nobody is
-   left to read the answer.  When the job is not re-queued it is settled
-   right here with a typed, retryable error.  Returns whether the job
-   was re-queued (its connection reference then stays live). *)
-let settle_lost_job t job =
-  let conn = job.j_conn in
+(* [run_job] raised (the planned [worker_kill@N] fault, or anything else
+   it failed to contain).  Put the loss on the books — the instant and
+   the dump carry the killed request's trace, still this domain's
+   context — and say whether the job may run again: once, and only
+   while somebody is left to read the answer. *)
+let note_lost t job ~retried =
   Obs.incr c_worker_lost;
-  (* the dying worker's trace context is still installed, so this instant
-     lands in the event ring tagged with the killed request — then
-     the dump snapshots the black box before the domain unwinds *)
   Obs.instant "serve.worker_lost"
     ~args:
       [ ("trace", Obs.Str job.j_trace); ("design", Obs.Str job.j_design) ];
   flight_dump t ~reason:"worker_lost";
-  let requeued =
-    locked t.lock (fun () ->
-        if
-          (not job.j_requeued) && (not conn.eof) && (not t.stopping)
-          && not (Atomic.get job.j_cancel)
-        then begin
-          job.j_requeued <- true;
-          t.waiting <- t.waiting + 1;
-          (* Queue has no push-front; rebuild with the job at the head so
-             the connection's answers keep request order *)
-          let nq = Queue.create () in
-          Queue.push job nq;
-          Queue.transfer conn.jobs_q nq;
-          Queue.transfer nq conn.jobs_q;
-          true
-        end
-        else false)
-  in
-  if not requeued then
-    ignore
-      (send conn
-         (Proto.Err
-            {
-              code = "worker_lost";
-              message =
-                "the worker executing this request died; safe to retry \
-                 (requests are idempotent)";
-            }));
-  requeued
+  locked t.lock (fun () ->
+      t.lost <- t.lost + 1;
+      (not retried) && (not job.j_conn.eof) && (not t.stopping)
+      && not (Atomic.get job.j_cancel))
 
-let pull t () =
-  Mutex.lock t.lock;
+(* A job is settled on the worker that pulled it.  A domain is intact
+   after an exception unwinds ([Obs.with_tap] restores its slot, [work]
+   resets the trace context per job), so a job that raises costs only
+   the job: it is retried in place — its connection stays busy, so the
+   answers keep request order — and after a second loss answered with a
+   typed, retryable error. *)
+let execute t job =
+  let rec attempt ~retried =
+    match run_job t job with
+    | () -> ()
+    | exception _ ->
+        if note_lost t job ~retried then attempt ~retried:true
+        else
+          ignore
+            (send job.j_conn
+               (Proto.Err
+                  {
+                    code = "worker_lost";
+                    message =
+                      "executing this request failed twice; safe to retry \
+                       (requests are idempotent)";
+                  }))
+  in
+  Obs.span "pool.service.task" (fun () -> attempt ~retried:false);
+  Obs.incr c_tasks;
+  finish t job.j_conn;
+  release t job.j_conn
+
+(* the head job of the ring's head connection, blocking while there is
+   none; [None] once the daemon is stopping and the ring has run dry *)
+let pull t =
   let rec wait () =
     match Queue.take_opt t.ring with
     | Some conn -> (
@@ -606,41 +563,9 @@ let pull t () =
             conn.running <- Some job;
             t.waiting <- t.waiting - 1;
             t.inflight <- t.inflight + 1;
-            Mutex.unlock t.lock;
-            (* [pull] runs on the worker domain that will execute the
-               job, so this is where the request's trace id becomes the
-               domain-local context — every span the engine opens from
-               here on (pool.service.task included) carries it.  The next
-               pull overwrites it; a dying worker keeps it through
-               [settle_lost_job]. *)
-            Obs.set_trace_context (Some job.j_trace);
-            Some
-              (fun () ->
-                match run_job t job with
-                | () ->
-                    finish t conn;
-                    release t conn
-                | exception e ->
-                    (* down this worker; the pool counts the loss and
-                       respawns it before these last words settle the job,
-                       so a client answered worker_lost already sees the
-                       loss in its next health report *)
-                    raise
-                      (Synth.Pool.Service.Fatal
-                         ( e,
-                           fun () ->
-                             let requeued = ref false in
-                             Fun.protect
-                               ~finally:(fun () ->
-                                 finish t conn;
-                                 if not !requeued then release t conn)
-                               (fun () -> requeued := settle_lost_job t job) ))))
+            Some job)
     | None ->
-        if t.stopping then begin
-          Mutex.unlock t.lock;
-          Obs.set_trace_context None;
-          None
-        end
+        if t.stopping then None
         else begin
           t.idle <- t.idle + 1;
           Condition.wait t.work_cv t.lock;
@@ -648,7 +573,18 @@ let pull t () =
           wait ()
         end
   in
-  wait ()
+  locked t.lock wait
+
+(* a worker domain's life: pull, execute, until the drain *)
+let rec work t =
+  match pull t with
+  | None -> ()
+  | Some job ->
+      (* this domain runs the job, so the request's trace id becomes the
+         domain-local context: every span the engine opens carries it *)
+      Obs.set_trace_context (Some job.j_trace);
+      execute t job;
+      work t
 
 (* {1 Request handling (reader threads)} *)
 
@@ -675,20 +611,14 @@ let cache_stats_now t =
   }
 
 let health_now t =
-  let ps = pool_stats t in
   let hot = Owl_cache.Lru.stats t.hot in
   locked t.lock (fun () ->
-      let degraded = note_degraded t ~alive:ps.Synth.Pool.Service.alive in
       {
-        Proto.workers = ps.Synth.Pool.Service.total;
-        workers_alive = ps.Synth.Pool.Service.alive;
-        workers_lost = ps.Synth.Pool.Service.lost;
+        Proto.workers = t.cfg.jobs;
+        workers_lost = t.lost;
         queue_waiting = t.waiting;
-        degraded;
         cancelled = t.cancelled;
-        shed = t.shed;
         timeouts = t.timeouts;
-        degraded_seconds = degraded_seconds t;
         uptime_s = Unix.gettimeofday () -. t.started_at;
         build = build_id;
         hot_size = hot.Owl_cache.Lru.size;
@@ -702,13 +632,11 @@ let health_now t =
 let metrics_now t =
   if not t.cfg.telemetry then []
   else
-  let ps = pool_stats t in
   let hot = Owl_cache.Lru.stats t.hot in
   locked t.lock (fun () ->
       Obs.set_gauge g_queue t.waiting;
       Obs.set_gauge g_inflight t.inflight);
-  Obs.set_gauge g_workers_alive ps.Synth.Pool.Service.alive;
-  Obs.set_gauge g_workers_total ps.Synth.Pool.Service.total;
+  Obs.set_gauge g_workers_total t.cfg.jobs;
   Obs.set_gauge g_hot_size hot.Owl_cache.Lru.size;
   List.map Proto.wire_metric_of_obs (Obs.metrics ())
 
@@ -771,9 +699,9 @@ let handle t conn ~trace (req : Proto.request) =
           ignore (send conn (reply_of_cached ~hot:true ~trace hit));
           bump_served t
       | None -> (
-          (* cold solver work from here on: deadline sanity, degraded-mode
-             shedding, then admission.  Control requests and hot hits never
-             reach any of these. *)
+          (* cold solver work from here on: deadline sanity, the planned
+             [shed@N] fault, then admission.  Control requests and hot hits
+             never reach any of these. *)
           let dl =
             options.Synth.Engine.budget.Synth.Engine.Budget.deadline_seconds
           in
@@ -793,21 +721,14 @@ let handle t conn ~trace (req : Proto.request) =
                             d;
                       }))
           | _ ->
-              let alive = (pool_stats t).Synth.Pool.Service.alive in
-              let shed =
-                locked t.lock (fun () ->
-                    let degraded = note_degraded t ~alive in
-                    let shed = Fault.on_admit () || degraded in
-                    if shed then begin
-                      t.shed <- t.shed + 1;
-                      t.rejected <- t.rejected + 1
-                    end;
-                    shed)
-              in
-              if shed then begin
-                Obs.incr c_shed;
+              if Fault.on_admit () then begin
+                let queue_depth =
+                  locked t.lock (fun () ->
+                      t.rejected <- t.rejected + 1;
+                      t.waiting)
+                in
                 Obs.incr c_rejected;
-                ignore (send conn (Proto.Busy { queue_depth = t.waiting }))
+                ignore (send conn (Proto.Busy { queue_depth }))
               end
               else begin
                 let job =
@@ -821,7 +742,6 @@ let handle t conn ~trace (req : Proto.request) =
                     j_deadline =
                       Option.map (fun d -> Unix.gettimeofday () +. d) dl;
                     j_cancel = Atomic.make false;
-                    j_requeued = false;
                   }
                 in
                 match enqueue t job with
@@ -902,11 +822,8 @@ let run ?(ready = fun () -> ()) cfg ~lookup =
       served = 0;
       rejected = 0;
       cancelled = 0;
-      shed = 0;
       timeouts = 0;
-      degraded_since = None;
-      degraded_accum = 0.0;
-      pool = None;
+      lost = 0;
       conns = [];
       hot = Owl_cache.Lru.create ~capacity:cfg.hot_tier_size;
       started_at = Unix.gettimeofday ();
@@ -924,8 +841,7 @@ let run ?(ready = fun () -> ()) cfg ~lookup =
     Obs.enable_metrics ();
     Obs.enable ~capacity:ring_capacity ()
   end;
-  let pool = Synth.Pool.Service.start ~jobs:cfg.jobs ~pull:(pull t) in
-  t.pool <- Some pool;
+  let workers = List.init cfg.jobs (fun _ -> Domain.spawn (fun () -> work t)) in
   ready ();
   let threads = ref [] in
   let rec accept_loop () =
@@ -965,7 +881,7 @@ let run ?(ready = fun () -> ()) cfg ~lookup =
   | Proto.Unix_path path -> (
       try Unix.unlink path with Unix.Unix_error _ -> ())
   | Proto.Tcp _ -> ());
-  Synth.Pool.Service.join pool;
+  List.iter Domain.join workers;
   locked t.lock (fun () ->
       List.iter
         (fun conn ->

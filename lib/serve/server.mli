@@ -1,8 +1,11 @@
 (** The [owl serve] daemon: a long-lived synthesis service.
 
     Listens on a Unix or TCP socket, speaks the versioned {!Proto} wire
-    protocol, and multiplexes client requests onto a persistent pool of
-    worker domains ({!Pool.Service}).  Three mechanisms shape latency:
+    protocol, and multiplexes client requests onto [jobs] long-lived
+    worker domains.  A job that raises out of its worker is caught
+    there and retried once in place; a second failure answers the
+    client with a typed ["worker_lost"] error, and the worker keeps
+    serving.  Three mechanisms shape latency:
 
     - {b Admission control.}  At most [queue_depth] jobs may wait (jobs
       an idle worker would take immediately do not count); a request
@@ -47,9 +50,10 @@ type config = {
           baseline. *)
   dump_dir : string option;
       (** where automatic black-box dumps of the event ring go (timestamped
-          [owl-flight-<pid>-<reason>-<n>.json] files, written on
-          [worker_lost] and on entry into degraded mode); [None]
-          disables automatic dumps.  Requires [telemetry]. *)
+          [owl-flight-<pid>-<reason>-<n>.json] files, written each time
+          a job is lost to an escaped exception, reason
+          [worker_lost]); [None] disables automatic dumps.  Requires
+          [telemetry]. *)
 }
 
 val run :

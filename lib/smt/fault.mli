@@ -28,12 +28,12 @@
 
     The first three directives exercise the engine's resilience ladder and
     the batch pool's crash-blame retry; the last four extend the same
-    deterministic machinery to the serve layer: [worker_kill@N] downs the
-    worker domain executing the Nth service job (supervision must respawn
-    it), [conn_drop@N] severs the connection instead of writing the Nth
+    deterministic machinery to the serve layer: [worker_kill@N] raises
+    out of the Nth service-job execution (the worker that ran it must
+    catch it and retry the job), [conn_drop@N] severs the connection instead of writing the Nth
     frame (the client sees a mid-exchange hangup), [frame_delay@N] stalls
     the Nth frame by {!frame_delay_seconds}, and [shed@N] forces the Nth
-    admission decision to answer [Busy] as if the daemon were degraded. *)
+    admission decision to answer [Busy] as if the queue were full. *)
 
 type action =
   | Spurious_unknown  (** report [Unknown] without consulting the solver *)
@@ -50,8 +50,9 @@ exception Injected_crash of int
 exception Injected_worker_kill of int
 (** Raised by {!on_serve_job} for a planned worker kill; the payload is
     the 1-based service-job index.  The serve layer deliberately lets this
-    escape the job so it downs the executing worker domain — exactly the
-    failure the supervisor must recover from. *)
+    escape the job to the worker loop that ran it — exactly the path any
+    exception a job fails to contain takes, and the one whose catch and
+    single retry the fault exercises. *)
 
 val frame_delay_seconds : float
 (** How long a [frame_delay@N] stalls its frame (0.05 s). *)
@@ -102,7 +103,7 @@ val on_task : unit -> unit
 val on_serve_job : unit -> unit
 (** Called by the serve layer once per service-job execution, before the
     job body.  Raises {!Injected_worker_kill} when this job index is
-    planned to down its worker. *)
+    planned to fail. *)
 
 val on_frame : unit -> frame_action option
 (** Called by the serve layer once per server-written frame, before the

@@ -120,130 +120,3 @@ let map_arena ~jobs ~make ?(retries = 0) ?retried f items =
          (function Done v -> v | Pending | Raised _ -> assert false)
          results)
   end
-
-(* {1 Persistent service pool}
-
-   [map_arena] is a batch construct: it owns its workers for one call.  A
-   long-lived daemon instead needs workers that outlive any one request
-   and pull from a queue whose discipline the caller controls (admission
-   control, per-client fairness).  [Service] is exactly that and nothing
-   more: [jobs] domains looping on a caller-supplied blocking [pull].
-   The queueing policy, and therefore all synchronization around it, stays
-   with the caller — the pool only guarantees that a task that raises
-   never kills its worker. *)
-
-module Service = struct
-  exception Fatal of exn * (unit -> unit)
-
-  type stats = { total : int; alive : int; lost : int; respawns : int }
-
-  type t = {
-    lock : Mutex.t;
-    jobs : int;
-    mutable domains : unit Domain.t list;
-        (* every domain ever spawned for this service, replacements
-           included — [join] drains this list until it stops growing *)
-    mutable alive : int;
-    mutable lost : int;
-    mutable respawns : int;
-  }
-
-  let c_service_tasks = Obs.counter "pool.service.tasks"
-  let c_service_crashes = Obs.counter "pool.service.task_crashes"
-  let c_service_lost = Obs.counter "pool.service.worker_lost"
-
-  let start ~jobs ~pull =
-    if jobs < 1 then invalid_arg "Pool.Service.start: jobs < 1";
-    let t =
-      {
-        lock = Mutex.create ();
-        jobs;
-        domains = [];
-        alive = 0;
-        lost = 0;
-        respawns = 0;
-      }
-    in
-    (* A worker that loses its domain to [Fatal] spawns its own
-       replacement before dying — supervision without a supervisor
-       thread.  The replacement is registered under the lock so [join]
-       and [stats] always see it, and capacity ([alive]) never dips:
-       the dying worker hands its slot straight to the new one. *)
-    let rec worker () =
-      let down (e, last_words) =
-        Obs.incr c_service_lost;
-        if Obs.recording () then
-          (* the trace context the caller's [pull] installed for the task
-             that killed this worker is still set on the dying domain, so
-             the instant names the request that was in hand *)
-          Obs.instant "pool.service.worker_lost"
-            ~args:
-              (let exn = [ ("exn", Obs.Str (Printexc.to_string e)) ] in
-               match Obs.trace_context () with
-               | None -> exn
-               | Some id -> ("trace", Obs.Str id) :: exn);
-        Mutex.lock t.lock;
-        t.lost <- t.lost + 1;
-        t.respawns <- t.respawns + 1;
-        t.domains <- Domain.spawn worker :: t.domains;
-        Mutex.unlock t.lock;
-        (* only now, with the loss on the books, may the task's final
-           words (typically the reply reporting the loss) go out *)
-        try last_words () with _ -> Obs.incr c_service_crashes
-      in
-      let retire () =
-        Mutex.lock t.lock;
-        t.alive <- t.alive - 1;
-        Mutex.unlock t.lock
-      in
-      let rec go () =
-        match pull () with
-        | None -> retire ()
-        | Some task -> (
-            match
-              try
-                Obs.span "pool.service.task" task;
-                Obs.incr c_service_tasks;
-                None
-              with
-              | Fatal (e, last_words) -> Some (e, last_words)
-              | _ ->
-                  Obs.incr c_service_crashes;
-                  None
-            with
-            | None -> go ()
-            | Some e -> down e)
-      in
-      go ()
-    in
-    Mutex.lock t.lock;
-    t.alive <- jobs;
-    t.domains <- List.init jobs (fun _ -> Domain.spawn worker);
-    Mutex.unlock t.lock;
-    t
-
-  let stats t =
-    Mutex.lock t.lock;
-    let s =
-      { total = t.jobs; alive = t.alive; lost = t.lost; respawns = t.respawns }
-    in
-    Mutex.unlock t.lock;
-    s
-
-  (* The domain list grows while workers are being respawned, so one
-     pass is not enough: join what we see, then look again, until a
-     pass finds nothing new.  Termination needs [pull] to be returning
-     [None] (so replacements retire instead of working). *)
-  let join t =
-    let rec drain joined =
-      Mutex.lock t.lock;
-      let batch = List.filter (fun d -> not (List.memq d joined)) t.domains in
-      Mutex.unlock t.lock;
-      match batch with
-      | [] -> ()
-      | ds ->
-          List.iter Domain.join ds;
-          drain (ds @ joined)
-    in
-    drain []
-end

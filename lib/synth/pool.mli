@@ -47,51 +47,3 @@ val map_arena :
     neither retried nor counted as a crash, no further task starts, and
     [Cancelled] is re-raised once the running tasks finish.  Raises
     [Invalid_argument] if [jobs < 1] or [retries < 0]. *)
-
-(** Long-lived worker domains for a request-serving daemon.
-
-    Unlike {!map_arena}, whose workers exist for one batch, a service pool
-    runs until the work source it was given runs dry.  The queueing policy
-    lives entirely with the caller: the daemon keeps its own bounded,
-    per-client-fair queue and hands the pool just a blocking [pull]. *)
-module Service : sig
-  type t
-
-  exception Fatal of exn * (unit -> unit)
-  (** A task raises [Fatal (e, last_words)] to declare its worker domain
-      unusable (simulating — or reacting to — a worker death).  The
-      worker records the loss in {!stats} and the
-      [pool.service.worker_lost] counter, spawns its own replacement, runs
-      [last_words] (an exception from it is counted as a task crash), and
-      dies.  Whatever [last_words] does — answering the request the worker
-      died on, say — therefore happens after {!stats} counts the loss.
-      Any other exception from a task is swallowed (counted as
-      [pool.service.task_crashes]): one bad request must not take a
-      worker down with it. *)
-
-  type stats = {
-    total : int;  (** worker slots configured at {!start} *)
-    alive : int;  (** workers currently running (replacements included) *)
-    lost : int;  (** cumulative {!Fatal} worker deaths *)
-    respawns : int;  (** replacements spawned; equals [lost] today *)
-  }
-
-  val start : jobs:int -> pull:(unit -> (unit -> unit) option) -> t
-  (** [start ~jobs ~pull] spawns [jobs] worker domains, each looping
-      [pull () |> task ()].  [pull] must be safe to call from multiple
-      domains concurrently, should block while no work is available, and
-      returns [None] to retire the calling worker (after a shutdown has
-      drained the queue, typically).  A task that raises {!Fatal} downs
-      its worker, which is respawned (supervision); any other exception
-      is counted and dropped.  Raises [Invalid_argument] if
-      [jobs < 1]. *)
-
-  val stats : t -> stats
-  (** A consistent snapshot of the supervision state — the daemon's
-      health report reads worker capacity from here. *)
-
-  val join : t -> unit
-  (** Waits for every worker — replacements included — to retire.  Call
-      only after arranging for [pull] to return [None] to each of them,
-      or [join] blocks forever. *)
-end

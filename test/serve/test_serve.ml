@@ -286,16 +286,37 @@ let test_options_sat_skew () =
    option members above: a protocol-1 server that predates the report
    sends a bare pong, which must decode to {!Proto.empty_health} rather
    than be rejected — the protocol version did not change when the
-   fields were added. *)
+   fields were added.  A server from before the worker-domain respawn
+   was retired still sends four members this report no longer has; they
+   are ignored. *)
 let test_pong_health_skew () =
   let old_frame = "{\"v\":1,\"t\":\"pong\",\"server\":\"old\",\"protocol\":1}" in
-  match Proto.reply_of_frame old_frame with
+  (match Proto.reply_of_frame old_frame with
   | Ok (Proto.Pong { server; protocol; health }) ->
       check_str "old server name survives" "old" server;
       check_int "old protocol survives" 1 protocol;
       check "absent health decodes to empty report" true
         (health = Proto.empty_health)
-  | _ -> Alcotest.fail "bare old-style pong rejected"
+  | _ -> Alcotest.fail "bare old-style pong rejected");
+  let current =
+    Proto.reply_to_frame
+      (Proto.Pong
+         {
+           server = "s";
+           protocol = Proto.version;
+           health =
+             { Proto.empty_health with Proto.workers = 2; workers_lost = 1 };
+         })
+  in
+  let respawn_era =
+    splice ~anchor:"\"workers_lost\": 1"
+      ",\"workers_alive\": 2,\"degraded\": true,\"shed\": 3,\"degraded_seconds\": 1.5"
+      current
+  in
+  match (Proto.reply_of_frame current, Proto.reply_of_frame respawn_era) with
+  | Ok (Proto.Pong a), Ok (Proto.Pong b) ->
+      check "respawn-era health members ignored" true (a.health = b.health)
+  | _ -> Alcotest.fail "pong with respawn-era health members rejected"
 
 let code_of = function
   | Error e -> e.Proto.code
@@ -392,14 +413,10 @@ let test_reply_roundtrip () =
           health =
             {
               Proto.workers = 4;
-              workers_alive = 3;
               workers_lost = 1;
               queue_waiting = 2;
-              degraded = true;
               cancelled = 5;
-              shed = 6;
               timeouts = 7;
-              degraded_seconds = 1.5;
               uptime_s = 33.25;
               build = "owl-serve/1.0 proto-1";
               hot_size = 9;
@@ -690,9 +707,7 @@ let test_ping_and_stats () =
   check_str "server name" "test" server;
   check_int "protocol" Proto.version protocol;
   check_int "workers configured" 2 h.Proto.workers;
-  check_int "all workers alive" 2 h.Proto.workers_alive;
   check_int "none lost" 0 h.Proto.workers_lost;
-  check "healthy daemon is not degraded" true (not h.Proto.degraded);
   let s = Client.cache_stats c in
   check "no disk cache configured" true (s.Proto.disk = None);
   check "hot tier reported" true
@@ -737,6 +752,43 @@ let test_synth_cold_then_hot () =
     (match s.Proto.hot_tier with
     | Some h -> h.Proto.hot_hits >= 1
     | None -> false);
+  Client.close c;
+  stop_server addr th
+
+(* The hot tier counts one probe per synth/verify request: the reader's.
+   The worker's re-probe at dequeue (which collapses racing duplicates)
+   is not a second miss. *)
+let test_hot_tier_counts_once () =
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let hot_counts () =
+    match (Client.cache_stats c).Proto.hot_tier with
+    | Some h -> (h.Proto.hot_hits, h.Proto.hot_misses)
+    | None -> Alcotest.fail "no hot tier reported"
+  in
+  let opts = Synth.Engine.(default_options |> with_max_iterations 998) in
+  ignore (Client.synth c ~design:"acc" opts);
+  let hits, misses = hot_counts () in
+  check_int "cold request: no hit" 0 hits;
+  check_int "cold request: one miss" 1 misses;
+  ignore (Client.synth c ~design:"acc" opts);
+  let hits, misses = hot_counts () in
+  check_int "repeat: one hit" 1 hits;
+  check_int "repeat: still one miss" 1 misses;
+  Client.close c;
+  stop_server addr th
+
+(* A timeout depends on queue wait and load, not only on the request, so
+   the hot tier must not keep it: the repeat runs the engine again. *)
+let test_hot_tier_skips_timeouts () =
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let opts = Synth.Engine.(default_options |> with_max_iterations 1) in
+  let r = Client.synth c ~design:"alu" opts in
+  check_str "one iteration times out" "timeout" r.Proto.outcome;
+  let r2 = Client.synth c ~design:"alu" opts in
+  check_str "repeat times out too" "timeout" r2.Proto.outcome;
+  check "timeout is not answered from the hot tier" false r2.Proto.hot;
   Client.close c;
   stop_server addr th
 
@@ -787,11 +839,11 @@ let test_live_telemetry () =
       check_str "requests kind" "counter" m.Proto.m_kind;
       check "requests counted" true (m.Proto.m_count >= 1)
   | None -> Alcotest.fail "no serve.requests counter");
-  (match find "serve.workers_alive" with
+  (match find "serve.workers_total" with
   | Some m ->
       check_str "workers kind" "gauge" m.Proto.m_kind;
       check_int "workers gauge" 2 m.Proto.m_count
-  | None -> Alcotest.fail "no serve.workers_alive gauge");
+  | None -> Alcotest.fail "no serve.workers_total gauge");
   (* the worker observes job latency after sending the terminal reply,
      so the histogram may land an instant behind the reply — poll *)
   let rec await_latency n =
@@ -1122,25 +1174,30 @@ let test_disconnect_cancels_queued () =
     (match !a_result with Some r -> r.Proto.outcome = "solved" | None -> false);
   stop_server addr th
 
-(* The worker_kill fault downs the domain executing the first solver
-   job.  Supervision must respawn it, and the job — re-queued once at
-   the head of its connection's FIFO — must still answer correctly, so
-   the kill is invisible to the client except in the health report. *)
+(* The worker_kill fault raises out of the first solver job.  The worker
+   loop that ran it retries the job once in place, so it still answers
+   correctly and the kill is invisible to the client except in the
+   health report.  With one worker, a later cold request solving on the
+   same daemon shows that the worker survived. *)
 let test_worker_kill_supervision () =
   Fault.install (Fault.parse "worker_kill@1");
   Fun.protect ~finally:Fault.clear @@ fun () ->
-  let addr, th = start_server ~jobs:2 () in
+  let addr, th = start_server ~jobs:1 () in
   let c = Client.connect addr in
   let r = Client.synth c ~design:"acc" Synth.Engine.default_options in
   check_str "killed worker's job still solved" "solved" r.Proto.outcome;
   let _, _, h = Client.ping c in
   check_int "the kill is on the books" 1 h.Proto.workers_lost;
-  check_int "capacity recovered" 2 h.Proto.workers_alive;
-  check "recovered daemon is not degraded" true (not h.Proto.degraded);
+  let r2 =
+    Client.synth c ~design:"acc"
+      Synth.Engine.(default_options |> with_max_iterations 997)
+  in
+  check_str "the one worker still solves" "solved" r2.Proto.outcome;
+  check "a cold fingerprint, not a hot hit" true (not r2.Proto.hot);
   Client.close c;
   stop_server addr th
 
-(* Second kill on the same request: the re-queued execution dies too, so
+(* Second kill on the same request: the retried execution dies too, so
    the client gets the typed, retryable worker_lost error — and
    [Client.with_retry] turns it back into a success. *)
 let test_worker_lost_then_retry () =
@@ -1166,7 +1223,6 @@ let test_worker_lost_then_retry () =
     Client.with_retry addr (fun c -> Client.ping c)
   in
   check_int "both kills on the books" 2 h.Proto.workers_lost;
-  check_int "capacity still full" 2 h.Proto.workers_alive;
   stop_server addr th
 
 (* Deadline enforcement before any solver is involved: already
@@ -1282,6 +1338,10 @@ let () =
         [
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
           Alcotest.test_case "cold then hot" `Quick test_synth_cold_then_hot;
+          Alcotest.test_case "hot tier counts one probe" `Quick
+            test_hot_tier_counts_once;
+          Alcotest.test_case "hot tier skips timeouts" `Quick
+            test_hot_tier_skips_timeouts;
           Alcotest.test_case "verify" `Quick test_verify_end_to_end;
           Alcotest.test_case "verify deadline" `Quick test_verify_deadline;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
