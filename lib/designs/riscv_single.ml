@@ -23,12 +23,6 @@
 
 open Hdl.Builder
 
-let holes_list =
-  [ ("imm_sel", 3); ("alu_op", 5); ("asel", 2); ("bsel", 1); ("reg_write", 1);
-    ("wb_sel", 2); ("mem_read", 1); ("mem_write", 1); ("mask_mode", 2);
-    ("mem_sign_ext", 1); ("branch_en", 1); ("branch_op", 3); ("jump", 1);
-    ("jalr_sel", 1) ]
-
 let variant_tag = function
   | Isa.Rv32.RV32I -> "rv32i"
   | Isa.Rv32.RV32I_Zbkb -> "rv32i_zbkb"

@@ -4,9 +4,6 @@
     function is the paper's: all reads and writes at time step 1,
     cycles 1. *)
 
-val holes_list : (string * int) list
-(** Hole names and widths, for reference. *)
-
 val variant_tag : Isa.Rv32.isa_variant -> string
 
 val sketch :

@@ -97,7 +97,6 @@ let write ctx (m : mem) ~addr ~data ~enable =
 (* {1 Combinators} *)
 
 let const w n = { e = Oyster.Ast.Const (Bitvec.of_int ~width:w n); w }
-let bvconst v = { e = Oyster.Ast.Const v; w = Bitvec.width v }
 let tru = const 1 1
 let fls = const 1 0
 

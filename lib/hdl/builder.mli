@@ -53,7 +53,6 @@ val write : ctx -> mem -> addr:signal -> data:signal -> enable:signal -> unit
 val const : int -> int -> signal
 (** [const width value]. *)
 
-val bvconst : Bitvec.t -> signal
 val tru : signal
 val fls : signal
 

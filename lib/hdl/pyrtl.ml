@@ -97,12 +97,6 @@ let generated_to_string ~pre_exprs ~per_instr ~shared =
 
 (* {1 Reference control (plain combinational assignments)} *)
 
-let bindings_to_string (bindings : (string * Oyster.Ast.expr) list) =
-  String.concat ""
-    (List.map
-       (fun (h, e) -> Printf.sprintf "%s <<= %s\n" h (expr_to_string e))
-       bindings)
-
 let count_lines s =
   List.length (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s))
 

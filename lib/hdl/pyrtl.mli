@@ -22,8 +22,6 @@ val generated_to_string :
   shared:(string * Bitvec.t) list ->
   string
 
-val bindings_to_string : (string * Oyster.Ast.expr) list -> string
-
 val count_lines : string -> int
 (** Non-blank lines. *)
 

@@ -98,11 +98,6 @@ let decode_of instr =
   | Some d -> d
   | None -> fail "instruction %s has no decode" instr.iname
 
-let find_instr spec name =
-  match List.find_opt (fun i -> i.iname = name) spec.instrs with
-  | Some i -> i
-  | None -> fail "no instruction %s" name
-
 (* {1 Concrete architectural evaluation}
 
    The spec doubles as an executable reference model ("spec-level ISS").

@@ -51,7 +51,6 @@ val instructions : t -> instr list
 (** In creation order. *)
 
 val decode_of : instr -> Expr.t
-val find_instr : t -> string -> instr
 
 (** {1 Concrete architectural evaluation (the spec-level ISS)} *)
 

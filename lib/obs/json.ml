@@ -47,6 +47,11 @@ type value =
 
 exception Parse_error of string
 
+(* No document the toolchain writes nests deeper than 4; the cap keeps a
+   hostile frame from holding a reader thread in a deep recursion whose
+   cost grows faster than its length. *)
+let max_depth = 512
+
 let utf8_add b cp =
   if cp < 0x80 then Buffer.add_char b (Char.chr cp)
   else if cp < 0x800 then begin
@@ -153,12 +158,16 @@ let parse s =
     in
     go ()
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
+    let open_container () =
+      if depth >= max_depth then error "nesting deeper than %d levels" max_depth;
+      advance ()
+    in
     match peek () with
     | None -> error "unexpected end of input"
     | Some '{' ->
-        advance ();
+        open_container ();
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -170,7 +179,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -184,7 +193,7 @@ let parse s =
           fields []
         end
     | Some '[' ->
-        advance ();
+        open_container ();
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -192,7 +201,7 @@ let parse s =
         end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -226,7 +235,7 @@ let parse s =
         | Some f when sub <> "" -> Num f
         | _ -> error "invalid number %S" sub)
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then error "trailing garbage";
   v

@@ -48,7 +48,8 @@ exception Parse_error of string
 val parse : string -> value
 (** Strict parse of one complete JSON document (trailing garbage is an
     error).  [\uXXXX] escapes decode to UTF-8, surrogate pairs included.
-    Raises {!Parse_error}. *)
+    Arrays and objects may nest at most 512 levels deep.  Raises
+    {!Parse_error}. *)
 
 val member : string -> value -> value option
 (** Field lookup in an [Obj]; [None] on a missing field or a non-object. *)

@@ -140,10 +140,6 @@ let expr_vars e =
   fold_expr (fun acc e -> match e with Var v -> v :: acc | _ -> acc) [] e
   |> List.sort_uniq String.compare
 
-let expr_mem_reads e =
-  fold_expr (fun acc e -> match e with Read (m, _) -> m :: acc | _ -> acc) [] e
-  |> List.sort_uniq String.compare
-
 (* {1 Substitution of holes by expressions}
 
    [fill_holes design bindings] replaces each bound hole declaration by a

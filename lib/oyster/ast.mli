@@ -112,9 +112,6 @@ val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
 val expr_vars : expr -> string list
 (** Distinct variable names, sorted. *)
 
-val expr_mem_reads : expr -> string list
-(** Distinct memory names read, sorted. *)
-
 val schedule : design -> design
 (** Reorders statements into a valid combinational evaluation order (every
     wire/output assignment after the assignments of the wires it reads;

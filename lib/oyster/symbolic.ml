@@ -303,5 +303,3 @@ let writes_at trace ~state name =
   match List.assoc_opt name trace.snapshots.(state).s_writes with
   | Some w -> w
   | None -> []
-
-let input_at trace ~cycle name = wire_at trace ~cycle name

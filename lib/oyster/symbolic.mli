@@ -65,8 +65,6 @@ val reg_at : trace -> state:int -> string -> Term.t
 val wire_at : trace -> cycle:int -> string -> Term.t
 (** Combinational value during the given (1-based) cycle. *)
 
-val input_at : trace -> cycle:int -> string -> Term.t
-
 val mem_of : trace -> string -> Term.mem
 
 val read_mem_at : trace -> state:int -> string -> Term.t -> Term.t

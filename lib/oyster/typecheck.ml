@@ -183,9 +183,3 @@ let check (d : Ast.design) =
       | _ -> ())
     d.decls;
   env
-
-let expr_width_in design e =
-  let env = env_of_design design in
-  (* for standalone queries, treat everything as defined *)
-  let all = Hashtbl.fold (fun k _ acc -> k :: acc) env.kinds [] in
-  expr_width env (ref all) e

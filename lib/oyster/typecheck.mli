@@ -32,6 +32,3 @@ val expr_width : env -> string list ref -> Ast.expr -> int
 
 val check : Ast.design -> env
 (** Full design check.  Raises {!Type_error} with a descriptive message. *)
-
-val expr_width_in : Ast.design -> Ast.expr -> int
-(** Standalone width query treating every name as defined. *)

@@ -13,24 +13,10 @@ exception Server_error of Proto.error
 exception Protocol_error of string
 
 let connect addr =
-  match addr with
-  | Proto.Unix_path path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e -> Unix.close fd; raise e);
-      { fd }
-  | Proto.Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found ->
-            raise (Unix.Unix_error (Unix.EINVAL, "gethostbyname", host)))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-       with e -> Unix.close fd; raise e);
-      { fd }
+  let sa = Proto.sockaddr_of_addr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sa with e -> Unix.close fd; raise e);
+  { fd }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 

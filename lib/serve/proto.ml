@@ -3,11 +3,6 @@
    length is a 4-byte big-endian unsigned integer, and every document
    carries the protocol version under "v".
 
-   The codec builds on Owl_obs's [Json] emitter/strict parser — the same
-   code that writes Chrome traces — so escaping is
-   byte-identical across every JSON the toolchain produces, and the parser
-   is the strict one the test suite already trusts.
-
    Decoding is total: [request_of_frame]/[reply_of_frame] return [Error]
    rather than raising, because a daemon must survive any byte sequence a
    client can send.  Framing, by contrast, raises [Framing_error]: once
@@ -51,6 +46,18 @@ let addr_of_string s =
       | None ->
           if s = "" then Error "empty address"
           else Ok (Unix_path s))
+
+let sockaddr_of_addr = function
+  | Unix_path p -> Unix.ADDR_UNIX p
+  | Tcp (host, port) ->
+      let inet =
+        try Unix.inet_addr_of_string host
+        with Failure _ -> (
+          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+          with Not_found ->
+            raise (Unix.Unix_error (Unix.EINVAL, "gethostbyname", host)))
+      in
+      Unix.ADDR_INET (inet, port)
 
 (* {1 Framing} *)
 
@@ -114,119 +121,211 @@ let read_frame fd =
              (Printf.sprintf "EOF inside frame payload (%d/%d bytes)" got len));
       Some (Bytes.unsafe_to_string payload)
 
-(* {1 Decode helpers} *)
+(* {1 Wire declarations}
+
+   Every wire record is declared once, as a list of members: each with its
+   name, its JSON type (a codec), the getter that reads it from the OCaml
+   value and, for a member that postdates the first protocol-1 peers, the
+   value it takes when absent.  Encoder and decoder are both derived from
+   that declaration, so no member can be renamed, reordered or given a
+   default on one side only.  Members a declaration does not name are
+   ignored — how newer peers' additions and older peers' retired members
+   ride protocol version 1.  Rendering goes through Owl_obs's [Json], so
+   escaping is byte-identical across every JSON the toolchain writes. *)
 
 type error = { code : string; message : string }
 
 let fail code fmt = Printf.ksprintf (fun message -> Error { code; message }) fmt
-
-(* the let* gives decoding straight-line shape; any missing/ill-typed
-   field short-circuits into the error *)
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let str_field name v =
-  match Json.member name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> fail "bad_request" "missing or non-string field %S" name
+(* a JSON type: its rendering and its strict reading *)
+type 'a codec = { enc : 'a -> string; dec : Json.value -> ('a, string) result }
 
-let int_field name v =
-  match Json.member name v with
-  | Some (Json.Num f) when Float.is_integer f -> Ok (int_of_float f)
-  | _ -> fail "bad_request" "missing or non-integer field %S" name
+let scalar what enc read =
+  { enc; dec = (fun v -> Option.to_result ~none:("expected " ^ what) (read v)) }
 
-let bool_field name v =
-  match Json.member name v with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> fail "bad_request" "missing or non-boolean field %S" name
+let int =
+  scalar "an integer" Json.int (function
+    | Json.Num f when Float.is_integer f -> Some (int_of_float f)
+    | _ -> None)
 
-let float_field name v =
-  match Json.member name v with
-  | Some (Json.Num f) -> Ok f
-  | _ -> fail "bad_request" "missing or non-number field %S" name
+let float = scalar "a number" Json.num (function Json.Num f -> Some f | _ -> None)
+let string = scalar "a string" Json.str (function Json.String s -> Some s | _ -> None)
+let bool = scalar "a boolean" Json.bool (function Json.Bool b -> Some b | _ -> None)
+
+let nullable c =
+  { enc = (function None -> "null" | Some x -> c.enc x);
+    dec = (function Json.Null -> Ok None | v -> Result.map Option.some (c.dec v)) }
+
+let conv to_wire of_wire c =
+  { enc = (fun x -> c.enc (to_wire x)); dec = (fun v -> Result.map of_wire (c.dec v)) }
+
+let enum cases =
+  let of_name s = List.assoc_opt s cases in
+  { enc = (fun x -> Json.str (fst (List.find (fun (_, y) -> y = x) cases)));
+    dec = (fun v -> Result.bind (string.dec v) (fun s ->
+        Option.to_result ~none:(Printf.sprintf "unknown value %S" s) (of_name s))) }
+
+let list c =
+  let rec dec acc = function
+    | [] -> Ok (List.rev acc)
+    | v :: vs -> Result.bind (c.dec v) (fun x -> dec (x :: acc) vs)
+  in
+  { enc = (fun l -> Json.arr (List.map c.enc l));
+    dec = (function Json.Arr vs -> dec [] vs | _ -> Error "expected an array") }
+
+(* A trace id, or a dump filter (which is one): empty or ill-typed reads
+   as no id, never as a decode error. *)
+let nonempty = function Some (Json.String s) when s <> "" -> Some s | _ -> None
+
+let id =
+  { enc = (function Some s -> Json.str s | None -> "null");
+    dec = (fun v -> Ok (nonempty (Some v))) }
+
+(* A record declaration in progress: [obj k] starts from the constructor
+   [k]; each [mem] names the next member, which [k] takes next.  Encoded
+   members are kept last-first until [members] turns them round. *)
+type ('r, 'k) obj = {
+  rev_members : 'r -> (string * string) list;
+  build : Json.value -> ('k, string) result;
+}
+
+let obj k = { rev_members = (fun _ -> []); build = (fun _ -> Ok k) }
+
+(* [~absent:d]: a missing member reads as [d] instead of failing;
+   [~omit:true]: a member equal to [d] is also left out when encoding *)
+let mem ?absent ?(omit = false) name c get o =
+  let field v =
+    match (Json.member name v, absent) with
+    | Some j, _ -> Result.map_error (Printf.sprintf "field %S: %s" name) (c.dec j)
+    | None, Some d -> Ok d
+    | None, None -> Error (Printf.sprintf "missing field %S" name)
+  in
+  { rev_members = (fun r ->
+        let x = get r in
+        if omit && absent = Some x then o.rev_members r
+        else (name, c.enc x) :: o.rev_members r);
+    build = (fun v -> let* k = o.build v in Result.map k (field v)) }
+
+(* [sub]'s members, flat among the enclosing record's own *)
+let inline sub get o =
+  { rev_members = (fun r -> sub.rev_members (get r) @ o.rev_members r);
+    build = (fun v -> let* k = o.build v in Result.map k (sub.build v)) }
+
+let members o r = List.rev (o.rev_members r)
+
+let record o =
+  { enc = (fun r -> Json.obj (members o r));
+    dec = (function Json.Obj _ as v -> o.build v | _ -> Error "expected an object") }
+
+let one m = obj Fun.id |> m Fun.id
+let pair a b = obj (fun x y -> (x, y)) |> a fst |> b snd
+
+(* One kind of a variant: its tag, its payload's members, and the
+   injection into and projection out of the variant. *)
+type 'v case = Case : string * ('a, 'a) obj * ('a -> 'v) * ('v -> 'a option) -> 'v case
+
+let case tag body inj proj = Case (tag, body, inj, proj)
+
+(* a kind without members; [x] is a constant constructor, so [y = x]
+   never looks inside [y] (whose options may hold a cache handle) *)
+let const tag x = case tag (obj x) Fun.id (fun y -> if y = x then Some x else None)
+
+let rec tagged cases x =
+  match cases with
+  | [] -> invalid_arg "Proto: value without a wire case"
+  | Case (tag, body, _, proj) :: rest -> (
+      match proj x with Some a -> (tag, members body a) | None -> tagged rest x)
+
+let untag key cases v =
+  match Json.member key v with
+  | Some (Json.String tag) -> (
+      match List.find_opt (fun (Case (t, _, _, _)) -> t = tag) cases with
+      | Some (Case (_, body, inj, _)) -> Result.map inj (body.build v)
+      | None -> Error (Printf.sprintf "unknown %s %S" key tag))
+  | _ -> Error (Printf.sprintf "missing or non-string field %S" key)
+
+(* a variant tagged by the member [key], beside its payload's members *)
+let variant key cases =
+  { rev_members = (fun x ->
+        let tag, ms = tagged cases x in
+        List.rev_append ms [ (key, Json.str tag) ]);
+    build = untag key cases }
 
 (* {1 Engine options}
 
-   The wire form of the builder records.  Serialization walks the
-   Schedule/Budget sub-records and the recovery policy; deserialization pipes
-   [default_options] through the [with_*] setters, so the builders'
-   validation is the wire validation — a request with [jobs = 0] or
-   [escalation_factor = 0] is rejected exactly where a native caller
-   would be.  The [cache] field never crosses the wire: which store (and
-   which hot tier) backs a request is the server's decision. *)
+   Decoding pipes [default_options] through the [with_*] setters, so the
+   builders' validation is the wire validation: [jobs = 0] is rejected
+   exactly where a native caller would be.  Unlimited is [max_int]
+   natively, which JSON's doubles cannot carry exactly, so null is the
+   wire spelling of "no budget".  [cache] never crosses the wire: which
+   store backs a request is the server's decision.  The "strategy",
+   "portfolio" and "sat" objects of older peers are ignored, so such a
+   frame decodes to the same options — and the same hot-tier
+   fingerprint — as one without them. *)
 
-let mode_to_string = function
-  | Synth.Engine.Per_instruction -> "per_instruction"
-  | Synth.Engine.Monolithic -> "monolithic"
+module E = Synth.Engine
+module R = Synth.Resilience
 
-let mode_of_string = function
-  | "per_instruction" -> Ok Synth.Engine.Per_instruction
-  | "monolithic" -> Ok Synth.Engine.Monolithic
-  | s -> fail "bad_request" "unknown mode %S" s
-
-let options_to_json (o : Synth.Engine.options) =
-  Json.obj
-    [
-      ("mode", Json.str (mode_to_string o.Synth.Engine.schedule.Synth.Engine.Schedule.mode));
-      ("jobs", Json.int o.Synth.Engine.schedule.Synth.Engine.Schedule.jobs);
-      (* unlimited is max_int natively, which JSON's doubles cannot carry
-         exactly — null is the wire spelling of "no budget" *)
-      ( "conflict_budget",
-        let b = o.Synth.Engine.budget.Synth.Engine.Budget.conflict_budget in
-        if b = max_int then "null" else Json.int b );
-      ("max_iterations", Json.int o.Synth.Engine.budget.Synth.Engine.Budget.max_iterations);
-      ( "deadline_seconds",
-        match o.Synth.Engine.budget.Synth.Engine.Budget.deadline_seconds with
-        | None -> "null"
-        | Some d -> Json.num d );
-      ("retries", Json.int o.Synth.Engine.recovery.Synth.Resilience.retries);
-      ( "escalation_factor",
-        Json.int o.Synth.Engine.recovery.Synth.Resilience.escalation_factor );
-      ( "validate_models",
-        Json.bool o.Synth.Engine.recovery.Synth.Resilience.validate_models );
-      ("check_independence", Json.bool o.Synth.Engine.check_independence);
-      ("incremental", Json.bool o.Synth.Engine.incremental);
-    ]
-
-let options_of_json v =
-  let* mode_s = str_field "mode" v in
-  let* mode = mode_of_string mode_s in
-  let* jobs = int_field "jobs" v in
-  let* conflict_budget =
-    match Json.member "conflict_budget" v with
-    | Some Json.Null | None -> Ok max_int
-    | Some (Json.Num f) when Float.is_integer f -> Ok (int_of_float f)
-    | Some _ -> fail "bad_request" "non-integer field \"conflict_budget\""
+let options =
+  let unlimited =
+    conv (fun b -> if b = max_int then None else Some b)
+      (Option.value ~default:max_int) (nullable int)
   in
-  let* max_iterations = int_field "max_iterations" v in
-  let* deadline =
-    match Json.member "deadline_seconds" v with
-    | Some Json.Null | None -> Ok None
-    | Some (Json.Num f) -> Ok (Some f)
-    | Some _ -> fail "bad_request" "non-number field \"deadline_seconds\""
+  let c =
+    record
+      (obj (fun mode jobs budget iterations deadline retries factor validate
+                independence incremental ->
+           E.(default_options |> with_mode mode |> with_jobs jobs
+              |> with_conflict_budget budget |> with_max_iterations iterations
+              |> with_deadline deadline |> with_retries retries
+              |> with_escalation_factor factor |> with_validate_models validate
+              |> with_check_independence independence
+              |> with_incremental incremental))
+      |> mem "mode"
+           (enum [ ("per_instruction", E.Per_instruction); ("monolithic", E.Monolithic) ])
+           (fun o -> o.E.mode)
+      |> mem "jobs" int (fun o -> o.E.jobs)
+      |> mem "conflict_budget" unlimited ~absent:max_int (fun o -> o.E.conflict_budget)
+      |> mem "max_iterations" int (fun o -> o.E.max_iterations)
+      |> mem "deadline_seconds" (nullable float) ~absent:None (fun o ->
+             o.E.deadline_seconds)
+      |> mem "retries" int (fun o -> o.E.recovery.R.retries)
+      |> mem "escalation_factor" int (fun o -> o.E.recovery.R.escalation_factor)
+      |> mem "validate_models" bool (fun o -> o.E.recovery.R.validate_models)
+      |> mem "check_independence" bool (fun o -> o.E.check_independence)
+      |> mem "incremental" bool (fun o -> o.E.incremental))
   in
-  let* retries = int_field "retries" v in
-  let* escalation_factor = int_field "escalation_factor" v in
-  let* validate_models = bool_field "validate_models" v in
-  let* check_independence = bool_field "check_independence" v in
-  let* incremental = bool_field "incremental" v in
-  (* members this protocol no longer defines — the "strategy" and
-     "portfolio" objects of racing-era peers and the "sat" pass
-     configuration of older ones among them — are ignored, so such a frame
-     decodes to the same options (and the same hot-tier fingerprint) as
-     one without them *)
-  match
-    Synth.Engine.(
-      default_options |> with_mode mode |> with_jobs jobs
-      |> with_conflict_budget conflict_budget
-      |> with_max_iterations max_iterations
-      |> with_deadline deadline |> with_retries retries
-      |> with_escalation_factor escalation_factor
-      |> with_validate_models validate_models
-      |> with_check_independence check_independence
-      |> with_incremental incremental)
-  with
-  | o -> Ok o
-  | exception Invalid_argument m -> fail "bad_request" "invalid options: %s" m
+  { c with dec = (fun v ->
+        try c.dec v with Invalid_argument m -> Error ("invalid options: " ^ m)) }
+
+let options_to_json = options.enc
+
+(* The SAT-core counters postdate the first protocol-1 deployments: an
+   older peer's stats lack them, which reads as zero. *)
+let stats =
+  record
+    (obj (fun iterations queries conflicts blasted_vars blasted_clauses trivial_unsats
+              retried_queries degraded_queries validation_failures task_retries
+              sat_restarts sat_learnt_kept sat_learnt_deleted wall_seconds ->
+         { E.iterations; queries; conflicts; blasted_vars; blasted_clauses;
+           trivial_unsats; retried_queries; degraded_queries; validation_failures;
+           task_retries; sat_restarts; sat_learnt_kept; sat_learnt_deleted;
+           wall_seconds })
+    |> mem "iterations" int (fun s -> s.E.iterations)
+    |> mem "queries" int (fun s -> s.E.queries)
+    |> mem "conflicts" int (fun s -> s.E.conflicts)
+    |> mem "blasted_vars" int (fun s -> s.E.blasted_vars)
+    |> mem "blasted_clauses" int (fun s -> s.E.blasted_clauses)
+    |> mem "trivial_unsats" int (fun s -> s.E.trivial_unsats)
+    |> mem "retried_queries" int (fun s -> s.E.retried_queries)
+    |> mem "degraded_queries" int (fun s -> s.E.degraded_queries)
+    |> mem "validation_failures" int (fun s -> s.E.validation_failures)
+    |> mem "task_retries" int (fun s -> s.E.task_retries)
+    |> mem "sat_restarts" int ~absent:0 (fun s -> s.E.sat_restarts)
+    |> mem "sat_learnt_kept" int ~absent:0 (fun s -> s.E.sat_learnt_kept)
+    |> mem "sat_learnt_deleted" int ~absent:0 (fun s -> s.E.sat_learnt_deleted)
+    |> mem "wall_seconds" float (fun s -> s.E.wall_seconds))
 
 (* {1 Requests} *)
 
@@ -239,160 +338,25 @@ type request =
   | Dump_trace of { trace : string option }
   | Shutdown
 
-(* the envelope's optional "trace" member is the request-scoped trace id:
-   a client may supply one (distributed tracing), otherwise the server
-   mints one at admission.  Absent reads as None — tolerant decode, the
-   protocol version is unchanged *)
-let envelope ?trace kind fields =
-  let fields =
-    match trace with
-    | None -> fields
-    | Some id -> ("trace", Json.str id) :: fields
-  in
-  Json.obj ((("v", Json.int version) :: ("t", Json.str kind) :: fields))
-
-let trace_of_frame payload =
-  match Json.parse payload with
-  | exception Json.Parse_error _ -> None
-  | v -> (
-      match Json.member "trace" v with
-      | Some (Json.String s) when s <> "" -> Some s
-      | _ -> None)
-
-let request_to_frame ?trace = function
-  | Synth { design; options } ->
-      envelope ?trace "synth"
-        [ ("design", Json.str design); ("options", options_to_json options) ]
-  | Verify { design; options } ->
-      envelope ?trace "verify"
-        [ ("design", Json.str design); ("options", options_to_json options) ]
-  | Cache_stats -> envelope ?trace "cache_stats" []
-  | Ping -> envelope ?trace "ping" []
-  | Metrics -> envelope ?trace "metrics" []
-  | Dump_trace { trace = filter } ->
-      envelope ?trace "dump_trace"
-        (match filter with
-        | None -> []
-        | Some id -> [ ("filter", Json.str id) ])
-  | Shutdown -> envelope ?trace "shutdown" []
-
-(* version check shared by both decode directions: absent or mismatched
-   "v" is version skew, a distinct error code so the peer can say
-   "upgrade" rather than "you sent garbage" *)
-let check_envelope payload =
-  match Json.parse payload with
-  | exception Json.Parse_error m -> fail "bad_request" "frame is not JSON: %s" m
-  | v -> (
-      match Json.member "v" v with
-      | Some (Json.Num f) when Float.is_integer f ->
-          let got = int_of_float f in
-          if got <> version then
-            fail "version_skew" "peer speaks protocol %d, this end speaks %d"
-              got version
-          else
-            let* t = str_field "t" v in
-            Ok (t, v)
-      | _ -> fail "version_skew" "frame carries no protocol version")
-
-let request_of_frame payload =
-  let* t, v = check_envelope payload in
-  match t with
-  | "synth" | "verify" ->
-      let* design = str_field "design" v in
-      let* options =
-        match Json.member "options" v with
-        | Some o -> options_of_json o
-        | None -> fail "bad_request" "missing field \"options\""
-      in
-      Ok
-        (if t = "synth" then Synth { design; options }
-         else Verify { design; options })
-  | "cache_stats" -> Ok Cache_stats
-  | "ping" -> Ok Ping
-  | "metrics" -> Ok Metrics
-  | "dump_trace" ->
-      let filter =
-        match Json.member "filter" v with
-        | Some (Json.String s) when s <> "" -> Some s
-        | _ -> None
-      in
-      Ok (Dump_trace { trace = filter })
-  | "shutdown" -> Ok Shutdown
-  | t -> fail "bad_request" "unknown request kind %S" t
-
-(* {1 Statistics} *)
-
-let stats_to_json (st : Synth.Engine.stats) =
-  Json.obj
-    [
-      ("iterations", Json.int st.Synth.Engine.iterations);
-      ("queries", Json.int st.Synth.Engine.queries);
-      ("conflicts", Json.int st.Synth.Engine.conflicts);
-      ("blasted_vars", Json.int st.Synth.Engine.blasted_vars);
-      ("blasted_clauses", Json.int st.Synth.Engine.blasted_clauses);
-      ("trivial_unsats", Json.int st.Synth.Engine.trivial_unsats);
-      ("retried_queries", Json.int st.Synth.Engine.retried_queries);
-      ("degraded_queries", Json.int st.Synth.Engine.degraded_queries);
-      ("validation_failures", Json.int st.Synth.Engine.validation_failures);
-      ("task_retries", Json.int st.Synth.Engine.task_retries);
-      ("sat_restarts", Json.int st.Synth.Engine.sat_restarts);
-      ("sat_learnt_kept", Json.int st.Synth.Engine.sat_learnt_kept);
-      ("sat_learnt_deleted", Json.int st.Synth.Engine.sat_learnt_deleted);
-      ("wall_seconds", Json.num st.Synth.Engine.wall_seconds);
-    ]
-
-let stats_of_json v =
-  let* iterations = int_field "iterations" v in
-  let* queries = int_field "queries" v in
-  let* conflicts = int_field "conflicts" v in
-  let* blasted_vars = int_field "blasted_vars" v in
-  let* blasted_clauses = int_field "blasted_clauses" v in
-  let* trivial_unsats = int_field "trivial_unsats" v in
-  let* retried_queries = int_field "retried_queries" v in
-  let* degraded_queries = int_field "degraded_queries" v in
-  let* validation_failures = int_field "validation_failures" v in
-  let* task_retries = int_field "task_retries" v in
-  (* SAT-core counters postdate the first protocol 1 deployments; an older
-     peer's stats simply lack them, which reads as zero.  Members this
-     protocol no longer defines (the five inprocessing counters older
-     servers sent) are ignored. *)
-  let opt_int name =
-    match Json.member name v with
-    | Some (Json.Num f) when Float.is_integer f -> int_of_float f
-    | _ -> 0
-  in
-  let sat_restarts = opt_int "sat_restarts" in
-  let sat_learnt_kept = opt_int "sat_learnt_kept" in
-  let sat_learnt_deleted = opt_int "sat_learnt_deleted" in
-  let* wall_seconds = float_field "wall_seconds" v in
-  Ok
-    {
-      Synth.Engine.iterations;
-      queries;
-      conflicts;
-      blasted_vars;
-      blasted_clauses;
-      trivial_unsats;
-      retried_queries;
-      degraded_queries;
-      validation_failures;
-      task_retries;
-      sat_restarts;
-      sat_learnt_kept;
-      sat_learnt_deleted;
-      wall_seconds;
-    }
+let request_cases =
+  let job = pair (mem "design" string) (mem "options" options) in
+  [ case "synth" job (fun (design, options) -> Synth { design; options })
+      (function Synth r -> Some (r.design, r.options) | _ -> None);
+    case "verify" job (fun (design, options) -> Verify { design; options })
+      (function Verify r -> Some (r.design, r.options) | _ -> None);
+    const "cache_stats" Cache_stats;
+    const "ping" Ping;
+    const "metrics" Metrics;
+    case "dump_trace" (one (mem "filter" id ~absent:None ~omit:true))
+      (fun trace -> Dump_trace { trace })
+      (function Dump_trace r -> Some r.trace | _ -> None);
+    const "shutdown" Shutdown ]
 
 (* {1 Replies} *)
 
 type progress =
   | Instr_started of { instr : string }
-  | Instr_done of {
-      instr : string;
-      status : string;
-      iterations : int;
-      queries : int;
-    }
+  | Instr_done of { instr : string; status : string; iterations : int; queries : int }
   | Retry of { attempt : int; reason : string }
   | Degraded of { attempt : int }
 
@@ -402,7 +366,7 @@ type synth_result = {
   bindings : (string * string) list;
   stats : Synth.Engine.stats;
   hot : bool;
-  trace : string;  (* the server-minted (or client-supplied) trace id *)
+  trace : string;
 }
 
 type verify_result = {
@@ -428,43 +392,21 @@ type cache_stats = {
   uptime_seconds : float;
 }
 
-(* The [ping] health report, grown for load balancers and chaos asserts.
-   Every field postdates the first protocol-1 deployments, so the decode
-   is tolerant: an old server's bare pong reads as an all-zero report
-   (workers unknown, nothing lost), and the protocol version is
-   unchanged.  The four worker-capacity and shedding members an older
-   server still sends are ignored like any unknown member. *)
 type health = {
-  workers : int;  (* configured worker domains *)
-  workers_lost : int;  (* job executions lost to an escaped exception *)
-  queue_waiting : int;  (* jobs admitted but not yet running *)
-  cancelled : int;  (* jobs cancelled by client disconnect *)
-  timeouts : int;  (* requests answered timeout before reaching a solver *)
-  uptime_s : float;  (* seconds since the daemon started listening *)
-  build : string;  (* server build identifier *)
-  hot_size : int;  (* hot-tier entries resident right now *)
-  hot_capacity : int;  (* hot-tier capacity (0 = no hot tier) *)
+  workers : int;
+  workers_lost : int;
+  queue_waiting : int;
+  cancelled : int;
+  timeouts : int;
+  uptime_s : float;
+  build : string;
+  hot_size : int;
+  hot_capacity : int;
 }
 
-let empty_health =
-  {
-    workers = 0;
-    workers_lost = 0;
-    queue_waiting = 0;
-    cancelled = 0;
-    timeouts = 0;
-    uptime_s = 0.0;
-    build = "";
-    hot_size = 0;
-    hot_capacity = 0;
-  }
-
-(* One metric as it crosses the wire: the flattened shape of
-   [Owl_obs.metric], kind as a string so new kinds never break old
-   decoders. *)
 type wire_metric = {
   m_name : string;
-  m_kind : string;  (* "counter" | "gauge" | "histogram" | "window" *)
+  m_kind : string;
   m_count : int;
   m_sum : int;
   m_min : int;
@@ -504,301 +446,196 @@ type reply =
   | Err of error
   | Shutdown_ack
 
-let progress_fields = function
-  | Instr_started { instr } ->
-      [ ("event", Json.str "instr_started"); ("instr", Json.str instr) ]
-  | Instr_done { instr; status; iterations; queries } ->
-      [
-        ("event", Json.str "instr_done");
-        ("instr", Json.str instr);
-        ("status", Json.str status);
-        ("iterations", Json.int iterations);
-        ("queries", Json.int queries);
-      ]
-  | Retry { attempt; reason } ->
-      [
-        ("event", Json.str "retry");
-        ("attempt", Json.int attempt);
-        ("reason", Json.str reason);
-      ]
-  | Degraded { attempt } ->
-      [ ("event", Json.str "degraded"); ("attempt", Json.int attempt) ]
+let progress =
+  variant "event"
+    [ case "instr_started" (one (mem "instr" string))
+        (fun instr -> Instr_started { instr })
+        (function Instr_started r -> Some r.instr | _ -> None);
+      case "instr_done"
+        (obj (fun i s n q -> (i, s, n, q))
+        |> mem "instr" string (fun (i, _, _, _) -> i)
+        |> mem "status" string (fun (_, s, _, _) -> s)
+        |> mem "iterations" int (fun (_, _, n, _) -> n)
+        |> mem "queries" int (fun (_, _, _, q) -> q))
+        (fun (instr, status, iterations, queries) ->
+          Instr_done { instr; status; iterations; queries })
+        (function
+          | Instr_done r -> Some (r.instr, r.status, r.iterations, r.queries)
+          | _ -> None);
+      case "retry" (pair (mem "attempt" int) (mem "reason" string))
+        (fun (attempt, reason) -> Retry { attempt; reason })
+        (function Retry r -> Some (r.attempt, r.reason) | _ -> None);
+      case "degraded" (one (mem "attempt" int))
+        (fun attempt -> Degraded { attempt })
+        (function Degraded r -> Some r.attempt | _ -> None) ]
 
-let progress_of_json v =
-  let* event = str_field "event" v in
-  match event with
-  | "instr_started" ->
-      let* instr = str_field "instr" v in
-      Ok (Instr_started { instr })
-  | "instr_done" ->
-      let* instr = str_field "instr" v in
-      let* status = str_field "status" v in
-      let* iterations = int_field "iterations" v in
-      let* queries = int_field "queries" v in
-      Ok (Instr_done { instr; status; iterations; queries })
-  | "retry" ->
-      let* attempt = int_field "attempt" v in
-      let* reason = str_field "reason" v in
-      Ok (Retry { attempt; reason })
-  | "degraded" ->
-      let* attempt = int_field "attempt" v in
-      Ok (Degraded { attempt })
-  | e -> fail "bad_request" "unknown progress event %S" e
-
-let pairs_json key_name value_name l =
-  Json.arr
-    (List.map
-       (fun (k, v) -> Json.obj [ (key_name, Json.str k); (value_name, Json.str v) ])
-       l)
-
-let pairs_of_json key_name value_name field v =
-  match Json.member field v with
-  | Some (Json.Arr items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* k = str_field key_name item in
-          let* value = str_field value_name item in
-          Ok ((k, value) :: acc))
-        (Ok []) items
-      |> Result.map List.rev
-  | _ -> fail "bad_request" "missing or non-array field %S" field
-
-let cache_stats_to_json (c : cache_stats) =
-  let opt f = function None -> "null" | Some x -> f x in
-  Json.obj
-    [
-      ( "disk",
-        opt
-          (fun (d : Owl_cache.disk_stats) ->
-            Json.obj
-              [
-                ("result_entries", Json.int d.Owl_cache.result_entries);
-                ("total_bytes", Json.int d.Owl_cache.total_bytes);
-              ])
-          c.disk );
-      ( "store",
-        opt
-          (fun (k : Owl_cache.counters) ->
-            Json.obj
-              [
-                ("hits", Json.int k.Owl_cache.hits);
-                ("misses", Json.int k.Owl_cache.misses);
-                ("stale", Json.int k.Owl_cache.stale);
-                ("writes", Json.int k.Owl_cache.writes);
-              ])
-          c.store );
-      ( "hot_tier",
-        opt
-          (fun h ->
-            Json.obj
-              [
-                ("hits", Json.int h.hot_hits);
-                ("misses", Json.int h.hot_misses);
-                ("evictions", Json.int h.hot_evictions);
-                ("size", Json.int h.hot_size);
-                ("capacity", Json.int h.hot_capacity);
-              ])
-          c.hot_tier );
-      ("served", Json.int c.served);
-      ("rejected", Json.int c.rejected);
-      ("uptime_seconds", Json.num c.uptime_seconds);
-    ]
-
-let cache_stats_of_json v =
-  let sub name parse =
-    match Json.member name v with
-    | Some Json.Null | None -> Ok None
-    | Some o -> Result.map Option.some (parse o)
+(* a result's trace id rides the envelope's "trace" member, left out
+   while the result has none ([""]) *)
+let trace_mem get =
+  let c =
+    conv (fun s -> if s = "" then None else Some s) (Option.value ~default:"") id
   in
-  let* disk =
-    sub "disk" (fun o ->
-        let* result_entries = int_field "result_entries" o in
-        let* total_bytes = int_field "total_bytes" o in
-        Ok { Owl_cache.result_entries; total_bytes })
-  in
-  let* store =
-    sub "store" (fun o ->
-        let* hits = int_field "hits" o in
-        let* misses = int_field "misses" o in
-        let* stale = int_field "stale" o in
-        let* writes = int_field "writes" o in
-        Ok { Owl_cache.hits; misses; stale; writes })
-  in
-  let* hot_tier =
-    sub "hot_tier" (fun o ->
-        let* hot_hits = int_field "hits" o in
-        let* hot_misses = int_field "misses" o in
-        let* hot_evictions = int_field "evictions" o in
-        let* hot_size = int_field "size" o in
-        let* hot_capacity = int_field "capacity" o in
-        Ok { hot_hits; hot_misses; hot_evictions; hot_size; hot_capacity })
-  in
-  let* served = int_field "served" v in
-  let* rejected = int_field "rejected" v in
-  let* uptime_seconds = float_field "uptime_seconds" v in
-  Ok { disk; store; hot_tier; served; rejected; uptime_seconds }
+  mem "trace" c ~absent:"" ~omit:true get
 
-let wire_metric_json m =
-  Json.obj
-    [
-      ("name", Json.str m.m_name);
-      ("kind", Json.str m.m_kind);
-      ("count", Json.int m.m_count);
-      ("sum", Json.int m.m_sum);
-      ("min", Json.int m.m_min);
-      ("max", Json.int m.m_max);
-      ("p50", Json.int m.m_p50);
-      ("p90", Json.int m.m_p90);
-      ("p99", Json.int m.m_p99);
-    ]
+let pairs key value = list (record (pair (mem key string) (mem value string)))
 
-let wire_metric_of_json o =
-  let* m_name = str_field "name" o in
-  let* m_kind = str_field "kind" o in
-  let opt_int name =
-    match Json.member name o with
-    | Some (Json.Num f) when Float.is_integer f -> int_of_float f
-    | _ -> 0
+let synth_result =
+  obj (fun trace outcome detail bindings stats hot ->
+      { outcome; detail; bindings; stats; hot; trace })
+  |> trace_mem (fun r -> r.trace)
+  |> mem "outcome" string (fun r -> r.outcome)
+  |> mem "detail" string (fun r -> r.detail)
+  |> mem "bindings" (pairs "hole" "expr") (fun r -> r.bindings)
+  |> mem "stats" stats (fun r -> r.stats)
+  |> mem "hot" bool (fun r -> r.hot)
+
+let verify_result =
+  obj (fun v_trace verdicts v_hot -> { verdicts; v_hot; v_trace })
+  |> trace_mem (fun r -> r.v_trace)
+  |> mem "verdicts" (pairs "instr" "verdict") (fun r -> r.verdicts)
+  |> mem "hot" bool (fun r -> r.v_hot)
+
+let cache_stats =
+  let sub o = nullable (record o) in
+  let disk =
+    obj (fun result_entries total_bytes -> { Owl_cache.result_entries; total_bytes })
+    |> mem "result_entries" int (fun d -> d.Owl_cache.result_entries)
+    |> mem "total_bytes" int (fun d -> d.Owl_cache.total_bytes)
   in
-  Ok
-    {
-      m_name;
-      m_kind;
-      m_count = opt_int "count";
-      m_sum = opt_int "sum";
-      m_min = opt_int "min";
-      m_max = opt_int "max";
-      m_p50 = opt_int "p50";
-      m_p90 = opt_int "p90";
-      m_p99 = opt_int "p99";
-    }
+  let store =
+    obj (fun hits misses stale writes -> { Owl_cache.hits; misses; stale; writes })
+    |> mem "hits" int (fun k -> k.Owl_cache.hits)
+    |> mem "misses" int (fun k -> k.Owl_cache.misses)
+    |> mem "stale" int (fun k -> k.Owl_cache.stale)
+    |> mem "writes" int (fun k -> k.Owl_cache.writes)
+  in
+  let hot_tier =
+    obj (fun hot_hits hot_misses hot_evictions hot_size hot_capacity ->
+        { hot_hits; hot_misses; hot_evictions; hot_size; hot_capacity })
+    |> mem "hits" int (fun (h : hot_stats) -> h.hot_hits)
+    |> mem "misses" int (fun (h : hot_stats) -> h.hot_misses)
+    |> mem "evictions" int (fun (h : hot_stats) -> h.hot_evictions)
+    |> mem "size" int (fun (h : hot_stats) -> h.hot_size)
+    |> mem "capacity" int (fun (h : hot_stats) -> h.hot_capacity)
+  in
+  record
+    (obj (fun disk store hot_tier served rejected uptime_seconds ->
+         { disk; store; hot_tier; served; rejected; uptime_seconds })
+    |> mem "disk" (sub disk) ~absent:None (fun c -> c.disk)
+    |> mem "store" (sub store) ~absent:None (fun c -> c.store)
+    |> mem "hot_tier" (sub hot_tier) ~absent:None (fun c -> c.hot_tier)
+    |> mem "served" int (fun c -> c.served)
+    |> mem "rejected" int (fun c -> c.rejected)
+    |> mem "uptime_seconds" float (fun c -> c.uptime_seconds))
 
-let reply_to_frame = function
-  | Progress p -> envelope "progress" (progress_fields p)
-  | Synth_result r ->
-      envelope "synth_result"
-        ?trace:(if r.trace = "" then None else Some r.trace)
-        [
-          ("outcome", Json.str r.outcome);
-          ("detail", Json.str r.detail);
-          ("bindings", pairs_json "hole" "expr" r.bindings);
-          ("stats", stats_to_json r.stats);
-          ("hot", Json.bool r.hot);
-        ]
-  | Verify_result r ->
-      envelope "verify_result"
-        ?trace:(if r.v_trace = "" then None else Some r.v_trace)
-        [
-          ("verdicts", pairs_json "instr" "verdict" r.verdicts);
-          ("hot", Json.bool r.v_hot);
-        ]
-  | Cache_stats_reply c -> envelope "cache_stats" [ ("stats", cache_stats_to_json c) ]
-  | Pong { server; protocol; health = h } ->
-      envelope "pong"
-        [
-          ("server", Json.str server);
-          ("protocol", Json.int protocol);
-          ("workers", Json.int h.workers);
-          ("workers_lost", Json.int h.workers_lost);
-          ("queue_waiting", Json.int h.queue_waiting);
-          ("cancelled", Json.int h.cancelled);
-          ("timeouts", Json.int h.timeouts);
-          ("uptime_s", Json.num h.uptime_s);
-          ("build", Json.str h.build);
-          ("hot_size", Json.int h.hot_size);
-          ("hot_capacity", Json.int h.hot_capacity);
-        ]
-  | Metrics_reply ms ->
-      envelope "metrics" [ ("metrics", Json.arr (List.map wire_metric_json ms)) ]
-  | Dump_trace_reply { trace_json } ->
-      envelope "dump_trace" [ ("trace_json", Json.str trace_json) ]
-  | Busy { queue_depth } -> envelope "busy" [ ("queue_depth", Json.int queue_depth) ]
-  | Err { code; message } ->
-      envelope "error" [ ("code", Json.str code); ("message", Json.str message) ]
-  | Shutdown_ack -> envelope "shutdown_ack" []
+let cache_stats_to_json = cache_stats.enc
 
-let reply_of_frame payload =
-  let* t, v = check_envelope payload in
-  match t with
-  | "progress" -> Result.map (fun p -> Progress p) (progress_of_json v)
-  | "synth_result" ->
-      let* outcome = str_field "outcome" v in
-      let* detail = str_field "detail" v in
-      let* bindings = pairs_of_json "hole" "expr" "bindings" v in
-      let* stats =
-        match Json.member "stats" v with
-        | Some s -> stats_of_json s
-        | None -> fail "bad_request" "missing field \"stats\""
-      in
-      let* hot = bool_field "hot" v in
-      let trace = Option.value ~default:"" (trace_of_frame payload) in
-      Ok (Synth_result { outcome; detail; bindings; stats; hot; trace })
-  | "verify_result" ->
-      let* verdicts = pairs_of_json "instr" "verdict" "verdicts" v in
-      let* v_hot = bool_field "hot" v in
-      let v_trace = Option.value ~default:"" (trace_of_frame payload) in
-      Ok (Verify_result { verdicts; v_hot; v_trace })
-  | "cache_stats" ->
-      let* c =
-        match Json.member "stats" v with
-        | Some s -> cache_stats_of_json s
-        | None -> fail "bad_request" "missing field \"stats\""
-      in
-      Ok (Cache_stats_reply c)
-  | "pong" ->
-      let* server = str_field "server" v in
-      let* protocol = int_field "protocol" v in
-      (* the health fields are newer than the first protocol-1 servers;
-         absent reads as the empty report, like the sat stats above *)
-      let opt_int name =
-        match Json.member name v with
-        | Some (Json.Num f) when Float.is_integer f -> int_of_float f
-        | _ -> 0
-      in
-      let health =
-        {
-          workers = opt_int "workers";
-          workers_lost = opt_int "workers_lost";
-          queue_waiting = opt_int "queue_waiting";
-          cancelled = opt_int "cancelled";
-          timeouts = opt_int "timeouts";
-          uptime_s =
-            (match Json.member "uptime_s" v with
-            | Some (Json.Num f) -> f
-            | _ -> 0.0);
-          build =
-            (match Json.member "build" v with
-            | Some (Json.String s) -> s
-            | _ -> "");
-          hot_size = opt_int "hot_size";
-          hot_capacity = opt_int "hot_capacity";
-        }
-      in
-      Ok (Pong { server; protocol; health })
-  | "metrics" -> (
-      match Json.member "metrics" v with
-      | Some (Json.Arr items) ->
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              let* m = wire_metric_of_json item in
-              Ok (m :: acc))
-            (Ok []) items
-          |> Result.map (fun ms -> Metrics_reply (List.rev ms))
-      | _ -> fail "bad_request" "missing or non-array field \"metrics\"")
-  | "dump_trace" ->
-      let* trace_json = str_field "trace_json" v in
-      Ok (Dump_trace_reply { trace_json })
-  | "busy" ->
-      let* queue_depth = int_field "queue_depth" v in
-      Ok (Busy { queue_depth })
-  | "error" ->
-      let* code = str_field "code" v in
-      let* message = str_field "message" v in
-      Ok (Err { code; message })
-  | "shutdown_ack" -> Ok Shutdown_ack
-  | t -> fail "bad_request" "unknown reply kind %S" t
+(* The [ping] health report, flat in the pong envelope.  Every member
+   postdates the first protocol-1 deployments and reads as zero when
+   absent, so an old server's bare pong is [empty_health]; the four
+   worker-capacity and shedding members older servers send are ignored. *)
+let health =
+  obj (fun workers workers_lost queue_waiting cancelled timeouts uptime_s build
+           hot_size hot_capacity ->
+      { workers; workers_lost; queue_waiting; cancelled; timeouts; uptime_s; build;
+        hot_size; hot_capacity })
+  |> mem "workers" int ~absent:0 (fun h -> h.workers)
+  |> mem "workers_lost" int ~absent:0 (fun h -> h.workers_lost)
+  |> mem "queue_waiting" int ~absent:0 (fun h -> h.queue_waiting)
+  |> mem "cancelled" int ~absent:0 (fun h -> h.cancelled)
+  |> mem "timeouts" int ~absent:0 (fun h -> h.timeouts)
+  |> mem "uptime_s" float ~absent:0.0 (fun h -> h.uptime_s)
+  |> mem "build" string ~absent:"" (fun h -> h.build)
+  |> mem "hot_size" int ~absent:0 (fun h -> h.hot_size)
+  |> mem "hot_capacity" int ~absent:0 (fun h -> h.hot_capacity)
+
+let empty_health = Result.get_ok (health.build (Json.Obj []))
+
+let wire_metric =
+  record
+    (obj (fun m_name m_kind m_count m_sum m_min m_max m_p50 m_p90 m_p99 ->
+         { m_name; m_kind; m_count; m_sum; m_min; m_max; m_p50; m_p90; m_p99 })
+    |> mem "name" string (fun m -> m.m_name)
+    |> mem "kind" string (fun m -> m.m_kind)
+    |> mem "count" int ~absent:0 (fun m -> m.m_count)
+    |> mem "sum" int ~absent:0 (fun m -> m.m_sum)
+    |> mem "min" int ~absent:0 (fun m -> m.m_min)
+    |> mem "max" int ~absent:0 (fun m -> m.m_max)
+    |> mem "p50" int ~absent:0 (fun m -> m.m_p50)
+    |> mem "p90" int ~absent:0 (fun m -> m.m_p90)
+    |> mem "p99" int ~absent:0 (fun m -> m.m_p99))
+
+let metrics_to_json = (list wire_metric).enc
+
+let reply_cases =
+  [ case "progress" progress (fun p -> Progress p)
+      (function Progress p -> Some p | _ -> None);
+    case "synth_result" synth_result (fun r -> Synth_result r)
+      (function Synth_result r -> Some r | _ -> None);
+    case "verify_result" verify_result (fun r -> Verify_result r)
+      (function Verify_result r -> Some r | _ -> None);
+    case "cache_stats" (one (mem "stats" cache_stats)) (fun c -> Cache_stats_reply c)
+      (function Cache_stats_reply c -> Some c | _ -> None);
+    case "pong"
+      (obj (fun server protocol health -> (server, protocol, health))
+      |> mem "server" string (fun (s, _, _) -> s)
+      |> mem "protocol" int (fun (_, p, _) -> p)
+      |> inline health (fun (_, _, h) -> h))
+      (fun (server, protocol, health) -> Pong { server; protocol; health })
+      (function Pong r -> Some (r.server, r.protocol, r.health) | _ -> None);
+    case "metrics" (one (mem "metrics" (list wire_metric))) (fun ms -> Metrics_reply ms)
+      (function Metrics_reply ms -> Some ms | _ -> None);
+    case "dump_trace" (one (mem "trace_json" string))
+      (fun trace_json -> Dump_trace_reply { trace_json })
+      (function Dump_trace_reply r -> Some r.trace_json | _ -> None);
+    case "busy" (one (mem "queue_depth" int)) (fun queue_depth -> Busy { queue_depth })
+      (function Busy r -> Some r.queue_depth | _ -> None);
+    case "error"
+      (obj (fun code message -> { code; message })
+      |> mem "code" string (fun e -> e.code)
+      |> mem "message" string (fun e -> e.message))
+      (fun e -> Err e)
+      (function Err e -> Some e | _ -> None);
+    const "shutdown_ack" Shutdown_ack ]
+
+(* {1 The envelope}
+
+   One object per frame: the version under "v", the kind under "t", a
+   request's trace id under "trace", then the kind's members.  An absent
+   or mismatched "v" is version skew — a distinct code, so the peer can
+   say "upgrade" rather than "you sent garbage".  Decoding parses the
+   frame once; the value and its trace id come from that one parse. *)
+
+let to_frame ?trace cases x =
+  let tag, fields = tagged cases x in
+  let fields =
+    match trace with None -> fields | Some id -> ("trace", Json.str id) :: fields
+  in
+  Json.obj (("v", Json.int version) :: ("t", Json.str tag) :: fields)
+
+let trace_of v = nonempty (Json.member "trace" v)
+
+let of_frame cases payload =
+  match Json.parse payload with
+  | exception Json.Parse_error m -> fail "bad_request" "frame is not JSON: %s" m
+  | v -> (
+      match Json.member "v" v with
+      | Some (Json.Num f) when f = float_of_int version -> (
+          match untag "t" cases v with
+          | Ok x -> Ok (x, trace_of v)
+          | Error m -> fail "bad_request" "%s" m)
+      | Some (Json.Num f) when Float.is_integer f ->
+          fail "version_skew" "peer speaks protocol %.0f, this end speaks %d" f version
+      | _ -> fail "version_skew" "frame carries no protocol version")
+
+let request_to_frame ?trace r = to_frame ?trace request_cases r
+let request_of_frame_traced payload = of_frame request_cases payload
+let request_of_frame payload = Result.map fst (request_of_frame_traced payload)
+let reply_to_frame r = to_frame reply_cases r
+let reply_of_frame payload = Result.map fst (of_frame reply_cases payload)
+
+let trace_of_frame payload =
+  match Json.parse payload with exception Json.Parse_error _ -> None | v -> trace_of v
 
 (* {1 Metric renderings}
 
@@ -819,21 +656,14 @@ let metrics_to_prometheus ms =
       let n = prometheus_name m in
       match m.m_kind with
       | "counter" ->
-          Buffer.add_string b (Printf.sprintf "# TYPE %s_total counter\n" n);
-          Buffer.add_string b (Printf.sprintf "%s_total %d\n" n m.m_count)
-      | "gauge" ->
-          Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" n);
-          Buffer.add_string b (Printf.sprintf "%s %d\n" n m.m_count)
+          Printf.bprintf b "# TYPE %s_total counter\n%s_total %d\n" n n m.m_count
+      | "gauge" -> Printf.bprintf b "# TYPE %s gauge\n%s %d\n" n n m.m_count
       | _ ->
-          Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" n);
+          Printf.bprintf b "# TYPE %s summary\n" n;
           List.iter
-            (fun (q, v) ->
-              Buffer.add_string b
-                (Printf.sprintf "%s{quantile=%S} %d\n" n q v))
+            (fun (q, v) -> Printf.bprintf b "%s{quantile=%S} %d\n" n q v)
             [ ("0.5", m.m_p50); ("0.9", m.m_p90); ("0.99", m.m_p99) ];
-          Buffer.add_string b (Printf.sprintf "%s_sum %d\n" n m.m_sum);
-          Buffer.add_string b (Printf.sprintf "%s_count %d\n" n m.m_count))
+          Printf.bprintf b "%s_sum %d\n%s_count %d\n" n m.m_sum n m.m_count)
     ms;
   Buffer.contents b
 
-let metrics_to_json ms = Json.arr (List.map wire_metric_json ms)

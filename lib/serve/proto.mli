@@ -15,11 +15,18 @@
     answered in order (the server pipelines at most one in-flight request
     per connection), so no correlation ids are needed.
 
-    Codecs are built on {!Json} (the Owl_obs emitter and strict parser),
-    so escaping agrees byte-for-byte with every other JSON the toolchain
-    writes.  Decoding never raises: malformed payloads come back as
-    [Error {code; message}].  Framing does raise ({!Framing_error}) —
-    once the length discipline is broken the stream cannot be resynced. *)
+    Each wire record is declared once inside this module, as a list of
+    members (name, JSON type, getter, value when absent); its encoder and
+    decoder are both derived from that declaration, so the two directions
+    cannot drift.  A decoder ignores members it does not declare, and a
+    member that postdates the first protocol-1 peers reads as its
+    documented default when absent — that is how the protocol has grown
+    without a version bump.  The codecs render through {!Json} (the
+    Owl_obs emitter and strict parser), so escaping agrees byte-for-byte
+    with every other JSON the toolchain writes.  Decoding never raises:
+    malformed payloads come back as [Error {code; message}].  Framing
+    does raise ({!Framing_error}) — once the length discipline is broken
+    the stream cannot be resynced. *)
 
 val version : int
 (** Protocol version stamped into (and required of) every frame. *)
@@ -47,6 +54,11 @@ val addr_of_string : string -> (addr, string) result
 
 val addr_to_string : addr -> string
 (** Canonical prefixed form; [addr_of_string] round-trips it. *)
+
+val sockaddr_of_addr : addr -> Unix.sockaddr
+(** The socket address both ends use: a TCP host is a numeric address or
+    else resolved by name; an unknown host raises
+    [Unix.Unix_error (EINVAL, "gethostbyname", host)]. *)
 
 (** {1 Framing} *)
 
@@ -77,16 +89,19 @@ type error = { code : string; message : string }
 
 (** {1 Engine options on the wire}
 
-    The flattened form of {!Synth.Engine.options}.  Deserialization pipes
+    The wire form of {!Synth.Engine.options}.  Deserialization pipes
     {!Synth.Engine.default_options} through the [with_*] setters, so the
     builder validation {e is} the wire validation: a request carrying
     [jobs = 0] is rejected with ["bad_request"] exactly as a native
     caller would get [Invalid_argument].  The [cache] field deliberately
     never crosses the wire — which store and hot tier back a request is
-    the server's policy, not the client's. *)
+    the server's policy, not the client's.  [conflict_budget] = [max_int]
+    travels as [null], and [null] or absent reads as [max_int]; a [null]
+    or absent [deadline_seconds] reads as [None]. *)
 
 val options_to_json : Synth.Engine.options -> string
-val options_of_json : Json.value -> (Synth.Engine.options, error) result
+(** The options object exactly as a request frame carries it; the
+    server's hot-tier fingerprint hashes these bytes. *)
 
 (** {1 Requests} *)
 
@@ -114,11 +129,16 @@ val request_to_frame : ?trace:string -> request -> string
 
 val request_of_frame : string -> (request, error) result
 
+val request_of_frame_traced :
+  string -> (request * string option, error) result
+(** {!request_of_frame} plus the envelope's ["trace"] member, read from
+    the same parse: [None] when absent, empty or not a string. *)
+
 val trace_of_frame : string -> string option
 (** The envelope's ["trace"] member, if present and non-empty.  Total:
     unparseable payloads read as [None].  Works on request and reply
-    frames alike — the tolerant peek both ends use, so the trace id rides
-    protocol version {!version} unchanged. *)
+    frames alike, so the trace id rides protocol version {!version}
+    unchanged. *)
 
 (** {1 Progress events}
 
@@ -143,10 +163,10 @@ type progress =
   | Degraded of { attempt : int }
       (** the ladder's final rung: fresh one-shot solver *)
 
-(** {1 Results and statistics} *)
+(** {1 Results and statistics}
 
-val stats_to_json : Synth.Engine.stats -> string
-val stats_of_json : Json.value -> (Synth.Engine.stats, error) result
+    {!Synth.Engine.stats} travels as an object of its fields; the three
+    [sat_*] counters read as [0] when absent. *)
 
 type synth_result = {
   outcome : string;
@@ -190,9 +210,8 @@ type cache_stats = {
 
 val cache_stats_to_json : cache_stats -> string
 (** Also the payload of [owl cache stats --json], so the offline CLI and
-    the daemon report cache state in one schema. *)
-
-val cache_stats_of_json : Json.value -> (cache_stats, error) result
+    the daemon report cache state in one schema.  [disk], [store] and
+    [hot_tier] travel as [null] when [None]. *)
 
 (** {1 Replies} *)
 

@@ -702,9 +702,7 @@ let handle t conn ~trace (req : Proto.request) =
           (* cold solver work from here on: deadline sanity, the planned
              [shed@N] fault, then admission.  Control requests and hot hits
              never reach any of these. *)
-          let dl =
-            options.Synth.Engine.budget.Synth.Engine.Budget.deadline_seconds
-          in
+          let dl = options.Synth.Engine.deadline_seconds in
           match dl with
           | Some d when d <= 0.0 ->
               (* unsatisfiable before it starts: no queue slot consumed *)
@@ -754,14 +752,12 @@ let reader t conn () =
     match Proto.read_frame conn.fd with
     | None -> ()
     | Some payload ->
-        (match Proto.request_of_frame payload with
-        | Ok req ->
+        (match Proto.request_of_frame_traced payload with
+        | Ok (req, trace) ->
             (* admission is where the request's identity is fixed: adopt
                the client's trace id if it sent one, mint one otherwise *)
             let trace =
-              match Proto.trace_of_frame payload with
-              | Some id -> id
-              | None -> mint_trace t
+              match trace with Some id -> id | None -> mint_trace t
             in
             handle t conn ~trace req
         | Error e -> ignore (send conn (Proto.Err e)));
@@ -775,30 +771,17 @@ let reader t conn () =
 
 (* {1 Listener} *)
 
-let resolve_inet host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found ->
-      raise (Unix.Unix_error (Unix.EINVAL, "gethostbyname", host)))
-
-let listen_on = function
-  | Proto.Unix_path path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.bind fd (Unix.ADDR_UNIX path);
-         Unix.listen fd 64
-       with e -> Unix.close fd; raise e);
-      fd
-  | Proto.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (resolve_inet host, port));
-         Unix.listen fd 64
-       with e -> Unix.close fd; raise e);
-      fd
+let listen_on addr =
+  let sa = Proto.sockaddr_of_addr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try
+     (match addr with
+     | Proto.Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+     | Proto.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
+     Unix.bind fd sa;
+     Unix.listen fd 64
+   with e -> Unix.close fd; raise e);
+  fd
 
 let run ?(ready = fun () -> ()) cfg ~lookup =
   if cfg.jobs < 1 then invalid_arg "Server.run: jobs < 1";

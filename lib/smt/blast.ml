@@ -10,7 +10,6 @@ type t = {
   mutable cached_terms_fn : unit -> int;  (* size of the term -> bits cache *)
 }
 
-let lit_true c = c.tlit
 let lit_false c = -c.tlit
 let var_bits c name = Hashtbl.find_opt c.var_bits_tbl name
 
@@ -153,9 +152,3 @@ let assert_term c t =
       Sat.add_clause c.sat [ bits.(0) ])
 
 let fresh_lit c = Sat.new_var c.sat
-
-let assert_term_guarded c ~guard t =
-  if Term.width t <> 1 then invalid_arg "Blast.assert_term_guarded: width <> 1";
-  with_clause_count c (fun () ->
-      let bits = blast c t in
-      Sat.add_clause c.sat [ -guard; bits.(0) ])

@@ -11,9 +11,6 @@ type t
 
 val create : Sat.t -> t
 
-val lit_true : t -> int
-(** The distinguished always-true literal. *)
-
 val blast : t -> Term.t -> int array
 (** [blast ctx term] returns one DIMACS literal per bit, LSB first.
 
@@ -32,20 +29,5 @@ val fresh_lit : t -> int
 (** Allocates a fresh SAT variable in the underlying solver and returns its
     positive literal; used for activation guards. *)
 
-val assert_term_guarded : t -> guard:int -> Term.t -> unit
-(** [assert_term_guarded c ~guard t] asserts [guard -> t]: the clause
-    [(-guard, t)] plus [t]'s definitional clauses.  Solving with [guard]
-    among the assumptions enforces [t]; permanently adding the unit clause
-    [-guard] retracts it (the definitional clauses are tautological on
-    their own and stay). *)
-
 val var_bits : t -> string -> int array option
 (** The literals allocated for a [Var] term, if it was blasted. *)
-
-(** {1 Gate-level API} (used by tests and the netlist backend) *)
-
-val mk_and : t -> int -> int -> int
-val mk_or : t -> int -> int -> int
-val mk_xor : t -> int -> int -> int
-val mk_ite : t -> int -> int -> int -> int
-(** [mk_ite c a b] is [if c then a else b]. *)

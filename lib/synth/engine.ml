@@ -29,30 +29,16 @@
 
 type mode = Per_instruction | Monolithic
 
-(* Engine configuration, grouped by concern.  The flat 10-field record
-   had outgrown itself: every new knob touched every construction site.
-   Callers now start from [default_options] and pipe through [with_*]
-   builders, which also centralize validation — a record a builder
-   produced is well-formed by construction. *)
-
-module Schedule = struct
-  type t = {
-    mode : mode;
-    jobs : int;  (* worker domains for independent per-instruction loops *)
-  }
-end
-
-module Budget = struct
-  type t = {
-    conflict_budget : int;  (* total SAT conflicts before declaring timeout *)
-    max_iterations : int;  (* CEGIS rounds per loop *)
-    deadline_seconds : float option;  (* wall-clock timeout *)
-  }
-end
+(* Engine configuration.  Callers start from [default_options] and pipe
+   through [with_*] builders, which centralize validation — a record a
+   builder produced is well-formed by construction. *)
 
 type options = {
-  schedule : Schedule.t;
-  budget : Budget.t;
+  mode : mode;
+  jobs : int;  (* worker domains for independent per-instruction loops *)
+  conflict_budget : int;  (* total SAT conflicts before declaring timeout *)
+  max_iterations : int;  (* CEGIS rounds per loop *)
+  deadline_seconds : float option;  (* wall-clock timeout *)
   recovery : Resilience.policy;
   check_independence : bool;
       (* verify the instruction-independence preconditions (paper 3.3.1)
@@ -69,35 +55,31 @@ type options = {
 
 let default_options =
   {
-    schedule = { Schedule.mode = Per_instruction; jobs = 1 };
-    budget =
-      {
-        Budget.conflict_budget = max_int;
-        max_iterations = 256;
-        deadline_seconds = None;
-      };
+    mode = Per_instruction;
+    jobs = 1;
+    conflict_budget = max_int;
+    max_iterations = 256;
+    deadline_seconds = None;
     recovery = Resilience.default;
     check_independence = false;
     incremental = true;
     cache = None;
   }
 
-let with_mode mode o = { o with schedule = { o.schedule with Schedule.mode } }
+let with_mode mode o = { o with mode }
 
 let with_jobs jobs o =
   if jobs < 1 then invalid_arg "Engine.with_jobs: jobs < 1";
-  { o with schedule = { o.schedule with Schedule.jobs } }
+  { o with jobs }
 
-let with_conflict_budget conflict_budget o =
-  { o with budget = { o.budget with Budget.conflict_budget } }
+let with_conflict_budget conflict_budget o = { o with conflict_budget }
 
 let with_max_iterations max_iterations o =
   if max_iterations < 1 then
     invalid_arg "Engine.with_max_iterations: max_iterations < 1";
-  { o with budget = { o.budget with Budget.max_iterations } }
+  { o with max_iterations }
 
-let with_deadline deadline_seconds o =
-  { o with budget = { o.budget with Budget.deadline_seconds } }
+let with_deadline deadline_seconds o = { o with deadline_seconds }
 
 (* The recovery builders validate through Resilience.make, so the engine
    and the standalone Resilience API can never drift apart. *)
@@ -268,7 +250,7 @@ let with_stats stats = function
 let check_deadline run =
   if run.cancel () then raise Cancelled;
   run.stats.wall_seconds <- now () -. run.started;
-  match run.opts.budget.Budget.deadline_seconds with
+  match run.opts.deadline_seconds with
   | Some d when run.stats.wall_seconds > d -> raise (Stop (Timeout run.stats))
   | _ -> ()
 
@@ -295,12 +277,12 @@ let account run (st : Solver.stats) =
 
 let budget_remaining run =
   check_deadline run;
-  let remaining = run.opts.budget.Budget.conflict_budget - Atomic.get run.consumed in
+  let remaining = run.opts.conflict_budget - Atomic.get run.consumed in
   if remaining <= 0 then raise (Stop (Timeout run.stats));
   remaining
 
 let query_deadline run =
-  Option.map (fun d -> run.started +. d) run.opts.budget.Budget.deadline_seconds
+  Option.map (fun d -> run.started +. d) run.opts.deadline_seconds
 
 (* {1 Model validation}
 
@@ -353,7 +335,7 @@ let model_satisfies model terms =
    from a stateless solver, so something is wrong beyond a transient. *)
 let resilient run ~check ~fresh ~validate =
   let p = run.opts.recovery in
-  let total = run.opts.budget.Budget.conflict_budget in
+  let total = run.opts.conflict_budget in
   let rec go attempt =
     let remaining = budget_remaining run in
     (* [attempt] exceeds the ladder's length only on the bonus validation
@@ -595,7 +577,7 @@ let cegis run ~instr ~targets ~corrects candidate =
   (* the iteration span closes before the recursive call, so nesting
      depth stays constant however many rounds run *)
   let rec loop iter =
-    if iter > run.opts.budget.Budget.max_iterations then
+    if iter > run.opts.max_iterations then
       raise (Stop (Timeout run.stats));
     run.stats.iterations <- run.stats.iterations + 1;
     let continue =
@@ -680,7 +662,7 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
      retried on a fresh lane like the synthesis pool's; cancellation is
      not retried. *)
   try
-    Pool.map_arena ~jobs:options.schedule.Schedule.jobs
+    Pool.map_arena ~jobs:options.jobs
       ~make:(fun () -> Lane.create options)
       ~retries
       (fun lane (c : Ila.Conditions.conditions) ->
@@ -838,7 +820,7 @@ let cached_cegis run cache ~instr ~holes ~correct ~violation local =
 
 let synthesize ?(options = default_options) ?(cancel = fun () -> false)
     (problem : problem) : outcome =
-  if options.schedule.Schedule.jobs < 1 then fail "Engine.synthesize: options.schedule.Schedule.jobs < 1";
+  if options.jobs < 1 then fail "Engine.synthesize: options.jobs < 1";
   let stats = fresh_stats () in
   let started = now () in
   let trace = symbolic_trace problem in
@@ -933,7 +915,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
           (fun (n, w) -> Hashtbl.replace candidate n (Bitvec.zero w))
           (hole_vars_of_instr iname))
       instr_names;
-    let independent = options.schedule.Schedule.mode = Per_instruction && shared_holes = [] in
+    let independent = options.mode = Per_instruction && shared_holes = [] in
     (if independent then begin
        (* The paper's per-instruction strategy: separate small CEGIS loops,
           independent by construction (paper 3.3.1), fanned out across the
@@ -967,7 +949,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
          let trun = { run with stats = fresh_stats () } in
          (* serial fallback keeps the historical early exit; parallel
             workers run to completion so blame stays deterministic *)
-         if options.schedule.Schedule.jobs = 1 && Atomic.get failed then
+         if options.jobs = 1 && Atomic.get failed then
            (`Skipped, trun.stats)
          else begin
            let holes = hole_vars_of_instr iname in
@@ -999,7 +981,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
        let retries = options.recovery.Resilience.retries in
        let results =
          try
-           Pool.map_arena ~jobs:options.schedule.Schedule.jobs ~make:ignore
+           Pool.map_arena ~jobs:options.jobs ~make:ignore
              ~retries ~retried:task_retried task formulas
          with Fault.Injected_crash i ->
            fail "worker task attempt %d crashed and exhausted %d retries" i
@@ -1027,7 +1009,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
           Shared holes couple the loops, so this path stays serial. *)
        let violations = List.map (fun (_, _, v) -> v) formulas in
        let targets =
-         match options.schedule.Schedule.mode with
+         match options.mode with
          | Monolithic -> [ Term.disj violations ]
          | Per_instruction -> violations
        in

@@ -21,8 +21,8 @@ type mode = Per_instruction | Monolithic
 
 (** {1 Configuration}
 
-    Options are grouped by concern into sub-records and built by piping
-    {!default_options} through [with_*] setters:
+    Options are one flat record built by piping {!default_options}
+    through [with_*] setters:
 
     {[
       let opts =
@@ -35,30 +35,16 @@ type mode = Per_instruction | Monolithic
     The setters centralize validation, so any value they produce is
     well-formed. *)
 
-(** How work is scheduled across strategies and worker domains. *)
-module Schedule : sig
-  type t = {
-    mode : mode;
-    jobs : int;
-        (** worker domains for the independent per-instruction loops; [1]
-            (the default) is the serial path.  Shared holes force joint
-            synthesis, which ignores [jobs] and stays serial. *)
-  }
-end
-
-(** How much work a call may spend before declaring [Timeout]. *)
-module Budget : sig
-  type t = {
-    conflict_budget : int;
-        (** total SAT conflicts before declaring timeout *)
-    max_iterations : int;  (** CEGIS rounds per loop *)
-    deadline_seconds : float option;  (** wall-clock timeout *)
-  }
-end
-
 type options = {
-  schedule : Schedule.t;
-  budget : Budget.t;
+  mode : mode;
+  jobs : int;
+      (** worker domains for the independent per-instruction loops; [1]
+          (the default) is the serial path.  Shared holes force joint
+          synthesis, which ignores [jobs] and stays serial. *)
+  conflict_budget : int;
+      (** total SAT conflicts before declaring timeout *)
+  max_iterations : int;  (** CEGIS rounds per loop *)
+  deadline_seconds : float option;  (** wall-clock timeout *)
   recovery : Resilience.policy;
       (** how solver hiccups are retried and models cross-checked.
           [retries] also bounds the re-executions of a crashed pool task.

@@ -77,6 +77,26 @@ let test_json_errors () =
   List.iter fails
     [ ""; "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "1 2"; "tru"; "nan" ]
 
+(* Nesting is capped at 512 levels: a well-formed but deep document is
+   rejected rather than parsed by a recursion whose cost grows faster
+   than its length. *)
+let test_json_depth_cap () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  checkb "512 levels parse" true
+    (match Json.parse (nested 512) with Json.Arr _ -> true | _ -> false);
+  List.iter
+    (fun (what, doc) ->
+      match Json.parse doc with
+      | exception Json.Parse_error _ -> ()
+      | _ -> Alcotest.fail (what ^ " should be rejected"))
+    [
+      ("513 levels", nested 513);
+      ("100000 levels", nested 100_000);
+      ( "600 nested objects",
+        String.concat "" (List.init 600 (fun _ -> "{\"a\":"))
+        ^ "1" ^ String.make 600 '}' );
+    ]
+
 (* {1 Null sink} *)
 
 let test_null_sink () =
@@ -755,6 +775,7 @@ let () =
           Alcotest.test_case "num" `Quick test_json_num;
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "depth cap" `Quick test_json_depth_cap;
         ] );
       ( "tracing",
         [

@@ -142,7 +142,14 @@ let test_addr_parse () =
     (fun a ->
       check "addr roundtrip" true
         (Proto.addr_of_string (Proto.addr_to_string a) = Ok a))
-    [ Proto.Unix_path "/tmp/y.sock"; Proto.Tcp ("127.0.0.1", 81) ]
+    [ Proto.Unix_path "/tmp/y.sock"; Proto.Tcp ("127.0.0.1", 81) ];
+  (* one resolver for both ends; a numeric host needs no lookup *)
+  check "unix sockaddr" true
+    (Proto.sockaddr_of_addr (Proto.Unix_path "/tmp/y.sock")
+    = Unix.ADDR_UNIX "/tmp/y.sock");
+  check "numeric tcp sockaddr" true
+    (Proto.sockaddr_of_addr (Proto.Tcp ("127.0.0.1", 81))
+    = Unix.ADDR_INET (Unix.inet_addr_loopback, 81))
 
 (* {1 Codecs} *)
 
@@ -193,7 +200,7 @@ let test_options_roundtrip () =
                 { design = "d"; options = Synth.Engine.default_options }))
       with
      | Ok (Proto.Synth { options; _ }) ->
-         options.Synth.Engine.budget.Synth.Engine.Budget.conflict_budget
+         options.Synth.Engine.conflict_budget
      | _ -> 0)
     = max_int)
 
@@ -322,6 +329,12 @@ let code_of = function
   | Error e -> e.Proto.code
   | Ok _ -> "ok"
 
+(* a well-formed ping whose extra member nests 100 000 arrays deep: far
+   past the JSON parser's 512-level cap *)
+let deep_frame =
+  "{\"v\":1,\"t\":\"ping\",\"x\":" ^ String.make 100_000 '['
+  ^ String.make 100_000 ']' ^ "}"
+
 let test_request_decode_errors () =
   check_str "garbage" "bad_request" (code_of (Proto.request_of_frame "hello"));
   check_str "non-object" "version_skew" (code_of (Proto.request_of_frame "[1,2]"));
@@ -342,7 +355,9 @@ let test_request_decode_errors () =
   check_str "invalid options" "bad_request"
     (code_of
        (Proto.request_of_frame
-          "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true}}"))
+          "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true}}"));
+  check_str "nesting past the depth cap" "bad_request"
+    (code_of (Proto.request_of_frame deep_frame))
 
 let sample_cache_stats =
   {
@@ -551,6 +566,132 @@ let sample_metrics =
     wm "serve.job.latency_us.1m" "window" ~count:5 ~sum:1010 ~min:1 ~max:1000
       ~p50:3 ~p90:768 ~p99:997;
   ]
+
+(* The wire bytes themselves, pinned.  The roundtrip tests above would
+   still pass if a member were renamed or reordered on both ends at once;
+   these literals would not, and a peer from an older build (or the
+   hot-tier fingerprint, which hashes the options encoding) depends on
+   exactly these bytes.  One frame per request and reply kind, traced and
+   untraced, unlimited and finite budgets and deadlines. *)
+let golden_frames () =
+  let req ?trace r = Proto.request_to_frame ?trace r in
+  let default = Synth.Engine.default_options in
+  let progress p = Proto.reply_to_frame (Proto.Progress p) in
+  let synth_result ~detail ~bindings ~hot ~trace outcome =
+    Proto.reply_to_frame
+      (Proto.Synth_result
+         { Proto.outcome; detail; bindings; stats = sample_stats; hot; trace })
+  in
+  [
+    req (Proto.Synth { design = "acc"; options = default });
+    req ~trace:"t1-2" (Proto.Synth { design = "alu"; options = custom_options });
+    req (Proto.Verify { design = "gcd"; options = custom_options });
+    req ~trace:"t3-4" (Proto.Verify { design = "acc"; options = default });
+    req Proto.Cache_stats;
+    req ~trace:"t5-6" Proto.Ping;
+    req Proto.Metrics;
+    req (Proto.Dump_trace { trace = None });
+    req ~trace:"t7-8" (Proto.Dump_trace { trace = Some "t9-10" });
+    req Proto.Shutdown;
+    progress (Proto.Instr_started { instr = "add" });
+    progress
+      (Proto.Instr_done
+         { instr = "add"; status = "solved"; iterations = 3; queries = 9 });
+    progress (Proto.Retry { attempt = 1; reason = "unknown" });
+    progress (Proto.Degraded { attempt = 2 });
+    synth_result "solved" ~detail:""
+      ~bindings:[ ("h0", "2'x1"); ("h1", "(if a \"b\" c)") ]
+      ~hot:true ~trace:"tdeadbe-7";
+    synth_result "timeout" ~detail:"budget" ~bindings:[] ~hot:false ~trace:"";
+    Proto.reply_to_frame
+      (Proto.Verify_result
+         {
+           Proto.verdicts = [ ("add", "verified"); ("sub", "violated") ];
+           v_hot = false;
+           v_trace = "tcafe00-12";
+         });
+    Proto.reply_to_frame
+      (Proto.Verify_result { Proto.verdicts = []; v_hot = true; v_trace = "" });
+    Proto.reply_to_frame (Proto.Cache_stats_reply sample_cache_stats);
+    Proto.reply_to_frame
+      (Proto.Cache_stats_reply
+         {
+           Proto.disk = None;
+           store = None;
+           hot_tier = None;
+           served = 0;
+           rejected = 0;
+           uptime_seconds = 0.0;
+         });
+    Proto.reply_to_frame
+      (Proto.Pong
+         {
+           server = "owl/1.0.0";
+           protocol = 1;
+           health =
+             {
+               Proto.workers = 4;
+               workers_lost = 1;
+               queue_waiting = 2;
+               cancelled = 5;
+               timeouts = 7;
+               uptime_s = 33.25;
+               build = "owl-serve/1.0 proto-1";
+               hot_size = 9;
+               hot_capacity = 64;
+             };
+         });
+    Proto.reply_to_frame
+      (Proto.Metrics_reply
+         [
+           wm "serve.requests" "counter" ~count:42;
+           wm "serve.job.latency_us" "histogram" ~count:5 ~sum:1010 ~min:1
+             ~max:1000 ~p50:3 ~p90:768 ~p99:997;
+         ]);
+    Proto.reply_to_frame
+      (Proto.Dump_trace_reply { trace_json = "{\"traceEvents\":[]}" });
+    Proto.reply_to_frame (Proto.Busy { queue_depth = 9 });
+    Proto.reply_to_frame
+      (Proto.Err { Proto.code = "internal"; message = "boom \"quoted\"" });
+    Proto.reply_to_frame Proto.Shutdown_ack;
+  ]
+
+let golden_bytes =
+  [
+    "{\"v\": 1, \"t\": \"synth\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"check_independence\": false, \"incremental\": true}}";
+    "{\"v\": 1, \"t\": \"synth\", \"trace\": \"t1-2\", \"design\": \"alu\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"check_independence\": true, \"incremental\": false}}";
+    "{\"v\": 1, \"t\": \"verify\", \"design\": \"gcd\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"check_independence\": true, \"incremental\": false}}";
+    "{\"v\": 1, \"t\": \"verify\", \"trace\": \"t3-4\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"check_independence\": false, \"incremental\": true}}";
+    "{\"v\": 1, \"t\": \"cache_stats\"}";
+    "{\"v\": 1, \"t\": \"ping\", \"trace\": \"t5-6\"}";
+    "{\"v\": 1, \"t\": \"metrics\"}";
+    "{\"v\": 1, \"t\": \"dump_trace\"}";
+    "{\"v\": 1, \"t\": \"dump_trace\", \"trace\": \"t7-8\", \"filter\": \"t9-10\"}";
+    "{\"v\": 1, \"t\": \"shutdown\"}";
+    "{\"v\": 1, \"t\": \"progress\", \"event\": \"instr_started\", \"instr\": \"add\"}";
+    "{\"v\": 1, \"t\": \"progress\", \"event\": \"instr_done\", \"instr\": \"add\", \"status\": \"solved\", \"iterations\": 3, \"queries\": 9}";
+    "{\"v\": 1, \"t\": \"progress\", \"event\": \"retry\", \"attempt\": 1, \"reason\": \"unknown\"}";
+    "{\"v\": 1, \"t\": \"progress\", \"event\": \"degraded\", \"attempt\": 2}";
+    "{\"v\": 1, \"t\": \"synth_result\", \"trace\": \"tdeadbe-7\", \"outcome\": \"solved\", \"detail\": \"\", \"bindings\": [{\"hole\": \"h0\", \"expr\": \"2'x1\"}, {\"hole\": \"h1\", \"expr\": \"(if a \\\"b\\\" c)\"}], \"stats\": {\"iterations\": 4, \"queries\": 15, \"conflicts\": 1, \"blasted_vars\": 100, \"blasted_clauses\": 2000, \"trivial_unsats\": 3, \"retried_queries\": 1, \"degraded_queries\": 0, \"validation_failures\": 0, \"task_retries\": 2, \"sat_restarts\": 7, \"sat_learnt_kept\": 120, \"sat_learnt_deleted\": 55, \"wall_seconds\": 0.25}, \"hot\": true}";
+    "{\"v\": 1, \"t\": \"synth_result\", \"outcome\": \"timeout\", \"detail\": \"budget\", \"bindings\": [], \"stats\": {\"iterations\": 4, \"queries\": 15, \"conflicts\": 1, \"blasted_vars\": 100, \"blasted_clauses\": 2000, \"trivial_unsats\": 3, \"retried_queries\": 1, \"degraded_queries\": 0, \"validation_failures\": 0, \"task_retries\": 2, \"sat_restarts\": 7, \"sat_learnt_kept\": 120, \"sat_learnt_deleted\": 55, \"wall_seconds\": 0.25}, \"hot\": false}";
+    "{\"v\": 1, \"t\": \"verify_result\", \"trace\": \"tcafe00-12\", \"verdicts\": [{\"instr\": \"add\", \"verdict\": \"verified\"}, {\"instr\": \"sub\", \"verdict\": \"violated\"}], \"hot\": false}";
+    "{\"v\": 1, \"t\": \"verify_result\", \"verdicts\": [], \"hot\": true}";
+    "{\"v\": 1, \"t\": \"cache_stats\", \"stats\": {\"disk\": {\"result_entries\": 3, \"total_bytes\": 999}, \"store\": {\"hits\": 1, \"misses\": 2, \"stale\": 3, \"writes\": 4}, \"hot_tier\": {\"hits\": 10, \"misses\": 20, \"evictions\": 1, \"size\": 7, \"capacity\": 16}, \"served\": 42, \"rejected\": 6, \"uptime_seconds\": 12.5}}";
+    "{\"v\": 1, \"t\": \"cache_stats\", \"stats\": {\"disk\": null, \"store\": null, \"hot_tier\": null, \"served\": 0, \"rejected\": 0, \"uptime_seconds\": 0}}";
+    "{\"v\": 1, \"t\": \"pong\", \"server\": \"owl/1.0.0\", \"protocol\": 1, \"workers\": 4, \"workers_lost\": 1, \"queue_waiting\": 2, \"cancelled\": 5, \"timeouts\": 7, \"uptime_s\": 33.25, \"build\": \"owl-serve/1.0 proto-1\", \"hot_size\": 9, \"hot_capacity\": 64}";
+    "{\"v\": 1, \"t\": \"metrics\", \"metrics\": [{\"name\": \"serve.requests\", \"kind\": \"counter\", \"count\": 42, \"sum\": 0, \"min\": 0, \"max\": 0, \"p50\": 0, \"p90\": 0, \"p99\": 0}, {\"name\": \"serve.job.latency_us\", \"kind\": \"histogram\", \"count\": 5, \"sum\": 1010, \"min\": 1, \"max\": 1000, \"p50\": 3, \"p90\": 768, \"p99\": 997}]}";
+    "{\"v\": 1, \"t\": \"dump_trace\", \"trace_json\": \"{\\\"traceEvents\\\":[]}\"}";
+    "{\"v\": 1, \"t\": \"busy\", \"queue_depth\": 9}";
+    "{\"v\": 1, \"t\": \"error\", \"code\": \"internal\", \"message\": \"boom \\\"quoted\\\"\"}";
+    "{\"v\": 1, \"t\": \"shutdown_ack\"}";
+  ]
+
+let test_golden_frames () =
+  let frames = golden_frames () in
+  check_int "one literal per frame" (List.length golden_bytes)
+    (List.length frames);
+  List.iter2 (fun expect got -> check_str "frame bytes" expect got)
+    golden_bytes frames
 
 (* Pin down the Prometheus exposition rendering: name mangling, the
    _total counter suffix, plain gauges, and summary quantiles.  These
@@ -1085,6 +1226,15 @@ let test_raw_protocol_abuse () =
         | Ok (Proto.Err e) -> e.Proto.code = "bad_request"
         | _ -> false)
     | None -> false);
+  (* a document nested past the parser's depth cap: bad_request, fast *)
+  Proto.write_frame fd deep_frame;
+  check "deep nesting reported" true
+    (match Proto.read_frame fd with
+    | Some payload -> (
+        match Proto.reply_of_frame payload with
+        | Ok (Proto.Err e) -> e.Proto.code = "bad_request"
+        | _ -> false)
+    | None -> false);
   Proto.write_frame fd (Proto.request_to_frame Proto.Ping);
   check "connection survives decode errors" true
     (match Proto.read_frame fd with
@@ -1323,6 +1473,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
           Alcotest.test_case "reply roundtrip" `Quick test_reply_roundtrip;
           Alcotest.test_case "trace envelope" `Quick test_trace_envelope;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
           Alcotest.test_case "prometheus rendering" `Quick
             test_prometheus_render;
           Alcotest.test_case "hostile payloads" `Quick

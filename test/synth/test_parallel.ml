@@ -71,8 +71,8 @@ let test_jobs_validation () =
       ~options:
         {
           Synth.Engine.default_options with
-          Synth.Engine.schedule =
-            { Synth.Engine.Schedule.mode = Synth.Engine.Per_instruction; jobs = -2 };
+          Synth.Engine.mode = Synth.Engine.Per_instruction;
+          jobs = -2;
         }
       (Designs.Accumulator.problem ())
   with
