@@ -337,17 +337,16 @@ let independence_cmd =
         prerr_endline m;
         exit 1
     | Ok e ->
-        let problem = e.problem () in
-        let trace =
-          Oyster.Symbolic.eval problem.Synth.Engine.design
-            ~cycles:problem.Synth.Engine.af.Ila.Absfun.cycles
-        in
+        let { Synth.Engine.design; spec; af } = e.problem () in
         let conds =
-          Ila.Conditions.compile problem.Synth.Engine.spec problem.Synth.Engine.af
-            trace
+          Ila.Conditions.compile spec af
+            (Oyster.Symbolic.eval design ~cycles:af.Ila.Absfun.cycles)
         in
-        let excl = Synth.Independence.check_mutual_exclusion conds in
-        let fb = Synth.Independence.check_no_feedback problem.Synth.Engine.design in
+        (* the engine's gate: assume wires are the permitted feedback cuts *)
+        let excl, fb, independent =
+          Synth.Independence.independent
+            ~allowed_cuts:(List.map fst af.Ila.Absfun.assumes) design conds
+        in
         let n = List.length conds in
         Printf.printf "%d instructions, %d precondition pairs checked\n" n
           (n * (n - 1) / 2);
@@ -364,10 +363,7 @@ let independence_cmd =
               (fun (src, wire, dst) ->
                 Printf.printf "FEEDBACK: hole %s -> wire %s -> hole %s\n" src wire dst)
               l);
-        if
-          excl.Synth.Independence.overlapping <> []
-          || fb.Synth.Independence.feedback_paths <> []
-        then exit 1
+        if not independent then exit 1
   in
   Cmd.v
     (Cmd.info "independence"

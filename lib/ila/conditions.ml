@@ -234,3 +234,9 @@ let compile_instr (spec : Spec.t) (af : Absfun.t) (trace : Oyster.Symbolic.trace
 
 let compile spec af trace =
   List.map (compile_instr spec af trace) (Spec.instructions spec)
+
+(* The refinement question of paper §3.3 in its two polarities.  Every
+   engine check builds its formula here, so all of them share one term
+   shape (and hence one blasting and one search). *)
+let violation c = Term.band (Term.band c.pre c.assumes) (Term.bnot c.post)
+let correctness c = Term.implies (Term.band c.pre c.assumes) c.post

@@ -37,3 +37,17 @@ val compile_instr :
 
 val compile : Spec.t -> Absfun.t -> Oyster.Symbolic.trace -> conditions list
 (** All instructions, in creation order. *)
+
+(** {1 The refinement formulas}
+
+    The only builders of the two formulas every check of the engine
+    poses; callers substitute hole values or refine pinned fields on the
+    result. *)
+
+val violation : conditions -> Term.t
+(** [pre ∧ assumes ∧ ¬post], associated as [(pre ∧ assumes) ∧ ¬post]:
+    unsatisfiable iff the instruction is implemented correctly. *)
+
+val correctness : conditions -> Term.t
+(** [pre ∧ assumes → post], the CEGIS synthesis-phase constraint that a
+    counterexample grounds. *)

@@ -221,6 +221,19 @@ let fresh_stats () =
     wall_seconds = 0.0;
   }
 
+(* The one constructor ([synthesize], [verify], [checker]); [fan_out]
+   resets [tasks_left] to the batch it schedules. *)
+let new_run ?(cancel = fun () -> false) opts (problem : problem) =
+  {
+    opts;
+    stats = fresh_stats ();
+    consumed = Atomic.make 0;
+    started = now ();
+    hole_marker = problem_prefix problem ^ "hole!";
+    tasks_left = Atomic.make 1;
+    cancel;
+  }
+
 let merge_stats into from =
   into.iterations <- into.iterations + from.iterations;
   into.queries <- into.queries + from.queries;
@@ -454,6 +467,18 @@ module Lane = struct
     Option.iter (fun s -> List.iter (Solver.Session.assert_always s) ts) lane
 end
 
+(* The solver variable (and width) of hole [h] in [trace]; a hole no
+   statement uses gets the name it would have had (any constant fits). *)
+let hole_var (trace : Oyster.Symbolic.trace) (h : Oyster.Ast.hole_decl) =
+  match List.assoc_opt h.Oyster.Ast.hole_name trace.Oyster.Symbolic.hole_terms with
+  | Some t -> (
+      match t.Term.node with
+      | Term.Var n -> (n, Term.width t)
+      | _ -> fail "hole %s was not evaluated as a variable" h.Oyster.Ast.hole_name)
+  | None ->
+      (trace.Oyster.Symbolic.prefix ^ "hole!" ^ h.Oyster.Ast.hole_name,
+       h.Oyster.Ast.hole_width)
+
 let is_hole_var run name =
   (* hole variables are <prefix>hole!<name> plus the per-instruction suffix *)
   let m = run.hole_marker in
@@ -616,92 +641,93 @@ let cegis run ~instr ~targets ~corrects candidate =
   loop 1;
   List.rev !constraints
 
-(* {1 Verification of completed designs}
+(* {1 Per-instruction fan-out}
 
-   With no holes in play this is plain bounded refinement checking: for
-   every instruction, Pre /\ assumes /\ not Post must be unsatisfiable over
-   the completed design's symbolic trace.  This is how a hand-written (or
-   previously synthesized) control implementation is formally checked
-   against the specification. *)
+   One task per instruction over the worker pool, results in instruction
+   order.  [tasks_left] counts the unfinished tasks the ladder's deadline
+   slices share; a task crashed by an injected fault re-runs on fresh
+   worker state up to [retries] times (cancellation never does). *)
+let fan_out run ~make task items =
+  let retries = run.opts.recovery.Resilience.retries in
+  let retried = Atomic.make 0 in
+  Atomic.set run.tasks_left (List.length items);
+  let results =
+    try
+      Pool.map_arena ~jobs:run.opts.jobs ~make ~retries ~retried
+        (fun w x ->
+          let r = task w x in
+          ignore (Atomic.fetch_and_add run.tasks_left (-1));
+          r)
+        items
+    with Fault.Injected_crash i ->
+      fail "worker task attempt %d crashed and exhausted %d retries" i retries
+  in
+  run.stats.task_retries <- run.stats.task_retries + Atomic.get retried;
+  results
+
+(* {1 Checks with the control fixed}
+
+   With no hole left to choose, the refinement question is one query: is
+   [Conditions.violation] unsatisfiable?  Field refinement (see Refine)
+   substitutes the instruction-word fields [c]'s precondition pins, so
+   decode folds and the operation-selection muxes collapse before
+   bit-blasting; hand-written control over 64-bit multiplier/divider cones
+   is intractable without it. *)
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
-let verify ?(options = default_options) ?(cancel = fun () -> false)
-    (problem : problem) : (string * verdict) list =
+let verdict_name = function
+  | Verified -> "verified"
+  | Violated _ -> "violated"
+  | Inconclusive -> "inconclusive"
+
+let pins (c : Ila.Conditions.conditions) = Refine.collect c.Ila.Conditions.pre
+
+(* The one refined check, on the ladder of [synthesize].  An unpinned
+   violation is the same datapath formula for every instruction, so it
+   shares [lane] (GCD: 1.9 k clauses blasted per call against 7.0 k
+   one-shot).  A pinned one is specialized down from the instruction word
+   and shares almost nothing, while retraction keeps its Tseitin gates in
+   a session, so it gets a one-shot solver (rv32im: 297 k clauses, 2.1 M
+   propagations and 0.72 s of checks, against 339 k, 10.2 M and 3.76 s on
+   shared sessions).  An exhausted ladder reads Inconclusive.  A Sat model
+   lacks the pinned bits (they folded away). *)
+let refined_check run lane c v =
+  let pins = pins c in
+  let lane = if Refine.is_empty pins then lane else None in
+  match Lane.check_candidate run lane (Refine.apply pins v) with
+  | exception Stop _ -> Inconclusive
+  | Solver.Unsat _ -> Verified
+  | Solver.Unknown _ -> Inconclusive
+  | Solver.Sat (m, _) -> Violated m
+
+(* Bounded refinement checking of a completed design, instruction by
+   instruction. *)
+let verify ?(options = default_options) ?cancel (problem : problem) :
+    (string * verdict) list =
   if Oyster.Ast.holes problem.design <> [] then
     fail "Engine.verify: design still has holes (synthesize first)";
+  let base = new_run ?cancel options problem in
   let trace = symbolic_trace problem in
   let conds = compile_conditions problem trace in
-  let base =
-    {
-      opts = options;
-      stats = fresh_stats ();
-      consumed = Atomic.make 0;
-      started = now ();
-      hole_marker = trace.Oyster.Symbolic.prefix ^ "hole!";
-      tasks_left = Atomic.make (List.length conds);
-      cancel;
-    }
-  in
-  let retries = options.recovery.Resilience.retries in
-  (* Each instruction's refinement check is an independent solver query, so
-     they fan out over the worker pool; results keep instruction order.
-     Every worker keeps one lane, but only an unpinned query uses it.
-     Retraction disables a query's guard, not its Tseitin gate clauses, so
-     every later query on a session propagates through all the earlier
-     queries' cones.  An unpinned violation is the same datapath formula
-     for every instruction, so sharing pays (GCD: 1.9 k clauses blasted
-     per call against 7.0 k one-shot).  A pinned one is specialized by
-     [Refine] all the way down from the instruction word, so its cone
-     shares almost nothing with the others' and gets its own one-shot
-     solver (rv32im: 297 k clauses, 2.1 M propagations and 0.72 s of
-     checks, against 339 k, 10.2 M and 3.76 s on shared sessions).  Which
-     instructions share a worker's lane depends on the dynamic schedule,
-     but with an unexhausted budget that only perturbs search order, never
-     the Verified/Violated verdict.  Tasks crashed by an injected fault are
-     retried on a fresh lane like the synthesis pool's; cancellation is
-     not retried. *)
-  try
-    Pool.map_arena ~jobs:options.jobs
-      ~make:(fun () -> Lane.create options)
-      ~retries
-      (fun lane (c : Ila.Conditions.conditions) ->
-      Obs.span "verify.instr"
-        ~args:[ ("instr", Obs.Str c.Ila.Conditions.instr_name) ]
-        ~result:(fun (_, v) ->
-          [
-            ( "verdict",
-              Obs.Str
-                (match v with
-                | Verified -> "verified"
-                | Violated _ -> "violated"
-                | Inconclusive -> "inconclusive") );
-          ])
-      @@ fun () ->
-      (* [conflict_budget] bounds each instruction's ladder, not the call *)
-      let run = { base with stats = fresh_stats (); consumed = Atomic.make 0 } in
-      let violation =
-        Term.band c.Ila.Conditions.pre
-          (Term.band c.Ila.Conditions.assumes (Term.bnot c.Ila.Conditions.post))
-      in
-      (* Field refinement (see Refine): substitute the instruction-word
-         fields the precondition pins into the fetched word, so the decode
-         folds and the operation-selection muxes collapse before
-         bit-blasting.  Verifying hand-written control over an ALU tree
-         with 64-bit multiplier/divider cones is intractable without it. *)
-      let pins = Refine.collect c.Ila.Conditions.pre in
-      let refined = Refine.apply pins violation in
-      let lane = if Refine.is_empty pins then lane else None in
-      (* the ladder of [synthesize]; only an exhausted ladder reads
-         differently here — Inconclusive rather than Timeout *)
-      let verdict =
-        match Lane.check_candidate run lane refined with
-        | exception Stop _ -> Inconclusive
-        | Solver.Unsat _ -> Verified
-        | Solver.Unknown _ -> Inconclusive
-        | Solver.Sat (m, _) -> (
-            (* The refined model lacks the pinned bits (they folded away);
-               re-check the original formula to report a faithful
+  (* Every worker keeps one lane for the unpinned checks.  Which
+     instructions share it depends on the dynamic schedule, but with an
+     unexhausted budget that only perturbs search order, never the
+     verdict. *)
+  fan_out base ~make:(fun () -> Lane.create options)
+    (fun lane (c : Ila.Conditions.conditions) ->
+      let instr = c.Ila.Conditions.instr_name in
+      ( instr,
+        Obs.span "verify.instr"
+          ~args:[ ("instr", Obs.Str instr) ]
+          ~result:(fun v -> [ ("verdict", Obs.Str (verdict_name v)) ])
+        @@ fun () ->
+        (* [conflict_budget] bounds each instruction's ladder, not the call *)
+        let run = { base with stats = fresh_stats (); consumed = Atomic.make 0 } in
+        let violation = Ila.Conditions.violation c in
+        match refined_check run lane c violation with
+        | Violated m -> (
+            (* Re-check the unrefined formula to report a faithful
                counterexample.  A fresh lane keeps the reported model
                deterministic even under parallel incremental schedules,
                and the ladder validates it like any other model;
@@ -711,45 +737,54 @@ let verify ?(options = default_options) ?(cancel = fun () -> false)
             | exception Stop _ -> Violated m
             | Solver.Sat (m', _) -> Violated m'
             | Solver.Unsat _ | Solver.Unknown _ -> Violated m)
-      in
-      ignore (Atomic.fetch_and_add run.tasks_left (-1));
-      (c.Ila.Conditions.instr_name, verdict))
-      conds
-  with Fault.Injected_crash i ->
-    fail "Engine.verify: worker task attempt %d crashed and exhausted %d retries"
-      i retries
+        | v -> v ))
+    conds
+
+(* Staged: trace and conditions once, then one run per check. *)
+let checker (problem : problem) =
+  let trace = symbolic_trace problem in
+  let find what l k =
+    match List.assoc_opt k l with
+    | Some x -> x
+    | None -> fail "Engine.checker: no %s %s" what k
+  in
+  let conds =
+    List.map
+      (fun (c : Ila.Conditions.conditions) -> (c.Ila.Conditions.instr_name, c))
+      (compile_conditions problem trace)
+  in
+  let vars =
+    List.map
+      (fun (h : Oyster.Ast.hole_decl) -> (h.Oyster.Ast.hole_name, fst (hole_var trace h)))
+      (Oyster.Ast.holes problem.design)
+  in
+  fun ~instr ~holes ->
+    let c = find "instruction" conds instr in
+    let values = Hashtbl.create 16 in
+    List.iter (fun (h, v) -> Hashtbl.replace values (find "hole" vars h) v) holes;
+    let run = new_run default_options problem in
+    Obs.span "check.instr"
+      ~args:[ ("instr", Obs.Str instr) ]
+      ~result:(fun v -> [ ("verdict", Obs.Str (verdict_name v)) ])
+    @@ fun () ->
+    refined_check run None c
+      (Term.substitute (candidate_env run values) (Ila.Conditions.violation c))
 
 (* The monolithic ∀-verify query in closed form: the disjunction, over
-   every instruction of the spec, of "this instruction's precondition and
-   assumptions hold yet its postcondition fails" on the completed
-   design's symbolic trace.  Unsat iff the design is correct.  This is
-   the query the monolithic schedule mode poses each CEGIS iteration —
-   the one the paper's headline table shows timing out — exported so
-   benches and tools can attack it directly (structural cube-and-conquer)
-   without driving the full synthesis loop.
-
-   [refine] folds each disjunct's pinned instruction-word fields first
-   (see Refine), collapsing decode per disjunct the way [verify] does
-   per query.  Unrefined, the full decode tree survives into the blast:
-   that is the hard form. *)
-let monolithic_violation ?(refine = true) (problem : problem) : Term.t =
+   every instruction of the spec, of its refined violation on the
+   completed design's symbolic trace.  Unsat iff the design is correct.
+   This is the query the monolithic schedule mode poses each CEGIS
+   iteration — the one the paper's headline table shows timing out —
+   exported so benches and tools can attack it directly (structural
+   cube-and-conquer) without driving the full synthesis loop. *)
+let monolithic_violation (problem : problem) : Term.t =
   if Oyster.Ast.holes problem.design <> [] then
     fail "Engine.monolithic_violation: design still has holes (synthesize first)";
   let trace = symbolic_trace problem in
   let conds = compile_conditions problem trace in
   if conds = [] then fail "Engine.monolithic_violation: specification has no instructions";
   Term.disj
-    (List.map
-       (fun (c : Ila.Conditions.conditions) ->
-         let violation =
-           Term.band c.Ila.Conditions.pre
-             (Term.band c.Ila.Conditions.assumes
-                (Term.bnot c.Ila.Conditions.post))
-         in
-         if refine then
-           Refine.apply (Refine.collect c.Ila.Conditions.pre) violation
-         else violation)
-       conds)
+    (List.map (fun c -> Refine.apply (pins c) (Ila.Conditions.violation c)) conds)
 
 (* {1 The per-instruction cache around the loop} *)
 
@@ -818,39 +853,24 @@ let cached_cegis run cache ~instr ~holes ~correct ~violation local =
 
 (* {1 The synthesis core} *)
 
-let synthesize ?(options = default_options) ?(cancel = fun () -> false)
-    (problem : problem) : outcome =
+let synthesize ?(options = default_options) ?cancel (problem : problem) :
+    outcome =
   if options.jobs < 1 then fail "Engine.synthesize: options.jobs < 1";
-  let stats = fresh_stats () in
-  let started = now () in
+  let run = new_run ?cancel options problem in
   let trace = symbolic_trace problem in
-  let run =
-    {
-      opts = options;
-      stats;
-      consumed = Atomic.make 0;
-      started;
-      hole_marker = trace.Oyster.Symbolic.prefix ^ "hole!";
-      tasks_left = Atomic.make 1;
-      cancel;
-    }
-  in
   try
     let conds = compile_conditions problem trace in
     if conds = [] then fail "specification has no instructions";
     let holes = Oyster.Ast.holes problem.design in
     if holes = [] then fail "sketch has no holes";
     if options.check_independence then begin
-      let excl, fb =
+      let excl, fb, independent =
         Obs.span "synth.independence" (fun () ->
-            let allowed_cuts = List.map fst problem.af.Ila.Absfun.assumes in
-            ( Independence.check_mutual_exclusion conds,
-              Independence.check_no_feedback ~allowed_cuts problem.design ))
+            Independence.independent
+              ~allowed_cuts:(List.map fst problem.af.Ila.Absfun.assumes)
+              problem.design conds)
       in
-      if
-        excl.Independence.overlapping <> []
-        || fb.Independence.feedback_paths <> []
-      then
+      if not independent then
         raise
           (Stop
              (Not_independent
@@ -865,18 +885,8 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
         (fun (h : Oyster.Ast.hole_decl) -> h.Oyster.Ast.kind = Oyster.Ast.Shared)
         holes
     in
-    let hole_var (h : Oyster.Ast.hole_decl) =
-      match List.assoc_opt h.Oyster.Ast.hole_name trace.Oyster.Symbolic.hole_terms with
-      | Some t -> (
-          match t.Term.node with
-          | Term.Var n -> (n, Term.width t)
-          | _ -> fail "hole %s was not evaluated as a variable" h.Oyster.Ast.hole_name)
-      | None ->
-          (* hole unused by any statement: synthesize an arbitrary constant *)
-          (run.hole_marker ^ h.Oyster.Ast.hole_name, h.Oyster.Ast.hole_width)
-    in
-    let per_hole_vars = List.map hole_var per_holes in
-    let shared_hole_vars = List.map hole_var shared_holes in
+    let per_hole_vars = List.map (hole_var trace) per_holes in
+    let shared_hole_vars = List.map (hole_var trace) shared_holes in
     (* Per-instruction renaming of the Per_instruction hole constants. *)
     let renamed_var (base, _w) iname = base ^ "!!" ^ iname in
     let rename_for iname t =
@@ -890,15 +900,10 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
     let formulas =
       List.map
         (fun (c : Ila.Conditions.conditions) ->
-          let pre = Term.band c.Ila.Conditions.pre c.Ila.Conditions.assumes in
-          let correct =
-            Term.implies pre c.Ila.Conditions.post |> rename_for c.Ila.Conditions.instr_name
-          in
-          let violation =
-            Term.band pre (Term.bnot c.Ila.Conditions.post)
-            |> rename_for c.Ila.Conditions.instr_name
-          in
-          (c, correct, violation))
+          let rename = rename_for c.Ila.Conditions.instr_name in
+          ( c,
+            rename (Ila.Conditions.correctness c),
+            rename (Ila.Conditions.violation c) ))
         conds
     in
     let instr_names =
@@ -965,30 +970,14 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
                  cached_cegis trun cache ~instr:iname ~holes ~correct
                    ~violation local
            in
-           let result =
-             match solve () with
-             | () -> `Solved local
-             | exception Stop o ->
-                 Atomic.set failed true;
-                 `Stopped o
-           in
-           ignore (Atomic.fetch_and_add run.tasks_left (-1));
-           (result, trun.stats)
+           match solve () with
+           | () -> (`Solved local, trun.stats)
+           | exception Stop o ->
+               Atomic.set failed true;
+               (`Stopped o, trun.stats)
          end
        in
-       Atomic.set run.tasks_left (List.length formulas);
-       let task_retried = Atomic.make 0 in
-       let retries = options.recovery.Resilience.retries in
-       let results =
-         try
-           Pool.map_arena ~jobs:options.jobs ~make:ignore
-             ~retries ~retried:task_retried task formulas
-         with Fault.Injected_crash i ->
-           fail "worker task attempt %d crashed and exhausted %d retries" i
-             retries
-       in
-       run.stats.task_retries <-
-         run.stats.task_retries + Atomic.get task_retried;
+       let results = fan_out run ~make:ignore task formulas in
        (* deterministic merge, in instruction order *)
        List.iter (fun (_, ts) -> merge_stats run.stats ts) results;
        (match
@@ -1074,7 +1063,7 @@ let synthesize ?(options = default_options) ?(cancel = fun () -> false)
         end)
   with
   | Stop outcome ->
-      stats.wall_seconds <- now () -. started;
+      run.stats.wall_seconds <- now () -. run.started;
       (* worker Stop payloads carry only that worker's tally; report the
          merged one *)
-      with_stats stats outcome
+      with_stats run.stats outcome

@@ -192,9 +192,10 @@ type problem = {
 val problem_prefix : problem -> string
 (** The deterministic symbolic-evaluation namespace the engine passes to
     {!Oyster.Symbolic.eval} for this problem (derived from the design
-    name, not from a session counter).  Reusing it — as {!Minimize} does —
-    keeps hole-variable names consistent with the synthesis trace and
-    keeps repeated runs bit-for-bit reproducible. *)
+    name, not from a session counter).  Every entry point below evaluates
+    under it, so hole-variable names agree across calls and repeated runs
+    are bit-for-bit reproducible; a test that rebuilds a trace passes it
+    too. *)
 
 val ground_reads : Solver.model -> Term.t -> Term.t
 (** Replaces residual (hole-address-dependent) memory reads of a
@@ -234,19 +235,28 @@ val synthesize :
     solver's search visits models in a different order when state
     persists). *)
 
-(** {1 Verification of completed designs}
+(** {1 Checks with the control fixed}
 
-    With no holes this is plain bounded refinement checking — the way a
-    hand-written control implementation is formally checked against the
-    specification, instruction by instruction.
+    With no hole left to choose — a completed design, or a sketch whose
+    hole values are given — the refinement question is one query per
+    instruction: is {!Ila.Conditions.violation} unsatisfiable?  This is
+    how a hand-written control implementation is formally checked against
+    the specification, and how {!Minimize} re-checks a changed hole value.
 
-    Each query is preprocessed by {e field refinement}: instruction-word
-    fields that the precondition pins to constants (opcode, funct3,
-    funct7) are substituted structurally into the fetched word, so the
-    decode comparisons fold and the datapath's operation-selection muxes
-    collapse before bit-blasting.  Without this, verifying a core whose
-    ALU tree contains wide multipliers or dividers is intractable: the
-    solver has to refute every unselected cone bit by bit. *)
+    {!verify}, {!checker} and {!monolithic_violation} share one step,
+    {e field refinement} (see {!Refine}): instruction-word fields that the
+    precondition pins to constants (opcode, funct3, funct7) are
+    substituted structurally into the fetched word, so the decode
+    comparisons fold and the datapath's operation-selection muxes
+    collapse before bit-blasting.  Without it, verifying a core whose ALU
+    tree contains wide multipliers or dividers is intractable.  The
+    refined query climbs the same {!Resilience} ladder as a synthesis
+    query: escalating rungs, deadline slices over the instructions still
+    outstanding, a final rung on a fresh one-shot solver, and with
+    [validate_models] every Sat model concretely evaluated before it is
+    trusted.  Only an exhausted ladder reads differently, [Inconclusive]
+    where synthesis reports [Timeout].  The CEGIS verify step does not
+    refine: a refined counterexample lacks its pinned bits. *)
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
@@ -273,25 +283,25 @@ val verify :
     budget this never changes a verdict (counterexample models are
     re-derived by a fresh check, so they are schedule-independent too),
     but under a tight budget the exact query that exhausts it may differ
-    from the fresh mode's.
+    from the fresh mode's.  Only [verify] re-checks a [Sat]: the
+    unrefined violation on a fresh solver yields a model with the pinned
+    bits.  Crashed worker tasks are retried up to [retries] times on a
+    fresh session; cancellation is never retried. *)
 
-    Each instruction's query climbs the same {!Resilience} ladder as a
-    synthesis query: escalating rungs, deadline slices dividing the
-    remaining wall time over the instructions still outstanding, a final
-    rung on a fresh one-shot solver, and with [validate_models] every Sat
-    model concretely evaluated before it is trusted.  Only an exhausted
-    ladder reads differently: [Inconclusive] where synthesis reports
-    [Timeout].  Crashed worker tasks are retried up to [retries] times on
-    a fresh session; cancellation is never retried. *)
+val checker : problem -> instr:string -> holes:(string * Bitvec.t) list -> verdict
+(** Staged: [checker problem] evaluates the sketch and compiles its
+    conditions once; each [~instr ~holes] application substitutes the
+    hole values (hole name -> constant, [Shared] holes included) into
+    [instr]'s violation and poses the refined check on a one-shot solver
+    under {!default_options}, as a run of its own.  Raises {!Engine_error}
+    for an unknown instruction or hole name. *)
 
-val monolithic_violation : ?refine:bool -> problem -> Term.t
+val monolithic_violation : problem -> Term.t
 (** The monolithic ∀-verify query in closed form: the disjunction over
-    all instructions of "precondition and assumptions hold but the
-    postcondition fails" on the completed design's trace — Unsat iff the
-    design is correct.  This is the per-iteration verification query of
-    the monolithic schedule mode, exported so benches and tools can
-    attack the hard query directly (e.g. {!Portfolio.check}) without
-    driving the CEGIS loop.  [refine] (default [true]) folds each
-    disjunct's pinned instruction-word fields first, as {!verify} does;
-    [refine:false] keeps the whole decode tree — the intractable form.
-    Raises {!Engine_error} if the design still has holes. *)
+    all instructions of their refined violations on the completed
+    design's trace — Unsat iff the design is correct.  This is the
+    per-iteration verification query of the monolithic schedule mode,
+    exported so benches and tools can attack the hard query directly
+    (e.g. {!Portfolio.check}) without driving the CEGIS loop.  Each
+    disjunct's pinned instruction-word fields are folded first, as in
+    {!verify}.  Raises {!Engine_error} if the design still has holes. *)

@@ -84,7 +84,7 @@ let check_no_feedback ?(allowed_cuts = []) (design : Oyster.Ast.design) :
     holes;
   { feedback_paths = List.rev !feedback_paths }
 
-let independent ?budget ?allowed_cuts design conds =
+let independent ?budget ~allowed_cuts design conds =
   let excl = check_mutual_exclusion ?budget conds in
-  let fb = check_no_feedback ?allowed_cuts design in
+  let fb = check_no_feedback ~allowed_cuts design in
   (excl, fb, excl.overlapping = [] && fb.feedback_paths = [])

@@ -26,8 +26,12 @@ val check_no_feedback :
 
 val independent :
   ?budget:int ->
-  ?allowed_cuts:string list ->
+  allowed_cuts:string list ->
   Oyster.Ast.design ->
   Ila.Conditions.conditions list ->
   exclusion_report * feedback_report * bool
-(** Both checks; the boolean is the conjunction "independent". *)
+(** Both checks; the boolean is the conjunction "independent".  The one
+    gate [Engine.synthesize], [owl independence] and the ablation bench
+    share: [allowed_cuts] is required so no caller can drop the
+    abstraction function's assume wires and report a feedback path the
+    engine accepts. *)

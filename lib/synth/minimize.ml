@@ -23,47 +23,20 @@ type stats = {
 
 type result = { solved : Engine.solved; minimize_stats : stats }
 
-(* an alias of the shared synthesis failure so one CLI handler catches
-   both engine and minimizer errors *)
-exception Minimize_error = Synth_error.Engine_error
-
 let popular_value values =
-  (* most frequent Bitvec in a list; ties break to the first seen *)
-  let groups : (Bitvec.t * int ref) list ref = ref [] in
-  List.iter
-    (fun v ->
-      match List.find_opt (fun (g, _) -> Bitvec.equal g v) !groups with
-      | Some (_, n) -> incr n
-      | None -> groups := !groups @ [ (v, ref 1) ])
-    values;
-  match
-    List.fold_left
-      (fun best (v, n) ->
-        match best with
-        | Some (_, bn) when bn >= !n -> best
-        | _ -> Some (v, !n))
-      None !groups
-  with
-  | Some (v, _) -> v
-  | None -> raise (Minimize_error "no values")
+  (* most frequent Bitvec in a non-empty list; ties break to the first seen *)
+  let count v = List.length (List.filter (Bitvec.equal v) values) in
+  fst
+    (List.fold_left
+       (fun (bv, bn) v ->
+         let n = count v in
+         if n > bn then (v, n) else (bv, bn))
+       (List.hd values, 0) values)
 
-let run ?(budget = max_int) (problem : Engine.problem) (solved : Engine.solved) :
-    result =
+let run (problem : Engine.problem) (solved : Engine.solved) : result =
   let t0 = Unix.gettimeofday () in
   let stats = { checks = 0; merged = 0; wall_seconds = 0.0 } in
-  let trace =
-    Oyster.Symbolic.eval ~prefix:(Engine.problem_prefix problem)
-      problem.Engine.design ~cycles:problem.Engine.af.Ila.Absfun.cycles
-  in
-  let conds = Ila.Conditions.compile problem.Engine.spec problem.Engine.af trace in
-  let hole_term name =
-    match List.assoc_opt name trace.Oyster.Symbolic.hole_terms with
-    | Some t -> (
-        match t.Term.node with
-        | Term.Var v -> v
-        | _ -> raise (Minimize_error "hole is not a variable"))
-    | None -> trace.Oyster.Symbolic.prefix ^ "hole!" ^ name
-  in
+  let check = Engine.checker problem in
   (* mutable copy of the per-instruction assignments *)
   let assignment : (string, (string, Bitvec.t) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 64
@@ -74,46 +47,22 @@ let run ?(budget = max_int) (problem : Engine.problem) (solved : Engine.solved) 
       List.iter (fun (h, v) -> Hashtbl.replace tbl h v) holes;
       Hashtbl.replace assignment iname tbl)
     solved.Engine.per_instr;
-  let shared_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (h, v) -> Hashtbl.replace shared_tbl (hole_term h) v)
-    solved.Engine.shared;
-  let verifies iname =
-    (* substitute the instruction's current hole values (plus the shared
-       ones) into its violation formula and check unsatisfiability *)
-    let c =
-      List.find (fun c -> c.Ila.Conditions.instr_name = iname) conds
-    in
-    let tbl = Hashtbl.find assignment iname in
-    let env =
-      {
-        Term.lookup_var =
-          (fun n _w ->
-            match Hashtbl.find_opt shared_tbl n with
-            | Some v -> Some v
-            | None ->
-                Hashtbl.fold
-                  (fun h v acc ->
-                    if acc = None && String.equal n (hole_term h) then Some v
-                    else acc)
-                  tbl None);
-        Term.lookup_read = (fun _ _ -> None);
-      }
-    in
-    let violation =
-      Term.band c.Ila.Conditions.pre
-        (Term.band c.Ila.Conditions.assumes (Term.bnot c.Ila.Conditions.post))
-    in
-    stats.checks <- stats.checks + 1;
-    match Solver.check ~budget [ Term.substitute env violation ] with
-    | Solver.Unsat _ -> true
-    | Solver.Sat _ -> false
-    | Solver.Unknown _ -> false
-  in
   let hole_names =
     match solved.Engine.per_instr with
     | (_, holes) :: _ -> List.map fst holes
     | [] -> []
+  in
+  (* the instruction's current hole values, plus the shared ones *)
+  let verifies iname =
+    let tbl = Hashtbl.find assignment iname in
+    let holes =
+      List.map (fun h -> (h, Hashtbl.find tbl h)) hole_names
+      @ solved.Engine.shared
+    in
+    stats.checks <- stats.checks + 1;
+    match check ~instr:iname ~holes with
+    | Engine.Verified -> true
+    | Engine.Violated _ | Engine.Inconclusive -> false
   in
   let instr_names = List.map fst solved.Engine.per_instr in
   List.iter

@@ -3,9 +3,11 @@
     optimal with respect to some objective function".
 
     Per hole, instructions are greedily moved into the most popular value
-    group whenever re-verification (one UNSAT query) proves the changed
-    value still satisfies that instruction's correctness condition; the
-    result is re-unioned.  Every adopted value is verified, so the output
+    group whenever re-verification proves the changed value still
+    satisfies that instruction's correctness condition; the result is
+    re-unioned.  Each re-verification is one {!Engine.checker} query — the
+    refined check of {!Engine.verify}, with its resilience ladder, spans
+    and fault recovery — so every adopted value is verified and the output
     is correct by construction like the input. *)
 
 type stats = {
@@ -16,11 +18,6 @@ type stats = {
 
 type result = { solved : Engine.solved; minimize_stats : stats }
 
-exception Minimize_error of string
-(** An alias of {!Synth_error.Engine_error} (hence of
-    [Engine.Engine_error]): all synthesis-layer failures share one
-    exception so the CLI reports them uniformly. *)
-
-val run : ?budget:int -> Engine.problem -> Engine.solved -> result
-(** [budget] bounds each re-verification query's SAT conflicts; queries that
-    exceed it conservatively keep the original value. *)
+val run : Engine.problem -> Engine.solved -> result
+(** A check that cannot decide ([Inconclusive]) conservatively keeps the
+    original value. *)

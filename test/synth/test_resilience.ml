@@ -243,6 +243,21 @@ let test_verify_under_faults () =
             (v = Synth.Engine.Verified))
         verdicts)
 
+let test_minimize_under_faults () =
+  (* don't-care minimization's re-checks climb the ladder: a spurious
+     Unknown on one of them must not cost a merge *)
+  let problem = Designs.Riscv_single.problem Isa.Rv32.RV32I in
+  let solved = solve problem in
+  let merged () =
+    (Synth.Minimize.run problem solved).Synth.Minimize.minimize_stats
+      .Synth.Minimize.merged
+  in
+  let clean = merged () in
+  with_plan "unknown@4" (fun () ->
+      let faulty = merged () in
+      Alcotest.(check int) "one fault fired" 1 (Fault.fired ());
+      Alcotest.(check int) "merges identical to fault-free" clean faulty)
+
 (* Cancellation is the caller's request, not a crash: it propagates on
    its first raise, is never retried, and stops the pool from starting
    further tasks. *)
@@ -302,5 +317,7 @@ let () =
          Alcotest.test_case "rv32 fault transparency" `Slow
            test_rv32_fault_transparency;
          Alcotest.test_case "verify recovers" `Quick test_verify_under_faults;
+         Alcotest.test_case "minimize recovers" `Slow
+           test_minimize_under_faults;
          Alcotest.test_case "cancellation is not retried" `Quick
            test_cancel_not_retried ]) ]

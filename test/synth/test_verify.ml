@@ -173,10 +173,7 @@ let test_violation_model_validated () =
       (Ila.Conditions.compile problem.Synth.Engine.spec
          problem.Synth.Engine.af trace)
   in
-  let violation =
-    Term.band c.Ila.Conditions.pre
-      (Term.band c.Ila.Conditions.assumes (Term.bnot c.Ila.Conditions.post))
-  in
+  let violation = Ila.Conditions.violation c in
   match List.assoc "ADD" verdicts with
   | Synth.Engine.Violated m ->
       let env =
