@@ -213,22 +213,11 @@ let ablation () =
   | RFailed m ->
       Printf.printf "monolithic:      failed (%s)\n" m;
       failed := true);
-  let trace =
-    Oyster.Symbolic.eval problem.Synth.Engine.design
-      ~cycles:problem.Synth.Engine.af.Ila.Absfun.cycles
-  in
-  let conds =
-    Ila.Conditions.compile problem.Synth.Engine.spec problem.Synth.Engine.af trace
-  in
-  let (excl, fb, _), dt =
-    time (fun () ->
-        Synth.Independence.independent
-          ~allowed_cuts:(List.map fst problem.Synth.Engine.af.Ila.Absfun.assumes)
-          problem.Synth.Engine.design conds)
-  in
+  let (excl, fb, _), dt = time (fun () -> Synth.Engine.independence problem) in
+  let n = List.length (Ila.Spec.instructions problem.Synth.Engine.spec) in
   Printf.printf
     "mutual exclusion: %d instruction pairs checked in %.2fs, %d overlaps\n"
-    (List.length conds * (List.length conds - 1) / 2)
+    (n * (n - 1) / 2)
     dt
     (List.length excl.Synth.Independence.overlapping);
   Printf.printf "control feedback paths: %d\n"

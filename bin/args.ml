@@ -1,12 +1,14 @@
 (* Shared command-line vocabulary for the owl driver.
 
-   Several subcommands (synth, verify) accept the same engine-tuning,
-   fault-injection, observability, and cache flags.  Each flag — and its
-   environment-variable fallback, where one exists — is declared exactly
-   once here; the subcommands compose the [Term]s ([engine_options] for
-   the engine-tuning ones) and call the corresponding [install_*] helper.
-   The precedence rule is uniform: explicit flag beats environment
-   variable beats default. *)
+   Several subcommands (synth, verify, serve, client) accept the same
+   engine-tuning, fault-injection, observability, cache and address
+   flags.  Each flag is declared exactly once here, with its environment
+   variable where it has one: Cmdliner reads the variable when the flag is
+   absent (flag beats variable beats default), parses it with the flag's
+   own converter, so a malformed value is a usage error naming the
+   variable, and lists it under ENVIRONMENT in the subcommand's --help.
+   The subcommands compose the [Term]s ([engine_options] for the
+   engine-tuning ones) and call the corresponding [install_*] helper. *)
 
 open Cmdliner
 
@@ -101,50 +103,52 @@ let engine_options ~synth ~remote =
     $ deadline $ no_incremental $ retries $ escalation_factor
     $ validate_models)
 
+(* An optional flag's converter under which a blank value, such as an
+   exported but empty variable, reads as the flag being absent. *)
+let blank_is_absent ~docv parse print =
+  Arg.conv ~docv
+    ( (fun s ->
+        if String.trim s = "" then Ok None else Result.map Option.some (parse s)),
+      fun ppf -> Option.iter (print ppf) )
+
 (* {1 Fault injection} *)
 
 let fault_plan =
+  let parse s =
+    match Fault.parse s with
+    | p -> Ok p
+    | exception Fault.Parse_error m -> Error (`Msg m)
+  in
+  let print ppf p = Format.pp_print_string ppf (Fault.to_string p) in
   let doc =
     "Deterministic fault plan for resilience testing, e.g. \
-     'unknown@3,corrupt@5,crash@1,seed=7' (also read from the \
-     OWL_FAULT_PLAN environment variable; the flag wins)."
+     'unknown@3,corrupt@5,crash@1,seed=7'."
   in
-  Arg.(value & opt (some string) None
-       & info [ "fault-plan" ] ~docv:"PLAN" ~doc)
+  Arg.(value & opt (blank_is_absent ~docv:"PLAN" parse print) None
+       & info [ "fault-plan" ] ~docv:"PLAN" ~doc
+           ~env:(Cmd.Env.info "OWL_FAULT_PLAN"))
 
-let install_fault_plan = function
-  | Some plan -> (
-      match Fault.parse plan with
-      | p -> Fault.install p
-      | exception Fault.Parse_error m ->
-          Printf.eprintf "owl: %s\n" m;
-          exit 1)
-  | None -> (
-      match Fault.install_from_env () with
-      | (_ : bool) -> ()
-      | exception Fault.Parse_error m ->
-          Printf.eprintf "owl: OWL_FAULT_PLAN: %s\n" m;
-          exit 1)
+let install_fault_plan = Option.iter Fault.install
 
 (* {1 Observability}
 
    [--trace FILE] records spans across the solver, CEGIS engine, and
    worker pool and writes Chrome trace-event JSON (open in chrome://tracing
-   or https://ui.perfetto.dev); the OWL_TRACE environment variable is the
-   flagless equivalent, mirroring OWL_FAULT_PLAN (the flag wins).
-   [--metrics] prints the counter/histogram summary table.  Both write
-   through [at_exit] so the timeout and error exit paths still report. *)
+   or https://ui.perfetto.dev).  [--metrics] prints the counter/histogram
+   summary table.  Both write through [at_exit] so the timeout and error
+   exit paths still report. *)
 
 let trace =
   let doc =
     "Record a trace of solver, CEGIS, and worker-pool activity and write \
      it to $(docv) as Chrome trace-event JSON (viewable in chrome://tracing \
-     or Perfetto).  Also read from the OWL_TRACE environment variable; the \
-     flag wins.  Implies metrics collection.  The trace keeps the newest \
+     or Perfetto).  Implies metrics collection.  The trace keeps the newest \
      262144 events per domain; under `owl serve' it holds the daemon's \
      newest 4096 events per domain unless --no-telemetry is given."
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Arg.(value
+       & opt (blank_is_absent ~docv:"FILE" Result.ok Format.pp_print_string) None
+       & info [ "trace" ] ~docv:"FILE" ~doc ~env:(Cmd.Env.info "OWL_TRACE"))
 
 let metrics =
   let doc =
@@ -154,9 +158,6 @@ let metrics =
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
 let install_observability ~trace ~metrics =
-  let trace =
-    match trace with Some _ -> trace | None -> Sys.getenv_opt "OWL_TRACE"
-  in
   if metrics then begin
     Obs.enable_metrics ();
     at_exit (fun () -> print_string (Obs.summary_table ()))
@@ -178,24 +179,25 @@ let install_observability ~trace ~metrics =
 
 (* {1 Cross-run synthesis cache}
 
-   [--cache-dir DIR] enables the content-addressed cache rooted at DIR;
-   OWL_CACHE_DIR is the flagless equivalent (the flag wins) and
-   [--no-cache] forces caching off even when the environment sets a
-   directory.  There is deliberately no on-by-default directory: a cache
-   the user did not ask for is a surprising pile of files. *)
+   Under synth and serve, naming a directory enables the content-addressed
+   cache and [--no-cache] forces it off even when OWL_CACHE_DIR names one.
+   There is deliberately no on-by-default directory there: a cache the
+   user did not ask for is a surprising pile of files.  [owl cache] only
+   inspects, so it falls back to the conventional directory. *)
 
 let default_cache_dir = ".owl-cache"
 
 let cache_dir =
   let doc =
-    "Enable the cross-run synthesis cache rooted at $(docv): solved \
-     per-instruction problems are fingerprinted and their hole bindings \
-     reused (after re-validation) on later runs; any other problem is \
-     solved from scratch.  Also read from the OWL_CACHE_DIR environment \
-     variable; the flag wins.  The conventional directory is '.owl-cache'."
+    "Directory of the cross-run synthesis cache.  Naming one enables the \
+     cache under synth and serve: solved per-instruction problems are \
+     fingerprinted and their hole bindings reused (after re-validation) on \
+     later runs; any other problem is solved from scratch.  `owl cache' \
+     operates on it and defaults to '.owl-cache'."
   in
   Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+       & info [ "cache-dir" ] ~docv:"DIR" ~doc
+           ~env:(Cmd.Env.info "OWL_CACHE_DIR"))
 
 let no_cache =
   let doc =
@@ -203,17 +205,10 @@ let no_cache =
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-(* Resolve the flag/env/default precedence into an open handle (or
-   None).  Open failures are reported and fatal: the user asked for a
-   cache by naming a directory, so silently running uncached would be a
-   lie. *)
+(* Open failures are reported and fatal: the user asked for a cache by
+   naming a directory, so silently running uncached would be a lie. *)
 let open_cache ~cache_dir ~no_cache =
-  let dir =
-    match cache_dir with
-    | Some _ -> cache_dir
-    | None -> Sys.getenv_opt "OWL_CACHE_DIR"
-  in
-  match dir with
+  match cache_dir with
   | Some d when not no_cache -> (
       match Owl_cache.open_dir d with
       | c -> Some c
@@ -225,36 +220,26 @@ let open_cache ~cache_dir ~no_cache =
 
 (* {1 Serving}
 
-   [owl serve] and [owl client] share the address vocabulary:
-   [--addr ADDR] beats the OWL_ADDR environment variable beats the
-   conventional socket under the system temp directory.  Accepted forms
-   are [unix:PATH], [tcp:HOST:PORT], and a bare path (implying unix:). *)
-
-let default_addr () =
-  "unix:" ^ Filename.concat (Filename.get_temp_dir_name ()) "owl-serve.sock"
+   [owl serve] and [owl client] share the address vocabulary.  Accepted
+   forms are [unix:PATH], [tcp:HOST:PORT], and a bare path (implying
+   unix:). *)
 
 let addr =
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Owl_serve.Proto.addr_of_string s)
+  in
+  let print ppf a =
+    Format.pp_print_string ppf (Owl_serve.Proto.addr_to_string a)
+  in
+  let default =
+    Owl_serve.Proto.Unix_path
+      (Filename.concat (Filename.get_temp_dir_name ()) "owl-serve.sock")
+  in
   let doc =
-    "Server address: 'unix:PATH', 'tcp:HOST:PORT', or a bare socket path.  \
-     Also read from the OWL_ADDR environment variable; the flag wins.  \
-     Defaults to 'unix:' + owl-serve.sock under the system temp directory."
+    "Server address: 'unix:PATH', 'tcp:HOST:PORT', or a bare socket path."
   in
-  Arg.(value & opt (some string) None & info [ "addr" ] ~docv:"ADDR" ~doc)
-
-let resolve_addr addr =
-  let s =
-    match addr with
-    | Some s -> s
-    | None -> (
-        match Sys.getenv_opt "OWL_ADDR" with
-        | Some s -> s
-        | None -> default_addr ())
-  in
-  match Owl_serve.Proto.addr_of_string s with
-  | Ok a -> a
-  | Error m ->
-      Printf.eprintf "owl: bad address %S: %s\n" s m;
-      exit 1
+  Arg.(value & opt (conv ~docv:"ADDR" (parse, print)) default
+       & info [ "addr" ] ~docv:"ADDR" ~doc ~env:(Cmd.Env.info "OWL_ADDR"))
 
 let queue_depth =
   let doc =
@@ -293,56 +278,42 @@ let dump_dir =
   in
   Arg.(value & opt (some string) None & info [ "dump-dir" ] ~docv:"DIR" ~doc)
 
-(* Client-side retry: [--connect-retries]/[--backoff-ms] with
-   OWL_CLIENT_RETRIES/OWL_BACKOFF_MS as the flagless equivalents (the
-   flag wins).  Distinct from [--retries], which tunes the engine's
-   solver-recovery ladder on the server. *)
+(* Client-side retry.  Distinct from [--retries], which tunes the
+   engine's solver-recovery ladder on the server. *)
 
 let connect_retries =
   let doc =
     "Extra client attempts when the daemon answers busy, reports a lost \
      worker, or the connection fails transiently; each retry reconnects \
-     after jittered exponential backoff.  Also read from the \
-     OWL_CLIENT_RETRIES environment variable; the flag wins."
+     after jittered exponential backoff."
   in
-  Arg.(value & opt (some int) None
-       & info [ "connect-retries" ] ~docv:"K" ~doc)
+  Arg.(value & opt int 0
+       & info [ "connect-retries" ] ~docv:"K" ~doc
+           ~env:(Cmd.Env.info "OWL_CLIENT_RETRIES"))
 
 let backoff_ms =
   let doc =
     "Base client retry backoff in milliseconds; it doubles per attempt \
-     and is jittered into the rung's upper half.  Also read from the \
-     OWL_BACKOFF_MS environment variable; the flag wins."
+     and is jittered into the rung's upper half."
   in
-  Arg.(value & opt (some int) None & info [ "backoff-ms" ] ~docv:"MS" ~doc)
+  Arg.(value & opt int 100
+       & info [ "backoff-ms" ] ~docv:"MS" ~doc
+           ~env:(Cmd.Env.info "OWL_BACKOFF_MS"))
 
-let resolve_client_retry ~connect_retries ~backoff_ms =
-  let env name =
-    match Sys.getenv_opt name with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n -> Some n
-        | None ->
-            Printf.eprintf "owl: %s: %S is not an integer\n" name s;
-            exit 1)
+(* [(retries, backoff_ms)] for [owl client *] and [owl top] *)
+let client_retry =
+  let check retries backoff =
+    if retries < 0 then begin
+      prerr_endline "owl: --connect-retries must be >= 0";
+      exit 1
+    end;
+    if backoff < 0 then begin
+      prerr_endline "owl: --backoff-ms must be >= 0";
+      exit 1
+    end;
+    (retries, backoff)
   in
-  let pick flag name default =
-    match flag with
-    | Some n -> n
-    | None -> ( match env name with Some n -> n | None -> default)
-  in
-  let retries = pick connect_retries "OWL_CLIENT_RETRIES" 0 in
-  let backoff = pick backoff_ms "OWL_BACKOFF_MS" 100 in
-  if retries < 0 then begin
-    prerr_endline "owl: --connect-retries must be >= 0";
-    exit 1
-  end;
-  if backoff < 0 then begin
-    prerr_endline "owl: --backoff-ms must be >= 0";
-    exit 1
-  end;
-  (retries, backoff)
+  Term.(const check $ connect_retries $ backoff_ms)
 
 let check_serve ~queue_depth ~hot_tier_size =
   if queue_depth < 0 then begin

@@ -3,73 +3,102 @@
      owl list                         show the bundled case studies
      owl print -d <design>           print a sketch as textual Oyster
      owl synth -d <design> [...]     synthesize control logic
+     owl cosim -d <core>             synthesize, then co-simulate against the ISS
+     owl independence -d <design>    check the independence conditions
+     owl verify -d <design>          verify the hand-written reference control
      owl check <file.oyster>         parse + typecheck a textual design
      owl netlist <file.oyster>       gate counts for a hole-free design
-     owl sim <file.oyster> -n N      simulate N cycles (inputs forced to 0) *)
+     owl verilog <file.oyster>       emit Verilog for a hole-free design
+     owl sim <file.oyster> -n N      simulate N cycles (inputs forced to 0)
+     owl cache / serve / client / top  the cache and the synthesis service *)
 
 open Cmdliner
 
-(* {1 The case-study registry} *)
+(* {1 The case-study registry}
+
+   Every command that names a case study reads it here: the sketch
+   problem, the hand-written reference control, and, for the processor
+   cores, the ISS variant and program profile [owl cosim] checks with. *)
 
 type entry = {
   description : string;
   problem : unit -> Synth.Engine.problem;
-  reference : (unit -> Oyster.Ast.design) option;
+  reference : unit -> Oyster.Ast.design;
+  iss : (Isa.Rv32.isa_variant * [ `Standard | `Cmov ]) option;
 }
 
-let registry : (string * entry) list =
-  [ ("accumulator",
-     { description = "FSM accumulator machine (paper Fig. 3)";
-       problem = Designs.Accumulator.problem;
-       reference = Some Designs.Accumulator.reference_design });
-    ("alu",
-     { description = "three-stage pipelined ALU machine (paper Fig. 2)";
-       problem = Designs.Alu.problem;
-       reference = Some Designs.Alu.reference_design });
-    ("rv32-single",
-     { description = "single-cycle RV32I core (paper 4.1.1)";
-       problem = (fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I);
-       reference = Some (fun () -> Designs.Riscv_single.reference_design Isa.Rv32.RV32I) });
-    ("rv32-single-zbkb",
-     { description = "single-cycle RV32I+Zbkb core";
-       problem = (fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I_Zbkb);
-       reference =
-         Some (fun () -> Designs.Riscv_single.reference_design Isa.Rv32.RV32I_Zbkb) });
-    ("rv32-single-m",
-     { description = "single-cycle RV32I+M core (multiply/divide; beyond the paper)";
-       problem = (fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I_M);
-       reference =
-         Some (fun () -> Designs.Riscv_single.reference_design Isa.Rv32.RV32I_M) });
-    ("rv32-single-zbkc",
-     { description = "single-cycle RV32I+Zbkb+Zbkc core";
-       problem = (fun () -> Designs.Riscv_single.problem Isa.Rv32.RV32I_Zbkc);
-       reference =
-         Some (fun () -> Designs.Riscv_single.reference_design Isa.Rv32.RV32I_Zbkc) });
-    ("rv32-two-stage",
-     { description = "two-stage pipelined RV32I core (paper 4.1.2)";
-       problem = (fun () -> Designs.Riscv_two_stage.problem Isa.Rv32.RV32I);
-       reference =
-         Some (fun () -> Designs.Riscv_two_stage.reference_design Isa.Rv32.RV32I) });
-    ("crypto-core",
-     { description = "three-stage constant-time cryptography core (paper 4.2)";
-       problem = Designs.Crypto_core.problem;
-       reference = Some Designs.Crypto_core.reference_design });
-    ("aes",
-     { description = "AES-128 hardware accelerator (paper 4.3)";
-       problem = Designs.Aes.problem;
-       reference = Some Designs.Aes.reference_design });
-    ("gcd",
-     { description = "GCD accelerator (FSM with data-dependent decode)";
-       problem = Designs.Gcd.problem;
-       reference = Some Designs.Gcd.reference_design })
-  ]
+let entry ?iss description problem reference =
+  { description; problem; reference; iss }
 
-let lookup name =
+(* a RISC-V core of one ISA variant, co-simulated on standard programs *)
+let core (problem, reference) description variant =
+  entry ~iss:(variant, `Standard) description
+    (fun () -> problem variant)
+    (fun () -> reference variant)
+
+let registry : (string * entry) list =
+  let single = Designs.Riscv_single.(problem, reference_design) in
+  [ ("accumulator",
+     entry "FSM accumulator machine (paper Fig. 3)"
+       Designs.Accumulator.problem Designs.Accumulator.reference_design);
+    ("alu",
+     entry "three-stage pipelined ALU machine (paper Fig. 2)"
+       Designs.Alu.problem Designs.Alu.reference_design);
+    ("rv32-single",
+     core single "single-cycle RV32I core (paper 4.1.1)" Isa.Rv32.RV32I);
+    ("rv32-single-zbkb",
+     core single "single-cycle RV32I+Zbkb core" Isa.Rv32.RV32I_Zbkb);
+    ("rv32-single-m",
+     core single "single-cycle RV32I+M core (multiply/divide; beyond the paper)"
+       Isa.Rv32.RV32I_M);
+    ("rv32-single-zbkc",
+     core single "single-cycle RV32I+Zbkb+Zbkc core" Isa.Rv32.RV32I_Zbkc);
+    ("rv32-two-stage",
+     core Designs.Riscv_two_stage.(problem, reference_design)
+       "two-stage pipelined RV32I core (paper 4.1.2)" Isa.Rv32.RV32I);
+    ("crypto-core",
+     entry ~iss:(Isa.Rv32.RV32I_Zbkb, `Cmov)
+       "three-stage constant-time cryptography core (paper 4.2)"
+       Designs.Crypto_core.problem Designs.Crypto_core.reference_design);
+    ("aes",
+     entry "AES-128 hardware accelerator (paper 4.3)" Designs.Aes.problem
+       Designs.Aes.reference_design);
+    ("gcd",
+     entry "GCD accelerator (FSM with data-dependent decode)"
+       Designs.Gcd.problem Designs.Gcd.reference_design) ]
+
+let resolve name =
   match List.assoc_opt name registry with
-  | Some e -> Ok e
+  | Some e -> e
   | None ->
-      Error
-        (Printf.sprintf "unknown design %S; try `owl list'" name)
+      Printf.eprintf "unknown design %S; try `owl list'\n" name;
+      exit 1
+
+(* verification checks the hand-written reference control, offline and
+   through the daemon alike *)
+let reference_problem e =
+  { (e.problem ()) with Synth.Engine.design = e.reference () }
+
+(* {1 Reporting shared by the offline and the remote commands} *)
+
+(* exit status per outcome, by wire name so [owl client synth] shares it *)
+let exit_outcome = function
+  | "solved" -> ()
+  | "timeout" -> exit 2
+  | "unrealizable" -> exit 3
+  | "union_failed" -> exit 4
+  | "not_independent" -> exit 5
+  | _ -> exit 6
+
+(* [(instruction, verdict name)] rows, the tally, and exit 1 unless every
+   instruction verified *)
+let report_verdicts ?(hot = false) rows =
+  let verified = Synth.Engine.verdict_name Synth.Engine.Verified in
+  List.iter (fun (instr, v) -> Printf.printf "  %-20s %s\n" instr v) rows;
+  let good = List.length (List.filter (fun (_, v) -> v = verified) rows) in
+  Printf.printf "%d/%d instructions verified%s\n" good (List.length rows)
+    (if hot then " [hot]" else "");
+  if good < List.length rows then exit 1
 
 (* {1 Commands} *)
 
@@ -91,21 +120,11 @@ let print_cmd =
     Arg.(value & flag & info [ "reference" ] ~doc:"Print the hand-written reference design instead of the sketch.")
   in
   let run name reference =
-    match lookup name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok e ->
-        let d =
-          if reference then
-            match e.reference with
-            | Some f -> f ()
-            | None ->
-                prerr_endline "no reference design registered";
-                exit 1
-          else (e.problem ()).Synth.Engine.design
-        in
-        print_string (Oyster.Printer.design_to_string d)
+    let e = resolve name in
+    let d =
+      if reference then e.reference () else (e.problem ()).Synth.Engine.design
+    in
+    print_string (Oyster.Printer.design_to_string d)
   in
   Cmd.v (Cmd.info "print" ~doc:"Print a design as textual Oyster IR")
     Term.(const run $ design_arg $ reference)
@@ -135,77 +154,70 @@ let synth_cmd =
       metrics =
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
-    match lookup name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok e -> (
-        let cache = Args.open_cache ~cache_dir ~no_cache in
-        if cache <> None then
-          (* [at_exit] so the timeout/unrealizable exit paths report too *)
-          at_exit (fun () -> Args.report_cache cache);
-        let options = Synth.Engine.with_cache cache options in
-        match
-          or_engine_error (fun () ->
-              Synth.Engine.synthesize ~options (e.problem ()))
-        with
-        | Synth.Engine.Solved s ->
-            let st = s.Synth.Engine.stats in
-            Printf.printf
-              "solved in %.2fs: %d CEGIS rounds, %d solver queries, %d conflicts\n"
-              st.Synth.Engine.wall_seconds st.Synth.Engine.iterations
-              st.Synth.Engine.queries st.Synth.Engine.conflicts;
-            (* the full statistics record, resilience tallies included *)
-            let row name value = Printf.printf "  %-22s %d\n" name value in
-            row "iterations" st.Synth.Engine.iterations;
-            row "queries" st.Synth.Engine.queries;
-            row "conflicts" st.Synth.Engine.conflicts;
-            row "blasted vars" st.Synth.Engine.blasted_vars;
-            row "blasted clauses" st.Synth.Engine.blasted_clauses;
-            row "trivial unsats" st.Synth.Engine.trivial_unsats;
-            row "retried queries" st.Synth.Engine.retried_queries;
-            row "degraded queries" st.Synth.Engine.degraded_queries;
-            row "validation failures" st.Synth.Engine.validation_failures;
-            row "task retries" st.Synth.Engine.task_retries;
-            row "sat restarts" st.Synth.Engine.sat_restarts;
-            row "sat learnt kept" st.Synth.Engine.sat_learnt_kept;
-            row "sat learnt deleted" st.Synth.Engine.sat_learnt_deleted;
-            Printf.printf "  %-22s %.2f\n" "wall seconds"
-              st.Synth.Engine.wall_seconds;
-            if pyrtl then begin
-              print_endline "";
-              print_string
-                (Hdl.Pyrtl.generated_to_string ~pre_exprs:s.Synth.Engine.pre_exprs
-                   ~per_instr:s.Synth.Engine.per_instr
-                   ~shared:s.Synth.Engine.shared)
-            end;
-            (match output with
-            | Some file ->
-                let oc = open_out file in
-                output_string oc
-                  (Oyster.Printer.design_to_string s.Synth.Engine.completed);
-                close_out oc;
-                Printf.printf "completed design written to %s\n" file
-            | None -> ())
-        | Synth.Engine.Timeout st ->
-            Printf.printf
-              "timeout after %.1fs (%d CEGIS rounds, %d solver queries, %d \
-               conflicts)\n"
-              st.Synth.Engine.wall_seconds st.Synth.Engine.iterations
-              st.Synth.Engine.queries st.Synth.Engine.conflicts;
-            exit 2
-        | Synth.Engine.Unrealizable { instr; _ } ->
-            Printf.printf "unrealizable: no control logic satisfies %s\n"
-              (Option.value instr ~default:"the specification");
-            exit 3
-        | Synth.Engine.Union_failed { diagnostic; _ } ->
-            Printf.printf "union failed: %s\n" diagnostic;
-            exit 4
-        | Synth.Engine.Not_independent { overlapping; feedback; _ } ->
-            Printf.printf
-              "instruction independence fails: %d overlapping pairs, %d feedback paths\n"
-              (List.length overlapping) (List.length feedback);
-            exit 5)
+    let e = resolve name in
+    let cache = Args.open_cache ~cache_dir ~no_cache in
+    if cache <> None then
+      (* [at_exit] so the timeout/unrealizable exit paths report too *)
+      at_exit (fun () -> Args.report_cache cache);
+    let options = Synth.Engine.with_cache cache options in
+    let outcome =
+      or_engine_error (fun () -> Synth.Engine.synthesize ~options (e.problem ()))
+    in
+    (match outcome with
+    | Synth.Engine.Solved s ->
+        let st = s.Synth.Engine.stats in
+        Printf.printf
+          "solved in %.2fs: %d CEGIS rounds, %d solver queries, %d conflicts\n"
+          st.Synth.Engine.wall_seconds st.Synth.Engine.iterations
+          st.Synth.Engine.queries st.Synth.Engine.conflicts;
+        (* the full statistics record, resilience tallies included *)
+        let row name value = Printf.printf "  %-22s %d\n" name value in
+        row "iterations" st.Synth.Engine.iterations;
+        row "queries" st.Synth.Engine.queries;
+        row "conflicts" st.Synth.Engine.conflicts;
+        row "blasted vars" st.Synth.Engine.blasted_vars;
+        row "blasted clauses" st.Synth.Engine.blasted_clauses;
+        row "trivial unsats" st.Synth.Engine.trivial_unsats;
+        row "retried queries" st.Synth.Engine.retried_queries;
+        row "degraded queries" st.Synth.Engine.degraded_queries;
+        row "validation failures" st.Synth.Engine.validation_failures;
+        row "task retries" st.Synth.Engine.task_retries;
+        row "sat restarts" st.Synth.Engine.sat_restarts;
+        row "sat learnt kept" st.Synth.Engine.sat_learnt_kept;
+        row "sat learnt deleted" st.Synth.Engine.sat_learnt_deleted;
+        Printf.printf "  %-22s %.2f\n" "wall seconds"
+          st.Synth.Engine.wall_seconds;
+        if pyrtl then begin
+          print_endline "";
+          print_string
+            (Hdl.Pyrtl.generated_to_string ~pre_exprs:s.Synth.Engine.pre_exprs
+               ~per_instr:s.Synth.Engine.per_instr
+               ~shared:s.Synth.Engine.shared)
+        end;
+        Option.iter
+          (fun file ->
+            let oc = open_out file in
+            output_string oc
+              (Oyster.Printer.design_to_string s.Synth.Engine.completed);
+            close_out oc;
+            Printf.printf "completed design written to %s\n" file)
+          output
+    | Synth.Engine.Timeout st ->
+        Printf.printf
+          "timeout after %.1fs (%d CEGIS rounds, %d solver queries, %d \
+           conflicts)\n"
+          st.Synth.Engine.wall_seconds st.Synth.Engine.iterations
+          st.Synth.Engine.queries st.Synth.Engine.conflicts
+    | Synth.Engine.Unrealizable { instr; _ } ->
+        Printf.printf "unrealizable: no control logic satisfies %s\n"
+          (Option.value instr ~default:"the specification")
+    | Synth.Engine.Union_failed { diagnostic; _ } ->
+        Printf.printf "union failed: %s\n" diagnostic
+    | Synth.Engine.Not_independent { overlapping; feedback; _ } ->
+        Printf.printf
+          "instruction independence fails: %d overlapping pairs, %d feedback paths\n"
+          (List.length overlapping) (List.length feedback));
+    exit_outcome (Synth.Engine.outcome_name outcome)
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesize control logic for a case-study design")
@@ -268,102 +280,62 @@ let cosim_cmd =
     Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc:"Number of random programs.")
   in
   let run name seeds =
-    let variant, problem =
-      match name with
-      | "rv32-single" -> (Some Isa.Rv32.RV32I, Designs.Riscv_single.problem Isa.Rv32.RV32I)
-      | "rv32-single-zbkb" ->
-          (Some Isa.Rv32.RV32I_Zbkb, Designs.Riscv_single.problem Isa.Rv32.RV32I_Zbkb)
-      | "rv32-single-zbkc" ->
-          (Some Isa.Rv32.RV32I_Zbkc, Designs.Riscv_single.problem Isa.Rv32.RV32I_Zbkc)
-      | "rv32-two-stage" ->
-          (Some Isa.Rv32.RV32I, Designs.Riscv_two_stage.problem Isa.Rv32.RV32I)
-      | "crypto-core" -> (None, Designs.Crypto_core.problem ())
-      | _ ->
-          prerr_endline "cosim supports the RISC-V cores and crypto-core";
+    let e = resolve name in
+    let variant, profile =
+      match e.iss with
+      | Some iss -> iss
+      | None ->
+          Printf.eprintf "owl: %s has no ISS model; cosim covers the processor cores\n"
+            name;
           exit 1
     in
-    match Synth.Engine.synthesize problem with
+    match or_engine_error (fun () -> Synth.Engine.synthesize (e.problem ())) with
     | Synth.Engine.Solved s ->
         Printf.printf "synthesized in %.2fs; co-simulating %d random programs...\n%!"
           s.Synth.Engine.stats.Synth.Engine.wall_seconds seeds;
         let failures = ref 0 in
         for seed = 1 to seeds do
-          let rng = Random.State.make [| seed; 4096 |] in
-          let profile, variant', cmov =
-            match variant with
-            | Some v -> (`Standard, v, false)
-            | None -> (`Cmov, Isa.Rv32.RV32I_Zbkb, true)
-          in
-          let program = Designs.Testbench.random_program ~profile rng variant' ~len:40 in
-          let dmem_init =
-            List.init 32 (fun i ->
-                (i, Bitvec.of_bits (Array.init 32 (fun _ -> Random.State.bool rng))))
-          in
-          let halt_pc = 4 * (List.length program - 1) in
-          let core =
-            Designs.Testbench.run_core s.Synth.Engine.completed ~program ~dmem_init
-              ~halt_pc ~max_cycles:2000
-          in
-          let _, iss =
-            Designs.Testbench.run_iss ~cmov variant' ~program ~dmem_init
-              ~max_cycles:2000
-          in
-          let ok = ref (core.Designs.Testbench.cycles_to_halt <> None) in
-          for r = 0 to 31 do
-            if
-              not
-                (Bitvec.equal
-                   (Designs.Testbench.core_reg core.Designs.Testbench.state r)
-                   (Isa.Iss.get_reg iss r))
-            then ok := false
-          done;
-          Printf.printf "  seed %2d: %s\n%!" seed (if !ok then "OK" else "MISMATCH");
-          if not !ok then incr failures
+          match
+            Designs.Testbench.cosim ~profile s.Synth.Engine.completed variant
+              (Random.State.make [| seed; 4096 |])
+          with
+          | Ok () -> Printf.printf "  seed %2d: OK\n%!" seed
+          | Error m ->
+              incr failures;
+              Printf.printf "  seed %2d: MISMATCH (%s)\n%!" seed m
         done;
         if !failures > 0 then exit 1
-    | _ ->
-        prerr_endline "synthesis failed";
+    | o ->
+        Printf.eprintf "owl: synthesis %s\n" (Synth.Engine.outcome_name o);
         exit 1
   in
   Cmd.v
     (Cmd.info "cosim"
-       ~doc:"Synthesize a core and co-simulate it against the ISS oracle")
+       ~doc:
+         "Synthesize a processor core and co-simulate it against the ISS \
+          oracle (registers and data memory)")
     Term.(const run $ design_arg $ seeds)
 
 let independence_cmd =
   let run name =
-    match lookup name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok e ->
-        let { Synth.Engine.design; spec; af } = e.problem () in
-        let conds =
-          Ila.Conditions.compile spec af
-            (Oyster.Symbolic.eval design ~cycles:af.Ila.Absfun.cycles)
-        in
-        (* the engine's gate: assume wires are the permitted feedback cuts *)
-        let excl, fb, independent =
-          Synth.Independence.independent
-            ~allowed_cuts:(List.map fst af.Ila.Absfun.assumes) design conds
-        in
-        let n = List.length conds in
-        Printf.printf "%d instructions, %d precondition pairs checked\n" n
-          (n * (n - 1) / 2);
-        (match excl.Synth.Independence.overlapping with
-        | [] -> print_endline "mutually exclusive preconditions: yes"
-        | l ->
-            Printf.printf "OVERLAPPING pairs: %s\n"
-              (String.concat ", "
-                 (List.map (fun (a, b) -> a ^ "/" ^ b) l)));
-        (match fb.Synth.Independence.feedback_paths with
-        | [] -> print_endline "no control feedback: yes"
-        | l ->
-            List.iter
-              (fun (src, wire, dst) ->
-                Printf.printf "FEEDBACK: hole %s -> wire %s -> hole %s\n" src wire dst)
-              l);
-        if not independent then exit 1
+    let problem = (resolve name).problem () in
+    let excl, fb, independent = Synth.Engine.independence problem in
+    let n = List.length (Ila.Spec.instructions problem.Synth.Engine.spec) in
+    Printf.printf "%d instructions, %d precondition pairs checked\n" n
+      (n * (n - 1) / 2);
+    (match excl.Synth.Independence.overlapping with
+    | [] -> print_endline "mutually exclusive preconditions: yes"
+    | l ->
+        Printf.printf "OVERLAPPING pairs: %s\n"
+          (String.concat ", " (List.map (fun (a, b) -> a ^ "/" ^ b) l)));
+    (match fb.Synth.Independence.feedback_paths with
+    | [] -> print_endline "no control feedback: yes"
+    | l ->
+        List.iter
+          (fun (src, wire, dst) ->
+            Printf.printf "FEEDBACK: hole %s -> wire %s -> hole %s\n" src wire dst)
+          l);
+    if not independent then exit 1
   in
   Cmd.v
     (Cmd.info "independence"
@@ -375,37 +347,10 @@ let verify_cmd =
   let run name options fault_plan trace metrics =
     Args.install_fault_plan fault_plan;
     Args.install_observability ~trace ~metrics;
-    match lookup name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok e -> (
-        match e.reference with
-        | None ->
-            prerr_endline "no reference design registered";
-            exit 1
-        | Some f ->
-            let problem = e.problem () in
-            let problem = { problem with Synth.Engine.design = f () } in
-            let results =
-              or_engine_error (fun () -> Synth.Engine.verify ~options problem)
-            in
-            let bad = ref 0 in
-            List.iter
-              (fun (iname, verdict) ->
-                match verdict with
-                | Synth.Engine.Verified -> Printf.printf "  %-20s verified\n" iname
-                | Synth.Engine.Violated _ ->
-                    incr bad;
-                    Printf.printf "  %-20s VIOLATED\n" iname
-                | Synth.Engine.Inconclusive ->
-                    incr bad;
-                    Printf.printf "  %-20s inconclusive (budget)\n" iname)
-              results;
-            Printf.printf "%d/%d instructions verified\n"
-              (List.length results - !bad)
-              (List.length results);
-            if !bad > 0 then exit 1)
+    let problem = reference_problem (resolve name) in
+    or_engine_error (fun () -> Synth.Engine.verify ~options problem)
+    |> List.map (fun (instr, v) -> (instr, Synth.Engine.verdict_name v))
+    |> report_verdicts
   in
   Cmd.v
     (Cmd.info "verify"
@@ -460,25 +405,10 @@ let sim_cmd =
     Term.(const run $ file_arg $ cycles $ vcd)
 
 let cache_cmd =
-  (* maintenance for the on-disk synthesis cache; resolution mirrors the
-     synth flags (--cache-dir beats OWL_CACHE_DIR beats the conventional
-     .owl-cache directory) but here a missing directory is just reported,
-     never created *)
+  (* maintenance for the on-disk synthesis cache; a missing directory is
+     just reported, never created *)
   let dir_term =
-    let doc =
-      "Cache directory to operate on.  Also read from the OWL_CACHE_DIR \
-       environment variable; defaults to '.owl-cache'."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let resolve dir =
-    match dir with
-    | Some d -> d
-    | None -> (
-        match Sys.getenv_opt "OWL_CACHE_DIR" with
-        | Some d -> d
-        | None -> Args.default_cache_dir)
+    Term.(const (Option.value ~default:Args.default_cache_dir) $ Args.cache_dir)
   in
   let stats_cmd =
     let json =
@@ -503,7 +433,6 @@ let cache_cmd =
       }
     in
     let run dir json =
-      let dir = resolve dir in
       if not (Sys.file_exists dir) then
         if json then
           print_endline (Owl_serve.Proto.cache_stats_to_json empty_stats)
@@ -523,7 +452,6 @@ let cache_cmd =
   in
   let clear_cmd =
     let run dir =
-      let dir = resolve dir in
       if not (Sys.file_exists dir) then
         Printf.printf "%s: no cache\n" dir
       else
@@ -553,22 +481,14 @@ let serve_cmd =
     (* chaos testing: worker_kill/conn_drop/frame_delay/shed directives
        land in the serve layer, the solver directives in the engine *)
     Args.install_fault_plan fault_plan;
-    let addr = Args.resolve_addr addr in
     let cache = Args.open_cache ~cache_dir ~no_cache in
     let lookup kind name =
-      match List.assoc_opt name registry with
-      | None -> None
-      | Some e -> (
+      Option.map
+        (fun e ->
           match kind with
-          | `Synth -> Some (e.problem ())
-          | `Verify -> (
-              (* verification checks the hand-written reference control,
-                 exactly as the offline `owl verify' does *)
-              match e.reference with
-              | None -> None
-              | Some f ->
-                  let p = e.problem () in
-                  Some { p with Synth.Engine.design = f () }))
+          | `Synth -> e.problem ()
+          | `Verify -> reference_problem e)
+        (List.assoc_opt name registry)
     in
     Printf.printf
       "owl serve: listening on %s (%d worker%s, queue depth %d, hot tier %d)\n%!"
@@ -611,39 +531,31 @@ let describe_client_error = function
    them out with jittered exponential backoff.  Only the final failure
    reaches the error reporting below. *)
 let with_client addr (retries, backoff_ms) f =
-  let describe = describe_client_error in
-    let addr = Args.resolve_addr addr in
-    try
-      Owl_serve.Client.with_retry ~retries ~backoff_ms
-        ~on_retry:(fun ~attempt ~delay e ->
-          Printf.eprintf "owl: attempt %d failed (%s); retrying in %.2fs\n%!"
-            attempt (describe e) delay)
-        addr f
-    with
-    | Owl_serve.Client.Server_busy n ->
-        Printf.eprintf "owl: server busy (%d requests queued); retry later\n" n;
-        exit 7
-    | Owl_serve.Client.Server_error e ->
-        Printf.eprintf "owl: server error (%s): %s\n" e.Owl_serve.Proto.code
-          e.Owl_serve.Proto.message;
-        exit 6
-    | Owl_serve.Client.Protocol_error m | Owl_serve.Proto.Framing_error m ->
-        Printf.eprintf "owl: protocol error: %s\n" m;
-        exit 6
-    | Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT) as e, _, _) ->
-        Printf.eprintf "owl: cannot reach server at %s: %s\n"
-          (Owl_serve.Proto.addr_to_string addr)
-          (Unix.error_message e);
-        exit 1
-    | Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "owl: connection lost: %s\n" (Unix.error_message e);
-        exit 6
-
-let retry_term =
-  Term.(
-    const (fun connect_retries backoff_ms ->
-        Args.resolve_client_retry ~connect_retries ~backoff_ms)
-    $ Args.connect_retries $ Args.backoff_ms)
+  try
+    Owl_serve.Client.with_retry ~retries ~backoff_ms
+      ~on_retry:(fun ~attempt ~delay e ->
+        Printf.eprintf "owl: attempt %d failed (%s); retrying in %.2fs\n%!"
+          attempt (describe_client_error e) delay)
+      addr f
+  with
+  | Owl_serve.Client.Server_busy n ->
+      Printf.eprintf "owl: server busy (%d requests queued); retry later\n" n;
+      exit 7
+  | Owl_serve.Client.Server_error e ->
+      Printf.eprintf "owl: server error (%s): %s\n" e.Owl_serve.Proto.code
+        e.Owl_serve.Proto.message;
+      exit 6
+  | Owl_serve.Client.Protocol_error m | Owl_serve.Proto.Framing_error m ->
+      Printf.eprintf "owl: protocol error: %s\n" m;
+      exit 6
+  | Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT) as e, _, _) ->
+      Printf.eprintf "owl: cannot reach server at %s: %s\n"
+        (Owl_serve.Proto.addr_to_string addr)
+        (Unix.error_message e);
+      exit 1
+  | Unix.Unix_error (e, _, _) ->
+      Printf.eprintf "owl: connection lost: %s\n" (Unix.error_message e);
+      exit 6
 
 let client_cmd =
   let quiet =
@@ -687,17 +599,11 @@ let client_cmd =
           List.iter
             (fun (hole, expr) -> Printf.printf "  %s = %s\n" hole expr)
             r.Owl_serve.Proto.bindings;
-          match r.Owl_serve.Proto.outcome with
-          | "solved" -> ()
-          | "timeout" -> exit 2
-          | "unrealizable" -> exit 3
-          | "union_failed" -> exit 4
-          | "not_independent" -> exit 5
-          | _ -> exit 6)
+          exit_outcome r.Owl_serve.Proto.outcome)
     in
     Cmd.v
       (Cmd.info "synth" ~doc:"Synthesize a case study on the server")
-      Term.(const run $ design_arg $ Args.addr $ retry_term
+      Term.(const run $ design_arg $ Args.addr $ Args.client_retry
             $ Args.engine_options ~synth:true ~remote:true $ quiet)
   in
   let verify_cmd =
@@ -707,22 +613,13 @@ let client_cmd =
             Owl_serve.Client.verify ~on_progress:(on_progress quiet) c
               ~design:name options
           in
-          let bad = ref 0 in
-          List.iter
-            (fun (instr, verdict) ->
-              if verdict <> "verified" then incr bad;
-              Printf.printf "  %-20s %s\n" instr verdict)
-            r.Owl_serve.Proto.verdicts;
-          Printf.printf "%d/%d instructions verified%s\n"
-            (List.length r.Owl_serve.Proto.verdicts - !bad)
-            (List.length r.Owl_serve.Proto.verdicts)
-            (if r.Owl_serve.Proto.v_hot then " [hot]" else "");
-          if !bad > 0 then exit 1)
+          report_verdicts ~hot:r.Owl_serve.Proto.v_hot
+            r.Owl_serve.Proto.verdicts)
     in
     Cmd.v
       (Cmd.info "verify"
          ~doc:"Verify a case study's reference control on the server")
-      Term.(const run $ design_arg $ Args.addr $ retry_term
+      Term.(const run $ design_arg $ Args.addr $ Args.client_retry
             $ Args.engine_options ~synth:false ~remote:true $ quiet)
   in
   let stats_cmd =
@@ -761,7 +658,7 @@ let client_cmd =
     in
     Cmd.v
       (Cmd.info "stats" ~doc:"Show the server's cache and service statistics")
-      Term.(const run $ Args.addr $ retry_term $ json)
+      Term.(const run $ Args.addr $ Args.client_retry $ json)
   in
   let ping_cmd =
     let run addr retry =
@@ -790,7 +687,7 @@ let client_cmd =
     Cmd.v
       (Cmd.info "ping"
          ~doc:"Check that the server answers, and report its health")
-      Term.(const run $ Args.addr $ retry_term)
+      Term.(const run $ Args.addr $ Args.client_retry)
   in
   let metrics_cmd =
     let prometheus =
@@ -835,7 +732,7 @@ let client_cmd =
          ~doc:
            "Scrape the server's live metric registry (counters, gauges, \
             histograms, sliding windows)")
-      Term.(const run $ Args.addr $ retry_term $ prometheus $ json)
+      Term.(const run $ Args.addr $ Args.client_retry $ prometheus $ json)
   in
   let dump_trace_cmd =
     let trace =
@@ -866,7 +763,7 @@ let client_cmd =
          ~doc:
            "Dump the server's event ring (its newest spans, Chrome-trace \
             JSON), optionally filtered to one request")
-      Term.(const run $ Args.addr $ retry_term $ trace $ output)
+      Term.(const run $ Args.addr $ Args.client_retry $ trace $ output)
   in
   let shutdown_cmd =
     let run addr retry =
@@ -876,7 +773,7 @@ let client_cmd =
     in
     Cmd.v
       (Cmd.info "shutdown" ~doc:"Ask the server to drain and exit")
-      Term.(const run $ Args.addr $ retry_term)
+      Term.(const run $ Args.addr $ Args.client_retry)
   in
   Cmd.group (Cmd.info "client" ~doc:"Talk to a running owl serve daemon")
     [ synth_cmd; verify_cmd; stats_cmd; ping_cmd; metrics_cmd; dump_trace_cmd;
@@ -991,7 +888,7 @@ let top_cmd =
        ~doc:
          "Live terminal dashboard for a running owl serve daemon \
           (throughput, hit rate, queue depth, worker health, latency)")
-    Term.(const run $ Args.addr $ retry_term $ interval $ count)
+    Term.(const run $ Args.addr $ Args.client_retry $ interval $ count)
 
 let () =
   let info =

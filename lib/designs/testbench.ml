@@ -144,3 +144,42 @@ let run_iss ?cmov variant ~program ~dmem_init ~max_cycles =
   List.iter (fun (a, v) -> Isa.Iss.dmem_write t a v) dmem_init;
   let outcome = Isa.Iss.run ~max_cycles t in
   (outcome, t)
+
+(* {1 The co-simulation oracle} *)
+
+let cosim ?(profile = `Standard) design variant rng =
+  let program = random_program ~profile rng variant ~len:40 in
+  let dmem_init =
+    List.init 32 (fun i ->
+        (i, Bitvec.of_bits (Array.init 32 (fun _ -> Random.State.bool rng))))
+  in
+  let core =
+    run_core design ~program ~dmem_init
+      ~halt_pc:(4 * (List.length program - 1))
+      ~max_cycles:2000
+  in
+  let outcome, iss =
+    run_iss ~cmov:(profile = `Cmov) variant ~program ~dmem_init
+      ~max_cycles:2000
+  in
+  match (core.cycles_to_halt, outcome) with
+  | None, _ -> Error "core did not reach the halt PC"
+  | _, `Illegal w -> Error ("ISS illegal instruction " ^ Bitvec.to_string w)
+  | _, `Max_cycles -> Error "ISS did not halt"
+  | Some _, `Halted -> (
+      let st = core.state in
+      let regs =
+        List.init 32 (fun r ->
+            (Printf.sprintf "x%d" r, core_reg st r, Isa.Iss.get_reg iss r))
+      and words =
+        List.init 41 (fun a ->
+            (Printf.sprintf "mem[%d]" a, core_dmem st a, Isa.Iss.dmem_read iss a))
+      in
+      match
+        List.find_opt (fun (_, c, i) -> not (Bitvec.equal c i)) (regs @ words)
+      with
+      | None -> Ok ()
+      | Some (what, c, i) ->
+          Error
+            (Printf.sprintf "%s: core %s, ISS %s" what (Bitvec.to_string c)
+               (Bitvec.to_string i)))

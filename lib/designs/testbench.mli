@@ -38,3 +38,16 @@ val run_iss :
   dmem_init:(int * Bitvec.t) list ->
   max_cycles:int ->
   [ `Halted | `Illegal of Bitvec.t | `Max_cycles ] * Isa.Iss.t
+
+val cosim :
+  ?profile:[ `Standard | `Cmov ] ->
+  Oyster.Ast.design ->
+  Isa.Rv32.isa_variant ->
+  Random.State.t ->
+  (unit, string) result
+(** The co-simulation oracle: draws one 40-instruction {!random_program}
+    of [profile] (default [`Standard]) and a 32-word data image from
+    [rng], runs them on the completed core and on the ISS ([`Cmov] turns
+    on the ISS's CMOV), and requires the core to reach the halt PC, the
+    ISS to halt, and both to agree on x0–x31 and data words 0–40.  The
+    error names the first failed requirement or differing location. *)

@@ -275,12 +275,12 @@ let options =
   let c =
     record
       (obj (fun mode jobs budget iterations deadline retries factor validate
-                independence incremental ->
+                check_independence incremental ->
            E.(default_options |> with_mode mode |> with_jobs jobs
               |> with_conflict_budget budget |> with_max_iterations iterations
               |> with_deadline deadline |> with_retries retries
               |> with_escalation_factor factor |> with_validate_models validate
-              |> with_check_independence independence
+              |> with_check_independence check_independence
               |> with_incremental incremental))
       |> mem "mode"
            (enum [ ("per_instruction", E.Per_instruction); ("monolithic", E.Monolithic) ])

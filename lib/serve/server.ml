@@ -333,33 +333,34 @@ let progress_tap job =
     | _ -> ()
 
 let synth_result_of_outcome (o : Synth.Engine.outcome) =
-  let r outcome detail stats =
-    { Proto.outcome; detail; bindings = []; stats; hot = false; trace = "" }
+  let r detail stats =
+    {
+      Proto.outcome = Synth.Engine.outcome_name o;
+      detail;
+      bindings = [];
+      stats;
+      hot = false;
+      trace = "";
+    }
   in
   match o with
   | Synth.Engine.Solved s ->
       {
-        (r "solved" "" s.Synth.Engine.stats) with
+        (r "" s.Synth.Engine.stats) with
         Proto.bindings =
           List.map
             (fun (h, e) -> (h, Oyster.Printer.expr_to_string e))
             s.Synth.Engine.bindings;
       }
-  | Synth.Engine.Timeout stats -> r "timeout" "budget or deadline exhausted" stats
+  | Synth.Engine.Timeout stats -> r "budget or deadline exhausted" stats
   | Synth.Engine.Unrealizable { instr; stats } ->
-      r "unrealizable" (Option.value ~default:"" instr) stats
-  | Synth.Engine.Union_failed { diagnostic; stats } ->
-      r "union_failed" diagnostic stats
+      r (Option.value ~default:"" instr) stats
+  | Synth.Engine.Union_failed { diagnostic; stats } -> r diagnostic stats
   | Synth.Engine.Not_independent { overlapping; stats; _ } ->
-      r "not_independent"
+      r
         (String.concat ", "
            (List.map (fun (a, b) -> a ^ "/" ^ b) overlapping))
         stats
-
-let verdict_to_string = function
-  | Synth.Engine.Verified -> "verified"
-  | Synth.Engine.Violated _ -> "violated"
-  | Synth.Engine.Inconclusive -> "inconclusive"
 
 (* [options] comes from the caller rather than [job.j_options] because
    the deadline has been rewritten to what remains after the queue wait
@@ -397,7 +398,7 @@ let compute t job options =
               (C_verify
                  {
                    Proto.verdicts =
-                     List.map (fun (i, v) -> (i, verdict_to_string v)) verdicts;
+                     List.map (fun (i, v) -> (i, Synth.Engine.verdict_name v)) verdicts;
                    v_hot = false;
                    v_trace = "";
                  })

@@ -128,13 +128,6 @@ let install plan =
          hits = Atomic.make 0;
        })
 
-let install_from_env () =
-  match Sys.getenv_opt "OWL_FAULT_PLAN" with
-  | Some s when String.trim s <> "" ->
-      install (parse s);
-      true
-  | _ -> false
-
 let clear () = Atomic.set installed None
 let active () = Atomic.get installed <> None
 

@@ -6,13 +6,15 @@
     check is honest) or hand back a corrupted copy of its model (one
     seed-chosen bit flipped per variable); a task attempt can crash with
     {!Injected_crash} before any work runs.  Plans are parsed from a
-    string ([--fault-plan] / the [OWL_FAULT_PLAN] environment variable)
-    and installed process-globally, with atomic counters, so a plan
+    string and installed process-globally, with atomic counters, so a plan
     exercises exactly the same faults on every run — the recovery paths of
     the resilience layer become reproducibly testable.
 
     When no plan is installed (the default), every hook is a single atomic
-    load — the machinery costs nothing in production.
+    load — the machinery costs nothing in production.  This module reads
+    no environment variable: the owl command line takes the plan from
+    [--fault-plan] or, when the flag is absent, from [OWL_FAULT_PLAN]
+    (a blank value means no plan).
 
     Plan grammar (comma-separated, whitespace-free):
 
@@ -71,11 +73,6 @@ val to_string : plan -> string
 val install : plan -> unit
 (** Installs a plan process-globally and resets the check/task counters.
     Replaces any previous plan. *)
-
-val install_from_env : unit -> bool
-(** Installs the plan named by the [OWL_FAULT_PLAN] environment variable,
-    if set and non-empty; returns whether a plan was installed.  Raises
-    {!Parse_error} like {!parse}. *)
 
 val clear : unit -> unit
 (** Removes the installed plan; hooks become free again. *)

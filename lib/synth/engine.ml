@@ -146,6 +146,13 @@ type outcome =
       stats : stats;
     }
 
+let outcome_name = function
+  | Solved _ -> "solved"
+  | Timeout _ -> "timeout"
+  | Unrealizable _ -> "unrealizable"
+  | Union_failed _ -> "union_failed"
+  | Not_independent _ -> "not_independent"
+
 exception Engine_error = Synth_error.Engine_error
 
 let fail fmt = Synth_error.fail fmt
@@ -176,6 +183,17 @@ let symbolic_trace (problem : problem) =
 let compile_conditions (problem : problem) trace =
   Obs.span "synth.conditions" (fun () ->
       Ila.Conditions.compile problem.spec problem.af trace)
+
+(* The §3.3.1 gate; assume wires are the permitted feedback cuts. *)
+let independence_gate (problem : problem) conds =
+  Obs.span "synth.independence" (fun () ->
+      Independence.independent
+        ~allowed_cuts:(List.map fst problem.af.Ila.Absfun.assumes)
+        problem.design conds)
+
+let independence problem =
+  independence_gate problem
+    (compile_conditions problem (symbolic_trace problem))
 
 (* {1 Internal bookkeeping} *)
 
@@ -864,12 +882,7 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
     let holes = Oyster.Ast.holes problem.design in
     if holes = [] then fail "sketch has no holes";
     if options.check_independence then begin
-      let excl, fb, independent =
-        Obs.span "synth.independence" (fun () ->
-            Independence.independent
-              ~allowed_cuts:(List.map fst problem.af.Ila.Absfun.assumes)
-              problem.design conds)
-      in
+      let excl, fb, independent = independence_gate problem conds in
       if not independent then
         raise
           (Stop

@@ -172,6 +172,11 @@ type outcome =
       stats : stats;
     }  (** the §3.3.1 preconditions fail (with [check_independence]) *)
 
+val outcome_name : outcome -> string
+(** The outcome's wire name, as [owl serve] replies carry it:
+    ["solved"], ["timeout"], ["unrealizable"], ["union_failed"] or
+    ["not_independent"]. *)
+
 exception Engine_error of string
 
 exception Cancelled
@@ -196,6 +201,14 @@ val problem_prefix : problem -> string
     under it, so hole-variable names agree across calls and repeated runs
     are bit-for-bit reproducible; a test that rebuilds a trace passes it
     too. *)
+
+val independence :
+  problem -> Independence.exclusion_report * Independence.feedback_report * bool
+(** The instruction-independence gate {!synthesize} applies under
+    [check_independence] (paper §3.3.1), on its own: mutual exclusion of
+    the preconditions and no control feedback, with the abstraction
+    function's assume wires as the permitted feedback cuts.  It evaluates
+    the design under {!problem_prefix}, as every entry point does. *)
 
 val ground_reads : Solver.model -> Term.t -> Term.t
 (** Replaces residual (hole-address-dependent) memory reads of a
@@ -259,6 +272,10 @@ val synthesize :
     refine: a refined counterexample lacks its pinned bits. *)
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
+
+val verdict_name : verdict -> string
+(** ["verified"], ["violated"] or ["inconclusive"]: the name trace spans
+    and [owl serve] replies carry. *)
 
 val verify :
   ?options:options -> ?cancel:(unit -> bool) -> problem -> (string * verdict) list

@@ -31,7 +31,8 @@ val independent :
   Ila.Conditions.conditions list ->
   exclusion_report * feedback_report * bool
 (** Both checks; the boolean is the conjunction "independent".  The one
-    gate [Engine.synthesize], [owl independence] and the ablation bench
-    share: [allowed_cuts] is required so no caller can drop the
-    abstraction function's assume wires and report a feedback path the
-    engine accepts. *)
+    gate: [Engine.synthesize] applies it, and [Engine.independence] runs
+    it alone for [owl independence] and the ablation bench.
+    [allowed_cuts] is required so no caller can drop the abstraction
+    function's assume wires and report a feedback path the engine
+    accepts. *)

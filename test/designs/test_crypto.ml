@@ -24,42 +24,12 @@ let synthesized = lazy (solve (Designs.Crypto_core.problem ()))
 let cosim design =
   List.iter
     (fun seed ->
-      let rng = Random.State.make [| seed; 123 |] in
-      let program =
-        Designs.Testbench.random_program ~profile:`Cmov rng Isa.Rv32.RV32I_Zbkb
-          ~len:40
-      in
-      let dmem_init =
-        List.init 32 (fun i ->
-            (i, Bitvec.of_bits (Array.init 32 (fun _ -> Random.State.bool rng))))
-      in
-      let halt_pc = 4 * (List.length program - 1) in
-      let core =
-        Designs.Testbench.run_core design ~program ~dmem_init ~halt_pc
-          ~max_cycles:2000
-      in
-      (match core.Designs.Testbench.cycles_to_halt with
-      | Some _ -> ()
-      | None -> Alcotest.fail "core did not halt");
-      let outcome, iss =
-        Designs.Testbench.run_iss ~cmov:true Isa.Rv32.RV32I_Zbkb ~program
-          ~dmem_init ~max_cycles:2000
-      in
-      (match outcome with
-      | `Halted -> ()
-      | _ -> Alcotest.fail "ISS did not halt");
-      for r = 0 to 31 do
-        Alcotest.check bv
-          (Printf.sprintf "seed %d x%d" seed r)
-          (Isa.Iss.get_reg iss r)
-          (Designs.Testbench.core_reg core.Designs.Testbench.state r)
-      done;
-      for a = 0 to 40 do
-        Alcotest.check bv
-          (Printf.sprintf "seed %d mem[%d]" seed a)
-          (Isa.Iss.dmem_read iss a)
-          (Designs.Testbench.core_dmem core.Designs.Testbench.state a)
-      done)
+      match
+        Designs.Testbench.cosim ~profile:`Cmov design Isa.Rv32.RV32I_Zbkb
+          (Random.State.make [| seed; 123 |])
+      with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "seed %d: %s" seed m)
     [ 31; 32; 33; 34 ]
 
 let test_reference_cosim () = cosim (Designs.Crypto_core.reference_design ())

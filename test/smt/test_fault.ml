@@ -156,20 +156,13 @@ let test_task_crash () =
       Alcotest.(check int) "one crash fired" 1 (Fault.fired ()));
   Fault.on_task () (* no plan: free *)
 
-let test_env_install () =
-  (* install_from_env reads OWL_FAULT_PLAN; absent/blank means no plan *)
-  Alcotest.(check bool) "no env, no plan" false
-    (Sys.getenv_opt "OWL_FAULT_PLAN" = None && Fault.install_from_env ());
-  Alcotest.(check bool) "still inactive" false (Fault.active ())
-
 let () =
   Alcotest.run "fault"
     [ ("plan",
        [ Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
          Alcotest.test_case "parse errors" `Quick test_parse_errors;
          Alcotest.test_case "serve directives" `Quick
-           test_parse_serve_directives;
-         Alcotest.test_case "env install" `Quick test_env_install ]);
+           test_parse_serve_directives ]);
       ("injection",
        [ Alcotest.test_case "spurious unknown" `Quick test_spurious_unknown;
          Alcotest.test_case "corrupt model" `Quick test_corrupt_model;
