@@ -87,6 +87,15 @@ let random_program ?(profile = `Standard) rng variant ~len =
     match profile with `Standard -> [ "sb"; "sh"; "sw" ] | `Cmov -> [ "sw" ]
   in
   let branches = [ "beq"; "bne"; "blt"; "bge"; "bltu"; "bgeu" ] in
+  let store () =
+    let m = List.nth store_ops (Random.State.int rng (List.length store_ops)) in
+    let imm =
+      match profile with
+      | `Standard -> Random.State.int rng 128
+      | `Cmov -> 4 * Random.State.int rng 32
+    in
+    e m ~rs1:0 ~rs2:(reg ()) ~imm ()
+  in
   let body =
     List.init len (fun i ->
         match Random.State.int rng 10 with
@@ -109,14 +118,7 @@ let random_program ?(profile = `Standard) rng variant ~len =
               | `Cmov -> 4 * Random.State.int rng 32
             in
             e m ~rd:(reg ()) ~rs1:0 ~imm ()
-        | 7 ->
-            let m = List.nth store_ops (Random.State.int rng (List.length store_ops)) in
-            let imm =
-              match profile with
-              | `Standard -> Random.State.int rng 128
-              | `Cmov -> 4 * Random.State.int rng 32
-            in
-            e m ~rs1:0 ~rs2:(reg ()) ~imm ()
+        | 7 -> store ()
         | 8 -> (
             match profile with
             | `Standard ->
@@ -128,14 +130,16 @@ let random_program ?(profile = `Standard) rng variant ~len =
         | _ -> (
             match profile with
             | `Standard ->
-                (* short forward branch; the target never passes the final
-                   jump-to-self halt at index [len] *)
+                (* short forward branch; the target never passes
+                   index [len] *)
                 let m = List.nth branches (Random.State.int rng (List.length branches)) in
                 let skip = max 0 (min (len - i - 1) (1 + Random.State.int rng 3)) in
                 e m ~rs1:(reg ()) ~rs2:(reg ()) ~imm:(4 * (skip + 1)) ()
             | `Cmov -> cmov_word ~rd:(reg ()) ~rs1:(reg ()) ~rs2:(reg ())))
   in
-  body @ [ e "jal" ~rd:0 ~imm:0 () ]
+  (* a store at index [len], which every path reaches, then the
+     jump-to-self halt: every program writes data memory at least once *)
+  body @ [ store (); e "jal" ~rd:0 ~imm:0 () ]
 
 (* Run the same program on the ISS. *)
 let run_iss ?cmov variant ~program ~dmem_init ~max_cycles =

@@ -28,8 +28,10 @@ val random_program :
   Isa.Rv32.isa_variant ->
   len:int ->
   Bitvec.t list
-(** ALU-heavy random programs with loads/stores in a small window and short
-    forward branches (or CMOVs under [`Cmov]), ending in the halt. *)
+(** ALU-heavy random programs: [len] instructions with loads/stores in a
+    small window and short forward branches (or CMOVs under [`Cmov]), then
+    a store that no branch skips (branch targets never pass index [len]),
+    then the jump-to-self halt. *)
 
 val run_iss :
   ?cmov:bool ->
@@ -45,7 +47,7 @@ val cosim :
   Isa.Rv32.isa_variant ->
   Random.State.t ->
   (unit, string) result
-(** The co-simulation oracle: draws one 40-instruction {!random_program}
+(** The co-simulation oracle: draws one {!random_program} of length 40
     of [profile] (default [`Standard]) and a 32-word data image from
     [rng], runs them on the completed core and on the ISS ([`Cmov] turns
     on the ISS's CMOV), and requires the core to reach the halt PC, the

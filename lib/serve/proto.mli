@@ -153,7 +153,7 @@ type progress =
   | Instr_done of {
       instr : string;
       status : string;
-          (** synthesis: ["solved"]/["skipped"]/["stopped"]; verification:
+          (** synthesis: ["solved"]/["stopped"]; verification:
               the verdict ["verified"]/["violated"]/["inconclusive"] *)
       iterations : int;  (** 0 for verification events *)
       queries : int;

@@ -7,7 +7,6 @@ type t = {
   gate_cache : (int * int * int * int, int) Hashtbl.t;
   var_bits_tbl : (string, int array) Hashtbl.t;
   mutable translate : Term.t -> int array;
-  mutable cached_terms_fn : unit -> int;  (* size of the term -> bits cache *)
 }
 
 let lit_false c = -c.tlit
@@ -93,10 +92,12 @@ let create sat =
     {
       sat;
       tlit = v;
-      gate_cache = Hashtbl.create 4096;
+      (* grown on demand: most contexts serve one small one-shot check,
+         and a preallocated 4096-bucket table was each check's largest
+         allocation *)
+      gate_cache = Hashtbl.create 64;
       var_bits_tbl = Hashtbl.create 64;
       translate = (fun _ -> assert false);
-      cached_terms_fn = (fun () -> 0);
     }
   in
   let module G = struct
@@ -127,12 +128,9 @@ let create sat =
              m.Term.mem_name))
   in
   c.translate <- W.term_bits tctx;
-  c.cached_terms_fn <- (fun () -> W.cached_terms tctx);
   c
 
 let blast c t = c.translate t
-
-let cached_terms c = c.cached_terms_fn ()
 
 let h_clauses_per_assert = Obs.histogram "blast.clauses_per_assert"
 

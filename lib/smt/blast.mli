@@ -19,9 +19,6 @@ val blast : t -> Term.t -> int array
     encodes the new nodes — the property incremental solver sessions rely
     on to avoid re-encoding the sketch every CEGIS iteration. *)
 
-val cached_terms : t -> int
-(** Number of distinct terms in the term → literals cache. *)
-
 val assert_term : t -> Term.t -> unit
 (** Asserts a width-1 term to be true (adds a unit clause). *)
 

@@ -155,8 +155,6 @@ module Words (G : GATES) = struct
   let make_tctx ~var_bits ~read_bits =
     { term_cache = Hashtbl.create 1024; var_bits; read_bits }
 
-  let cached_terms ctx = Hashtbl.length ctx.term_cache
-
   let rec term_bits ctx (t : Term.t) : G.lit array =
     match Hashtbl.find_opt ctx.term_cache (Term.id t) with
     | Some bits -> bits

@@ -63,7 +63,4 @@ module Words (G : GATES) : sig
   (** Translates a term, caching per node so DAG sharing carries over.
       The cache lives as long as the context, so persistent contexts
       (incremental solver sessions) re-encode only never-seen nodes. *)
-
-  val cached_terms : tctx -> int
-  (** Number of distinct nodes in the translation cache. *)
 end

@@ -116,15 +116,28 @@ let create () =
 
 let num_vars s = s.nvars
 let num_clauses s = s.n_live
-let num_learnt s = s.learnt_count
-let conflicts s = s.total_conflicts
-let propagations s = s.n_propagations
-let decisions s = s.n_decisions
-let restarts s = s.n_restarts
-let reductions s = s.n_reductions
-let learnt_kept s = s.n_learnt_kept
-let learnt_deleted s = s.n_learnt_deleted
 let encoded_clauses s = s.n_encoded
+
+type counters = {
+  conflicts : int;
+  propagations : int;
+  decisions : int;
+  restarts : int;
+  reductions : int;
+  learnt_kept : int;
+  learnt_deleted : int;
+}
+
+let counters s =
+  {
+    conflicts = s.total_conflicts;
+    propagations = s.n_propagations;
+    decisions = s.n_decisions;
+    restarts = s.n_restarts;
+    reductions = s.n_reductions;
+    learnt_kept = s.n_learnt_kept;
+    learnt_deleted = s.n_learnt_deleted;
+  }
 
 (* {1 Variable allocation} *)
 
@@ -746,12 +759,20 @@ let solve ?(assumptions = []) ?(budget = max_int) ?deadline s =
   if not (Obs.enabled () || Obs.metrics_enabled ()) then
     solve_inner ~assumptions ~budget ?deadline s
   else begin
-    let c0 = s.total_conflicts
-    and p0 = s.n_propagations
-    and d0 = s.n_decisions
-    and r0 = s.n_restarts
-    and g0 = s.n_reductions
-    and del0 = s.n_learnt_deleted in
+    let c0 = counters s in
+    (* this call's work: the counters now, less those at entry *)
+    let delta () =
+      let c = counters s in
+      {
+        conflicts = c.conflicts - c0.conflicts;
+        propagations = c.propagations - c0.propagations;
+        decisions = c.decisions - c0.decisions;
+        restarts = c.restarts - c0.restarts;
+        reductions = c.reductions - c0.reductions;
+        learnt_kept = c.learnt_kept - c0.learnt_kept;
+        learnt_deleted = c.learnt_deleted - c0.learnt_deleted;
+      }
+    in
     let r =
       Obs.span "sat.solve"
         ~args:
@@ -761,22 +782,24 @@ let solve ?(assumptions = []) ?(budget = max_int) ?deadline s =
             ("assumptions", Obs.Int (List.length assumptions));
           ]
         ~result:(fun r ->
+          let d = delta () in
           [
             ("result", Obs.Str (result_name r));
-            ("conflicts", Obs.Int (s.total_conflicts - c0));
-            ("propagations", Obs.Int (s.n_propagations - p0));
-            ("decisions", Obs.Int (s.n_decisions - d0));
-            ("restarts", Obs.Int (s.n_restarts - r0));
+            ("conflicts", Obs.Int d.conflicts);
+            ("propagations", Obs.Int d.propagations);
+            ("decisions", Obs.Int d.decisions);
+            ("restarts", Obs.Int d.restarts);
           ])
         (fun () -> solve_inner ~assumptions ~budget ?deadline s)
     in
+    let d = delta () in
     Obs.incr c_solves;
-    Obs.incr ~by:(s.total_conflicts - c0) c_conflicts;
-    Obs.incr ~by:(s.n_propagations - p0) c_propagations;
-    Obs.incr ~by:(s.n_decisions - d0) c_decisions;
-    Obs.incr ~by:(s.n_restarts - r0) c_restarts;
-    Obs.incr ~by:(s.n_reductions - g0) c_reduce_dbs;
-    Obs.incr ~by:(s.n_learnt_deleted - del0) c_learnt_deleted;
+    Obs.incr ~by:d.conflicts c_conflicts;
+    Obs.incr ~by:d.propagations c_propagations;
+    Obs.incr ~by:d.decisions c_decisions;
+    Obs.incr ~by:d.restarts c_restarts;
+    Obs.incr ~by:d.reductions c_reduce_dbs;
+    Obs.incr ~by:d.learnt_deleted c_learnt_deleted;
     r
   end
 

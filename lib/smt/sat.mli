@@ -29,38 +29,30 @@ val num_vars : t -> int
 val num_clauses : t -> int
 (** Clauses currently in the database, problem and learned. *)
 
-val num_learnt : t -> int
-(** Learned clauses currently in the database. *)
-
 val encoded_clauses : t -> int
 (** Cumulative problem clauses added through {!add_clause}, including
     those satisfied at level 0 or reduced to units, which never occupy a
     database slot.  It never shrinks, so incremental sessions difference it
     across [solve] calls to report how many clauses each check blasted. *)
 
-val conflicts : t -> int
-(** Total conflicts encountered across all [solve] calls. *)
+type counters = {
+  conflicts : int;  (** conflicts encountered *)
+  propagations : int;  (** literals propagated by unit propagation *)
+  decisions : int;  (** VSIDS decisions *)
+  restarts : int;  (** Luby restarts *)
+  reductions : int;  (** learned-clause database reductions *)
+  learnt_kept : int;
+      (** learned clauses surviving reduce rounds (each round adds the
+          post-reduction database size) *)
+  learnt_deleted : int;  (** learned clauses deleted by reduce rounds *)
+}
+(** The search counters, cumulative across all [solve] calls.  They only
+    grow, so the work of a stretch of calls is the field-wise difference
+    of two snapshots: each [solve] call's [sat.solve] trace span reports
+    its conflicts, propagations, decisions and restarts that way. *)
 
-val propagations : t -> int
-(** Literals propagated by unit propagation, cumulative across [solve]
-    calls.  Each [solve] call's [sat.solve] trace span reports the delta
-    together with {!decisions}, {!restarts}, and {!conflicts}. *)
-
-val decisions : t -> int
-(** VSIDS decisions made, cumulative across [solve] calls. *)
-
-val restarts : t -> int
-(** Luby restarts performed, cumulative across [solve] calls. *)
-
-val reductions : t -> int
-(** Learned-clause database reductions, cumulative across [solve] calls. *)
-
-val learnt_kept : t -> int
-(** Learned clauses surviving reduce rounds, cumulative (each reduce adds
-    the post-reduction database size). *)
-
-val learnt_deleted : t -> int
-(** Learned clauses deleted by reduce rounds, cumulative. *)
+val counters : t -> counters
+(** A snapshot of the search counters. *)
 
 val add_clause : t -> int list -> unit
 (** Adds a clause.  The empty clause (or a clause whose literals are all

@@ -37,6 +37,21 @@ let empty_stats =
     trivially_unsat = false;
   }
 
+(* The one field-wise combination of two statistics; [add_stats] sums
+   them, and a session's per-check delta subtracts its watermark *)
+let combine f a b =
+  {
+    sat_vars = f a.sat_vars b.sat_vars;
+    sat_clauses = f a.sat_clauses b.sat_clauses;
+    sat_conflicts = f a.sat_conflicts b.sat_conflicts;
+    sat_restarts = f a.sat_restarts b.sat_restarts;
+    sat_learnt_kept = f a.sat_learnt_kept b.sat_learnt_kept;
+    sat_learnt_deleted = f a.sat_learnt_deleted b.sat_learnt_deleted;
+    trivially_unsat = a.trivially_unsat || b.trivially_unsat;
+  }
+
+let add_stats = combine ( + )
+
 type outcome = Sat of model * stats | Unsat of stats | Unknown of stats
 
 let stats_of = function Sat (_, s) | Unsat s | Unknown s -> s
@@ -162,13 +177,7 @@ module Session = struct
     mutable trivially_false : bool;
         (* a permanently asserted term simplified to constant false: the
            session is dead without ever consulting the SAT solver *)
-    (* watermarks for per-check statistics deltas *)
-    mutable last_vars : int;
-    mutable last_clauses : int;
-    mutable last_conflicts : int;
-    mutable last_restarts : int;
-    mutable last_learnt_kept : int;
-    mutable last_learnt_deleted : int;
+    mutable mark : stats;  (* the totals the last check reported up to *)
   }
 
   type guard = int
@@ -176,22 +185,7 @@ module Session = struct
   let create () =
     let sat = Sat.create () in
     let blast = Blast.create sat in
-    {
-      sat;
-      blast;
-      ack = ack_create ();
-      trivially_false = false;
-      last_vars = 0;
-      last_clauses = 0;
-      last_conflicts = 0;
-      last_restarts = 0;
-      last_learnt_kept = 0;
-      last_learnt_deleted = 0;
-    }
-
-  (* cumulative count of problem clauses ever encoded, satisfied and unit
-     clauses included *)
-  let problem_clauses s = Sat.encoded_clauses s.sat
+    { sat; blast; ack = ack_create (); trivially_false = false; mark = empty_stats }
 
   (* Rewrites [t], extending the session's instance table; returns it with
      the congruence constraints its new instances owe, in discovery order. *)
@@ -248,59 +242,26 @@ module Session = struct
 
   let retract s g = Sat.add_clause s.sat [ -g ]
 
-  let take_stats ?(trivially_unsat = false) s =
-    let vars = Sat.num_vars s.sat in
-    let clauses = problem_clauses s in
-    let conflicts = Sat.conflicts s.sat in
-    let restarts = Sat.restarts s.sat in
-    let learnt_kept = Sat.learnt_kept s.sat in
-    let learnt_deleted = Sat.learnt_deleted s.sat in
-    let d =
-      {
-        sat_vars = vars - s.last_vars;
-        sat_clauses = clauses - s.last_clauses;
-        sat_conflicts = conflicts - s.last_conflicts;
-        sat_restarts = restarts - s.last_restarts;
-        sat_learnt_kept = learnt_kept - s.last_learnt_kept;
-        sat_learnt_deleted = learnt_deleted - s.last_learnt_deleted;
-        trivially_unsat;
-      }
-    in
-    s.last_vars <- vars;
-    s.last_clauses <- clauses;
-    s.last_conflicts <- conflicts;
-    s.last_restarts <- restarts;
-    s.last_learnt_kept <- learnt_kept;
-    s.last_learnt_deleted <- learnt_deleted;
-    d
-
-  (* One introspection snapshot instead of scattered accessors: the cache,
-     the obs instrumentation, and the tests all read the same record, so
-     adding a field means adding it in exactly one place. *)
-  type stats = {
-    vars : int;
-    clauses : int;
-    conflicts : int;
-    learnt : int;
-    restarts : int;
-    learnt_kept : int;
-    learnt_deleted : int;
-    cached_terms : int;
-    trivially_unsat : bool;
-  }
-
   let stats s =
+    let c = Sat.counters s.sat in
     {
-      vars = Sat.num_vars s.sat;
-      clauses = problem_clauses s;
-      conflicts = Sat.conflicts s.sat;
-      learnt = Sat.num_learnt s.sat;
-      restarts = Sat.restarts s.sat;
-      learnt_kept = Sat.learnt_kept s.sat;
-      learnt_deleted = Sat.learnt_deleted s.sat;
-      cached_terms = Blast.cached_terms s.blast;
+      sat_vars = Sat.num_vars s.sat;
+      sat_clauses = Sat.encoded_clauses s.sat;
+      sat_conflicts = c.Sat.conflicts;
+      sat_restarts = c.Sat.restarts;
+      sat_learnt_kept = c.Sat.learnt_kept;
+      sat_learnt_deleted = c.Sat.learnt_deleted;
       trivially_unsat = s.trivially_false;
     }
+
+  (* This check's statistics: the totals less the watermark, which then
+     moves up to them.  Poisoning is permanent, so [trivially_unsat] holds
+     exactly for the checks of a poisoned session. *)
+  let take_stats s =
+    let now = stats s in
+    let d = combine ( - ) now s.mark in
+    s.mark <- now;
+    d
 
   (* Model reconstruction.  Assignments are snapshotted eagerly, so the
      model stays valid after further asserts/retracts/checks on the same
@@ -362,7 +323,7 @@ module Session = struct
        happened. *)
     if List.exists Term.is_false assertions then s.trivially_false <- true
     else List.iter (assert_always s) assertions;
-    if s.trivially_false then Unsat (take_stats ~trivially_unsat:true s)
+    if s.trivially_false then Unsat (take_stats s)
     else begin
       (* Fault-injection hook: a planned spurious Unknown intercepts the
          check {e before} the SAT search, leaving the session untouched, so

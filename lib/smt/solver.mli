@@ -57,10 +57,16 @@ type stats = {
           budget bookkeeping can tell this apart from a genuine
           zero-conflict refutation *)
 }
-(** Per-check statistics.  Carried inside the {!outcome} rather than read
-    from process state, so concurrent checks cannot race. *)
+(** The one statistics type of solver work.  Each check carries its own
+    inside the {!outcome} rather than in process state, so concurrent
+    checks cannot race; {!Session.stats} reads a session's cumulative
+    totals in the same type, and {!add_stats} is the one way to sum
+    them. *)
 
 val empty_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum; [trivially_unsat] holds if it holds in either. *)
 
 type outcome = Sat of model * stats | Unsat of stats | Unknown of stats
 
@@ -134,31 +140,18 @@ module Session : sig
   (** [check_with ~assumptions s extra] permanently asserts the [extra]
       terms (like {!assert_always}) and then decides the session's
       asserted conjunction with the guarded assertions named by
-      [assumptions] enabled.  Statistics are per-check increments (see
-      {!stats}).  After [Unsat] under assumptions the session remains
+      [assumptions] enabled.  Statistics are per-check increments, which
+      sum to {!stats}.  After [Unsat] under assumptions the session remains
       usable with different assumptions; after [Sat] the returned model is
       a snapshot and stays valid across later asserts, retractions, and
       checks on the same session. *)
 
-  type stats = {
-    vars : int;  (** SAT variables allocated since [create] *)
-    clauses : int;
-        (** problem clauses encoded since [create] (cumulative; see
-            {!Sat.encoded_clauses}) *)
-    conflicts : int;  (** total conflicts across all checks *)
-    learnt : int;  (** learned clauses currently in the database *)
-    restarts : int;  (** total restarts across all checks *)
-    learnt_kept : int;  (** learned clauses surviving reduce rounds *)
-    learnt_deleted : int;  (** learned clauses deleted by reduce rounds *)
-    cached_terms : int;  (** size of the term → literals blasting cache *)
-    trivially_unsat : bool;  (** the session is poisoned by constant false *)
-  }
-  (** One introspection snapshot covering everything callers used to read
-      through individual accessors. *)
-
   val stats : t -> stats
-  (** Cumulative totals since [create] (not per-check deltas; those travel
-      inside each {!outcome}). *)
+  (** Cumulative totals since [create]: variables allocated, problem
+      clauses encoded ({!Sat.encoded_clauses}), and the search counters;
+      [trivially_unsat] says the session is poisoned by constant false.
+      Right after a check, they equal the sum ({!add_stats}) of every
+      per-check statistics the session has returned. *)
 end
 
 val read_lookup : model -> Term.mem -> Bitvec.t -> Bitvec.t option

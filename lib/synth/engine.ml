@@ -345,98 +345,7 @@ let model_satisfies model terms =
   let env = model_env model in
   List.for_all (fun t -> Bitvec.is_ones (Term.eval env t)) terms
 
-(* {1 The resilient query ladder}
-
-   One logical query runs as up to [retries + 1] attempts (see
-   {!Resilience}): escalating conflict budgets, per-task deadline slices,
-   and a final attempt that degrades from the incremental session to a
-   fresh one-shot solver.  [check] performs the query in its primary mode;
-   [fresh] re-states the same query against a fresh solver (the degraded
-   mode); [validate] lazily names the terms any [Sat] model must satisfy
-   concretely when model validation is on.
-
-   An [Unknown] on a non-final attempt retries one rung up; on the final
-   attempt it raises [Stop (Timeout _)] — the ladder is the only place
-   that turns solver Unknowns into engine timeouts ([verify] reads them
-   as Inconclusive).  A validation failure retries like an Unknown,
-   except that it always earns a fresh-solver rung (even with
-   [retries = 0] the engine never emits bindings from an unvalidated
-   model just because retrying is disabled), and a failure
-   {e on} the fresh rung is a hard error: at that point the model came
-   from a stateless solver, so something is wrong beyond a transient. *)
-let resilient run ~check ~fresh ~validate =
-  let p = run.opts.recovery in
-  let total = run.opts.conflict_budget in
-  let rec go attempt =
-    let remaining = budget_remaining run in
-    (* [attempt] exceeds the ladder's length only on the bonus validation
-       rung *)
-    let rung = min attempt (Resilience.attempts p) in
-    let final = Resilience.is_final p ~attempt in
-    let use_fresh = attempt > 1 && final in
-    let budget = Resilience.attempt_budget p ~total ~remaining ~attempt:rung in
-    let deadline =
-      Resilience.slice_deadline p ~now:(now ()) ~hard:(query_deadline run)
-        ~tasks_left:(Atomic.get run.tasks_left) ~attempt:rung
-    in
-    if use_fresh then begin
-      run.stats.degraded_queries <- run.stats.degraded_queries + 1;
-      if Obs.recording () then
-        Obs.instant "resilience.degrade" ~args:[ ("attempt", Obs.Int attempt) ]
-    end;
-    let result =
-      Obs.span "resilience.attempt"
-        ~args:
-          [
-            ("attempt", Obs.Int attempt);
-            ("budget", Obs.Int budget);
-            ("fresh", Obs.Bool use_fresh);
-          ]
-        ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
-        (fun () ->
-          if use_fresh then fresh ~budget ?deadline ()
-          else check ~budget ?deadline ())
-    in
-    account run (Solver.stats_of result);
-    match result with
-    | Solver.Unknown _ ->
-        if final then raise (Stop (Timeout run.stats))
-        else begin
-          run.stats.retried_queries <- run.stats.retried_queries + 1;
-          if Obs.recording () then
-            Obs.instant "resilience.retry"
-              ~args:
-                [ ("attempt", Obs.Int attempt); ("reason", Obs.Str "unknown") ];
-          go (attempt + 1)
-        end
-    | Solver.Sat (m, _)
-      when p.Resilience.validate_models
-           && not (model_satisfies m (validate ())) ->
-        run.stats.validation_failures <- run.stats.validation_failures + 1;
-        if Obs.recording () then
-          Obs.instant "resilience.validation_failure"
-            ~args:
-              [ ("attempt", Obs.Int attempt); ("fresh", Obs.Bool use_fresh) ];
-        if use_fresh then
-          fail
-            "model validation failed on a fresh solver (persistent fault or \
-             solver bug)"
-        else begin
-          run.stats.retried_queries <- run.stats.retried_queries + 1;
-          if Obs.recording () then
-            Obs.instant "resilience.retry"
-              ~args:
-                [
-                  ("attempt", Obs.Int attempt);
-                  ("reason", Obs.Str "validation_failure");
-                ];
-          go (attempt + 1)
-        end
-    | r -> r
-  in
-  go 1
-
-(* {1 Incremental or fresh}
+(* {1 Lanes: incremental or fresh, on the resilient ladder}
 
    The one place [options.incremental] is read.  A lane carries one stream
    of related queries: one verify target's successive candidates, or one
@@ -444,27 +353,92 @@ let resilient run ~check ~fresh ~validate =
    session — SAT state, the blasting cache and learned clauses survive from
    query to query; otherwise it is nothing, and every query re-encodes its
    terms on a one-shot solver.  A lane is created by the loop that uses it
-   and becomes garbage when that loop returns.
-
-   Either way a query climbs the resilient ladder, and its degraded rung
-   and model validation see the whole logical query as plain terms. *)
+   and becomes garbage when that loop returns. *)
 module Lane = struct
   let create (o : options) =
     if o.incremental then Some (Solver.Session.create ()) else None
 
-  (* Is the conjunction of [terms] satisfiable?  A session must already
-     hold [terms] — permanently, or behind the [assumptions] guards; a
-     fresh lane sends them now. *)
+  (* Is the conjunction of [terms] satisfiable?  [Some m] with a model, or
+     [None].  A session must already hold [terms] — permanently, or behind
+     the [assumptions] guards; a fresh lane sends them now.
+
+     One query runs as up to [retries + 1] attempts (see {!Resilience}):
+     escalating conflict budgets, per-task deadline slices, and a final
+     attempt that degrades from the session to a one-shot solver of
+     [terms].  With model validation on, a [Sat] model must satisfy
+     [terms] concretely.
+
+     An [Unknown] on a non-final attempt retries one rung up; on the final
+     attempt it raises [Stop (Timeout _)] — the ladder is the only place
+     that turns solver Unknowns into engine timeouts ([verify] reads them
+     as Inconclusive), so no caller sees one.  A validation failure
+     retries like an Unknown, except that it always earns a fresh-solver
+     rung (even with [retries = 0] the engine never emits bindings from an
+     unvalidated model just because retrying is disabled), and a failure
+     {e on} the fresh rung is a hard error: at that point the model came
+     from a stateless solver, so something is wrong beyond a transient. *)
   let check run ?(assumptions = []) lane terms =
-    let fresh ~budget ?deadline () = Solver.check ~budget ?deadline terms in
-    let check =
-      match lane with
-      | None -> fresh
-      | Some s ->
-          fun ~budget ?deadline () ->
-            Solver.Session.check_with ~assumptions ~budget ?deadline s []
+    let p = run.opts.recovery in
+    let total = run.opts.conflict_budget in
+    let rec go attempt =
+      let remaining = budget_remaining run in
+      (* [attempt] exceeds the ladder's length only on the bonus
+         validation rung *)
+      let rung = min attempt (Resilience.attempts p) in
+      let final = Resilience.is_final p ~attempt in
+      let use_fresh = attempt > 1 && final in
+      let budget = Resilience.attempt_budget p ~total ~remaining ~attempt:rung in
+      let deadline =
+        Resilience.slice_deadline p ~now:(now ()) ~hard:(query_deadline run)
+          ~tasks_left:(Atomic.get run.tasks_left) ~attempt:rung
+      in
+      if use_fresh then begin
+        run.stats.degraded_queries <- run.stats.degraded_queries + 1;
+        if Obs.recording () then
+          Obs.instant "resilience.degrade" ~args:[ ("attempt", Obs.Int attempt) ]
+      end;
+      let result =
+        Obs.span "resilience.attempt"
+          ~args:
+            [
+              ("attempt", Obs.Int attempt);
+              ("budget", Obs.Int budget);
+              ("fresh", Obs.Bool use_fresh);
+            ]
+          ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
+          (fun () ->
+            match lane with
+            | Some s when not use_fresh ->
+                Solver.Session.check_with ~assumptions ~budget ?deadline s []
+            | _ -> Solver.check ~budget ?deadline terms)
+      in
+      account run (Solver.stats_of result);
+      match result with
+      | Solver.Unknown _ ->
+          if final then raise (Stop (Timeout run.stats))
+          else retry attempt "unknown"
+      | Solver.Sat (m, _)
+        when p.Resilience.validate_models && not (model_satisfies m terms) ->
+          run.stats.validation_failures <- run.stats.validation_failures + 1;
+          if Obs.recording () then
+            Obs.instant "resilience.validation_failure"
+              ~args:
+                [ ("attempt", Obs.Int attempt); ("fresh", Obs.Bool use_fresh) ];
+          if use_fresh then
+            fail
+              "model validation failed on a fresh solver (persistent fault or \
+               solver bug)"
+          else retry attempt "validation_failure"
+      | Solver.Sat (m, _) -> Some m
+      | Solver.Unsat _ -> None
+    and retry attempt reason =
+      run.stats.retried_queries <- run.stats.retried_queries + 1;
+      if Obs.recording () then
+        Obs.instant "resilience.retry"
+          ~args:[ ("attempt", Obs.Int attempt); ("reason", Obs.Str reason) ];
+      go (attempt + 1)
     in
-    resilient run ~check ~fresh ~validate:(fun () -> terms)
+    go 1
 
   (* Is the hole-free formula [v] satisfiable?  A session takes [v] behind
      a fresh activation literal and retracts it afterwards: the stale
@@ -592,11 +566,8 @@ let cegis run ~instr ~targets ~corrects candidate =
       ~args:[ ("instr", Obs.Str label) ]
       ~result:(fun r -> [ ("counterexample", Obs.Bool (r <> None)) ])
       (fun () ->
-        let v = Term.substitute (candidate_env run candidate) violation in
-        match Lane.check_candidate run lane v with
-        | Solver.Sat (m, _) -> Some m
-        | Solver.Unsat _ -> None
-        | Solver.Unknown _ -> fail "internal: resilient query returned Unknown")
+        Lane.check_candidate run lane
+          (Term.substitute (candidate_env run candidate) violation))
   in
   let synth_with added =
     constraints := added @ !constraints;
@@ -607,15 +578,15 @@ let cegis run ~instr ~targets ~corrects candidate =
             ("instr", Obs.Str label);
             ("constraints", Obs.Int (List.length !constraints));
           ]
-        ~result:(fun r -> [ ("result", Obs.Str (Solver.outcome_name r)) ])
+        ~result:(fun r ->
+          [ ("result", Obs.Str (if Option.is_some r then "sat" else "unsat")) ])
         (fun () ->
           Lane.assert_all synth_lane (List.rev added);
           Lane.check run synth_lane !constraints)
     in
     match result with
-    | Solver.Sat (m, _) -> refresh_table candidate m
-    | Solver.Unsat _ -> raise (Stop (Unrealizable { instr; stats = run.stats }))
-    | Solver.Unknown _ -> fail "internal: resilient query returned Unknown"
+    | Some m -> refresh_table candidate m
+    | None -> raise (Stop (Unrealizable { instr; stats = run.stats }))
   in
   (* the iteration span closes before the recursive call, so nesting
      depth stays constant however many rounds run *)
@@ -715,9 +686,8 @@ let refined_check run lane c v =
   let lane = if Refine.is_empty pins then lane else None in
   match Lane.check_candidate run lane (Refine.apply pins v) with
   | exception Stop _ -> Inconclusive
-  | Solver.Unsat _ -> Verified
-  | Solver.Unknown _ -> Inconclusive
-  | Solver.Sat (m, _) -> Violated m
+  | None -> Verified
+  | Some m -> Violated m
 
 (* Bounded refinement checking of a completed design, instruction by
    instruction. *)
@@ -753,8 +723,7 @@ let verify ?(options = default_options) ?cancel (problem : problem) :
                query is cheap. *)
             match Lane.check run None [ violation ] with
             | exception Stop _ -> Violated m
-            | Solver.Sat (m', _) -> Violated m'
-            | Solver.Unsat _ | Solver.Unknown _ -> Violated m)
+            | r -> Violated (Option.value r ~default:m))
         | v -> v ))
     conds
 
@@ -943,11 +912,10 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
           solver (both re-entrant) and the conflict-budget counter.  The
           lanes are per task, not per worker, so the query sequence each
           one sees is independent of the dynamic schedule and the bindings
-          are identical for any [jobs].  The merge is deterministic: results
-          land in instruction order, and on failure the lowest-indexed
-          failing instruction is reported — the same one the serial
-          schedule blames. *)
-       let failed = Atomic.make false in
+          are identical for any [jobs].  Every schedule runs every task,
+          and the merge is deterministic: results land in instruction
+          order, and on failure the lowest-indexed failing instruction is
+          reported, so outcome and stats are the same for any [jobs]. *)
        let task () ((c : Ila.Conditions.conditions), correct, violation) =
          let iname = c.Ila.Conditions.instr_name in
          Obs.span "cegis.instr"
@@ -956,39 +924,29 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
              [
                ( "status",
                  Obs.Str
-                   (match r with
-                   | `Solved _ -> "solved"
-                   | `Skipped -> "skipped"
-                   | `Stopped _ -> "stopped") );
+                   (match r with `Solved _ -> "solved" | `Stopped _ -> "stopped")
+               );
                ("iterations", Obs.Int ts.iterations);
                ("queries", Obs.Int ts.queries);
              ])
          @@ fun () ->
          let trun = { run with stats = fresh_stats () } in
-         (* serial fallback keeps the historical early exit; parallel
-            workers run to completion so blame stays deterministic *)
-         if options.jobs = 1 && Atomic.get failed then
-           (`Skipped, trun.stats)
-         else begin
-           let holes = hole_vars_of_instr iname in
-           let local : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 16 in
-           List.iter (fun (n, w) -> Hashtbl.replace local n (Bitvec.zero w)) holes;
-           let solve () =
-             match options.cache with
-             | None ->
-                 ignore
-                   (cegis trun ~instr:(Some iname) ~targets:[ violation ]
-                      ~corrects:[ correct ] local)
-             | Some cache ->
-                 cached_cegis trun cache ~instr:iname ~holes ~correct
-                   ~violation local
-           in
-           match solve () with
-           | () -> (`Solved local, trun.stats)
-           | exception Stop o ->
-               Atomic.set failed true;
-               (`Stopped o, trun.stats)
-         end
+         let holes = hole_vars_of_instr iname in
+         let local : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 16 in
+         List.iter (fun (n, w) -> Hashtbl.replace local n (Bitvec.zero w)) holes;
+         let solve () =
+           match options.cache with
+           | None ->
+               ignore
+                 (cegis trun ~instr:(Some iname) ~targets:[ violation ]
+                    ~corrects:[ correct ] local)
+           | Some cache ->
+               cached_cegis trun cache ~instr:iname ~holes ~correct ~violation
+                 local
+         in
+         match solve () with
+         | () -> (`Solved local, trun.stats)
+         | exception Stop o -> (`Stopped o, trun.stats)
        in
        let results = fan_out run ~make:ignore task formulas in
        (* deterministic merge, in instruction order *)
@@ -1003,7 +961,7 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
        List.iter
          (function
            | `Solved local, _ -> Hashtbl.iter (Hashtbl.replace candidate) local
-           | (`Skipped | `Stopped _), _ -> ())
+           | `Stopped _, _ -> ())
          results
      end
      else

@@ -227,11 +227,13 @@ val synthesize :
     field so [options] stays a first-class, comparable, serializable
     value.  With [options.jobs > 1] and no
     [Shared] holes, the independent per-instruction loops are fanned out
-    over a {!Pool} of worker domains; results are merged deterministically
-    (same [bindings]/[per_instr] as the serial schedule, stats summed
-    across workers, the lowest-indexed failing instruction blamed on
-    failure).  When [Shared] holes force joint synthesis, or [jobs = 1],
-    the serial path runs unchanged.  The [conflict_budget] is global to
+    over a {!Pool} of worker domains.  Every schedule, [jobs = 1]
+    included, runs every instruction's loop even after one fails, and
+    merges deterministically: [bindings]/[per_instr] in instruction
+    order, stats summed over every loop, the lowest-indexed failing
+    instruction blamed on failure.  So the outcome and its stats are the
+    same for any [jobs].  When [Shared] holes force joint synthesis, the
+    one serial loop ignores [jobs].  The [conflict_budget] is global to
     the call; under parallel schedules the exact query at which an
     exhausted budget is noticed may vary, but unlimited-budget runs are
     bit-for-bit deterministic.

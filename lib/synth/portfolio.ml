@@ -37,17 +37,6 @@ let read_tally (t : tally) : summary =
 
 let c_cubes = Obs.counter "portfolio.cubes"
 
-let add_stats (a : Solver.stats) (b : Solver.stats) : Solver.stats =
-  {
-    sat_vars = a.sat_vars + b.sat_vars;
-    sat_clauses = a.sat_clauses + b.sat_clauses;
-    sat_conflicts = a.sat_conflicts + b.sat_conflicts;
-    sat_restarts = a.sat_restarts + b.sat_restarts;
-    sat_learnt_kept = a.sat_learnt_kept + b.sat_learnt_kept;
-    sat_learnt_deleted = a.sat_learnt_deleted + b.sat_learnt_deleted;
-    trivially_unsat = a.trivially_unsat || b.trivially_unsat;
-  }
-
 (* {1 Splitting} *)
 
 (* Flatten a width-1 or-tree into its disjuncts (left-to-right, so the
@@ -133,7 +122,7 @@ let check ?(options = default) ?tally ?strategy:_ ~jobs terms =
       in
       let stats =
         List.fold_left
-          (fun acc o -> add_stats acc (Solver.stats_of o))
+          (fun acc o -> Solver.add_stats acc (Solver.stats_of o))
           Solver.empty_stats solved
       in
       let count p = List.length (List.filter p solved) in
@@ -145,7 +134,13 @@ let check ?(options = default) ?tally ?strategy:_ ~jobs terms =
               t.cubes <- t.cubes + ncubes;
               t.cubes_unsat <- t.cubes_unsat + n_unsat))
         tally;
-      if n_sat > 0 then Solver.check terms
+      if n_sat > 0 then
+        (* the model comes from the sequential re-check; the statistics
+           count the cubes' work as well *)
+        match Solver.check terms with
+        | Solver.Sat (m, st) -> Solver.Sat (m, Solver.add_stats stats st)
+        | Solver.Unsat st -> Solver.Unsat (Solver.add_stats stats st)
+        | Solver.Unknown st -> Solver.Unknown (Solver.add_stats stats st)
       else if n_unsat = ncubes then Solver.Unsat stats
       else Solver.Unknown stats
   | _ -> Solver.check terms

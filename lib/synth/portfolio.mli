@@ -54,6 +54,6 @@ val check :
     (default: sequential).  [strategy] selects nothing: the SAT core has
     no configuration, and the argument is kept only because the benchmark
     harness passes it.  [jobs] bounds the domains serving the cubes.
-    Statistics on an Unsat or Unknown outcome sum the work of all cubes
-    solved.  Raises like {!Solver.check} on non-width-1
+    Statistics sum the work of all cubes solved and, on a Sat outcome,
+    of the sequential re-check.  Raises like {!Solver.check} on non-width-1
     terms. *)

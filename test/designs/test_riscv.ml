@@ -77,8 +77,8 @@ let test_fig7_lw_shape () =
 
 (* The oracle must see what registers alone miss: a core that never
    stores leaves every register right and data memory wrong.  The seeds
-   are `owl cosim`'s ([| seed; 4096 |]): each of those programs stores at
-   least four times, while [cosim]'s seed 2 (salt 99) draws no store. *)
+   are `owl cosim`'s ([| seed; 4096 |]); every random program stores on
+   every path (checked below). *)
 let test_oracle_catches_dropped_stores () =
   let variant = Isa.Rv32.RV32I in
   let bindings =
@@ -98,6 +98,35 @@ let test_oracle_catches_dropped_stores () =
       | Ok () -> Alcotest.failf "seed %d: a store-less core passed" seed
       | Error _ -> ())
     [ 1; 2; 3; 4; 5 ]
+
+(* Every random program stores on every path: the instruction at index
+   [len] is a store, and no forward branch jumps past it.  The salts are
+   [cosim]'s (99) and `owl cosim`'s (4096). *)
+let test_programs_store () =
+  let len = 40 in
+  List.iter
+    (fun salt ->
+      List.iter
+        (fun seed ->
+          let what = Printf.sprintf "salt %d seed %d" salt seed in
+          let program =
+            Array.of_list
+              (Designs.Testbench.random_program
+                 (Random.State.make [| seed; salt |])
+                 Isa.Rv32.RV32I ~len)
+          in
+          Alcotest.(check int) (what ^ ": store at index len") Isa.Rv32.op_store
+            (Isa.Rv32.get_opcode program.(len));
+          Array.iteri
+            (fun i w ->
+              if Isa.Rv32.get_opcode w = Isa.Rv32.op_branch then begin
+                let target = i + (Bitvec.to_int_exn (Isa.Rv32.imm_b w) / 4) in
+                if target > len then
+                  Alcotest.failf "%s: branch at %d skips to %d" what i target
+              end)
+            program)
+        [ 1; 2; 3; 4; 5 ])
+    [ 99; 4096 ]
 
 (* {1 Two-stage core} *)
 
@@ -166,7 +195,9 @@ let () =
            (test_single_synthesis Isa.Rv32.RV32I_M);
          Alcotest.test_case "Fig. 7 LW control" `Quick test_fig7_lw_shape;
          Alcotest.test_case "oracle catches dropped stores" `Quick
-           test_oracle_catches_dropped_stores ]);
+           test_oracle_catches_dropped_stores;
+         Alcotest.test_case "random programs always store" `Quick
+           test_programs_store ]);
       ("two-stage",
        [ Alcotest.test_case "reference vs ISS" `Quick test_two_stage_reference_cosim;
          Alcotest.test_case "synthesized vs ISS" `Quick test_two_stage_synthesis;

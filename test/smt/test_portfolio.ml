@@ -113,6 +113,28 @@ let test_tally () =
   Alcotest.(check int) "all cubes refuted" s.Synth.Portfolio.cubes
     s.Synth.Portfolio.cubes_unsat
 
+(* A satisfiable split returns the sequential re-check's model, and its
+   statistics count the cubes' work on top of the re-check's. *)
+let test_sat_stats () =
+  let query = [ bands ] in
+  let seq = Solver.check query in
+  match
+    ( seq,
+      Synth.Portfolio.check
+        ~options:Synth.Portfolio.(default |> with_cube_vars 2)
+        ~jobs:1 query )
+  with
+  | Solver.Sat (m1, st_seq), Solver.Sat (m2, st) ->
+      Alcotest.(check bool) "same model" true
+        (models_agree [ ("pf_a", 8) ] m1 m2);
+      Alcotest.(check bool) "cube variables counted" true
+        (st.Solver.sat_vars > st_seq.Solver.sat_vars);
+      Alcotest.(check bool) "cube clauses counted" true
+        (st.Solver.sat_clauses > st_seq.Solver.sat_clauses);
+      Alcotest.(check bool) "re-check conflicts counted" true
+        (st.Solver.sat_conflicts >= st_seq.Solver.sat_conflicts)
+  | _ -> Alcotest.fail "expected sat both ways"
+
 let () =
   Alcotest.run "portfolio"
     [
@@ -123,5 +145,7 @@ let () =
           Alcotest.test_case "prime refuted all modes" `Quick
             test_prime_refuted;
           Alcotest.test_case "tally accounting" `Quick test_tally;
+          Alcotest.test_case "sat split counts cube work" `Quick
+            test_sat_stats;
         ] );
     ]

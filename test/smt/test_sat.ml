@@ -262,10 +262,11 @@ let test_passes_engage () =
   let s = pigeonhole 9 8 in
   Alcotest.(check bool) "budget exhausts" true
     (Sat.solve ~budget:10000 s = Sat.Unknown);
-  Alcotest.(check bool) "restarts happened" true (Sat.restarts s > 0);
-  Alcotest.(check bool) "reduce_db ran" true (Sat.reductions s > 0);
-  Alcotest.(check bool) "learnt clauses kept" true (Sat.learnt_kept s > 0);
-  Alcotest.(check bool) "learnt clauses deleted" true (Sat.learnt_deleted s > 0)
+  let c = Sat.counters s in
+  Alcotest.(check bool) "restarts happened" true (c.Sat.restarts > 0);
+  Alcotest.(check bool) "reduce_db ran" true (c.Sat.reductions > 0);
+  Alcotest.(check bool) "learnt clauses kept" true (c.Sat.learnt_kept > 0);
+  Alcotest.(check bool) "learnt clauses deleted" true (c.Sat.learnt_deleted > 0)
 
 (* Best-phase rephasing is gone; the saved phases it used to overwrite
    remain.  Re-solving a satisfied instance that took conflicts and
@@ -282,11 +283,12 @@ let test_rephase_engages () =
   in
   let s = mk_solver nvars clauses in
   Alcotest.(check bool) "first solve sat" true (Sat.solve s = Sat.Sat);
-  Alcotest.(check bool) "search took conflicts" true (Sat.conflicts s > 0);
+  let conflicts () = (Sat.counters s).Sat.conflicts in
+  Alcotest.(check bool) "search took conflicts" true (conflicts () > 0);
   let model () = List.init nvars (fun v -> Sat.value s (v + 1)) in
-  let first = model () and conflicts = Sat.conflicts s in
+  let first = model () and before = conflicts () in
   Alcotest.(check bool) "second solve sat" true (Sat.solve s = Sat.Sat);
-  Alcotest.(check int) "no further conflicts" conflicts (Sat.conflicts s);
+  Alcotest.(check int) "no further conflicts" before (conflicts ());
   Alcotest.(check bool) "same model" true (model () = first)
 
 let test_budget () =
@@ -343,8 +345,9 @@ let test_reduction_then_resolve () =
   in
   Alcotest.(check bool) "php 9 8 under assumption" true
     (Sat.solve ~assumptions:[ a ] s = Sat.Unsat);
-  Alcotest.(check bool) "reduce_db ran" true (Sat.reductions s > 0);
-  Alcotest.(check bool) "learnt clauses deleted" true (Sat.learnt_deleted s > 0);
+  let c = Sat.counters s in
+  Alcotest.(check bool) "reduce_db ran" true (c.Sat.reductions > 0);
+  Alcotest.(check bool) "learnt clauses deleted" true (c.Sat.learnt_deleted > 0);
   agree "no assumptions" [];
   agree "hole open" [ -a ];
   agree "hole closed" [ a ];
