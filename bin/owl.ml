@@ -38,6 +38,7 @@ let core (problem, reference) description variant =
 
 let registry : (string * entry) list =
   let single = Designs.Riscv_single.(problem, reference_design) in
+  let two_stage = Designs.Riscv_two_stage.(problem, reference_design) in
   [ ("accumulator",
      entry "FSM accumulator machine (paper Fig. 3)"
        Designs.Accumulator.problem Designs.Accumulator.reference_design);
@@ -54,8 +55,13 @@ let registry : (string * entry) list =
     ("rv32-single-zbkc",
      core single "single-cycle RV32I+Zbkb+Zbkc core" Isa.Rv32.RV32I_Zbkc);
     ("rv32-two-stage",
-     core Designs.Riscv_two_stage.(problem, reference_design)
-       "two-stage pipelined RV32I core (paper 4.1.2)" Isa.Rv32.RV32I);
+     core two_stage "two-stage pipelined RV32I core (paper 4.1.2)"
+       Isa.Rv32.RV32I);
+    ("rv32-two-stage-zbkb",
+     core two_stage "two-stage pipelined RV32I+Zbkb core" Isa.Rv32.RV32I_Zbkb);
+    ("rv32-two-stage-zbkc",
+     core two_stage "two-stage pipelined RV32I+Zbkb+Zbkc core"
+       Isa.Rv32.RV32I_Zbkc);
     ("crypto-core",
      entry ~iss:(Isa.Rv32.RV32I_Zbkb, `Cmov)
        "three-stage constant-time cryptography core (paper 4.2)"
@@ -105,7 +111,7 @@ let report_verdicts ?(hot = false) rows =
 let list_cmd =
   let run () =
     List.iter
-      (fun (name, e) -> Printf.printf "%-18s %s\n" name e.description)
+      (fun (name, e) -> Printf.printf "%-19s %s\n" name e.description)
       registry
   in
   Cmd.v (Cmd.info "list" ~doc:"List the bundled case-study designs")
@@ -319,23 +325,25 @@ let cosim_cmd =
 let independence_cmd =
   let run name =
     let problem = (resolve name).problem () in
-    let excl, fb, independent = Synth.Engine.independence problem in
-    let n = List.length (Ila.Spec.instructions problem.Synth.Engine.spec) in
-    Printf.printf "%d instructions, %d precondition pairs checked\n" n
-      (n * (n - 1) / 2);
-    (match excl.Synth.Independence.overlapping with
-    | [] -> print_endline "mutually exclusive preconditions: yes"
-    | l ->
-        Printf.printf "OVERLAPPING pairs: %s\n"
-          (String.concat ", " (List.map (fun (a, b) -> a ^ "/" ^ b) l)));
-    (match fb.Synth.Independence.feedback_paths with
-    | [] -> print_endline "no control feedback: yes"
-    | l ->
+    Printf.printf "%d instructions, mutual exclusion decided by one query\n"
+      (List.length (Ila.Spec.instructions problem.Synth.Engine.spec));
+    match Synth.Engine.independence problem with
+    | None ->
+        print_endline "mutually exclusive preconditions: inconclusive";
+        exit_outcome "timeout"
+    | Some { Synth.Engine.overlapping; feedback } ->
+        if overlapping = [] then
+          print_endline "mutually exclusive preconditions: yes"
+        else
+          Printf.printf "OVERLAPPING pairs: %s\n"
+            (String.concat ", "
+               (List.map (fun (a, b) -> a ^ "/" ^ b) overlapping));
         List.iter
           (fun (src, wire, dst) ->
             Printf.printf "FEEDBACK: hole %s -> wire %s -> hole %s\n" src wire dst)
-          l);
-    if not independent then exit 1
+          feedback;
+        if feedback = [] then print_endline "no control feedback: yes";
+        if overlapping <> [] || feedback <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "independence"

@@ -259,10 +259,10 @@ let variant key cases =
    exactly where a native caller would be.  Unlimited is [max_int]
    natively, which JSON's doubles cannot carry exactly, so null is the
    wire spelling of "no budget".  [cache] never crosses the wire: which
-   store backs a request is the server's decision.  The "strategy",
-   "portfolio" and "sat" objects of older peers are ignored, so such a
-   frame decodes to the same options — and the same hot-tier
-   fingerprint — as one without them. *)
+   store backs a request is the server's decision.  Older peers' members
+   — the "strategy", "portfolio" and "sat" objects and the independence
+   switch — are ignored, so such a frame decodes to the same options, and
+   the same hot-tier fingerprint, as one without them. *)
 
 module E = Synth.Engine
 module R = Synth.Resilience
@@ -275,12 +275,11 @@ let options =
   let c =
     record
       (obj (fun mode jobs budget iterations deadline retries factor validate
-                check_independence incremental ->
+                incremental ->
            E.(default_options |> with_mode mode |> with_jobs jobs
               |> with_conflict_budget budget |> with_max_iterations iterations
               |> with_deadline deadline |> with_retries retries
               |> with_escalation_factor factor |> with_validate_models validate
-              |> with_check_independence check_independence
               |> with_incremental incremental))
       |> mem "mode"
            (enum [ ("per_instruction", E.Per_instruction); ("monolithic", E.Monolithic) ])
@@ -293,7 +292,6 @@ let options =
       |> mem "retries" int (fun o -> o.E.recovery.R.retries)
       |> mem "escalation_factor" int (fun o -> o.E.recovery.R.escalation_factor)
       |> mem "validate_models" bool (fun o -> o.E.recovery.R.validate_models)
-      |> mem "check_independence" bool (fun o -> o.E.check_independence)
       |> mem "incremental" bool (fun o -> o.E.incremental))
   in
   { c with dec = (fun v ->

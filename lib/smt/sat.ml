@@ -16,11 +16,13 @@ type result = Sat | Unsat | Unknown
 module Vec = struct
   type t = { mutable data : int array; mutable len : int }
 
-  let create () = { data = Array.make 16 0; len = 0 }
+  (* Empty until the first push: a solver keeps a watch vec per literal,
+     and most of them hold a few watches or none. *)
+  let create () = { data = [||]; len = 0 }
 
   let push v x =
     if v.len = Array.length v.data then begin
-      let d = Array.make (2 * v.len) 0 in
+      let d = Array.make (max 4 (2 * v.len)) 0 in
       Array.blit v.data 0 d 0 v.len;
       v.data <- d
     end;

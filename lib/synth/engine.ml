@@ -40,10 +40,6 @@ type options = {
   max_iterations : int;  (* CEGIS rounds per loop *)
   deadline_seconds : float option;  (* wall-clock timeout *)
   recovery : Resilience.policy;
-  check_independence : bool;
-      (* verify the instruction-independence preconditions (paper 3.3.1)
-         before synthesizing; abstraction-function assume wires act as the
-         permitted feedback cuts *)
   incremental : bool;
       (* reuse one solver session per CEGIS loop (SAT state, blasting
          cache, learned clauses survive across iterations) instead of a
@@ -61,7 +57,6 @@ let default_options =
     max_iterations = 256;
     deadline_seconds = None;
     recovery = Resilience.default;
-    check_independence = false;
     incremental = true;
     cache = None;
   }
@@ -104,7 +99,6 @@ let with_escalation_factor escalation_factor o =
 let with_validate_models validate_models o =
   { o with recovery = { o.recovery with Resilience.validate_models } }
 
-let with_check_independence check_independence o = { o with check_independence }
 let with_incremental incremental o = { o with incremental }
 let with_cache cache o = { o with cache }
 
@@ -183,17 +177,6 @@ let symbolic_trace (problem : problem) =
 let compile_conditions (problem : problem) trace =
   Obs.span "synth.conditions" (fun () ->
       Ila.Conditions.compile problem.spec problem.af trace)
-
-(* The §3.3.1 gate; assume wires are the permitted feedback cuts. *)
-let independence_gate (problem : problem) conds =
-  Obs.span "synth.independence" (fun () ->
-      Independence.independent
-        ~allowed_cuts:(List.map fst problem.af.Ila.Absfun.assumes)
-        problem.design conds)
-
-let independence problem =
-  independence_gate problem
-    (compile_conditions problem (symbolic_trace problem))
 
 (* {1 Internal bookkeeping} *)
 
@@ -458,6 +441,44 @@ module Lane = struct
   let assert_all lane ts =
     Option.iter (fun s -> List.iter (Solver.Session.assert_always s) ts) lane
 end
+
+(* {1 The §3.3.1 gate}
+
+   Mutual exclusion is one query on the run's ladder: its deadline, cancel
+   token, conflict budget, fault plan and model validation apply, and an
+   exhausted ladder raises [Stop (Timeout _)].  The query's work is tallied
+   on a private [stats], reported on the span and never merged into the
+   run's, so a run that passes the gate keeps its stats.  Assume wires are
+   the permitted feedback cuts. *)
+
+type independence_report = {
+  overlapping : (string * string) list;
+  feedback : (string * string * string) list;
+}
+
+let independence_gate run (problem : problem) conds =
+  let grun = { run with stats = fresh_stats () } in
+  Obs.span "synth.independence"
+    ~result:(fun _ ->
+      [ ("queries", Obs.Int grun.stats.queries);
+        ("conflicts", Obs.Int grun.stats.conflicts);
+        ("retried_queries", Obs.Int grun.stats.retried_queries) ])
+  @@ fun () ->
+  let cuts = List.map fst problem.af.Ila.Absfun.assumes in
+  {
+    overlapping =
+      (match Lane.check grun None [ Independence.exclusion_violation conds ] with
+      | None -> []
+      | Some m -> Independence.co_decoding (model_env m) conds);
+    feedback =
+      (Independence.check_no_feedback ~allowed_cuts:cuts problem.design)
+        .Independence.feedback_paths;
+  }
+
+let independence problem =
+  let conds = compile_conditions problem (symbolic_trace problem) in
+  try Some (independence_gate (new_run default_options problem) problem conds)
+  with Stop _ -> None
 
 (* The solver variable (and width) of hole [h] in [trace]; a hole no
    statement uses gets the name it would have had (any constant fits). *)
@@ -850,18 +871,10 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
     if conds = [] then fail "specification has no instructions";
     let holes = Oyster.Ast.holes problem.design in
     if holes = [] then fail "sketch has no holes";
-    if options.check_independence then begin
-      let excl, fb, independent = independence_gate problem conds in
-      if not independent then
-        raise
-          (Stop
-             (Not_independent
-                {
-                  overlapping = excl.Independence.overlapping;
-                  feedback = fb.Independence.feedback_paths;
-                  stats = run.stats;
-                }))
-    end;
+    (match independence_gate run problem conds with
+    | { overlapping = []; feedback = [] } -> ()
+    | { overlapping; feedback } ->
+        raise (Stop (Not_independent { overlapping; feedback; stats = run.stats })));
     let shared_holes, per_holes =
       List.partition
         (fun (h : Oyster.Ast.hole_decl) -> h.Oyster.Ast.kind = Oyster.Ast.Shared)

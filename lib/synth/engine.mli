@@ -59,10 +59,6 @@ type options = {
           asserted terms before it is trusted; a failed check retries and
           ultimately falls back to a fresh solver rather than emitting
           wrong bindings. *)
-  check_independence : bool;
-      (** verify the instruction-independence preconditions (paper §3.3.1)
-          before synthesizing; the abstraction function's assume wires act
-          as the permitted feedback cuts *)
   incremental : bool;
       (** keep persistent {!Solver.Session}s per CEGIS loop (one for each
           verify query, one for the synth query) — SAT state, the Tseitin
@@ -87,7 +83,7 @@ type options = {
 val default_options : options
 (** [Per_instruction], one job, unlimited conflicts, 256 rounds, no
     deadline, incremental sessions on, 2 retries with factor-4 escalation,
-    model validation off, no cache. *)
+    model validation off, no cache.  No option turns off the §3.3.1 gate. *)
 
 (** {2 Setters}
 
@@ -108,7 +104,6 @@ val with_deadline : float option -> options -> options
 val with_retries : int -> options -> options
 val with_escalation_factor : int -> options -> options
 val with_validate_models : bool -> options -> options
-val with_check_independence : bool -> options -> options
 val with_incremental : bool -> options -> options
 val with_cache : Owl_cache.t option -> options -> options
 
@@ -170,7 +165,7 @@ type outcome =
       overlapping : (string * string) list;
       feedback : (string * string * string) list;
       stats : stats;
-    }  (** the §3.3.1 preconditions fail (with [check_independence]) *)
+    }  (** the §3.3.1 gate of {!independence} failed; no loop ran *)
 
 val outcome_name : outcome -> string
 (** The outcome's wire name, as [owl serve] replies carry it:
@@ -202,13 +197,20 @@ val problem_prefix : problem -> string
     are bit-for-bit reproducible; a test that rebuilds a trace passes it
     too. *)
 
-val independence :
-  problem -> Independence.exclusion_report * Independence.feedback_report * bool
-(** The instruction-independence gate {!synthesize} applies under
-    [check_independence] (paper §3.3.1), on its own: mutual exclusion of
-    the preconditions and no control feedback, with the abstraction
-    function's assume wires as the permitted feedback cuts.  It evaluates
-    the design under {!problem_prefix}, as every entry point does. *)
+type independence_report = {
+  overlapping : (string * string) list;
+      (** pairs one witness decodes together; [[]] iff mutually exclusive *)
+  feedback : (string * string * string) list;
+      (** {!Independence.check_no_feedback}'s paths *)
+}
+
+val independence : problem -> independence_report option
+(** The instruction-independence gate (paper §3.3.1) every {!synthesize}
+    applies, run alone under {!default_options}: mutual exclusion as one
+    query on the {!Resilience} ladder, and no control feedback past the
+    abstraction function's assume wires.  [None] when the ladder is
+    exhausted.  It evaluates the design under {!problem_prefix}, as every
+    entry point does. *)
 
 val ground_reads : Solver.model -> Term.t -> Term.t
 (** Replaces residual (hole-address-dependent) memory reads of a
@@ -219,7 +221,9 @@ val ground_reads : Solver.model -> Term.t -> Term.t
 
 val synthesize :
   ?options:options -> ?cancel:(unit -> bool) -> problem -> outcome
-(** Runs CEGIS according to [options].  [cancel] (default
+(** Runs the gate of {!independence} ([Not_independent], or [Timeout]
+    on an exhausted ladder; its solver work is traced on its span, not
+    counted in stats), then CEGIS according to [options].  [cancel] (default
     [fun () -> false]) is a cooperative cancellation token — a daemon
     passes a closure over an [Atomic.t] it flips when the requesting
     client disconnects; the engine polls it alongside the deadline and
@@ -286,7 +290,7 @@ val verify :
     reports true.  [options] (default {!default_options}) is read as in
     {!synthesize}, with two differences: [conflict_budget] bounds each
     instruction's ladder rather than the whole call, and [mode],
-    [max_iterations], [check_independence] and [cache] do not apply.
+    [max_iterations], [cache] and the independence gate do not apply.
     [options.jobs] fans the per-instruction refinement checks out across
     worker domains; the verdict list keeps instruction order either way.
     [deadline_seconds] counts from the call.

@@ -1,43 +1,43 @@
 (* The instruction-independence property (paper §3.3.1), whose two
    conditions license per-instruction synthesis + control union:
 
-   1. Mutually exclusive preconditions: decided with the SMT solver on the
-      compiled decode terms, pairwise.
+   1. Mutually exclusive preconditions: one at-most-one formula over the
+      compiled decode terms, which the engine poses as one laddered
+      query; a witness names the instructions that decode together.
 
    2. No feedback in control logic: a static reachability check on the
       sketch — no hole's output may combinationally reach another hole's
       declared dependency wires, except through wires whitelisted by the
       abstraction function's assumptions (valid/flush signals). *)
 
-type exclusion_report = {
-  overlapping : (string * string) list;  (* pairs that can decode together *)
-  undecided : (string * string) list;  (* solver budget exhausted *)
-}
+let decodes (c : Ila.Conditions.conditions) =
+  Term.band c.Ila.Conditions.pre c.Ila.Conditions.assumes
 
-let check_mutual_exclusion ?(budget = max_int)
-    (conds : Ila.Conditions.conditions list) : exclusion_report =
-  let overlapping = ref [] and undecided = ref [] in
-  let arr = Array.of_list conds in
-  for i = 0 to Array.length arr - 1 do
-    for j = i + 1 to Array.length arr - 1 do
-      let ci = arr.(i) and cj = arr.(j) in
-      match
-        Solver.check ~budget
-          [ ci.Ila.Conditions.pre; ci.Ila.Conditions.assumes;
-            cj.Ila.Conditions.pre; cj.Ila.Conditions.assumes ]
-      with
-      | Solver.Unsat _ -> ()
-      | Solver.Sat _ ->
-          overlapping :=
-            (ci.Ila.Conditions.instr_name, cj.Ila.Conditions.instr_name)
-            :: !overlapping
-      | Solver.Unknown _ ->
-          undecided :=
-            (ci.Ila.Conditions.instr_name, cj.Ila.Conditions.instr_name)
-            :: !undecided
-    done
-  done;
-  { overlapping = List.rev !overlapping; undecided = List.rev !undecided }
+(* A sequential counter: [seen] is "some earlier instruction decodes", and
+   instruction i overlaps when it decodes too.  O(n) terms where the
+   pairwise formula has n(n-1)/2. *)
+let exclusion_violation conds =
+  let _, overlaps =
+    List.fold_left
+      (fun (seen, acc) c ->
+        let p = decodes c in
+        (Term.bor seen p, Term.band seen p :: acc))
+      (Term.fls, []) conds
+  in
+  Term.disj (List.rev overlaps)
+
+let co_decoding env conds =
+  let rec pairs = function
+    | [] -> []
+    | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
+  in
+  pairs
+    (List.filter_map
+       (fun (c : Ila.Conditions.conditions) ->
+         if Bitvec.is_ones (Term.eval env (decodes c)) then
+           Some c.Ila.Conditions.instr_name
+         else None)
+       conds)
 
 type feedback_report = {
   (* hole h feeds wire w which hole h' depends on *)
@@ -83,8 +83,3 @@ let check_no_feedback ?(allowed_cuts = []) (design : Oyster.Ast.design) :
         h.Oyster.Ast.deps)
     holes;
   { feedback_paths = List.rev !feedback_paths }
-
-let independent ?budget ~allowed_cuts design conds =
-  let excl = check_mutual_exclusion ?budget conds in
-  let fb = check_no_feedback ~allowed_cuts design in
-  (excl, fb, excl.overlapping = [] && fb.feedback_paths = [])

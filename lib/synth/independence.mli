@@ -1,16 +1,23 @@
 (** The instruction-independence property (paper §3.3.1) whose two
-    conditions license per-instruction synthesis and the control union. *)
+    conditions license per-instruction synthesis and the control union.
+    This module builds the checks and poses no query:
+    [Engine.synthesize] applies them on every call, and
+    [Engine.independence] runs them alone for [owl independence] and the
+    ablation bench. *)
 
-type exclusion_report = {
-  overlapping : (string * string) list;
-      (** instruction pairs whose preconditions can hold simultaneously *)
-  undecided : (string * string) list;  (** solver budget exhausted *)
-}
+val exclusion_violation : Ila.Conditions.conditions list -> Term.t
+(** The at-most-one formula over each instruction's [p_i = pre_i ∧
+    assumes_i], as a sequential counter ([ov_i = seen_(i-1) ∧ p_i],
+    [seen_i = seen_(i-1) ∨ p_i], violation [∨ ov_i]): satisfiable iff two
+    preconditions can hold at once, so Unsat means they are mutually
+    exclusive.  It has O(n) terms. *)
 
-val check_mutual_exclusion :
-  ?budget:int -> Ila.Conditions.conditions list -> exclusion_report
-(** Pairwise satisfiability of [pre_i /\ pre_j] (plus assumptions); empty
-    [overlapping] means the preconditions are mutually exclusive. *)
+val co_decoding :
+  Term.env -> Ila.Conditions.conditions list -> (string * string) list
+(** Reads a witness of {!exclusion_violation}, given as an evaluation
+    environment: every pair, in instruction order, of instructions whose
+    [p_i] both hold under it.  Pairs that overlap only under another
+    witness are not listed. *)
 
 type feedback_report = {
   feedback_paths : (string * string * string) list;
@@ -23,16 +30,3 @@ val check_no_feedback :
     hole's declared dependency wires, except through [allowed_cuts] (the
     valid/flush wires the abstraction function identifies, per the paper's
     exception). *)
-
-val independent :
-  ?budget:int ->
-  allowed_cuts:string list ->
-  Oyster.Ast.design ->
-  Ila.Conditions.conditions list ->
-  exclusion_report * feedback_report * bool
-(** Both checks; the boolean is the conjunction "independent".  The one
-    gate: [Engine.synthesize] applies it, and [Engine.independence] runs
-    it alone for [owl independence] and the ablation bench.
-    [allowed_cuts] is required so no caller can drop the abstraction
-    function's assume wires and report a feedback path the engine
-    accepts. *)

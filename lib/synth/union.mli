@@ -1,29 +1,13 @@
 (** The control union ⊔ (paper Fig. 6): joins per-instruction synthesized
     constants into complete control logic — a nested if-then-else over
-    per-instruction precondition wires, one value group per distinct
-    constant.
+    per-instruction precondition wires ([pre_<instr>]), one value group per
+    distinct constant.
 
-    The most populous group becomes the default arm (correct under the
-    instruction-independence conditions: mutually exclusive preconditions
-    covering every decodable state), which minimizes the precondition wires
-    that must be materialized. *)
-
-type group = { value : Bitvec.t; instrs : string list }
-
-type hole_result = { hole : string; groups : group list }
-
-val group_results :
-  (string * (string * Bitvec.t) list) list -> string list -> hole_result list
-(** Pivots an instruction->hole->value map into per-hole value groups,
-    preserving instruction order. *)
-
-val pre_wire_name : string -> string
-(** The wire carrying an instruction's precondition ([pre_<instr>]). *)
-
-val order_for_default : group list -> group list
-
-val logic_gen : group list -> Oyster.Ast.expr
-(** LogicGen of Fig. 6: the nested if-then-else for one hole. *)
+    The most populous group becomes the default arm, which minimizes the
+    precondition wires that must be materialized.  That is correct under
+    the instruction-independence conditions (mutually exclusive
+    preconditions covering every decodable state); every
+    [Engine.synthesize] checks the exclusion before any loop runs. *)
 
 val apply :
   Oyster.Ast.design ->

@@ -176,8 +176,7 @@ let custom_options =
     default_options |> with_mode Monolithic |> with_jobs 3
     |> with_conflict_budget 12345 |> with_max_iterations 77
     |> with_deadline (Some 1.5) |> with_retries 5 |> with_escalation_factor 2
-    |> with_validate_models true |> with_check_independence true
-    |> with_incremental false)
+    |> with_validate_models true |> with_incremental false)
 
 let test_options_roundtrip () =
   List.iter
@@ -210,7 +209,7 @@ let test_options_roundtrip () =
    and therefore to the same hot-tier fingerprint, which hashes the
    re-encoded options. *)
 let skew_frame extra =
-  "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true"
+  "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"incremental\":true"
   ^ extra ^ "}}"
 
 let decode_skew_options f =
@@ -228,11 +227,13 @@ let check_members_ignored cases =
         (Proto.options_to_json plain = Proto.options_to_json o))
     cases
 
-(* the "strategy" and "portfolio" objects of racing-era peers *)
+(* the "strategy" and "portfolio" objects of racing-era peers, and the
+   independence switch of peers from before every synthesis ran the gate *)
 let test_options_strategy_skew () =
   check_members_ignored
     [ ("racing members",
-       ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}")
+       ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}");
+      ("independence switch", ",\"check_independence\":true")
     ];
   check "frame decodes to its options" true
     (decode_skew_options (skew_frame "")
@@ -355,7 +356,7 @@ let test_request_decode_errors () =
   check_str "invalid options" "bad_request"
     (code_of
        (Proto.request_of_frame
-          "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"check_independence\":false,\"incremental\":true}}"));
+          "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"incremental\":true}}"));
   check_str "nesting past the depth cap" "bad_request"
     (code_of (Proto.request_of_frame deep_frame))
 
@@ -658,10 +659,10 @@ let golden_frames () =
 
 let golden_bytes =
   [
-    "{\"v\": 1, \"t\": \"synth\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"check_independence\": false, \"incremental\": true}}";
-    "{\"v\": 1, \"t\": \"synth\", \"trace\": \"t1-2\", \"design\": \"alu\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"check_independence\": true, \"incremental\": false}}";
-    "{\"v\": 1, \"t\": \"verify\", \"design\": \"gcd\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"check_independence\": true, \"incremental\": false}}";
-    "{\"v\": 1, \"t\": \"verify\", \"trace\": \"t3-4\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"check_independence\": false, \"incremental\": true}}";
+    "{\"v\": 1, \"t\": \"synth\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"incremental\": true}}";
+    "{\"v\": 1, \"t\": \"synth\", \"trace\": \"t1-2\", \"design\": \"alu\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"incremental\": false}}";
+    "{\"v\": 1, \"t\": \"verify\", \"design\": \"gcd\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"incremental\": false}}";
+    "{\"v\": 1, \"t\": \"verify\", \"trace\": \"t3-4\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"incremental\": true}}";
     "{\"v\": 1, \"t\": \"cache_stats\"}";
     "{\"v\": 1, \"t\": \"ping\", \"trace\": \"t5-6\"}";
     "{\"v\": 1, \"t\": \"metrics\"}";

@@ -176,18 +176,17 @@ let test_accumulator_synthesis () =
 (* {1 Independence checks} *)
 
 let test_independence () =
-  let problem = Designs.Alu.problem () in
-  let trace =
-    Oyster.Symbolic.eval problem.Synth.Engine.design
-      ~cycles:problem.Synth.Engine.af.Ila.Absfun.cycles
+  (match Synth.Engine.independence (Designs.Alu.problem ()) with
+  | Some r ->
+      Alcotest.(check (list (pair string string))) "no overlap" []
+        r.Synth.Engine.overlapping;
+      Alcotest.(check int) "no feedback through the assume cuts" 0
+        (List.length r.Synth.Engine.feedback)
+  | None -> Alcotest.fail "gate inconclusive");
+  let fb =
+    Synth.Independence.check_no_feedback
+      (Designs.Alu.problem ()).Synth.Engine.design
   in
-  let conds =
-    Ila.Conditions.compile problem.Synth.Engine.spec problem.Synth.Engine.af trace
-  in
-  let excl = Synth.Independence.check_mutual_exclusion conds in
-  Alcotest.(check (list (pair string string))) "no overlap" []
-    excl.Synth.Independence.overlapping;
-  let fb = Synth.Independence.check_no_feedback problem.Synth.Engine.design in
   Alcotest.(check int) "no feedback" 0
     (List.length fb.Synth.Independence.feedback_paths)
 
@@ -208,54 +207,125 @@ let test_feedback_detected () =
   let fb' = Synth.Independence.check_no_feedback ~allowed_cuts:[ "y" ] d in
   Alcotest.(check int) "cut silences" 0 (List.length fb'.Synth.Independence.feedback_paths)
 
+(* A two-instruction spec over the ALU sketch decoding A on op = 1 and
+   B on [b_codes]. *)
+let overlap_problem name b_codes =
+  let s = Ila.Spec.create name in
+  let op = Ila.Spec.new_bv_input s "op" 2 in
+  let _ = Ila.Spec.new_bv_input s "dest" 2 in
+  let _ = Ila.Spec.new_bv_input s "src1" 2 in
+  let _ = Ila.Spec.new_bv_input s "src2" 2 in
+  let _ = Ila.Spec.new_mem_state s "regs" ~addr_width:2 ~data_width:8 in
+  let open Ila.Expr in
+  let i1 = Ila.Spec.new_instr s "A" in
+  Ila.Spec.set_decode i1 (op == of_int ~width:2 1);
+  let i2 = Ila.Spec.new_instr s "B" in
+  Ila.Spec.set_decode i2
+    (match List.map (fun k -> op == of_int ~width:2 k) b_codes with
+    | d :: ds -> List.fold_left ( || ) d ds
+    | [] -> invalid_arg "overlap_problem");
+  { Synth.Engine.design = Designs.Alu.sketch (); spec = s;
+    af = Designs.Alu.abstraction () }
+
 let test_overlapping_decodes () =
   (* two instructions that can decode together *)
-  let s = Ila.Spec.create "overlap" in
-  let op = Ila.Spec.new_bv_input s "op" 2 in
-  let _ = Ila.Spec.new_bv_input s "dest" 2 in
-  let _ = Ila.Spec.new_bv_input s "src1" 2 in
-  let _ = Ila.Spec.new_bv_input s "src2" 2 in
-  let _ = Ila.Spec.new_mem_state s "regs" ~addr_width:2 ~data_width:8 in
-  let open Ila.Expr in
-  let i1 = Ila.Spec.new_instr s "A" in
-  Ila.Spec.set_decode i1 (op == of_int ~width:2 1);
-  let i2 = Ila.Spec.new_instr s "B" in
-  Ila.Spec.set_decode i2 ((op == of_int ~width:2 1) || (op == of_int ~width:2 2));
-  let trace = Oyster.Symbolic.eval (Designs.Alu.sketch ()) ~cycles:3 in
-  let conds = Ila.Conditions.compile s (Designs.Alu.abstraction ()) trace in
-  let excl = Synth.Independence.check_mutual_exclusion conds in
-  Alcotest.(check (list (pair string string))) "overlap found" [ ("A", "B") ]
-    excl.Synth.Independence.overlapping
+  match Synth.Engine.independence (overlap_problem "overlap" [ 1; 2 ]) with
+  | Some r ->
+      Alcotest.(check (list (pair string string))) "overlap found"
+        [ ("A", "B") ] r.Synth.Engine.overlapping
+  | None -> Alcotest.fail "gate inconclusive"
 
 let test_independence_gate () =
-  (* with check_independence, an overlapping specification is rejected
-     before any synthesis happens *)
-  let s = Ila.Spec.create "overlap_gate" in
-  let op = Ila.Spec.new_bv_input s "op" 2 in
-  let _ = Ila.Spec.new_bv_input s "dest" 2 in
-  let _ = Ila.Spec.new_bv_input s "src1" 2 in
-  let _ = Ila.Spec.new_bv_input s "src2" 2 in
-  let _ = Ila.Spec.new_mem_state s "regs" ~addr_width:2 ~data_width:8 in
-  let open Ila.Expr in
-  let i1 = Ila.Spec.new_instr s "A" in
-  Ila.Spec.set_decode i1 (op == of_int ~width:2 1);
-  let i2 = Ila.Spec.new_instr s "B" in
-  Ila.Spec.set_decode i2 (op == of_int ~width:2 1);
-  let problem =
-    { Synth.Engine.design = Designs.Alu.sketch (); spec = s;
-      af = Designs.Alu.abstraction () }
-  in
-  let options =
-    Synth.Engine.(default_options |> with_check_independence true)
-  in
-  (match Synth.Engine.synthesize ~options problem with
+  (* every synthesis runs the gate: an overlapping specification is
+     rejected before any loop runs *)
+  (match Synth.Engine.synthesize (overlap_problem "overlap_gate" [ 1 ]) with
   | Synth.Engine.Not_independent { overlapping = [ ("A", "B") ]; _ } -> ()
   | Synth.Engine.Not_independent _ -> Alcotest.fail "wrong overlap report"
   | _ -> Alcotest.fail "expected Not_independent");
   (* ... and a well-formed problem still synthesizes under the gate *)
-  match Synth.Engine.synthesize ~options (Designs.Alu.problem ()) with
+  match Synth.Engine.synthesize (Designs.Alu.problem ()) with
   | Synth.Engine.Solved _ -> ()
   | _ -> Alcotest.fail "independent problem rejected"
+
+(* The one at-most-one query against the pairwise definition, on random
+   decode sets: opcodes of 2-4 bits with random don't-care masks, each
+   instruction with or without an assumption on a second input.  The
+   reference is a one-shot check of every pair's [p_i ∧ p_j]. *)
+let gen_decode_set : Ila.Conditions.conditions list QCheck.Gen.t =
+  let open QCheck.Gen in
+  2 -- 4 >>= fun w ->
+  let op = Term.var (Printf.sprintf "qind_op%d" w) w in
+  let flag = Term.var "qind_flag" 1 in
+  let full = (1 lsl w) - 1 in
+  let gen_instr i =
+    0 -- full >>= fun code ->
+    oneof [ return full; 0 -- full ] >>= fun mask ->
+    oneofl [ None; Some 0; Some 1 ] >>= fun assume ->
+    let bits k = Term.const (Bitvec.of_int ~width:w (k land mask)) in
+    return
+      {
+        Ila.Conditions.instr_name = Printf.sprintf "I%d" i;
+        pre = Term.eq (Term.band op (bits full)) (bits code);
+        assumes =
+          (match assume with
+          | None -> Term.tru
+          | Some v -> Term.eq flag (Term.const (Bitvec.of_int ~width:1 v)));
+        post = Term.tru;
+        challenges = [];
+      }
+  in
+  2 -- 5 >>= fun n -> flatten_l (List.init n gen_instr)
+
+let print_decode_set conds =
+  String.concat "; "
+    (List.map
+       (fun (c : Ila.Conditions.conditions) ->
+         Format.asprintf "%s: %a & %a" c.Ila.Conditions.instr_name Term.pp
+           c.Ila.Conditions.pre Term.pp c.Ila.Conditions.assumes)
+       conds)
+
+let prop_one_query_is_pairwise =
+  QCheck.Test.make ~count:300
+    ~name:"at-most-one query agrees with the pairwise checks"
+    (QCheck.make ~print:print_decode_set gen_decode_set)
+    (fun conds ->
+      let decodes (c : Ila.Conditions.conditions) =
+        Term.band c.Ila.Conditions.pre c.Ila.Conditions.assumes
+      in
+      let overlaps a b =
+        match Solver.check [ decodes a; decodes b ] with
+        | Solver.Sat _ -> true
+        | Solver.Unsat _ -> false
+        | Solver.Unknown _ -> QCheck.Test.fail_report "pair check unknown"
+      in
+      let rec pairs = function
+        | [] -> []
+        | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
+      in
+      let overlapping =
+        List.filter_map
+          (fun ((a : Ila.Conditions.conditions), (b : Ila.Conditions.conditions)) ->
+            if overlaps a b then
+              Some (a.Ila.Conditions.instr_name, b.Ila.Conditions.instr_name)
+            else None)
+          (pairs conds)
+      in
+      match Solver.check [ Synth.Independence.exclusion_violation conds ] with
+      | Solver.Unsat _ -> overlapping = []
+      | Solver.Unknown _ -> QCheck.Test.fail_report "query unknown"
+      | Solver.Sat (m, _) ->
+          let env =
+            {
+              Term.lookup_var =
+                (fun n w ->
+                  Some
+                    (Option.value (m.Solver.var_value n)
+                       ~default:(Bitvec.zero w)));
+              lookup_read = (fun _ _ -> None);
+            }
+          in
+          let witness = Synth.Independence.co_decoding env conds in
+          witness <> [] && List.for_all (fun p -> List.mem p overlapping) witness)
 
 (* {1 Don't-care minimization} *)
 
@@ -323,10 +393,7 @@ let test_traced_synthesis () =
         Obs.disable ();
         Obs.disable_metrics ())
       (fun () ->
-        let options =
-          Synth.Engine.(default_options |> with_check_independence true)
-        in
-        ignore (solve ~options (Designs.Accumulator.problem ()));
+        ignore (solve (Designs.Accumulator.problem ()));
         (Obs.chrome_trace_string (), Obs.events ()))
   in
   (* the set-up stages are attributed too: symbolic evaluation opens the
@@ -371,7 +438,8 @@ let () =
       ("independence",
        [ Alcotest.test_case "alu independent" `Quick test_independence;
          Alcotest.test_case "feedback detection" `Quick test_feedback_detected;
-         Alcotest.test_case "overlapping decodes" `Quick test_overlapping_decodes ]);
+         Alcotest.test_case "overlapping decodes" `Quick test_overlapping_decodes;
+         QCheck_alcotest.to_alcotest prop_one_query_is_pairwise ]);
       ("minimize", [ Alcotest.test_case "don't-cares" `Quick test_minimize ]);
       ("gate",
        [ Alcotest.test_case "independence pre-check" `Quick test_independence_gate ]);

@@ -11,7 +11,10 @@
    search.
 
    Fault plans are process-global: every test installs under Fun.protect
-   so a failure cannot leak a plan into later tests. *)
+   so a failure cannot leak a plan into later tests.  Solver-check indices
+   count from the start of a run, and every synthesis poses the
+   independence gate's query first, so a plan aimed at a CEGIS query
+   starts at index 2. *)
 
 let with_plan s f =
   Fault.install (Fault.parse s);
@@ -134,7 +137,7 @@ let test_clean_run_no_recovery () =
 
 let test_spurious_unknowns_recover () =
   let clean = solve (Designs.Accumulator.problem ()) in
-  with_plan "unknown@1,unknown@2" (fun () ->
+  with_plan "unknown@2,unknown@3" (fun () ->
       let s = solve (Designs.Accumulator.problem ()) in
       let st = s.Synth.Engine.stats in
       Alcotest.(check int) "two ladder retries" 2
@@ -146,7 +149,7 @@ let test_spurious_unknowns_recover () =
 
 let test_corrupt_model_rejected () =
   let clean = solve (Designs.Accumulator.problem ()) in
-  with_plan "corrupt@1,seed=7" (fun () ->
+  with_plan "corrupt@2,seed=7" (fun () ->
       let s = solve ~validate_models:true (Designs.Accumulator.problem ()) in
       let st = s.Synth.Engine.stats in
       Alcotest.(check int) "corruption detected" 1
@@ -165,7 +168,7 @@ let test_corrupt_without_validation_undetected () =
      and the counters stay at zero — this is exactly what validate_models
      buys.  (The run may still solve or fail downstream; only the counters
      are the point here.) *)
-  with_plan "corrupt@1,seed=7" (fun () ->
+  with_plan "corrupt@2,seed=7" (fun () ->
       let options = Synth.Engine.default_options in
       let st =
         match
@@ -184,7 +187,7 @@ let test_corrupt_without_validation_undetected () =
 let test_corrupt_degrades_to_fresh () =
   (* with retrying disabled a rejected model must still not be emitted:
      the ladder grants one bonus fresh-solver rung *)
-  with_plan "corrupt@1,seed=7" (fun () ->
+  with_plan "corrupt@2,seed=7" (fun () ->
       let s =
         solve ~retries:0 ~validate_models:true (Designs.Accumulator.problem ())
       in
@@ -194,7 +197,7 @@ let test_corrupt_degrades_to_fresh () =
       Alcotest.(check bool) "fresh-solver fallback ran" true
         (st.Synth.Engine.degraded_queries >= 1))
 
-let rv32_plan = "unknown@5,unknown@40,corrupt@12,crash@2,seed=7"
+let rv32_plan = "unknown@6,unknown@41,corrupt@13,crash@2,seed=7"
 
 let test_rv32_fault_transparency () =
   (* the acceptance criterion: rv32-single under spurious Unknowns, a
@@ -221,6 +224,64 @@ let test_rv32_fault_transparency () =
   in
   check_run 1;
   check_run 4
+
+(* The spans open around each [name] instant, innermost first. *)
+let enclosing_instants name events =
+  let stacks = Hashtbl.create 4 in
+  List.fold_left
+    (fun acc (e : Obs.event) ->
+      let stack = Option.value (Hashtbl.find_opt stacks e.Obs.dom) ~default:[] in
+      match e.Obs.ph with
+      | Obs.Begin ->
+          Hashtbl.replace stacks e.Obs.dom (e.Obs.name :: stack);
+          acc
+      | Obs.End ->
+          Hashtbl.replace stacks e.Obs.dom (match stack with [] -> [] | _ :: s -> s);
+          acc
+      | Obs.Instant -> if e.Obs.name = name then stack :: acc else acc)
+    [] events
+
+let test_gate_unknown_retried () =
+  (* the gate's query is check 1: a spurious Unknown there climbs the
+     ladder inside the gate's span, and the run solves as if nothing
+     happened — the gate's retry is not counted in the run's stats *)
+  let clean = solve (Designs.Accumulator.problem ()) in
+  let s, events =
+    with_plan "unknown@1" (fun () ->
+        Obs.enable ();
+        Fun.protect ~finally:Obs.disable (fun () ->
+            let s = solve (Designs.Accumulator.problem ()) in
+            (s, Obs.events ())))
+  in
+  Alcotest.(check bool) "retried inside synth.independence" true
+    (List.exists
+       (List.mem "synth.independence")
+       (enclosing_instants "resilience.retry" events));
+  Alcotest.(check int) "no retry in the run's stats" 0
+    s.Synth.Engine.stats.Synth.Engine.retried_queries;
+  Alcotest.(check bool) "bindings identical to fault-free" true
+    (s.Synth.Engine.bindings = clean.Synth.Engine.bindings)
+
+let test_gate_exhausted_times_out () =
+  (* every rung of the gate's ladder (2 retries: 3 attempts) answers
+     Unknown: the gate is inconclusive, never "independent" *)
+  let plan = "unknown@1,unknown@2,unknown@3" in
+  List.iter
+    (fun (label, mode, problem) ->
+      with_plan plan (fun () ->
+          let options = Synth.Engine.(default_options |> with_mode mode) in
+          match Synth.Engine.synthesize ~options (problem ()) with
+          | Synth.Engine.Timeout _ -> ()
+          | o ->
+              Alcotest.failf "%s: expected timeout, got %s" label
+                (Synth.Engine.outcome_name o)))
+    [ ("accumulator, joint", Synth.Engine.Per_instruction,
+       Designs.Accumulator.problem);
+      ("alu, per-instruction", Synth.Engine.Per_instruction, Designs.Alu.problem);
+      ("alu, monolithic", Synth.Engine.Monolithic, Designs.Alu.problem) ];
+  with_plan plan (fun () ->
+      Alcotest.(check bool) "independence inconclusive" true
+        (Synth.Engine.independence (Designs.Alu.problem ()) = None))
 
 let test_verify_under_faults () =
   (* refinement checking of a correct design recovers from a spurious
@@ -270,20 +331,33 @@ let test_cancel_not_retried () =
     | None -> 0
   in
   let cancel () = true in
-  let expect_cancelled label f =
+  let expect_cancelled ?(tasks = 1) label f =
     Obs.reset_metrics ();
     (match f () with
     | exception Synth.Engine.Cancelled -> ()
     | _ -> Alcotest.failf "%s: expected Cancelled" label);
     Alcotest.(check int) (label ^ ": no task crashes") 0
       (metric "pool.task_crashes");
-    Alcotest.(check int) (label ^ ": one task started") 1
-      (metric "pool.tasks")
+    Alcotest.(check int)
+      (Printf.sprintf "%s: %d task(s) started" label tasks)
+      tasks (metric "pool.tasks")
+  in
+  (* synthesis polls the token once in the independence gate, before the
+     pool starts: a token that lets that poll pass is seen by a task *)
+  let after_gate () =
+    let polls = ref 0 in
+    fun () ->
+      incr polls;
+      !polls > 1
   in
   Obs.enable_metrics ();
   Fun.protect ~finally:Obs.disable_metrics (fun () ->
-      expect_cancelled "synthesize" (fun () ->
+      expect_cancelled ~tasks:0 "synthesize, in the gate" (fun () ->
           ignore (Synth.Engine.synthesize ~cancel (Designs.Alu.problem ())));
+      expect_cancelled "synthesize" (fun () ->
+          ignore
+            (Synth.Engine.synthesize ~cancel:(after_gate ())
+               (Designs.Alu.problem ())));
       expect_cancelled "verify" (fun () ->
           ignore
             (Synth.Engine.verify ~cancel
@@ -316,6 +390,10 @@ let () =
            test_corrupt_degrades_to_fresh;
          Alcotest.test_case "rv32 fault transparency" `Slow
            test_rv32_fault_transparency;
+         Alcotest.test_case "unknown in the gate is retried" `Quick
+           test_gate_unknown_retried;
+         Alcotest.test_case "exhausted gate ladder times out" `Quick
+           test_gate_exhausted_times_out;
          Alcotest.test_case "verify recovers" `Quick test_verify_under_faults;
          Alcotest.test_case "minimize recovers" `Slow
            test_minimize_under_faults;
