@@ -39,18 +39,12 @@ let no_incremental =
 let retries =
   let doc =
     "Extra attempts per solver query (and per crashed worker task) before \
-     giving up: Unknown outcomes retry with geometrically escalated \
-     conflict budgets and deadline slices, the final attempt on a fresh \
+     giving up: Unknown outcomes retry with conflict budgets and deadline \
+     slices growing fourfold per attempt, the final attempt on a fresh \
      one-shot solver."
   in
-  Arg.(value & opt int Synth.Resilience.default.Synth.Resilience.retries
+  Arg.(value & opt int Synth.Engine.default_options.retries
        & info [ "retries" ] ~docv:"K" ~doc)
-
-let escalation_factor =
-  let doc = "Geometric budget/time growth per retry attempt." in
-  Arg.(value
-       & opt int Synth.Resilience.default.Synth.Resilience.escalation_factor
-       & info [ "escalation-factor" ] ~docv:"F" ~doc)
 
 let validate_models =
   let doc =
@@ -71,8 +65,7 @@ let monolithic =
    words --deadline for the server.  The cache is not an option here: it
    is the local command's to open, and the server's policy remotely. *)
 let engine_options ~synth ~remote =
-  let build monolithic jobs deadline no_incremental retries escalation_factor
-      validate_models =
+  let build monolithic jobs deadline no_incremental retries validate_models =
     check_jobs jobs;
     try
       Synth.Engine.(
@@ -82,7 +75,6 @@ let engine_options ~synth ~remote =
         |> with_deadline deadline
         |> with_incremental (not no_incremental)
         |> with_retries retries
-        |> with_escalation_factor escalation_factor
         |> with_validate_models validate_models)
     with Invalid_argument m ->
       Printf.eprintf "owl: %s\n" m;
@@ -100,8 +92,7 @@ let engine_options ~synth ~remote =
     const build
     $ (if synth then monolithic else const false)
     $ (if remote then const 1 else jobs)
-    $ deadline $ no_incremental $ retries $ escalation_factor
-    $ validate_models)
+    $ deadline $ no_incremental $ retries $ validate_models)
 
 (* An optional flag's converter under which a blank value, such as an
    exported but empty variable, reads as the flag being absent. *)

@@ -96,6 +96,26 @@ let exit_outcome = function
   | "not_independent" -> exit 5
   | _ -> exit 6
 
+(* The full statistics record, resilience tallies included, one row per
+   field: what [owl synth] prints for a local run and [owl client synth]
+   for a remote one. *)
+let print_stats (st : Synth.Engine.stats) =
+  let row name value = Printf.printf "  %-22s %d\n" name value in
+  row "iterations" st.iterations;
+  row "queries" st.queries;
+  row "conflicts" st.conflicts;
+  row "blasted vars" st.blasted_vars;
+  row "blasted clauses" st.blasted_clauses;
+  row "trivial unsats" st.trivial_unsats;
+  row "retried queries" st.retried_queries;
+  row "degraded queries" st.degraded_queries;
+  row "validation failures" st.validation_failures;
+  row "task retries" st.task_retries;
+  row "sat restarts" st.sat_restarts;
+  row "sat learnt kept" st.sat_learnt_kept;
+  row "sat learnt deleted" st.sat_learnt_deleted;
+  Printf.printf "  %-22s %.2f\n" "wall seconds" st.wall_seconds
+
 (* [(instruction, verdict name)] rows, the tally, and exit 1 unless every
    instruction verified *)
 let report_verdicts ?(hot = false) rows =
@@ -176,23 +196,7 @@ let synth_cmd =
           "solved in %.2fs: %d CEGIS rounds, %d solver queries, %d conflicts\n"
           st.Synth.Engine.wall_seconds st.Synth.Engine.iterations
           st.Synth.Engine.queries st.Synth.Engine.conflicts;
-        (* the full statistics record, resilience tallies included *)
-        let row name value = Printf.printf "  %-22s %d\n" name value in
-        row "iterations" st.Synth.Engine.iterations;
-        row "queries" st.Synth.Engine.queries;
-        row "conflicts" st.Synth.Engine.conflicts;
-        row "blasted vars" st.Synth.Engine.blasted_vars;
-        row "blasted clauses" st.Synth.Engine.blasted_clauses;
-        row "trivial unsats" st.Synth.Engine.trivial_unsats;
-        row "retried queries" st.Synth.Engine.retried_queries;
-        row "degraded queries" st.Synth.Engine.degraded_queries;
-        row "validation failures" st.Synth.Engine.validation_failures;
-        row "task retries" st.Synth.Engine.task_retries;
-        row "sat restarts" st.Synth.Engine.sat_restarts;
-        row "sat learnt kept" st.Synth.Engine.sat_learnt_kept;
-        row "sat learnt deleted" st.Synth.Engine.sat_learnt_deleted;
-        Printf.printf "  %-22s %.2f\n" "wall seconds"
-          st.Synth.Engine.wall_seconds;
+        print_stats st;
         if pyrtl then begin
           print_endline "";
           print_string
@@ -339,8 +343,8 @@ let independence_cmd =
             (String.concat ", "
                (List.map (fun (a, b) -> a ^ "/" ^ b) overlapping));
         List.iter
-          (fun (src, wire, dst) ->
-            Printf.printf "FEEDBACK: hole %s -> wire %s -> hole %s\n" src wire dst)
+          (fun p ->
+            Printf.printf "FEEDBACK: %s\n" (Synth.Independence.path_to_string p))
           feedback;
         if feedback = [] then print_endline "no control feedback: yes";
         if overlapping <> [] || feedback <> [] then exit 1
@@ -586,11 +590,6 @@ let client_cmd =
       | Owl_serve.Proto.Degraded { attempt } ->
           Printf.printf "  ! degraded to a fresh solver (attempt %d)\n%!"
             attempt
-  in
-  let print_stats (st : Synth.Engine.stats) =
-    Printf.printf "  %d CEGIS rounds, %d solver queries, %d conflicts, %.2fs\n"
-      st.Synth.Engine.iterations st.Synth.Engine.queries
-      st.Synth.Engine.conflicts st.Synth.Engine.wall_seconds
   in
   let synth_cmd =
     let run name addr retry options quiet =

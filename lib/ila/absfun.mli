@@ -49,8 +49,6 @@ val mapping :
 val make : cycles:int -> ?assumes:(string * int) list -> mapping list -> t
 (** Validates that every time step lies in [1..cycles]. *)
 
-val mappings_for : t -> string -> mapping list
-
 val read_mapping : t -> string -> port:string option -> mapping
 (** The read-capable mapping for a spec element, disambiguated by [port]
     when several exist.  Raises {!Absfun_error} when missing/ambiguous. *)

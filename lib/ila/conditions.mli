@@ -26,17 +26,11 @@ type conditions = {
       (** datapath memory name -> its challenge address variable *)
 }
 
-val compile_expr : Spec.t -> Absfun.t -> Oyster.Symbolic.trace -> Expr.t -> Term.t
-(** Compiles a specification expression against the pre-state (reads follow
-    the abstraction function's read times and ports). *)
-
-val compile_instr :
-  Spec.t -> Absfun.t -> Oyster.Symbolic.trace -> Spec.instr -> conditions
-(** Raises {!Compile_error} on inconsistencies (trace length differs from
-    the abstraction function's [cycles], updates to unmapped state, ...). *)
-
 val compile : Spec.t -> Absfun.t -> Oyster.Symbolic.trace -> conditions list
-(** All instructions, in creation order. *)
+(** All instructions, in creation order; specification expressions read
+    the pre-state at the abstraction function's read times and ports.
+    Raises {!Compile_error} on inconsistencies (trace length differs from
+    the abstraction function's [cycles], updates to unmapped state, ...). *)
 
 (** {1 The refinement formulas}
 

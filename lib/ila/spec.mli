@@ -70,8 +70,6 @@ val set_bv : arch_state -> string -> Bitvec.t -> unit
 val get_mem : arch_state -> string -> Bitvec.t -> Bitvec.t
 val set_mem : arch_state -> string -> Bitvec.t -> Bitvec.t -> unit
 
-val eval_concrete : t -> arch_state -> inputs:(string -> Bitvec.t) -> Expr.t -> Bitvec.t
-
 val step_concrete : t -> arch_state -> inputs:(string -> Bitvec.t) -> string option
 (** Finds the unique enabled instruction and applies its updates
     simultaneously; [None] when nothing decodes.  Raises {!Spec_error} if

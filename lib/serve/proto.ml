@@ -260,12 +260,12 @@ let variant key cases =
    natively, which JSON's doubles cannot carry exactly, so null is the
    wire spelling of "no budget".  [cache] never crosses the wire: which
    store backs a request is the server's decision.  Older peers' members
-   — the "strategy", "portfolio" and "sat" objects and the independence
-   switch — are ignored, so such a frame decodes to the same options, and
-   the same hot-tier fingerprint, as one without them. *)
+   — the "strategy", "portfolio" and "sat" objects, the independence
+   switch and the escalation factor — are ignored, so such a frame decodes
+   to the same options, and the same hot-tier fingerprint, as one without
+   them. *)
 
 module E = Synth.Engine
-module R = Synth.Resilience
 
 let options =
   let unlimited =
@@ -274,13 +274,12 @@ let options =
   in
   let c =
     record
-      (obj (fun mode jobs budget iterations deadline retries factor validate
+      (obj (fun mode jobs budget iterations deadline retries validate
                 incremental ->
            E.(default_options |> with_mode mode |> with_jobs jobs
               |> with_conflict_budget budget |> with_max_iterations iterations
               |> with_deadline deadline |> with_retries retries
-              |> with_escalation_factor factor |> with_validate_models validate
-              |> with_incremental incremental))
+              |> with_validate_models validate |> with_incremental incremental))
       |> mem "mode"
            (enum [ ("per_instruction", E.Per_instruction); ("monolithic", E.Monolithic) ])
            (fun o -> o.E.mode)
@@ -289,9 +288,8 @@ let options =
       |> mem "max_iterations" int (fun o -> o.E.max_iterations)
       |> mem "deadline_seconds" (nullable float) ~absent:None (fun o ->
              o.E.deadline_seconds)
-      |> mem "retries" int (fun o -> o.E.recovery.R.retries)
-      |> mem "escalation_factor" int (fun o -> o.E.recovery.R.escalation_factor)
-      |> mem "validate_models" bool (fun o -> o.E.recovery.R.validate_models)
+      |> mem "retries" int (fun o -> o.E.retries)
+      |> mem "validate_models" bool (fun o -> o.E.validate_models)
       |> mem "incremental" bool (fun o -> o.E.incremental))
   in
   { c with dec = (fun v ->

@@ -356,10 +356,11 @@ let synth_result_of_outcome (o : Synth.Engine.outcome) =
   | Synth.Engine.Unrealizable { instr; stats } ->
       r (Option.value ~default:"" instr) stats
   | Synth.Engine.Union_failed { diagnostic; stats } -> r diagnostic stats
-  | Synth.Engine.Not_independent { overlapping; stats; _ } ->
+  | Synth.Engine.Not_independent { overlapping; feedback; stats } ->
       r
         (String.concat ", "
-           (List.map (fun (a, b) -> a ^ "/" ^ b) overlapping))
+           (List.map (fun (a, b) -> a ^ "/" ^ b) overlapping
+           @ List.map Synth.Independence.path_to_string feedback))
         stats
 
 (* [options] comes from the caller rather than [job.j_options] because

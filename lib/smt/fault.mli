@@ -24,9 +24,11 @@
     where [N >= 1] indexes solver checks (for [unknown]/[corrupt]), pool
     task attempts (for [crash]), service-job executions (for
     [worker_kill]), server-written frames (for [conn_drop]/[frame_delay]),
-    or admission decisions (for [shed]) — each in its own process-global
-    arrival order.  [seed] (default 0) varies which model bit a [corrupt]
-    flips.
+    or admission decisions (for [shed]) — each site in its own
+    process-global arrival order.  The implementation declares each
+    directive once, with its site; that declaration order is the canonical
+    rendering order and, at one index of one site, the precedence.  [seed]
+    (default 0) varies which model bit a [corrupt] flips.
 
     The first three directives exercise the engine's resilience ladder and
     the batch pool's crash-blame retry; the last four extend the same
@@ -71,8 +73,8 @@ val to_string : plan -> string
 (** Canonical rendering of a plan (sorted indices, seed last). *)
 
 val install : plan -> unit
-(** Installs a plan process-globally and resets the check/task counters.
-    Replaces any previous plan. *)
+(** Installs a plan process-globally with every site's arrival counter
+    at zero.  Replaces any previous plan. *)
 
 val clear : unit -> unit
 (** Removes the installed plan; hooks become free again. *)

@@ -39,7 +39,11 @@ type options = {
   conflict_budget : int;  (* total SAT conflicts before declaring timeout *)
   max_iterations : int;  (* CEGIS rounds per loop *)
   deadline_seconds : float option;  (* wall-clock timeout *)
-  recovery : Resilience.policy;
+  retries : int;
+      (* extra attempts per query on the [Resilience] ladder, and re-runs
+         of a crashed pool task *)
+  validate_models : bool;
+      (* evaluate every Sat model against its terms before trusting it *)
   incremental : bool;
       (* reuse one solver session per CEGIS loop (SAT state, blasting
          cache, learned clauses survive across iterations) instead of a
@@ -56,7 +60,8 @@ let default_options =
     conflict_budget = max_int;
     max_iterations = 256;
     deadline_seconds = None;
-    recovery = Resilience.default;
+    retries = 2;
+    validate_models = false;
     incremental = true;
     cache = None;
   }
@@ -76,28 +81,11 @@ let with_max_iterations max_iterations o =
 
 let with_deadline deadline_seconds o = { o with deadline_seconds }
 
-(* The recovery builders validate through Resilience.make, so the engine
-   and the standalone Resilience API can never drift apart. *)
 let with_retries retries o =
-  let r = o.recovery in
-  {
-    o with
-    recovery =
-      Resilience.make ~retries ~escalation_factor:r.Resilience.escalation_factor
-        ~validate_models:r.Resilience.validate_models ();
-  }
+  if retries < 0 then invalid_arg "Engine.with_retries: retries < 0";
+  { o with retries }
 
-let with_escalation_factor escalation_factor o =
-  let r = o.recovery in
-  {
-    o with
-    recovery =
-      Resilience.make ~retries:r.Resilience.retries ~escalation_factor
-        ~validate_models:r.Resilience.validate_models ();
-  }
-
-let with_validate_models validate_models o =
-  { o with recovery = { o.recovery with Resilience.validate_models } }
+let with_validate_models validate_models o = { o with validate_models }
 
 let with_incremental incremental o = { o with incremental }
 let with_cache cache o = { o with cache }
@@ -361,19 +349,22 @@ module Lane = struct
      {e on} the fresh rung is a hard error: at that point the model came
      from a stateless solver, so something is wrong beyond a transient. *)
   let check run ?(assumptions = []) lane terms =
-    let p = run.opts.recovery in
+    let retries = run.opts.retries in
     let total = run.opts.conflict_budget in
     let rec go attempt =
       let remaining = budget_remaining run in
       (* [attempt] exceeds the ladder's length only on the bonus
          validation rung *)
-      let rung = min attempt (Resilience.attempts p) in
-      let final = Resilience.is_final p ~attempt in
+      let rung = min attempt (retries + 1) in
+      let final = Resilience.is_final ~retries ~attempt in
       let use_fresh = attempt > 1 && final in
-      let budget = Resilience.attempt_budget p ~total ~remaining ~attempt:rung in
+      let budget =
+        Resilience.attempt_budget ~retries ~total ~remaining ~attempt:rung
+      in
       let deadline =
-        Resilience.slice_deadline p ~now:(now ()) ~hard:(query_deadline run)
-          ~tasks_left:(Atomic.get run.tasks_left) ~attempt:rung
+        Resilience.slice_deadline ~retries ~now:(now ())
+          ~hard:(query_deadline run) ~tasks_left:(Atomic.get run.tasks_left)
+          ~attempt:rung
       in
       if use_fresh then begin
         run.stats.degraded_queries <- run.stats.degraded_queries + 1;
@@ -401,7 +392,7 @@ module Lane = struct
           if final then raise (Stop (Timeout run.stats))
           else retry attempt "unknown"
       | Solver.Sat (m, _)
-        when p.Resilience.validate_models && not (model_satisfies m terms) ->
+        when run.opts.validate_models && not (model_satisfies m terms) ->
           run.stats.validation_failures <- run.stats.validation_failures + 1;
           if Obs.recording () then
             Obs.instant "resilience.validation_failure"
@@ -658,7 +649,7 @@ let cegis run ~instr ~targets ~corrects candidate =
    slices share; a task crashed by an injected fault re-runs on fresh
    worker state up to [retries] times (cancellation never does). *)
 let fan_out run ~make task items =
-  let retries = run.opts.recovery.Resilience.retries in
+  let retries = run.opts.retries in
   let retried = Atomic.make 0 in
   Atomic.set run.tasks_left (List.length items);
   let results =

@@ -45,20 +45,20 @@ type options = {
       (** total SAT conflicts before declaring timeout *)
   max_iterations : int;  (** CEGIS rounds per loop *)
   deadline_seconds : float option;  (** wall-clock timeout *)
-  recovery : Resilience.policy;
-      (** how solver hiccups are retried and models cross-checked.
-          [retries] also bounds the re-executions of a crashed pool task.
-          An [Unknown] outcome climbs the {!Resilience} ladder —
-          geometrically escalating conflict budgets and deadline slices,
-          the final attempt degrading from the incremental session to a
-          fresh one-shot solver — instead of immediately timing the run
-          out.  With the default unlimited budget and no deadline the
-          ladder only engages under injected or environmental faults, so
-          it costs nothing otherwise.  With [validate_models] (off by
-          default) every [Sat] model is concretely evaluated against the
-          asserted terms before it is trusted; a failed check retries and
-          ultimately falls back to a fresh solver rather than emitting
-          wrong bindings. *)
+  retries : int;
+      (** extra attempts per solver query, and the re-executions of a
+          crashed pool task.  An [Unknown] outcome climbs the
+          {!Resilience} ladder — conflict budgets and deadline slices
+          growing fourfold per attempt, the final attempt degrading from
+          the incremental session to a fresh one-shot solver — instead of
+          immediately timing the run out.  With the default unlimited
+          budget and no deadline the ladder only engages under injected or
+          environmental faults, so it costs nothing otherwise. *)
+  validate_models : bool;
+      (** evaluate every [Sat] model concretely against the asserted
+          terms before trusting it (off by default); a failed check
+          retries and ultimately falls back to a fresh solver rather than
+          emitting wrong bindings. *)
   incremental : bool;
       (** keep persistent {!Solver.Session}s per CEGIS loop (one for each
           verify query, one for the synth query) — SAT state, the Tseitin
@@ -82,16 +82,14 @@ type options = {
 
 val default_options : options
 (** [Per_instruction], one job, unlimited conflicts, 256 rounds, no
-    deadline, incremental sessions on, 2 retries with factor-4 escalation,
-    model validation off, no cache.  No option turns off the §3.3.1 gate. *)
+    deadline, incremental sessions on, 2 retries, model validation off, no cache.  No option turns off the §3.3.1 gate. *)
 
 (** {2 Setters}
 
     Each returns an updated copy; compose with [|>].  Validation:
     {!with_jobs} rejects [jobs < 1], {!with_max_iterations} rejects
-    [max_iterations < 1], {!with_retries} and {!with_escalation_factor}
-    delegate to {!Resilience.make} (rejecting [retries < 0] and
-    [escalation_factor < 1]) — all with [Invalid_argument]. *)
+    [max_iterations < 1], {!with_retries} rejects [retries < 0] — all
+    with [Invalid_argument]. *)
 
 val with_mode : mode -> options -> options
 val with_jobs : int -> options -> options
@@ -102,7 +100,6 @@ val with_deadline : float option -> options -> options
 (** [None] removes a deadline. *)
 
 val with_retries : int -> options -> options
-val with_escalation_factor : int -> options -> options
 val with_validate_models : bool -> options -> options
 val with_incremental : bool -> options -> options
 val with_cache : Owl_cache.t option -> options -> options

@@ -44,6 +44,9 @@ type feedback_report = {
   feedback_paths : (string * string * string) list;
 }
 
+let path_to_string (src, wire, dst) =
+  Printf.sprintf "hole %s -> wire %s -> hole %s" src wire dst
+
 let check_no_feedback ?(allowed_cuts = []) (design : Oyster.Ast.design) :
     feedback_report =
   let holes = Oyster.Ast.holes design in

@@ -24,6 +24,10 @@ type feedback_report = {
       (** (source hole, tainted dependency wire, consuming hole) *)
 }
 
+val path_to_string : string * string * string -> string
+(** [hole h -> wire w -> hole h']: how [owl independence] and serve
+    replies render a feedback path. *)
+
 val check_no_feedback :
   ?allowed_cuts:string list -> Oyster.Ast.design -> feedback_report
 (** Static combinational-taint analysis: no hole's output may reach another

@@ -2,24 +2,11 @@
    only subtlety here is saturation: budgets are habitually [max_int], so
    every multiplication and power clamps instead of overflowing. *)
 
-type policy = {
-  retries : int;
-  escalation_factor : int;
-  validate_models : bool;
-}
+(* Each rung's budget and time share is this many times the previous
+   rung's. *)
+let growth = 4
 
-let default = { retries = 2; escalation_factor = 4; validate_models = false }
-
-let make ?(retries = default.retries)
-    ?(escalation_factor = default.escalation_factor)
-    ?(validate_models = default.validate_models) () =
-  if retries < 0 then invalid_arg "Resilience.make: retries < 0";
-  if escalation_factor < 1 then
-    invalid_arg "Resilience.make: escalation_factor < 1";
-  { retries; escalation_factor; validate_models }
-
-let attempts p = p.retries + 1
-let is_final p ~attempt = attempt >= attempts p
+let is_final ~retries ~attempt = attempt > retries
 
 let mul_sat a b =
   if a <= 0 || b <= 0 then 0
@@ -30,28 +17,23 @@ let pow_sat base n =
   let rec go acc n = if n <= 0 then acc else go (mul_sat acc base) (n - 1) in
   go 1 n
 
-(* The first rung: total divided down by factor^retries, so the whole
-   ladder (a geometric series summing to < total * f/(f-1) of the first
-   rung... i.e. roughly total) stays within the pool even if every rung
-   runs dry.  Never below one conflict. *)
-let first_budget p ~total =
-  max 1 (total / pow_sat p.escalation_factor p.retries)
+(* The first rung: total divided down by growth^retries, so the whole
+   ladder (a geometric series summing to roughly total) stays within the
+   pool even if every rung runs dry.  Never below one conflict. *)
+let first_budget ~retries ~total = max 1 (total / pow_sat growth retries)
 
-let attempt_budget p ~total ~remaining ~attempt =
-  if is_final p ~attempt then remaining
+let attempt_budget ~retries ~total ~remaining ~attempt =
+  if is_final ~retries ~attempt then remaining
   else
     min remaining
-      (mul_sat (first_budget p ~total)
-         (pow_sat p.escalation_factor (attempt - 1)))
+      (mul_sat (first_budget ~retries ~total) (pow_sat growth (attempt - 1)))
 
-let slice_deadline p ~now ~hard ~tasks_left ~attempt =
+let slice_deadline ~retries ~now ~hard ~tasks_left ~attempt =
   match hard with
   | None -> None
   | Some h ->
-      if is_final p ~attempt then Some h
+      if is_final ~retries ~attempt then Some h
       else
         let share = (h -. now) /. float_of_int (max 1 tasks_left) in
-        let share =
-          share *. float_of_int (pow_sat p.escalation_factor (attempt - 1))
-        in
+        let share = share *. float_of_int (pow_sat growth (attempt - 1)) in
         Some (min h (now +. share))

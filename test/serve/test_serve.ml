@@ -175,7 +175,7 @@ let custom_options =
   Synth.Engine.(
     default_options |> with_mode Monolithic |> with_jobs 3
     |> with_conflict_budget 12345 |> with_max_iterations 77
-    |> with_deadline (Some 1.5) |> with_retries 5 |> with_escalation_factor 2
+    |> with_deadline (Some 1.5) |> with_retries 5
     |> with_validate_models true |> with_incremental false)
 
 let test_options_roundtrip () =
@@ -209,7 +209,7 @@ let test_options_roundtrip () =
    and therefore to the same hot-tier fingerprint, which hashes the
    re-encoded options. *)
 let skew_frame extra =
-  "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"incremental\":true"
+  "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"per_instruction\",\"jobs\":1,\"conflict_budget\":null,\"max_iterations\":9,\"retries\":0,\"validate_models\":false,\"incremental\":true"
   ^ extra ^ "}}"
 
 let decode_skew_options f =
@@ -227,19 +227,21 @@ let check_members_ignored cases =
         (Proto.options_to_json plain = Proto.options_to_json o))
     cases
 
-(* the "strategy" and "portfolio" objects of racing-era peers, and the
-   independence switch of peers from before every synthesis ran the gate *)
+(* the "strategy" and "portfolio" objects of racing-era peers, the
+   independence switch of peers from before every synthesis ran the gate,
+   and the escalation factor of peers from before the ladder's growth was
+   a constant *)
 let test_options_strategy_skew () =
   check_members_ignored
     [ ("racing members",
        ",\"strategy\":{\"profile\":\"aggressive\",\"restart\":\"geometric:150:1.5\",\"seed\":7,\"phase\":\"rand\",\"share_in\":true,\"share_out\":false},\"portfolio\":{\"racers\":4,\"cube_vars\":3,\"share_interval\":2000,\"share_max_lbd\":4}");
-      ("independence switch", ",\"check_independence\":true")
+      ("independence switch", ",\"check_independence\":true");
+      ("escalation factor", ",\"escalation_factor\":2")
     ];
   check "frame decodes to its options" true
     (decode_skew_options (skew_frame "")
     = Synth.Engine.(
-        default_options |> with_max_iterations 9 |> with_retries 0
-        |> with_escalation_factor 1))
+        default_options |> with_max_iterations 9 |> with_retries 0))
 
 (* [frame] with [extra] members spliced in right after [anchor] *)
 let splice ~anchor extra frame =
@@ -356,7 +358,7 @@ let test_request_decode_errors () =
   check_str "invalid options" "bad_request"
     (code_of
        (Proto.request_of_frame
-          "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"escalation_factor\":1,\"validate_models\":false,\"incremental\":true}}"));
+          "{\"v\":1,\"t\":\"synth\",\"design\":\"d\",\"options\":{\"mode\":\"monolithic\",\"jobs\":0,\"conflict_budget\":null,\"max_iterations\":1,\"retries\":0,\"validate_models\":false,\"incremental\":true}}"));
   check_str "nesting past the depth cap" "bad_request"
     (code_of (Proto.request_of_frame deep_frame))
 
@@ -659,10 +661,10 @@ let golden_frames () =
 
 let golden_bytes =
   [
-    "{\"v\": 1, \"t\": \"synth\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"incremental\": true}}";
-    "{\"v\": 1, \"t\": \"synth\", \"trace\": \"t1-2\", \"design\": \"alu\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"incremental\": false}}";
-    "{\"v\": 1, \"t\": \"verify\", \"design\": \"gcd\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"escalation_factor\": 2, \"validate_models\": true, \"incremental\": false}}";
-    "{\"v\": 1, \"t\": \"verify\", \"trace\": \"t3-4\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"escalation_factor\": 4, \"validate_models\": false, \"incremental\": true}}";
+    "{\"v\": 1, \"t\": \"synth\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"validate_models\": false, \"incremental\": true}}";
+    "{\"v\": 1, \"t\": \"synth\", \"trace\": \"t1-2\", \"design\": \"alu\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"validate_models\": true, \"incremental\": false}}";
+    "{\"v\": 1, \"t\": \"verify\", \"design\": \"gcd\", \"options\": {\"mode\": \"monolithic\", \"jobs\": 3, \"conflict_budget\": 12345, \"max_iterations\": 77, \"deadline_seconds\": 1.5, \"retries\": 5, \"validate_models\": true, \"incremental\": false}}";
+    "{\"v\": 1, \"t\": \"verify\", \"trace\": \"t3-4\", \"design\": \"acc\", \"options\": {\"mode\": \"per_instruction\", \"jobs\": 1, \"conflict_budget\": null, \"max_iterations\": 256, \"deadline_seconds\": null, \"retries\": 2, \"validate_models\": false, \"incremental\": true}}";
     "{\"v\": 1, \"t\": \"cache_stats\"}";
     "{\"v\": 1, \"t\": \"ping\", \"trace\": \"t5-6\"}";
     "{\"v\": 1, \"t\": \"metrics\"}";
@@ -787,12 +789,35 @@ let acc_verify_problem =
     Synth.Engine.design = Designs.Accumulator.reference_design ();
   }
 
+(* The accumulator sketch with a control feedback path: hole [enc_go]
+   drives wire [sel], which hole [next] declares as a dependency.  Its
+   preconditions stay mutually exclusive, so feedback is the only fault
+   the independence gate finds. *)
+let feedback_problem =
+  let open Oyster.Ast in
+  let d = acc_problem.Synth.Engine.design in
+  let decl = function
+    | Hole ({ hole_name = "next"; _ } as h) ->
+        Hole { h with deps = h.deps @ [ "sel" ] }
+    | x -> x
+  in
+  {
+    acc_problem with
+    Synth.Engine.design =
+      {
+        d with
+        decls = Wire ("sel", 2) :: List.map decl d.decls;
+        stmts = Assign ("sel", Var "enc_go") :: d.stmts;
+      };
+  }
+
 let stub_lookup kind name =
   let slow = String.length name >= 4 && String.sub name 0 4 = "slow" in
   if slow then Unix.sleepf 0.5;
   match (kind, name) with
   | `Synth, _ when name = "acc" || slow -> Some acc_problem
   | `Synth, "alu" -> Some alu_problem
+  | `Synth, "feedback" -> Some feedback_problem
   | `Verify, "acc" -> Some acc_verify_problem
   | _ -> None
 
@@ -1141,6 +1166,19 @@ let test_unknown_design () =
     | exception Client.Server_error e -> e.Proto.code = "unknown_design");
   (* the error must not poison the connection *)
   let _ = Client.ping c in
+  Client.close c;
+  stop_server addr th
+
+(* a sketch whose only independence fault is a feedback path names that
+   path in the reply's detail, as [owl independence] prints it *)
+let test_feedback_detail () =
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let r =
+    Client.synth c ~design:"feedback" Synth.Engine.default_options
+  in
+  check_str "outcome" "not_independent" r.Proto.outcome;
+  check_str "detail" "hole enc_go -> wire sel -> hole next" r.Proto.detail;
   Client.close c;
   stop_server addr th
 
@@ -1501,6 +1539,7 @@ let () =
           Alcotest.test_case "telemetry overhead" `Quick
             test_telemetry_overhead;
           Alcotest.test_case "unknown design" `Quick test_unknown_design;
+          Alcotest.test_case "feedback-only detail" `Quick test_feedback_detail;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
           Alcotest.test_case "admission control" `Quick test_admission_control;

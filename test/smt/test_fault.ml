@@ -156,13 +156,94 @@ let test_task_crash () =
       Alcotest.(check int) "one crash fired" 1 (Fault.fired ()));
   Fault.on_task () (* no plan: free *)
 
+(* The seven directives in canonical order, each with the hook of its own
+   site.  A probe calls its hook once and reports the index it fired at,
+   if it fired. *)
+let fired_at i fires = if fires then Some i else None
+
+let site_probes =
+  [ ("check", fun i -> fired_at i (Fault.on_check () <> None));
+    ("task", fun _ ->
+        match Fault.on_task () with
+        | exception Fault.Injected_crash i -> Some i
+        | () -> None);
+    ("serve job", fun _ ->
+        match Fault.on_serve_job () with
+        | exception Fault.Injected_worker_kill i -> Some i
+        | () -> None);
+    ("frame", fun i -> fired_at i (Fault.on_frame () <> None));
+    ("admit", fun i -> fired_at i (Fault.on_admit ())) ]
+
+let directives =
+  [ ("unknown", "check"); ("corrupt", "check"); ("crash", "task");
+    ("worker_kill", "serve job"); ("conn_drop", "frame");
+    ("frame_delay", "frame"); ("shed", "admit") ]
+
+(* [d@k] fires on call k of its own site's hook and on no other call of
+   any hook, the hooks being called in turn so that every site's counter
+   advances alongside the others *)
+let prop_fires_on_its_site =
+  QCheck.Test.make ~count:200 ~name:"a directive fires only at its site and index"
+    QCheck.(pair (oneofl directives) (int_range 1 12))
+    (fun ((d, site), k) ->
+      with_plan (Printf.sprintf "%s@%d" d k) (fun () ->
+          let fired =
+            List.concat_map
+              (fun i ->
+                List.filter_map
+                  (fun (s, probe) -> Option.map (fun n -> (s, i, n)) (probe i))
+                  site_probes)
+              (List.init (k + 3) succ)
+          in
+          fired = [ (site, k, k) ] && Fault.fired () = 1))
+
+(* random plans over every directive, elements in any order, duplicates
+   and an optional seed: parsing then rendering yields the canonical form
+   (table order, sorted unique indices, seed last), which parses back to
+   itself *)
+let prop_plan_roundtrip =
+  let element =
+    QCheck.Gen.(
+      map2 (fun (d, _) n -> (d, n)) (oneofl directives) (int_range 1 9))
+  in
+  QCheck.Test.make ~count:300 ~name:"plans roundtrip through to_string"
+    QCheck.(
+      make
+        ~print:(fun (es, seed) ->
+          String.concat "," (List.map (fun (d, n) -> Printf.sprintf "%s@%d" d n) es)
+          ^ Printf.sprintf " seed=%d" seed)
+        Gen.(pair (list_size (int_range 1 10) element) (int_range 0 3)))
+    (fun (es, seed) ->
+      let tag (d, n) = Printf.sprintf "%s@%d" d n in
+      let plan =
+        String.concat "," (List.map tag es @ [ Printf.sprintf "seed=%d" seed ])
+      in
+      let rank d =
+        let rec go r = function
+          | (d', _) :: rest -> if d = d' then r else go (r + 1) rest
+          | [] -> assert false
+        in
+        go 0 directives
+      in
+      let canonical =
+        String.concat ","
+          (List.map tag
+             (List.sort_uniq
+                (fun (d, n) (d', n') -> compare (rank d, n) (rank d', n'))
+                es)
+          @ if seed = 0 then [] else [ Printf.sprintf "seed=%d" seed ])
+      in
+      let rendered = Fault.to_string (Fault.parse plan) in
+      rendered = canonical && Fault.to_string (Fault.parse rendered) = rendered)
+
 let () =
   Alcotest.run "fault"
     [ ("plan",
        [ Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
          Alcotest.test_case "parse errors" `Quick test_parse_errors;
          Alcotest.test_case "serve directives" `Quick
-           test_parse_serve_directives ]);
+           test_parse_serve_directives;
+         QCheck_alcotest.to_alcotest prop_plan_roundtrip ]);
       ("injection",
        [ Alcotest.test_case "spurious unknown" `Quick test_spurious_unknown;
          Alcotest.test_case "corrupt model" `Quick test_corrupt_model;
@@ -172,4 +253,5 @@ let () =
            test_unknown_beats_corrupt;
          Alcotest.test_case "task crash" `Quick test_task_crash;
          Alcotest.test_case "serve hooks" `Quick test_serve_hooks;
-         Alcotest.test_case "drop beats delay" `Quick test_drop_beats_delay ]) ]
+         Alcotest.test_case "drop beats delay" `Quick test_drop_beats_delay;
+         QCheck_alcotest.to_alcotest prop_fires_on_its_site ]) ]

@@ -27,17 +27,16 @@ let test_policy_validation () =
     Alcotest.(check bool) "Invalid_argument" true
       (match f () with exception Invalid_argument _ -> true | _ -> false)
   in
-  rejects (fun () -> Synth.Resilience.make ~retries:(-1) ());
-  rejects (fun () -> Synth.Resilience.make ~escalation_factor:0 ());
-  rejects (fun () -> Synth.Engine.(default_options |> with_retries (-1)));
-  rejects (fun () -> Synth.Engine.(default_options |> with_escalation_factor 0))
+  rejects (fun () -> Synth.Engine.(default_options |> with_retries (-1)))
 
 let test_budget_ladder () =
-  let p = Synth.Resilience.make ~retries:2 ~escalation_factor:4 () in
-  Alcotest.(check int) "attempts" 3 (Synth.Resilience.attempts p);
+  let final k = Synth.Resilience.is_final ~retries:2 ~attempt:k in
+  Alcotest.(check (list bool)) "three attempts" [ false; false; true ]
+    (List.map final [ 1; 2; 3 ]);
   (* total 1600 over 3 attempts at factor 4: 100, 400, then the rest *)
   let b k remaining =
-    Synth.Resilience.attempt_budget p ~total:1600 ~remaining ~attempt:k
+    Synth.Resilience.attempt_budget ~retries:2 ~total:1600 ~remaining
+      ~attempt:k
   in
   Alcotest.(check int) "first attempt" 100 (b 1 1600);
   Alcotest.(check int) "second attempt" 400 (b 2 1500);
@@ -46,23 +45,23 @@ let test_budget_ladder () =
   (* the unlimited default saturates instead of overflowing: attempt 2 of
      a max_int ladder is b1 * 4 = (max_int / 16) * 4, huge and positive *)
   let unlimited k =
-    Synth.Resilience.attempt_budget p ~total:max_int ~remaining:max_int
-      ~attempt:k
+    Synth.Resilience.attempt_budget ~retries:2 ~total:max_int
+      ~remaining:max_int ~attempt:k
   in
   Alcotest.(check bool) "saturating arithmetic" true
     (unlimited 2 >= max_int / 8);
   Alcotest.(check int) "final attempt unlimited" max_int (unlimited 3)
 
 let test_deadline_slicing () =
-  let p = Synth.Resilience.make ~retries:2 ~escalation_factor:2 () in
-  let slice = Synth.Resilience.slice_deadline p ~now:100.0 in
+  let slice = Synth.Resilience.slice_deadline ~retries:2 ~now:100.0 in
   Alcotest.(check bool) "no hard deadline" true
     (slice ~hard:None ~tasks_left:4 ~attempt:1 = None);
-  (* 40s left over 4 tasks = 10s base share, doubling per attempt *)
-  let at k = slice ~hard:(Some 140.0) ~tasks_left:4 ~attempt:k in
+  (* 80s left over 8 tasks = 10s base share, growing fourfold per attempt:
+     the second share, 40s, still ends before the hard deadline *)
+  let at k = slice ~hard:(Some 180.0) ~tasks_left:8 ~attempt:k in
   Alcotest.(check (option (float 1e-9))) "first share" (Some 110.0) (at 1);
-  Alcotest.(check (option (float 1e-9))) "second share" (Some 120.0) (at 2);
-  Alcotest.(check (option (float 1e-9))) "final gets hard" (Some 140.0) (at 3);
+  Alcotest.(check (option (float 1e-9))) "second share" (Some 140.0) (at 2);
+  Alcotest.(check (option (float 1e-9))) "final gets hard" (Some 180.0) (at 3);
   (* shares clamp to the hard deadline *)
   Alcotest.(check (option (float 1e-9)))
     "clamped" (Some 140.0)
