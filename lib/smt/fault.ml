@@ -28,14 +28,8 @@ type site =
   | Frame of frame_action  (* server-written frames *)
   | Admit  (* admission decisions: answer Busy *)
 
-(* each site's arrival counter in [state.arrivals] *)
-let slot = function
-  | Check _ -> 0
-  | Task -> 1
-  | Serve_job -> 2
-  | Frame _ -> 3
-  | Admit -> 4
-
+(* one arrival counter per site in [state.arrivals]; each hook passes its
+   own: 0 check, 1 task, 2 serve job, 3 frame, 4 admission *)
 let sites = 5
 
 (* The directives in canonical order: [to_string] renders them in this
@@ -135,21 +129,15 @@ let seed () =
 let fired () =
   match Atomic.get installed with Some st -> Atomic.get st.hits | None -> 0
 
-(* One arrival at the site whose rows [pick] accepts: advance that site's
-   counter to index [i] and return [pick]'s payload of the first row
-   planned at [i], with [i].  With a plan installed every arrival advances
-   the counter, fired or not. *)
-let fire pick =
+(* One arrival at the site with counter [slot], whose rows [pick]
+   accepts: advance the counter to index [i] and return [pick]'s payload
+   of the first row planned at [i], with [i].  With a plan installed every
+   arrival advances the counter, fired or not. *)
+let fire slot pick =
   match Atomic.get installed with
   | None -> None
   | Some st ->
-      let site =
-        Array.find_map
-          (fun (_, s) -> Option.map (fun _ -> s) (pick s))
-          directives
-        |> Option.get
-      in
-      let i = 1 + Atomic.fetch_and_add st.arrivals.(slot site) 1 in
+      let i = 1 + Atomic.fetch_and_add st.arrivals.(slot) 1 in
       let rec first r =
         if r = Array.length directives then None
         else
@@ -162,19 +150,19 @@ let fire pick =
       first 0
 
 let on_check () =
-  Option.map fst (fire (function Check a -> Some a | _ -> None))
+  Option.map fst (fire 0 (function Check a -> Some a | _ -> None))
 
 let on_task () =
-  match fire (function Task -> Some () | _ -> None) with
+  match fire 1 (function Task -> Some () | _ -> None) with
   | Some ((), i) -> raise (Injected_crash i)
   | None -> ()
 
 let on_serve_job () =
-  match fire (function Serve_job -> Some () | _ -> None) with
+  match fire 2 (function Serve_job -> Some () | _ -> None) with
   | Some ((), i) -> raise (Injected_worker_kill i)
   | None -> ()
 
 let on_frame () =
-  Option.map fst (fire (function Frame a -> Some a | _ -> None))
+  Option.map fst (fire 3 (function Frame a -> Some a | _ -> None))
 
-let on_admit () = fire (function Admit -> Some () | _ -> None) <> None
+let on_admit () = fire 4 (function Admit -> Some () | _ -> None) <> None
