@@ -193,8 +193,7 @@ let ablation () =
   print_endline "single-cycle core, plus the instruction-independence checks.";
   print_endline "";
   let problem = Designs.Riscv_single.problem Isa.Rv32.RV32I in
-  let per_instr = run_problem problem in
-  (match per_instr with
+  (match run_problem problem with
   | RSolved (s, dt) ->
       Printf.printf
         "per-instruction: %.2fs, %d CEGIS rounds, %d solver queries, %d conflicts\n"
@@ -236,25 +235,7 @@ let ablation () =
   in
   Printf.printf "verify reference control: %d/%d instructions in %.2fs\n"
     verified (List.length results) dt;
-  if verified <> List.length results then failed := true;
-  (* don't-care minimization (the section-5.3 "optimal control" direction) *)
-  match per_instr with
-  | RSolved (s, _) ->
-      let before_loc = Hdl.Pyrtl.bindings_loc s.Synth.Engine.bindings in
-      let before_gates =
-        (Netlist.of_design ~optimize:true s.Synth.Engine.completed).Netlist.total_gates
-      in
-      let m = Synth.Minimize.run problem s in
-      let s' = m.Synth.Minimize.solved in
-      Printf.printf
-        "don't-care minimization: %.2fs, %d checks, %d merges; control loc %d -> %d; gates(opt) %d -> %d\n"
-        m.Synth.Minimize.minimize_stats.Synth.Minimize.wall_seconds
-        m.Synth.Minimize.minimize_stats.Synth.Minimize.checks
-        m.Synth.Minimize.minimize_stats.Synth.Minimize.merged before_loc
-        (Hdl.Pyrtl.bindings_loc s'.Synth.Engine.bindings)
-        before_gates
-        (Netlist.of_design ~optimize:true s'.Synth.Engine.completed).Netlist.total_gates
-  | _ -> print_endline "minimization skipped (synthesis failed)"
+  if verified <> List.length results then failed := true
 
 (* {1 Driver} *)
 

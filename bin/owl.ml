@@ -158,7 +158,7 @@ let print_cmd =
 (* The engine-tuning, fault-plan, observability, and cache flags are
    shared between subcommands and declared once in {!Args}. *)
 
-(* every synthesis-layer failure (engine, union, minimizer) shares one
+(* every synthesis-layer failure (engine, union) shares one
    structured exception; report it uniformly instead of crashing *)
 let or_engine_error f =
   try f ()

@@ -6,24 +6,13 @@
     hand-written reference control renders as plain combinational
     assignments. *)
 
-val pp_expr : Format.formatter -> Oyster.Ast.expr -> unit
 val expr_to_string : Oyster.Ast.expr -> string
-
-val pp_generated :
-  Format.formatter ->
-  pre_exprs:(string * Oyster.Ast.expr) list ->
-  per_instr:(string * (string * Bitvec.t) list) list ->
-  shared:(string * Bitvec.t) list ->
-  unit
 
 val generated_to_string :
   pre_exprs:(string * Oyster.Ast.expr) list ->
   per_instr:(string * (string * Bitvec.t) list) list ->
   shared:(string * Bitvec.t) list ->
   string
-
-val count_lines : string -> int
-(** Non-blank lines. *)
 
 val generated_loc :
   pre_exprs:(string * Oyster.Ast.expr) list ->

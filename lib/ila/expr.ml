@@ -83,13 +83,3 @@ let zext a w = Zext (a, w)
 let sext a w = Sext (a, w)
 let load ?port mem addr = Load { mem; addr; port }
 let table_load t addr = TableLoad (t, addr)
-
-let rec fold f acc e =
-  let acc = f acc e in
-  match e with
-  | Const _ | Input _ | State _ -> acc
-  | Load { addr; _ } -> fold f acc addr
-  | TableLoad (_, a) | Unop (_, a) | Extract (_, _, a) | Zext (a, _) | Sext (a, _) ->
-      fold f acc a
-  | Binop (_, a, b) | Concat (a, b) -> fold f (fold f acc a) b
-  | Ite (c, a, b) -> fold f (fold f (fold f acc c) a) b

@@ -93,6 +93,3 @@ val zext : t -> int -> t
 val sext : t -> int -> t
 val load : ?port:string -> string -> t -> t
 val table_load : string -> t -> t
-
-val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-(** Pre-order fold over the expression tree. *)

@@ -3,10 +3,9 @@
 
     The design is evaluated symbolically for one cycle and the resulting
     next-state / output / write terms are lowered to 2-input gates (with
-    mux as a single cell).  Small memories — address width up to
-    {!materialize_threshold} — become DFF arrays with mux read ports and
-    decoded write ports; larger ones stay black boxes whose port logic is
-    still counted.
+    mux as a single cell).  Small memories — address width up to 6 —
+    become DFF arrays with mux read ports and decoded write ports; larger
+    ones stay black boxes whose port logic is still counted.
 
     Two modes stand in for the paper's "before/after Yosys" comparison:
     raw folds constants but shares nothing; optimized adds structural
@@ -22,9 +21,6 @@ type counts = {
   dffs : int;  (** register bits + materialized memory bits *)
   total_gates : int;  (** combinational cells: and + or + xor + not + mux *)
 }
-
-val materialize_threshold : int
-(** Memories with address width at most this become DFF arrays (6). *)
 
 exception Netlist_error of string
 

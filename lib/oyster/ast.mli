@@ -106,9 +106,6 @@ val outputs : design -> (string * int) list
 val wires : design -> (string * int) list
 val roms : design -> rom_decl list
 
-val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
-(** Pre-order fold over an expression tree. *)
-
 val expr_vars : expr -> string list
 (** Distinct variable names, sorted. *)
 

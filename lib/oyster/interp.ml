@@ -182,10 +182,3 @@ let step ?(inputs = fun name _w -> fail "input %s not driven" name)
       (Ast.outputs design)
   in
   { outputs; wires = Hashtbl.fold (fun k v acc -> (k, v) :: acc) wires [] }
-
-let run ?inputs ?hole_value state ~cycles =
-  let results = ref [] in
-  for _ = 1 to cycles do
-    results := step ?inputs ?hole_value state :: !results
-  done;
-  List.rev !results

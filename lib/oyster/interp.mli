@@ -33,7 +33,6 @@ val init :
 
 val set_register : state -> string -> Bitvec.t -> unit
 val get_register : state -> string -> Bitvec.t
-val write_mem : state -> string -> Bitvec.t -> Bitvec.t -> unit
 val read_mem : state -> string -> Bitvec.t -> Bitvec.t
 
 type step_result = {
@@ -41,9 +40,6 @@ type step_result = {
   wires : (string * Bitvec.t) list;
       (** all combinational values of the cycle, including sampled inputs *)
 }
-
-val eval_unop : Ast.unop -> Bitvec.t -> Bitvec.t
-val eval_binop : Ast.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
 
 val step :
   ?inputs:(string -> int -> Bitvec.t) ->
@@ -53,10 +49,3 @@ val step :
 (** Executes one cycle.  [inputs name width] supplies input values (the
     default raises); [hole_value] supplies values for unfilled holes (the
     default raises). *)
-
-val run :
-  ?inputs:(string -> int -> Bitvec.t) ->
-  ?hole_value:(string -> int -> Bitvec.t) ->
-  state ->
-  cycles:int ->
-  step_result list

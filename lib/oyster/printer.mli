@@ -2,14 +2,6 @@
     declaration or statement per line, expressions wrapped at 80 columns).
     Round-trips through {!Parser}. *)
 
-val unop_name : Ast.unop -> string
-val binop_name : Ast.binop -> string
-
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_decl : Format.formatter -> Ast.decl -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_design : Format.formatter -> Ast.design -> unit
-
 val design_to_string : Ast.design -> string
 val expr_to_string : Ast.expr -> string
 

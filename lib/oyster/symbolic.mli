@@ -38,12 +38,6 @@ type trace = {
 
 val fresh_prefix : unit -> string
 
-val read_over_write : Term.mem -> write_event list -> Term.t -> Term.t
-(** Value of the memory at an address given the chronological write log
-    (later writes win), bottoming out at the uninterpreted initial
-    contents. *)
-
-val eval_unop : Ast.unop -> Term.t -> Term.t
 val eval_binop : Ast.binop -> Term.t -> Term.t -> Term.t
 
 val eval :

@@ -210,7 +210,7 @@ let fresh_stats () =
     wall_seconds = 0.0;
   }
 
-(* The one constructor ([synthesize], [verify], [checker]); [fan_out]
+(* The one constructor, shared by [synthesize] and [verify]; [fan_out]
    resets [tasks_left] to the batch it schedules. *)
 let new_run ?(cancel = fun () -> false) opts (problem : problem) =
   {
@@ -684,23 +684,6 @@ let verdict_name = function
 
 let pins (c : Ila.Conditions.conditions) = Refine.collect c.Ila.Conditions.pre
 
-(* The one refined check, on the ladder of [synthesize].  An unpinned
-   violation is the same datapath formula for every instruction, so it
-   shares [lane] (GCD: 1.9 k clauses blasted per call against 7.0 k
-   one-shot).  A pinned one is specialized down from the instruction word
-   and shares almost nothing, while retraction keeps its Tseitin gates in
-   a session, so it gets a one-shot solver (rv32im: 297 k clauses, 2.1 M
-   propagations and 0.72 s of checks, against 339 k, 10.2 M and 3.76 s on
-   shared sessions).  An exhausted ladder reads Inconclusive.  A Sat model
-   lacks the pinned bits (they folded away). *)
-let refined_check run lane c v =
-  let pins = pins c in
-  let lane = if Refine.is_empty pins then lane else None in
-  match Lane.check_candidate run lane (Refine.apply pins v) with
-  | exception Stop _ -> Inconclusive
-  | None -> Verified
-  | Some m -> Violated m
-
 (* Bounded refinement checking of a completed design, instruction by
    instruction. *)
 let verify ?(options = default_options) ?cancel (problem : problem) :
@@ -725,9 +708,22 @@ let verify ?(options = default_options) ?cancel (problem : problem) :
         (* [conflict_budget] bounds each instruction's ladder, not the call *)
         let run = { base with stats = fresh_stats (); consumed = Atomic.make 0 } in
         let violation = Ila.Conditions.violation c in
-        match refined_check run lane c violation with
-        | Violated m -> (
-            (* Re-check the unrefined formula to report a faithful
+        (* An unpinned violation is the same datapath formula for every
+           instruction, so it shares [lane] (GCD: 1.9 k clauses blasted
+           per call against 7.0 k one-shot).  A pinned one is specialized
+           down from the instruction word and shares almost nothing, while
+           retraction keeps its Tseitin gates in a session, so it gets a
+           one-shot solver (rv32im: 297 k clauses, 2.1 M propagations and
+           0.72 s of checks, against 339 k, 10.2 M and 3.76 s on shared
+           sessions). *)
+        let pins = pins c in
+        let lane = if Refine.is_empty pins then lane else None in
+        match Lane.check_candidate run lane (Refine.apply pins violation) with
+        | exception Stop _ -> Inconclusive
+        | None -> Verified
+        | Some m -> (
+            (* The refined model lacks the pinned bits (they folded away),
+               so re-check the unrefined formula to report a faithful
                counterexample.  A fresh lane keeps the reported model
                deterministic even under parallel incremental schedules,
                and the ladder validates it like any other model;
@@ -735,39 +731,8 @@ let verify ?(options = default_options) ?cancel (problem : problem) :
                query is cheap. *)
             match Lane.check run None [ violation ] with
             | exception Stop _ -> Violated m
-            | r -> Violated (Option.value r ~default:m))
-        | v -> v ))
+            | r -> Violated (Option.value r ~default:m)) ))
     conds
-
-(* Staged: trace and conditions once, then one run per check. *)
-let checker (problem : problem) =
-  let trace = symbolic_trace problem in
-  let find what l k =
-    match List.assoc_opt k l with
-    | Some x -> x
-    | None -> fail "Engine.checker: no %s %s" what k
-  in
-  let conds =
-    List.map
-      (fun (c : Ila.Conditions.conditions) -> (c.Ila.Conditions.instr_name, c))
-      (compile_conditions problem trace)
-  in
-  let vars =
-    List.map
-      (fun (h : Oyster.Ast.hole_decl) -> (h.Oyster.Ast.hole_name, fst (hole_var trace h)))
-      (Oyster.Ast.holes problem.design)
-  in
-  fun ~instr ~holes ->
-    let c = find "instruction" conds instr in
-    let values = Hashtbl.create 16 in
-    List.iter (fun (h, v) -> Hashtbl.replace values (find "hole" vars h) v) holes;
-    let run = new_run default_options problem in
-    Obs.span "check.instr"
-      ~args:[ ("instr", Obs.Str instr) ]
-      ~result:(fun v -> [ ("verdict", Obs.Str (verdict_name v)) ])
-    @@ fun () ->
-    refined_check run None c
-      (Term.substitute (candidate_env run values) (Ila.Conditions.violation c))
 
 (* The monolithic ∀-verify query in closed form: the disjunction, over
    every instruction of the spec, of its refined violation on the

@@ -253,26 +253,26 @@ val synthesize :
 
 (** {1 Checks with the control fixed}
 
-    With no hole left to choose — a completed design, or a sketch whose
-    hole values are given — the refinement question is one query per
+    With no hole left to choose, the refinement question is one query per
     instruction: is {!Ila.Conditions.violation} unsatisfiable?  This is
-    how a hand-written control implementation is formally checked against
-    the specification, and how {!Minimize} re-checks a changed hole value.
+    how a completed design, synthesized or hand-written, is formally
+    checked against the specification.
 
-    {!verify}, {!checker} and {!monolithic_violation} share one step,
-    {e field refinement} (see {!Refine}): instruction-word fields that the
+    {!verify} and {!monolithic_violation} share one step, {e field
+    refinement} (see {!Refine}): instruction-word fields that the
     precondition pins to constants (opcode, funct3, funct7) are
     substituted structurally into the fetched word, so the decode
     comparisons fold and the datapath's operation-selection muxes
     collapse before bit-blasting.  Without it, verifying a core whose ALU
-    tree contains wide multipliers or dividers is intractable.  The
-    refined query climbs the same {!Resilience} ladder as a synthesis
-    query: escalating rungs, deadline slices over the instructions still
-    outstanding, a final rung on a fresh one-shot solver, and with
-    [validate_models] every Sat model concretely evaluated before it is
-    trusted.  Only an exhausted ladder reads differently, [Inconclusive]
-    where synthesis reports [Timeout].  The CEGIS verify step does not
-    refine: a refined counterexample lacks its pinned bits. *)
+    tree contains wide multipliers or dividers is intractable.  In
+    {!verify} the refined query climbs the same {!Resilience} ladder as a
+    synthesis query: escalating rungs, deadline slices over the
+    instructions still outstanding, a final rung on a fresh one-shot
+    solver, and with [validate_models] every Sat model concretely
+    evaluated before it is trusted.  Only an exhausted ladder reads
+    differently, [Inconclusive] where synthesis reports [Timeout].  The
+    CEGIS verify step does not refine: a refined counterexample lacks its
+    pinned bits. *)
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
@@ -303,18 +303,10 @@ val verify :
     budget this never changes a verdict (counterexample models are
     re-derived by a fresh check, so they are schedule-independent too),
     but under a tight budget the exact query that exhausts it may differ
-    from the fresh mode's.  Only [verify] re-checks a [Sat]: the
+    from the fresh mode's.  A [Sat] refined query is re-checked: the
     unrefined violation on a fresh solver yields a model with the pinned
     bits.  Crashed worker tasks are retried up to [retries] times on a
     fresh session; cancellation is never retried. *)
-
-val checker : problem -> instr:string -> holes:(string * Bitvec.t) list -> verdict
-(** Staged: [checker problem] evaluates the sketch and compiles its
-    conditions once; each [~instr ~holes] application substitutes the
-    hole values (hole name -> constant, [Shared] holes included) into
-    [instr]'s violation and poses the refined check on a one-shot solver
-    under {!default_options}, as a run of its own.  Raises {!Engine_error}
-    for an unknown instruction or hole name. *)
 
 val monolithic_violation : problem -> Term.t
 (** The monolithic ∀-verify query in closed form: the disjunction over

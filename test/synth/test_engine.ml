@@ -327,43 +327,6 @@ let prop_one_query_is_pairwise =
           let witness = Synth.Independence.co_decoding env conds in
           witness <> [] && List.for_all (fun p -> List.mem p overlapping) witness)
 
-(* {1 Don't-care minimization} *)
-
-let test_minimize () =
-  let problem = Designs.Alu.problem () in
-  let solved = solve problem in
-  let m = Synth.Minimize.run problem solved in
-  Alcotest.(check bool) "checks performed" true
-    (m.Synth.Minimize.minimize_stats.Synth.Minimize.checks > 0);
-  (* the minimized design must still co-simulate with the reference *)
-  let reference = Designs.Alu.reference_design () in
-  let rng = Random.State.make [| 55 |] in
-  for _ = 1 to 5 do
-    let stim =
-      Array.init 12 (fun _ ->
-          ( 1 + Random.State.int rng 3,
-            Random.State.int rng 4,
-            Random.State.int rng 4,
-            Random.State.int rng 4 ))
-    in
-    let mem_image = Array.init 4 (fun _ -> b 8 (Random.State.int rng 256)) in
-    let r1 =
-      simulate_alu m.Synth.Minimize.solved.Synth.Engine.completed ~cycles:12
-        ~stimulus:(fun c -> stim.(c))
-        ~mem_image
-    in
-    let r2 =
-      simulate_alu reference ~cycles:12 ~stimulus:(fun c -> stim.(c)) ~mem_image
-    in
-    Array.iteri
-      (fun i v -> Alcotest.check bv (Printf.sprintf "minimized reg %d" i) v r1.(i))
-      r2
-  done;
-  (* minimization never grows the control *)
-  Alcotest.(check bool) "control no larger" true
-    (Hdl.Pyrtl.bindings_loc m.Synth.Minimize.solved.Synth.Engine.bindings
-    <= Hdl.Pyrtl.bindings_loc solved.Synth.Engine.bindings)
-
 (* {1 Tracing} *)
 
 (* The names of the spans each [name] span opens inside, per occurrence. *)
@@ -440,7 +403,6 @@ let () =
          Alcotest.test_case "feedback detection" `Quick test_feedback_detected;
          Alcotest.test_case "overlapping decodes" `Quick test_overlapping_decodes;
          QCheck_alcotest.to_alcotest prop_one_query_is_pairwise ]);
-      ("minimize", [ Alcotest.test_case "don't-cares" `Quick test_minimize ]);
       ("gate",
        [ Alcotest.test_case "independence pre-check" `Quick test_independence_gate ]);
       ("tracing",

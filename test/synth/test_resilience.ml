@@ -303,20 +303,27 @@ let test_verify_under_faults () =
             (v = Synth.Engine.Verified))
         verdicts)
 
-let test_minimize_under_faults () =
-  (* don't-care minimization's re-checks climb the ladder: a spurious
-     Unknown on one of them must not cost a merge *)
+let test_pinned_verify_under_faults () =
+  (* every RV32I precondition pins its opcode, so each verify query is a
+     refined check on its own one-shot solver.  At jobs = 1 check 5 is
+     LB's (refinement folds some earlier violations to false, which pose
+     no check), and a spurious Unknown there must climb the ladder to the
+     same verdict. *)
   let problem = Designs.Riscv_single.problem Isa.Rv32.RV32I in
-  let solved = solve problem in
-  let merged () =
-    (Synth.Minimize.run problem solved).Synth.Minimize.minimize_stats
-      .Synth.Minimize.merged
+  let problem =
+    { problem with
+      Synth.Engine.design = Designs.Riscv_single.reference_design Isa.Rv32.RV32I }
   in
-  let clean = merged () in
-  with_plan "unknown@4" (fun () ->
-      let faulty = merged () in
+  with_plan "unknown@5" (fun () ->
+      let options = Synth.Engine.(default_options |> with_jobs 1) in
+      let verdicts = Synth.Engine.verify ~options problem in
       Alcotest.(check int) "one fault fired" 1 (Fault.fired ());
-      Alcotest.(check int) "merges identical to fault-free" clean faulty)
+      Alcotest.(check int) "37 verdicts" 37 (List.length verdicts);
+      List.iter
+        (fun (iname, v) ->
+          Alcotest.(check bool) (iname ^ " verified") true
+            (v = Synth.Engine.Verified))
+        verdicts)
 
 (* Cancellation is the caller's request, not a crash: it propagates on
    its first raise, is never retried, and stops the pool from starting
@@ -394,7 +401,7 @@ let () =
          Alcotest.test_case "exhausted gate ladder times out" `Quick
            test_gate_exhausted_times_out;
          Alcotest.test_case "verify recovers" `Quick test_verify_under_faults;
-         Alcotest.test_case "minimize recovers" `Slow
-           test_minimize_under_faults;
+         Alcotest.test_case "pinned verify recovers" `Quick
+           test_pinned_verify_under_faults;
          Alcotest.test_case "cancellation is not retried" `Quick
            test_cancel_not_retried ]) ]
