@@ -580,11 +580,14 @@ let client_cmd =
       | Owl_serve.Proto.Instr_started { instr } ->
           Printf.printf "  > %s...\n%!" instr
       | Owl_serve.Proto.Instr_done { instr; status; iterations; queries } ->
-          if iterations = 0 && queries = 0 then
-            Printf.printf "  < %-20s %s\n%!" instr status
+          (* a verified instruction runs no rounds; a cache hit no queries *)
+          let rounds =
+            if iterations = 0 then "" else Printf.sprintf "%d rounds, " iterations
+          in
+          if queries = 0 then Printf.printf "  < %-20s %s\n%!" instr status
           else
-            Printf.printf "  < %-20s %s (%d rounds, %d queries)\n%!" instr
-              status iterations queries
+            Printf.printf "  < %-20s %s (%s%d queries)\n%!" instr status rounds
+              queries
       | Owl_serve.Proto.Retry { attempt; reason } ->
           Printf.printf "  ! retry, attempt %d (%s)\n%!" attempt reason
       | Owl_serve.Proto.Degraded { attempt } ->

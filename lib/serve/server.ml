@@ -303,23 +303,16 @@ let progress_tap job =
             cur := i;
             emit (Proto.Instr_started { instr = i })
         | None -> ())
-    | Obs.End, "cegis.instr" ->
+    | Obs.End, (("cegis.instr" | "verify.instr") as span) ->
+        (* a verify span names its status "verdict" and runs no rounds *)
+        let status = if span = "cegis.instr" then "status" else "verdict" in
         emit
           (Proto.Instr_done
              {
                instr = !cur;
-               status = Option.value ~default:"unknown" (find_str "status" args);
+               status = Option.value ~default:"unknown" (find_str status args);
                iterations = find_int "iterations" args;
                queries = find_int "queries" args;
-             })
-    | Obs.End, "verify.instr" ->
-        emit
-          (Proto.Instr_done
-             {
-               instr = !cur;
-               status = Option.value ~default:"unknown" (find_str "verdict" args);
-               iterations = 0;
-               queries = 0;
              })
     | Obs.Instant, "resilience.retry" ->
         emit

@@ -91,20 +91,20 @@ let with_incremental incremental o = { o with incremental }
 let with_cache cache o = { o with cache }
 
 type stats = {
-  mutable iterations : int;
-  mutable queries : int;
-  mutable conflicts : int;
-  mutable blasted_vars : int;
-  mutable blasted_clauses : int;
-  mutable trivial_unsats : int;
-  mutable retried_queries : int;
-  mutable degraded_queries : int;
-  mutable validation_failures : int;
-  mutable task_retries : int;
-  mutable sat_restarts : int;
-  mutable sat_learnt_kept : int;
-  mutable sat_learnt_deleted : int;
-  mutable wall_seconds : float;
+  iterations : int;
+  queries : int;
+  conflicts : int;
+  blasted_vars : int;
+  blasted_clauses : int;
+  trivial_unsats : int;
+  retried_queries : int;
+  degraded_queries : int;
+  validation_failures : int;
+  task_retries : int;
+  sat_restarts : int;
+  sat_learnt_kept : int;
+  sat_learnt_deleted : int;
+  wall_seconds : float;
 }
 
 type solved = {
@@ -166,15 +166,27 @@ let compile_conditions (problem : problem) trace =
   Obs.span "synth.conditions" (fun () ->
       Ila.Conditions.compile problem.spec problem.af trace)
 
-(* {1 Internal bookkeeping} *)
+(* {1 Internal bookkeeping: the query log} *)
 
-(* One [run] per worker: [stats] is that worker's private tally (the
-   scheduler sums the tallies afterwards), while [consumed] is shared by
-   every worker of a synthesis call so the conflict budget bounds the whole
-   call, not each loop separately. *)
+(* How one solver attempt on the ladder ended. *)
+type ending =
+  | Sat
+  | Unsat
+  | Retry_unknown  (* an Unknown below the final rung *)
+  | Retry_rejected  (* a Sat model that failed validation *)
+  | Stopped  (* an Unknown on the final rung: the ladder gave up *)
+
+(* One solver attempt, as [Lane.check] logs it. *)
+type attempt = { solver : Solver.stats; fresh : bool; ending : ending }
+
+(* One [run] per loop, and one for the gate and each verified instruction:
+   [log] and [rounds] are its own, read once every loop has finished, while
+   [consumed] is shared by every loop of a synthesis call so the conflict
+   budget bounds the whole call, not each loop separately. *)
 type run = {
   opts : options;
-  stats : stats;
+  log : attempt list ref;  (* this run's solver attempts, newest first *)
+  rounds : int ref;  (* CEGIS rounds its loop began *)
   consumed : int Atomic.t;  (* conflicts consumed across all workers *)
   started : float;
   hole_marker : string;  (* prefix identifying hole variables *)
@@ -187,35 +199,21 @@ type run = {
          record stays structurally comparable and wire-serializable *)
 }
 
-exception Stop of outcome
+(* A loop's early end.  The outcome still lacks its stats: [synthesize]
+   attaches them once every loop has finished. *)
+exception Stop of (stats -> outcome)
 exception Cancelled = Pool.Cancelled
 
+let time_out () = raise (Stop (fun stats -> Timeout stats))
 let now () = Unix.gettimeofday ()
-
-let fresh_stats () =
-  {
-    iterations = 0;
-    queries = 0;
-    conflicts = 0;
-    blasted_vars = 0;
-    blasted_clauses = 0;
-    trivial_unsats = 0;
-    retried_queries = 0;
-    degraded_queries = 0;
-    validation_failures = 0;
-    task_retries = 0;
-    sat_restarts = 0;
-    sat_learnt_kept = 0;
-    sat_learnt_deleted = 0;
-    wall_seconds = 0.0;
-  }
 
 (* The one constructor, shared by [synthesize] and [verify]; [fan_out]
    resets [tasks_left] to the batch it schedules. *)
 let new_run ?(cancel = fun () -> false) opts (problem : problem) =
   {
     opts;
-    stats = fresh_stats ();
+    log = ref [];
+    rounds = ref 0;
     consumed = Atomic.make 0;
     started = now ();
     hole_marker = problem_prefix problem ^ "hole!";
@@ -223,64 +221,47 @@ let new_run ?(cancel = fun () -> false) opts (problem : problem) =
     cancel;
   }
 
-let merge_stats into from =
-  into.iterations <- into.iterations + from.iterations;
-  into.queries <- into.queries + from.queries;
-  into.conflicts <- into.conflicts + from.conflicts;
-  into.blasted_vars <- into.blasted_vars + from.blasted_vars;
-  into.blasted_clauses <- into.blasted_clauses + from.blasted_clauses;
-  into.trivial_unsats <- into.trivial_unsats + from.trivial_unsats;
-  into.retried_queries <- into.retried_queries + from.retried_queries;
-  into.degraded_queries <- into.degraded_queries + from.degraded_queries;
-  into.validation_failures <-
-    into.validation_failures + from.validation_failures;
-  into.task_retries <- into.task_retries + from.task_retries;
-  into.sat_restarts <- into.sat_restarts + from.sat_restarts;
-  into.sat_learnt_kept <- into.sat_learnt_kept + from.sat_learnt_kept;
-  into.sat_learnt_deleted <- into.sat_learnt_deleted + from.sat_learnt_deleted
+(* A run of its own for one loop or one check: an empty log, everything
+   else shared. *)
+let sub_run run = { run with log = ref []; rounds = ref 0 }
 
-(* Rebuild an outcome around the scheduler's merged stats (worker Stop
-   payloads carry only that worker's tally). *)
-let with_stats stats = function
-  | Solved s -> Solved { s with stats }
-  | Timeout _ -> Timeout stats
-  | Unrealizable { instr; _ } -> Unrealizable { instr; stats }
-  | Union_failed { diagnostic; _ } -> Union_failed { diagnostic; stats }
-  | Not_independent { overlapping; feedback; _ } ->
-      Not_independent { overlapping; feedback; stats }
+(* [Engine.stats] of finished [runs]: sums and counts over their logs,
+   plus their loops' rounds.  Session checks report per-check increments
+   (see {!Solver.stats}), so [blasted_clauses] counts every problem clause
+   encoded — what the incremental mode exists to shrink — alike in both
+   modes. *)
+let stats_of_runs ?(task_retries = 0) ?(wall_seconds = 0.0) runs =
+  let attempts = List.concat_map (fun r -> !(r.log)) runs in
+  let count p = List.length (List.filter p attempts) in
+  let { Solver.sat_vars; sat_clauses; sat_conflicts; sat_restarts;
+        sat_learnt_kept; sat_learnt_deleted; _ } =
+    List.fold_left (fun acc a -> Solver.add_stats acc a.solver)
+      Solver.empty_stats attempts
+  in
+  {
+    iterations = List.fold_left (fun n r -> n + !(r.rounds)) 0 runs;
+    queries = List.length attempts;
+    conflicts = sat_conflicts;
+    blasted_vars = sat_vars;
+    blasted_clauses = sat_clauses;
+    trivial_unsats = count (fun a -> a.solver.Solver.trivially_unsat);
+    retried_queries =
+      count (fun a -> a.ending = Retry_unknown || a.ending = Retry_rejected);
+    degraded_queries = count (fun a -> a.fresh);
+    validation_failures = count (fun a -> a.ending = Retry_rejected);
+    task_retries; sat_restarts; sat_learnt_kept; sat_learnt_deleted; wall_seconds;
+  }
 
 let check_deadline run =
   if run.cancel () then raise Cancelled;
-  run.stats.wall_seconds <- now () -. run.started;
   match run.opts.deadline_seconds with
-  | Some d when run.stats.wall_seconds > d -> raise (Stop (Timeout run.stats))
+  | Some d when now () -. run.started > d -> time_out ()
   | _ -> ()
-
-(* Common bookkeeping for one solver query.  Session checks report
-   per-check increments (see {!Solver.stats}), so summing them here gives
-   the same totals as the one-shot path: [blasted_clauses] counts every
-   problem clause encoded across the run — the headline metric the
-   incremental mode is meant to shrink — and [consumed] deducts only the
-   conflicts of this query from the shared budget pool. *)
-let account run (st : Solver.stats) =
-  run.stats.queries <- run.stats.queries + 1;
-  run.stats.conflicts <- run.stats.conflicts + st.Solver.sat_conflicts;
-  run.stats.blasted_vars <- run.stats.blasted_vars + st.Solver.sat_vars;
-  run.stats.blasted_clauses <-
-    run.stats.blasted_clauses + st.Solver.sat_clauses;
-  run.stats.sat_restarts <- run.stats.sat_restarts + st.Solver.sat_restarts;
-  run.stats.sat_learnt_kept <-
-    run.stats.sat_learnt_kept + st.Solver.sat_learnt_kept;
-  run.stats.sat_learnt_deleted <-
-    run.stats.sat_learnt_deleted + st.Solver.sat_learnt_deleted;
-  if st.Solver.trivially_unsat then
-    run.stats.trivial_unsats <- run.stats.trivial_unsats + 1;
-  ignore (Atomic.fetch_and_add run.consumed st.Solver.sat_conflicts)
 
 let budget_remaining run =
   check_deadline run;
   let remaining = run.opts.conflict_budget - Atomic.get run.consumed in
-  if remaining <= 0 then raise (Stop (Timeout run.stats));
+  if remaining <= 0 then time_out ();
   remaining
 
 let query_deadline run =
@@ -318,13 +299,15 @@ let model_satisfies model terms =
 
 (* {1 Lanes: incremental or fresh, on the resilient ladder}
 
-   The one place [options.incremental] is read.  A lane carries one stream
-   of related queries: one verify target's successive candidates, or one
-   loop's accumulating synth constraints.  Incrementally it is a persistent
-   session — SAT state, the blasting cache and learned clauses survive from
-   query to query; otherwise it is nothing, and every query re-encodes its
-   terms on a one-shot solver.  A lane is created by the loop that uses it
-   and becomes garbage when that loop returns. *)
+   The one place [options.incremental] picks a solver; the only other
+   reader is [cached_cegis], which puts it in the cache fingerprint.  A
+   lane carries one stream of related queries: one verify target's
+   successive candidates, or one loop's accumulating synth constraints.
+   Incrementally it is a persistent session — SAT state, the blasting
+   cache and learned clauses survive from query to query; otherwise it is
+   nothing, and every query re-encodes its terms on a one-shot solver.  A
+   lane is created by the loop that uses it and becomes garbage when that
+   loop returns. *)
 module Lane = struct
   let create (o : options) =
     if o.incremental then Some (Solver.Session.create ()) else None
@@ -339,8 +322,11 @@ module Lane = struct
      [terms].  With model validation on, a [Sat] model must satisfy
      [terms] concretely.
 
+     Every attempt appends one record to [run]'s log, and deducts its
+     conflicts from the shared budget pool.
+
      An [Unknown] on a non-final attempt retries one rung up; on the final
-     attempt it raises [Stop (Timeout _)] — the ladder is the only place
+     attempt it raises [Stop] with a [Timeout] — the ladder is the only place
      that turns solver Unknowns into engine timeouts ([verify] reads them
      as Inconclusive), so no caller sees one.  A validation failure
      retries like an Unknown, except that it always earns a fresh-solver
@@ -366,11 +352,8 @@ module Lane = struct
           ~hard:(query_deadline run) ~tasks_left:(Atomic.get run.tasks_left)
           ~attempt:rung
       in
-      if use_fresh then begin
-        run.stats.degraded_queries <- run.stats.degraded_queries + 1;
-        if Obs.recording () then
-          Obs.instant "resilience.degrade" ~args:[ ("attempt", Obs.Int attempt) ]
-      end;
+      if use_fresh && Obs.recording () then
+        Obs.instant "resilience.degrade" ~args:[ ("attempt", Obs.Int attempt) ];
       let result =
         Obs.span "resilience.attempt"
           ~args:
@@ -386,27 +369,29 @@ module Lane = struct
                 Solver.Session.check_with ~assumptions ~budget ?deadline s []
             | _ -> Solver.check ~budget ?deadline terms)
       in
-      account run (Solver.stats_of result);
+      let solver = Solver.stats_of result in
+      ignore (Atomic.fetch_and_add run.consumed solver.Solver.sat_conflicts);
+      let log ending = run.log := { solver; fresh = use_fresh; ending } :: !(run.log) in
       match result with
-      | Solver.Unknown _ ->
-          if final then raise (Stop (Timeout run.stats))
-          else retry attempt "unknown"
+      | Solver.Unknown _ when final -> log Stopped; time_out ()
+      | Solver.Unknown _ -> log Retry_unknown; retry attempt "unknown"
       | Solver.Sat (m, _)
         when run.opts.validate_models && not (model_satisfies m terms) ->
-          run.stats.validation_failures <- run.stats.validation_failures + 1;
           if Obs.recording () then
             Obs.instant "resilience.validation_failure"
               ~args:
                 [ ("attempt", Obs.Int attempt); ("fresh", Obs.Bool use_fresh) ];
+          (* a rejection on the fresh rung fails the whole call, so no
+             stats are ever read from its log *)
           if use_fresh then
             fail
               "model validation failed on a fresh solver (persistent fault or \
-               solver bug)"
-          else retry attempt "validation_failure"
-      | Solver.Sat (m, _) -> Some m
-      | Solver.Unsat _ -> None
+               solver bug)";
+          log Retry_rejected;
+          retry attempt "validation_failure"
+      | Solver.Sat (m, _) -> log Sat; Some m
+      | Solver.Unsat _ -> log Unsat; None
     and retry attempt reason =
-      run.stats.retried_queries <- run.stats.retried_queries + 1;
       if Obs.recording () then
         Obs.instant "resilience.retry"
           ~args:[ ("attempt", Obs.Int attempt); ("reason", Obs.Str reason) ];
@@ -437,10 +422,9 @@ end
 
    Mutual exclusion is one query on the run's ladder: its deadline, cancel
    token, conflict budget, fault plan and model validation apply, and an
-   exhausted ladder raises [Stop (Timeout _)].  The query's work is tallied
-   on a private [stats], reported on the span and never merged into the
-   run's, so a run that passes the gate keeps its stats.  Assume wires are
-   the permitted feedback cuts. *)
+   exhausted ladder raises [Stop] with a [Timeout].  The query is logged on
+   a run of its own, which only the span reads, so a run that passes the
+   gate keeps its stats.  Assume wires are the permitted feedback cuts. *)
 
 type independence_report = {
   overlapping : (string * string) list;
@@ -448,12 +432,13 @@ type independence_report = {
 }
 
 let independence_gate run (problem : problem) conds =
-  let grun = { run with stats = fresh_stats () } in
+  let grun = sub_run run in
   Obs.span "synth.independence"
     ~result:(fun _ ->
-      [ ("queries", Obs.Int grun.stats.queries);
-        ("conflicts", Obs.Int grun.stats.conflicts);
-        ("retried_queries", Obs.Int grun.stats.retried_queries) ])
+      let st = stats_of_runs [ grun ] in
+      [ ("queries", Obs.Int st.queries);
+        ("conflicts", Obs.Int st.conflicts);
+        ("retried_queries", Obs.Int st.retried_queries) ])
   @@ fun () ->
   let cuts = List.map fst problem.af.Ila.Absfun.assumes in
   {
@@ -598,14 +583,13 @@ let cegis run ~instr ~targets ~corrects candidate =
     in
     match result with
     | Some m -> refresh_table candidate m
-    | None -> raise (Stop (Unrealizable { instr; stats = run.stats }))
+    | None -> raise (Stop (fun stats -> Unrealizable { instr; stats }))
   in
   (* the iteration span closes before the recursive call, so nesting
      depth stays constant however many rounds run *)
   let rec loop iter =
-    if iter > run.opts.max_iterations then
-      raise (Stop (Timeout run.stats));
-    run.stats.iterations <- run.stats.iterations + 1;
+    if iter > run.opts.max_iterations then time_out ();
+    incr run.rounds;
     let continue =
       Obs.span "cegis.iteration"
         ~args:[ ("instr", Obs.Str label); ("iter", Obs.Int iter) ]
@@ -642,29 +626,39 @@ let cegis run ~instr ~targets ~corrects candidate =
   loop 1;
   List.rev !constraints
 
+(* Runs [solve], one CEGIS loop on [run], inside span [name]: [Some o] if
+   the loop stopped with [o].  The span's End reports the loop's status,
+   and its rounds and queries from [run]'s log. *)
+let loop_span name ~label run solve =
+  Obs.span name
+    ~args:[ ("instr", Obs.Str label) ]
+    ~result:(fun stopped ->
+      [
+        ("status", Obs.Str (if Option.is_some stopped then "stopped" else "solved"));
+        ("iterations", Obs.Int !(run.rounds));
+        ("queries", Obs.Int (List.length !(run.log)));
+      ])
+  @@ fun () -> match solve () with () -> None | exception Stop o -> Some o
+
 (* {1 Per-instruction fan-out}
 
    One task per instruction over the worker pool, results in instruction
    order.  [tasks_left] counts the unfinished tasks the ladder's deadline
    slices share; a task crashed by an injected fault re-runs on fresh
-   worker state up to [retries] times (cancellation never does). *)
-let fan_out run ~make task items =
+   worker state up to [retries] times (cancellation never does), each
+   re-run counted on [retried] when given. *)
+let fan_out ?retried run ~make task items =
   let retries = run.opts.retries in
-  let retried = Atomic.make 0 in
   Atomic.set run.tasks_left (List.length items);
-  let results =
-    try
-      Pool.map_arena ~jobs:run.opts.jobs ~make ~retries ~retried
-        (fun w x ->
-          let r = task w x in
-          ignore (Atomic.fetch_and_add run.tasks_left (-1));
-          r)
-        items
-    with Fault.Injected_crash i ->
-      fail "worker task attempt %d crashed and exhausted %d retries" i retries
-  in
-  run.stats.task_retries <- run.stats.task_retries + Atomic.get retried;
-  results
+  try
+    Pool.map_arena ~jobs:run.opts.jobs ~make ~retries ?retried
+      (fun w x ->
+        let r = task w x in
+        ignore (Atomic.fetch_and_add run.tasks_left (-1));
+        r)
+      items
+  with Fault.Injected_crash i ->
+    fail "worker task attempt %d crashed and exhausted %d retries" i retries
 
 (* {1 Checks with the control fixed}
 
@@ -700,13 +694,17 @@ let verify ?(options = default_options) ?cancel (problem : problem) :
   fan_out base ~make:(fun () -> Lane.create options)
     (fun lane (c : Ila.Conditions.conditions) ->
       let instr = c.Ila.Conditions.instr_name in
+      (* [conflict_budget] bounds each instruction's ladder, not the call *)
+      let run = { (sub_run base) with consumed = Atomic.make 0 } in
       ( instr,
         Obs.span "verify.instr"
           ~args:[ ("instr", Obs.Str instr) ]
-          ~result:(fun v -> [ ("verdict", Obs.Str (verdict_name v)) ])
+          ~result:(fun v ->
+            [
+              ("verdict", Obs.Str (verdict_name v));
+              ("queries", Obs.Int (List.length !(run.log)));
+            ])
         @@ fun () ->
-        (* [conflict_budget] bounds each instruction's ladder, not the call *)
-        let run = { base with stats = fresh_stats (); consumed = Atomic.make 0 } in
         let violation = Ila.Conditions.violation c in
         (* An unpinned violation is the same datapath formula for every
            instruction, so it shares [lane] (GCD: 1.9 k clauses blasted
@@ -822,6 +820,19 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
   if options.jobs < 1 then fail "Engine.synthesize: options.jobs < 1";
   let run = new_run ?cancel options problem in
   let trace = symbolic_trace problem in
+  (* the runs whose logs make the stats: the joint loop's [run], or the
+     independent loops' runs in instruction order *)
+  let loops = ref [ run ] in
+  let task_retries = Atomic.make 0 in
+  (* applied once every loop has finished: the one place stats are
+     attached *)
+  let finish outcome =
+    outcome
+      (stats_of_runs ~task_retries:(Atomic.get task_retries)
+         ~wall_seconds:(now () -. run.started) !loops)
+  in
+  finish
+  @@
   try
     let conds = compile_conditions problem trace in
     if conds = [] then fail "specification has no instructions";
@@ -830,7 +841,8 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
     (match independence_gate run problem conds with
     | { overlapping = []; feedback = [] } -> ()
     | { overlapping; feedback } ->
-        raise (Stop (Not_independent { overlapping; feedback; stats = run.stats })));
+        raise
+          (Stop (fun stats -> Not_independent { overlapping; feedback; stats })));
     let shared_holes, per_holes =
       List.partition
         (fun (h : Oyster.Ast.hole_decl) -> h.Oyster.Ast.kind = Oyster.Ast.Shared)
@@ -875,7 +887,7 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
     (if independent then begin
        (* The paper's per-instruction strategy: separate small CEGIS loops,
           independent by construction (paper 3.3.1), fanned out across the
-          worker pool.  Each task owns its stats, its lanes and its slice of
+          worker pool.  Each task owns its log, its lanes and its slice of
           the candidate (the per-instruction renamed hole copies are
           disjoint), so workers share nothing but the term table, the
           solver (both re-entrant) and the conflict-budget counter.  The
@@ -887,50 +899,30 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
           reported, so outcome and stats are the same for any [jobs]. *)
        let task () ((c : Ila.Conditions.conditions), correct, violation) =
          let iname = c.Ila.Conditions.instr_name in
-         Obs.span "cegis.instr"
-           ~args:[ ("instr", Obs.Str iname) ]
-           ~result:(fun (r, (ts : stats)) ->
-             [
-               ( "status",
-                 Obs.Str
-                   (match r with `Solved _ -> "solved" | `Stopped _ -> "stopped")
-               );
-               ("iterations", Obs.Int ts.iterations);
-               ("queries", Obs.Int ts.queries);
-             ])
-         @@ fun () ->
-         let trun = { run with stats = fresh_stats () } in
+         let trun = sub_run run in
          let holes = hole_vars_of_instr iname in
          let local : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 16 in
          List.iter (fun (n, w) -> Hashtbl.replace local n (Bitvec.zero w)) holes;
-         let solve () =
-           match options.cache with
-           | None ->
-               ignore
-                 (cegis trun ~instr:(Some iname) ~targets:[ violation ]
-                    ~corrects:[ correct ] local)
-           | Some cache ->
-               cached_cegis trun cache ~instr:iname ~holes ~correct ~violation
-                 local
+         let stopped =
+           loop_span "cegis.instr" ~label:iname trun (fun () ->
+               match options.cache with
+               | None ->
+                   ignore
+                     (cegis trun ~instr:(Some iname) ~targets:[ violation ]
+                        ~corrects:[ correct ] local)
+               | Some cache ->
+                   cached_cegis trun cache ~instr:iname ~holes ~correct
+                     ~violation local)
          in
-         match solve () with
-         | () -> (`Solved local, trun.stats)
-         | exception Stop o -> (`Stopped o, trun.stats)
+         (stopped, local, trun)
        in
-       let results = fan_out run ~make:ignore task formulas in
-       (* deterministic merge, in instruction order *)
-       List.iter (fun (_, ts) -> merge_stats run.stats ts) results;
-       (match
-          List.find_map
-            (function `Stopped o, _ -> Some o | _ -> None)
-            results
-        with
-       | Some o -> raise (Stop o)
-       | None -> ());
+       let results = fan_out ~retried:task_retries run ~make:ignore task formulas in
+       loops := List.map (fun (_, _, trun) -> trun) results;
+       Option.iter
+         (fun o -> raise (Stop o))
+         (List.find_map (fun (stopped, _, _) -> stopped) results);
        List.iter
-         (function
-           | `Solved local, _ -> Hashtbl.iter (Hashtbl.replace candidate) local
-           | `Stopped _, _ -> ())
+         (fun (_, local, _) -> Hashtbl.iter (Hashtbl.replace candidate) local)
          results
      end
      else
@@ -942,10 +934,13 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
          | Monolithic -> [ Term.disj violations ]
          | Per_instruction -> violations
        in
-       ignore
-         (cegis run ~instr:None ~targets
-            ~corrects:(List.map (fun (_, f, _) -> f) formulas)
-            candidate));
+       Option.iter
+         (fun o -> raise (Stop o))
+         (loop_span "cegis.joint" ~label:"joint" run (fun () ->
+              ignore
+                (cegis run ~instr:None ~targets
+                   ~corrects:(List.map (fun (_, f, _) -> f) formulas)
+                   candidate))));
     (* assemble results *)
     let per_instr =
       List.map
@@ -984,26 +979,17 @@ let synthesize ?(options = default_options) ?cancel (problem : problem) :
               | None -> (acc, c.Ila.Conditions.instr_name :: missing))
             ([], []) conds
         in
-        run.stats.wall_seconds <- now () -. run.started;
         if missing <> [] then
-          Union_failed
-            {
-              diagnostic =
-                Printf.sprintf
-                  "preconditions of %s are not expressible over the datapath wires"
-                  (String.concat ", " missing);
-              stats = run.stats;
-            }
-        else begin
+          let diagnostic =
+            Printf.sprintf
+              "preconditions of %s are not expressible over the datapath wires"
+              (String.concat ", " missing)
+          in
+          fun stats -> Union_failed { diagnostic; stats }
+        else
           let completed, bindings =
             Union.apply problem.design ~pre_exprs ~shared ~per_instr
           in
-          run.stats.wall_seconds <- now () -. run.started;
-          Solved { completed; bindings; per_instr; shared; pre_exprs; stats = run.stats }
-        end)
-  with
-  | Stop outcome ->
-      run.stats.wall_seconds <- now () -. run.started;
-      (* worker Stop payloads carry only that worker's tally; report the
-         merged one *)
-      with_stats run.stats outcome
+          fun stats ->
+            Solved { completed; bindings; per_instr; shared; pre_exprs; stats })
+  with Stop outcome -> outcome

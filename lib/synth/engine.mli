@@ -104,38 +104,44 @@ val with_validate_models : bool -> options -> options
 val with_incremental : bool -> options -> options
 val with_cache : Owl_cache.t option -> options -> options
 
+(** What one call did.  The record is immutable: the engine logs every
+    solver attempt as it happens and computes the query fields from that
+    log once every loop has finished. *)
 type stats = {
-  mutable iterations : int;
-  mutable queries : int;
-  mutable conflicts : int;
-  mutable blasted_vars : int;
+  iterations : int;  (** CEGIS rounds begun, summed over every loop *)
+  queries : int;
+      (** solver attempts: every rung of the {!Resilience} ladder counts,
+          retries and the degraded fresh rung included; the §3.3.1 gate's
+          attempts never count *)
+  conflicts : int;
+  blasted_vars : int;
       (** SAT variables allocated, summed over every query *)
-  mutable blasted_clauses : int;
+  blasted_clauses : int;
       (** problem clauses encoded (blasting, Ackermann congruence, guards;
           learned clauses excluded), summed over every query.  Session
           queries report per-check increments, so this compares directly
           across incremental and fresh modes — it is the work the
           incremental sessions exist to avoid repeating. *)
-  mutable trivial_unsats : int;
+  trivial_unsats : int;
       (** queries refuted by constant folding before any SAT search *)
-  mutable retried_queries : int;
+  retried_queries : int;
       (** ladder retries: query attempts that came back [Unknown] (or
           failed model validation) and were re-run one rung up *)
-  mutable degraded_queries : int;
+  degraded_queries : int;
       (** ladder final rungs executed on a fresh one-shot solver instead
           of the incremental session *)
-  mutable validation_failures : int;
+  validation_failures : int;
       (** [Sat] models rejected by concrete evaluation of the asserted
           terms (with [validate_models]) *)
-  mutable task_retries : int;
+  task_retries : int;
       (** crashed pool tasks re-executed on fresh worker state *)
-  mutable sat_restarts : int;  (** solver restarts, summed over queries *)
-  mutable sat_learnt_kept : int;
+  sat_restarts : int;  (** solver restarts, summed over queries *)
+  sat_learnt_kept : int;
       (** learned clauses surviving reduce-DB rounds (each round counts
           its post-reduction database size) *)
-  mutable sat_learnt_deleted : int;
+  sat_learnt_deleted : int;
       (** learned clauses deleted by reduce-DB rounds *)
-  mutable wall_seconds : float;
+  wall_seconds : float;
 }
 
 type solved = {
@@ -231,8 +237,9 @@ val synthesize :
     over a {!Pool} of worker domains.  Every schedule, [jobs = 1]
     included, runs every instruction's loop even after one fails, and
     merges deterministically: [bindings]/[per_instr] in instruction
-    order, stats summed over every loop, the lowest-indexed failing
-    instruction blamed on failure.  So the outcome and its stats are the
+    order, stats computed from every loop's solver attempts once all
+    loops have finished, the lowest-indexed failing instruction blamed on
+    failure.  So the outcome and its stats are the
     same for any [jobs].  When [Shared] holes force joint synthesis, the
     one serial loop ignores [jobs].  The [conflict_budget] is global to
     the call; under parallel schedules the exact query at which an

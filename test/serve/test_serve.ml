@@ -971,6 +971,31 @@ let test_verify_end_to_end () =
   Client.close c;
   stop_server addr th
 
+(* A verify request streams one [Instr_done] per instruction, and each
+   carries the queries its check posed: a verify run poses at least one
+   query per instruction and begins no CEGIS round. *)
+let test_verify_progress_counts_queries () =
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let done_rows = ref [] in
+  let on_progress = function
+    | Proto.Instr_done { instr; iterations; queries; _ } ->
+        done_rows := (instr, iterations, queries) :: !done_rows
+    | _ -> ()
+  in
+  let r =
+    Client.verify ~on_progress c ~design:"acc" Synth.Engine.default_options
+  in
+  check_int "one progress row per verdict" (List.length r.Proto.verdicts)
+    (List.length !done_rows);
+  List.iter
+    (fun (instr, iterations, queries) ->
+      check_int (instr ^ ": no rounds") 0 iterations;
+      check (instr ^ ": queries >= 1") true (queries >= 1))
+    !done_rows;
+  Client.close c;
+  stop_server addr th
+
 (* [deadline_seconds] is relative on the wire and counts from the engine
    call, for verify as for synth: a roomy deadline must not turn verdicts
    Inconclusive. *)
@@ -1534,6 +1559,8 @@ let () =
             test_hot_tier_skips_timeouts;
           Alcotest.test_case "verify" `Quick test_verify_end_to_end;
           Alcotest.test_case "verify deadline" `Quick test_verify_deadline;
+          Alcotest.test_case "verify progress counts queries" `Quick
+            test_verify_progress_counts_queries;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
           Alcotest.test_case "ring lifecycle" `Quick test_ring_lifecycle;
           Alcotest.test_case "telemetry overhead" `Quick

@@ -389,6 +389,39 @@ let test_traced_synthesis () =
       | Some (Json.Arr (_ :: _)) -> ()
       | _ -> Alcotest.fail "trace has no traceEvents")
 
+(* The [queries] results of the [names] spans in [events], summed. *)
+let span_queries names events =
+  List.fold_left
+    (fun n (e : Obs.event) ->
+      match (e.Obs.ph, List.assoc_opt "queries" e.Obs.args) with
+      | Obs.End, Some (Obs.Int q) when List.mem e.Obs.name names -> n + q
+      | _ -> n)
+    0 events
+
+let test_trace_matches_stats () =
+  (* each CEGIS loop's span (one per instruction, or the one joint loop)
+     reports its queries; together they are the run's [stats.queries], and
+     the gate's query, reported on its own span, is not among them *)
+  List.iter
+    (fun (label, problem) ->
+      List.iter
+        (fun jobs ->
+          let options = Synth.Engine.(default_options |> with_jobs jobs) in
+          Obs.enable ();
+          let s, events =
+            Fun.protect ~finally:Obs.disable (fun () ->
+                let s = solve ~options (problem ()) in
+                (s, Obs.events ()))
+          in
+          let tag f = Printf.sprintf "%s, jobs=%d: %s" label jobs f in
+          Alcotest.(check int) (tag "loop spans sum to stats.queries")
+            s.Synth.Engine.stats.Synth.Engine.queries
+            (span_queries [ "cegis.instr"; "cegis.joint" ] events);
+          Alcotest.(check bool) (tag "the gate's span has its own query") true
+            (span_queries [ "synth.independence" ] events >= 1))
+        [ 1; 4 ])
+    [ ("alu", Designs.Alu.problem); ("accumulator", Designs.Accumulator.problem) ]
+
 let () =
   Alcotest.run "engine"
     [ ("alu",
@@ -407,4 +440,6 @@ let () =
        [ Alcotest.test_case "independence pre-check" `Quick test_independence_gate ]);
       ("tracing",
        [ Alcotest.test_case "traced synthesis emits a valid Chrome trace" `Quick
-           test_traced_synthesis ]) ]
+           test_traced_synthesis;
+         Alcotest.test_case "loop spans sum to the stats' queries" `Quick
+           test_trace_matches_stats ]) ]

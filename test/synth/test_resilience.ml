@@ -261,6 +261,39 @@ let test_gate_unknown_retried () =
   Alcotest.(check bool) "bindings identical to fault-free" true
     (s.Synth.Engine.bindings = clean.Synth.Engine.bindings)
 
+(* The [queries] results of the [names] spans in [events], summed. *)
+let span_queries names events =
+  List.fold_left
+    (fun n (e : Obs.event) ->
+      match (e.Obs.ph, List.assoc_opt "queries" e.Obs.args) with
+      | Obs.End, Some (Obs.Int q) when List.mem e.Obs.name names -> n + q
+      | _ -> n)
+    0 events
+
+let test_retried_trace_matches_stats () =
+  (* retried attempts are queries too: under spurious Unknowns the loop
+     spans' queries still sum to the run's [stats.queries] *)
+  List.iter
+    (fun (label, problem) ->
+      List.iter
+        (fun jobs ->
+          let s, events =
+            with_plan "unknown@2,unknown@3" (fun () ->
+                Obs.enable ();
+                Fun.protect ~finally:Obs.disable (fun () ->
+                    let s = solve ~jobs (problem ()) in
+                    (s, Obs.events ())))
+          in
+          let st = s.Synth.Engine.stats in
+          let tag f = Printf.sprintf "%s, jobs=%d: %s" label jobs f in
+          Alcotest.(check bool) (tag "ladder retried") true
+            (st.Synth.Engine.retried_queries >= 1);
+          Alcotest.(check int) (tag "loop spans sum to stats.queries")
+            st.Synth.Engine.queries
+            (span_queries [ "cegis.instr"; "cegis.joint" ] events))
+        [ 1; 4 ])
+    [ ("alu", Designs.Alu.problem); ("accumulator", Designs.Accumulator.problem) ]
+
 let test_gate_exhausted_times_out () =
   (* every rung of the gate's ladder (2 retries: 3 attempts) answers
      Unknown: the gate is inconclusive, never "independent" *)
@@ -398,6 +431,8 @@ let () =
            test_rv32_fault_transparency;
          Alcotest.test_case "unknown in the gate is retried" `Quick
            test_gate_unknown_retried;
+         Alcotest.test_case "retried queries in the trace" `Quick
+           test_retried_trace_matches_stats;
          Alcotest.test_case "exhausted gate ladder times out" `Quick
            test_gate_exhausted_times_out;
          Alcotest.test_case "verify recovers" `Quick test_verify_under_faults;
