@@ -121,10 +121,11 @@ let table2 () =
             Hdl.Pyrtl.generated_loc ~pre_exprs:s.Synth.Engine.pre_exprs
               ~per_instr:s.Synth.Engine.per_instr ~shared:s.Synth.Engine.shared
           in
-          let nr = Netlist.of_design ~optimize:false refd in
-          let ng = Netlist.of_design ~optimize:false s.Synth.Engine.completed in
-          let no = Netlist.of_design ~optimize:true s.Synth.Engine.completed in
-          let nro = Netlist.of_design ~optimize:true refd in
+          let gates ~optimize d = Netlist.(counts (compile ~optimize d)) in
+          let nr = gates ~optimize:false refd in
+          let ng = gates ~optimize:false s.Synth.Engine.completed in
+          let no = gates ~optimize:true s.Synth.Engine.completed in
+          let nro = gates ~optimize:true refd in
           Printf.printf "%-14s %9d %9d | %10d %10d %10d %10d\n%!"
             (Isa.Rv32.variant_name v) ref_loc gen_loc nr.Netlist.total_gates
             ng.Netlist.total_gates no.Netlist.total_gates nro.Netlist.total_gates

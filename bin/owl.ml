@@ -8,7 +8,7 @@
      owl verify -d <design>          verify the hand-written reference control
      owl check <file.oyster>         parse + typecheck a textual design
      owl netlist <file.oyster>       gate counts for a hole-free design
-     owl verilog <file.oyster>       emit Verilog for a hole-free design
+     owl verilog <file.oyster>       gate-level Verilog of its optimized netlist
      owl sim <file.oyster> -n N      simulate N cycles (inputs forced to 0)
      owl cache / serve / client / top  the cache and the synthesis service *)
 
@@ -239,32 +239,40 @@ let synth_cmd =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.oyster")
 
-let parse_file file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  Oyster.Parser.parse_design src
+(* The one loader of the file commands: parse and typecheck, and for the
+   hardware commands ([hole_free]) reject a sketch.  Every error prints as
+   [owl: FILE: ...] and exits 1. *)
+let load ?(hole_free = false) file =
+  let error fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "owl: %s: %s\n" file m;
+        exit 1)
+      fmt
+  in
+  match
+    let src = In_channel.with_open_bin file In_channel.input_all in
+    let d = Oyster.Parser.parse_design src in
+    ignore (Oyster.Typecheck.check d);
+    d
+  with
+  | exception Oyster.Parser.Parse_error m -> error "parse error: %s" m
+  | exception Oyster.Typecheck.Type_error m -> error "type error: %s" m
+  | d ->
+      let holes = List.length (Oyster.Ast.holes d) in
+      if hole_free && holes > 0 then
+        error "design %s has %d holes; synthesize it first" d.Oyster.Ast.name holes;
+      d
 
 let check_cmd =
   let run file =
-    match parse_file file with
-    | exception Oyster.Parser.Parse_error m ->
-        Printf.eprintf "parse error: %s\n" m;
-        exit 1
-    | d -> (
-        match Oyster.Typecheck.check d with
-        | exception Oyster.Typecheck.Type_error m ->
-            Printf.eprintf "type error: %s\n" m;
-            exit 1
-        | _ ->
-            Printf.printf
-              "%s: ok (%d declarations, %d statements, %d holes, %d LoC)\n"
-              d.Oyster.Ast.name
-              (List.length d.Oyster.Ast.decls)
-              (List.length d.Oyster.Ast.stmts)
-              (List.length (Oyster.Ast.holes d))
-              (Oyster.Printer.loc d))
+    let d = load file in
+    Printf.printf "%s: ok (%d declarations, %d statements, %d holes, %d LoC)\n"
+      d.Oyster.Ast.name
+      (List.length d.Oyster.Ast.decls)
+      (List.length d.Oyster.Ast.stmts)
+      (List.length (Oyster.Ast.holes d))
+      (Oyster.Printer.loc d)
   in
   Cmd.v (Cmd.info "check" ~doc:"Parse and typecheck a textual Oyster design")
     Term.(const run $ file_arg)
@@ -274,8 +282,7 @@ let netlist_cmd =
     Arg.(value & flag & info [ "optimize" ] ~doc:"Apply the logic optimizer.")
   in
   let run file optimize =
-    let d = parse_file file in
-    let c = Netlist.of_design ~optimize d in
+    let c = Netlist.(counts (compile ~optimize (load ~hole_free:true file))) in
     Printf.printf "and %d  or %d  xor %d  not %d  mux %d  | gates %d  dffs %d\n"
       c.Netlist.ands c.Netlist.ors c.Netlist.xors c.Netlist.nots c.Netlist.muxes
       c.Netlist.total_gates c.Netlist.dffs
@@ -374,11 +381,13 @@ let verify_cmd =
 
 let verilog_cmd =
   let run file =
-    let d = parse_file file in
-    print_string (Hdl.Verilog.of_design d)
+    print_string Netlist.(verilog (compile ~optimize:true (load ~hole_free:true file)))
   in
   Cmd.v
-    (Cmd.info "verilog" ~doc:"Emit a hole-free design as Verilog-2001")
+    (Cmd.info "verilog"
+       ~doc:
+         "Print a hole-free design's optimized gate graph (what `owl netlist \
+          --optimize' counts) as structural Verilog-2001")
     Term.(const run $ file_arg)
 
 let sim_cmd =
@@ -390,8 +399,7 @@ let sim_cmd =
          & info [ "vcd" ] ~docv:"FILE" ~doc:"Write a waveform dump to $(docv).")
   in
   let run file cycles vcd =
-    let d = parse_file file in
-    ignore (Oyster.Typecheck.check d);
+    let d = load ~hole_free:true file in
     let st = Oyster.Interp.init d in
     let recorder = Oyster.Vcd.create d in
     for c = 1 to cycles do

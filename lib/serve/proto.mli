@@ -145,8 +145,9 @@ val trace_of_frame : string -> string option
     Streamed to the requesting client while its job runs, sourced from
     the engine's Owl_obs instrumentation through a per-domain tap
     ({!Obs.with_tap}) — the events below mirror the [cegis.instr] /
-    [verify.instr] spans and the [resilience.retry] / [resilience.degrade]
-    instants. *)
+    [cegis.joint] / [verify.instr] spans (a joint or monolithic loop's
+    rows are named ["joint"]) and the [resilience.retry] /
+    [resilience.degrade] instants. *)
 
 type progress =
   | Instr_started of { instr : string }

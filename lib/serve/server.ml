@@ -282,7 +282,8 @@ let find_int key args =
   match List.assoc_opt key args with Some (Obs.Int i) -> i | _ -> 0
 
 (* maps the engine's Obs events to wire progress.  [cur] tracks the
-   instruction named by the innermost cegis/verify span Begin: the End
+   instruction (["joint"] for a joint or monolithic loop) named by the
+   innermost cegis/verify span Begin: the End
    events carry only results, and with [jobs = 1] those spans never nest
    on one domain, so a single cell suffices.  A progress write failing
    is how a worker discovers mid-solve that its client is gone, so it
@@ -297,15 +298,15 @@ let progress_tap job =
   in
   fun ph name args ->
     match (ph, name) with
-    | Obs.Begin, ("cegis.instr" | "verify.instr") -> (
+    | Obs.Begin, ("cegis.instr" | "cegis.joint" | "verify.instr") -> (
         match find_str "instr" args with
         | Some i ->
             cur := i;
             emit (Proto.Instr_started { instr = i })
         | None -> ())
-    | Obs.End, (("cegis.instr" | "verify.instr") as span) ->
+    | Obs.End, (("cegis.instr" | "cegis.joint" | "verify.instr") as span) ->
         (* a verify span names its status "verdict" and runs no rounds *)
-        let status = if span = "cegis.instr" then "status" else "verdict" in
+        let status = if span = "verify.instr" then "verdict" else "status" in
         emit
           (Proto.Instr_done
              {

@@ -124,8 +124,9 @@ let test_backends_accept () =
     (fun seed ->
       let d = Gen_designs.generate seed in
       (* netlist, both modes; the optimizer never grows the gate count *)
-      let raw = Netlist.of_design ~optimize:false d in
-      let opt = Netlist.of_design ~optimize:true d in
+      let raw = Netlist.(counts (compile ~optimize:false d)) in
+      let g = Netlist.compile ~optimize:true d in
+      let opt = Netlist.counts g in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d netlist monotone" seed)
         true
@@ -134,8 +135,8 @@ let test_backends_accept () =
         (Printf.sprintf "seed %d dff count stable" seed)
         true
         (opt.Netlist.dffs = raw.Netlist.dffs);
-      (* verilog structural emission *)
-      let v = Hdl.Verilog.of_design d in
+      (* the gate graph prints *)
+      let v = Netlist.verilog g in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d verilog" seed)
         true

@@ -782,6 +782,7 @@ let test_lru_concurrent () =
 
 let acc_problem = Designs.Accumulator.problem ()
 let alu_problem = Designs.Alu.problem ()
+let gcd_problem = Designs.Gcd.problem ()
 
 let acc_verify_problem =
   {
@@ -817,6 +818,7 @@ let stub_lookup kind name =
   match (kind, name) with
   | `Synth, _ when name = "acc" || slow -> Some acc_problem
   | `Synth, "alu" -> Some alu_problem
+  | `Synth, "gcd" -> Some gcd_problem
   | `Synth, "feedback" -> Some feedback_problem
   | `Verify, "acc" -> Some acc_verify_problem
   | _ -> None
@@ -896,8 +898,7 @@ let test_synth_cold_then_hot () =
     | _ -> incr events
   in
   (* the ALU takes the per-instruction path, whose cegis.instr spans
-     feed the progress stream; shared-hole designs synthesize jointly
-     and stream only retry/degrade notices *)
+     feed the progress stream *)
   let r = Client.synth ~on_progress c ~design:"alu" Synth.Engine.default_options in
   check_str "cold outcome" "solved" r.Proto.outcome;
   check "cold is not hot" true (not r.Proto.hot);
@@ -968,6 +969,31 @@ let test_verify_end_to_end () =
     && List.for_all (fun (_, v) -> v = "verified") r.Proto.verdicts);
   let r2 = Client.verify c ~design:"acc" Synth.Engine.default_options in
   check "verify repeat is hot" true r2.Proto.v_hot;
+  Client.close c;
+  stop_server addr th
+
+(* A joint synthesis (GCD's shared holes) streams one progress pair named
+   "joint" for its loop, whose queries are the run's: the independence
+   gate's attempts stay out of both. *)
+let test_joint_progress () =
+  let addr, th = start_server () in
+  let c = Client.connect addr in
+  let started = ref [] and done_rows = ref [] in
+  let on_progress = function
+    | Proto.Instr_started { instr } -> started := instr :: !started
+    | Proto.Instr_done { instr; status; queries; _ } ->
+        done_rows := (instr, status, queries) :: !done_rows
+    | _ -> ()
+  in
+  let r = Client.synth ~on_progress c ~design:"gcd" Synth.Engine.default_options in
+  check_str "outcome" "solved" r.Proto.outcome;
+  check "one joint start" true (!started = [ "joint" ]);
+  (match !done_rows with
+  | [ (instr, status, queries) ] ->
+      check_str "done row names the loop" "joint" instr;
+      check_str "loop solved" "solved" status;
+      check_int "row queries are the run's" r.Proto.stats.Synth.Engine.queries queries
+  | rows -> Alcotest.failf "expected one done row, got %d" (List.length rows));
   Client.close c;
   stop_server addr th
 
@@ -1559,6 +1585,8 @@ let () =
             test_hot_tier_skips_timeouts;
           Alcotest.test_case "verify" `Quick test_verify_end_to_end;
           Alcotest.test_case "verify deadline" `Quick test_verify_deadline;
+          Alcotest.test_case "joint synthesis streams progress" `Quick
+            test_joint_progress;
           Alcotest.test_case "verify progress counts queries" `Quick
             test_verify_progress_counts_queries;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
