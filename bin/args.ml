@@ -250,12 +250,15 @@ let hot_tier_size =
 
 let no_telemetry =
   let doc =
-    "Disable the daemon's live telemetry: the metric registry (counters, \
-     gauges, sliding latency windows — served by `owl client metrics' and \
-     `owl top') and the event ring that keeps the newest 4096 spans and \
-     instants per domain as a black box (served by `owl client \
-     dump-trace').  The daemon then starts neither: the measured-overhead \
-     baseline."
+    "Disable the daemon's live telemetry: the metrics reply (registry \
+     counters and latency histograms merged with gauges and counters \
+     derived from the daemon's own tallies — served by `owl client \
+     metrics' and `owl top') and the event ring that keeps the newest \
+     4096 spans and instants per domain as a black box (served by `owl \
+     client dump-trace').  The daemon then starts neither and answers \
+     metrics with an empty list: the measured-overhead baseline.  `owl \
+     client ping' and `owl client stats' report the same tallies either \
+     way."
   in
   Arg.(value & flag & info [ "no-telemetry" ] ~doc)
 

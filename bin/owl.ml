@@ -748,8 +748,9 @@ let client_cmd =
     Cmd.v
       (Cmd.info "metrics"
          ~doc:
-           "Scrape the server's live metric registry (counters, gauges, \
-            histograms, sliding windows)")
+           "Scrape the server's metrics: its live registry (counters, \
+            histograms, sliding windows) and the counters and gauges \
+            derived from its status")
       Term.(const run $ Args.addr $ Args.client_retry $ prometheus $ json)
   in
   let dump_trace_cmd =

@@ -33,16 +33,10 @@ type t = {
 
 type counters = { hits : int; misses : int; stale : int; writes : int }
 
-(* Observability mirrors of the per-handle atomics, registered once. *)
-let c_hit = Obs.counter "cache.hit"
-let c_miss = Obs.counter "cache.miss"
-let c_stale = Obs.counter "cache.stale"
-let c_write = Obs.counter "cache.write"
-
-let hit c = Atomic.incr c.n_hits; Obs.incr c_hit
-let miss c = Atomic.incr c.n_misses; Obs.incr c_miss
-let stale c = Atomic.incr c.n_stale; Obs.incr c_stale
-let wrote c = Atomic.incr c.n_writes; Obs.incr c_write
+let hit c = Atomic.incr c.n_hits
+let miss c = Atomic.incr c.n_misses
+let stale c = Atomic.incr c.n_stale
+let wrote c = Atomic.incr c.n_writes
 
 let counters c =
   {
@@ -309,10 +303,6 @@ module Lru = struct
     mutable l_evictions : int;
   }
 
-  let c_hot_hit = Obs.counter "cache.hot.hit"
-  let c_hot_miss = Obs.counter "cache.hot.miss"
-  let c_hot_eviction = Obs.counter "cache.hot.eviction"
-
   let create ~capacity =
     if capacity < 0 then invalid_arg "Owl_cache.Lru.create: capacity < 0";
     {
@@ -355,18 +345,12 @@ module Lru = struct
     locked t (fun () ->
         match Hashtbl.find_opt t.l_tbl key with
         | Some n ->
-            if count then begin
-              t.l_hits <- t.l_hits + 1;
-              Obs.incr c_hot_hit
-            end;
+            if count then t.l_hits <- t.l_hits + 1;
             unlink t n;
             push_front t n;
             Some n.n_value
         | None ->
-            if count then begin
-              t.l_misses <- t.l_misses + 1;
-              Obs.incr c_hot_miss
-            end;
+            if count then t.l_misses <- t.l_misses + 1;
             None)
 
   let add t key value =
@@ -388,8 +372,7 @@ module Lru = struct
             | Some victim ->
                 unlink t victim;
                 Hashtbl.remove t.l_tbl victim.n_key;
-                t.l_evictions <- t.l_evictions + 1;
-                Obs.incr c_hot_eviction
+                t.l_evictions <- t.l_evictions + 1
             | None -> assert false
           done)
 

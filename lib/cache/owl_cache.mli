@@ -26,7 +26,7 @@
 
 type t
 (** An open cache handle.  Handles are safe to share across domains: the
-    hit/miss accounting is atomic and the store itself is append-only
+    hit/miss tallies are atomic and the store itself is append-only
     files published by atomic rename. *)
 
 val format_version : int
@@ -48,10 +48,12 @@ val fingerprint : string -> string
 
 (** {1 Per-handle accounting}
 
-    Mirrored into the [cache.hit] / [cache.miss] / [cache.stale] /
-    [cache.write] observability counters, but also kept as plain atomics
-    on the handle so the CLI and the bench harness can report rates
-    without enabling metrics globally. *)
+    The one tally of this handle's lookups and writes: plain atomics on
+    the handle, always on, never reset.  Whoever reports them reads them
+    here — the CLI, the bench harness, and the [owl serve] daemon, whose
+    cache-stats reply carries them and whose metrics reply derives its
+    [cache.hit] / [cache.miss] / [cache.stale] / [cache.write] rows from
+    the same reading. *)
 
 type counters = {
   hits : int;  (** validated result hits *)
@@ -111,8 +113,9 @@ val clear : t -> int
     Safe to share across domains and threads — every operation takes the
     internal lock for its pointer surgery only.
 
-    Accounting mirrors the on-disk tier: per-handle counters plus the
-    [cache.hot.hit] / [cache.hot.miss] / [cache.hot.eviction] metrics. *)
+    Accounting is per handle, like the on-disk tier's: {!stats} is the
+    one tally, and the daemon derives its [cache.hot.hit] /
+    [cache.hot.miss] / [cache.hot.eviction] metric rows from it. *)
 module Lru : sig
   type 'v t
 

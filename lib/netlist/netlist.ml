@@ -158,7 +158,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Netlist_error s)) fmt
 let compile ?(optimize = false) (design : Oyster.Ast.design) : t =
   if Oyster.Ast.holes design <> [] then
     fail "design %s still has holes" design.Oyster.Ast.name;
-  let trace = Oyster.Symbolic.eval design ~cycles:1 in
+  (* a prefix of the design's own: the optimized counts follow the
+     operand order [Term] picks, so a fresh session prefix would make
+     them depend on how many evaluations the process ran before *)
+  let trace =
+    Oyster.Symbolic.eval ~prefix:("n!" ^ design.Oyster.Ast.name ^ "!") design
+      ~cycles:1
+  in
   let b = builder_create optimize in
   let module G = (val gates_module b) in
   let module W = Circuit.Words (G) in

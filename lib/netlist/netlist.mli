@@ -72,7 +72,11 @@ type counts = {
 exception Netlist_error of string
 
 val compile : ?optimize:bool -> Oyster.Ast.design -> t
-(** Raises {!Netlist_error} if the design still has holes. *)
+(** The graph is a function of the design alone: the design is evaluated
+    under the symbolic prefix [n!<name>!], so every compile of it in a
+    process gives the same graph (designs sharing a name must agree on
+    their port widths).  Raises {!Netlist_error} if the design still has
+    holes. *)
 
 val counts : t -> counts
 

@@ -383,10 +383,10 @@ let write_chrome_trace oc = output_string oc (chrome_trace_string ())
 
 (* {1 Metrics}
 
-   One flat registry of named cells.  A cell is a counter, a gauge, a
-   log₂-bucketed histogram, or a sliding window — a ring of per-second
-   histograms — so histograms and windows share one distribution record,
-   one recording path and one summarizing path.  The registry is
+   One flat registry of named cells.  A cell is a counter, a log₂-bucketed
+   histogram, or a sliding window — a ring of per-second histograms — so
+   histograms and windows share one distribution record, one recording
+   path and one summarizing path.  The registry is
    mutex-guarded (metric handles are created once, at module
    initialization of the instrumented libraries); recording through a
    handle is atomic operations only.  The enabled flag makes the disabled
@@ -397,7 +397,7 @@ let enable_metrics () = Atomic.set metrics_on true
 let disable_metrics () = Atomic.set metrics_on false
 let metrics_enabled () = Atomic.get metrics_on
 
-type kind = [ `Counter | `Gauge | `Histogram | `Window ]
+type kind = [ `Counter | `Histogram | `Window ]
 
 type dist = {
   d_sec : int Atomic.t;  (* window slot: the epoch second it holds, -1 = empty *)
@@ -411,13 +411,11 @@ type dist = {
 type cell = {
   name : string;
   kind : kind;
-  value : int Atomic.t;  (* counter total, gauge level *)
-  set : bool Atomic.t;  (* a gauge shows once it has been set *)
+  value : int Atomic.t;  (* counter total *)
   dists : dist array;  (* one for a histogram, one per second for a window *)
 }
 
 type counter = cell
-type gauge = cell
 type histogram = cell
 type window = cell
 
@@ -452,7 +450,6 @@ let register ?(dists = 0) kind name =
             name;
             kind;
             value = Atomic.make 0;
-            set = Atomic.make false;
             dists = Array.init dists (fun _ -> new_dist ());
           }
         in
@@ -463,7 +460,6 @@ let register ?(dists = 0) kind name =
   c
 
 let counter name = register `Counter name
-let gauge name = register `Gauge name
 let histogram name = register ~dists:1 `Histogram name
 
 let window ?(seconds = 60) name =
@@ -472,14 +468,6 @@ let window ?(seconds = 60) name =
 
 let incr ?(by = 1) c =
   if Atomic.get metrics_on then ignore (Atomic.fetch_and_add c.value by)
-
-let set_gauge g v =
-  if Atomic.get metrics_on then begin
-    Atomic.set g.value v;
-    Atomic.set g.set true
-  end
-
-let gauge_value g = Atomic.get g.value
 
 let bucket_of v =
   if v <= 0 then 0
@@ -573,8 +561,8 @@ let quantile ?(clamp_lo = 0) ?(clamp_hi = max_int) buckets total q =
     min clamp_hi (max clamp_lo est)
   end
 
-(* One summary per cell: a counter or gauge is its value; a histogram or
-   window is the merge of its distributions still inside the window (a
+(* One summary per cell: a counter is its value; a histogram or window
+   is the merge of its distributions still inside the window (a
    histogram's single one always is). *)
 let summarize ~now c =
   let summary ?(lo = 0) ?(hi = 0) ?(q = fun _ -> 0) count sum =
@@ -594,7 +582,6 @@ let summarize ~now c =
   let v = Atomic.get c.value in
   match c.kind with
   | `Counter -> if v = 0 then None else summary v v
-  | `Gauge -> if Atomic.get c.set then summary v v else None
   | `Histogram | `Window ->
       let live d =
         c.kind = `Histogram
@@ -634,22 +621,13 @@ let metrics () =
 let summary_table () =
   let ms = metrics () in
   let b = Buffer.create 1024 in
-  let hists =
-    List.filter
-      (fun m -> m.metric_kind = `Histogram || m.metric_kind = `Window)
-      ms
-  in
-  let scalars title kind =
-    match List.filter (fun m -> m.metric_kind = kind) ms with
-    | [] -> ()
-    | l ->
-        Buffer.add_string b (title ^ ":\n");
-        List.iter
-          (fun m -> Printf.bprintf b "  %-36s %12d\n" m.metric_name m.count)
-          l
-  in
-  scalars "counters" `Counter;
-  scalars "gauges" `Gauge;
+  let counters, hists = List.partition (fun m -> m.metric_kind = `Counter) ms in
+  if counters <> [] then begin
+    Buffer.add_string b "counters:\n";
+    List.iter
+      (fun m -> Printf.bprintf b "  %-36s %12d\n" m.metric_name m.count)
+      counters
+  end;
   if hists <> [] then begin
     Buffer.add_string b
       (Printf.sprintf
@@ -674,7 +652,6 @@ let reset_metrics () =
   Hashtbl.iter
     (fun _ c ->
       Atomic.set c.value 0;
-      Atomic.set c.set false;
       Array.iter
         (fun d ->
           clear_dist d;

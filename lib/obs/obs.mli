@@ -14,10 +14,13 @@
       Perfetto open directly.  The same ring serves a one-shot CLI trace
       and a long-lived server's black box.
 
-    - {b Metrics}: named {!counter}s, {!gauge}s, log-scaled {!histogram}s
-      (powers of two), and sliding-window histograms ({!window}),
-      summarized as a table ({!summary_table}) or structured records
-      ({!metrics}) for embedding in reports.
+    - {b Metrics}: named {!counter}s, log-scaled {!histogram}s (powers
+      of two), and sliding-window histograms ({!window}), summarized as
+      a table ({!summary_table}) or structured records ({!metrics}) for
+      embedding in reports.  The registry is process-global and keeps
+      its values until {!reset_metrics}; a component that must report
+      its own tallies (the serve daemon's queue depth, a cache handle's
+      hits) keeps them itself, and its reports read them there.
 
     Both are off by default.  The disabled path — the "null sink" — is one
     atomic load and a branch per call site: [span] runs its thunk directly,
@@ -163,7 +166,6 @@ val disable_metrics : unit -> unit
 val metrics_enabled : unit -> bool
 
 type counter
-type gauge
 type histogram
 type window
 
@@ -171,11 +173,6 @@ val counter : string -> counter
 (** Registers (or returns the existing) named counter.  Call it once at
     module initialization and keep the handle: the handle path is
     lock-free, the registry lookup is not. *)
-
-val gauge : string -> gauge
-(** Registers (or returns the existing) named gauge — a point-in-time
-    level (queue depth, live workers) rather than a monotone count.  A
-    gauge only appears in {!metrics} once it has been set. *)
 
 val histogram : string -> histogram
 (** Registers (or returns the existing) named histogram.  Buckets are
@@ -192,12 +189,6 @@ val window : ?seconds:int -> string -> window
 val incr : ?by:int -> counter -> unit
 (** Adds to a counter; a no-op (one branch) when metrics are disabled. *)
 
-val set_gauge : gauge -> int -> unit
-(** Sets a gauge's level; a no-op when metrics are disabled. *)
-
-val gauge_value : gauge -> int
-(** The gauge's last set level (0 if never set). *)
-
 val observe : histogram -> int -> unit
 (** Records a value; a no-op (one branch) when metrics are disabled. *)
 
@@ -208,8 +199,8 @@ val observe_window : window -> int -> unit
 
 type metric = {
   metric_name : string;
-  metric_kind : [ `Counter | `Gauge | `Histogram | `Window ];
-  count : int;  (** counter/gauge value, or number of observations *)
+  metric_kind : [ `Counter | `Histogram | `Window ];
+  count : int;  (** counter value, or number of observations *)
   sum : int;
   min_value : int;
   max_value : int;
@@ -222,8 +213,8 @@ type metric = {
 
 val metrics : unit -> metric list
 (** Snapshot of every registered metric with at least one recording,
-    sorted by name.  Counter and gauge records carry the value in [count]
-    and [sum]; the distribution fields are zero.  Window records cover
+    sorted by name.  Counter records carry the value in [count] and
+    [sum]; the distribution fields are zero.  Window records cover
     only the last window of seconds. *)
 
 val summary_table : unit -> string

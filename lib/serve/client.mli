@@ -49,11 +49,13 @@ val verify :
 val cache_stats : t -> Proto.cache_stats
 
 val metrics : t -> Proto.wire_metric list
-(** The server's live metric registry — counters, gauges (refreshed at
-    the moment of the request: queue depth, in-flight jobs, worker
-    liveness, hot-tier occupancy), lifetime histograms, and the sliding
-    1-minute latency windows.  Empty when the daemon runs with
-    telemetry disabled.  Render with {!Proto.metrics_to_prometheus} or
+(** The server's metrics, sorted by name: its live registry (request
+    and task counters, lifetime histograms, the sliding 1-minute latency
+    window) plus counters and gauges read from the same status snapshot
+    as {!ping} and {!cache_stats} at the moment of the request (queue
+    depth, in-flight jobs, workers, hot-tier occupancy, cancellations,
+    timeouts, lost jobs, both cache tiers' tallies).  Empty when the
+    daemon runs with telemetry disabled.  Render with {!Proto.metrics_to_prometheus} or
     {!Proto.metrics_to_json}. *)
 
 val dump_trace : ?trace:string -> t -> string

@@ -418,7 +418,6 @@ let wire_metric_of_obs (m : Obs.metric) =
     m_kind =
       (match m.Obs.metric_kind with
       | `Counter -> "counter"
-      | `Gauge -> "gauge"
       | `Histogram -> "histogram"
       | `Window -> "window");
     m_count = m.Obs.count;

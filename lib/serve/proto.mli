@@ -114,8 +114,10 @@ type request =
   | Cache_stats
   | Ping
   | Metrics
-      (** snapshot of the server's live metric registry: counters,
-          gauges, histograms, sliding windows *)
+      (** the server's metrics, sorted by name: its live {!Obs}
+          registry (counters, histograms, sliding windows) plus the
+          counters and gauges it derives from the same status snapshot
+          that answers [Ping] and [Cache_stats] *)
   | Dump_trace of { trace : string option }
       (** the server's event ring as Chrome trace JSON; with
           [Some id], only events recorded under that trace context —
@@ -251,7 +253,8 @@ type wire_metric = {
   m_p99 : int;
 }
 (** One metric as it crosses the wire — the flattened shape of
-    {!Obs.metric}, with the kind as a string so new kinds never break an
+    {!Obs.metric}, or a counter or gauge row the server derives from its
+    own tallies — with the kind as a string so new kinds never break an
     old decoder (they pass through and render generically). *)
 
 val wire_metric_of_obs : Obs.metric -> wire_metric

@@ -56,8 +56,11 @@
      running job is cancelled cooperatively — the engine polls the token
      wherever it checks its deadline.
 
-   [ping] reports the worker count, the lost jobs, queue depth and the
-   cumulative counters so a load balancer can see all of this. *)
+   Every serve and cache event has one tally: the daemon's own fields
+   under [t.lock], the hot tier's and the disk cache's counters.  One
+   [status] snapshot of them answers [ping] (so a load balancer sees the
+   lost jobs, the queue depth and the cumulative counters),
+   [cache_stats], and the derived rows of [metrics]. *)
 
 type config = {
   addr : Proto.addr;
@@ -77,23 +80,17 @@ let build_id = "owl-serve/1.0 proto-" ^ string_of_int Proto.version
 let ring_capacity = 4096
 
 let c_requests = Obs.counter "serve.requests"
+
+(* counted twice on purpose: [t.rejected] is what the replies report,
+   and this registry copy is what perfbench's in-process ledger reads
+   through [Obs.metrics] until it takes the figure from a stats reply *)
 let c_rejected = Obs.counter "serve.rejected"
-let c_worker_lost = Obs.counter "serve.worker_lost"
-let c_cancelled = Obs.counter "serve.cancelled"
-let c_timeout = Obs.counter "serve.timeout"
 let c_tasks = Obs.counter "pool.service.tasks"
 let h_job_latency = Obs.histogram "serve.job.latency_us"
 
 let w_job_latency = Obs.window "serve.job.latency_us.1m"
 (* the last minute of the same distribution: what `owl top` diffs for
    "p50/p99 right now" against the lifetime histogram above *)
-
-(* levels, refreshed from server state whenever a metrics snapshot is
-   taken (so a scrape always sees current depth, not the last change) *)
-let g_queue = Obs.gauge "serve.queue_waiting"
-let g_inflight = Obs.gauge "serve.inflight"
-let g_workers_total = Obs.gauge "serve.workers_total"
-let g_hot_size = Obs.gauge "serve.hot_tier.size"
 
 (* what the hot tier stores: finished results with [hot = false]; a hit
    re-flags before replying *)
@@ -231,6 +228,7 @@ let enqueue t job =
         Some (Proto.Err { code = "internal"; message = "server is shutting down" })
       else if t.waiting >= t.cfg.queue_depth + t.idle then begin
         t.rejected <- t.rejected + 1;
+        (* the registry's copy, counted twice on purpose: see [c_rejected] *)
         Obs.incr c_rejected;
         Some (Proto.Busy { queue_depth = t.waiting })
       end
@@ -268,7 +266,6 @@ let cancel_conn t conn =
         | None -> ());
         n)
   in
-  if dropped > 0 then Obs.incr ~by:dropped c_cancelled;
   for _ = 1 to dropped do
     release t conn
   done
@@ -446,13 +443,11 @@ and run_job_body t job =
   if Atomic.get job.j_cancel then begin
     (* flipped after this job left the queue; the peer is gone, so there
        is nobody to answer — just account for it *)
-    locked t.lock (fun () -> t.cancelled <- t.cancelled + 1);
-    Obs.incr c_cancelled
+    locked t.lock (fun () -> t.cancelled <- t.cancelled + 1)
   end
   else if expired then begin
     (* expired while queued: answered without touching a solver *)
     locked t.lock (fun () -> t.timeouts <- t.timeouts + 1);
-    Obs.incr c_timeout;
     ignore
       (send conn
          (Proto.Err
@@ -481,10 +476,8 @@ and run_job_body t job =
         in
         match compute t job options with
         | Error e ->
-            if e.Proto.code = "cancelled" then begin
+            if e.Proto.code = "cancelled" then
               locked t.lock (fun () -> t.cancelled <- t.cancelled + 1);
-              Obs.incr c_cancelled
-            end;
             ignore (send conn (Proto.Err e))
         | Ok cached ->
             if not (load_dependent cached) then
@@ -505,7 +498,6 @@ and run_job_body t job =
    context — and say whether the job may run again: once, and only
    while somebody is left to read the answer. *)
 let note_lost t job ~retried =
-  Obs.incr c_worker_lost;
   Obs.instant "serve.worker_lost"
     ~args:
       [ ("trace", Obs.Str job.j_trace); ("design", Obs.Str job.j_design) ];
@@ -584,57 +576,135 @@ let rec work t =
 
 (* {1 Request handling (reader threads)} *)
 
-let cache_stats_now t =
+(* {2 Status: one reading of every tally}
+
+   The replies that report on the daemon — [ping]'s health, the cache
+   stats, the derived rows of [metrics] — are projections of one
+   snapshot, so no two of them can count an event differently. *)
+
+type status = {
+  served : int;
+  rejected : int;
+  cancelled : int;
+  timeouts : int;
+  lost : int;
+  waiting : int;
+  inflight : int;
+  hot : Owl_cache.Lru.stats;
+  hot_capacity : int;
+  store : Owl_cache.counters option;  (* the disk cache's tallies *)
+  uptime : float;
+}
+
+let status (t : t) =
   let hot = Owl_cache.Lru.stats t.hot in
-  let served, rejected =
-    locked t.lock (fun () -> (t.served, t.rejected))
-  in
+  let hot_capacity = Owl_cache.Lru.capacity t.hot in
+  let store = Option.map Owl_cache.counters t.cfg.cache in
+  let uptime = Unix.gettimeofday () -. t.started_at in
+  locked t.lock (fun () ->
+      {
+        served = t.served;
+        rejected = t.rejected;
+        cancelled = t.cancelled;
+        timeouts = t.timeouts;
+        lost = t.lost;
+        waiting = t.waiting;
+        inflight = t.inflight;
+        hot;
+        hot_capacity;
+        store;
+        uptime;
+      })
+
+let health (t : t) (s : status) =
+  {
+    Proto.workers = t.cfg.jobs;
+    workers_lost = s.lost;
+    queue_waiting = s.waiting;
+    cancelled = s.cancelled;
+    timeouts = s.timeouts;
+    uptime_s = s.uptime;
+    build = build_id;
+    hot_size = s.hot.Owl_cache.Lru.size;
+    hot_capacity = s.hot_capacity;
+  }
+
+(* the disk walk stays out of [status]: ping must not pay for it *)
+let cache_stats (t : t) (s : status) =
   {
     Proto.disk = Option.map Owl_cache.disk_stats t.cfg.cache;
-    store = Option.map Owl_cache.counters t.cfg.cache;
+    store = s.store;
     hot_tier =
       Some
         {
-          Proto.hot_hits = hot.Owl_cache.Lru.hits;
-          hot_misses = hot.Owl_cache.Lru.misses;
-          hot_evictions = hot.Owl_cache.Lru.evictions;
-          hot_size = hot.Owl_cache.Lru.size;
-          hot_capacity = Owl_cache.Lru.capacity t.hot;
+          Proto.hot_hits = s.hot.Owl_cache.Lru.hits;
+          hot_misses = s.hot.Owl_cache.Lru.misses;
+          hot_evictions = s.hot.Owl_cache.Lru.evictions;
+          hot_size = s.hot.Owl_cache.Lru.size;
+          hot_capacity = s.hot_capacity;
         };
-    served;
-    rejected;
-    uptime_seconds = Unix.gettimeofday () -. t.started_at;
+    served = s.served;
+    rejected = s.rejected;
+    uptime_seconds = s.uptime;
   }
 
-let health_now t =
-  let hot = Owl_cache.Lru.stats t.hot in
-  locked t.lock (fun () ->
-      {
-        Proto.workers = t.cfg.jobs;
-        workers_lost = t.lost;
-        queue_waiting = t.waiting;
-        cancelled = t.cancelled;
-        timeouts = t.timeouts;
-        uptime_s = Unix.gettimeofday () -. t.started_at;
-        build = build_id;
-        hot_size = hot.Owl_cache.Lru.size;
-        hot_capacity = Owl_cache.Lru.capacity t.hot;
-      })
+(* The metric rows a status snapshot implies: counters (left out at
+   zero, as the registry leaves out an unbumped counter) and levels *)
+let derived_metrics (t : t) (s : status) =
+  let row kind (name, n) =
+    {
+      Proto.m_name = name;
+      m_kind = kind;
+      m_count = n;
+      m_sum = n;
+      m_min = 0;
+      m_max = 0;
+      m_p50 = 0;
+      m_p90 = 0;
+      m_p99 = 0;
+    }
+  in
+  let store =
+    match s.store with
+    | None -> []
+    | Some c ->
+        Owl_cache.
+          [
+            ("cache.hit", c.hits);
+            ("cache.miss", c.misses);
+            ("cache.stale", c.stale);
+            ("cache.write", c.writes);
+          ]
+  in
+  let counters =
+    [
+      ("serve.cancelled", s.cancelled);
+      ("serve.timeout", s.timeouts);
+      ("serve.worker_lost", s.lost);
+      ("cache.hot.hit", s.hot.Owl_cache.Lru.hits);
+      ("cache.hot.miss", s.hot.Owl_cache.Lru.misses);
+      ("cache.hot.eviction", s.hot.Owl_cache.Lru.evictions);
+    ]
+    @ store
+  in
+  List.map (row "counter") (List.filter (fun (_, n) -> n <> 0) counters)
+  @ List.map (row "gauge")
+      [
+        ("serve.queue_waiting", s.waiting);
+        ("serve.inflight", s.inflight);
+        ("serve.workers_total", t.cfg.jobs);
+        ("serve.hot_tier.size", s.hot.Owl_cache.Lru.size);
+      ]
 
-(* refresh the level gauges from live server state, then snapshot the
-   whole registry — a scrape reads current depth, not the last change.
-   With telemetry off the answer is the empty list, not whatever a
+(* With telemetry off the answer is the empty list, not whatever a
    previous telemetry-on daemon in this process left in the registry *)
-let metrics_now t =
+let metrics (t : t) =
   if not t.cfg.telemetry then []
   else
-  let hot = Owl_cache.Lru.stats t.hot in
-  locked t.lock (fun () ->
-      Obs.set_gauge g_queue t.waiting;
-      Obs.set_gauge g_inflight t.inflight);
-  Obs.set_gauge g_workers_total t.cfg.jobs;
-  Obs.set_gauge g_hot_size hot.Owl_cache.Lru.size;
-  List.map Proto.wire_metric_of_obs (Obs.metrics ())
+    List.sort
+      (fun a b -> compare a.Proto.m_name b.Proto.m_name)
+      (derived_metrics t (status t)
+      @ List.map Proto.wire_metric_of_obs (Obs.metrics ()))
 
 let initiate_stop t =
   let fire =
@@ -664,14 +734,14 @@ let handle t conn ~trace (req : Proto.request) =
               {
                 server = t.cfg.server_name;
                 protocol = Proto.version;
-                health = health_now t;
+                health = health t (status t);
               }));
       bump_served t
   | Proto.Cache_stats ->
-      ignore (send conn (Proto.Cache_stats_reply (cache_stats_now t)));
+      ignore (send conn (Proto.Cache_stats_reply (cache_stats t (status t))));
       bump_served t
   | Proto.Metrics ->
-      ignore (send conn (Proto.Metrics_reply (metrics_now t)));
+      ignore (send conn (Proto.Metrics_reply (metrics t)));
       bump_served t
   | Proto.Dump_trace { trace = filter } ->
       ignore
@@ -703,7 +773,6 @@ let handle t conn ~trace (req : Proto.request) =
           | Some d when d <= 0.0 ->
               (* unsatisfiable before it starts: no queue slot consumed *)
               locked t.lock (fun () -> t.timeouts <- t.timeouts + 1);
-              Obs.incr c_timeout;
               ignore
                 (send conn
                    (Proto.Err
@@ -721,6 +790,8 @@ let handle t conn ~trace (req : Proto.request) =
                       t.rejected <- t.rejected + 1;
                       t.waiting)
                 in
+                (* the registry's copy, counted twice on purpose: see
+                   [c_rejected] *)
                 Obs.incr c_rejected;
                 ignore (send conn (Proto.Busy { queue_depth }))
               end

@@ -40,20 +40,28 @@ type config = {
       (** on-disk cache attached to every job's engine options *)
   server_name : string;  (** reported in [Pong] replies *)
   telemetry : bool;
-      (** enable live telemetry for the daemon's lifetime: the metric
-          registry (counters, gauges, the latency window served by the
-          [metrics] request) and the {!Obs} event ring as a black
-          box of the newest 4096 events per domain (served by
-          [dump_trace]).  The daemon restarts the ring at start and
-          disables it at teardown unless it was already running.  [false]
-          leaves both as they were — off, the measured-overhead
-          baseline. *)
+      (** enable live telemetry for the daemon's lifetime: the {!Obs}
+          metric registry (request and task counters, the job latency
+          histogram and its one-minute window) and the {!Obs} event
+          ring as a black box of the newest 4096 events per domain
+          (served by [dump_trace]).  The [metrics] request answers the
+          registry merged with counter and gauge rows derived from the
+          daemon's own tallies (cancellations, timeouts, lost jobs,
+          queue depth, in-flight jobs, workers, both cache tiers) — the
+          tallies [ping] and [cache_stats] report, which are kept with
+          telemetry off too.  The daemon restarts the ring at start and
+          disables it at teardown unless it was already running.
+          [false] leaves registry and ring as they were — off, the
+          measured-overhead baseline — and [metrics] answers an empty
+          list. *)
   dump_dir : string option;
       (** where automatic black-box dumps of the event ring go (timestamped
           [owl-flight-<pid>-<reason>-<n>.json] files, written each time
           a job is lost to an escaped exception, reason
-          [worker_lost]); [None] disables automatic dumps.  Requires
-          [telemetry]. *)
+          [worker_lost]); [None] disables automatic dumps.  A dump needs
+          only a running event ring: [telemetry] starts one, and so does
+          a caller that enabled {!Obs} tracing before [run] ([owl serve
+          --trace]). *)
 }
 
 val run :

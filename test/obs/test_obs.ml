@@ -512,34 +512,6 @@ let test_quantile_uniform () =
   checkb "uniform p99 bounded" true (m.Obs.p99 >= 900 && m.Obs.p99 <= 1000);
   Obs.reset_metrics ()
 
-let test_gauges () =
-  Obs.reset_metrics ();
-  let g = Obs.gauge "test.gauge" in
-  (* disabled: setting is a no-op, and an unset gauge stays invisible *)
-  Obs.disable_metrics ();
-  Obs.set_gauge g 9;
-  checkb "unset gauge hidden" true
-    (List.for_all
-       (fun (m : Obs.metric) -> m.Obs.metric_name <> "test.gauge")
-       (Obs.metrics ()));
-  Obs.enable_metrics ();
-  Obs.set_gauge g 7;
-  Obs.set_gauge g 3;
-  Obs.disable_metrics ();
-  checki "last level wins" 3 (Obs.gauge_value g);
-  let m =
-    List.find
-      (fun (m : Obs.metric) -> m.Obs.metric_name = "test.gauge")
-      (Obs.metrics ())
-  in
-  checkb "kind" true (m.Obs.metric_kind = `Gauge);
-  checki "level, not a sum" 3 m.Obs.count;
-  Obs.reset_metrics ();
-  checkb "reset hides it again" true
-    (List.for_all
-       (fun (m : Obs.metric) -> m.Obs.metric_name <> "test.gauge")
-       (Obs.metrics ()))
-
 let test_windows () =
   Obs.reset_metrics ();
   Obs.enable_metrics ();
@@ -733,7 +705,7 @@ let prop_summaries_ordered =
         m.Obs.count >= 0
         &&
         match m.Obs.metric_kind with
-        | `Counter | `Gauge -> true
+        | `Counter -> true
         | `Histogram | `Window ->
             m.Obs.min_value <= m.Obs.max_value
             && m.Obs.p50 <= m.Obs.p90
@@ -804,7 +776,6 @@ let () =
           Alcotest.test_case "counters and histograms" `Quick test_metrics;
           Alcotest.test_case "quantile interpolation" `Quick
             test_quantile_uniform;
-          Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "windows" `Quick test_windows;
           Alcotest.test_case "parallel recording" `Quick test_metrics_parallel;
           QCheck_alcotest.to_alcotest prop_summaries_ordered;

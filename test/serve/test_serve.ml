@@ -826,7 +826,7 @@ let stub_lookup kind name =
 let sock_counter = ref 0
 
 let start_server ?(jobs = 2) ?(queue_depth = 8) ?(hot = 16)
-    ?(telemetry = false) () =
+    ?(telemetry = false) ?cache () =
   incr sock_counter;
   let path =
     Printf.sprintf "/tmp/owl-serve-test-%d-%d.sock" (Unix.getpid ())
@@ -844,7 +844,7 @@ let start_server ?(jobs = 2) ?(queue_depth = 8) ?(hot = 16)
             jobs;
             queue_depth;
             hot_tier_size = hot;
-            cache = None;
+            cache;
             server_name = "test";
             telemetry;
             dump_dir = None;
@@ -1117,6 +1117,82 @@ let test_live_telemetry () =
   check "telemetry off serves an empty list" true (Client.metrics c = []);
   Client.close c;
   stop_server addr th
+
+(* Every serve and cache event has one tally, so the metrics reply can
+   only repeat what ping and cache stats say.  Two telemetry-on daemons
+   run in sequence in one process, each with its own disk cache; the
+   first answers a hot hit.  The fresh second daemon answers one cold
+   request, and each counter row of its metrics reply must equal the
+   matching stats or health field — or be absent where that field is
+   zero — and each level row must equal its field.  The reply merges
+   these rows with the registry's, so it must also name each metric
+   once, in sorted order. *)
+let cache_counter = ref 0
+
+let fresh_cache () =
+  incr cache_counter;
+  Owl_cache.open_dir
+    (Printf.sprintf "serve-test-cache-%d.%d" (Unix.getpid ()) !cache_counter)
+
+let test_metrics_agree_across_daemons () =
+  let addr, th = start_server ~telemetry:true ~cache:(fresh_cache ()) () in
+  let c = Client.connect addr in
+  ignore (Client.synth c ~design:"acc" Synth.Engine.default_options);
+  let r = Client.synth c ~design:"acc" Synth.Engine.default_options in
+  check "first daemon answers a hot hit" true r.Proto.hot;
+  Client.close c;
+  stop_server addr th;
+  let addr, th = start_server ~telemetry:true ~cache:(fresh_cache ()) () in
+  let c = Client.connect addr in
+  let r = Client.synth c ~design:"acc" Synth.Engine.default_options in
+  check_str "second daemon solves cold" "solved" r.Proto.outcome;
+  let ms = Client.metrics c in
+  let s = Client.cache_stats c in
+  let _, _, h = Client.ping c in
+  Client.close c;
+  stop_server addr th;
+  let names = List.map (fun m -> m.Proto.m_name) ms in
+  check "registry rows present" true (List.mem "serve.requests" names);
+  check "names sorted and unique" true (names = List.sort_uniq compare names);
+  let row name = List.find_opt (fun m -> m.Proto.m_name = name) ms in
+  let counter name want =
+    match row name with
+    | None -> check_int (name ^ " absent, so its field is zero") 0 want
+    | Some m ->
+        check_str (name ^ " kind") "counter" m.Proto.m_kind;
+        check_int name want m.Proto.m_count
+  in
+  let level name want =
+    match row name with
+    | None -> Alcotest.failf "no %s gauge" name
+    | Some m ->
+        check_str (name ^ " kind") "gauge" m.Proto.m_kind;
+        check_int name want m.Proto.m_count
+  in
+  let hot =
+    match s.Proto.hot_tier with
+    | Some t -> t
+    | None -> Alcotest.fail "no hot tier reported"
+  in
+  let store =
+    match s.Proto.store with
+    | Some c -> c
+    | None -> Alcotest.fail "no disk cache counters reported"
+  in
+  counter "cache.hot.hit" hot.Proto.hot_hits;
+  counter "cache.hot.miss" hot.Proto.hot_misses;
+  counter "cache.hot.eviction" hot.Proto.hot_evictions;
+  counter "cache.hit" store.Owl_cache.hits;
+  counter "cache.miss" store.Owl_cache.misses;
+  counter "cache.stale" store.Owl_cache.stale;
+  counter "cache.write" store.Owl_cache.writes;
+  counter "serve.cancelled" h.Proto.cancelled;
+  counter "serve.timeout" h.Proto.timeouts;
+  counter "serve.worker_lost" h.Proto.workers_lost;
+  level "serve.queue_waiting" h.Proto.queue_waiting;
+  level "serve.workers_total" h.Proto.workers;
+  level "serve.hot_tier.size" h.Proto.hot_size;
+  check_int "second daemon: one hot miss" 1 hot.Proto.hot_misses
 
 (* The daemon's ring lifecycle.  A telemetry-on daemon booted while the
    event ring runs (as under `owl serve --trace FILE`) restarts it as its
@@ -1590,6 +1666,8 @@ let () =
           Alcotest.test_case "verify progress counts queries" `Quick
             test_verify_progress_counts_queries;
           Alcotest.test_case "live telemetry" `Quick test_live_telemetry;
+          Alcotest.test_case "metrics agree with stats across daemons"
+            `Quick test_metrics_agree_across_daemons;
           Alcotest.test_case "ring lifecycle" `Quick test_ring_lifecycle;
           Alcotest.test_case "telemetry overhead" `Quick
             test_telemetry_overhead;
