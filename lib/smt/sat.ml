@@ -79,6 +79,7 @@ type t = {
       (* cumulative problem clauses added through the external API — the
          monotone count statistics deltas need (clauses satisfied at level
          0 or reduced to units never occupy a slot) *)
+  mutable intake : int array;  (* [add_clause]'s working copy of a clause *)
 }
 
 let create () =
@@ -114,6 +115,7 @@ let create () =
     n_learnt_kept = 0;
     n_learnt_deleted = 0;
     n_encoded = 0;
+    intake = Array.make 16 0;
   }
 
 let num_vars s = s.nvars
@@ -550,31 +552,60 @@ let reduce_db s =
 
 (* {1 Adding clauses} *)
 
+(* Inserts [ext_lits] as internal literals into [a], whose first [i]
+   entries are sorted, keeping them sorted (clauses are short).  Raises on
+   an unallocated variable before the solver changes. *)
+let rec insert_lits s a i = function
+  | [] -> ()
+  | l :: rest ->
+      let v = abs l in
+      if v < 1 || v > s.nvars then
+        invalid_arg (Printf.sprintf "Sat.add_clause: unknown variable %d" v);
+      let x = (2 * (v - 1)) lor (if l < 0 then 1 else 0) in
+      let j = ref i in
+      while !j > 0 && a.(!j - 1) > x do
+        a.(!j) <- a.(!j - 1);
+        decr j
+      done;
+      a.(!j) <- x;
+      insert_lits s a (i + 1) rest
+
 let add_clause s ext_lits =
   s.model_valid <- false;
   cancel_until s 0;
   s.n_encoded <- s.n_encoded + 1;
   if s.ok then begin
-    let to_int l =
-      let v = abs l in
-      if v < 1 || v > s.nvars then
-        invalid_arg (Printf.sprintf "Sat.add_clause: unknown variable %d" v);
-      (2 * (v - 1)) lor (if l < 0 then 1 else 0)
-    in
-    (* remove duplicates, detect tautologies, drop false-at-level-0 lits *)
-    let lits = List.sort_uniq Stdlib.compare (List.map to_int ext_lits) in
-    let tautology = List.exists (fun l -> List.mem (l lxor 1) lits) lits in
-    if not tautology then begin
-      let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-      if List.exists (fun l -> lit_value s l = 1) lits then ()
-      else
-        match lits with
-        | [] -> s.ok <- false
-        | [ l ] ->
-            enqueue s l (-1);
-            if propagate s >= 0 then s.ok <- false
-        | _ -> ignore (alloc_clause s (Array.of_list lits) false)
-    end
+    let n = List.length ext_lits in
+    if Array.length s.intake < n then s.intake <- Array.make (2 * n) 0;
+    let a = s.intake in
+    insert_lits s a 0 ext_lits;
+    (* One pass over the sorted literals: drop duplicates and literals
+       false at level 0, keeping the rest in place; stop at a tautology
+       ([l] and [l lxor 1] are adjacent once sorted) or a literal true at
+       level 0.  Either makes the clause satisfied. *)
+    let kept = ref 0 and satisfied = ref false and i = ref 0 in
+    while (not !satisfied) && !i < n do
+      let l = a.(!i) in
+      let prev = if !i > 0 then a.(!i - 1) else -1 in
+      if l = prev then ()
+      else if l = prev lxor 1 then satisfied := true
+      else begin
+        match lit_value s l with
+        | 1 -> satisfied := true
+        | 0 -> ()
+        | _ ->
+            a.(!kept) <- l;
+            incr kept
+      end;
+      incr i
+    done;
+    if not !satisfied then
+      match !kept with
+      | 0 -> s.ok <- false
+      | 1 ->
+          enqueue s a.(0) (-1);
+          if propagate s >= 0 then s.ok <- false
+      | k -> ignore (alloc_clause s (Array.sub a 0 k) false)
   end
 
 (* A test hook: the "lbd" shape of [test_sat] adds a budgeted solve's

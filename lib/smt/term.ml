@@ -266,15 +266,24 @@ let check_same_width name a b =
    mux over constants becomes.  Multiply, divide and carry-less multiply
    apply to such unions leaf by leaf, so [mul (ite h k1 k2) k3] folds to
    [ite h (k1*k3) (k2*k3)] instead of a node Blast would expand into a
-   quadratic circuit.  The cheaper operators stay off this view: their
+   quadratic circuit.  [concat] of two unions folds too, so the sign- and
+   zero-extended operands of the high multiplies (MULH, MULHSU, MULHU)
+   reach them as unions.  The other operators stay off this view: their
    circuits are linear, and distributing them only grows the DAG. *)
 
+(* The caps: at most [max_leaves] leaves per operand and [max_pairs] leaf
+   pairs.  RV32I+M's ALU operand unions (operand select over immediate
+   select) outgrow 8 leaves and 16 pairs; caps of 32/256 and 64/1024
+   blasted no fewer clauses there than 16/64. *)
+let max_leaves = 16
+let max_pairs = 64
+
 (* Leaves of [t] as a constant union, or [None] if a leaf is not constant
-   or there are more than 8. *)
+   or there are more than [max_leaves]. *)
 let const_leaves t =
   let rec go n t =
     match t.node with
-    | Const _ -> if n < 8 then Some (n + 1) else None
+    | Const _ -> if n < max_leaves then Some (n + 1) else None
     | Ite (_, x, y) -> Option.bind (go n x) (fun n -> go n y)
     | _ -> None
   in
@@ -282,7 +291,7 @@ let const_leaves t =
 
 let unions_fold a b =
   match (const_leaves a, const_leaves b) with
-  | Some m, Some n -> m * n <= 16
+  | Some m, Some n -> m * n <= max_pairs
   | _ -> false
 
 (* {1 Simplifying constructors} *)
@@ -415,8 +424,7 @@ and carryless op a b =
    Rebuilding through [ite] merges equal leaves (Rosette's compress).  The
    nesting follows argument order, not [order2]: callers pass operands in
    a consistent order, so the same guards end up outermost across call
-   sites and the folded trees share more (2.93 M against 3.23 M blasted
-   clauses on RV32I+M). *)
+   sites.  Measured against [order2] nesting in DESIGN.md section 5. *)
 and distribute f a b =
   match (a.node, b.node) with
   | Ite (c, x, y), _ -> ite c (distribute f x b) (distribute f y b)
@@ -557,6 +565,7 @@ and concat hi lo =
   let w = hi.width + lo.width in
   match (hi.node, lo.node) with
   | Const x, Const y -> const (Bitvec.concat x y)
+  | _ when unions_fold hi lo -> distribute concat hi lo
   | Extract (h1, l1, x), Extract (h2, l2, y) when x == y && l1 = h2 + 1 ->
       extract ~high:h1 ~low:l2 x
   | _, Concat (m, lo') ->

@@ -100,12 +100,16 @@ val neg : t -> t
 val mul : t -> t -> t
 (** Folds over constant unions: when both operands are [ite]-trees whose
     leaves are all constants (a plain constant is a one-leaf union), with
-    at most 8 leaves each and at most 16 leaf pairs, the product is built
+    at most 16 leaves each and at most 64 leaf pairs, the product is built
     leaf by leaf — [mul (ite h k1 k2) k3] is [ite h (k1*k3) (k2*k3)] — so
     no multiplier reaches the bit-blaster.  The [ite]s of the first
     operand nest outside those of the second.  Past either cap the
-    operands stay a symbolic node.  The linear-circuit operators ([add],
-    logic, shifts, comparisons, [concat]) do not fold this way. *)
+    operands stay a symbolic node.  The caps are fixed: RV32I+M's ALU
+    operand unions (hole-controlled muxes over a grounded datapath)
+    outgrow 8 leaves and 16 pairs, and caps of 32/256 or 64/1024 blasted
+    no fewer clauses there than 16/64.  The linear-circuit operators
+    ([add], logic, shifts, comparisons) do not fold this way; {!concat}
+    does, so that extended operands reach a multiply as unions. *)
 
 val udiv : t -> t -> t
 (** Folds over constant unions as {!mul} does; [urem], [sdiv] and [srem]
@@ -138,6 +142,10 @@ val sge : t -> t -> t
 val ite : t -> t -> t -> t
 val extract : high:int -> low:int -> t -> t
 val concat : t -> t -> t
+(** Folds over two constant unions under {!mul}'s caps, so a sign- or
+    zero-extended union ({!sext}, {!zext}) is itself a constant union and
+    a high multiply over extended operands folds too. *)
+
 val zext : t -> int -> t
 val sext : t -> int -> t
 val msb : t -> t

@@ -760,10 +760,13 @@ let cached_cegis run cache ~instr ~holes ~correct ~violation local =
      wires, hole copies), and the solver-relevant [incremental] flag
      rides along.  Budgets, deadlines, retries, and [jobs] deliberately
      do not: they change how hard the engine tries, never which bindings
-     are correct — so jobs=1 and jobs=4 share entries. *)
+     are correct — so jobs=1 and jobs=4 share entries.  The header's
+     version moves when a simplifier rule changes which bindings a cold
+     run finds without changing the serialized formulas, so a warm run
+     prints what a cold one would; older entries miss once. *)
   let fp =
     Owl_cache.fingerprint
-      (Printf.sprintf "owl-problem 1\nincremental %b\nholes %s\n%s"
+      (Printf.sprintf "owl-problem 2\nincremental %b\nholes %s\n%s"
          run.opts.incremental
          (String.concat " "
             (List.map (fun (n, w) -> Printf.sprintf "%s:%d" n w) holes))

@@ -67,8 +67,8 @@ let binops =
   ]
   @ quadratic_binops
 
-(* A constant union: an ite-tree with 1..9 constant leaves under width-1
-   guards, so some trees exceed Term's 8-leaf cap.  Guards are single bits
+(* A constant union: an ite-tree with 1..17 constant leaves under width-1
+   guards, so some trees exceed Term's 16-leaf cap.  Guards are single bits
    of the 1- to 3-bit variables: twelve distinct ones, so a tree seldom
    collapses, and none outside the solver tests' brute-force pool.  Leaves
    favour zero, one, all-ones and the signed minimum, the divisors and
@@ -113,7 +113,46 @@ let rec gen_union_leaves w n =
         twidth = w;
       }
 
-let gen_union w = QCheck.Gen.(1 -- 9 >>= gen_union_leaves w)
+let gen_union w = QCheck.Gen.(1 -- 17 >>= gen_union_leaves w)
+
+(* [concat] of two constant unions, split anywhere in width [w]. *)
+let gen_union_concat w =
+  QCheck.Gen.(
+    1 -- (w - 1) >>= fun wl ->
+    pair (gen_union (w - wl)) (gen_union wl) >>= fun (hi, lo) ->
+    return
+      {
+        term = Term.concat hi.term lo.term;
+        reval = (fun env -> Bitvec.concat (hi.reval env) (lo.reval env));
+        twidth = w;
+      })
+
+(* The operands of a high multiply, at even width [w]: two unions of
+   width [w/2], each sign-extended (the concat of its replicated msb with
+   it) or zero-extended (the concat of zeros with it), fed to [mul] or
+   [udiv]. *)
+let gen_extended_product w =
+  let open QCheck.Gen in
+  let extended =
+    bool >>= fun signed ->
+    gen_union (w / 2) >>= fun u ->
+    return
+      {
+        term = (if signed then Term.sext u.term w else Term.zext u.term w);
+        reval =
+          (fun env ->
+            if signed then Bitvec.sext (u.reval env) w else Bitvec.zext (u.reval env) w);
+        twidth = w;
+      }
+  in
+  oneofl [ (Term.mul, Bitvec.mul); (Term.udiv, Bitvec.udiv) ] >>= fun (tf, rf) ->
+  pair extended extended >>= fun (a, b) ->
+  return
+    {
+      term = tf a.term b.term;
+      reval = (fun env -> rf (a.reval env) (b.reval env));
+      twidth = w;
+    }
 
 (* {1 Memories and tables}
 
@@ -225,6 +264,12 @@ let rec gen_sized ~memory w size =
               reval = (fun env -> rf (a.reval env) (b.reval env));
               twidth = w;
             } );
+        (* concat of constant unions, or a high multiply's extended
+           operands *)
+        ( 2,
+          if w < 2 then gen_var w
+          else if w mod 2 = 1 then gen_union_concat w
+          else oneof [ gen_union_concat w; gen_extended_product w ] );
         (* ite *)
         ( 3,
           gen_sized 1 (size / 2) >>= fun c ->

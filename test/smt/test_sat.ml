@@ -414,6 +414,44 @@ let test_edges () =
     (Sat.solve ~assumptions:[ v1 ] s = Sat.Unsat);
   Alcotest.(check bool) "still sat without" true (Sat.solve s = Sat.Sat)
 
+(* Every branch of [add_clause]'s intake, in one solver: duplicates
+   collapse, a complementary pair apart in input order is a tautology,
+   level-0-false literals drop (leaving a unit that propagates), a
+   level-0-true literal satisfies the clause, and a clause with every
+   literal false at level 0 makes the instance unsatisfiable. *)
+let test_clause_intake () =
+  let s = Sat.create () in
+  let v = Array.init 7 (fun _ -> Sat.new_var s) in
+  let stored () = Sat.num_clauses s in
+  Sat.add_clause s [ v.(0); v.(0) ];
+  Alcotest.(check int) "repeated unit: not stored" 0 (stored ());
+  Sat.add_clause s [ v.(1); v.(2); v.(1); v.(2); v.(1) ];
+  Alcotest.(check int) "duplicates: one clause stored" 1 (stored ());
+  Alcotest.(check bool) "repeated unit is forced" true
+    (Sat.solve ~assumptions:[ -v.(0) ] s = Sat.Unsat);
+  Alcotest.(check bool) "duplicates: the clause binds" true
+    (Sat.solve ~assumptions:[ -v.(1); -v.(2) ] s = Sat.Unsat);
+  Sat.add_clause s [ v.(3); v.(1); -v.(2); -v.(3) ];
+  Alcotest.(check int) "tautology: nothing stored" 1 (stored ());
+  Sat.add_clause s [ -v.(4) ];
+  Sat.add_clause s [ -v.(5) ];
+  Sat.add_clause s [ v.(5); v.(4); v.(6); v.(4) ];
+  Alcotest.(check int) "false literals dropped: a unit, not stored" 1 (stored ());
+  Alcotest.(check bool) "the unit is forced" true
+    (Sat.solve ~assumptions:[ -v.(6) ] s = Sat.Unsat);
+  Alcotest.(check bool) "sat without assumptions" true (Sat.solve s = Sat.Sat);
+  Alcotest.(check bool) "forced values" true
+    (Sat.value s v.(0) && Sat.value s v.(6)
+    && (not (Sat.value s v.(4)))
+    && not (Sat.value s v.(5)));
+  Sat.add_clause s [ -v.(1); v.(6); -v.(2) ];
+  Alcotest.(check int) "true at level 0: nothing stored" 1 (stored ());
+  Alcotest.(check int) "every clause counted as encoded" 7 (Sat.encoded_clauses s);
+  Sat.add_clause s [ v.(4); -v.(6); v.(5) ];
+  Alcotest.(check bool) "all false at level 0: unsat" true (Sat.solve s = Sat.Unsat);
+  Sat.add_clause s [ v.(3) ];
+  Alcotest.(check bool) "unsat from then on" true (Sat.solve s = Sat.Unsat)
+
 let test_large_random_3sat () =
   (* below the phase-transition ratio: should be satisfiable and fast *)
   let st = Random.State.make [| 42 |] in
@@ -460,4 +498,5 @@ let () =
          Alcotest.test_case "deadline mid-search" `Quick test_deadline_midsearch;
          Alcotest.test_case "xor chain" `Quick test_xor_chain;
          Alcotest.test_case "edge cases" `Quick test_edges;
+         Alcotest.test_case "clause intake" `Quick test_clause_intake;
          Alcotest.test_case "random 3sat" `Quick test_large_random_3sat ]) ]

@@ -242,8 +242,8 @@ let test_vars_collection () =
 (* Multiply, divide and carry-less multiply fold over ite-trees of constants
    leaf by leaf, so no quadratic node reaches the blaster; every guard
    assignment must still evaluate like Bitvec, zero divisor and
-   [min_int / -1] included.  Past 8 leaves an operand, or past 16 the leaf
-   product, stays a symbolic node. *)
+   [min_int / -1] included.  Past 16 leaves an operand, or past 64 the
+   leaf product, stays a symbolic node. *)
 let test_constant_unions () =
   let quadratic =
     [ ("mul", Term.mul, Bitvec.mul);
@@ -270,7 +270,7 @@ let test_constant_unions () =
       false t
   in
   let g1 = Term.var "ut_g1" 1 and g2 = Term.var "ut_g2" 1 in
-  let sel = Term.var "ut_sel8" 8 in
+  let sel = Term.var "ut_sel16" 16 in
   (* an ite chain with [n] distinct constant leaves under distinct guards *)
   let chain w n =
     let rec go i =
@@ -307,19 +307,28 @@ let test_constant_unions () =
                 (Bitvec.equal (Term.eval env t) expected))
             [ (false, false); (false, true); (true, false); (true, true) ];
           let three = Term.of_int ~width:w 3 in
+          let eleven = Term.of_int ~width:w 11 in
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%d nine leaves stay symbolic" name w)
+            (Printf.sprintf "%s/%d 17 leaves stay symbolic" name w)
             true
-            (symbolic (tf (chain w 9) three));
+            (symbolic (tf (chain w 17) three));
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%d 8x2 leaves fold" name w)
+            (Printf.sprintf "%s/%d 16x4 leaves fold" name w)
             false
-            (symbolic (tf (chain w 8) b));
+            (symbolic (tf (chain w 16) (Term.ite g1 three (Term.ite g2 eleven (chain w 2)))));
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%d 8x3 leaves stay symbolic" name w)
+            (Printf.sprintf "%s/%d 16x5 leaves stay symbolic" name w)
             true
-            (symbolic (tf (chain w 8) (Term.ite g1 three (chain w 2)))))
-        quadratic)
+            (symbolic (tf (chain w 16) (Term.ite g1 three (Term.ite g2 eleven (chain w 3))))))
+        quadratic;
+      (* a high multiply's operands: [concat] folds over the unions that
+         sign and zero extension build *)
+      let h = w / 2 in
+      let u g = Term.ite g (Term.ones h) (Term.of_int ~width:h 5) in
+      Alcotest.(check bool)
+        (Printf.sprintf "mul/%d of extended unions folds" w)
+        false
+        (symbolic (Term.mul (Term.sext (u g1) w) (Term.zext (u g2) w))))
     [ 32; 64 ]
 
 (* Canonical serialization: round trip through smart constructors must land
