@@ -12,8 +12,10 @@
 
    The sketch's FSM value is a Per_instruction hole over the comparison
    wires; the four active-branch encodings are Shared 3-bit holes, and the
-   synthesizer must place IDLE's state outside all of them so that the
-   hold-everything default branch is taken. *)
+   synthesizer must place IDLE's state outside the three that write an
+   operand or set [busy].  DONE's encoding only clears [busy], which IDLE's
+   decode already has clear, so IDLE may take it or the hold-everything
+   default branch. *)
 
 let operand_width = 16
 

@@ -61,6 +61,22 @@ let outcome_name = function
   | Unsat _ -> "unsat"
   | Unknown _ -> "unknown"
 
+(* First match in instance order is canonical (congruence forces aliasing
+   instances to agree), so the index keeps the first binding per (memory,
+   address). *)
+let model_of ~var_value ~read_values =
+  let read_index =
+    lazy
+      (let tbl = Hashtbl.create (List.length read_values) in
+       List.iter
+         (fun (name, a, v) ->
+           let key = (name, Bitvec.to_string a) in
+           if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v)
+         read_values;
+       tbl)
+  in
+  { var_value; read_values; read_index }
+
 (* Observability handles, registered once at module initialization *)
 let c_checks = Obs.counter "solver.checks"
 let c_ack_instances = Obs.counter "solver.ack_instances"
@@ -170,6 +186,8 @@ end
 (* {1 Sessions} *)
 
 module Session = struct
+  type guard = int
+
   type t = {
     sat : Sat.t;
     blast : Blast.t;
@@ -178,14 +196,17 @@ module Session = struct
         (* a permanently asserted term simplified to constant false: the
            session is dead without ever consulting the SAT solver *)
     mutable mark : stats;  (* the totals the last check reported up to *)
+    mutable last_sat : (guard list * int * int) option;
+        (* the assumptions, encoded clauses and variables of the last check
+           if it was [Sat]: a check that matches all three has nothing new
+           to decide, so it reuses the assignment still on the trail *)
   }
-
-  type guard = int
 
   let create () =
     let sat = Sat.create () in
     let blast = Blast.create sat in
-    { sat; blast; ack = ack_create (); trivially_false = false; mark = empty_stats }
+    { sat; blast; ack = ack_create (); trivially_false = false; mark = empty_stats;
+      last_sat = None }
 
   (* Rewrites [t], extending the session's instance table; returns it with
      the congruence constraints its new instances owe, in discovery order. *)
@@ -295,20 +316,7 @@ module Session = struct
           (m.Term.mem_name, Term.eval env addr, Term.eval env v))
         !(s.ack.instances_rev)
     in
-    (* First match in instance order is canonical (congruence forces
-       aliasing instances to agree), so the index keeps the first binding
-       per (memory, address). *)
-    let read_index =
-      lazy
-        (let tbl = Hashtbl.create (List.length read_values) in
-         List.iter
-           (fun (name, a, v) ->
-             let key = (name, Bitvec.to_string a) in
-             if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v)
-           read_values;
-         tbl)
-    in
-    { var_value; read_values; read_index }
+    model_of ~var_value ~read_values
 
   let check_with_raw ?(assumptions = []) ?(budget = max_int) ?deadline s
       assertions =
@@ -328,11 +336,18 @@ module Session = struct
       (* Fault-injection hook: a planned spurious Unknown intercepts the
          check {e before} the SAT search, leaving the session untouched, so
          a retry of the same check is honest.  A planned corruption damages
-         only the returned model copy, for the same reason. *)
+         only the returned model copy, and the retry of a [Sat] check
+         re-reads the assignment without searching, so it returns the
+         honest model and leaves the session exactly as it was. *)
       match Fault.on_check () with
       | Some Fault.Spurious_unknown -> Unknown (take_stats s)
       | injected -> (
-          let result = Sat.solve ~assumptions ~budget ?deadline s.sat in
+          let key = (assumptions, Sat.encoded_clauses s.sat, Sat.num_vars s.sat) in
+          let result =
+            if s.last_sat = Some key then Sat.Sat
+            else Sat.solve ~assumptions ~budget ?deadline s.sat
+          in
+          s.last_sat <- (if result = Sat.Sat then Some key else None);
           let st = take_stats s in
           match result with
           | Sat.Unsat -> Unsat st
@@ -405,3 +420,17 @@ let read_lookup model (m : Term.mem) addr =
   Hashtbl.find_opt
     (Lazy.force model.read_index)
     (m.Term.mem_name, Bitvec.to_string addr)
+
+let model_env model =
+  {
+    Term.lookup_var =
+      (fun n w ->
+        match model.var_value n with
+        | Some v -> Some v
+        | None -> Some (Bitvec.zero w));
+    Term.lookup_read =
+      (fun m a ->
+        match read_lookup model m a with
+        | Some v -> Some v
+        | None -> Some (Bitvec.zero m.Term.data_width));
+  }

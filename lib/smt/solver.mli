@@ -37,6 +37,15 @@ type model = {
           {!read_lookup}; treat as an implementation detail *)
 }
 
+val model_of :
+  var_value:(string -> Bitvec.t option) ->
+  read_values:(string * Bitvec.t * Bitvec.t) list ->
+  model
+(** A model from its two views, with [read_index] built over
+    [read_values] (the first entry per memory and address wins), so a
+    caller that rewrites a model's values keeps {!read_lookup} consistent
+    with them. *)
+
 type stats = {
   sat_vars : int;  (** SAT variables this check allocated *)
   sat_clauses : int;
@@ -144,7 +153,10 @@ module Session : sig
       sum to {!stats}.  After [Unsat] under assumptions the session remains
       usable with different assumptions; after [Sat] the returned model is
       a snapshot and stays valid across later asserts, retractions, and
-      checks on the same session. *)
+      checks on the same session.  A check right after a [Sat] one, with
+      the same assumptions and nothing asserted in between, has nothing
+      new to decide: it re-reads the same assignment without searching,
+      so retrying a check leaves the session exactly as it was. *)
 
   val stats : t -> stats
   (** Cumulative totals since [create]: variables allocated, problem
@@ -161,3 +173,10 @@ val read_lookup : model -> Term.mem -> Bitvec.t -> Bitvec.t option
     instances to carry equal values in any model, so the first match is
     canonical and the lookup deterministic.  Backed by a hash index built
     once per model, so repeated lookups are O(1). *)
+
+val model_env : model -> Term.env
+(** The model as a total evaluation environment, mirroring the solver's
+    own defaulting rules: a variable the blaster simplified away reads as
+    zero (any value works), a read resolves through {!read_lookup}, and an
+    address no read instance evaluated to reads as zero.  A model the
+    solver honestly produced satisfies its assertions under it. *)

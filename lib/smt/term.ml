@@ -1100,13 +1100,19 @@ let eval env root =
 
 (* Each call makes its own rewriter: [env] and [f] may read mutable state
    (the engine's candidate table), so a memo must not outlive the call. *)
-let substitute env root =
+let substitute ?(unbound = fun _ _ -> None) env root =
   rewriter
     (fun go t ->
       match t.node with
-      | Var s -> Option.map const (env.lookup_var s t.width)
-      | Read (m, a) ->
-          Option.bind (is_const (go a)) (env.lookup_read m) |> Option.map const
+      | Var s -> (
+          match env.lookup_var s t.width with
+          | Some v -> Some (const v)
+          | None -> unbound t t)
+      | Read (m, a) -> (
+          let a = go a in
+          match Option.bind (is_const a) (env.lookup_read m) with
+          | Some v -> Some (const v)
+          | None -> unbound t (read m a))
       | Ite (c, a, b) ->
           (* Avoid rebuilding the dead branch when the condition folds. *)
           let c = go c in

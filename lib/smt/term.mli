@@ -235,12 +235,15 @@ val eval : env -> t -> Bitvec.t
 (** Full concrete evaluation.  Raises [Failure] if a variable is unbound or
     a read is unresolved. *)
 
-val substitute : env -> t -> t
+val substitute : ?unbound:(t -> t -> t option) -> env -> t -> t
 (** Partial evaluation, as a {!rewriter} hook: replaces bound variables
     with constants, resolves reads whose address becomes concrete, and
     rewrites only the live arm of an ite whose condition folds.  Everything
     else is rebuilt through the smart constructors, so the result is
-    re-simplified.  Unbound variables remain symbolic. *)
+    re-simplified.  Unbound variables remain symbolic: for a variable or
+    read node [t] that [env] leaves unresolved, [unbound t t'] (default
+    [None]) may replace [t'], the node with its address rewritten, in the
+    same pass. *)
 
 val rename : (string -> string option) -> t -> t
 (** Renames the variables [f] maps to [Some], as a {!rewriter} hook (e.g.

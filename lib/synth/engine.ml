@@ -271,31 +271,23 @@ let query_deadline run =
 
    The runtime guard against trusting a wrong [Sat] model (a latent
    session bug, or an injected corruption): evaluate the asserted terms
-   concretely under the model and require every one to hold.  The
-   evaluation environment mirrors the solver's own defaulting rules —
-   variables the blaster simplified away take any value (zero), residual
-   memory reads resolve through the model's read instances (Ackermann
-   congruence makes that canonical), absent addresses default to zero
-   exactly as [cex_env] exposes them — so a model the solver honestly
-   produced always passes. *)
-
-let model_env (model : Solver.model) =
-  {
-    Term.lookup_var =
-      (fun n w ->
-        match model.Solver.var_value n with
-        | Some v -> Some v
-        | None -> Some (Bitvec.zero w));
-    Term.lookup_read =
-      (fun m a ->
-        match Solver.read_lookup model m a with
-        | Some v -> Some v
-        | None -> Some (Bitvec.zero m.Term.data_width));
-  }
+   concretely under the model and require every one to hold.  Variables
+   read as [Solver.model_env] has them, but memory strictly: the solver
+   records every read the terms make (Ackermann gives each an instance,
+   and congruence makes the first canonical), so a model the solver
+   honestly produced always passes, while a read at an address the model
+   never recorded means a corrupted variable fed the address. *)
 
 let model_satisfies model terms =
-  let env = model_env model in
-  List.for_all (fun t -> Bitvec.is_ones (Term.eval env t)) terms
+  let env =
+    { (Solver.model_env model) with Term.lookup_read = Solver.read_lookup model }
+  in
+  List.for_all
+    (fun t ->
+      match Term.eval env t with
+      | v -> Bitvec.is_ones v
+      | exception Failure _ -> false)
+    terms
 
 (* {1 Lanes: incremental or fresh, on the resilient ladder}
 
@@ -418,6 +410,20 @@ module Lane = struct
     Option.iter (fun s -> List.iter (Solver.Session.assert_always s) ts) lane
 end
 
+(* {1 Refinement under the precondition}
+
+   Every check of a hole-free formula, the CEGIS verify step's and
+   [verify]'s alike, is posed through [Refine.check]: one pass binds
+   [env]'s variables (a CEGIS candidate) and the constants the formula's
+   own top-level conjuncts pin, a Sat model gets the pinned bits patched
+   back, and only a patched model that fails the unrefined formula costs
+   a second query, on a fresh lane up the ladder.  Returns the
+   counterexample, if any, and whether that re-check ran. *)
+let check_refined run lane ?env pins violation =
+  Refine.check ?env pins violation
+    ~solve:(Lane.check_candidate run lane)
+    ~recheck:(fun t -> Lane.check run None [ t ])
+
 (* {1 The §3.3.1 gate}
 
    Mutual exclusion is one query on the run's ladder: its deadline, cancel
@@ -445,7 +451,7 @@ let independence_gate run (problem : problem) conds =
     overlapping =
       (match Lane.check grun None [ Independence.exclusion_violation conds ] with
       | None -> []
-      | Some m -> Independence.co_decoding (model_env m) conds);
+      | Some m -> Independence.co_decoding (Solver.model_env m) conds);
     feedback =
       (Independence.check_no_feedback ~allowed_cuts:cuts problem.design)
         .Independence.feedback_paths;
@@ -483,9 +489,10 @@ let candidate_env run (candidate : (string, Bitvec.t) Hashtbl.t) =
     Term.lookup_read = (fun _ _ -> None);
   }
 
-(* A counterexample's state: [model_env] with the holes left symbolic. *)
+(* A counterexample's state: [Solver.model_env] with the holes left
+   symbolic. *)
 let cex_env run model =
-  let env = model_env model in
+  let env = Solver.model_env model in
   {
     env with
     Term.lookup_var =
@@ -552,19 +559,22 @@ let refresh_table tbl model =
    ([None] for a joint loop); it labels the spans. *)
 let cegis run ~instr ~targets ~corrects candidate =
   let label = Option.value instr ~default:"joint" in
-  let verifiers = List.map (fun v -> (v, Lane.create run.opts)) targets in
+  let verifiers =
+    List.map (fun v -> (v, Refine.collect v, Lane.create run.opts)) targets
+  in
   (* the synth half: every ground constraint so far, newest first — the
      fresh lane's whole query, and otherwise what the ladder's degraded
      rung re-solves and model validation evaluates *)
   let synth_lane = Lane.create run.opts in
   let constraints = ref [] in
-  let verify (violation, lane) =
+  let verify (violation, pins, lane) =
     Obs.span "cegis.verify"
       ~args:[ ("instr", Obs.Str label) ]
-      ~result:(fun r -> [ ("counterexample", Obs.Bool (r <> None)) ])
+      ~result:(fun (r, recheck) ->
+        [ ("counterexample", Obs.Bool (r <> None)); ("recheck", Obs.Bool recheck) ])
       (fun () ->
-        Lane.check_candidate run lane
-          (Term.substitute (candidate_env run candidate) violation))
+        check_refined run lane ~env:(candidate_env run candidate) pins violation)
+    |> fst
   in
   let synth_with added =
     constraints := added @ !constraints;
@@ -663,11 +673,9 @@ let fan_out ?retried run ~make task items =
 (* {1 Checks with the control fixed}
 
    With no hole left to choose, the refinement question is one query: is
-   [Conditions.violation] unsatisfiable?  Field refinement (see Refine)
-   substitutes the instruction-word fields [c]'s precondition pins, so
-   decode folds and the operation-selection muxes collapse before
-   bit-blasting; hand-written control over 64-bit multiplier/divider cones
-   is intractable without it. *)
+   [Conditions.violation] unsatisfiable?  It is posed refined, as the CEGIS
+   verify step is ([check_refined]); hand-written control over 64-bit
+   multiplier/divider cones is intractable without it. *)
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
@@ -675,8 +683,6 @@ let verdict_name = function
   | Verified -> "verified"
   | Violated _ -> "violated"
   | Inconclusive -> "inconclusive"
-
-let pins (c : Ila.Conditions.conditions) = Refine.collect c.Ila.Conditions.pre
 
 (* Bounded refinement checking of a completed design, instruction by
    instruction. *)
@@ -699,37 +705,30 @@ let verify ?(options = default_options) ?cancel (problem : problem) :
       ( instr,
         Obs.span "verify.instr"
           ~args:[ ("instr", Obs.Str instr) ]
-          ~result:(fun v ->
+          ~result:(fun (v, recheck) ->
             [
               ("verdict", Obs.Str (verdict_name v));
               ("queries", Obs.Int (List.length !(run.log)));
+              ("recheck", Obs.Bool recheck);
             ])
-        @@ fun () ->
+        (fun () ->
         let violation = Ila.Conditions.violation c in
         (* An unpinned violation is the same datapath formula for every
-           instruction, so it shares [lane] (GCD: 1.9 k clauses blasted
-           per call against 7.0 k one-shot).  A pinned one is specialized
+           instruction, so it shares [lane] (GCD, before its [busy]
+           literals were pinned: 1.9 k clauses blasted per call against
+           7.0 k one-shot).  A pinned one is specialized
            down from the instruction word and shares almost nothing, while
            retraction keeps its Tseitin gates in a session, so it gets a
            one-shot solver (rv32im: 297 k clauses, 2.1 M propagations and
            0.72 s of checks, against 339 k, 10.2 M and 3.76 s on shared
            sessions). *)
-        let pins = pins c in
+        let pins = Refine.collect violation in
         let lane = if Refine.is_empty pins then lane else None in
-        match Lane.check_candidate run lane (Refine.apply pins violation) with
-        | exception Stop _ -> Inconclusive
-        | None -> Verified
-        | Some m -> (
-            (* The refined model lacks the pinned bits (they folded away),
-               so re-check the unrefined formula to report a faithful
-               counterexample.  A fresh lane keeps the reported model
-               deterministic even under parallel incremental schedules,
-               and the ladder validates it like any other model;
-               violations are found quickly in practice, so the extra
-               query is cheap. *)
-            match Lane.check run None [ violation ] with
-            | exception Stop _ -> Violated m
-            | r -> Violated (Option.value r ~default:m)) ))
+        match check_refined run lane pins violation with
+        | exception Stop _ -> (Inconclusive, false)
+        | None, recheck -> (Verified, recheck)
+        | Some m, recheck -> (Violated m, recheck))
+        |> fst ))
     conds
 
 (* The monolithic ∀-verify query in closed form: the disjunction, over
@@ -746,7 +745,11 @@ let monolithic_violation (problem : problem) : Term.t =
   let conds = compile_conditions problem trace in
   if conds = [] then fail "Engine.monolithic_violation: specification has no instructions";
   Term.disj
-    (List.map (fun c -> Refine.apply (pins c) (Ila.Conditions.violation c)) conds)
+    (List.map
+       (fun c ->
+         let v = Ila.Conditions.violation c in
+         Refine.apply (Refine.collect v) v)
+       conds)
 
 (* {1 The per-instruction cache around the loop} *)
 
@@ -766,7 +769,7 @@ let cached_cegis run cache ~instr ~holes ~correct ~violation local =
      prints what a cold one would; older entries miss once. *)
   let fp =
     Owl_cache.fingerprint
-      (Printf.sprintf "owl-problem 2\nincremental %b\nholes %s\n%s"
+      (Printf.sprintf "owl-problem 3\nincremental %b\nholes %s\n%s"
          run.opts.incremental
          (String.concat " "
             (List.map (fun (n, w) -> Printf.sprintf "%s:%d" n w) holes))

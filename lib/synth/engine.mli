@@ -66,7 +66,7 @@ type options = {
           stale candidates are retracted via activation literals — instead
           of re-encoding every query from scratch.  {!verify} uses it
           too, with one session per worker for the instructions whose
-          preconditions pin no instruction-word field.  On by default;
+          violations pin nothing (see {!Refine}).  On by default;
           [false] restores the historical fresh-solver-per-query behavior
           (the [--no-incremental] escape hatch). *)
   cache : Owl_cache.t option;
@@ -265,21 +265,24 @@ val synthesize :
     how a completed design, synthesized or hand-written, is formally
     checked against the specification.
 
-    {!verify} and {!monolithic_violation} share one step, {e field
-    refinement} (see {!Refine}): instruction-word fields that the
-    precondition pins to constants (opcode, funct3, funct7) are
-    substituted structurally into the fetched word, so the decode
-    comparisons fold and the datapath's operation-selection muxes
-    collapse before bit-blasting.  Without it, verifying a core whose ALU
-    tree contains wide multipliers or dividers is intractable.  In
-    {!verify} the refined query climbs the same {!Resilience} ladder as a
-    synthesis query: escalating rungs, deadline slices over the
-    instructions still outstanding, a final rung on a fresh one-shot
-    solver, and with [validate_models] every Sat model concretely
-    evaluated before it is trusted.  Only an exhausted ladder reads
-    differently, [Inconclusive] where synthesis reports [Timeout].  The
-    CEGIS verify step does not refine: a refined counterexample lacks its
-    pinned bits. *)
+    {!verify}, {!monolithic_violation} and the CEGIS verify step share
+    one step, {e refinement under the precondition} (see {!Refine}): the
+    instruction-word fields (opcode, funct3, funct7) and the width-1
+    literals (a pipelined core's assumed [bvnot p_valid]) that the
+    violation's own top-level conjuncts pin are substituted structurally,
+    so the decode comparisons fold and the datapath's operation-selection
+    and forwarding muxes collapse before bit-blasting.  Without it,
+    verifying a core whose ALU tree contains wide multipliers or dividers
+    is intractable.  A refined model gets its pinned bits patched back and
+    must satisfy the unrefined violation by evaluation; only if it does
+    not is the unrefined violation re-checked (the [recheck] argument of
+    the [cegis.verify] and [verify.instr] spans).  In {!verify} the
+    refined query climbs the same {!Resilience} ladder as a synthesis
+    query: escalating rungs, deadline slices over the instructions still
+    outstanding, a final rung on a fresh one-shot solver, and with
+    [validate_models] every Sat model concretely evaluated before it is
+    trusted.  Only an exhausted ladder reads differently, [Inconclusive]
+    where synthesis reports [Timeout]. *)
 
 type verdict = Verified | Violated of Solver.model | Inconclusive
 
@@ -300,20 +303,18 @@ val verify :
     [deadline_seconds] counts from the call.
 
     With [options.incremental] (the default) each worker reuses one
-    solver session across the instructions it checks whose preconditions
-    pin no instruction-word field: their queries are the same datapath
-    formula, blasted once per worker.  An instruction with pins is
-    specialized to itself by field refinement, shares almost nothing with
-    the others, and is checked on its own one-shot solver, so no later
-    query propagates through its retracted cone.  Which instructions
-    share a session depends on the dynamic schedule; with an unexhausted
-    budget this never changes a verdict (counterexample models are
-    re-derived by a fresh check, so they are schedule-independent too),
-    but under a tight budget the exact query that exhausts it may differ
-    from the fresh mode's.  A [Sat] refined query is re-checked: the
-    unrefined violation on a fresh solver yields a model with the pinned
-    bits.  Crashed worker tasks are retried up to [retries] times on a
-    fresh session; cancellation is never retried. *)
+    solver session across the instructions it checks whose violations
+    pin nothing: their queries are the same datapath formula, blasted
+    once per worker.  An instruction with pins is specialized to itself
+    by refinement, shares almost nothing with the others, and is checked
+    on its own one-shot solver, so no later query propagates through its
+    retracted cone.  Which instructions share a session depends on the
+    dynamic schedule; with an unexhausted budget this never changes a
+    verdict, but the counterexample model of an unpinned instruction may
+    depend on it, and under a tight budget the exact query that exhausts
+    it may differ from the fresh mode's.  Crashed worker tasks are retried
+    up to [retries] times on a fresh session; cancellation is never
+    retried. *)
 
 val monolithic_violation : problem -> Term.t
 (** The monolithic ∀-verify query in closed form: the disjunction over
@@ -322,5 +323,4 @@ val monolithic_violation : problem -> Term.t
     per-iteration verification query of the monolithic schedule mode,
     exported so benches and tools can attack the hard query directly
     (e.g. {!Portfolio.check}) without driving the CEGIS loop.  Each
-    disjunct's pinned instruction-word fields are folded first, as in
-    {!verify}.  Raises {!Engine_error} if the design still has holes. *)
+    disjunct is refined under its own pins first, as in {!verify}.  Raises {!Engine_error} if the design still has holes. *)

@@ -111,6 +111,41 @@ let test_model_snapshot () =
   | Some v -> Alcotest.(check int) "snapshot survives" 42 (Bitvec.to_int_exn v)
   | None -> Alcotest.fail "snapshot lost the variable"
 
+(* Repeating a Sat check with nothing new re-reads the same assignment:
+   the same model, and no SAT search at all; a check after a new
+   assertion searches again. *)
+let test_repeat_rereads () =
+  let a = Term.var "gv8_0" 8 and b = Term.var "gv8_1" 8 in
+  let s = Solver.Session.create () in
+  let g = Solver.Session.assert_retractable s (Term.ult a b) in
+  let check () =
+    match Solver.Session.check_with ~assumptions:[ g ] s [] with
+    | Solver.Sat (m, _) -> (m.Solver.var_value "gv8_0", m.Solver.var_value "gv8_1")
+    | _ -> Alcotest.fail "expected sat"
+  in
+  let solves () =
+    List.fold_left
+      (fun n (m : Obs.metric) ->
+        if m.Obs.metric_name = "sat.solves" then n + m.Obs.count else n)
+      0 (Obs.metrics ())
+  in
+  Obs.enable_metrics ();
+  Obs.reset_metrics ();
+  Fun.protect ~finally:Obs.disable_metrics @@ fun () ->
+  let first = check () in
+  Alcotest.(check int) "one search" 1 (solves ());
+  Alcotest.(check bool) "same model" true (check () = first);
+  Alcotest.(check int) "no second search" 1 (solves ());
+  (* a new assertion makes the next check decide again *)
+  match
+    Solver.Session.check_with ~assumptions:[ g ] s
+      [ Term.eq a (Term.of_int ~width:8 200) ]
+  with
+  | Solver.Sat (m, _) ->
+      Alcotest.(check (option int)) "new assertion honored" (Some 200)
+        (Option.map Bitvec.to_int_exn (m.Solver.var_value "gv8_0"))
+  | _ -> Alcotest.fail "expected sat"
+
 (* Ackermann congruence across check boundaries: read instances introduced
    by different checks on the same session still constrain each other. *)
 let test_ack_across_checks () =
@@ -303,6 +338,7 @@ let () =
          [ prop_incremental_agrees; prop_retraction ]);
       ("session",
        [ Alcotest.test_case "model snapshot" `Quick test_model_snapshot;
+         Alcotest.test_case "repeat re-reads" `Quick test_repeat_rereads;
          Alcotest.test_case "ackermann across checks" `Quick
            test_ack_across_checks;
          Alcotest.test_case "ackermann under retraction" `Quick

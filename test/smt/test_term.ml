@@ -84,11 +84,7 @@ let props =
       (fun ((g, env), seed) ->
         let t = g.Gen_terms.term in
         let read_values, mem_env = cex_memory env t seed in
-        let model =
-          { Solver.var_value = (fun _ -> None);
-            read_values;
-            read_index = lazy (Hashtbl.create 1) }
-        in
+        let model = Solver.model_of ~var_value:(fun _ -> None) ~read_values in
         let grounded = Synth.Engine.ground_reads model t in
         Term.reads grounded = []
         && Bitvec.equal

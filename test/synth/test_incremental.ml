@@ -146,6 +146,35 @@ let verify_clauses ~incremental problem =
       else acc)
     0 (Obs.metrics ())
 
+(* A compare-and-swap register pair whose two instructions decode on
+   [b < a] and [a <= b]: no conjunct of either violation is a field or
+   literal pin, so both are the same unpinned datapath formula. *)
+let cmpswap_problem () =
+  let s = Ila.Spec.create "cmpswap" in
+  let a = Ila.Spec.new_bv_state s "a" 8 in
+  let b = Ila.Spec.new_bv_state s "b" 8 in
+  let open Ila.Expr in
+  let swap = Ila.Spec.new_instr s "SWAP" in
+  Ila.Spec.set_decode swap (b < a);
+  Ila.Spec.set_update swap "a" b;
+  Ila.Spec.set_update swap "b" a;
+  let keep = Ila.Spec.new_instr s "KEEP" in
+  Ila.Spec.set_decode keep (a <= b);
+  let design =
+    let open Hdl.Builder in
+    let c = create "cmpswap" in
+    let ra = register c "a" 8 and rb = register c "b" 8 in
+    let sw = wire c "sw" (rb <: ra) in
+    set_register c ra (mux sw rb ra);
+    set_register c rb (mux sw ra rb);
+    finalize c
+  in
+  let reg name =
+    Ila.Absfun.mapping ~spec:name ~dp:name ~ty:Ila.Absfun.Dregister ~reads:[ 1 ]
+      ~writes:[ 1 ] ()
+  in
+  { Synth.Engine.design; spec = s; af = Ila.Absfun.make ~cycles:1 [ reg "a"; reg "b" ] }
+
 let test_verify_sharing_rule () =
   (* every ALU instruction pins its opcode, so each gets its own solver *)
   let alu =
@@ -155,13 +184,16 @@ let test_verify_sharing_rule () =
   let si = verify_clauses ~incremental:true alu in
   let sf = verify_clauses ~incremental:false alu in
   Alcotest.(check int) "pinned: one-shot solvers either way" sf si;
-  (* GCD pins nothing, so its instructions share the worker's session *)
-  let gcd =
-    { (Designs.Gcd.problem ()) with
-      Synth.Engine.design = Designs.Gcd.reference_design () }
-  in
-  let si = verify_clauses ~incremental:true gcd in
-  let sf = verify_clauses ~incremental:false gcd in
+  (* the compare-and-swap pair pins nothing, so its instructions share the
+     worker's session *)
+  let unpinned = cmpswap_problem () in
+  List.iter
+    (fun (iname, v) ->
+      Alcotest.(check string) (iname ^ " verified") "verified"
+        (Synth.Engine.verdict_name v))
+    (Synth.Engine.verify unpinned);
+  let si = verify_clauses ~incremental:true unpinned in
+  let sf = verify_clauses ~incremental:false unpinned in
   Alcotest.(check bool)
     (Printf.sprintf "unpinned: shared %d < %d one-shot clauses" si sf)
     true (si < sf)

@@ -6,9 +6,9 @@
    still solve — it must emit bit-for-bit the bindings of the fault-free
    run, at any job count.  Spurious Unknowns leave solver state untouched,
    corruption damages only the returned model copy (a session retry
-   reproduces the honest model via phase saving), and crashed tasks replay
-   on fresh worker state, so nothing a planned fault does can steer the
-   search.
+   re-reads the honest assignment without searching), and crashed tasks
+   replay on fresh worker state, so nothing a planned fault does can steer
+   the search.
 
    Fault plans are process-global: every test installs under Fun.protect
    so a failure cannot leak a plan into later tests.  Solver-check indices
@@ -146,9 +146,17 @@ let test_spurious_unknowns_recover () =
       Alcotest.(check bool) "bindings identical to fault-free" true
         (s.Synth.Engine.bindings = clean.Synth.Engine.bindings))
 
+(* The accumulator's joint loop poses 16 checks; check 13 is its last
+   synth query, whose model is the final bindings.  Corrupting it flips a
+   bit of every hole, which breaks a ground constraint, so validation must
+   reject it.  (A corrupted verify model can instead be a genuine
+   counterexample: refinement folds the pinned instruction bits a flip
+   used to hit, so such a model is rightly accepted.) *)
+let corrupt_plan = "corrupt@13,seed=7"
+
 let test_corrupt_model_rejected () =
   let clean = solve (Designs.Accumulator.problem ()) in
-  with_plan "corrupt@2,seed=7" (fun () ->
+  with_plan corrupt_plan (fun () ->
       let s = solve ~validate_models:true (Designs.Accumulator.problem ()) in
       let st = s.Synth.Engine.stats in
       Alcotest.(check int) "corruption detected" 1
@@ -167,7 +175,7 @@ let test_corrupt_without_validation_undetected () =
      and the counters stay at zero — this is exactly what validate_models
      buys.  (The run may still solve or fail downstream; only the counters
      are the point here.) *)
-  with_plan "corrupt@2,seed=7" (fun () ->
+  with_plan corrupt_plan (fun () ->
       let options = Synth.Engine.default_options in
       let st =
         match
@@ -186,7 +194,7 @@ let test_corrupt_without_validation_undetected () =
 let test_corrupt_degrades_to_fresh () =
   (* with retrying disabled a rejected model must still not be emitted:
      the ladder grants one bonus fresh-solver rung *)
-  with_plan "corrupt@2,seed=7" (fun () ->
+  with_plan corrupt_plan (fun () ->
       let s =
         solve ~retries:0 ~validate_models:true (Designs.Accumulator.problem ())
       in
@@ -201,7 +209,10 @@ let rv32_plan = "unknown@6,unknown@41,corrupt@13,crash@2,seed=7"
 let test_rv32_fault_transparency () =
   (* the acceptance criterion: rv32-single under spurious Unknowns, a
      worker crash, and a corrupted model solves with bindings identical
-     to the fault-free jobs=1 run, at jobs=1 and jobs=4 *)
+     to the fault-free jobs=1 run, at jobs=1 and jobs=4.  Validation
+     rejects a corrupted verify model even though refinement folds the
+     pinned opcode bits away: its flipped [pc] makes the fetch read an
+     address the model never recorded. *)
   let problem () = Designs.Riscv_single.problem Isa.Rv32.RV32I in
   let clean = solve (problem ()) in
   let check_run jobs =
@@ -214,6 +225,8 @@ let test_rv32_fault_transparency () =
           (st.Synth.Engine.retried_queries >= 1);
         Alcotest.(check bool) (tag "crashed task retried") true
           (st.Synth.Engine.task_retries >= 1);
+        Alcotest.(check bool) (tag "corruption rejected") true
+          (st.Synth.Engine.validation_failures >= 1);
         Alcotest.(check bool) (tag "per_instr identical") true
           (s.Synth.Engine.per_instr = clean.Synth.Engine.per_instr);
         Alcotest.(check bool) (tag "shared identical") true

@@ -138,11 +138,25 @@ let test_violation_model () =
       Alcotest.(check bool) "model has reads" true (m.Solver.read_values <> [])
   | _ -> Alcotest.fail "expected a violation with a model"
 
-(* A corrupted re-check must not become the answer.  The refined query's
-   model lacks the pinned instruction-word bits, so a Sat verdict is
-   re-checked on the unrefined violation; that re-check climbs the same
-   ladder, so [validate_models] catches a corrupted model there too.  At
-   one job ADD's refined check is solver check 1 and its re-check check 2. *)
+(* [instr]'s unrefined violation on [problem]'s design. *)
+let violation_of (problem : Synth.Engine.problem) instr =
+  let trace =
+    Oyster.Symbolic.eval
+      ~prefix:(Synth.Engine.problem_prefix problem)
+      problem.Synth.Engine.design ~cycles:problem.Synth.Engine.af.Ila.Absfun.cycles
+  in
+  Ila.Conditions.violation
+    (List.find
+       (fun c -> c.Ila.Conditions.instr_name = instr)
+       (Ila.Conditions.compile problem.Synth.Engine.spec problem.Synth.Engine.af
+          trace))
+
+let satisfies m t = Bitvec.is_ones (Term.eval (Solver.model_env m) t)
+
+(* A corrupted model must not become the answer.  The refined query's
+   model lacks the pinned instruction-word bits; the patch writes them
+   back, and [validate_models] rejects a corrupted model before that.  At
+   one job ADD's refined check is solver check 1. *)
 let test_violation_model_validated () =
   let bad_bindings =
     List.map
@@ -155,42 +169,43 @@ let test_violation_model_validated () =
   let options =
     Synth.Engine.(default_options |> with_jobs 1 |> with_validate_models true)
   in
-  Fault.install (Fault.parse "corrupt@2");
+  Fault.install (Fault.parse "corrupt@1");
   let verdicts =
     Fun.protect ~finally:Fault.clear (fun () ->
         let v = Synth.Engine.verify ~options problem in
         Alcotest.(check int) "corruption fired" 1 (Fault.fired ());
         v)
   in
-  let trace =
-    Oyster.Symbolic.eval
-      ~prefix:(Synth.Engine.problem_prefix problem)
-      design ~cycles:problem.Synth.Engine.af.Ila.Absfun.cycles
-  in
-  let c =
-    List.find
-      (fun c -> c.Ila.Conditions.instr_name = "ADD")
-      (Ila.Conditions.compile problem.Synth.Engine.spec
-         problem.Synth.Engine.af trace)
-  in
-  let violation = Ila.Conditions.violation c in
   match List.assoc "ADD" verdicts with
   | Synth.Engine.Violated m ->
-      let env =
-        {
-          Term.lookup_var =
-            (fun n w ->
-              Some (Option.value (m.Solver.var_value n) ~default:(Bitvec.zero w)));
-          Term.lookup_read =
-            (fun mem a ->
-              Some
-                (Option.value (Solver.read_lookup m mem a)
-                   ~default:(Bitvec.zero mem.Term.data_width)));
-        }
-      in
       Alcotest.(check bool) "model violates ADD" true
-        (Bitvec.is_ones (Term.eval env violation))
+        (satisfies m (violation_of problem "ADD"))
   | _ -> Alcotest.fail "expected a violation with a model"
+
+(* A core that never stores: every store instruction's refined check is
+   Sat, and the reported model, with the pinned opcode and funct3 bits of
+   the fetched word patched back in, satisfies the unrefined violation. *)
+let test_dropped_store_model () =
+  let variant = Isa.Rv32.RV32I in
+  let bindings =
+    ("mem_write", Oyster.Ast.Const (Bitvec.zero 1))
+    :: List.remove_assoc "mem_write" (Designs.Riscv_single.reference_bindings variant)
+  in
+  let problem =
+    { (Designs.Riscv_single.problem variant) with
+      Synth.Engine.design =
+        Oyster.Ast.fill_holes (Designs.Riscv_single.sketch variant) bindings }
+  in
+  let verdicts = Synth.Engine.verify problem in
+  List.iter
+    (fun instr ->
+      match List.assoc instr verdicts with
+      | Synth.Engine.Violated m ->
+          Alcotest.(check bool) (instr ^ " model violates") true
+            (satisfies m (violation_of problem instr))
+      | v -> Alcotest.failf "%s: expected a violation, got %s" instr
+               (Synth.Engine.verdict_name v))
+    [ "SB"; "SH"; "SW" ]
 
 let () =
   Alcotest.run "verify"
@@ -205,4 +220,5 @@ let () =
          Alcotest.test_case "swapped FSM encodings" `Quick test_mutated_gcd_encoding;
          Alcotest.test_case "violation model" `Quick test_violation_model;
          Alcotest.test_case "violation model validated" `Quick
-           test_violation_model_validated ]) ]
+           test_violation_model_validated;
+         Alcotest.test_case "dropped-store model" `Quick test_dropped_store_model ]) ]
